@@ -28,9 +28,11 @@ from repro.cpu.tcache import F_CSR, F_STORE, F_SYNC, F_TERM, TranslationCache
 from repro.cpu.timing import TimingModel
 from repro.isa.decoder import decode
 from repro.isa.instruction import InstrClass
+from repro.isa.opcodes import SPECS
 from repro.profile.sink import StepHub
 
-_MULDIV = InstrClass.MULDIV
+_MULDIV_MNEMONICS = tuple(mnemonic for mnemonic, spec in SPECS.items()
+                          if spec.cls is InstrClass.MULDIV)
 
 #: Effectively-unbounded chain quantum used when no profiler is attached.
 _CHAIN_UNLIMITED = 1 << 62
@@ -41,42 +43,37 @@ class SimpleTimer:
 
     Approximates a 5-stage pipeline: one cycle per instruction, plus fetch
     latency beyond one cycle, plus data-memory latency beyond the one
-    cycle the MEM stage hides, plus class/control penalties.
+    cycle the MEM stage hides, plus class/control penalties.  The
+    penalties come from one table, :attr:`extra`, which the engine's
+    block loops read as well.
     """
 
     def __init__(self, timing: TimingModel):
         self.timing = timing
         self.cycles = 0
+        #: Extra cycles keyed by ``step.control or step.mnemonic``: the
+        #: control kind of a redirecting instruction, else the mnemonic,
+        #: which only MULDIV instructions have an entry for.
+        self.extra = {
+            "branch": timing.branch_taken_penalty,
+            "jal": timing.jump_penalty,
+            "jalr": timing.branch_taken_penalty,
+            "mret": timing.mret_penalty,
+            "menter": timing.menter_cost,
+            "mexit": timing.mexit_cost,
+            "mraise": timing.jump_penalty,
+        }
+        for mnemonic in _MULDIV_MNEMONICS:
+            self.extra[mnemonic] = (
+                timing.div_extra if mnemonic.startswith(("div", "rem"))
+                else timing.mul_extra)
 
     def note(self, step: StepInfo) -> None:
-        timing = self.timing
         fetch = step.fetch_latency
-        cost = fetch if fetch > 1 else 1
-        if step.mem_latency > 1:
-            cost += step.mem_latency - 1
-        if step.cls is _MULDIV:
-            cost += (
-                timing.div_extra
-                if step.mnemonic.startswith(("div", "rem"))
-                else timing.mul_extra
-            )
-        control = step.control
-        if control is not None:
-            if control == "branch":
-                cost += timing.branch_taken_penalty
-            elif control == "jal":
-                cost += timing.jump_penalty
-            elif control == "jalr":
-                cost += timing.branch_taken_penalty
-            elif control == "mret":
-                cost += timing.mret_penalty
-            elif control == "menter":
-                cost += timing.menter_cost
-            elif control == "mexit":
-                cost += timing.mexit_cost
-            elif control == "mraise":
-                cost += timing.jump_penalty
-        self.cycles += cost
+        mem = step.mem_latency
+        self.cycles += ((fetch if fetch > 1 else 1)
+                        + (mem - 1 if mem > 1 else 0)
+                        + self.extra.get(step.control or step.mnemonic, 0))
 
     def note_event(self, cycles: int) -> None:
         """Charge raw cycles (trap dispatch, redirects, idle waits)."""
@@ -139,7 +136,10 @@ class FunctionalSimulator:
         self._hub_dispatch = None
         #: Host-side performance counters (see repro.cpu.stats).
         self.perf = PerfCounters()
-        self._tcache = TranslationCache(self.perf.tcache)
+        icache = core.icache
+        self._tcache = TranslationCache(
+            self.perf.tcache,
+            line_size=icache.line_size if icache is not None else None)
         #: Optional trace-profiling sink (repro.profile.sink); attach via
         #: :meth:`set_profile_sink`.  None keeps the run loops at one
         #: pointer test per retired trace.
@@ -494,7 +494,7 @@ class FunctionalSimulator:
         retired = 0
         chained = 0
 
-        if (not poll and not check_stop and icache is None and trace is None
+        if (not poll and not check_stop and trace is None
                 and budget >= len(block.entries)
                 and type(timer) is SimpleTimer):
             # Specialized loop for the common unguarded case: the block's
@@ -503,18 +503,32 @@ class FunctionalSimulator:
             # flag tests, StepInfo or timing branches at all — and
             # ``core.pc`` / ``core.instret`` / ``timer.cycles`` are
             # published at sample points (CSR reads, syncs, traps, chain
-            # exit) instead of per entry.  The :meth:`SimpleTimer.note`
-            # cost formula is inlined for the remaining execute() entries
-            # (it must stay in lockstep with that method).  Chainable
-            # exits (branch/jal/jalr, length-limit fall-through) follow
-            # the superblock link to the successor block without bouncing
-            # back to ``run()``.
-            timing = timer.timing
+            # exit) instead of per entry.  Fetches follow the block's
+            # I-cache fetch plan (see ``tcache._build_ops``): line heads
+            # make real cache accesses in program order and every other
+            # fetch is an LRU-neutral hit, counted in ``ihits``; with no
+            # I-cache every fetch costs ``mem_latency``.  Execute()
+            # entries add the :attr:`SimpleTimer.extra` penalties.
+            # Chainable exits (branch/jal/jalr, length-limit fall-through)
+            # follow the superblock link to the successor block without
+            # bouncing back to ``run()``.  A trap or an abort leaves both
+            # loops with ``next_pc`` at the instruction that faulted or
+            # must be re-fetched.
             bus = core.bus
-            base_cost = mem_latency if mem_latency > 1 else 1
+            extra = timer.extra.get
+            if icache is None:
+                access = None
+                fetch_cost = mem_latency if mem_latency > 1 else 1
+            else:
+                access = icache.access
+                hit = icache.hit_latency
+                fetch_cost = hit if hit > 1 else 1
+            # MJIT's mem code bakes in the uncached fetch cost.
+            jit_on = tcache.jit and icache is None
             instret0 = core.instret
-            jit_on = tcache.jit
             cyc = 0
+            ihits = 0
+            trap = None
             while True:
                 if jit_on:
                     # Tier 2 (MJIT, repro.cpu.jit): dispatch the block's
@@ -546,20 +560,10 @@ class FunctionalSimulator:
                             stats.chain_hits += jloops
                             if chained > stats.chain_longest:
                                 stats.chain_longest = chained
-                        if status == 2:  # trap: regs spilled, cycles flushed
-                            core.instret = instret0 + retired
-                            stats.fast_instructions += retired
-                            if sink is not None:
-                                sink.note_trace(
-                                    "mem", head, chained, retired,
-                                    timer.cycles, timer.cycles - cycles0)
-                            self._dispatch_trap(trap, next_pc)
-                            sync()
-                            return
                         core.pc = next_pc
                         if (status or not chain or not block.chainable
                                 or chained >= chain_limit):
-                            break  # status 1: invalidated mid-trace
+                            break  # 1: invalidated mid-trace; 2: trap
                         nxt = tcache.chain_next_mem(block, next_pc, bus)
                         if (nxt is None
                                 or budget - retired < len(nxt.entries)):
@@ -573,15 +577,19 @@ class FunctionalSimulator:
                 aborted = False
                 for seg in block.ops:
                     if not seg[0]:  # OP_RUN: flag-free micro-op run
-                        _kind, uops, count, run_end = seg
+                        _kind, uops, count, run_end, leads, same = seg
                         regs = core.regs
                         for uop in uops:
                             uop(regs)
                         retired += count
-                        cyc += count * base_cost
+                        cyc += same * fetch_cost
+                        ihits += same
+                        for pc in leads:
+                            fetch = access(pc)
+                            cyc += fetch if fetch > 1 else 1
                         next_pc = run_end
                         continue
-                    _kind, instr, pc, flags = seg
+                    _kind, instr, pc, flags, lead = seg
                     if flags & f_sync:
                         timer.cycles += cyc
                         cyc = 0
@@ -590,61 +598,31 @@ class FunctionalSimulator:
                             # Device DMA during the sync rewrote this
                             # block's page: re-dispatch from here so the
                             # new bytes are fetched (slow-path parity).
-                            core.pc = pc
-                            core.instret = instret0 + retired
-                            stats.fast_instructions += retired
-                            if sink is not None:
-                                sink.note_trace(
-                                    "mem", head, chained, retired,
-                                    timer.cycles, timer.cycles - cycles0)
-                            return
+                            next_pc = pc
+                            aborted = True
+                            break
                     if flags & f_csr:
                         timer.cycles += cyc
                         cyc = 0
                         core._timer_cycles = timer.cycles
                         core.instret = instret0 + retired
+                    if lead:
+                        fetch = access(pc)
+                    else:
+                        fetch = fetch_cost
+                        ihits += 1
                     try:
-                        step = execute(core, instr, pc,
-                                       fetch_latency=mem_latency)
-                    except TrapException as trap:
-                        timer.cycles += cyc
-                        core.instret = instret0 + retired
-                        stats.fast_instructions += retired
-                        if sink is not None:
-                            sink.note_trace(
-                                "mem", head, chained, retired,
-                                timer.cycles, timer.cycles - cycles0)
-                        self._dispatch_trap(trap, pc)
-                        sync()
-                        return
+                        step = execute(core, instr, pc, fetch_latency=fetch)
+                    except TrapException as exc:
+                        trap = exc
+                        next_pc = pc
+                        aborted = True
+                        break
                     retired += 1
-                    cost = base_cost
                     ml = step.mem_latency
-                    if ml > 1:
-                        cost += ml - 1
-                    if step.cls is _MULDIV:
-                        cost += (
-                            timing.div_extra
-                            if step.mnemonic.startswith(("div", "rem"))
-                            else timing.mul_extra
-                        )
-                    control = step.control
-                    if control is not None:
-                        if control == "branch":
-                            cost += timing.branch_taken_penalty
-                        elif control == "jal":
-                            cost += timing.jump_penalty
-                        elif control == "jalr":
-                            cost += timing.branch_taken_penalty
-                        elif control == "mret":
-                            cost += timing.mret_penalty
-                        elif control == "menter":
-                            cost += timing.menter_cost
-                        elif control == "mexit":
-                            cost += timing.mexit_cost
-                        elif control == "mraise":
-                            cost += timing.jump_penalty
-                    cyc += cost
+                    cyc += ((fetch if fetch > 1 else 1)
+                            + (ml - 1 if ml > 1 else 0)
+                            + extra(step.control or step.mnemonic, 0))
                     next_pc = step.next_pc
                     if flags & F_STORE and not block.valid:
                         # The store we just executed evicted this block
@@ -665,9 +643,16 @@ class FunctionalSimulator:
             core.instret = instret0 + retired
             timer.cycles += cyc
             stats.fast_instructions += retired
+            if icache is not None:
+                icache.stats.hits += ihits
             if sink is not None:
                 sink.note_trace("mem", head, chained, retired,
                                 timer.cycles, timer.cycles - cycles0)
+            if trap is not None:
+                self._dispatch_trap(trap, next_pc)
+                # The trap's traceback holds this frame: drop the local
+                # so the pair is not left for the cyclic collector.
+                trap = None
             sync()
             return
 
@@ -693,6 +678,7 @@ class FunctionalSimulator:
                         if irq.pending_bitmap() and take_irq():
                             sync()
                             stats.fast_instructions += retired
+                            stats.guarded_instructions += retired
                             if sink is not None:
                                 sink.note_trace(
                                     "mem", head, chained, retired,
@@ -712,6 +698,7 @@ class FunctionalSimulator:
                     step = op_fn(core, instr, pc, fetch_latency=latency)
                 except TrapException as trap:
                     stats.fast_instructions += retired
+                    stats.guarded_instructions += retired
                     if sink is not None:
                         sink.note_trace("mem", head, chained, retired,
                                         timer.cycles, timer.cycles - cycles0)
@@ -747,6 +734,7 @@ class FunctionalSimulator:
                 stats.chain_longest = chained
             block = nxt
         stats.fast_instructions += retired
+        stats.guarded_instructions += retired
         if sink is not None:
             sink.note_trace("mem", head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)
@@ -786,15 +774,16 @@ class FunctionalSimulator:
             # eviction guards, no device syncs and no CSR latches to test
             # per entry.  Plain ALU runs execute as pre-bound micro-ops;
             # MULDIV and rmr/wmr/mld/mst entries keep full execute()
-            # dispatch with the SimpleTimer cost formula inlined (it must
-            # stay in lockstep with :meth:`SimpleTimer.note`).  The loop
-            # chains only into other pure blocks so the invariants hold
-            # along the whole superblock.
-            timing = timer.timing
+            # dispatch and add the :attr:`SimpleTimer.extra` penalties.
+            # MRAM fetches never touch the I-cache, so these blocks carry
+            # an empty fetch plan.  The loop chains only into other pure
+            # blocks so the invariants hold along the whole superblock.
+            extra = timer.extra.get
             base_cost = mram_latency if mram_latency > 1 else 1
             instret0 = core.instret
             jit_on = tcache.jit
             cyc = 0
+            trap = None
             while True:
                 if jit_on:
                     # Tier 2 (MJIT): same protocol as the mem loop, minus
@@ -821,21 +810,10 @@ class FunctionalSimulator:
                             stats.chain_hits += jloops
                             if chained > stats.chain_longest:
                                 stats.chain_longest = chained
-                        if status == 2:  # trap (double fault downstream)
-                            core.instret = instret0 + retired
-                            stats.fast_instructions += retired
-                            stats.pure_fast_instructions += retired
-                            if sink is not None:
-                                sink.note_trace(
-                                    "mram", head, chained, retired,
-                                    timer.cycles, timer.cycles - cycles0)
-                            self._dispatch_trap(trap, next_pc)
-                            sync()
-                            return
                         core.pc = next_pc
-                        if (not chain or not block.chainable
+                        if (status or not chain or not block.chainable
                                 or chained >= chain_limit):
-                            break
+                            break  # status 2: trap (double fault downstream)
                         nxt = tcache.chain_next_mram(block, next_pc, mram)
                         if (nxt is None or not nxt.pure
                                 or budget - retired < len(nxt.entries)):
@@ -848,7 +826,7 @@ class FunctionalSimulator:
                 next_pc = block.end
                 for seg in block.ops:
                     if not seg[0]:  # OP_RUN: flag-free micro-op run
-                        _kind, uops, count, run_end = seg
+                        _kind, uops, count, run_end, _leads, _same = seg
                         regs = core.regs
                         for uop in uops:
                             uop(regs)
@@ -856,53 +834,21 @@ class FunctionalSimulator:
                         cyc += count * base_cost
                         next_pc = run_end
                         continue
-                    _kind, instr, pc, _flags = seg
+                    _kind, instr, pc, _flags, _lead = seg
                     try:
                         step = execute(core, instr, pc,
                                        fetch_latency=mram_latency)
-                    except TrapException as trap:
-                        timer.cycles += cyc
-                        core.instret = instret0 + retired
-                        stats.fast_instructions += retired
-                        stats.pure_fast_instructions += retired
-                        if sink is not None:
-                            sink.note_trace(
-                                "mram", head, chained, retired,
-                                timer.cycles, timer.cycles - cycles0)
-                        self._dispatch_trap(trap, pc)  # double fault
-                        sync()
-                        return
+                    except TrapException as exc:
+                        trap = exc
+                        next_pc = pc
+                        break
                     retired += 1
-                    cost = base_cost
                     ml = step.mem_latency
-                    if ml > 1:
-                        cost += ml - 1
-                    if step.cls is _MULDIV:
-                        cost += (
-                            timing.div_extra
-                            if step.mnemonic.startswith(("div", "rem"))
-                            else timing.mul_extra
-                        )
-                    control = step.control
-                    if control is not None:
-                        if control == "branch":
-                            cost += timing.branch_taken_penalty
-                        elif control == "jal":
-                            cost += timing.jump_penalty
-                        elif control == "jalr":
-                            cost += timing.branch_taken_penalty
-                        elif control == "mret":
-                            cost += timing.mret_penalty
-                        elif control == "menter":
-                            cost += timing.menter_cost
-                        elif control == "mexit":
-                            cost += timing.mexit_cost
-                        elif control == "mraise":
-                            cost += timing.jump_penalty
-                    cyc += cost
+                    cyc += (base_cost + (ml - 1 if ml > 1 else 0)
+                            + extra(step.control or step.mnemonic, 0))
                     next_pc = step.next_pc
                 core.pc = next_pc
-                if (not chain or not block.chainable
+                if (trap is not None or not chain or not block.chainable
                         or chained >= chain_limit):
                     break
                 nxt = tcache.chain_next_mram(block, next_pc, mram)
@@ -920,6 +866,8 @@ class FunctionalSimulator:
             if sink is not None:
                 sink.note_trace("mram", head, chained, retired,
                                 timer.cycles, timer.cycles - cycles0)
+            if trap is not None:
+                self._dispatch_trap(trap, next_pc)  # double fault: raises
             sync()
             return
         while True:
@@ -937,6 +885,7 @@ class FunctionalSimulator:
                     step = op_fn(core, instr, pc, fetch_latency=mram_latency)
                 except TrapException as trap:
                     stats.fast_instructions += retired
+                    stats.guarded_instructions += retired
                     if sink is not None:
                         sink.note_trace("mram", head, chained, retired,
                                         timer.cycles, timer.cycles - cycles0)
@@ -962,6 +911,7 @@ class FunctionalSimulator:
                 stats.chain_longest = chained
             block = nxt
         stats.fast_instructions += retired
+        stats.guarded_instructions += retired
         if sink is not None:
             sink.note_trace("mram", head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)

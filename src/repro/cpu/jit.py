@@ -3,9 +3,9 @@
 The closure tier (:mod:`repro.cpu.tcache`) already removes fetch/decode
 work, but every retired instruction still pays a Python call — a
 micro-op closure or a full ``execute()`` dispatch — plus ``StepInfo``
-traffic and the inlined cost formula's branches for the non-plain
-entries.  MJIT removes that last layer for hot blocks: once a block's
-``heat`` (dispatches through the engines' unguarded loops) crosses
+traffic and a cost-table lookup for the non-plain entries.  MJIT
+removes that last layer for hot blocks: once a block's ``heat``
+(dispatches through the engines' unguarded loops) crosses
 ``TranslationCache.jit_threshold``, the block is rendered as straight
 Python source and ``exec``-compiled once:
 

@@ -31,6 +31,10 @@ class TcacheStats:
     flushes: int = 0
     #: Guest instructions retired through the block fast path.
     fast_instructions: int = 0
+    #: The part of ``fast_instructions`` retired through the per-entry
+    #: guarded loops (deliverable interrupts, ``stop_pc``, step hooks,
+    #: the pipeline timer, impure mram blocks); the rest ran unguarded.
+    guarded_instructions: int = 0
     #: Superblock links installed between blocks.
     chain_links: int = 0
     #: Block transitions that followed an existing chain link.
@@ -80,6 +84,7 @@ class TcacheStats:
         self.invalidations = 0
         self.flushes = 0
         self.fast_instructions = 0
+        self.guarded_instructions = 0
         self.chain_links = 0
         self.chain_hits = 0
         self.chain_poly_hits = 0
@@ -150,5 +155,6 @@ class PerfCounters:
             f"({tc.jit_compile_ms:.2f} ms), {tc.jit_instructions} instrs "
             f"via tier 2 ({tc.jit_dispatch_share:.1%} of fast path)",
             f"fast-path instrs   : {tc.fast_instructions} "
-            f"({self.slow_instructions} slow)",
+            f"({tc.guarded_instructions} guarded, "
+            f"{self.slow_instructions} slow)",
         ])

@@ -18,9 +18,10 @@ On top of the entry list each block carries two build-time artifacts:
   entries (ALU, LUI/AUIPC, FENCE — no traps, no memory, no control, unit
   base cost) are folded into tuples of micro-op closures specialised per
   instruction at compile time; only entries that can sync devices, trap,
-  or terminate the block remain full ``execute()`` dispatches.  The
-  functional engine's unguarded fast loop runs ``ops`` with no per-entry
-  flag tests at all.
+  or terminate the block remain full ``execute()`` dispatches.  Each
+  segment also carries the block's I-cache fetch plan (which fetches
+  start a new cache line), so the functional engine's unguarded fast
+  loop runs ``ops`` with the cache model on and no per-entry flag tests.
 * ``link``/``link_pc``/``links`` — the **superblock chain**: after a
   block exits through a pure control-flow terminator (branch/jal/jalr,
   or the fall-through of a length-limited block) the engine links it to
@@ -138,11 +139,12 @@ class Block:
                  "heat", "jit_fn")
 
     def __init__(self, start: int, end: int, entries,
-                 chainable: bool = False, link_pc: int = None):
+                 chainable: bool = False, link_pc: int = None,
+                 line_size: int = None):
         self.start = start
         self.end = end            # byte address just past the last entry
         self.entries = entries    # list of (instr, op_fn, pc, flags, hint)
-        self.ops = _build_ops(entries, end)
+        self.ops = _build_ops(entries, end, line_size)
         self.valid = True
         #: Tier-2 hotness: dispatches of this block through the engines'
         #: unguarded loops (the same transitions the hit/chain-hit stats
@@ -304,11 +306,11 @@ def _make_uop(instr, pc: int):
 
 
 #: ``ops`` segment kinds (first tuple element).
-OP_RUN = 0   #: (OP_RUN, uops, count, end_pc) — flag-free micro-op run
-OP_EXEC = 1  #: (OP_EXEC, instr, pc, flags) — full execute() dispatch
+OP_RUN = 0   #: (OP_RUN, uops, count, end_pc, leads, same) — micro-op run
+OP_EXEC = 1  #: (OP_EXEC, instr, pc, flags, lead) — full execute() dispatch
 
 
-def _build_ops(entries, end: int):
+def _build_ops(entries, end: int, line_size: int = None):
     """Fold *entries* into the block's computed-goto dispatch program.
 
     Consecutive plain entries (``flags == 0`` with a micro-op available)
@@ -316,20 +318,40 @@ def _build_ops(entries, end: int):
     pc following the run (for publishing ``core.pc`` without a StepInfo).
     MULDIV and plain-METAL entries have data-dependent or non-unit cycle
     costs, so they stay ``OP_EXEC`` even though their flags are zero.
+
+    Every segment also carries the block's I-cache *fetch plan* for an
+    I-cache of *line_size*-byte lines.  A block fetches sequentially, so
+    only a *line head* — the block's first fetch, or the first fetch in a
+    new line — needs a real cache access; any other fetch re-reads the
+    line the fetch just before it made most-recent in its set, which is a
+    hit that leaves the LRU state unchanged.  ``OP_RUN`` carries its line
+    heads' pcs (``leads``) and its count of same-line fetches (``same``),
+    ``OP_EXEC`` a line-head flag (``lead``).  With no I-cache
+    (*line_size* None) the plan is empty: no leads, every fetch "same".
     """
     ops = []
     run = []
+    leads = []
+    prev = None
     for instr, _op_fn, pc, flags, _hint in entries:
+        line = pc // line_size if line_size else None
+        lead = line != prev
+        prev = line
         uop = _make_uop(instr, pc) if not flags else None
         if uop is not None:
             run.append(uop)
+            if lead:
+                leads.append(pc)
             continue
         if run:
-            ops.append((OP_RUN, tuple(run), len(run), pc))
+            ops.append((OP_RUN, tuple(run), len(run), pc, tuple(leads),
+                        len(run) - len(leads)))
             run = []
-        ops.append((OP_EXEC, instr, pc, flags))
+            leads = []
+        ops.append((OP_EXEC, instr, pc, flags, lead))
     if run:
-        ops.append((OP_RUN, tuple(run), len(run), end))
+        ops.append((OP_RUN, tuple(run), len(run), end, tuple(leads),
+                    len(run) - len(leads)))
     return ops
 
 
@@ -366,9 +388,13 @@ class TranslationCache:
     #: interrupt-sampling work lost when a block aborts early.
     MAX_BLOCK_LEN = 64
 
-    def __init__(self, stats, max_block_len: int = None):
+    def __init__(self, stats, max_block_len: int = None,
+                 line_size: int = None):
         self.stats = stats
         self.max_block_len = max_block_len or self.MAX_BLOCK_LEN
+        #: I-cache line size the mem blocks' fetch plans are compiled
+        #: for (see :func:`_build_ops`); None for a core with no I-cache.
+        self.line_size = line_size
         #: Optional profiling sink (repro.profile.sink.TraceEventSink).
         #: When attached, compile/invalidate/flush/chain-break events are
         #: reported for the exported timeline; ``None`` costs nothing on
@@ -448,7 +474,8 @@ class TranslationCache:
         if not entries:
             return None
         block = Block(pc, p, entries,
-                      *_chain_shape(entries, p, terminated))
+                      *_chain_shape(entries, p, terminated),
+                      line_size=self.line_size)
         self._mem[pc] = block
         pages = self._mem_pages
         for page in range(pc >> PAGE_SHIFT, ((p - 1) >> PAGE_SHIFT) + 1):

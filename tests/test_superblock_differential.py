@@ -13,6 +13,12 @@ piece of state is compared after every chunk of retired instructions.
 Any divergence means the host fast path (the chainer, the profiler or
 the JIT) leaked into guest-visible behaviour.
 
+A second, caches-on pair runs the same program with the I-cache and
+D-cache models on: the interpreter against the chained tcache with MJIT
+at threshold 1.  Its block loop replays each block's I-cache fetch plan
+instead of accessing the cache on every fetch, so the pair also compares
+cache hit and miss counts after every chunk.
+
 Seeds are deterministic and appear both in the test id and in every
 assertion message, so a failure is reproducible with e.g.::
 
@@ -41,9 +47,9 @@ _routines = routines
 _gen_program = gen_program
 
 
-def _build(tcache: bool, jit: bool = False):
+def _build(tcache: bool, jit: bool = False, caches: bool = False):
     machine = build_metal_machine(
-        _routines(), engine="functional", with_caches=False,
+        _routines(), engine="functional", with_caches=caches,
         ram_bytes=RAM_BYTES, tcache=tcache,
     )
     if jit:
@@ -66,6 +72,15 @@ def _state(machine) -> dict:
         "mregs": core.metal.mregs.snapshot(),
         "mram_data": bytes(core.metal.mram.data),
         "data": machine.read_bytes(DATA_BASE, 4 * DATA_WORDS),
+    }
+
+
+def _cached_state(machine) -> dict:
+    core = machine.core
+    return {
+        **_state(machine),
+        "icache": (core.icache.stats.hits, core.icache.stats.misses),
+        "dcache": (core.dcache.stats.hits, core.dcache.stats.misses),
     }
 
 
@@ -100,11 +115,14 @@ def test_differential(seed):
     m_got = _build(tcache=True)        # predecoded blocks + chaining
     m_prof = _build(tcache=True)       # chaining + MPROF sink attached
     m_jit = _build(tcache=True, jit=True)   # chaining + MJIT tier 2
+    m_ref_c = _build(tcache=False, caches=True)       # caches-on pair
+    m_jit_c = _build(tcache=True, jit=True, caches=True)
     m_prof.set_profiling(True)
     assert m_got.sim.tcache.chain, "chaining should default on"
+    machines = (m_ref, m_got, m_prof, m_jit, m_ref_c, m_jit_c)
 
     programs = []
-    for machine in (m_ref, m_got, m_prof, m_jit):
+    for machine in machines:
         program = machine.assemble(source, base=CODE_BASE)
         machine.load(program)
         machine.core.pc = CODE_BASE
@@ -114,10 +132,8 @@ def test_differential(seed):
     step = 0
     retired = 0
     while retired < TOTAL_LIMIT:
-        m_ref.run(max_instructions=CHUNK, raise_on_limit=False)
-        m_got.run(max_instructions=CHUNK, raise_on_limit=False)
-        m_prof.run(max_instructions=CHUNK, raise_on_limit=False)
-        m_jit.run(max_instructions=CHUNK, raise_on_limit=False)
+        for machine in machines:
+            machine.run(max_instructions=CHUNK, raise_on_limit=False)
         step += 1
         retired += CHUNK
         ref, got = _state(m_ref), _state(m_got)
@@ -126,6 +142,9 @@ def test_differential(seed):
                      m_ref, m_prof, label="profiled")
         _assert_same(seed, step, ref, _state(m_jit), code_len,
                      m_ref, m_jit, label="jit")
+        _assert_same(seed, step, _cached_state(m_ref_c),
+                     _cached_state(m_jit_c), code_len, m_ref_c, m_jit_c,
+                     label="jit, caches on")
         if ref["halted"]:
             break
 
@@ -143,6 +162,9 @@ def test_differential(seed):
     )
     assert m_jit.perf.tcache.dispatches > 0, (
         f"seed {seed}: jit machine never dispatched"
+    )
+    assert m_jit_c.perf.tcache.fast_instructions > 0, (
+        f"seed {seed}: caches-on machine never ran a block"
     )
 
 

@@ -13,9 +13,14 @@ import pytest
 
 from repro import MRoutine, assemble, build_metal_machine, build_trap_machine
 from repro.cpu.exceptions import Cause
+from repro.cpu.functional import FunctionalSimulator
+from repro.machine.builder import MachineConfig
+from repro.mem.cache import Cache
+from repro.profile.workloads import SYS, WORKLOADS, workload_source
 
 ENGINES = ("functional", "pipeline")
 TCACHE = (True, False)
+NOOP = MRoutine(name="noop", entry=0, source="mexit\n")
 
 
 def _word_of(source: str) -> int:
@@ -25,9 +30,20 @@ def _word_of(source: str) -> int:
 
 
 def _machines(**kwargs):
-    noop = MRoutine(name="noop", entry=0, source="mexit\n")
-    yield build_metal_machine([noop], with_caches=False, **kwargs)
-    yield build_trap_machine(with_caches=False, **kwargs)
+    for caches in (False, True):
+        yield build_metal_machine([NOOP], with_caches=caches, **kwargs)
+        yield build_trap_machine(with_caches=caches, **kwargs)
+
+
+def _outcome(machine, result) -> tuple:
+    """Instructions, cycles, registers and (caches on) the I-cache and
+    D-cache hit and miss counts of one run."""
+    core = machine.core
+    caches = None
+    if core.icache is not None:
+        caches = (core.icache.stats.hits, core.icache.stats.misses,
+                  core.dcache.stats.hits, core.dcache.stats.misses)
+    return (result.instructions, result.cycles, tuple(core.regs), caches)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +285,11 @@ fib:
 def test_plain_workload_identical(engine):
     outcomes = {}
     for tcache in TCACHE:
-        for machine in _machines(engine=engine, tcache=tcache):
-            result = machine.load_and_run(FIB_WORKLOAD,
-                                          max_instructions=10_000)
-            key = (machine.name, tcache)
-            outcomes[key] = (result.instructions, result.cycles,
-                             tuple(machine.core.regs))
-    for name in ("metal", "trap"):
-        assert outcomes[(name, True)] == outcomes[(name, False)]
+        outcomes[tcache] = [
+            _outcome(machine, machine.load_and_run(FIB_WORKLOAD,
+                                                   max_instructions=10_000))
+            for machine in _machines(engine=engine, tcache=tcache)]
+    assert outcomes[True] == outcomes[False]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -522,3 +535,223 @@ def test_chaining_toggle(engine):
             assert stats.chain_hits == 0
             assert stats.chain_breaks == 0
     assert outcomes[True] == outcomes[False]
+
+
+# ---------------------------------------------------------------------------
+# I-cache fetch plan (cache models on)
+# ---------------------------------------------------------------------------
+
+#: One 18-instruction block that starts 12 bytes into a line and spans
+#: three 32-byte lines, with a load, a MULDIV and a store at and off
+#: line heads.
+MIDLINE_BLOCK = """
+_start:
+    li   s0, 40
+    li   s1, 0x3000
+    j    body
+    .align 6
+    nop
+    nop
+    nop
+body:
+    addi t1, t1, 1
+    addi t2, t2, 3
+    xor  t3, t1, t2
+    slli t4, t1, 2
+    add  t5, t3, t4
+    lw   t6, 0(s1)           # first fetch of the second line
+    mul  a1, t5, t2
+    add  a2, a1, t6
+    srli a3, a2, 1
+    or   a4, a3, t1
+    and  a5, a4, t2
+    sub  a6, a5, t3
+    addi a7, a7, 1
+    sw   a6, 4(s1)           # first fetch of the third line
+    addi t1, t1, 5
+    xor  t2, t2, t1
+    addi s0, s0, -1
+    bnez s0, body
+    halt
+"""
+
+
+def _fetch_plan_pair(source, engine, routines=(NOOP,), setup=None):
+    """Run *source* with the cache models on, tcache off and on; assert
+    identical instructions, cycles, registers and cache counts, and
+    return the tcache-on machine."""
+    outcomes = []
+    for tcache in (False, True):
+        machine = build_metal_machine(list(routines), engine=engine,
+                                      tcache=tcache)
+        if setup is not None:
+            setup(machine)
+        result = machine.load_and_run(source, max_instructions=100_000)
+        outcomes.append(_outcome(machine, result))
+    assert outcomes[0] == outcomes[1], (
+        f"fetch plan diverged from the interpreter: {outcomes}")
+    return machine
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fetch_plan_midline_block_spanning_three_lines(engine):
+    machine = _fetch_plan_pair(MIDLINE_BLOCK, engine)
+    body = machine.assemble(MIDLINE_BLOCK).symbols["body"]
+    block = machine.sim.tcache.mem_block(body, machine.bus)
+    line = machine.core.icache.line_size
+    assert body % line == 12
+    assert (block.end - 4) // line - body // line == 2
+
+
+@pytest.mark.parametrize("line_size,ways,sets", [
+    (4, 1, 2), (16, 4, 1), (32, 2, 1), (64, 1, 1)])
+def test_fetch_plan_exact_for_any_geometry(line_size, ways, sets):
+    """I-caches too small for the loop: every geometry keeps missing,
+    and the plan reproduces each hit, miss and LRU eviction."""
+    outcomes = []
+    for tcache in (False, True):
+        machine = build_metal_machine([NOOP], tcache=tcache)
+        core = machine.core
+        # The engine compiles its fetch plans for the I-cache it is
+        # built with, so swap the cache in and rebuild the engine.
+        core.icache = Cache(size=sets * line_size * ways,
+                            line_size=line_size, ways=ways, name="icache",
+                            miss_latency=core.timing.mem_latency)
+        machine.sim = FunctionalSimulator(core, tcache=tcache)
+        result = machine.load_and_run(MIDLINE_BLOCK, max_instructions=10_000)
+        outcomes.append(_outcome(machine, result))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][3][1] > 40  # I-cache misses: at least one per pass
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fetch_plan_load_trap_on_second_instruction_of_a_line(engine):
+    """The trap stops the plan after the faulting fetch; the handler
+    resumes mid-line, where a fresh block starts."""
+    source = """
+_start:
+    li   s0, 30
+    li   s1, 0x3001          # misaligned for lw
+    j    loop
+    .align 5
+loop:
+    addi t1, t1, 1
+    lw   t2, 0(s1)           # second instruction of the line: traps
+    addi t3, t3, 1
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+    # SYS resumes at epc + 4, skipping the faulting load.
+    machine = _fetch_plan_pair(
+        source, engine, routines=(SYS,),
+        setup=lambda m: m.route_cause(Cause.MISALIGNED_LOAD, "sys"))
+    assert machine.assemble(source).symbols["loop"] % 32 == 0
+    assert machine.reg("t2") == 0 and machine.reg("t3") == 30
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fetch_plan_smc_store_aborts_mid_block(engine):
+    """A store that rewrites a later instruction of its own block aborts
+    the block mid-line; the re-dispatch fetches the new bytes."""
+    source = f"""
+_start:
+    li   s1, patch
+    li   s3, {_word_of("addi a0, a0, 100"):#x}
+    li   s0, 3
+    j    loop
+    .align 5
+loop:
+    addi t1, t1, 1
+    sw   s3, 0(s1)           # evicts this block
+    addi t2, t2, 1           # re-dispatch starts here, mid-line
+patch:
+    addi a0, a0, 1
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+    machine = _fetch_plan_pair(source, engine)
+    assert machine.reg("a0") == 300
+    assert machine.perf.tcache.invalidations >= 3
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fetch_plan_chain_into_predecessors_last_line(engine):
+    """The successor's first fetch re-reads the line its predecessor
+    ended in: a real access that hits and leaves the LRU state alone."""
+    source = """
+_start:
+    li   s0, 100
+    j    loop
+    .align 5
+loop:
+    addi t1, t1, 1
+    addi t2, t2, 2
+    j    hop
+hop:
+    xor  t3, t1, t2
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+    machine = _fetch_plan_pair(source, engine)
+    hop = machine.assemble(source).symbols["hop"]
+    assert hop // 32 == (hop - 4) // 32
+    if engine == "functional":
+        assert machine.perf.tcache.chain_hits > 0
+
+
+def test_jit_with_caches_compiles_no_mem_block():
+    """MJIT's mem code bakes in the uncached fetch cost, so with an
+    I-cache only mram blocks reach tier 2."""
+    w = WORKLOADS["mcode_heavy"]
+    source = workload_source("mcode_heavy", 200)
+    outcomes = []
+    for tcache in (False, True):
+        machine = build_metal_machine(
+            list(w.routines), config=MachineConfig(jit=True, tcache=tcache))
+        machine.sim.tcache.jit_threshold = 1
+        outcomes.append(_outcome(machine, machine.load_and_run(source)))
+    assert outcomes[0] == outcomes[1]
+    tiers = {ns for ns, _block in machine.sim.tcache.iter_jit_blocks()}
+    assert tiers == {"mram"}
+
+
+def test_profile_trace_table_same_with_caches():
+    """The MPROF trace heads, hits, instruction and chain counts of
+    tight_loop do not depend on the cache models."""
+    source = workload_source("tight_loop", 2_000)
+    tables = []
+    for caches in (False, True):
+        machine = build_metal_machine([NOOP], with_caches=caches)
+        sink = machine.set_profiling(True)
+        machine.load_and_run(source)
+        tables.append({key: (agg.hits, agg.instructions, agg.chain_total)
+                       for key, agg in sink.trace_table().items()})
+    assert tables[0] == tables[1]
+
+
+def test_default_machine_runs_unguarded():
+    """On ``MachineConfig()`` tight_loop retires at least 90% of its
+    instructions through the unguarded block loop."""
+    machine = build_metal_machine([NOOP], config=MachineConfig())
+    machine.load_and_run(workload_source("tight_loop", 2_000))
+    perf = machine.perf
+    tc = perf.tcache
+    unguarded = tc.fast_instructions - tc.guarded_instructions
+    assert unguarded >= 0.9 * perf.guest_instructions, perf.summary()
+
+
+def test_guarded_instructions_counter_surfaces():
+    """Deliverable interrupts keep blocks on the guarded loop; the
+    counter reaches the metrics registry and the perf summary."""
+    machine = _timer_interrupt_machine("functional", True)
+    machine.load_and_run(TIMER_WORKLOAD, max_instructions=100_000)
+    tc = machine.perf.tcache
+    assert 0 < tc.guarded_instructions <= tc.fast_instructions
+    counters = machine.metrics().snapshot().counters
+    assert counters["guarded_instructions"] == tc.guarded_instructions
+    assert "guarded" in machine.perf.summary()
+    tc.reset()
+    assert tc.guarded_instructions == 0
