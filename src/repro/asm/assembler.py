@@ -507,8 +507,16 @@ class Assembler:
             target = value(chunks[1])
             return Instruction(mnemonic, rd=reg(chunks[0]), imm=target - pc, spec=spec)
         if pattern == "rd,uimm":
+            # The operand is the 20-bit field, as in RISC-V assemblers
+            # (``%hi`` yields one); the instruction carries it shifted.
             expect(2)
-            return Instruction(mnemonic, rd=reg(chunks[0]), imm=value(chunks[1]), spec=spec)
+            field = value(chunks[1])
+            if not 0 <= field <= 0xFFFFF:
+                raise AsmRangeError(
+                    f"{mnemonic}: upper immediate out of range "
+                    f"0..0xfffff: {field:#x}", line, self.source_name)
+            return Instruction(mnemonic, rd=reg(chunks[0]), imm=field << 12,
+                               spec=spec)
         if pattern == "rd,csr,rs1":
             expect(3)
             csr = value(chunks[1])

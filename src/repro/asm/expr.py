@@ -10,8 +10,8 @@ Grammar (standard precedence)::
 
 ``.`` evaluates to the current location counter.  ``%hi``/``%lo`` implement
 the usual RISC-V split of a 32-bit absolute address into a LUI upper part
-and a sign-compensated 12-bit lower part, so that ``lui + addi`` sequences
-reconstruct the exact address.
+(the 20-bit field ``lui`` takes) and a sign-compensated 12-bit lower part,
+so that ``lui + addi`` sequences reconstruct the exact address.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class ExprEvaluator:
             self._expect_punct("(")
             inner = self._expr()
             self._expect_punct(")")
-            return hi20(inner) << 12 if tok.value == "%hi" else lo12(inner)
+            return hi20(inner) if tok.value == "%hi" else lo12(inner)
         if tok.kind == "ident":
             if tok.value == ".":
                 return self.location

@@ -34,6 +34,14 @@ from repro.profile.sink import StepHub
 _MULDIV_MNEMONICS = tuple(mnemonic for mnemonic, spec in SPECS.items()
                           if spec.cls is InstrClass.MULDIV)
 
+
+def muldiv_extra(timing: TimingModel) -> dict:
+    """Extra execute cycles of every MULDIV mnemonic under *timing*."""
+    return {mnemonic: (timing.div_extra if mnemonic.startswith(("div", "rem"))
+                       else timing.mul_extra)
+            for mnemonic in _MULDIV_MNEMONICS}
+
+
 #: Effectively-unbounded chain quantum used when no profiler is attached.
 _CHAIN_UNLIMITED = 1 << 62
 
@@ -62,11 +70,8 @@ class SimpleTimer:
             "menter": timing.menter_cost,
             "mexit": timing.mexit_cost,
             "mraise": timing.jump_penalty,
+            **muldiv_extra(timing),
         }
-        for mnemonic in _MULDIV_MNEMONICS:
-            self.extra[mnemonic] = (
-                timing.div_extra if mnemonic.startswith(("div", "rem"))
-                else timing.mul_extra)
 
     def note(self, step: StepInfo) -> None:
         fetch = step.fetch_latency
@@ -128,6 +133,10 @@ class FunctionalSimulator:
     def __init__(self, core, timer=None, tcache: bool = True):
         self.core = core
         self.timer = timer or SimpleTimer(core.timing)
+        #: The timer's ``note_run`` (the pipeline scoreboard), or None for
+        #: the analytic timer, whose costs the unguarded block loops add
+        #: inline.  Picked once here, so the loops test a local.
+        self._note_run = getattr(self.timer, "note_run", None)
         self._ticked = 0
         #: Optional per-step hook: fn(StepInfo) (tracing/debugging).
         #: Prefer :meth:`add_step_hook`, which multiplexes this slot.
@@ -495,27 +504,31 @@ class FunctionalSimulator:
         chained = 0
 
         if (not poll and not check_stop and trace is None
-                and budget >= len(block.entries)
-                and type(timer) is SimpleTimer):
+                and budget >= len(block.entries)):
             # Specialized loop for the common unguarded case: the block's
             # precompiled ``ops`` program is dispatched computed-goto
             # style — plain entries run as pre-bound micro-ops with no
-            # flag tests, StepInfo or timing branches at all — and
+            # flag tests or StepInfo — and
             # ``core.pc`` / ``core.instret`` / ``timer.cycles`` are
             # published at sample points (CSR reads, syncs, traps, chain
             # exit) instead of per entry.  Fetches follow the block's
             # I-cache fetch plan (see ``tcache._build_ops``): line heads
             # make real cache accesses in program order and every other
             # fetch is an LRU-neutral hit, counted in ``ihits``; with no
-            # I-cache every fetch costs ``mem_latency``.  Execute()
-            # entries add the :attr:`SimpleTimer.extra` penalties.
+            # I-cache every fetch costs ``mem_latency``.  With the
+            # analytic timer, runs and execute() entries add their costs
+            # (the :attr:`SimpleTimer.extra` penalties) to the ``cyc``
+            # batch; with the pipeline scoreboard, runs go through
+            # ``note_run`` with their schedule and execute() entries
+            # through ``note``.
             # Chainable exits (branch/jal/jalr, length-limit fall-through)
             # follow the superblock link to the successor block without
             # bouncing back to ``run()``.  A trap or an abort leaves both
             # loops with ``next_pc`` at the instruction that faulted or
             # must be re-fetched.
             bus = core.bus
-            extra = timer.extra.get
+            note_run = self._note_run
+            extra = timer.extra.get if note_run is None else None
             if icache is None:
                 access = None
                 fetch_cost = mem_latency if mem_latency > 1 else 1
@@ -523,8 +536,9 @@ class FunctionalSimulator:
                 access = icache.access
                 hit = icache.hit_latency
                 fetch_cost = hit if hit > 1 else 1
-            # MJIT's mem code bakes in the uncached fetch cost.
-            jit_on = tcache.jit and icache is None
+            # MJIT's mem code bakes in the uncached fetch cost and the
+            # analytic timer.
+            jit_on = tcache.jit and icache is None and note_run is None
             instret0 = core.instret
             cyc = 0
             ihits = 0
@@ -577,16 +591,19 @@ class FunctionalSimulator:
                 aborted = False
                 for seg in block.ops:
                     if not seg[0]:  # OP_RUN: flag-free micro-op run
-                        _kind, uops, count, run_end, leads, same = seg
+                        _kind, uops, count, run_end, leads, same, sched = seg
                         regs = core.regs
                         for uop in uops:
                             uop(regs)
                         retired += count
-                        cyc += same * fetch_cost
                         ihits += same
-                        for pc in leads:
-                            fetch = access(pc)
-                            cyc += fetch if fetch > 1 else 1
+                        if note_run is None:
+                            cyc += same * fetch_cost
+                            for pc in leads:
+                                fetch = access(pc)
+                                cyc += fetch if fetch > 1 else 1
+                        else:
+                            note_run(sched, access, fetch_cost)
                         next_pc = run_end
                         continue
                     _kind, instr, pc, flags, lead = seg
@@ -619,10 +636,13 @@ class FunctionalSimulator:
                         aborted = True
                         break
                     retired += 1
-                    ml = step.mem_latency
-                    cyc += ((fetch if fetch > 1 else 1)
-                            + (ml - 1 if ml > 1 else 0)
-                            + extra(step.control or step.mnemonic, 0))
+                    if note_run is None:
+                        ml = step.mem_latency
+                        cyc += ((fetch if fetch > 1 else 1)
+                                + (ml - 1 if ml > 1 else 0)
+                                + extra(step.control or step.mnemonic, 0))
+                    else:
+                        note(step)
                     next_pc = step.next_pc
                     if flags & F_STORE and not block.valid:
                         # The store we just executed evicted this block
@@ -766,22 +786,25 @@ class FunctionalSimulator:
         retired = 0
         chained = 0
 
-        if (block.pure and trace is None and budget >= len(block.entries)
-                and type(timer) is SimpleTimer):
+        if block.pure and trace is None and budget >= len(block.entries):
             # Unguarded loop for blocks of analysis-proven non-store
             # mroutines (MAS facts, see docs/ANALYSIS.md): every entry is
             # flag-free or the F_TERM terminator, so there are no RAM-write
             # eviction guards, no device syncs and no CSR latches to test
             # per entry.  Plain ALU runs execute as pre-bound micro-ops;
             # MULDIV and rmr/wmr/mld/mst entries keep full execute()
-            # dispatch and add the :attr:`SimpleTimer.extra` penalties.
-            # MRAM fetches never touch the I-cache, so these blocks carry
-            # an empty fetch plan.  The loop chains only into other pure
-            # blocks so the invariants hold along the whole superblock.
-            extra = timer.extra.get
+            # dispatch.  Timing follows the mem loop: ``cyc`` batches for
+            # the analytic timer, ``note_run``/``note`` for the pipeline
+            # scoreboard.  MRAM fetches never touch the I-cache, so these
+            # blocks carry an empty fetch plan.  The loop chains only into
+            # other pure blocks so the invariants hold along the whole
+            # superblock.
+            note_run = self._note_run
+            extra = timer.extra.get if note_run is None else None
             base_cost = mram_latency if mram_latency > 1 else 1
             instret0 = core.instret
-            jit_on = tcache.jit
+            # MJIT's code bakes in the analytic timer.
+            jit_on = tcache.jit and note_run is None
             cyc = 0
             trap = None
             while True:
@@ -826,12 +849,15 @@ class FunctionalSimulator:
                 next_pc = block.end
                 for seg in block.ops:
                     if not seg[0]:  # OP_RUN: flag-free micro-op run
-                        _kind, uops, count, run_end, _leads, _same = seg
+                        _kind, uops, count, run_end, _leads, _same, sched = seg
                         regs = core.regs
                         for uop in uops:
                             uop(regs)
                         retired += count
-                        cyc += count * base_cost
+                        if note_run is None:
+                            cyc += count * base_cost
+                        else:
+                            note_run(sched, None, base_cost)
                         next_pc = run_end
                         continue
                     _kind, instr, pc, _flags, _lead = seg
@@ -843,9 +869,12 @@ class FunctionalSimulator:
                         next_pc = pc
                         break
                     retired += 1
-                    ml = step.mem_latency
-                    cyc += (base_cost + (ml - 1 if ml > 1 else 0)
-                            + extra(step.control or step.mnemonic, 0))
+                    if note_run is None:
+                        ml = step.mem_latency
+                        cyc += (base_cost + (ml - 1 if ml > 1 else 0)
+                                + extra(step.control or step.mnemonic, 0))
+                    else:
+                        note(step)
                     next_pc = step.next_pc
                 core.pc = next_pc
                 if (trap is not None or not chain or not block.chainable

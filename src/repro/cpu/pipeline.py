@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from repro.cpu.core import CpuCore
 from repro.cpu.executor import StepInfo
-from repro.cpu.functional import FunctionalSimulator
+from repro.cpu.functional import FunctionalSimulator, muldiv_extra
 from repro.cpu.timing import TimingModel
-from repro.isa.instruction import InstrClass
 
 
 class PipelineTimer:
@@ -50,74 +49,168 @@ class PipelineTimer:
         # Earliest cycle the next fetch may start (control redirects).
         self._redirect = 1
         # reg -> cycle at which its value can feed EX (via forwarding).
+        # x0 is never written, so ``_ready[0]`` stays 0 and reading it
+        # never delays an instruction.
         self._ready = [0] * 32
         self.cycles = 0
         # Stall accounting (benchmark introspection).
         self.stall_load_use = 0
         self.stall_control = 0
         self.stall_fetch = 0
+        #: Extra EX cycles by mnemonic (MULDIV only).
+        self._ex_extra = muldiv_extra(timing)
+        #: Control kind -> (redirects from EX rather than ID?, cycles
+        #: after that stage's end when the next fetch may start).  With
+        #: decode replacement, ``menter``/``mexit`` redirect at their own
+        #: ID end: no bubble.  (The old redirect is at most this
+        #: instruction's IF start, so it never comes later than that.)
+        transition = 0 if timing.decode_replacement \
+            else timing.transition_redirect
+        self._redirects = {
+            "branch": (True, 1),
+            "jalr": (True, 1),
+            "mret": (True, timing.mret_penalty),
+            "jal": (False, 1),
+            "mraise": (False, 1),
+            "menter": (False, transition),
+            "mexit": (False, transition),
+        }
 
     # ------------------------------------------------------------------
     def note(self, step: StepInfo) -> None:
-        timing = self.timing
+        # The max-plus recurrence of the stages, as compare-and-assign on
+        # locals: each stage ends one cycle after the previous
+        # instruction left it, or after this instruction's previous stage,
+        # whichever is later.
+        if_start = self._if_end + 1
+        redirect = self._redirect
+        if redirect > if_start:
+            self.stall_control += redirect - if_start
+            if_start = redirect
+        fetch = step.fetch_latency
+        if fetch > 1:
+            self.stall_fetch += fetch - 1
+            if_end = if_start + fetch - 1
+        else:
+            if_end = if_start
 
-        if_start = max(self._if_end + 1, self._redirect)
-        self.stall_control += max(0, self._redirect - (self._if_end + 1))
-        if_end = if_start + max(1, step.fetch_latency) - 1
-        self.stall_fetch += max(1, step.fetch_latency) - 1
-
-        id_end = max(if_end + 1, self._id_end + 1)
+        id_end = self._id_end + 1
+        if if_end >= id_end:
+            id_end = if_end + 1
 
         # Operand readiness (forwarding into EX).
-        operand_ready = 0
+        ex_base = self._ex_end + 1
+        if id_end >= ex_base:
+            ex_base = id_end + 1
+        ex_start = ex_base
+        ready = self._ready
         for reg in step.reads:
-            if reg:
-                operand_ready = max(operand_ready, self._ready[reg])
-        ex_start = max(id_end + 1, self._ex_end + 1, operand_ready)
-        self.stall_load_use += max(0, operand_ready - max(id_end + 1, self._ex_end + 1))
+            if ready[reg] > ex_start:
+                ex_start = ready[reg]
+        if ex_start > ex_base:
+            self.stall_load_use += ex_start - ex_base
+        ex_end = ex_start + self._ex_extra.get(step.mnemonic, 0)
 
-        ex_extra = 0
-        if step.cls is InstrClass.MULDIV:
-            ex_extra = (
-                timing.div_extra
-                if step.mnemonic.startswith(("div", "rem"))
-                else timing.mul_extra
-            )
-        ex_end = ex_start + ex_extra
+        mem_end = self._mem_end + 1
+        if ex_end >= mem_end:
+            mem_end = ex_end + 1
+        mem = step.mem_latency
+        if mem > 1:
+            mem_end += mem - 1
 
-        mem_start = max(ex_end + 1, self._mem_end + 1)
-        mem_end = mem_start + max(1, step.mem_latency) - 1
-
-        wb_end = max(mem_end + 1, self._wb_end + 1)
+        wb_end = self._wb_end + 1
+        if mem_end >= wb_end:
+            wb_end = mem_end + 1
 
         # Register readiness for consumers.
-        if step.rd:
-            self._ready[step.rd] = (mem_end + 1) if step.is_load else (ex_end + 1)
+        rd = step.rd
+        if rd:
+            ready[rd] = mem_end + 1 if step.is_load else ex_end + 1
 
         # Control redirects.
         control = step.control
-        if control in ("branch", "jalr"):
-            self._redirect = ex_end + 1
-        elif control == "jal":
-            self._redirect = id_end + 1
-        elif control == "mret":
-            self._redirect = ex_end + timing.mret_penalty
-        elif control in ("menter", "mexit"):
-            if timing.decode_replacement:
-                # §2.2: the target instruction replaces menter/mexit in the
-                # decode slot — the fetch stream continues with no bubble.
-                self._redirect = max(self._redirect, id_end)
-            else:
-                self._redirect = id_end + timing.transition_redirect
-        elif control == "mraise":
-            self._redirect = id_end + 1
+        if control is not None:
+            in_ex, delta = self._redirects[control]
+            self._redirect = (ex_end if in_ex else id_end) + delta
 
         self._if_end = if_end
         self._id_end = id_end
         self._ex_end = ex_end
         self._mem_end = mem_end
         self._wb_end = wb_end
-        self.cycles = max(self.cycles, wb_end)
+        if wb_end > self.cycles:
+            self.cycles = wb_end
+
+    def note_run(self, schedule, access, fetch_cost: int) -> None:
+        """:meth:`note` over a run of plain instructions, in one call.
+
+        The block loops call this for an ``OP_RUN`` segment of the
+        translation cache (``repro.cpu.tcache``): ALU, ``lui``/``auipc``
+        and ``fence`` entries, which never stall in MEM, redirect fetch
+        or take EX extra cycles.  *schedule* holds one ``(head, rs_a,
+        rs_b, rd)`` per instruction: *head* is the pc of a fetch-plan line
+        head, fetched through *access*, or None for a fetch costing
+        *fetch_cost*; ``rs_a``/``rs_b`` are the registers the instruction
+        reads (0 for none) and *rd* the one it writes (0 for none).  Line
+        heads are accessed in program order, and the scoreboard is read
+        into locals and written back once.
+        """
+        if fetch_cost < 1:
+            fetch_cost = 1
+        ready = self._ready
+        if_end = self._if_end
+        id_end = self._id_end
+        ex_end = self._ex_end
+        mem_end = self._mem_end
+        wb_end = self._wb_end
+        # Only the run's first fetch can wait for a redirect: every later
+        # one starts after an IF that began at or past it.
+        redirect = self._redirect
+        if redirect > if_end + 1:
+            self.stall_control += redirect - if_end - 1
+            if_end = redirect - 1
+        fetch_stall = 0
+        load_use = 0
+        for head, rs_a, rs_b, rd in schedule:
+            if head is None:
+                fetch = fetch_cost
+            else:
+                fetch = access(head)
+                if fetch < 1:
+                    fetch = 1
+            if_end += fetch
+            fetch_stall += fetch - 1
+            id_end += 1
+            if if_end >= id_end:
+                id_end = if_end + 1
+            ex_end += 1
+            if id_end >= ex_end:
+                ex_end = id_end + 1
+            operand = ready[rs_a]
+            if ready[rs_b] > operand:
+                operand = ready[rs_b]
+            if operand > ex_end:
+                load_use += operand - ex_end
+                ex_end = operand
+            mem_end += 1
+            if ex_end >= mem_end:
+                mem_end = ex_end + 1
+            wb_end += 1
+            if mem_end >= wb_end:
+                wb_end = mem_end + 1
+            if rd:
+                ready[rd] = ex_end + 1
+        self._if_end = if_end
+        self._id_end = id_end
+        self._ex_end = ex_end
+        self._mem_end = mem_end
+        self._wb_end = wb_end
+        self.stall_fetch += fetch_stall
+        self.stall_load_use += load_use
+        # ``wb_end`` rises with every instruction, so the run's last one
+        # is its latest.
+        if wb_end > self.cycles:
+            self.cycles = wb_end
 
     # ------------------------------------------------------------------
     def note_event(self, cycles: int) -> None:

@@ -306,8 +306,22 @@ def _make_uop(instr, pc: int):
 
 
 #: ``ops`` segment kinds (first tuple element).
-OP_RUN = 0   #: (OP_RUN, uops, count, end_pc, leads, same) — micro-op run
+OP_RUN = 0   #: (OP_RUN, uops, count, end_pc, leads, same, schedule) — run
 OP_EXEC = 1  #: (OP_EXEC, instr, pc, flags, lead) — full execute() dispatch
+
+
+def _schedule_regs(instr):
+    """``(rs_a, rs_b, rd)`` of a plain entry as ``execute()`` reports
+    them to the timer: the registers read (0 for none) and the one
+    written (0 for none).  A write to x0 still reads its sources."""
+    cls = instr.spec.cls
+    if cls is InstrClass.ALU_IMM:
+        return instr.rs1, 0, instr.rd
+    if cls is InstrClass.ALU_REG:
+        return instr.rs1, instr.rs2, instr.rd
+    if cls is InstrClass.FENCE:
+        return 0, 0, 0
+    return 0, 0, instr.rd  # lui, auipc
 
 
 def _build_ops(entries, end: int, line_size: int = None):
@@ -328,10 +342,16 @@ def _build_ops(entries, end: int, line_size: int = None):
     heads' pcs (``leads``) and its count of same-line fetches (``same``),
     ``OP_EXEC`` a line-head flag (``lead``).  With no I-cache
     (*line_size* None) the plan is empty: no leads, every fetch "same".
+
+    ``OP_RUN`` also carries the run's *schedule* for the pipeline
+    scoreboard (:meth:`repro.cpu.pipeline.PipelineTimer.note_run`): per
+    instruction ``(head, rs_a, rs_b, rd)``, with *head* the pc of a line
+    head or None, then the registers as :func:`_schedule_regs` gives them.
     """
     ops = []
     run = []
     leads = []
+    schedule = []
     prev = None
     for instr, _op_fn, pc, flags, _hint in entries:
         line = pc // line_size if line_size else None
@@ -342,16 +362,18 @@ def _build_ops(entries, end: int, line_size: int = None):
             run.append(uop)
             if lead:
                 leads.append(pc)
+            schedule.append((pc if lead else None, *_schedule_regs(instr)))
             continue
         if run:
             ops.append((OP_RUN, tuple(run), len(run), pc, tuple(leads),
-                        len(run) - len(leads)))
+                        len(run) - len(leads), tuple(schedule)))
             run = []
             leads = []
+            schedule = []
         ops.append((OP_EXEC, instr, pc, flags, lead))
     if run:
         ops.append((OP_RUN, tuple(run), len(run), end, tuple(leads),
-                    len(run) - len(leads)))
+                    len(run) - len(leads), tuple(schedule)))
     return ops
 
 

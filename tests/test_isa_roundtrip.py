@@ -6,9 +6,12 @@ Invariants:
 * decode -> disassemble -> assemble -> encode is the identity on words.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro import build_trap_machine
 from repro.asm import assemble
+from repro.errors import AsmRangeError
 from repro.isa import decode, disassemble, encode
 from repro.isa.encoder import _USED_FIELDS
 from repro.isa.instruction import Format, Instruction, InstrClass
@@ -75,6 +78,12 @@ def test_encode_decode_roundtrip(instr):
 
 
 @given(instructions())
+# U-type fields whose low 12 bits are zero (``lui zero, 0x1000``,
+# ``auipc zero, 0x1000``, ``lui zero, 0x80000``): the operand must reach
+# the encoder as the field shifted left, not as a pre-shifted value.
+@example(decode(0x01000037))
+@example(decode(0x01000017))
+@example(decode(0x80000037))
 @settings(max_examples=400)
 def test_disassemble_assemble_roundtrip(instr):
     word = encode(instr)
@@ -94,3 +103,19 @@ def test_every_mnemonic_has_disassembly():
             instr.imm = 0x1000
         word = encode(instr)
         assert disassemble(word)  # does not raise, non-empty
+
+
+def test_lui_operand_is_the_20_bit_field():
+    """``lui t5, 0x80000`` sets t5's top bit, as the conformance
+    generator's unsigned-branch extension relies on."""
+    machine = build_trap_machine(with_caches=False)
+    machine.load_and_run("lui t5, 0x80000\nauipc t6, 0x1000\nhalt\n",
+                         base=0)
+    assert machine.reg("t5") == 0x80000000
+    assert machine.reg("t6") == 0x01000004
+
+
+@pytest.mark.parametrize("operand", ["0x100000", "-1"])
+def test_lui_operand_range_checked(operand):
+    with pytest.raises(AsmRangeError):
+        assemble(f"lui t0, {operand}")

@@ -1,11 +1,17 @@
-"""Direct unit tests of the pipeline scoreboard (hand-computed schedules)."""
+"""Direct unit tests of the pipeline scoreboard: hand-computed schedules,
+and random sequences checked against the ``max()`` form it replaced."""
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cpu.executor import StepInfo
+from repro.asm import assemble
+from repro.cpu.core import CpuCore
+from repro.cpu.executor import StepInfo, execute
 from repro.cpu.pipeline import PipelineTimer
+from repro.cpu.tcache import _schedule_regs, uop_ir
 from repro.cpu.timing import TimingModel
+from repro.isa import decode
 from repro.isa.instruction import InstrClass
+from repro.mem.bus import MemoryBus
 
 
 def step(pc=0, mnemonic="addi", cls=InstrClass.ALU_IMM, fetch=1, mem=0,
@@ -140,3 +146,226 @@ class TestEvents:
         t.note_event(100)
         t.note(step(pc=4))
         assert t.cycles >= 106
+
+
+# ----------------------------------------------------------------------
+# The compare-and-assign scoreboard against the max() form it replaced
+# ----------------------------------------------------------------------
+class ReferenceTimer(PipelineTimer):
+    """The scoreboard with ``note`` as first written, in ``max()`` form:
+    the reference that :meth:`PipelineTimer.note` and
+    :meth:`PipelineTimer.note_run` must match field for field."""
+
+    def note(self, step: StepInfo) -> None:
+        timing = self.timing
+
+        if_start = max(self._if_end + 1, self._redirect)
+        self.stall_control += max(0, self._redirect - (self._if_end + 1))
+        if_end = if_start + max(1, step.fetch_latency) - 1
+        self.stall_fetch += max(1, step.fetch_latency) - 1
+
+        id_end = max(if_end + 1, self._id_end + 1)
+
+        # Operand readiness (forwarding into EX).
+        operand_ready = 0
+        for reg in step.reads:
+            if reg:
+                operand_ready = max(operand_ready, self._ready[reg])
+        ex_start = max(id_end + 1, self._ex_end + 1, operand_ready)
+        self.stall_load_use += max(0, operand_ready - max(id_end + 1, self._ex_end + 1))
+
+        ex_extra = 0
+        if step.cls is InstrClass.MULDIV:
+            ex_extra = (
+                timing.div_extra
+                if step.mnemonic.startswith(("div", "rem"))
+                else timing.mul_extra
+            )
+        ex_end = ex_start + ex_extra
+
+        mem_start = max(ex_end + 1, self._mem_end + 1)
+        mem_end = mem_start + max(1, step.mem_latency) - 1
+
+        wb_end = max(mem_end + 1, self._wb_end + 1)
+
+        # Register readiness for consumers.
+        if step.rd:
+            self._ready[step.rd] = (mem_end + 1) if step.is_load else (ex_end + 1)
+
+        # Control redirects.
+        control = step.control
+        if control in ("branch", "jalr"):
+            self._redirect = ex_end + 1
+        elif control == "jal":
+            self._redirect = id_end + 1
+        elif control == "mret":
+            self._redirect = ex_end + timing.mret_penalty
+        elif control in ("menter", "mexit"):
+            if timing.decode_replacement:
+                # §2.2: the target instruction replaces menter/mexit in the
+                # decode slot — the fetch stream continues with no bubble.
+                self._redirect = max(self._redirect, id_end)
+            else:
+                self._redirect = id_end + timing.transition_redirect
+        elif control == "mraise":
+            self._redirect = id_end + 1
+
+        self._if_end = if_end
+        self._id_end = id_end
+        self._ex_end = ex_end
+        self._mem_end = mem_end
+        self._wb_end = wb_end
+        self.cycles = max(self.cycles, wb_end)
+
+
+#: kind -> (mnemonic, class, reads rs1?, reads rs2?, writes rd?, control,
+#: is_load, has memory latency)
+_KINDS = {
+    "addi": ("addi", InstrClass.ALU_IMM, 1, 0, 1, None, False, False),
+    "add": ("add", InstrClass.ALU_REG, 1, 1, 1, None, False, False),
+    "lui": ("lui", InstrClass.LUI, 0, 0, 1, None, False, False),
+    "mul": ("mul", InstrClass.MULDIV, 1, 1, 1, None, False, False),
+    "mulhu": ("mulhu", InstrClass.MULDIV, 1, 1, 1, None, False, False),
+    "div": ("div", InstrClass.MULDIV, 1, 1, 1, None, False, False),
+    "remu": ("remu", InstrClass.MULDIV, 1, 1, 1, None, False, False),
+    "lw": ("lw", InstrClass.LOAD, 1, 0, 1, None, True, True),
+    "sw": ("sw", InstrClass.STORE, 1, 1, 0, None, False, True),
+    "beq": ("beq", InstrClass.BRANCH, 1, 1, 0, None, False, False),
+    "branch": ("bne", InstrClass.BRANCH, 1, 1, 0, "branch", False, False),
+    "jal": ("jal", InstrClass.JAL, 0, 0, 1, "jal", False, False),
+    "jalr": ("jalr", InstrClass.JALR, 1, 0, 1, "jalr", False, False),
+    "mret": ("mret", InstrClass.SYSTEM, 0, 0, 0, "mret", False, False),
+    "menter": ("menter", InstrClass.METAL, 0, 0, 0, "menter", False, False),
+    "mexit": ("mexit", InstrClass.METAL, 0, 0, 0, "mexit", False, False),
+    "mexitm": ("mexitm", InstrClass.METAL, 0, 0, 1, "mexit", False, False),
+    "mraise": ("mraise", InstrClass.METAL_ARCH, 0, 0, 0, "mraise", False,
+               False),
+    "mld": ("mld", InstrClass.METAL, 1, 0, 1, None, True, True),
+}
+
+#: Plain run entries: (mnemonic, class, reads rs1?, reads rs2?, writes?)
+_RUN_KINDS = (
+    ("addi", InstrClass.ALU_IMM, 1, 0, 1),
+    ("add", InstrClass.ALU_REG, 1, 1, 1),
+    ("lui", InstrClass.LUI, 0, 0, 1),
+    ("auipc", InstrClass.AUIPC, 0, 0, 1),
+    ("fence", InstrClass.FENCE, 0, 0, 0),
+)
+
+# Few registers, so that reads often meet recent writes (hazards).
+_regs = st.integers(0, 7)
+_latency = st.integers(0, 21)
+
+
+@st.composite
+def _step_op(draw):
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    mnemonic, cls, r1, r2, w, control, is_load, has_mem = _KINDS[kind]
+    reads = tuple(draw(_regs) for _ in range(r1 + r2))
+    return ("step", step(
+        mnemonic=mnemonic, cls=cls, fetch=draw(_latency),
+        mem=draw(_latency) if has_mem else 0, rd=draw(_regs) if w else 0,
+        reads=reads, control=control, is_load=is_load))
+
+
+@st.composite
+def _run_op(draw):
+    entries = []
+    for _ in range(draw(st.integers(1, 12))):
+        mnemonic, cls, r1, r2, w = draw(st.sampled_from(_RUN_KINDS))
+        rs_a = draw(_regs) if r1 else 0
+        rs_b = draw(_regs) if r2 else 0
+        rd = draw(_regs) if w else 0
+        head = draw(st.none() | _latency)   # None: same-line fetch
+        entries.append((mnemonic, cls, rs_a, rs_b, rd, head))
+    return ("run", tuple(entries), draw(_latency))
+
+
+_ops = st.lists(st.one_of(
+    _step_op(), _step_op(), _run_op(), _run_op(),
+    st.tuples(st.just("event"), st.integers(0, 40)),
+    st.tuples(st.just("trap"), st.booleans()),
+    st.tuples(st.just("intercept")),
+), min_size=1, max_size=30)
+
+_timings = st.builds(
+    TimingModel,
+    decode_replacement=st.booleans(),
+    mul_extra=st.integers(0, 4), div_extra=st.integers(0, 20),
+    mret_penalty=st.integers(0, 4), transition_redirect=st.integers(0, 5),
+    trap_flush=st.integers(0, 6), delivery_redirect=st.integers(0, 4),
+    intercept_redirect=st.integers(0, 4),
+)
+
+_FIELDS = ("_if_end", "_id_end", "_ex_end", "_mem_end", "_wb_end",
+           "_redirect", "_ready", "cycles", "stall_load_use",
+           "stall_control", "stall_fetch")
+
+
+def _apply(ref, new, op):
+    """Feed *op* to both timers: runs go to *new* through ``note_run``
+    and to *ref* one instruction at a time."""
+    kind = op[0]
+    if kind == "step":
+        ref.note(op[1])
+        new.note(op[1])
+    elif kind == "run":
+        _kind, entries, fetch_cost = op
+        heads = {}
+        schedule = []
+        for i, (mnemonic, cls, rs_a, rs_b, rd, head) in enumerate(entries):
+            pc = 4 * i
+            if head is not None:
+                heads[pc] = head
+            schedule.append((pc if head is not None else None,
+                             rs_a, rs_b, rd))
+            reads = {InstrClass.ALU_IMM: (rs_a,),
+                     InstrClass.ALU_REG: (rs_a, rs_b)}.get(cls, ())
+            ref.note(step(pc=pc, mnemonic=mnemonic, cls=cls,
+                          fetch=fetch_cost if head is None else head,
+                          rd=rd, reads=reads))
+        accessed = []
+
+        def access(pc):
+            accessed.append(pc)
+            return heads[pc]
+        new.note_run(tuple(schedule), access, fetch_cost)
+        assert accessed == sorted(heads)
+    elif kind == "event":
+        ref.note_event(op[1])
+        new.note_event(op[1])
+    elif kind == "trap":
+        ref.note_trap(metal=op[1])
+        new.note_trap(metal=op[1])
+    else:
+        ref.note_intercept()
+        new.note_intercept()
+
+
+@given(_timings, _ops)
+@settings(max_examples=300, deadline=None)
+def test_scoreboard_matches_max_form_reference(timing, ops):
+    ref = ReferenceTimer(timing)
+    new = PipelineTimer(timing)
+    for i, op in enumerate(ops):
+        _apply(ref, new, op)
+        for name in _FIELDS:
+            assert getattr(new, name) == getattr(ref, name), (i, op, name)
+
+
+def test_run_schedule_regs_match_execute():
+    """The registers a run's schedule lists are the ones execute()
+    reports to the timer, x0 writes included."""
+    core = CpuCore(bus=MemoryBus())
+    sources = ("addi zero, t1, 5", "addi t0, t1, -1", "xor a0, a1, a2",
+               "sub zero, s0, s1", "lui t3, 0x12345", "lui zero, 1",
+               "auipc a5, 0x10", "fence", "slli s2, s3, 4",
+               "sltu zero, a3, a4")
+    for text in sources:
+        instr = decode(assemble(text, base=0).words()[0])
+        assert uop_ir(instr, 0) is not None, text   # a plain run entry
+        info = execute(core, instr, 0)
+        rs_a, rs_b, rd = _schedule_regs(instr)
+        assert rd == info.rd, text
+        assert ({r for r in (rs_a, rs_b) if r}
+                == {r for r in info.reads if r}), text

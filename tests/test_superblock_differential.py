@@ -17,7 +17,10 @@ A second, caches-on pair runs the same program with the I-cache and
 D-cache models on: the interpreter against the chained tcache with MJIT
 at threshold 1.  Its block loop replays each block's I-cache fetch plan
 instead of accessing the cache on every fetch, so the pair also compares
-cache hit and miss counts after every chunk.
+cache hit and miss counts after every chunk.  A third pair does the same
+on the pipeline engine (interpreter against the chained tcache, caches
+on), whose block loop feeds the scoreboard one run schedule at a time,
+and also compares the three stall counters.
 
 Seeds are deterministic and appear both in the test id and in every
 assertion message, so a failure is reproducible with e.g.::
@@ -47,9 +50,10 @@ _routines = routines
 _gen_program = gen_program
 
 
-def _build(tcache: bool, jit: bool = False, caches: bool = False):
+def _build(tcache: bool, jit: bool = False, caches: bool = False,
+           engine: str = "functional"):
     machine = build_metal_machine(
-        _routines(), engine="functional", with_caches=caches,
+        _routines(), engine=engine, with_caches=caches,
         ram_bytes=RAM_BYTES, tcache=tcache,
     )
     if jit:
@@ -82,6 +86,10 @@ def _cached_state(machine) -> dict:
         "icache": (core.icache.stats.hits, core.icache.stats.misses),
         "dcache": (core.dcache.stats.hits, core.dcache.stats.misses),
     }
+
+
+def _pipeline_state(machine) -> dict:
+    return {**_cached_state(machine), "stalls": machine.sim.stalls}
 
 
 def _assert_same(seed, step, ref, got, code_len, m_ref, m_got,
@@ -117,9 +125,12 @@ def test_differential(seed):
     m_jit = _build(tcache=True, jit=True)   # chaining + MJIT tier 2
     m_ref_c = _build(tcache=False, caches=True)       # caches-on pair
     m_jit_c = _build(tcache=True, jit=True, caches=True)
+    m_ref_p = _build(tcache=False, caches=True, engine="pipeline")
+    m_got_p = _build(tcache=True, caches=True, engine="pipeline")
     m_prof.set_profiling(True)
     assert m_got.sim.tcache.chain, "chaining should default on"
-    machines = (m_ref, m_got, m_prof, m_jit, m_ref_c, m_jit_c)
+    machines = (m_ref, m_got, m_prof, m_jit, m_ref_c, m_jit_c,
+                m_ref_p, m_got_p)
 
     programs = []
     for machine in machines:
@@ -145,6 +156,9 @@ def test_differential(seed):
         _assert_same(seed, step, _cached_state(m_ref_c),
                      _cached_state(m_jit_c), code_len, m_ref_c, m_jit_c,
                      label="jit, caches on")
+        _assert_same(seed, step, _pipeline_state(m_ref_p),
+                     _pipeline_state(m_got_p), code_len, m_ref_p, m_got_p,
+                     label="pipeline, caches on")
         if ref["halted"]:
             break
 
@@ -165,6 +179,9 @@ def test_differential(seed):
     )
     assert m_jit_c.perf.tcache.fast_instructions > 0, (
         f"seed {seed}: caches-on machine never ran a block"
+    )
+    assert m_got_p.perf.tcache.fast_instructions > 0, (
+        f"seed {seed}: pipeline machine never ran a block"
     )
 
 

@@ -733,14 +733,39 @@ def test_profile_trace_table_same_with_caches():
 
 
 def test_default_machine_runs_unguarded():
-    """On ``MachineConfig()`` tight_loop retires at least 90% of its
-    instructions through the unguarded block loop."""
-    machine = build_metal_machine([NOOP], config=MachineConfig())
-    machine.load_and_run(workload_source("tight_loop", 2_000))
-    perf = machine.perf
-    tc = perf.tcache
-    unguarded = tc.fast_instructions - tc.guarded_instructions
-    assert unguarded >= 0.9 * perf.guest_instructions, perf.summary()
+    """On ``MachineConfig()`` loop-heavy workloads retire at least 90%
+    of their instructions through the unguarded block loops, on either
+    engine's timer."""
+    for engine, workload in (("functional", "tight_loop"),
+                             ("pipeline", "tight_loop"),
+                             ("pipeline", "mcode_heavy")):
+        w = WORKLOADS[workload]
+        machine = build_metal_machine(list(w.routines),
+                                      config=MachineConfig(engine=engine))
+        machine.load_and_run(workload_source(workload, 2_000))
+        perf = machine.perf
+        tc = perf.tcache
+        unguarded = tc.fast_instructions - tc.guarded_instructions
+        assert unguarded >= 0.9 * perf.guest_instructions, (
+            engine, workload, perf.summary())
+
+
+def test_pipeline_jit_compiles_nothing():
+    """MJIT code bakes in the analytic timer's costs, so the pipeline
+    engine never dispatches to it: ``jit=True`` compiles no block and
+    leaves cycles and stall counters as they are with ``jit=False``."""
+    w = WORKLOADS["mcode_heavy"]
+    source = workload_source("mcode_heavy", 500)
+    outcomes = []
+    for jit in (False, True):
+        machine = build_metal_machine(
+            list(w.routines),
+            config=MachineConfig(engine="pipeline", jit=jit))
+        machine.sim.tcache.jit_threshold = 1
+        result = machine.load_and_run(source)
+        outcomes.append((_outcome(machine, result), machine.sim.stalls))
+        assert machine.perf.tcache.jit_blocks == 0
+    assert outcomes[0] == outcomes[1]
 
 
 def test_guarded_instructions_counter_surfaces():
