@@ -4,8 +4,8 @@ Like the MFI campaign benchmark, this asserts the subsystem's contract
 rather than a guest-visible number (docs/CONFORMANCE.md):
 
 * **conformance** — on a seeded sweep, zero divergences, zero
-  decode-oracle disagreements, zero host errors: the five execution
-  fast paths are the architecture;
+  decode-oracle disagreements, zero host errors: the four lockstep
+  machines agree bit for bit;
 * **bit-reproducibility** — running the identical seed list twice
   yields byte-identical report JSON;
 * **guidance** — coverage-guided scheduling strictly dominates the

@@ -19,59 +19,46 @@ per host second (host MIPS) with the predecoded translation cache
   polymorphic target map's showcase (PR 4; the monomorphic single-slot
   chainer of PR 2 broke and relinked this chain on every flip);
 * **mcode_heavy** — every iteration ``menter``s a pure mroutine that
-  spins in MRAM: the best case for the MAS-driven unguarded pure loop
-  (PR 3), which skips the per-store eviction guards inside routines the
-  analyzer proved free of RAM writes.
+  spins in MRAM: Metal-mode blocks on the same unguarded block loop as
+  normal-mode ones, and MJIT's mram tier (MAS proved the routine free
+  of RAM writes).
 
 The workload programs and machine shapes live in
 :mod:`repro.profile.workloads`, shared with ``python -m repro profile``
 so a profiled workload and a benchmarked one are the same program.
 
-Since PR 2 every tcache-on configuration is measured with superblock
-chaining disabled (``tcache_nochain``, the PR-1 behaviour) and enabled;
-since PR 3 the chained configuration is additionally measured with the
-analysis-driven pure mram loop off (``tcache_nopure``) and on
-(``tcache_on``); since PR 6 the full configuration is measured once
-more with the MJIT tier-2 compiler on (``tcache_jit`` — hot blocks
-recompiled to specialized Python source, see :mod:`repro.cpu.jit`;
-drop the mode with ``--nojit``).  The JSON records the cache win over
-the interpreter (``speedup``), the chaining win over the plain cache
-(``chain_speedup``), the purity win over the guarded chained cache
-(``pure_speedup``) and the tier-2 win over the closure tier
+Every workload is measured with the interpreter (``tcache_off``), the
+chained translation cache (``tcache_on``) and the MJIT tier-2
+compiler on top (``tcache_jit`` — hot blocks recompiled to
+specialized Python source, see :mod:`repro.cpu.jit`; drop the mode
+with ``--nojit``).  The JSON records the cache win over the
+interpreter (``speedup``) and the tier-2 win over the closure tier
 (``jit_speedup``).  A ``trajectory`` list in the JSON keeps the
 tight-loop functional numbers of every PR for trend tracking.
 
-Since PR 4 the JSON also records the MPROF numbers:
-
-* ``profiler`` — tight-loop functional MIPS with the trace event sink
-  detached vs attached.  Detached must track the PR-3 trajectory entry
-  (the sink costs one pointer test per retired trace when off);
-  attached overhead is asserted ≤15% in the full run.
-* ``preformation`` — mcode_heavy functional MIPS with the dynamic
-  chainer warming up on its own vs profile-guided superblock
-  preformation (``Machine.preform_superblocks``) seeding the blocks and
-  links at build time.  Guest results must be bit-identical; the MIPS
-  delta is recorded win or lose (preformation buys first-delivery
-  latency, not steady-state throughput, so expect ~parity on a
-  long-running loop).  Since PR 6 a third configuration combines
-  preformation with MJIT: the planned loop heads are tier-2 compiled at
-  build time, so the *first* delivery already runs through compiled
-  code — asserted by checking ``jit_blocks`` before the run starts.
+The JSON also records the MPROF ``profiler`` numbers: tight-loop
+functional MIPS with the trace event sink detached vs attached.
+Detached must track the tight-loop trajectory (the sink costs one
+pointer test per retired trace when off); attached overhead is
+asserted ≤15% in the full run.
 
 The tcache is architecture-invisible, so for every workload and engine
 the guest results (``RunResult.instructions`` / ``cycles``) must be
-bit-identical across all five modes — this file asserts that, plus the
+bit-identical across all modes, and Metal-mode blocks share the
+unguarded block loop, so mcode_heavy and syscall_heavy retire no
+instruction on the guarded loop — this file asserts both, plus the
 headline wins for the functional engine on the tight loop: ≥2.6× over
-the interpreter, ≥1.3× over the unchained cache, and with MJIT on a
+the interpreter, and with MJIT on a
 tier-2 dispatch share ≥90% and ≥6.16 MIPS absolute (2× the PR-4
 trajectory number).  Results land in ``BENCH_host_throughput.json`` at
 the repo root.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_host_throughput.py``)
 or via pytest.  ``--smoke`` runs a <30s subset for CI: it checks the
-tight-loop hit rate (≥90%), three-way result equality and that chains
-actually engage, but skips the wall-clock speedup assertions (too noisy
-for shared runners); its results land in
+tight-loop hit rate (≥90%), cross-mode result equality, that chains
+actually engage and that the Metal-heavy workloads retire nothing on
+the guarded loop, but skips the wall-clock speedup assertions (too
+noisy for shared runners); its results land in
 ``BENCH_host_throughput_smoke.json`` (uploaded as a CI artifact) so the
 committed full-run JSON is never clobbered by a smoke run.
 """
@@ -104,13 +91,11 @@ def _build(workload: str, engine: str):
     return build_workload(workload, engine=engine)
 
 
-#: Measurement modes: (tcache, chaining, pure loop, jit).
+#: Measurement modes: (tcache, jit).
 _MODES = {
-    "tcache_off": (False, False, False, False),
-    "tcache_nochain": (True, False, False, False),
-    "tcache_nopure": (True, True, False, False),
-    "tcache_on": (True, True, True, False),
-    "tcache_jit": (True, True, True, True),
+    "tcache_off": (False, False),
+    "tcache_on": (True, False),
+    "tcache_jit": (True, True),
 }
 
 
@@ -123,7 +108,7 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
              reps: int) -> dict:
     """Best-of-*reps* host MIPS for one configuration (fresh machine per
     rep; deterministic guest results are cross-checked across reps)."""
-    tcache, chain, pure, jit = _MODES[mode]
+    tcache, jit = _MODES[mode]
     source = workload_source(workload, iters)
     best_mips = 0.0
     ref = None
@@ -132,8 +117,6 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
     for _ in range(reps):
         machine = _build(workload, engine)
         machine.set_tcache(tcache)
-        machine.set_tcache_chaining(chain)
-        machine.set_tcache_pure_loop(pure)
         machine.set_tcache_jit(jit)
         host0 = perf_counter()
         result = machine.load_and_run(source, max_instructions=50_000_000)
@@ -158,7 +141,7 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
         "cycles": ref[1],
         "hit_rate": round(best_stats.hit_rate, 4),
     }
-    if tcache and chain:
+    if tcache:
         row["chains"] = {
             "links": best_stats.chain_links,
             "hits": best_stats.chain_hits,
@@ -166,11 +149,7 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
             "breaks": best_stats.chain_breaks,
             "longest": best_stats.chain_longest,
         }
-    if pure:
-        row["pure"] = {
-            "blocks": best_stats.pure_blocks,
-            "instructions": best_stats.pure_fast_instructions,
-        }
+        row["guarded_instructions"] = best_stats.guarded_instructions
     if jit:
         row["jit"] = {
             "blocks": best_stats.jit_blocks,
@@ -191,22 +170,22 @@ def run_suite(iters: dict, reps: int, engines=("functional", "pipeline"),
             row = {"iterations": n}
             for mode in modes:
                 row[mode] = _measure(workload, engine, mode, n, reps)
-            off, nochain, nopure, on = (
-                row["tcache_off"], row["tcache_nochain"],
-                row["tcache_nopure"], row["tcache_on"])
+            off, on = row["tcache_off"], row["tcache_on"]
             row["speedup"] = round(
                 on["mips"] / off["mips"] if off["mips"] else 0.0, 3)
-            row["chain_speedup"] = round(
-                on["mips"] / nochain["mips"] if nochain["mips"] else 0.0, 3)
-            row["pure_speedup"] = round(
-                on["mips"] / nopure["mips"] if nopure["mips"] else 0.0, 3)
             if "tcache_jit" in row:
                 row["jit_speedup"] = round(
                     row["tcache_jit"]["mips"] / on["mips"]
                     if on["mips"] else 0.0, 3)
             results[workload][engine] = row
-            # The tcache (chained, pure, jit or not) is guest-invisible:
-            # identical results in every mode.
+            # Metal-mode blocks share the unguarded block loop, whether
+            # or not MAS proved their routine store-free.
+            if workload in ("mcode_heavy", "syscall_heavy"):
+                assert on["guarded_instructions"] == 0, (
+                    f"{workload}/{engine}: {on['guarded_instructions']} "
+                    f"instructions retired on the guarded loop")
+            # The tcache (jit or not) is guest-invisible: identical
+            # results in every mode.
             for mode in modes[1:]:
                 for key in ("instructions", "cycles"):
                     assert row[mode][key] == off[key], (
@@ -267,76 +246,6 @@ def measure_profiler_overhead(iters: int, reps: int,
     }
 
 
-def measure_preformation(iters: int, reps: int,
-                         engine: str = "functional",
-                         jit: bool = True) -> dict:
-    """mcode_heavy MIPS: dynamic chain warmup vs superblock preformation.
-
-    Preformation compiles and pre-chains the pure mroutine's blocks at
-    build time (``Machine.preform_superblocks``); the dynamic baseline
-    lets the chainer discover them on first dispatch.  Results must be
-    bit-identical; the MIPS delta is recorded win or lose.  With *jit*,
-    a third configuration combines preformation with MJIT: the planned
-    loop heads must be tier-2 compiled *before the run starts*, so the
-    first delivery of the mroutine already executes at steady state.
-    """
-    source = workload_source("mcode_heavy", iters)
-
-    def best(preform: bool, with_jit: bool = False):
-        best_mips, ref = 0.0, None
-        blocks = links = warmed = 0
-        for _ in range(reps):
-            machine = _build("mcode_heavy", engine)
-            if with_jit:
-                machine.set_tcache_jit(True)
-            if preform:
-                blocks, links = machine.preform_superblocks()
-            if with_jit:
-                warmed = machine.perf.tcache.jit_blocks
-                assert warmed > 0, (
-                    "preform+jit left the loop heads cold: first delivery "
-                    "would not run at steady state")
-            host0 = perf_counter()
-            result = machine.load_and_run(source,
-                                          max_instructions=50_000_000)
-            host = perf_counter() - host0
-            outcome = (result.instructions, result.cycles)
-            if ref is None:
-                ref = outcome
-            elif outcome != ref:
-                raise AssertionError(
-                    f"preform run non-deterministic: {outcome} vs {ref}")
-            best_mips = max(best_mips,
-                            result.instructions / host / 1e6 if host else 0.0)
-        return best_mips, ref, blocks, links, warmed
-
-    dyn_mips, dyn_ref, _, _, _ = best(False)
-    pre_mips, pre_ref, blocks, links, _ = best(True)
-    assert pre_ref == dyn_ref, (
-        f"preformation changed guest-visible results: {pre_ref} vs {dyn_ref}"
-    )
-    report = {
-        "workload": "mcode_heavy",
-        "engine": engine,
-        "iterations": iters,
-        "dynamic_mips": round(dyn_mips, 4),
-        "preformed_mips": round(pre_mips, 4),
-        "preform_speedup": round(
-            pre_mips / dyn_mips if dyn_mips else 0.0, 3),
-        "preformed_blocks": blocks,
-        "preformed_links": links,
-    }
-    if jit:
-        jit_mips, jit_ref, _, _, warmed = best(True, with_jit=True)
-        assert jit_ref == dyn_ref, (
-            f"preform+jit changed guest-visible results: "
-            f"{jit_ref} vs {dyn_ref}"
-        )
-        report["preformed_jit_mips"] = round(jit_mips, 4)
-        report["preformed_jit_blocks_warm"] = warmed
-    return report
-
-
 def _load_previous(path: str):
     try:
         with open(path) as fh:
@@ -371,10 +280,8 @@ def _trajectory(results: dict, previous, profiler: dict = None) -> list:
             "label": TRAJECTORY_LABEL,
             "tight_loop_functional": {
                 "tcache_off_mips": tight["tcache_off"]["mips"],
-                "tcache_nochain_mips": tight["tcache_nochain"]["mips"],
                 "tcache_on_mips": tight["tcache_on"]["mips"],
                 "speedup": tight["speedup"],
-                "chain_speedup": tight["chain_speedup"],
             },
         }
         if "tcache_jit" in tight:
@@ -382,13 +289,6 @@ def _trajectory(results: dict, previous, profiler: dict = None) -> list:
                 tight["tcache_jit"]["mips"])
             entry["tight_loop_functional"]["jit_speedup"] = (
                 tight["jit_speedup"])
-        mcode = results.get("mcode_heavy", {}).get("functional")
-        if mcode:
-            entry["mcode_heavy_functional"] = {
-                "tcache_nopure_mips": mcode["tcache_nopure"]["mips"],
-                "tcache_on_mips": mcode["tcache_on"]["mips"],
-                "pure_speedup": mcode["pure_speedup"],
-            }
         if profiler:
             entry["profiler"] = {
                 "profiling_off_mips": profiler["profiling_off_mips"],
@@ -418,7 +318,7 @@ def _disabled_vs_pr4(trajectory: list) -> float:
 
 
 def _emit_json(results: dict, json_path: str = JSON_PATH,
-               profiler: dict = None, preformation: dict = None) -> str:
+               profiler: dict = None) -> str:
     path = os.path.abspath(json_path)
     trajectory = _trajectory(results, _load_previous(path),
                              profiler=profiler)
@@ -433,8 +333,6 @@ def _emit_json(results: dict, json_path: str = JSON_PATH,
         if delta is not None:
             profiler["disabled_mips_vs_pr4"] = delta
         payload["profiler"] = profiler
-    if preformation:
-        payload["preformation"] = preformation
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -444,8 +342,7 @@ def _emit_json(results: dict, json_path: str = JSON_PATH,
 def _print_table(results: dict) -> None:
     print()
     print(f"{'workload':<18} {'engine':<11} {'off MIPS':>9} "
-          f"{'nochain':>9} {'nopure':>9} {'on MIPS':>9} {'jit MIPS':>9} "
-          f"{'speedup':>8} {'chain':>7} {'pure':>7} {'jit':>7} "
+          f"{'on MIPS':>9} {'jit MIPS':>9} {'speedup':>8} {'jit':>7} "
           f"{'hit rate':>9}")
     for workload, engines in results.items():
         for engine, row in engines.items():
@@ -455,13 +352,9 @@ def _print_table(results: dict) -> None:
                            if jit else f"{'—':>7}")
             print(f"{workload:<18} {engine:<11} "
                   f"{row['tcache_off']['mips']:>9.3f} "
-                  f"{row['tcache_nochain']['mips']:>9.3f} "
-                  f"{row['tcache_nopure']['mips']:>9.3f} "
                   f"{row['tcache_on']['mips']:>9.3f} "
                   f"{jit_mips} "
                   f"{row['speedup']:>7.2f}x "
-                  f"{row['chain_speedup']:>6.2f}x "
-                  f"{row['pure_speedup']:>6.2f}x "
                   f"{jit_speedup} "
                   f"{row['tcache_on']['hit_rate']:>8.1%}")
     print()
@@ -479,24 +372,14 @@ def run_full(jit: bool = True) -> dict:
     results = run_suite(iters, reps=3, jit=jit)
     _print_table(results)
     profiler = measure_profiler_overhead(iters["tight_loop"], reps=3)
-    preformation = measure_preformation(iters["mcode_heavy"], reps=3,
-                                        jit=jit)
     print(f"profiler overhead  : off {profiler['profiling_off_mips']:.3f} "
           f"MIPS, on {profiler['profiling_on_mips']:.3f} MIPS "
           f"({profiler['enabled_overhead']:.1%} enabled overhead)")
-    print(f"preformation       : dynamic {preformation['dynamic_mips']:.3f} "
-          f"MIPS, preformed {preformation['preformed_mips']:.3f} MIPS "
-          f"({preformation['preform_speedup']:.3f}x, "
-          f"{preformation['preformed_blocks']} blocks / "
-          f"{preformation['preformed_links']} links ahead)")
-    path = _emit_json(results, profiler=profiler, preformation=preformation)
+    path = _emit_json(results, profiler=profiler)
     print(f"results written to {path}")
     assert profiler["enabled_overhead"] <= 0.15, (
         f"profiling-enabled overhead {profiler['enabled_overhead']:.1%} "
         f"> 15% on the tight loop"
-    )
-    assert preformation["preformed_blocks"] > 0, (
-        "preformation compiled no blocks on mcode_heavy"
     )
     poly = results["poly_branch"]["functional"]["tcache_on"]["chains"]
     assert poly["poly_hits"] > 0, (
@@ -510,27 +393,12 @@ def run_full(jit: bool = True) -> dict:
     assert tight["speedup"] >= 2.6, (
         f"tight-loop functional speedup {tight['speedup']}x < 2.6x"
     )
-    assert tight["chain_speedup"] >= 1.3, (
-        f"tight-loop chaining speedup {tight['chain_speedup']}x < 1.3x "
-        f"over the unchained cache"
-    )
     assert tight["tcache_on"]["hit_rate"] >= 0.90, (
         f"tight-loop hit rate {tight['tcache_on']['hit_rate']:.1%} < 90%"
     )
     tramp = results["chain_trampoline"]["functional"]
-    assert tramp["chain_speedup"] >= 1.2, (
-        f"trampoline chaining speedup {tramp['chain_speedup']}x < 1.2x"
-    )
     assert tramp["tcache_on"]["chains"]["hits"] > 0, (
         "trampoline workload never followed a chain link"
-    )
-    mcode = results["mcode_heavy"]["functional"]
-    assert mcode["tcache_on"]["pure"]["instructions"] > 0, (
-        "mcode_heavy workload never ran through the pure loop"
-    )
-    assert mcode["pure_speedup"] >= 1.05, (
-        f"mcode_heavy pure-loop speedup {mcode['pure_speedup']}x < 1.05x "
-        f"over the guarded chained cache"
     )
     if jit:
         tight_jit = tight["tcache_jit"]
@@ -546,9 +414,6 @@ def run_full(jit: bool = True) -> dict:
             f"tight-loop tier-2 speedup {tight['jit_speedup']}x < 1.5x "
             f"over the closure tier"
         )
-        assert preformation["preformed_jit_blocks_warm"] > 0, (
-            "preform+jit warmed no tier-2 blocks"
-        )
     return results
 
 
@@ -556,8 +421,9 @@ def run_smoke(jit: bool = True) -> dict:
     """CI subset: functional engine, small iteration counts, one rep.
 
     Asserts the structural properties (hit rate, cross-mode equality,
-    chains engaging, tier-2 dispatch share) but not the wall-clock
-    speedups, which are too noisy for shared runners.  Writes its
+    no guarded Metal-mode instruction, chains engaging, tier-2
+    dispatch share) but not the wall-clock speedups, which are too
+    noisy for shared runners.  Writes its
     numbers to a separate smoke JSON so the committed full-run results
     stay untouched.
     """
@@ -572,10 +438,8 @@ def run_smoke(jit: bool = True) -> dict:
     results = run_suite(iters, reps=1, engines=("functional",), jit=jit)
     _print_table(results)
     profiler = measure_profiler_overhead(iters["tight_loop"], reps=1)
-    preformation = measure_preformation(iters["mcode_heavy"], reps=1,
-                                        jit=jit)
     path = _emit_json(results, json_path=SMOKE_JSON_PATH,
-                      profiler=profiler, preformation=preformation)
+                      profiler=profiler)
     print(f"smoke results written to {path}")
     tight = results["tight_loop"]["functional"]
     assert tight["tcache_on"]["hit_rate"] >= 0.90, (
@@ -590,15 +454,8 @@ def run_smoke(jit: bool = True) -> dict:
     assert poly["poly_hits"] > 0, (
         "poly_branch: the polymorphic target map never hit"
     )
-    pure = results["mcode_heavy"]["functional"]["tcache_on"]["pure"]
-    assert pure["instructions"] > 0, (
-        f"mcode_heavy: the pure loop never engaged (blocks={pure['blocks']})"
-    )
-    # Structural profiler/preformation checks (no wall-clock asserts).
+    # Structural profiler check (no wall-clock asserts).
     assert profiler["traces_recorded"] > 0, "profiler recorded no traces"
-    assert preformation["preformed_blocks"] > 0, (
-        "preformation compiled no blocks"
-    )
     if jit:
         tight_jit = tight["tcache_jit"]["jit"]
         assert tight_jit["blocks"] > 0, (
@@ -607,9 +464,6 @@ def run_smoke(jit: bool = True) -> dict:
         assert tight_jit["dispatch_share"] >= 0.90, (
             f"tight_loop: tier-2 dispatch share "
             f"{tight_jit['dispatch_share']:.1%} < 90%"
-        )
-        assert preformation["preformed_jit_blocks_warm"] > 0, (
-            "preform+jit warmed no tier-2 blocks"
         )
     return results
 

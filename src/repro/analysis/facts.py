@@ -3,9 +3,9 @@
 :class:`RoutineFacts` is the cross-layer contract: the loader runs MAS
 over each mroutine at image-build time and attaches the facts to the
 :class:`~repro.metal.loader.MetalImage`; the translation cache pulls the
-non-store code ranges so its mram-namespace blocks can be dispatched
-through an unguarded fast loop (no RAM-write eviction checks — the
-analysis proved there is nothing to guard).
+non-store code ranges so MJIT may compile its mram-namespace blocks
+(no RAM-write eviction checks — the analysis proved there is nothing
+to guard).
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class RoutineFacts:
     """What MAS proved about one mroutine."""
 
     purity: Purity = Purity.WRITES_RAM
-    #: True when every instruction in the routine is dispatchable by the
-    #: tcache's unguarded pure loop (no stores, no architectural-feature
-    #: side channels).  This is what the loader exports as code ranges.
+    #: True when every instruction in the routine is compilable by
+    #: MJIT's mram codegen (no stores, no architectural-feature side
+    #: channels).  This is what the loader exports as code ranges.
     pure_dispatch: bool = False
     reads_ram: bool = False
     writes_ram: bool = False

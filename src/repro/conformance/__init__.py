@@ -19,10 +19,10 @@ without silent corruption:
   and MAS CFG-edge coverage counters over generated programs;
 * :mod:`repro.conformance.scheduler` — coverage-guided seed scheduling
   that biases generation toward uncovered buckets;
-* :mod:`repro.conformance.campaign` — the five-way lockstep campaign
-  runner (interpreter / unchained tcache / chained / profiled /
-  MJIT-at-threshold-1) with bit-reproducible classification, run via
-  ``python -m repro conformance``.
+* :mod:`repro.conformance.campaign` — the four-way lockstep campaign
+  runner (interpreter / chained / profiled / MJIT-at-threshold-1) with
+  bit-reproducible classification, run via ``python -m repro
+  conformance``.
 """
 
 from repro.conformance.campaign import (

@@ -1,15 +1,14 @@
-"""MCONF campaign runner: coverage-guided five-way lockstep at scale.
+"""MCONF campaign runner: coverage-guided four-way lockstep at scale.
 
 One campaign cell is one seed: the scheduler picks a generator config
 from coverage-so-far, the generator emits a random guest program, the
 program's words (and every loaded mroutine's words) are cross-checked
-against the independent decode oracle, and then five machines execute
+against the independent decode oracle, and then four machines execute
 the program in lockstep, comparing every architecturally visible bit
 after every chunk of retired instructions:
 
 =========== ==========================================================
 interp      interpreter, no fast path at all (the reference)
-tcache      predecoded superblocks, chaining off
 chained     superblocks + polymorphic chaining (the PR-2/PR-4 path)
 profiled    chained + the MPROF trace sink attached
 jit         chained + MJIT tier 2 at compile threshold 1
@@ -54,7 +53,7 @@ from repro.conformance.scheduler import CoverageScheduler
 #: generates the exact program ``test_superblock_differential`` seed N.
 PROGRAM_SEED_BASE = 0xC0DE
 
-VARIANTS = ("interp", "tcache", "chained", "profiled", "jit")
+VARIANTS = ("interp", "chained", "profiled", "jit")
 
 OUTCOMES = ("pass", "divergence", "decode_disagreement", "hang",
             "host_error")
@@ -86,14 +85,12 @@ class ConformanceConfig:
 # ----------------------------------------------------------------------
 
 def build_variant(variant: str, config: GenConfig):
-    """One of the five lockstep machines, with the config's mroutines."""
+    """One of the four lockstep machines, with the config's mroutines."""
     machine = build_metal_machine(
         routines(config), engine="functional", with_caches=False,
         ram_bytes=RAM_BYTES, tcache=(variant != "interp"),
     )
-    if variant == "tcache":
-        machine.set_tcache_chaining(False)
-    elif variant == "profiled":
+    if variant == "profiled":
         machine.set_profiling(True)
     elif variant == "jit":
         machine.set_tcache_jit(True)

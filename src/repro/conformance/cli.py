@@ -87,7 +87,7 @@ def conformance_main(argv=None) -> int:
     )
     report = run_conformance(config)
 
-    print(f"MCONF campaign: {args.seeds} seed(s), five-way lockstep, "
+    print(f"MCONF campaign: {args.seeds} seed(s), four-way lockstep, "
           f"{'guided' if config.guided else 'unguided'} "
           f"(workers={args.workers or 'inline'})")
     print(format_summary(report))

@@ -251,7 +251,7 @@ class FunctionalSimulator:
             watch = getattr(metal.intercept, "watch_transitions", None)
             if watch is not None:
                 watch(tcache.on_intercept_transition)
-            # Analysis facts for the pure mram loop.  Read through
+            # Analysis facts for MJIT's mram compiles.  Read through
             # ``metal.image`` at call time so reload_mroutines (which
             # replaces the image object) is picked up along with the
             # code-version bump that re-invokes the provider.
@@ -452,7 +452,7 @@ class FunctionalSimulator:
             if block is None:
                 self.step()
                 return
-            self._exec_mram_block(block, budget)
+            self._exec_block(block, budget, None, True)
             return
         # Normal mode: blocks assume identity fetch translation and an
         # empty interception table; anything else takes the slow path.
@@ -468,33 +468,56 @@ class FunctionalSimulator:
         if self._maybe_take_interrupt():
             self._sync_devices()
             return
-        self._exec_mem_block(block, budget, stop_pc)
+        self._exec_block(block, budget, stop_pc, False)
 
-    def _exec_mem_block(self, block, budget: int, stop_pc) -> None:
+    def _exec_block(self, block, budget: int, stop_pc, mram: bool) -> None:
+        """Run *block* and the superblock chain behind it.
+
+        One unguarded and one guarded loop serve both namespaces; only
+        the setup below depends on *mram*.
+        """
         core = self.core
         timer = self.timer
-        icache = core.icache
-        mem_latency = core.timing.mem_latency
         trace = self.trace_fn
         stats = self.perf.tcache
-        metal = core.metal
         tcache = self._tcache
-        chain = tcache.chain
         sink = self._profile_sink
         chain_limit = self._profile_chain_limit
         head = block.start
         cycles0 = timer.cycles if sink is not None else 0
-        # Interrupt deliverability is constant inside a block — and along
-        # a superblock chain: only terminator instructions (CSR writes,
-        # Metal transitions) or trap entries can change it; traps exit the
-        # loop and only branch/jal/jalr terminators are chainable.
         irq = core.irq
-        if irq is None:
+        if mram:
+            # Metal mode: no interrupt sampling (paper §2.1) and no
+            # stop_pc.  Every fetch comes from MRAM at ``mram_fetch``
+            # cost, with no I-cache access (mram blocks carry an empty
+            # fetch plan) and so no hit credit.  ``mexit`` leaves Metal
+            # mode and is never chainable.
+            ns = "mram"
+            icache = None
+            latency = core.timing.mram_fetch
             poll = False
-        elif metal is not None:
-            poll = metal.delivery.interrupts_enabled
+            code = core.metal.mram
+            chain_next = tcache.chain_next_mram
+            jit_compile = tcache.jit_compile_mram
         else:
-            poll = core.csrs.interrupts_enabled
+            ns = "mem"
+            icache = core.icache
+            latency = core.timing.mem_latency
+            # Interrupt deliverability is constant inside a block — and
+            # along a superblock chain: only terminator instructions (CSR
+            # writes, Metal transitions) or trap entries can change it;
+            # traps exit the loop and only branch/jal/jalr terminators
+            # are chainable.
+            metal = core.metal
+            if irq is None:
+                poll = False
+            elif metal is not None:
+                poll = metal.delivery.interrupts_enabled
+            else:
+                poll = core.csrs.interrupts_enabled
+            code = core.bus
+            chain_next = tcache.chain_next_mem
+            jit_compile = tcache.jit_compile_mem
         check_stop = stop_pc is not None
         sync = self._sync_devices
         take_irq = self._maybe_take_interrupt
@@ -515,7 +538,7 @@ class FunctionalSimulator:
             # I-cache fetch plan (see ``tcache._build_ops``): line heads
             # make real cache accesses in program order and every other
             # fetch is an LRU-neutral hit, counted in ``ihits``; with no
-            # I-cache every fetch costs ``mem_latency``.  With the
+            # I-cache every fetch costs ``latency``.  With the
             # analytic timer, runs and execute() entries add their costs
             # (the :attr:`SimpleTimer.extra` penalties) to the ``cyc``
             # batch; with the pipeline scoreboard, runs go through
@@ -526,17 +549,16 @@ class FunctionalSimulator:
             # bouncing back to ``run()``.  A trap or an abort leaves both
             # loops with ``next_pc`` at the instruction that faulted or
             # must be re-fetched.
-            bus = core.bus
             note_run = self._note_run
             extra = timer.extra.get if note_run is None else None
             if icache is None:
                 access = None
-                fetch_cost = mem_latency if mem_latency > 1 else 1
+                fetch_cost = latency if latency > 1 else 1
             else:
                 access = icache.access
                 hit = icache.hit_latency
                 fetch_cost = hit if hit > 1 else 1
-            # MJIT's mem code bakes in the uncached fetch cost and the
+            # MJIT's code bakes in the uncached fetch cost and the
             # analytic timer.
             jit_on = tcache.jit and icache is None and note_run is None
             instret0 = core.instret
@@ -557,14 +579,13 @@ class FunctionalSimulator:
                         heat = block.heat + 1
                         block.heat = heat
                         if heat >= tcache.jit_threshold:
-                            jfn = tcache.jit_compile_mem(block)
+                            jfn = jit_compile(block)
                     if jfn is not None:
                         timer.cycles += cyc
                         cyc = 0
                         status, next_pc, jret, jloops, trap = jfn(
                             core, block, timer, sync, budget - retired,
-                            instret0 + retired,
-                            chain_limit - chained if chain else 0)
+                            instret0 + retired, chain_limit - chained)
                         retired += jret
                         stats.jit_instructions += jret
                         if jloops:
@@ -575,10 +596,10 @@ class FunctionalSimulator:
                             if chained > stats.chain_longest:
                                 stats.chain_longest = chained
                         core.pc = next_pc
-                        if (status or not chain or not block.chainable
+                        if (status or not block.chainable
                                 or chained >= chain_limit):
                             break  # 1: invalidated mid-trace; 2: trap
-                        nxt = tcache.chain_next_mem(block, next_pc, bus)
+                        nxt = chain_next(block, next_pc, code)
                         if (nxt is None
                                 or budget - retired < len(nxt.entries)):
                             break
@@ -650,10 +671,9 @@ class FunctionalSimulator:
                         aborted = True
                         break
                 core.pc = next_pc
-                if (aborted or not chain or not block.chainable
-                        or chained >= chain_limit):
+                if aborted or not block.chainable or chained >= chain_limit:
                     break
-                nxt = tcache.chain_next_mem(block, next_pc, bus)
+                nxt = chain_next(block, next_pc, code)
                 if nxt is None or budget - retired < len(nxt.entries):
                     break
                 chained += 1
@@ -666,9 +686,10 @@ class FunctionalSimulator:
             if icache is not None:
                 icache.stats.hits += ihits
             if sink is not None:
-                sink.note_trace("mem", head, chained, retired,
+                sink.note_trace(ns, head, chained, retired,
                                 timer.cycles, timer.cycles - cycles0)
             if trap is not None:
+                # In Metal mode this is a double fault: it raises.
                 self._dispatch_trap(trap, next_pc)
                 # The trap's traceback holds this frame: drop the local
                 # so the pair is not left for the cyclic collector.
@@ -701,7 +722,7 @@ class FunctionalSimulator:
                             stats.guarded_instructions += retired
                             if sink is not None:
                                 sink.note_trace(
-                                    "mem", head, chained, retired,
+                                    ns, head, chained, retired,
                                     timer.cycles, timer.cycles - cycles0)
                             return
                 if flags:
@@ -712,17 +733,17 @@ class FunctionalSimulator:
                             break  # DMA rewrote this page; core.pc == pc
                     if flags & f_csr:
                         core._timer_cycles = timer.cycles
-                latency = (icache_access(pc) if icache_access is not None
-                           else mem_latency)
+                fetch = (icache_access(pc) if icache_access is not None
+                         else latency)
                 try:
-                    step = op_fn(core, instr, pc, fetch_latency=latency)
+                    step = op_fn(core, instr, pc, fetch_latency=fetch)
                 except TrapException as trap:
                     stats.fast_instructions += retired
                     stats.guarded_instructions += retired
                     if sink is not None:
-                        sink.note_trace("mem", head, chained, retired,
+                        sink.note_trace(ns, head, chained, retired,
                                         timer.cycles, timer.cycles - cycles0)
-                    self._dispatch_trap(trap, pc)
+                    self._dispatch_trap(trap, pc)  # Metal mode: raises
                     sync()
                     return
                 core.pc = step.next_pc
@@ -743,10 +764,9 @@ class FunctionalSimulator:
             # transfer (or the fall-through of a length-limited block);
             # the per-entry budget/stop/poll guards above keep running
             # inside the successor, so no extra prechecks are needed.
-            if (aborted or not chain or not block.chainable
-                    or chained >= chain_limit):
+            if aborted or not block.chainable or chained >= chain_limit:
                 break
-            nxt = tcache.chain_next_mem(block, core.pc, core.bus)
+            nxt = chain_next(block, core.pc, code)
             if nxt is None:
                 break
             chained += 1
@@ -756,193 +776,7 @@ class FunctionalSimulator:
         stats.fast_instructions += retired
         stats.guarded_instructions += retired
         if sink is not None:
-            sink.note_trace("mem", head, chained, retired,
-                            timer.cycles, timer.cycles - cycles0)
-        sync()
-
-    def _exec_mram_block(self, block, budget: int) -> None:
-        # Metal mode: no interrupt sampling (paper §2.1), no interception,
-        # no stop_pc, constant MRAM fetch latency, and ``mst`` can only
-        # reach the data segment — so blocks never self-invalidate.
-        # Branch/jal/jalr terminators (loops inside mroutines) chain to
-        # the successor MRAM block; ``mexit`` leaves Metal mode and is
-        # never chainable.
-        core = self.core
-        timer = self.timer
-        metal = core.metal
-        mram = metal.mram
-        mram_latency = core.timing.mram_fetch
-        trace = self.trace_fn
-        stats = self.perf.tcache
-        tcache = self._tcache
-        chain = tcache.chain
-        sink = self._profile_sink
-        chain_limit = self._profile_chain_limit
-        head = block.start
-        cycles0 = timer.cycles if sink is not None else 0
-        sync = self._sync_devices
-        note = timer.note
-        f_sync, f_csr, f_term = F_SYNC, F_CSR, F_TERM
-        retired = 0
-        chained = 0
-
-        if block.pure and trace is None and budget >= len(block.entries):
-            # Unguarded loop for blocks of analysis-proven non-store
-            # mroutines (MAS facts, see docs/ANALYSIS.md): every entry is
-            # flag-free or the F_TERM terminator, so there are no RAM-write
-            # eviction guards, no device syncs and no CSR latches to test
-            # per entry.  Plain ALU runs execute as pre-bound micro-ops;
-            # MULDIV and rmr/wmr/mld/mst entries keep full execute()
-            # dispatch.  Timing follows the mem loop: ``cyc`` batches for
-            # the analytic timer, ``note_run``/``note`` for the pipeline
-            # scoreboard.  MRAM fetches never touch the I-cache, so these
-            # blocks carry an empty fetch plan.  The loop chains only into
-            # other pure blocks so the invariants hold along the whole
-            # superblock.
-            note_run = self._note_run
-            extra = timer.extra.get if note_run is None else None
-            base_cost = mram_latency if mram_latency > 1 else 1
-            instret0 = core.instret
-            # MJIT's code bakes in the analytic timer.
-            jit_on = tcache.jit and note_run is None
-            cyc = 0
-            trap = None
-            while True:
-                if jit_on:
-                    # Tier 2 (MJIT): same protocol as the mem loop, minus
-                    # the abort status — pure mram blocks cannot be
-                    # invalidated mid-trace (nothing inside can touch the
-                    # MRAM code segment or guest RAM).
-                    jfn = block.jit_fn
-                    if jfn is None:
-                        heat = block.heat + 1
-                        block.heat = heat
-                        if heat >= tcache.jit_threshold:
-                            jfn = tcache.jit_compile_mram(block)
-                    if jfn is not None:
-                        timer.cycles += cyc
-                        cyc = 0
-                        status, next_pc, jret, jloops, trap = jfn(
-                            core, metal, timer, budget - retired,
-                            instret0 + retired,
-                            chain_limit - chained if chain else 0)
-                        retired += jret
-                        stats.jit_instructions += jret
-                        if jloops:
-                            chained += jloops
-                            stats.chain_hits += jloops
-                            if chained > stats.chain_longest:
-                                stats.chain_longest = chained
-                        core.pc = next_pc
-                        if (status or not chain or not block.chainable
-                                or chained >= chain_limit):
-                            break  # status 2: trap (double fault downstream)
-                        nxt = tcache.chain_next_mram(block, next_pc, mram)
-                        if (nxt is None or not nxt.pure
-                                or budget - retired < len(nxt.entries)):
-                            break
-                        chained += 1
-                        if chained > stats.chain_longest:
-                            stats.chain_longest = chained
-                        block = nxt
-                        continue
-                next_pc = block.end
-                for seg in block.ops:
-                    if not seg[0]:  # OP_RUN: flag-free micro-op run
-                        _kind, uops, count, run_end, _leads, _same, sched = seg
-                        regs = core.regs
-                        for uop in uops:
-                            uop(regs)
-                        retired += count
-                        if note_run is None:
-                            cyc += count * base_cost
-                        else:
-                            note_run(sched, None, base_cost)
-                        next_pc = run_end
-                        continue
-                    _kind, instr, pc, _flags, _lead = seg
-                    try:
-                        step = execute(core, instr, pc,
-                                       fetch_latency=mram_latency)
-                    except TrapException as exc:
-                        trap = exc
-                        next_pc = pc
-                        break
-                    retired += 1
-                    if note_run is None:
-                        ml = step.mem_latency
-                        cyc += (base_cost + (ml - 1 if ml > 1 else 0)
-                                + extra(step.control or step.mnemonic, 0))
-                    else:
-                        note(step)
-                    next_pc = step.next_pc
-                core.pc = next_pc
-                if (trap is not None or not chain or not block.chainable
-                        or chained >= chain_limit):
-                    break
-                nxt = tcache.chain_next_mram(block, next_pc, mram)
-                if (nxt is None or not nxt.pure
-                        or budget - retired < len(nxt.entries)):
-                    break
-                chained += 1
-                if chained > stats.chain_longest:
-                    stats.chain_longest = chained
-                block = nxt
-            core.instret = instret0 + retired
-            timer.cycles += cyc
-            stats.fast_instructions += retired
-            stats.pure_fast_instructions += retired
-            if sink is not None:
-                sink.note_trace("mram", head, chained, retired,
-                                timer.cycles, timer.cycles - cycles0)
-            if trap is not None:
-                self._dispatch_trap(trap, next_pc)  # double fault: raises
-            sync()
-            return
-        while True:
-            aborted = False
-            for instr, op_fn, pc, flags, _hint in block.entries:
-                if retired and retired >= budget:
-                    aborted = True
-                    break
-                if flags:
-                    if flags & f_sync:
-                        sync()
-                    if flags & f_csr:
-                        core._timer_cycles = timer.cycles
-                try:
-                    step = op_fn(core, instr, pc, fetch_latency=mram_latency)
-                except TrapException as trap:
-                    stats.fast_instructions += retired
-                    stats.guarded_instructions += retired
-                    if sink is not None:
-                        sink.note_trace("mram", head, chained, retired,
-                                        timer.cycles, timer.cycles - cycles0)
-                    self._dispatch_trap(trap, pc)  # double fault -> GuestPanic
-                    sync()
-                    return
-                core.pc = step.next_pc
-                core.instret += 1
-                retired += 1
-                note(step)
-                if trace is not None:
-                    trace(step)
-                if flags & f_term:
-                    break
-            if (aborted or not chain or not block.chainable
-                    or chained >= chain_limit):
-                break
-            nxt = tcache.chain_next_mram(block, core.pc, mram)
-            if nxt is None:
-                break
-            chained += 1
-            if chained > stats.chain_longest:
-                stats.chain_longest = chained
-            block = nxt
-        stats.fast_instructions += retired
-        stats.guarded_instructions += retired
-        if sink is not None:
-            sink.note_trace("mram", head, chained, retired,
+            sink.note_trace(ns, head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)
         sync()
 

@@ -5,7 +5,7 @@ work, but every retired instruction still pays a Python call — a
 micro-op closure or a full ``execute()`` dispatch — plus ``StepInfo``
 traffic and a cost-table lookup for the non-plain entries.  MJIT
 removes that last layer for hot blocks: once a block's ``heat``
-(dispatches through the engines' unguarded loops) crosses
+(dispatches through the engine's unguarded loop) crosses
 ``TranslationCache.jit_threshold``, the block is rendered as straight
 Python source and ``exec``-compiled once:
 
@@ -35,7 +35,8 @@ per-site.
 
 Calling convention (both namespaces)::
 
-    status, next_pc, retired, loops, trap = jit_fn(...)
+    status, next_pc, retired, loops, trap = jit_fn(
+        core, block, timer, sync, budget, instret_base, limit)
 
 * ``status == 0`` — normal exit; ``next_pc`` is the successor pc.
 * ``status == 1`` — aborted (mem only): the block was invalidated
@@ -605,12 +606,8 @@ class _Codegen:
 
         # Prologue.
         self.indent = 0
-        if self.mem:
-            self.emit("def _jit(core, block, timer, sync, budget, "
-                      "instret_base, limit):")
-        else:
-            self.emit("def _jit(core, metal, timer, budget, "
-                      "instret_base, limit):")
+        self.emit("def _jit(core, block, timer, sync, budget, "
+                  "instret_base, limit):")
         self.indent = 1
         self.emit("regs = core.regs")
         self.emit("timing = timer.timing")
@@ -630,11 +627,11 @@ class _Codegen:
             self.emit("write_mem = core.write_mem")
         if not self.mem:
             if "_mrr(" in body_text:
-                self.emit("_mrr = metal.mregs.read")
+                self.emit("_mrr = core.metal.mregs.read")
             if "_mrw(" in body_text:
-                self.emit("_mrw = metal.mregs.write")
+                self.emit("_mrw = core.metal.mregs.write")
             if "(data, _o" in body_text:
-                self.emit("data = metal.mram.data")
+                self.emit("data = core.metal.mram.data")
         self.reload()
         self.emit("retired = 0")
         self.emit("loops = 0")

@@ -32,8 +32,8 @@ class TcacheStats:
     #: Guest instructions retired through the block fast path.
     fast_instructions: int = 0
     #: The part of ``fast_instructions`` retired through the per-entry
-    #: guarded loops (deliverable interrupts, ``stop_pc``, step hooks,
-    #: the pipeline timer, impure mram blocks); the rest ran unguarded.
+    #: guarded loop (deliverable interrupts, ``stop_pc``, step hooks, a
+    #: budget shorter than the block); the rest ran unguarded.
     guarded_instructions: int = 0
     #: Superblock links installed between blocks.
     chain_links: int = 0
@@ -49,15 +49,8 @@ class TcacheStats:
     #: Longest run of chained block transitions inside one dispatch.
     chain_longest: int = 0
     #: MRAM blocks compiled inside an analysis-proven non-store routine
-    #: (dispatchable through the unguarded pure loop).
+    #: (the mram blocks MJIT may compile).
     pure_blocks: int = 0
-    #: Guest instructions retired through the pure mram fast loop.
-    pure_fast_instructions: int = 0
-    #: MRAM blocks compiled ahead of execution by profile-guided
-    #: superblock preformation (repro.profile.preform).
-    preformed_blocks: int = 0
-    #: Chain links installed ahead of execution by preformation.
-    preformed_links: int = 0
     #: Blocks compiled to tier 2 by MJIT (repro.cpu.jit).
     jit_blocks: int = 0
     #: Guest instructions retired through MJIT-compiled code.
@@ -91,9 +84,6 @@ class TcacheStats:
         self.chain_breaks = 0
         self.chain_longest = 0
         self.pure_blocks = 0
-        self.pure_fast_instructions = 0
-        self.preformed_blocks = 0
-        self.preformed_links = 0
         self.jit_blocks = 0
         self.jit_instructions = 0
         self.jit_compile_ms = 0.0
@@ -147,10 +137,6 @@ class PerfCounters:
             f"tcache chains      : {tc.chain_links} links, "
             f"{tc.chain_hits} followed ({tc.chain_poly_hits} polymorphic), "
             f"{tc.chain_breaks} broken (longest {tc.chain_longest})",
-            f"tcache pure mram   : {tc.pure_blocks} blocks, "
-            f"{tc.pure_fast_instructions} instrs via the unguarded loop",
-            f"tcache preformed   : {tc.preformed_blocks} blocks, "
-            f"{tc.preformed_links} links ahead of execution",
             f"tcache jit (MJIT)  : {tc.jit_blocks} blocks compiled "
             f"({tc.jit_compile_ms:.2f} ms), {tc.jit_instructions} instrs "
             f"via tier 2 ({tc.jit_dispatch_share:.1%} of fast path)",

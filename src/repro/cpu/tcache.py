@@ -20,8 +20,8 @@ On top of the entry list each block carries two build-time artifacts:
   instruction at compile time; only entries that can sync devices, trap,
   or terminate the block remain full ``execute()`` dispatches.  Each
   segment also carries the block's I-cache fetch plan (which fetches
-  start a new cache line), so the functional engine's unguarded fast
-  loop runs ``ops`` with the cache model on and no per-entry flag tests.
+  start a new cache line), so the engine's unguarded block loop runs
+  ``ops`` with the cache model on and no per-entry flag tests.
 * ``link``/``link_pc``/``links`` — the **superblock chain**: after a
   block exits through a pure control-flow terminator (branch/jal/jalr,
   or the fall-through of a length-limited block) the engine links it to
@@ -146,8 +146,8 @@ class Block:
         self.entries = entries    # list of (instr, op_fn, pc, flags, hint)
         self.ops = _build_ops(entries, end, line_size)
         self.valid = True
-        #: Tier-2 hotness: dispatches of this block through the engines'
-        #: unguarded loops (the same transitions the hit/chain-hit stats
+        #: Tier-2 hotness: dispatches of this block through the engine's
+        #: unguarded loop (the same transitions the hit/chain-hit stats
         #: count).  Crossing ``TranslationCache.jit_threshold`` triggers
         #: MJIT compilation; a rejected compile parks it at ``_JIT_COLD``
         #: so the threshold test never re-fires.
@@ -157,9 +157,9 @@ class Block:
         #: also drops this, exactly as it severs chain links.
         self.jit_fn = None
         #: True for mram blocks inside an analysis-proven non-store
-        #: routine (see :meth:`TranslationCache.set_mram_facts`): every
-        #: entry is flag-free (or the F_TERM terminator), so the engine
-        #: may dispatch the block through its unguarded pure loop.
+        #: routine (see :meth:`TranslationCache.set_mram_facts`) whose
+        #: entries are all flag-free (or the F_TERM terminator): the
+        #: only mram blocks MJIT compiles.
         self.pure = False
         #: Whether the block's exit is eligible for chaining (branch/jal/
         #: jalr terminator, or the fall-through of a length-limited block).
@@ -382,7 +382,7 @@ def _entries_pure(entries) -> bool:
 
     Belt and braces under the analysis facts: a block inside a proven
     non-store routine can only contain such entries, but the flags are
-    what the unguarded loop actually relies on, so they are what is
+    what MJIT's mram codegen actually relies on, so they are what is
     checked.
     """
     for _instr, _op_fn, _pc, flags, _hint in entries:
@@ -410,10 +410,8 @@ class TranslationCache:
     #: interrupt-sampling work lost when a block aborts early.
     MAX_BLOCK_LEN = 64
 
-    def __init__(self, stats, max_block_len: int = None,
-                 line_size: int = None):
+    def __init__(self, stats, line_size: int = None):
         self.stats = stats
-        self.max_block_len = max_block_len or self.MAX_BLOCK_LEN
         #: I-cache line size the mem blocks' fetch plans are compiled
         #: for (see :func:`_build_ops`); None for a core with no I-cache.
         self.line_size = line_size
@@ -422,23 +420,15 @@ class TranslationCache:
         #: reported for the exported timeline; ``None`` costs nothing on
         #: the hot paths (checked only on the cold branches).
         self.sink = None
-        #: Superblock chaining toggle (host-side, guest-invisible).  With
-        #: it off the engines bounce back to the dispatch loop after every
-        #: block, i.e. the PR-1 per-block behaviour.
-        self.chain = True
-        #: Purity-specialisation toggle (host-side, guest-invisible).
-        #: With it off, mram blocks are never marked pure even when the
-        #: analysis facts would allow it (measurement baseline).
-        self.pure_loop = True
         #: MJIT tier-2 toggle (host-side, guest-invisible).  With it on,
         #: blocks whose ``heat`` crosses :attr:`jit_threshold` are
         #: compiled to specialized Python (repro.cpu.jit) and dispatched
         #: in preference to the closure path.
         self.jit = False
-        #: Dispatches through the unguarded loops a block must see before
+        #: Dispatches through the unguarded loop a block must see before
         #: MJIT compiles it.  Low by design: compilation is a few hundred
-        #: microseconds, and a block hot enough to reach the specialized
-        #: loops twice is overwhelmingly a loop body.
+        #: microseconds, and a block hot enough to reach the unguarded
+        #: loop twice is overwhelmingly a loop body.
         self.jit_threshold = 16
         self._mem = {}          # start pc -> Block
         self._mem_pages = {}    # page number -> set of start pcs
@@ -471,9 +461,8 @@ class TranslationCache:
     def _compile_mem(self, pc: int, bus):
         entries = []
         p = pc
-        limit = self.max_block_len
         terminated = False
-        while len(entries) < limit:
+        while len(entries) < self.MAX_BLOCK_LEN:
             # Never compile through a device region: device reads have
             # side effects, and instruction fetch from MMIO takes the
             # slow path anyway.
@@ -563,9 +552,8 @@ class TranslationCache:
     def _compile_mram(self, pc: int, mram):
         entries = []
         p = pc
-        limit = self.max_block_len
         terminated = False
-        while len(entries) < limit:
+        while len(entries) < self.MAX_BLOCK_LEN:
             try:
                 word = mram.fetch(p)
             except MramError:
@@ -584,8 +572,7 @@ class TranslationCache:
             return None
         block = Block(pc, p, entries,
                       *_chain_shape(entries, p, terminated))
-        if self.pure_loop and self._in_nonstore_range(pc, p) \
-                and _entries_pure(entries):
+        if self._in_nonstore_range(pc, p) and _entries_pure(entries):
             block.pure = True
             self.stats.pure_blocks += 1
         self._mram[pc] = block
@@ -782,61 +769,6 @@ class TranslationCache:
     def _chain_install(self, block, next_pc: int, nxt) -> None:
         self._chain_promote(block, next_pc, nxt)
         self.stats.chain_links += 1
-
-    # ------------------------------------------------------------------
-    # profile-guided preformation (repro.profile.preform)
-    # ------------------------------------------------------------------
-    def preform_mram(self, starts, mram):
-        """Compile mram blocks at byte offsets *starts* ahead of execution
-        and pre-chain them along their static successor seeds.
-
-        This is the mechanism half of profile-guided superblock
-        formation: the policy half (which pcs are worth preforming —
-        CFG loop heads of ``pure_dispatch`` routines, optionally filtered
-        by a hot-trace profile) lives in :mod:`repro.profile.preform`.
-        Blocks come out of the ordinary :meth:`mram_block` compiler, so a
-        preformed block is bit-identical to the one dynamic dispatch
-        would have built at the same pc; links are installed only toward
-        already-compiled blocks and use the same ``link``/``link_pc``
-        slots the dynamic chainer validates on every traversal, so a
-        wrong static seed costs one relink, never correctness.
-
-        Returns ``(blocks_compiled, links_installed)``.
-        """
-        blocks = []
-        compiled = 0
-        for pc in starts:
-            cached = self._mram.get(pc)
-            block = cached if cached is not None else self.mram_block(pc, mram)
-            if block is None:
-                continue
-            blocks.append(block)
-            if cached is None:
-                compiled += 1
-        links = 0
-        for block in blocks:
-            if not block.chainable or block.link is not None:
-                continue
-            target = block.link_pc
-            if target is None or target % 4:
-                continue
-            succ = self._mram.get(target)
-            if succ is not None and succ.valid:
-                block.link = succ
-                links += 1
-        if self.jit:
-            # Warm tier 2 along with the closures: the preformation plan
-            # is loop-heads-first (repro.profile.preform), exactly the
-            # blocks that would cross the hotness threshold within their
-            # first delivery anyway — compiling them here means the very
-            # first menter runs at steady-state speed.
-            for block in blocks:
-                if block.pure and block.jit_fn is None \
-                        and block.heat > _JIT_COLD:
-                    self.jit_compile_mram(block)
-        self.stats.preformed_blocks += compiled
-        self.stats.preformed_links += links
-        return compiled, links
 
     # ------------------------------------------------------------------
     # invalidation

@@ -89,13 +89,8 @@ class MachineConfig:
     #: repro.cpu.tcache).  Architecture-invisible — guest results are
     #: bit-identical either way.
     tcache: bool = True
-    #: Preform superblocks for analysis-proven pure mroutines at build
-    #: time (profile-guided when a profile is replayed later; see
-    #: repro.profile.preform).  Guest-invisible, like the tcache itself.
-    preform: bool = False
     #: MJIT tier-2 compilation of hot blocks (repro.cpu.jit).
-    #: Guest-invisible; with ``preform`` also on, the planned loop heads
-    #: are tier-2 compiled at build time too.
+    #: Guest-invisible.
     jit: bool = False
     extra_symbols: dict = field(default_factory=dict)
 
@@ -175,8 +170,6 @@ def build_metal_machine(routines=(), config: MachineConfig = None,
     machine.metal_image = image
     # Expose entry numbers and data offsets to guest assembly.
     machine.symbols.update(image.symbols)
-    if config.preform and config.tcache:
-        machine.preform_superblocks()
     return machine
 
 

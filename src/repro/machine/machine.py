@@ -158,19 +158,6 @@ class Machine:
         """Toggle the translation-cache fast path (guest-invisible)."""
         self.sim.tcache_enabled = enabled
 
-    def set_tcache_chaining(self, enabled: bool) -> None:
-        """Toggle superblock chaining inside the tcache fast path
-        (guest-invisible; with it off every block bounces back to the
-        dispatch loop, the PR-1 behaviour)."""
-        self.sim.tcache.chain = bool(enabled)
-
-    def set_tcache_pure_loop(self, enabled: bool) -> None:
-        """Toggle the analysis-driven unguarded mram loop
-        (guest-invisible).  Flushes compiled blocks so already-compiled
-        mram blocks pick up (or drop) their purity marking."""
-        self.sim.tcache.pure_loop = bool(enabled)
-        self.sim.tcache.flush_all()
-
     def set_tcache_jit(self, enabled: bool) -> None:
         """Toggle the MJIT tier-2 compiler (guest-invisible; see
         repro.cpu.jit).  Flushes compiled blocks so heat counters and
@@ -208,16 +195,6 @@ class Machine:
         from repro.profile.registry import MetricsRegistry
 
         return MetricsRegistry(self)
-
-    def preform_superblocks(self, profile=None):
-        """Profile-guided superblock preformation (guest-invisible):
-        compile and pre-chain the mram blocks of analysis-proven
-        ``pure_dispatch`` routines ahead of execution, optionally
-        narrowed to routines *profile* recorded as hot.  Returns
-        ``(blocks_compiled, links_installed)``."""
-        from repro.profile.preform import preform_superblocks
-
-        return preform_superblocks(self, profile=profile)
 
     # -- mroutine (re)loading --------------------------------------------
     def reload_mroutines(self, routines) -> None:

@@ -50,9 +50,9 @@ class MetalImage:
         """Code-segment byte ranges of routines MAS proved free of RAM
         access and guarded side effects (``facts.pure_dispatch``).
 
-        The translation cache uses these to dispatch mram-namespace
-        blocks through its unguarded fast loop: nothing inside such a
-        range can invalidate a translation mid-run.
+        The translation cache lets MJIT compile the mram-namespace
+        blocks inside these ranges: nothing inside such a range can
+        invalidate a translation mid-run.
         """
         ranges = []
         for name, result in self.analysis.items():

@@ -1,6 +1,6 @@
 """MPROF: trace-level profiling & observability for the repro machine.
 
-Four layers (see ``docs/PROFILING.md``):
+Three layers (see ``docs/PROFILING.md``):
 
 1. :mod:`repro.profile.sink` — the near-zero-overhead trace event sink
    the execution engines feed (ring buffer + per-trace aggregates +
@@ -11,9 +11,6 @@ Four layers (see ``docs/PROFILING.md``):
    image and its MAS CFGs.
 3. :mod:`repro.profile.exporters` — the hot-trace text report and the
    Chrome-trace/Perfetto JSON exporter (plus its validator).
-4. :mod:`repro.profile.preform` — profile-guided superblock
-   preformation: feed recorded hot traces (or plain MAS facts) back into
-   the translation cache ahead of execution.
 
 The CLI (``python -m repro profile``) lives in
 :mod:`repro.profile.cli`; it is deliberately **not** imported here —
@@ -37,8 +34,4 @@ from repro.profile.exporters import (  # noqa: F401
     chrome_trace,
     format_hot_traces,
     validate_chrome_trace,
-)
-from repro.profile.preform import (  # noqa: F401
-    plan_preform,
-    preform_superblocks,
 )

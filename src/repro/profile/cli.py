@@ -13,10 +13,6 @@ per-loop attribution, disassembled trace heads) and the engine's
 counter summary.  ``--json`` additionally exports the recorded timeline
 as Chrome-trace/Perfetto JSON (validated against the schema before it
 is written — CI's ``profile-smoke`` job gates on this).
-
-``--preform`` replays the recorded hot traces into profile-guided
-superblock preformation on a fresh machine and reports the preformed
-block/link counts, demonstrating the full MPROF feedback loop.
 """
 
 from __future__ import annotations
@@ -64,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "events)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write Chrome-trace/Perfetto JSON to PATH")
-    parser.add_argument("--preform", action="store_true",
-                        help="replay the profile into superblock "
-                        "preformation on a fresh machine")
     parser.add_argument("--base", type=lambda v: int(v, 0), default=0x1000,
                         help="load address for .s files (default 0x1000)")
     parser.add_argument("--max-instructions", type=int, default=5_000_000)
@@ -136,16 +129,6 @@ def profile_main(argv=None) -> int:
             fh.write("\n")
         print(f"\nchrome trace written to {args.json} "
               f"({len(payload['traceEvents'])} events)")
-
-    if args.preform:
-        if args.target not in WORKLOADS:
-            print("--preform needs a named workload (fresh machine replay)",
-                  file=sys.stderr)
-            return 2
-        fresh = build_workload(args.target, engine=args.engine)
-        blocks, links = fresh.preform_superblocks(profile=sink)
-        print(f"\npreformation replay: {blocks} blocks compiled, "
-              f"{links} links installed ahead of execution")
     return 0
 
 

@@ -9,8 +9,7 @@ away.  :class:`TraceEventSink` is the near-zero-overhead receiver for it:
   oldest record once full (bounded memory no matter how long the run);
 * **per-trace aggregates** keyed by ``(namespace, head pc)`` — hit count,
   instructions, chain-length total and cycle total — the table the
-  hot-trace report, the metrics registry and profile-guided superblock
-  preformation all read;
+  hot-trace report and the metrics registry read;
 * a bounded log of **translation-cache events** (compiles,
   invalidations, flushes, chain breaks) reported by
   :class:`repro.cpu.tcache.TranslationCache` for the exported timeline.

@@ -65,8 +65,7 @@ EMUL = MRoutine(name="emul", entry=1, source="""
 """, shared_mregs=(13, 14))
 
 #: Pure spin mroutine for the mcode_heavy workload: MAS proves it free
-#: of RAM access, so its blocks dispatch through the unguarded loop and
-#: its CFG makes it the preformation target.
+#: of RAM access, so MJIT may compile its blocks.
 SPIN = MRoutine(name="spin", entry=0, source="""
     li   t0, 24
 spin_loop:
@@ -262,7 +261,7 @@ WORKLOADS = {
             _intercept_loop, routines=(SETUP, EMUL), default_iters=1_500),
         Workload(
             "mcode_heavy",
-            "menter into a pure spin mroutine (pure loop + preformation)",
+            "menter into a pure spin mroutine (Metal-mode block loop)",
             _mcode_loop, routines=(SPIN,), default_iters=2_000),
     )
 }

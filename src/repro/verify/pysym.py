@@ -29,9 +29,9 @@ from repro.cpu.exceptions import Cause
 from repro.verify import sym as S
 from repro.verify.model import Exit, Summary
 
-MEM_PARAMS = ("core", "block", "timer", "sync", "budget",
-              "instret_base", "limit")
-MRAM_PARAMS = ("core", "metal", "timer", "budget", "instret_base", "limit")
+#: The MJIT calling convention, one for both namespaces.
+PARAMS = ("core", "block", "timer", "sync", "budget", "instret_base",
+          "limit")
 
 #: Loop-carried names the evaluator generalises at a ``while True`` head
 #: (anything else assigned in the body must be provably loop-invariant).
@@ -91,6 +91,7 @@ _ATTRS = {
     ("core", "regs"): _REGS,
     ("core", "read_mem"): _READM,
     ("core", "write_mem"): _WRITEM,
+    ("core", "metal"): _METAL,
     ("timer", "timing"): _TIMING,
     ("metal", "mregs"): _MREGS,
     ("metal", "mram"): _MRAM,
@@ -193,8 +194,7 @@ def _assigns_name(node, name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Ev:
-    def __init__(self, mem: bool):
-        self.mem = mem
+    def __init__(self):
         self.exits = []
         self.entry = {}
         self.looped = False
@@ -706,7 +706,7 @@ class _Ev:
         return out
 
 
-def candidate_summary(source: str, mem: bool) -> Summary:
+def candidate_summary(source: str) -> Summary:
     """Symbolically evaluate a ``__jit_source__`` into a Summary.
 
     Raises :class:`UnsupportedSource` when the source leaves the MJIT
@@ -720,15 +720,14 @@ def candidate_summary(source: str, mem: bool) -> Summary:
         raise UnsupportedSource(f"function name {fn.name!r}")
     a = fn.args
     names = tuple(arg.arg for arg in a.args)
-    expected = MEM_PARAMS if mem else MRAM_PARAMS
-    if (names != expected or a.posonlyargs or a.kwonlyargs or a.vararg
+    if (names != PARAMS or a.posonlyargs or a.kwonlyargs or a.vararg
             or a.kwarg or a.defaults):
         raise UnsupportedSource(
-            f"calling convention: params {names} != {expected}")
-    ev = _Ev(mem)
+            f"calling convention: params {names} != {PARAMS}")
+    ev = _Ev()
     st = CState()
     st.vars = {
-        "core": _CORE, "timer": _TIMER,
+        "core": _CORE, "block": _BLOCK, "timer": _TIMER, "sync": _SYNC,
         "budget": S.sym("budget"),
         "instret_base": S.sym("instret_base"),
         "limit": S.sym("limit"),
@@ -736,11 +735,6 @@ def candidate_summary(source: str, mem: bool) -> Summary:
         "CAUSE_BUS_ERROR": int(Cause.BUS_ERROR),
         "_upk": _UPK, "_pk": _PK,
     }
-    if mem:
-        st.vars["block"] = _BLOCK
-        st.vars["sync"] = _SYNC
-    else:
-        st.vars["metal"] = _METAL
     leftover = ev.exec_stmts(fn.body, [st])
     if leftover:
         raise UnsupportedSource("control falls off the end of the "

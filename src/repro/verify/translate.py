@@ -124,7 +124,7 @@ def validate_block(ns_label: str, block, proven_pcs=frozenset()):
             "(MJIT should have declined it)", str(exc)))
         return findings
     try:
-        cand = candidate_summary(source, mem=(ns_label == "mem"))
+        cand = candidate_summary(source)
     except UnsupportedSource as exc:
         findings.append(Finding(
             PASS, where, "generated source leaves the MJIT grammar",

@@ -7,8 +7,9 @@ Three layers:
 * no-false-positives — every bundled mcode application lints clean
   (zero error diagnostics) under the strict :data:`LINT_CONFIG`;
 * the purity handoff — facts flow loader → image → translation cache,
-  the unguarded mram loop engages, and it is guest-invisible
-  (bit-identical architectural results with it on or off).
+  where they decide only which mram blocks MJIT may compile; every
+  mroutine, store-free or not, retires on the unguarded block loop with
+  results bit-identical to the interpreter's.
 """
 
 import pytest
@@ -304,8 +305,8 @@ again:
 """
 
 
-def spin_machine(source=SPIN):
-    return build_metal_machine([routine("spin", 1, source)])
+def spin_machine(source=SPIN, **config):
+    return build_metal_machine([routine("spin", 1, source)], **config)
 
 
 class TestPurityFacts:
@@ -343,33 +344,43 @@ class TestPurityFacts:
 
 
 class TestTcachePureLoop:
-    def test_pure_loop_engages(self):
+    """Metal-mode blocks share the engine's unguarded block loop; the
+    purity facts only license MJIT's mram compiles."""
+
+    def test_pure_routine_runs_unguarded(self):
         m = spin_machine()
         m.load_and_run(DRIVER)
         tc = m.perf.tcache
         assert tc.pure_blocks > 0
-        assert tc.pure_fast_instructions > 0
+        assert tc.fast_instructions > 0
+        assert tc.guarded_instructions == 0
 
     def test_guest_invisible_bit_identical(self):
+        """Interpreter, block loop and MJIT agree on the pure routine."""
         runs = {}
-        for enabled in (True, False):
-            m = spin_machine()
-            m.set_tcache_pure_loop(enabled)
+        for tcache, jit in ((False, False), (True, False), (True, True)):
+            m = spin_machine(tcache=tcache, jit=jit)
+            m.sim.tcache.jit_threshold = 1
             m.load_and_run(DRIVER)
-            runs[enabled] = (m.instret, m.cycles, m.reg("s0"))
-        assert runs[True] == runs[False]
-        # the pure loop only runs when enabled
-        m = spin_machine()
-        m.set_tcache_pure_loop(False)
-        m.load_and_run(DRIVER)
-        assert m.perf.tcache.pure_fast_instructions == 0
+            runs[tcache, jit] = (m.instret, m.cycles, tuple(m.core.regs))
+        assert m.perf.tcache.jit_instructions > 0
+        assert runs[True, False] == runs[False, False]
+        assert runs[True, True] == runs[False, False]
 
     def test_impure_routine_not_dispatched_pure(self):
-        m = spin_machine(STORE_SPIN)
-        m.load_and_run(DRIVER)
-        assert m.perf.tcache.pure_blocks == 0
-        assert m.perf.tcache.pure_fast_instructions == 0
-        assert m.read_word(0x7000) == 1   # the store really happened
+        """A routine that stores to guest RAM gets no pure blocks, yet
+        retires unguarded with the interpreter's results."""
+        runs = {}
+        for tcache in (False, True):
+            m = spin_machine(STORE_SPIN, tcache=tcache)
+            m.load_and_run(DRIVER)
+            assert m.read_word(0x7000) == 1   # the store really happened
+            runs[tcache] = (m.instret, m.cycles, tuple(m.core.regs))
+        assert runs[True] == runs[False]
+        tc = m.perf.tcache
+        assert tc.pure_blocks == 0
+        assert tc.fast_instructions > 0
+        assert tc.guarded_instructions == 0
 
     def test_reload_drops_stale_purity(self):
         m = spin_machine()

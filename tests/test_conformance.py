@@ -14,7 +14,7 @@ Four layers, mirroring ``src/repro/conformance``:
   bug is worthless);
 * coverage — bucket extraction from decoded words and the MAS CFG,
   plus the accumulating map;
-* campaign — small five-way lockstep sweeps pass, reports are
+* campaign — small four-way lockstep sweeps pass, reports are
   byte-identical between inline and worker-pool execution, and
   coverage-guided scheduling reaches decoder buckets that 500 unguided
   seeds provably never touch.
@@ -107,7 +107,7 @@ def test_extensions_emit_their_instructions(feature, needle):
 
 def test_extended_programs_still_terminate_and_lockstep():
     """All extensions at max weight: programs must still halt and keep
-    the five machines in lockstep (trap delivery is guest-visible state,
+    the four machines in lockstep (trap delivery is guest-visible state,
     so the fast paths must replay it exactly)."""
     config = GenConfig(csr=1.0, auipc_mem=1.0, misalign=1.0,
                        divrem=1.0, unsigned_branch=0.4, ext_rate=0.5)

@@ -4,7 +4,7 @@ The closure tier (tcache) is covered by the differential fuzzer and the
 tcache tests; this file pins the *compiler*: the exact Python source
 generated for a known block (golden snapshot), guard elision engaging
 only at MAS-proven access sites, every eviction path dropping compiled
-code, and the toggle/config/preformation wiring.  Bit-identity of tier-2
+code, and the toggle/config wiring.  Bit-identity of tier-2
 execution against the interpreter is fuzzed in
 ``tests/test_superblock_differential.py`` (the fourth lockstep machine).
 """
@@ -215,7 +215,7 @@ def test_toggle_off_drops_compiled_code():
 
 
 # ---------------------------------------------------------------------------
-# wiring: config, counters, preformation
+# wiring: config, counters
 # ---------------------------------------------------------------------------
 def test_machineconfig_and_toggle_wiring():
     assert build_metal_machine([]).sim.tcache.jit is False
@@ -262,25 +262,3 @@ loop:
             assert m.perf.tcache.jit_instructions > 0
     assert runs[False] == runs[True]
 
-
-def test_preform_warms_tier_two():
-    """``preform`` + ``jit`` compiles the planned loop heads to tier 2
-    at build time: the very first delivery runs through compiled code
-    (no warmup iterations needed)."""
-    spin = MRoutine(name="spin", entry=1, source="""
-        li   t0, 24
-    spin_loop:
-        addi t1, t1, 3
-        addi t0, t0, -1
-        bnez t0, spin_loop
-        mexit
-    """)
-    m = _machine([spin], threshold=None, preform=True)
-    m.sim.tcache.jit_threshold = 16          # dynamic heat never reaches it
-    tc = m.perf.tcache
-    assert tc.preformed_blocks > 0, "preformation compiled no blocks"
-    warmed = tc.jit_blocks
-    assert warmed > 0, "preformation did not warm tier 2"
-    m.load_and_run("_start:\n    menter 1\n    halt\n", base=CODE_BASE)
-    assert tc.jit_instructions > 0, (
-        "first delivery did not execute through tier 2")

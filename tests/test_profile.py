@@ -1,5 +1,5 @@
-"""MPROF tests: trace event sink, metrics registry, exporters,
-profile-guided preformation and the profile CLI.
+"""MPROF tests: trace event sink, metrics registry, exporters and the
+profile CLI.
 
 The load-bearing properties:
 
@@ -9,9 +9,7 @@ The load-bearing properties:
 * the ring buffer wraps without losing the aggregates;
 * snapshot/delta isolates exactly the metered region;
 * exported Chrome-trace JSON is schema-valid (and the validator actually
-  rejects malformed payloads);
-* preformed superblocks are indistinguishable from dynamically formed
-  ones (lockstep differential).
+  rejects malformed payloads).
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ import sys
 import pytest
 
 from repro import MRoutine, build_metal_machine
-from repro.machine.builder import MachineConfig
 from repro.profile.exporters import chrome_trace, validate_chrome_trace
-from repro.profile.preform import plan_preform
 from repro.profile.registry import MetricsRegistry, Snapshot
 from repro.profile.sink import TraceAggregate, TraceEventSink
 
@@ -39,7 +35,7 @@ loop:
     halt
 """
 
-#: Pure mroutine with an internal loop: the preformation target.
+#: Pure mroutine with an internal loop.
 SPIN = MRoutine(name="spin", entry=0, source="""
     li   t0, 12
 spin_loop:
@@ -309,70 +305,6 @@ class TestExporters:
         assert "addi" in text                           # disassembly
 
 
-class TestPreformation:
-    def test_plan_covers_pure_routine(self):
-        m = _machine()
-        plan = plan_preform(m.metal_image)
-        routine = m.metal_image.routines["spin"]
-        base = routine.code_offset
-        assert base in plan
-        assert base + 8 in plan                          # spin_loop head
-        # Loop heads come first.
-        assert plan[0] == base + 8
-
-    def test_profile_filter(self):
-        m = _machine()
-        # A profile with no mram traces filters everything out.
-        assert plan_preform(m.metal_image, profile=[]) == []
-        sink = TraceEventSink()
-        sink.note_trace("mram", m.metal_image.routines["spin"].code_offset,
-                        1, 10, 0, 5)
-        assert plan_preform(m.metal_image, profile=sink)
-
-    def test_preform_counters(self):
-        m = _machine()
-        blocks, links = m.preform_superblocks()
-        assert blocks > 0
-        assert links > 0
-        assert m.perf.tcache.preformed_blocks == blocks
-        assert m.perf.tcache.preformed_links == links
-        # Idempotent: everything already compiled on the second call.
-        again, _ = m.preform_superblocks()
-        assert again == 0
-
-    def test_lockstep_parity_vs_dynamic(self):
-        """Preformed and dynamically chained machines stay bit-identical
-        through a Metal-heavy run (chunked lockstep, mid-chain
-        boundaries)."""
-        src = MCODE % 80
-        m_dyn = _machine()
-        m_pre = _machine()
-        m_pre.preform_superblocks()
-        for machine in (m_dyn, m_pre):
-            program = machine.assemble(src, base=0x1000)
-            machine.load(program)
-            machine.core.pc = 0x1000
-        for step in range(200):
-            m_dyn.run(max_instructions=97, raise_on_limit=False)
-            m_pre.run(max_instructions=97, raise_on_limit=False)
-            assert _arch_state(m_dyn) == _arch_state(m_pre), (
-                f"step {step}: preformed machine diverged"
-            )
-            if m_dyn.core.halted:
-                break
-        assert m_dyn.core.halted
-        # The preformed machine compiled its mram blocks ahead of time:
-        # no mram compile misses beyond the preformed set.
-        assert m_pre.perf.tcache.preformed_blocks > 0
-
-    def test_builder_preform_flag(self):
-        m = build_metal_machine([SPIN], config=MachineConfig(
-            with_caches=False, preform=True))
-        assert m.perf.tcache.preformed_blocks > 0
-        m.load_and_run(MCODE % 10)
-        assert m.core.halted
-
-
 class TestStepHub:
     def test_multiple_subscribers(self):
         m = _machine()
@@ -431,11 +363,6 @@ class TestCli:
         payload = json.loads(out.read_text())
         validate_chrome_trace(payload)
         assert payload["traceEvents"]
-
-    def test_preform_replay(self):
-        result = self._run("mcode_heavy", "--iters", "50", "--preform")
-        assert result.returncode == 0, result.stderr
-        assert "preformation replay" in result.stdout
 
     def test_source_file(self, tmp_path):
         path = tmp_path / "prog.s"

@@ -128,7 +128,6 @@ def test_differential(seed):
     m_ref_p = _build(tcache=False, caches=True, engine="pipeline")
     m_got_p = _build(tcache=True, caches=True, engine="pipeline")
     m_prof.set_profiling(True)
-    assert m_got.sim.tcache.chain, "chaining should default on"
     machines = (m_ref, m_got, m_prof, m_jit, m_ref_c, m_jit_c,
                 m_ref_p, m_got_p)
 

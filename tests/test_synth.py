@@ -1,6 +1,6 @@
 """MSYNTH tests: candidate mining safety rules, generated-routine
 verification, the loader's append path, guest rewriting, end-to-end
-digest parity + speedup, and the five-way lockstep differential with
+digest parity + speedup, and the four-way lockstep differential with
 synthesis enabled.
 
 The load-bearing properties:
@@ -355,7 +355,7 @@ class TestPipeline:
 
 
 class TestLockstepWithSynthesis:
-    """The MCONF five-way differential, with MSYNTH enabled: every
+    """The MCONF four-way differential, with MSYNTH enabled: every
     execution variant runs the same rewritten guest and must agree on
     all architecturally visible state — and the masked digest must
     equal an unpatched baseline's."""
@@ -367,16 +367,14 @@ class TestLockstepWithSynthesis:
             tcache=(name != "interp"))
         if setup is not None:
             setup(machine)
-        if name == "tcache":
-            machine.set_tcache_chaining(False)
-        elif name == "profiled":
+        if name == "profiled":
             machine.set_profiling(True)
         elif name == "jit":
             machine.set_tcache_jit(True)
             machine.sim.tcache.jit_threshold = 1
         return machine
 
-    def test_five_way_differential_25_seeds(self):
+    def test_four_way_differential_25_seeds(self):
         for seed in range(25):
             name = ("tight_loop", "hash_mix")[seed % 2]
             workload = WORKLOADS[name]

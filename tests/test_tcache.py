@@ -516,27 +516,6 @@ def test_snapshot_restore_severs_chains():
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_chaining_toggle(engine):
-    """set_tcache_chaining(False) reverts to per-block dispatch (the
-    PR-1 behaviour): no chain counters move, guest results unchanged."""
-    outcomes = {}
-    for chain in (True, False):
-        noop = MRoutine(name="noop", entry=0, source="mexit\n")
-        machine = build_metal_machine([noop], engine=engine,
-                                      with_caches=False)
-        machine.set_tcache_chaining(chain)
-        result = machine.load_and_run(FIB_WORKLOAD, max_instructions=10_000)
-        outcomes[chain] = (result.instructions, result.cycles,
-                           tuple(machine.core.regs))
-        stats = machine.perf.tcache
-        if not chain:
-            assert stats.chain_links == 0
-            assert stats.chain_hits == 0
-            assert stats.chain_breaks == 0
-    assert outcomes[True] == outcomes[False]
-
-
 # ---------------------------------------------------------------------------
 # I-cache fetch plan (cache models on)
 # ---------------------------------------------------------------------------
@@ -702,6 +681,62 @@ hop:
         assert machine.perf.tcache.chain_hits > 0
 
 
+#: Metal-mode loop over guest RAM: each pass loads a word, stores it
+#: back incremented 64 bytes further on, writes it to the console and
+#: adds the timer count into t6, so the routine's blocks carry F_SYNC
+#: and F_STORE entries and a late device sync changes t6.
+RAM_COPY = MRoutine(name="copy", entry=1, source="""
+    li   t0, 0x3000
+    li   t1, 8
+    li   t3, CONSOLE_TX
+    li   t4, TIMER_COUNT
+copy_loop:
+    lw   t2, 0(t0)
+    addi t2, t2, 1
+    sw   t2, 64(t0)
+    sw   t2, 0(t3)
+    lw   t5, 0(t4)
+    add  t6, t6, t5
+    addi t0, t0, 4
+    addi t1, t1, -1
+    bnez t1, copy_loop
+    mexit
+""")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fetch_plan_mroutine_loads_stores_and_writes_a_device(engine):
+    """An mroutine that loads and stores guest RAM and writes a device
+    register runs on the unguarded loop: its fetches cost ``mram_fetch``
+    and leave the I-cache alone, and its data accesses and device sync
+    match the interpreter's."""
+    source = """
+_start:
+    li   s1, 0x3000
+    li   a0, 0x41
+    li   s2, 8
+fill:
+    sw   a0, 0(s1)
+    addi a0, a0, 1
+    addi s1, s1, 4
+    addi s2, s2, -1
+    bnez s2, fill
+    li   s0, 5
+again:
+    menter MR_COPY
+    addi s0, s0, -1
+    bnez s0, again
+    halt
+"""
+    machine = _fetch_plan_pair(source, engine, routines=(RAM_COPY,))
+    assert machine.console.text == "BCDEFGHI" * 5
+    assert machine.reg("t6") > 0
+    assert machine.read_word(0x3040) == 0x42
+    tc = machine.perf.tcache
+    assert tc.pure_blocks == 0
+    assert tc.guarded_instructions == 0
+
+
 def test_jit_with_caches_compiles_no_mem_block():
     """MJIT's mem code bakes in the uncached fetch cost, so with an
     I-cache only mram blocks reach tier 2."""
@@ -748,6 +783,25 @@ def test_default_machine_runs_unguarded():
         unguarded = tc.fast_instructions - tc.guarded_instructions
         assert unguarded >= 0.9 * perf.guest_instructions, (
             engine, workload, perf.summary())
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("workload", ("syscall_heavy", "intercept_heavy",
+                                      "mcode_heavy"))
+def test_metal_workloads_retire_nothing_guarded(engine, workload):
+    """Metal-mode blocks run on the same unguarded loop as mem blocks,
+    whether or not MAS proved their routine store-free: on
+    ``MachineConfig()`` the Metal-heavy workloads retire no instruction
+    through the guarded loop."""
+    w = WORKLOADS[workload]
+    machine = build_metal_machine(list(w.routines),
+                                  config=MachineConfig(engine=engine))
+    if w.setup is not None:
+        w.setup(machine)
+    machine.load_and_run(workload_source(workload, 200))
+    tc = machine.perf.tcache
+    assert tc.fast_instructions > 0
+    assert tc.guarded_instructions == 0, machine.perf.summary()
 
 
 def test_pipeline_jit_compiles_nothing():
