@@ -3,7 +3,7 @@
 Unlike the other benchmarks (which regenerate the paper's guest-visible
 numbers), this one measures the *simulator*: guest instructions retired
 per host second (host MIPS) with the predecoded translation cache
-(:mod:`repro.cpu.tcache`) on and off, across three workload shapes:
+(:mod:`repro.cpu.tcache`) on and off, across six workload shapes:
 
 * **tight_loop** — straight-line ALU work in a hot loop: the tcache's
   best case (one block per iteration, 100% hit rate after warmup);
@@ -20,20 +20,18 @@ per host second (host MIPS) with the predecoded translation cache
   chainer of PR 2 broke and relinked this chain on every flip);
 * **mcode_heavy** — every iteration ``menter``s a pure mroutine that
   spins in MRAM: Metal-mode blocks on the same unguarded block loop as
-  normal-mode ones, and MJIT's mram tier (MAS proved the routine free
-  of RAM writes).
+  normal-mode ones, compiled by MJIT's mram tier.
 
 The workload programs and machine shapes live in
 :mod:`repro.profile.workloads`, shared with ``python -m repro profile``
 so a profiled workload and a benchmarked one are the same program.
 
-Every workload is measured with the interpreter (``tcache_off``), the
-chained translation cache (``tcache_on``) and the MJIT tier-2
-compiler on top (``tcache_jit`` — hot blocks recompiled to
-specialized Python source, see :mod:`repro.cpu.jit`; drop the mode
-with ``--nojit``).  The JSON records the cache win over the
-interpreter (``speedup``) and the tier-2 win over the closure tier
-(``jit_speedup``).  A ``trajectory`` list in the JSON keeps the
+Every workload is measured with the interpreter (``tcache_off``) and
+the chained translation cache (``tcache_on``), which on these caches-off
+machines compiles hot blocks to tier 2 on the functional engine (MJIT:
+specialized Python source, see :mod:`repro.cpu.jit`).  The JSON records
+the cache win over the interpreter (``speedup``) and each row's tier-2
+counters (``jit``).  A ``trajectory`` list in the JSON keeps the
 tight-loop functional numbers of every PR for trend tracking.
 
 The JSON also records the MPROF ``profiler`` numbers: tight-loop
@@ -48,19 +46,19 @@ bit-identical across all modes, and Metal-mode blocks share the
 unguarded block loop, so mcode_heavy and syscall_heavy retire no
 instruction on the guarded loop — this file asserts both, plus the
 headline wins for the functional engine on the tight loop: ≥2.6× over
-the interpreter, and with MJIT on a
-tier-2 dispatch share ≥90% and ≥6.16 MIPS absolute (2× the PR-4
-trajectory number).  Results land in ``BENCH_host_throughput.json`` at
-the repo root.
+the interpreter, a tier-2 dispatch share ≥90% and ≥6.16 MIPS absolute
+(2× the PR-4 trajectory number).  Results land in
+``BENCH_host_throughput.json`` at the repo root.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_host_throughput.py``)
 or via pytest.  ``--smoke`` runs a <30s subset for CI: it checks the
-tight-loop hit rate (≥90%), cross-mode result equality, that chains
-actually engage and that the Metal-heavy workloads retire nothing on
-the guarded loop, but skips the wall-clock speedup assertions (too
-noisy for shared runners); its results land in
-``BENCH_host_throughput_smoke.json`` (uploaded as a CI artifact) so the
-committed full-run JSON is never clobbered by a smoke run.
+tight-loop hit rate (≥90%) and tier-2 dispatch share (≥90%),
+cross-mode result equality, that chains actually engage and that the
+Metal-heavy workloads retire nothing on the guarded loop, but skips the
+wall-clock speedup assertions (too noisy for shared runners); its
+results land in ``BENCH_host_throughput_smoke.json`` (uploaded as a CI
+artifact) so the committed full-run JSON is never clobbered by a smoke
+run.
 """
 
 from __future__ import annotations
@@ -91,24 +89,15 @@ def _build(workload: str, engine: str):
     return build_workload(workload, engine=engine)
 
 
-#: Measurement modes: (tcache, jit).
-_MODES = {
-    "tcache_off": (False, False),
-    "tcache_on": (True, False),
-    "tcache_jit": (True, True),
-}
-
-
-def _modes(jit: bool = True):
-    """The mode names to measure (``--nojit`` drops ``tcache_jit``)."""
-    return [m for m in _MODES if jit or m != "tcache_jit"]
+#: Measurement modes: mode name -> tcache on.
+_MODES = {"tcache_off": False, "tcache_on": True}
 
 
 def _measure(workload: str, engine: str, mode: str, iters: int,
              reps: int) -> dict:
     """Best-of-*reps* host MIPS for one configuration (fresh machine per
     rep; deterministic guest results are cross-checked across reps)."""
-    tcache, jit = _MODES[mode]
+    tcache = _MODES[mode]
     source = workload_source(workload, iters)
     best_mips = 0.0
     ref = None
@@ -117,7 +106,6 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
     for _ in range(reps):
         machine = _build(workload, engine)
         machine.set_tcache(tcache)
-        machine.set_tcache_jit(jit)
         host0 = perf_counter()
         result = machine.load_and_run(source, max_instructions=50_000_000)
         host = perf_counter() - host0
@@ -150,7 +138,6 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
             "longest": best_stats.chain_longest,
         }
         row["guarded_instructions"] = best_stats.guarded_instructions
-    if jit:
         row["jit"] = {
             "blocks": best_stats.jit_blocks,
             "instructions": best_stats.jit_instructions,
@@ -160,23 +147,17 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
     return row
 
 
-def run_suite(iters: dict, reps: int, engines=("functional", "pipeline"),
-              jit: bool = True):
+def run_suite(iters: dict, reps: int, engines=("functional", "pipeline")):
     results = {}
-    modes = _modes(jit)
     for workload, n in iters.items():
         results[workload] = {}
         for engine in engines:
             row = {"iterations": n}
-            for mode in modes:
+            for mode in _MODES:
                 row[mode] = _measure(workload, engine, mode, n, reps)
             off, on = row["tcache_off"], row["tcache_on"]
             row["speedup"] = round(
                 on["mips"] / off["mips"] if off["mips"] else 0.0, 3)
-            if "tcache_jit" in row:
-                row["jit_speedup"] = round(
-                    row["tcache_jit"]["mips"] / on["mips"]
-                    if on["mips"] else 0.0, 3)
             results[workload][engine] = row
             # Metal-mode blocks share the unguarded block loop, whether
             # or not MAS proved their routine store-free.
@@ -184,15 +165,13 @@ def run_suite(iters: dict, reps: int, engines=("functional", "pipeline"),
                 assert on["guarded_instructions"] == 0, (
                     f"{workload}/{engine}: {on['guarded_instructions']} "
                     f"instructions retired on the guarded loop")
-            # The tcache (jit or not) is guest-invisible: identical
-            # results in every mode.
-            for mode in modes[1:]:
-                for key in ("instructions", "cycles"):
-                    assert row[mode][key] == off[key], (
-                        f"{workload}/{engine}/{mode}: tcache changed "
-                        f"guest-visible {key}: {row[mode][key]} vs "
-                        f"{off[key]}"
-                    )
+            # The tcache is guest-invisible: identical results in both
+            # modes.
+            for key in ("instructions", "cycles"):
+                assert on[key] == off[key], (
+                    f"{workload}/{engine}: tcache changed guest-visible "
+                    f"{key}: {on[key]} vs {off[key]}"
+                )
     return results
 
 
@@ -284,11 +263,6 @@ def _trajectory(results: dict, previous, profiler: dict = None) -> list:
                 "speedup": tight["speedup"],
             },
         }
-        if "tcache_jit" in tight:
-            entry["tight_loop_functional"]["tcache_jit_mips"] = (
-                tight["tcache_jit"]["mips"])
-            entry["tight_loop_functional"]["jit_speedup"] = (
-                tight["jit_speedup"])
         if profiler:
             entry["profiler"] = {
                 "profiling_off_mips": profiler["profiling_off_mips"],
@@ -299,22 +273,6 @@ def _trajectory(results: dict, previous, profiler: dict = None) -> list:
                       if e.get("label") != entry["label"]]
         trajectory.append(entry)
     return trajectory
-
-
-def _disabled_vs_pr4(trajectory: list) -> float:
-    """Relative tight-loop tcache_on (closure-tier) MIPS change of this
-    run vs the PR-4 trajectory entry (negative = slower than PR 4).
-    Records whether the dormant JIT hooks (heat counter, tier-2 probe)
-    cost the closure tier anything; cross-run wall clock, so recorded
-    rather than asserted."""
-    by_label = {e.get("label"): e for e in trajectory}
-    pr4 = by_label.get("pr4_mprof")
-    now = by_label.get(TRAJECTORY_LABEL)
-    if not pr4 or not now:
-        return None
-    old = pr4["tight_loop_functional"]["tcache_on_mips"]
-    new = now["tight_loop_functional"]["tcache_on_mips"]
-    return round(new / old - 1.0, 4) if old else None
 
 
 def _emit_json(results: dict, json_path: str = JSON_PATH,
@@ -328,10 +286,6 @@ def _emit_json(results: dict, json_path: str = JSON_PATH,
         "trajectory": trajectory,
     }
     if profiler:
-        profiler = dict(profiler)
-        delta = _disabled_vs_pr4(trajectory)
-        if delta is not None:
-            profiler["disabled_mips_vs_pr4"] = delta
         payload["profiler"] = profiler
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -342,25 +296,20 @@ def _emit_json(results: dict, json_path: str = JSON_PATH,
 def _print_table(results: dict) -> None:
     print()
     print(f"{'workload':<18} {'engine':<11} {'off MIPS':>9} "
-          f"{'on MIPS':>9} {'jit MIPS':>9} {'speedup':>8} {'jit':>7} "
-          f"{'hit rate':>9}")
+          f"{'on MIPS':>9} {'speedup':>8} {'tier 2':>7} {'hit rate':>9}")
     for workload, engines in results.items():
         for engine, row in engines.items():
-            jit = row.get("tcache_jit")
-            jit_mips = f"{jit['mips']:>9.3f}" if jit else f"{'—':>9}"
-            jit_speedup = (f"{row['jit_speedup']:>6.2f}x"
-                           if jit else f"{'—':>7}")
+            on = row["tcache_on"]
             print(f"{workload:<18} {engine:<11} "
                   f"{row['tcache_off']['mips']:>9.3f} "
-                  f"{row['tcache_on']['mips']:>9.3f} "
-                  f"{jit_mips} "
+                  f"{on['mips']:>9.3f} "
                   f"{row['speedup']:>7.2f}x "
-                  f"{jit_speedup} "
-                  f"{row['tcache_on']['hit_rate']:>8.1%}")
+                  f"{on['jit']['dispatch_share']:>7.1%} "
+                  f"{on['hit_rate']:>8.1%}")
     print()
 
 
-def run_full(jit: bool = True) -> dict:
+def run_full() -> dict:
     iters = {
         "tight_loop": 100_000,
         "chain_trampoline": 60_000,
@@ -369,7 +318,7 @@ def run_full(jit: bool = True) -> dict:
         "intercept_heavy": 15_000,
         "mcode_heavy": 15_000,
     }
-    results = run_suite(iters, reps=3, jit=jit)
+    results = run_suite(iters, reps=3)
     _print_table(results)
     profiler = measure_profiler_overhead(iters["tight_loop"], reps=3)
     print(f"profiler overhead  : off {profiler['profiling_off_mips']:.3f} "
@@ -400,24 +349,19 @@ def run_full(jit: bool = True) -> dict:
     assert tramp["tcache_on"]["chains"]["hits"] > 0, (
         "trampoline workload never followed a chain link"
     )
-    if jit:
-        tight_jit = tight["tcache_jit"]
-        assert tight_jit["jit"]["dispatch_share"] >= 0.90, (
-            f"tight-loop tier-2 dispatch share "
-            f"{tight_jit['jit']['dispatch_share']:.1%} < 90%"
-        )
-        assert tight_jit["mips"] >= 6.16, (
-            f"tight-loop MJIT MIPS {tight_jit['mips']} < 6.16 "
-            f"(2x the PR-4 trajectory number)"
-        )
-        assert tight["jit_speedup"] >= 1.5, (
-            f"tight-loop tier-2 speedup {tight['jit_speedup']}x < 1.5x "
-            f"over the closure tier"
-        )
+    tight_on = tight["tcache_on"]
+    assert tight_on["jit"]["dispatch_share"] >= 0.90, (
+        f"tight-loop tier-2 dispatch share "
+        f"{tight_on['jit']['dispatch_share']:.1%} < 90%"
+    )
+    assert tight_on["mips"] >= 6.16, (
+        f"tight-loop MJIT MIPS {tight_on['mips']} < 6.16 "
+        f"(2x the PR-4 trajectory number)"
+    )
     return results
 
 
-def run_smoke(jit: bool = True) -> dict:
+def run_smoke() -> dict:
     """CI subset: functional engine, small iteration counts, one rep.
 
     Asserts the structural properties (hit rate, cross-mode equality,
@@ -435,7 +379,7 @@ def run_smoke(jit: bool = True) -> dict:
         "intercept_heavy": 1_500,
         "mcode_heavy": 2_000,
     }
-    results = run_suite(iters, reps=1, engines=("functional",), jit=jit)
+    results = run_suite(iters, reps=1, engines=("functional",))
     _print_table(results)
     profiler = measure_profiler_overhead(iters["tight_loop"], reps=1)
     path = _emit_json(results, json_path=SMOKE_JSON_PATH,
@@ -456,15 +400,12 @@ def run_smoke(jit: bool = True) -> dict:
     )
     # Structural profiler check (no wall-clock asserts).
     assert profiler["traces_recorded"] > 0, "profiler recorded no traces"
-    if jit:
-        tight_jit = tight["tcache_jit"]["jit"]
-        assert tight_jit["blocks"] > 0, (
-            "tight_loop: MJIT compiled no blocks"
-        )
-        assert tight_jit["dispatch_share"] >= 0.90, (
-            f"tight_loop: tier-2 dispatch share "
-            f"{tight_jit['dispatch_share']:.1%} < 90%"
-        )
+    tight_jit = tight["tcache_on"]["jit"]
+    assert tight_jit["blocks"] > 0, "tight_loop: MJIT compiled no blocks"
+    assert tight_jit["dispatch_share"] >= 0.90, (
+        f"tight_loop: tier-2 dispatch share "
+        f"{tight_jit['dispatch_share']:.1%} < 90%"
+    )
     return results
 
 
@@ -477,18 +418,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="fast CI subset (<30s, no speedup assertion)")
-    jit_group = parser.add_mutually_exclusive_group()
-    jit_group.add_argument("--jit", dest="jit", action="store_true",
-                           default=True,
-                           help="measure the MJIT tier-2 mode (default)")
-    jit_group.add_argument("--nojit", dest="jit", action="store_false",
-                           help="skip the tcache_jit mode and its asserts")
     args = parser.parse_args(argv)
     try:
         if args.smoke:
-            run_smoke(jit=args.jit)
+            run_smoke()
         else:
-            run_full(jit=args.jit)
+            run_full()
     except AssertionError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1

@@ -15,8 +15,8 @@ Static analysis for mroutines, built in layers:
   cycle-budget bounding and side-effect classification.
 * :mod:`repro.analysis.facts` — the per-routine analysis facts
   (:class:`RoutineFacts`) the loader attaches to a
-  :class:`~repro.metal.loader.MetalImage` so the translation cache can
-  specialise dispatch for provably non-store routines.
+  :class:`~repro.metal.loader.MetalImage` so MJIT can elide the bounds
+  guards of provably in-bounds ``mld``/``mst`` sites.
 * :mod:`repro.analysis.lint` — ``python -m repro lint``: rustc-style
   diagnostics over a single routine or every bundled mcode app.
 

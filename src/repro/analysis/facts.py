@@ -3,9 +3,8 @@
 :class:`RoutineFacts` is the cross-layer contract: the loader runs MAS
 over each mroutine at image-build time and attaches the facts to the
 :class:`~repro.metal.loader.MetalImage`; the translation cache pulls the
-non-store code ranges so MJIT may compile its mram-namespace blocks
-(no RAM-write eviction checks — the analysis proved there is nothing
-to guard).
+proven in-bounds ``mld``/``mst`` sites so MJIT may elide their bounds
+guards in the mram-namespace blocks it compiles.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ class Purity(enum.Enum):
     * ``READS_RAM`` — loads from guest RAM (``lb``..``lw``) but never
       stores; cannot invalidate translations either.
     * ``WRITES_RAM`` — contains at least one guest-RAM store (or an
-      architectural op with memory-like effects); the translation cache
-      must keep its eviction guards.
+      architectural op with memory-like effects).
     """
 
     PURE = "pure"
@@ -35,19 +33,11 @@ class Purity(enum.Enum):
     WRITES_RAM = "writes-ram"
 
 
-#: Purity levels whose dispatch can skip RAM-write eviction guards.
-NON_STORE = frozenset((Purity.PURE, Purity.MRAM_ONLY, Purity.READS_RAM))
-
-
 @dataclass
 class RoutineFacts:
     """What MAS proved about one mroutine."""
 
     purity: Purity = Purity.WRITES_RAM
-    #: True when every instruction in the routine is compilable by
-    #: MJIT's mram codegen (no stores, no architectural-feature side
-    #: channels).  This is what the loader exports as code ranges.
-    pure_dispatch: bool = False
     reads_ram: bool = False
     writes_ram: bool = False
     #: METAL_ARCH mnemonics used (mtlbw, mpst, miack, ...).
@@ -77,7 +67,6 @@ class RoutineFacts:
         """JSON-friendly form (bench trajectories, ``lint --facts``)."""
         return {
             "purity": self.purity.value,
-            "pure_dispatch": self.pure_dispatch,
             "reads_ram": self.reads_ram,
             "writes_ram": self.writes_ram,
             "arch_ops": list(self.arch_ops),

@@ -256,7 +256,6 @@ def render_facts(result) -> str:
     f = result.facts
     bits = [
         f"purity={f.purity.value}",
-        f"pure_dispatch={f.pure_dispatch}",
         f"loops={f.has_loops}",
         f"dynamic_jumps={f.has_dynamic_jumps}",
     ]

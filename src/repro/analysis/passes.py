@@ -67,15 +67,6 @@ FORBIDDEN = frozenset((
     "mret", "wfi", "ecall", "ebreak", "halt",
 ))
 
-#: Instruction classes with no side effects beyond their destination GPR.
-_PLAIN_CLASSES = frozenset((
-    InstrClass.ALU_IMM, InstrClass.ALU_REG, InstrClass.MULDIV,
-    InstrClass.LUI, InstrClass.AUIPC, InstrClass.FENCE,
-))
-
-#: METAL-class mnemonics the tcache can dispatch without guards.
-_PLAIN_METAL = frozenset(("rmr", "wmr", "mld", "mst", "mexit", "mexitm"))
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -674,39 +665,24 @@ def _topo_order(graph):
 def _pass_effects(graph, facts):
     reads_ram = writes_ram = touches_mram = False
     arch = []
-    dispatchable = True
     for instr in graph.instrs:
         if instr is None:
-            dispatchable = False
             continue
         cls = instr.cls
         m = instr.mnemonic
         if cls is InstrClass.LOAD:
             reads_ram = True
-            dispatchable = False
         elif cls is InstrClass.STORE:
             writes_ram = True
-            dispatchable = False
-        elif cls in (InstrClass.CSR, InstrClass.SYSTEM):
-            dispatchable = False
         elif cls is InstrClass.METAL:
             if m in ("mld", "mst"):
                 touches_mram = True
-            if m not in _PLAIN_METAL:
-                dispatchable = False  # menter (illegal anyway)
         elif cls is InstrClass.METAL_ARCH:
             arch.append(m)
             if m == "mpld":
                 reads_ram = True
             elif m == "mpst":
                 writes_ram = True
-            if m != "mraise":
-                dispatchable = False
-        elif cls in _PLAIN_CLASSES or cls in (
-                InstrClass.BRANCH, InstrClass.JAL, InstrClass.JALR):
-            pass
-        else:  # pragma: no cover - future classes default to impure
-            dispatchable = False
 
     facts.reads_ram = reads_ram
     facts.writes_ram = writes_ram
@@ -719,8 +695,6 @@ def _pass_effects(graph, facts):
         facts.purity = Purity.MRAM_ONLY
     else:
         facts.purity = Purity.PURE
-    facts.pure_dispatch = dispatchable and facts.purity in (
-        Purity.PURE, Purity.MRAM_ONLY)
 
 
 # --------------------------------------------------------------------------

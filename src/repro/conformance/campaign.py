@@ -9,9 +9,10 @@ after every chunk of retired instructions:
 
 =========== ==========================================================
 interp      interpreter, no fast path at all (the reference)
-chained     superblocks + polymorphic chaining (the PR-2/PR-4 path)
+chained     superblocks + polymorphic chaining + MJIT tier 2 at the
+            default compile threshold (16)
 profiled    chained + the MPROF trace sink attached
-jit         chained + MJIT tier 2 at compile threshold 1
+jit         chained with MJIT at compile threshold 1
 =========== ==========================================================
 
 Outcome classification (bit-reproducible, detection-first):
@@ -93,7 +94,6 @@ def build_variant(variant: str, config: GenConfig):
     if variant == "profiled":
         machine.set_profiling(True)
     elif variant == "jit":
-        machine.set_tcache_jit(True)
         # Compile on first dispatch so every seed exercises tier 2.
         machine.sim.tcache.jit_threshold = 1
     return machine

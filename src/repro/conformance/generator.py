@@ -46,6 +46,8 @@ DATA_WORDS = 64
 RAM_BYTES = 512 * 1024
 CHUNK = 97                   # prime: chunk boundaries land mid-block/mid-chain
 TOTAL_LIMIT = 40_000         # hard safety net per seed
+#: Data-region word ``mloop`` loads and stores (the region's last word).
+MLOOP_WORD = DATA_BASE + 4 * (DATA_WORDS - 1)
 
 #: General registers the generator may clobber.  Reserved: s0 (loop
 #: budget), s1 (data base), t0 (jalr targets), t4 (SMC addresses),
@@ -153,7 +155,13 @@ def routines(config: GenConfig = GenConfig()):
 
     ``spice`` exercises MReg traffic and MRAM data loads/stores;
     ``mloop`` has an internal backward branch so MRAM-namespace blocks
-    get chained too.  With trap-path features enabled, ``vecskip`` (a
+    get chained too, then adds the guest-RAM word at ``MLOOP_WORD``
+    into its count and stores the sum back, so mram blocks load and
+    store guest RAM.  It leaves in a3 the timer cycles that update
+    took: a device sync missing before any of its loads changes a3.
+    No register keeps an absolute timer value, which a snapshot
+    restore would not reproduce (snapshots leave devices alone).  With
+    trap-path features enabled, ``vecskip`` (a
     skip-the-faulting-instruction handler) and ``vecinit`` (routes
     ILLEGAL_INSTRUCTION and the misaligned causes to it) ride along.
     """
@@ -168,13 +176,24 @@ def routines(config: GenConfig = GenConfig()):
         xor  a0, a0, t0
         mexit
     """)
-    mloop = MRoutine(name="mloop", entry=ENTRY_MLOOP, source="""
+    mloop = MRoutine(name="mloop", entry=ENTRY_MLOOP, source=f"""
         andi t0, a1, 7
         addi t0, t0, 2
     spin:
         addi a2, a2, 1
         addi t0, t0, -1
         bnez t0, spin
+        li   t0, TIMER_COUNT
+        lw   a3, 0(t0)
+        li   t0, {MLOOP_WORD}
+        lw   t0, 0(t0)
+        add  a2, a2, t0
+        li   t0, {MLOOP_WORD}
+        sw   a2, 0(t0)
+        li   t0, TIMER_COUNT
+        lw   t0, 0(t0)
+        sub  a3, t0, a3
+        li   t0, 0
         mexit
     """)
     routines_ = [spice, mloop]

@@ -255,16 +255,11 @@ class FunctionalSimulator:
             # ``metal.image`` at call time so reload_mroutines (which
             # replaces the image object) is picked up along with the
             # code-version bump that re-invokes the provider.
-            def nonstore_ranges(metal=metal):
-                image = getattr(metal, "image", None)
-                getter = getattr(image, "nonstore_code_ranges", None)
-                return getter() if getter is not None else ()
-
             def proven_pcs(metal=metal):
                 image = getattr(metal, "image", None)
                 getter = getattr(image, "proven_data_pcs", None)
                 return getter() if getter is not None else ()
-            tcache.set_mram_facts(nonstore_ranges, proven_pcs)
+            tcache.set_mram_facts(proven_pcs)
         self._hooks_installed = True
 
     # ------------------------------------------------------------------
@@ -497,8 +492,6 @@ class FunctionalSimulator:
             latency = core.timing.mram_fetch
             poll = False
             code = core.metal.mram
-            chain_next = tcache.chain_next_mram
-            jit_compile = tcache.jit_compile_mram
         else:
             ns = "mem"
             icache = core.icache
@@ -516,8 +509,7 @@ class FunctionalSimulator:
             else:
                 poll = core.csrs.interrupts_enabled
             code = core.bus
-            chain_next = tcache.chain_next_mem
-            jit_compile = tcache.jit_compile_mem
+        chain_next = tcache.chain_next
         check_stop = stop_pc is not None
         sync = self._sync_devices
         take_irq = self._maybe_take_interrupt
@@ -559,8 +551,10 @@ class FunctionalSimulator:
                 hit = icache.hit_latency
                 fetch_cost = hit if hit > 1 else 1
             # MJIT's code bakes in the uncached fetch cost and the
-            # analytic timer.
-            jit_on = tcache.jit and icache is None and note_run is None
+            # analytic timer, so it runs wherever those hold: every mram
+            # block, and mem blocks with no I-cache, on the functional
+            # engine.
+            jit_on = icache is None and note_run is None
             instret0 = core.instret
             cyc = 0
             ihits = 0
@@ -579,7 +573,7 @@ class FunctionalSimulator:
                         heat = block.heat + 1
                         block.heat = heat
                         if heat >= tcache.jit_threshold:
-                            jfn = jit_compile(block)
+                            jfn = tcache.jit_compile(block, mram)
                     if jfn is not None:
                         timer.cycles += cyc
                         cyc = 0
@@ -599,7 +593,7 @@ class FunctionalSimulator:
                         if (status or not block.chainable
                                 or chained >= chain_limit):
                             break  # 1: invalidated mid-trace; 2: trap
-                        nxt = chain_next(block, next_pc, code)
+                        nxt = chain_next(block, next_pc, mram, code)
                         if (nxt is None
                                 or budget - retired < len(nxt.entries)):
                             break
@@ -673,7 +667,7 @@ class FunctionalSimulator:
                 core.pc = next_pc
                 if aborted or not block.chainable or chained >= chain_limit:
                     break
-                nxt = chain_next(block, next_pc, code)
+                nxt = chain_next(block, next_pc, mram, code)
                 if nxt is None or budget - retired < len(nxt.entries):
                     break
                 chained += 1
@@ -766,7 +760,7 @@ class FunctionalSimulator:
             # inside the successor, so no extra prechecks are needed.
             if aborted or not block.chainable or chained >= chain_limit:
                 break
-            nxt = chain_next(block, core.pc, code)
+            nxt = chain_next(block, core.pc, mram, code)
             if nxt is None:
                 break
             chained += 1

@@ -23,7 +23,14 @@ Python source and ``exec``-compiled once:
   and stays line-for-line in lockstep with :class:`SimpleTimer.note` —
   the differential fuzzer holds bit-identity on cycles, not just state.
 
-Guard elision (MAS-licensed).  Inside compiled pure mroutines, an
+Both namespaces compile.  MJIT runs wherever its code is exact: every
+mram block, and every mem block whose fetches need no I-cache model, on
+the engine with the analytic timer (the engine's unguarded loop picks
+the tier; nothing else gates it).  Guest-RAM loads and stores compile
+the same way in both namespaces: flush the cycle batch, sync devices,
+then ``core.read_mem``/``core.write_mem``.
+
+Guard elision (MAS-licensed).  Inside compiled mroutines, an
 ``mld``/``mst`` whose address the interval pass proved in-bounds
 (``RoutineFacts.proven_access_words`` → ``MetalImage.proven_data_pcs``)
 is compiled as a raw ``struct`` access on the MRAM data bytearray: the
@@ -39,9 +46,9 @@ Calling convention (both namespaces)::
         core, block, timer, sync, budget, instret_base, limit)
 
 * ``status == 0`` — normal exit; ``next_pc`` is the successor pc.
-* ``status == 1`` — aborted (mem only): the block was invalidated
-  mid-trace (DMA during a sync, or the trace's own store — SMC);
-  ``next_pc`` is the resume pc and no stale entry was executed.
+* ``status == 1`` — aborted: the block was invalidated mid-trace (DMA
+  during a sync, or the trace's own store — SMC; only mem blocks can
+  be); ``next_pc`` is the resume pc and no stale entry was executed.
 * ``status == 2`` — trap: ``next_pc`` is the faulting pc (epc), ``trap``
   the :class:`TrapException`; registers are already spilled and
   ``timer.cycles`` flushed — the caller only dispatches.
@@ -53,10 +60,9 @@ batch into ``timer.cycles`` before calling (the compiled code reads and
 writes ``timer.cycles`` directly) and passes ``instret_base`` so CSR
 reads inside the trace can latch an exact ``core.instret``.
 
-Failure is always graceful: :func:`compile_mem_block` /
-:func:`compile_mram_block` return ``None`` for blocks not worth (or not
-safe) compiling, and the translation cache parks such blocks cold so the
-attempt happens exactly once.
+Failure is always graceful: :func:`compile_block` returns ``None`` for
+blocks not worth (or not safe) compiling, and the translation cache
+parks such blocks cold so the attempt happens exactly once.
 """
 
 from __future__ import annotations
@@ -221,7 +227,7 @@ class _Codegen:
             self.emit(f"r{n} = regs[{n}]")
 
     def abort(self, resume_pc: int) -> None:
-        """Escape with status 1 (mem invalidation), locals spilled."""
+        """Escape with status 1 (block invalidated), locals spilled."""
         self.spill()
         self.emit("timer.cycles += cyc")
         self.emit(f"return (1, {resume_pc}, retired, loops, None)")
@@ -289,12 +295,12 @@ class _Codegen:
                     continue
                 self._note_generic()
                 continue
-            if self.mem and cls is InstrClass.LOAD:
+            if cls is InstrClass.LOAD:
                 track.update((instr.rs1, instr.rd))
                 self.trapping = True
                 inlined += 1
                 continue
-            if self.mem and cls is InstrClass.STORE:
+            if cls is InstrClass.STORE:
                 track.update((instr.rs1, instr.rs2))
                 self.trapping = True
                 inlined += 1
@@ -384,7 +390,7 @@ class _Codegen:
         self.emit(f"cyc += bc + {extra}")
 
     def _sync_prologue(self, pc: int) -> None:
-        """Flush + device sync + invalidation escape (mem loads/stores)."""
+        """Flush + device sync + invalidation escape (loads/stores)."""
         self.emit("timer.cycles += cyc")
         self.emit("cyc = 0")
         self.emit("sync()")
@@ -621,9 +627,9 @@ class _Codegen:
             self.emit("_me = _ml - 1 if _ml > 1 else 0")
         for name in sorted(self.timing_needs):
             self.emit(f"{name} = timing.{_TIMING_LOCALS[name]}")
-        if self.mem and "read_mem(" in body_text:
+        if "read_mem(" in body_text:
             self.emit("read_mem = core.read_mem")
-        if self.mem and "write_mem(" in body_text:
+        if "write_mem(" in body_text:
             self.emit("write_mem = core.write_mem")
         if not self.mem:
             if "_mrr(" in body_text:
@@ -644,32 +650,22 @@ class _Codegen:
         return "\n".join(self.lines) + "\n"
 
 
-def _compile(block, mem: bool, proven_pcs):
-    gen = _Codegen(block, mem, proven_pcs)
-    source = gen.generate()
-    if source is None:
-        return None
-    ns_label = "mem" if mem else "mram"
-    code = compile(source, f"<mjit:{ns_label}:{block.start:#x}>", "exec")
-    exec(code, gen.ns)
-    fn = gen.ns["_jit"]
-    fn.__jit_source__ = source
-    return fn
-
-
-def compile_mem_block(block):
-    """Tier-2 compile a mem-namespace block, or ``None`` to decline."""
-    return _compile(block, mem=True, proven_pcs=frozenset())
-
-
-def compile_mram_block(block, proven_pcs=frozenset()):
-    """Tier-2 compile a pure mram-namespace block, or ``None`` to decline.
+def compile_block(block, mram: bool, proven_pcs=frozenset()):
+    """Tier-2 compile a block of the mem or (*mram*) the mram
+    namespace, or ``None`` to decline.
 
     *proven_pcs* are the code byte offsets of ``mld``/``mst`` sites the
     MAS interval pass proved in-bounds (``MetalImage.proven_data_pcs``);
     those sites compile to raw data-segment accesses, all others keep
     the guarded ``execute()`` dispatch.
     """
-    if not block.pure:
+    gen = _Codegen(block, not mram, proven_pcs)
+    source = gen.generate()
+    if source is None:
         return None
-    return _compile(block, mem=False, proven_pcs=proven_pcs)
+    ns_label = "mram" if mram else "mem"
+    code = compile(source, f"<mjit:{ns_label}:{block.start:#x}>", "exec")
+    exec(code, gen.ns)
+    fn = gen.ns["_jit"]
+    fn.__jit_source__ = source
+    return fn

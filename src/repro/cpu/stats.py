@@ -12,7 +12,7 @@ by ``benchmarks/common.perf_summary``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -48,9 +48,6 @@ class TcacheStats:
     chain_breaks: int = 0
     #: Longest run of chained block transitions inside one dispatch.
     chain_longest: int = 0
-    #: MRAM blocks compiled inside an analysis-proven non-store routine
-    #: (the mram blocks MJIT may compile).
-    pure_blocks: int = 0
     #: Blocks compiled to tier 2 by MJIT (repro.cpu.jit).
     jit_blocks: int = 0
     #: Guest instructions retired through MJIT-compiled code.
@@ -71,22 +68,8 @@ class TcacheStats:
         return (self.hits + self.chain_hits) / total if total else 0.0
 
     def reset(self) -> None:
-        self.blocks_compiled = 0
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.flushes = 0
-        self.fast_instructions = 0
-        self.guarded_instructions = 0
-        self.chain_links = 0
-        self.chain_hits = 0
-        self.chain_poly_hits = 0
-        self.chain_breaks = 0
-        self.chain_longest = 0
-        self.pure_blocks = 0
-        self.jit_blocks = 0
-        self.jit_instructions = 0
-        self.jit_compile_ms = 0.0
+        for f in fields(self):
+            setattr(self, f.name, f.default)
 
     @property
     def jit_dispatch_share(self) -> float:

@@ -135,7 +135,7 @@ class Block:
     """One predecoded basic block (plus its superblock chain links)."""
 
     __slots__ = ("start", "end", "entries", "ops", "valid",
-                 "chainable", "link", "link_pc", "links", "pure",
+                 "chainable", "link", "link_pc", "links",
                  "heat", "jit_fn")
 
     def __init__(self, start: int, end: int, entries,
@@ -156,11 +156,6 @@ class Block:
         #: the block is cold.  Every eviction path that clears ``valid``
         #: also drops this, exactly as it severs chain links.
         self.jit_fn = None
-        #: True for mram blocks inside an analysis-proven non-store
-        #: routine (see :meth:`TranslationCache.set_mram_facts`) whose
-        #: entries are all flag-free (or the F_TERM terminator): the
-        #: only mram blocks MJIT compiles.
-        self.pure = False
         #: Whether the block's exit is eligible for chaining (branch/jal/
         #: jalr terminator, or the fall-through of a length-limited block).
         self.chainable = chainable
@@ -377,20 +372,6 @@ def _build_ops(entries, end: int, line_size: int = None):
     return ops
 
 
-def _entries_pure(entries) -> bool:
-    """True when every entry is flag-free except an F_TERM terminator.
-
-    Belt and braces under the analysis facts: a block inside a proven
-    non-store routine can only contain such entries, but the flags are
-    what MJIT's mram codegen actually relies on, so they are what is
-    checked.
-    """
-    for _instr, _op_fn, _pc, flags, _hint in entries:
-        if flags not in (0, F_TERM):
-            return False
-    return True
-
-
 def _chain_shape(entries, end: int, terminated: bool):
     """``(chainable, link_pc seed)`` for a freshly compiled block."""
     if not terminated:
@@ -420,13 +401,9 @@ class TranslationCache:
         #: reported for the exported timeline; ``None`` costs nothing on
         #: the hot paths (checked only on the cold branches).
         self.sink = None
-        #: MJIT tier-2 toggle (host-side, guest-invisible).  With it on,
-        #: blocks whose ``heat`` crosses :attr:`jit_threshold` are
-        #: compiled to specialized Python (repro.cpu.jit) and dispatched
-        #: in preference to the closure path.
-        self.jit = False
         #: Dispatches through the unguarded loop a block must see before
-        #: MJIT compiles it.  Low by design: compilation is a few hundred
+        #: MJIT (repro.cpu.jit) compiles it, wherever the engine runs
+        #: MJIT code at all.  Low by design: compilation is a few hundred
         #: microseconds, and a block hot enough to reach the unguarded
         #: loop twice is overwhelmingly a loop body.
         self.jit_threshold = 16
@@ -434,11 +411,6 @@ class TranslationCache:
         self._mem_pages = {}    # page number -> set of start pcs
         self._mram = {}         # start offset -> Block
         self._mram_version = None
-        #: Callable returning the current non-store code ranges of the
-        #: loaded Metal image (see MetalImage.nonstore_code_ranges), or
-        #: None when no analysis facts are available.
-        self._mram_facts = None
-        self._nonstore_ranges = ()
         #: Callable returning the proven in-bounds mld/mst site pcs of
         #: the loaded image (see MetalImage.proven_data_pcs), or None.
         self._mram_proven = None
@@ -499,20 +471,16 @@ class TranslationCache:
     # ------------------------------------------------------------------
     # dispatch (Metal mode, MRAM)
     # ------------------------------------------------------------------
-    def set_mram_facts(self, provider, proven=None) -> None:
-        """Install the analysis-facts providers for the mram namespace.
+    def set_mram_facts(self, proven) -> None:
+        """Install the analysis-facts provider for the mram namespace.
 
-        *provider* is a zero-argument callable returning the non-store
-        code ranges of the currently loaded image (byte ``(lo, hi)``
-        pairs, sorted); *proven* (optional) returns the code pcs of
+        *proven* is a zero-argument callable returning the code pcs of
         ``mld``/``mst`` sites the interval pass proved in-bounds, which
-        licenses MJIT's per-site guard elision.  Both are re-invoked
+        licenses MJIT's per-site guard elision.  It is re-invoked
         whenever the MRAM code version changes, so ``reload_mroutines``
         naturally refreshes the facts along with the blocks they
         describe.
         """
-        self._mram_facts = provider
-        self._nonstore_ranges = tuple(provider()) if provider is not None else ()
         self._mram_proven = proven
         self._proven_pcs = frozenset(proven()) if proven is not None \
             else frozenset()
@@ -536,8 +504,6 @@ class TranslationCache:
                     self.sink.tcache_event("flush", "mram", 0, count)
             self._mram_version = version
             # The new image has new routines — and new analysis facts.
-            if self._mram_facts is not None:
-                self._nonstore_ranges = tuple(self._mram_facts())
             if self._mram_proven is not None:
                 self._proven_pcs = frozenset(self._mram_proven())
         block = self._mram.get(pc)
@@ -572,60 +538,32 @@ class TranslationCache:
             return None
         block = Block(pc, p, entries,
                       *_chain_shape(entries, p, terminated))
-        if self._in_nonstore_range(pc, p) and _entries_pure(entries):
-            block.pure = True
-            self.stats.pure_blocks += 1
         self._mram[pc] = block
         self.stats.blocks_compiled += 1
         if self.sink is not None:
             self.sink.tcache_event("compile", "mram", pc, len(entries))
         return block
 
-    def _in_nonstore_range(self, lo: int, hi: int) -> bool:
-        """Whether code bytes ``[lo, hi)`` lie inside one routine that
-        the analysis proved free of guarded side effects."""
-        for rlo, rhi in self._nonstore_ranges:
-            if rlo <= lo and hi <= rhi:
-                return True
-        return False
-
     # ------------------------------------------------------------------
     # MJIT tier 2 (repro.cpu.jit)
     # ------------------------------------------------------------------
-    def jit_compile_mem(self, block):
-        """Compile *block* (mem namespace) to tier 2, or park it cold.
+    def jit_compile(self, block, mram: bool):
+        """Compile *block* to tier 2, or park it cold.
 
         Called by the engine's unguarded loop once ``block.heat`` crosses
-        :attr:`jit_threshold`.  Returns the compiled function (also
-        cached on ``block.jit_fn``) or ``None`` when the codegen declined
-        the block — then ``heat`` is parked at the cold sentinel so the
-        attempt is never repeated.
-        """
-        from repro.cpu import jit as mjit
-        t0 = perf_counter()
-        fn = mjit.compile_mem_block(block)
-        self.stats.jit_compile_ms += (perf_counter() - t0) * 1e3
-        if fn is None:
-            block.heat = _JIT_COLD
-            return None
-        block.jit_fn = fn
-        self.stats.jit_blocks += 1
-        if self.sink is not None:
-            self.sink.tcache_event("jit_compile", "mem", block.start,
-                                   len(block.entries))
-        return fn
-
-    def jit_compile_mram(self, block):
-        """MRAM-namespace twin of :meth:`jit_compile_mem`.
-
-        Passes the interval pass's proven in-bounds site pcs so the
-        codegen can elide the runtime bounds guard at exactly the
+        :attr:`jit_threshold`; *mram* names the block's namespace.
+        Returns the compiled function (also cached on ``block.jit_fn``)
+        or ``None`` when the codegen declined the block — then ``heat``
+        is parked at the cold sentinel so the attempt is never repeated.
+        mram blocks get the interval pass's proven in-bounds site pcs,
+        so the codegen elides the runtime bounds guard at exactly the
         accesses MAS licensed (any other ``mld``/``mst`` keeps the
         guarded ``execute()`` dispatch).
         """
         from repro.cpu import jit as mjit
         t0 = perf_counter()
-        fn = mjit.compile_mram_block(block, self._proven_pcs)
+        fn = mjit.compile_block(
+            block, mram, self._proven_pcs if mram else frozenset())
         self.stats.jit_compile_ms += (perf_counter() - t0) * 1e3
         if fn is None:
             block.heat = _JIT_COLD
@@ -633,8 +571,8 @@ class TranslationCache:
         block.jit_fn = fn
         self.stats.jit_blocks += 1
         if self.sink is not None:
-            self.sink.tcache_event("jit_compile", "mram", block.start,
-                                   len(block.entries))
+            self.sink.tcache_event("jit_compile", "mram" if mram else "mem",
+                                   block.start, len(block.entries))
         return fn
 
     def iter_jit_blocks(self):
@@ -671,18 +609,19 @@ class TranslationCache:
     # ------------------------------------------------------------------
     # superblock chaining
     # ------------------------------------------------------------------
-    def chain_next_mem(self, block, next_pc: int, bus):
+    def chain_next(self, block, next_pc: int, mram: bool, code):
         """Follow (or install) *block*'s chain link toward *next_pc*.
 
-        Returns the successor mem-namespace block, or ``None`` when the
-        target cannot be translated.  The chain slot is a small LRU
+        Returns the successor block of the same namespace (*mram*, with
+        *code* the MRAM or the bus it is fetched from), or ``None`` when
+        the target cannot be translated.  The chain slot is a small LRU
         target map (the MRU ``link``/``link_pc`` pair plus up to three
         secondaries in ``links``), so a branch that alternates between a
         handful of targets keeps every successor linked instead of
         relinking on each flip.  A stale entry — successor evicted, or
         the observed target absent from the map — is severed and
-        re-resolved through :meth:`mem_block`, so a chain can never reach
-        stale code.
+        re-resolved through :meth:`mem_block` or :meth:`mram_block`, so
+        a chain can never reach stale code.
         """
         link = block.link
         if link is not None and block.link_pc == next_pc and link.valid:
@@ -693,23 +632,10 @@ class TranslationCache:
             return nxt
         if next_pc % 4:
             return None
-        nxt = self.mem_block(next_pc, bus)
-        if nxt is not None:
-            self._chain_install(block, next_pc, nxt)
-        return nxt
-
-    def chain_next_mram(self, block, next_pc: int, mram):
-        """MRAM-namespace twin of :meth:`chain_next_mem`."""
-        link = block.link
-        if link is not None and block.link_pc == next_pc and link.valid:
-            self.stats.chain_hits += 1
-            return link
-        nxt = self._chain_alt(block, next_pc)
-        if nxt is not None:
-            return nxt
-        if next_pc % 4:
-            return None
-        nxt = self.mram_block(next_pc, mram)
+        if mram:
+            nxt = self.mram_block(next_pc, code)
+        else:
+            nxt = self.mem_block(next_pc, code)
         if nxt is not None:
             self._chain_install(block, next_pc, nxt)
         return nxt

@@ -89,9 +89,6 @@ class MachineConfig:
     #: repro.cpu.tcache).  Architecture-invisible — guest results are
     #: bit-identical either way.
     tcache: bool = True
-    #: MJIT tier-2 compilation of hot blocks (repro.cpu.jit).
-    #: Guest-invisible.
-    jit: bool = False
     extra_symbols: dict = field(default_factory=dict)
 
 
@@ -135,8 +132,6 @@ def _base_machine(config: MachineConfig, metal_unit, name: str) -> Machine:
         sim = FunctionalSimulator(core, tcache=config.tcache)
     else:
         raise ValueError(f"unknown engine {config.engine!r}")
-    if config.jit:
-        sim.tcache.jit = True
 
     symbols = {}
     symbols.update(CAUSE_SYMBOLS)

@@ -158,14 +158,6 @@ class Machine:
         """Toggle the translation-cache fast path (guest-invisible)."""
         self.sim.tcache_enabled = enabled
 
-    def set_tcache_jit(self, enabled: bool) -> None:
-        """Toggle the MJIT tier-2 compiler (guest-invisible; see
-        repro.cpu.jit).  Flushes compiled blocks so heat counters and
-        compiled code restart from a clean slate — disabling drops every
-        tier-2 function along with the blocks that held them."""
-        self.sim.tcache.jit = bool(enabled)
-        self.sim.tcache.flush_all()
-
     # -- profiling (MPROF) -------------------------------------------------
     def set_profiling(self, enabled: bool, capacity: Optional[int] = None):
         """Attach (or detach) the MPROF trace event sink (guest-invisible).

@@ -46,32 +46,13 @@ class MetalImage:
     #: image was built with ``verify=False``).
     analysis: dict = field(default_factory=dict, repr=False)
 
-    def nonstore_code_ranges(self):
-        """Code-segment byte ranges of routines MAS proved free of RAM
-        access and guarded side effects (``facts.pure_dispatch``).
-
-        The translation cache lets MJIT compile the mram-namespace
-        blocks inside these ranges: nothing inside such a range can
-        invalidate a translation mid-run.
-        """
-        ranges = []
-        for name, result in self.analysis.items():
-            if not result.facts.pure_dispatch:
-                continue
-            routine = self.routines.get(name)
-            if routine is None or routine.code_words is None:
-                continue
-            ranges.append((routine.code_offset,
-                           routine.code_offset + 4 * len(routine.code_words)))
-        return sorted(ranges)
-
     def proven_data_pcs(self):
         """Code-segment byte offsets of ``mld``/``mst`` instructions whose
         addresses the MAS interval pass proved inside the routine's
         allowed data ranges (``facts.proven_access_words``).
 
         MJIT (:mod:`repro.cpu.jit`) elides the runtime bounds guard at
-        exactly these sites when compiling pure mroutine blocks; a site
+        exactly these sites when compiling mroutine blocks; a site
         absent from this set keeps the guarded ``execute()`` dispatch.
         """
         pcs = []
@@ -225,9 +206,9 @@ def append_mroutines(image: MetalImage, routines, verify: bool = True) -> list:
     unchanged.  The commit goes through :meth:`Mram.write_code`, which
     bumps ``code_version`` — the translation cache's lazy mram-namespace
     check observes the bump, drops every mram translation and re-reads
-    ``nonstore_code_ranges()``/``proven_data_pcs()`` through the image,
-    which this function has already updated in place (routines, entry
-    table, symbols, ``analysis``, high-water marks).
+    ``proven_data_pcs()`` through the image, which this function has
+    already updated in place (routines, entry table, symbols,
+    ``analysis``, high-water marks).
 
     Returns the appended routines (with ``code_offset``/``facts`` filled
     in).

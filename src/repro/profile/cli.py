@@ -53,11 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="hot traces to report (default 10)")
     parser.add_argument("--capacity", type=int, default=None,
                         help="retired-trace ring capacity")
-    parser.add_argument("--jit", action="store_true",
-                        help="profile with the MJIT tier-2 compiler on "
-                        "(hot-trace rows then show which tier holds each "
-                        "trace head, and the timeline gains jit_compile "
-                        "events)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write Chrome-trace/Perfetto JSON to PATH")
     parser.add_argument("--base", type=lambda v: int(v, 0), default=0x1000,
@@ -98,8 +93,6 @@ def profile_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.jit:
-        machine.set_tcache_jit(True)
     sink = machine.set_profiling(True, capacity=args.capacity)
     registry = MetricsRegistry(machine)
     before = registry.snapshot()

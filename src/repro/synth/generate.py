@@ -13,7 +13,7 @@ When the routine's MRAM data slice is addressable by a 12-bit ``mld``/
 its data segment — the register it borrows is saved to an mreg
 allocated from the image's free pool and restored before the fused
 body runs, so the counter is architecturally invisible.  The counter
-keeps the routine ``MRAM_ONLY`` (still ``pure_dispatch``), and gives
+keeps the routine ``MRAM_ONLY`` (no guest-RAM access), and gives
 the report a ground-truth invocation count straight out of MRAM.
 """
 

@@ -7,8 +7,8 @@ runs the whole loop on three machines of identical shape:
 * a **baseline** machine measures the unmodified program and its
   architectural digest;
 * a **rewritten** machine gets the synthesized routines appended to its
-  live image (through the loader's append path, so MAS facts and tcache
-  purity refresh) and runs the patched program.
+  live image (through the loader's append path, so the MAS facts the
+  tcache reads refresh) and runs the patched program.
 
 The architectural digest covers GPRs, pc, halt state, console output
 and guest RAM with exactly the patched byte ranges masked — cycle and
@@ -154,7 +154,6 @@ def synthesize_source(source: str, routines=(), setup=None,
             "style": patch.style,
             "code_words": len(routine.code_words),
             "purity": facts.purity.value if facts is not None else None,
-            "pure_dispatch": bool(facts and facts.pure_dispatch),
             "invocations": _invocations(image, routine),
             "oracle_disagreements": len(check_words(routine.code_words)),
             "hw_delta": routine_hw_delta(routine, *before),

@@ -33,9 +33,8 @@ without telling the translation cache:
   MSYNTH append path, as opposed to the boot path that constructs a
   fresh ``MetalImage``) must re-attach analysis results and advance the
   image's code high-water mark in the same function — otherwise
-  ``nonstore_code_ranges()``/``proven_data_pcs()`` go stale and the
-  tcache's lazy re-read after the ``code_version`` bump refreshes from
-  wrong facts.
+  ``proven_data_pcs()`` goes stale and the tcache's lazy re-read after
+  the ``code_version`` bump refreshes from wrong facts.
 
 Both lints take ``override_sources`` mapping a repo-relative path
 (under ``src/repro``) to replacement text — the mutation tests use it

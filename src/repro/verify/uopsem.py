@@ -129,12 +129,12 @@ class BlockInfo:
     written: frozenset = frozenset()   # subset actually (re)assigned
     trapping: bool = False
     has_generic: bool = False          # any execute() dispatch
-    has_sync: bool = False             # any mem load/store (sync prologue)
+    has_sync: bool = False             # any RAM load/store (sync prologue)
     looped: bool = False
     nlen: int = 0
 
 
-def scan_block(block, mem: bool, proven_pcs) -> BlockInfo:
+def scan_block(block, proven_pcs) -> BlockInfo:
     """Classify every entry exactly as a correct compilation must."""
     tracked = set()
     written = set()
@@ -195,13 +195,13 @@ def scan_block(block, mem: bool, proven_pcs) -> BlockInfo:
             trapping = True
             has_generic = True
             continue
-        if mem and cls is InstrClass.LOAD:
+        if cls is InstrClass.LOAD:
             tracked.update((instr.rs1, instr.rd))
             written.add(instr.rd)
             trapping = True
             has_sync = True
             continue
-        if mem and cls is InstrClass.STORE:
+        if cls is InstrClass.STORE:
             tracked.update((instr.rs1, instr.rs2))
             trapping = True
             has_sync = True
@@ -278,9 +278,8 @@ def _esym(k: int, what: str):
 class _Ref:
     def __init__(self, block, mem: bool, proven_pcs):
         self.block = block
-        self.mem = mem
         self.proven = proven_pcs
-        self.info = scan_block(block, mem, proven_pcs)
+        self.info = scan_block(block, proven_pcs)
         self.ml = S.sym("T.mem_latency" if mem else "T.mram_fetch")
         self.bc = S.ite(S.lt(1, self.ml), self.ml, 1)
         self.me = S.ite(S.lt(1, self.ml), S.add(self.ml, -1), 0)
@@ -650,11 +649,11 @@ class _Ref:
                 self.flush_units(self.st)
                 self.do_generic(index, instr, pc, flags)
                 continue
-            if self.mem and cls is InstrClass.LOAD:
+            if cls is InstrClass.LOAD:
                 self.flush_units(self.st)
                 self.do_load(instr, pc)
                 continue
-            if self.mem and cls is InstrClass.STORE:
+            if cls is InstrClass.STORE:
                 self.flush_units(self.st)
                 self.do_store(instr, pc)
                 continue

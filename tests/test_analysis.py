@@ -314,18 +314,14 @@ class TestPurityFacts:
         image = load_mroutines([routine("spin", 1, SPIN)])
         facts = image.routines["spin"].facts
         assert facts.purity is Purity.PURE
-        assert facts.pure_dispatch
+        assert not facts.reads_ram and not facts.writes_ram
         assert facts.has_loops
-        spin = image.routines["spin"]
-        assert image.nonstore_code_ranges() == [
-            (0, 4 * len(spin.code_words))]
 
-    def test_ram_store_blocks_pure_dispatch(self):
+    def test_ram_store_classified(self):
         image = load_mroutines([routine("spin", 1, STORE_SPIN)])
         facts = image.routines["spin"].facts
         assert facts.purity is Purity.WRITES_RAM
-        assert not facts.pure_dispatch
-        assert image.nonstore_code_ranges() == []
+        assert facts.writes_ram and not facts.reads_ram
 
     def test_ram_load_classified(self):
         image = load_mroutines([routine(
@@ -339,37 +335,40 @@ class TestPurityFacts:
             "    mst t0, BUMP_DATA(x0)\n    mexit\n", data_words=1)])
         facts = image.routines["bump"].facts
         assert facts.purity is Purity.MRAM_ONLY
-        assert facts.pure_dispatch        # mram data writes cannot
-        # invalidate translations, so the unguarded loop stays safe.
+        assert not facts.reads_ram and not facts.writes_ram
 
 
 class TestTcachePureLoop:
-    """Metal-mode blocks share the engine's unguarded block loop; the
-    purity facts only license MJIT's mram compiles."""
+    """Metal-mode blocks share the engine's unguarded block loop, and
+    MJIT compiles them whatever their purity: the facts classify a
+    routine, they gate nothing."""
 
     def test_pure_routine_runs_unguarded(self):
         m = spin_machine()
         m.load_and_run(DRIVER)
         tc = m.perf.tcache
-        assert tc.pure_blocks > 0
+        assert tc.jit_instructions > 0
         assert tc.fast_instructions > 0
         assert tc.guarded_instructions == 0
 
     def test_guest_invisible_bit_identical(self):
-        """Interpreter, block loop and MJIT agree on the pure routine."""
+        """Interpreter and MJIT, at threshold 1 and the default 16,
+        agree on the pure routine."""
         runs = {}
-        for tcache, jit in ((False, False), (True, False), (True, True)):
-            m = spin_machine(tcache=tcache, jit=jit)
-            m.sim.tcache.jit_threshold = 1
+        for tcache, threshold in ((False, 16), (True, 16), (True, 1)):
+            m = spin_machine(tcache=tcache)
+            m.sim.tcache.jit_threshold = threshold
             m.load_and_run(DRIVER)
-            runs[tcache, jit] = (m.instret, m.cycles, tuple(m.core.regs))
-        assert m.perf.tcache.jit_instructions > 0
-        assert runs[True, False] == runs[False, False]
-        assert runs[True, True] == runs[False, False]
+            runs[tcache, threshold] = (m.instret, m.cycles,
+                                       tuple(m.core.regs))
+            if tcache:
+                assert m.perf.tcache.jit_instructions > 0
+        assert runs[True, 16] == runs[False, 16]
+        assert runs[True, 1] == runs[False, 16]
 
     def test_impure_routine_not_dispatched_pure(self):
-        """A routine that stores to guest RAM gets no pure blocks, yet
-        retires unguarded with the interpreter's results."""
+        """A routine that stores to guest RAM runs at tier 2, unguarded,
+        with the interpreter's results."""
         runs = {}
         for tcache in (False, True):
             m = spin_machine(STORE_SPIN, tcache=tcache)
@@ -378,18 +377,19 @@ class TestTcachePureLoop:
             runs[tcache] = (m.instret, m.cycles, tuple(m.core.regs))
         assert runs[True] == runs[False]
         tc = m.perf.tcache
-        assert tc.pure_blocks == 0
-        assert tc.fast_instructions > 0
+        assert tc.jit_instructions > 0
         assert tc.guarded_instructions == 0
 
     def test_reload_drops_stale_purity(self):
         m = spin_machine()
         m.load_and_run(DRIVER)
-        assert m.perf.tcache.pure_blocks > 0
+        old = [b for b in m.sim.tcache._mram.values() if b.jit_fn is not None]
+        assert old
         m.reload_mroutines([routine("spin", 1, STORE_SPIN)])
-        assert m.metal_image.nonstore_code_ranges() == []
-        before = m.perf.tcache.pure_blocks
+        facts = m.metal_image.analysis["spin"].facts
+        assert facts.purity is Purity.WRITES_RAM
         m.reset()
         m.load_and_run(DRIVER)
-        assert m.perf.tcache.pure_blocks == before
+        assert all(not b.valid and b.jit_fn is None for b in old)
+        assert m.perf.tcache.jit_instructions > 0
         assert m.read_word(0x7000) == 1

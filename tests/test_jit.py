@@ -3,10 +3,10 @@
 The closure tier (tcache) is covered by the differential fuzzer and the
 tcache tests; this file pins the *compiler*: the exact Python source
 generated for a known block (golden snapshot), guard elision engaging
-only at MAS-proven access sites, every eviction path dropping compiled
-code, and the toggle/config wiring.  Bit-identity of tier-2
-execution against the interpreter is fuzzed in
-``tests/test_superblock_differential.py`` (the fourth lockstep machine).
+only at MAS-proven access sites, guest-RAM access compiled inside mram
+blocks, and every eviction path dropping compiled code.  Bit-identity
+of tier-2 execution against the interpreter is fuzzed in
+``tests/test_superblock_differential.py``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,15 @@ IDX = MRoutine(name="idx", entry=1, data_words=4, mregs=(20,), source="""
     mexitm
 """)
 
+#: Guest-RAM read-modify-write from Metal mode.
+BUMP = MRoutine(name="bump", entry=1, source="""
+    li   t0, 0x3000
+    lw   t1, 0(t0)
+    addi t1, t1, 1
+    sw   t1, 0(t0)
+    mexit
+""")
+
 MENTER_LOOP = """
 _start:
     li s0, 10
@@ -60,12 +69,10 @@ loop:
 """
 
 
-def _machine(routines=(), jit=True, threshold=1, **cfg):
+def _machine(routines=(), threshold=1, **cfg):
     machine = build_metal_machine(
-        list(routines),
-        config=MachineConfig(with_caches=False, jit=jit, **cfg))
-    if jit and threshold is not None:
-        machine.sim.tcache.jit_threshold = threshold
+        list(routines), config=MachineConfig(with_caches=False, **cfg))
+    machine.sim.tcache.jit_threshold = threshold
     return machine
 
 
@@ -172,12 +179,32 @@ def test_guard_elision_requires_facts():
 def test_elision_parity_with_interpreter():
     """The elided routine is bit-identical to the interpreter run."""
     results = {}
-    for jit in (False, True):
-        m = _machine([ACC], jit=jit)
+    for tcache in (False, True):
+        m = _machine([ACC], tcache=tcache)
         r = m.load_and_run(MENTER_LOOP, base=CODE_BASE)
-        results[jit] = (r.instructions, r.cycles, list(m.core.regs),
-                        bytes(m.core.metal.mram.data))
+        results[tcache] = (r.instructions, r.cycles, list(m.core.regs),
+                           bytes(m.core.metal.mram.data))
+    assert m.perf.tcache.jit_instructions > 0
     assert results[False] == results[True]
+
+
+def test_mram_block_compiles_guest_ram_access():
+    """An mram block that loads and stores guest RAM compiles the way a
+    mem block does — flush, sync, then ``read_mem``/``write_mem`` — and
+    matches the tcache-off run."""
+    runs = {}
+    for tcache in (False, True):
+        m = _machine([BUMP], tcache=tcache)
+        r = m.load_and_run(MENTER_LOOP, base=CODE_BASE)
+        runs[tcache] = (r.instructions, r.cycles, list(m.core.regs),
+                        m.read_word(0x3000))
+    assert runs[False] == runs[True]
+    assert runs[True][3] == 10
+    body = "\n".join(_jit_sources(m).values())
+    assert "read_mem = core.read_mem" in body
+    assert "write_mem = core.write_mem" in body
+    assert "sync()" in body
+    assert m.perf.tcache.jit_instructions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +230,9 @@ def test_reload_mroutines_drops_compiled_code():
     assert all(b.jit_fn is None for b in blocks)
 
 
-def test_toggle_off_drops_compiled_code():
-    m = _machine()
-    m.load_and_run(LOOP, base=CODE_BASE)
-    blocks = [b for b in m.sim.tcache._mem.values() if b.jit_fn is not None]
-    assert blocks
-    m.set_tcache_jit(False)
-    assert not m.sim.tcache.jit
-    assert m.sim.tcache.cached_blocks == 0
-    assert all(b.jit_fn is None for b in blocks)
-
-
 # ---------------------------------------------------------------------------
-# wiring: config, counters
+# counters
 # ---------------------------------------------------------------------------
-def test_machineconfig_and_toggle_wiring():
-    assert build_metal_machine([]).sim.tcache.jit is False
-    m = build_metal_machine([], config=MachineConfig(jit=True))
-    assert m.sim.tcache.jit is True
-    m.set_tcache_jit(False)
-    assert m.sim.tcache.jit is False
-
-
 def test_jit_counters_in_perf_summary():
     m = _machine()
     m.load_and_run(LOOP, base=CODE_BASE)
@@ -237,8 +245,8 @@ def test_jit_counters_in_perf_summary():
 
 
 def test_toggle_parity_mixed_workload():
-    """Same mixed program (ALU loop + menter + RAM loads/stores), jit on
-    vs off: guest results identical, tier 2 actually engaged."""
+    """Same mixed program (ALU loop + menter + RAM loads/stores), tcache
+    on vs off: guest results identical, tier 2 actually engaged."""
     source = """
 _start:
     li s1, 0x3000
@@ -253,12 +261,12 @@ loop:
     halt
 """
     runs = {}
-    for jit in (False, True):
-        m = _machine([ACC], jit=jit)
+    for tcache in (False, True):
+        m = _machine([ACC], tcache=tcache)
         r = m.load_and_run(source, base=CODE_BASE)
-        runs[jit] = (r.instructions, r.cycles, list(m.core.regs),
-                     bytes(m.core.metal.mram.data))
-        if jit:
+        runs[tcache] = (r.instructions, r.cycles, list(m.core.regs),
+                        bytes(m.core.metal.mram.data))
+        if tcache:
             assert m.perf.tcache.jit_instructions > 0
     assert runs[False] == runs[True]
 

@@ -1,21 +1,23 @@
 """Differential fuzzing of superblock chaining.
 
 Random guest programs (ALU ops, branches, jumps, loads/stores,
-``menter``/``mexit`` round-trips into mroutines, and self-modifying
-stores) run in lockstep on four functional machines — tcache off
-entirely, tcache + superblock chaining on, tcache + chaining with
-the MPROF trace sink attached (which bounds chained dispatches at the
-profiling chain quantum), and tcache + chaining with the MJIT tier-2
-compiler on at threshold 1 (every dispatched block is compiled to
-specialized Python on first execution, including blocks whose code the
-program later rewrites in place) — and every architecturally visible
-piece of state is compared after every chunk of retired instructions.
+``menter``/``mexit`` round-trips into mroutines that load and store
+guest RAM, and self-modifying stores) run in lockstep on four functional
+machines — tcache off entirely, tcache + superblock chaining on (MJIT
+tier 2 at its default threshold), tcache + chaining with the MPROF
+trace sink attached (which bounds chained dispatches at the profiling
+chain quantum), and tcache + chaining with MJIT at threshold 1 (every
+dispatched block is compiled to specialized Python on first execution,
+including blocks whose code the program later rewrites in place) — and
+every architecturally visible piece of state is compared after every
+chunk of retired instructions.
 Any divergence means the host fast path (the chainer, the profiler or
 the JIT) leaked into guest-visible behaviour.
 
 A second, caches-on pair runs the same program with the I-cache and
 D-cache models on: the interpreter against the chained tcache with MJIT
-at threshold 1.  Its block loop replays each block's I-cache fetch plan
+at threshold 1, which compiles only mram blocks there.  Its block loop
+replays each block's I-cache fetch plan
 instead of accessing the cache on every fetch, so the pair also compares
 cache hit and miss counts after every chunk.  A third pair does the same
 on the pipeline engine (interpreter against the chained tcache, caches
@@ -57,7 +59,6 @@ def _build(tcache: bool, jit: bool = False, caches: bool = False,
         ram_bytes=RAM_BYTES, tcache=tcache,
     )
     if jit:
-        machine.set_tcache_jit(True)
         # Compile on first dispatch so every seed exercises tier 2.
         machine.sim.tcache.jit_threshold = 1
     return machine
@@ -120,9 +121,9 @@ def test_differential(seed):
     source = _gen_program(rng)
 
     m_ref = _build(tcache=False)       # interpreter, no fast path at all
-    m_got = _build(tcache=True)        # predecoded blocks + chaining
+    m_got = _build(tcache=True)        # predecoded blocks + chaining + MJIT
     m_prof = _build(tcache=True)       # chaining + MPROF sink attached
-    m_jit = _build(tcache=True, jit=True)   # chaining + MJIT tier 2
+    m_jit = _build(tcache=True, jit=True)   # MJIT at threshold 1
     m_ref_c = _build(tcache=False, caches=True)       # caches-on pair
     m_jit_c = _build(tcache=True, jit=True, caches=True)
     m_ref_p = _build(tcache=False, caches=True, engine="pipeline")

@@ -8,11 +8,11 @@ The load-bearing properties:
 * the miner only fuses regions it can prove safe from the static image
   (plain instructions, no external entry into the interior, no ``jalr``
   anywhere) and ranks them as a pure function of the profile;
-* generated routines pass MAS (``MRAM_ONLY``, pure dispatch) and the
-  MCONF independent decode oracle;
+* generated routines pass MAS (``MRAM_ONLY``, or ``PURE`` without the
+  counter) and the MCONF independent decode oracle;
 * appending to a live image refreshes everything downstream — facts,
-  nonstore ranges, the tcache's mram translations — and commits nothing
-  on failure;
+  proven data-access sites, the tcache's mram translations — and
+  commits nothing on failure;
 * a rewritten guest is bit-identical to baseline everywhere outside the
   patched bytes, across every execution variant MCONF locksteps.
 """
@@ -173,7 +173,6 @@ class TestGenerate:
         assert routine.entry == free_entry(image) == 0
         assert routine.mregs           # counter mreg allocated
         machine.append_mroutines([routine])
-        assert routine.facts.pure_dispatch
         assert routine.facts.purity.value == "mram-only"
         # Provenance words: counter, head pc, region words, kind code.
         assert routine.data_init == (0, cand.head_pc, cand.length, 1)
@@ -185,7 +184,7 @@ class TestGenerate:
         assert routine.mregs == ()
         assert "mld" not in routine.source
         machine.append_mroutines([routine])
-        assert routine.facts.pure_dispatch
+        assert routine.facts.purity.value == "pure"
 
     def test_synthesized_words_pass_decode_oracle(self):
         # Every word MSYNTH emits must decode identically under the
@@ -214,16 +213,17 @@ class TestAppend:
         base = MRoutine(name="first", entry=0, source="mexit\n")
         machine = build_metal_machine([base], with_caches=False)
         image = machine.metal_image
-        before_ranges = image.nonstore_code_ranges()
+        assert image.proven_data_pcs() == []
         version = image.mram.code_version
-        added = machine.append_mroutines([self._routine(source="""
+        added = machine.append_mroutines([self._routine(data_words=1,
+                                                        source="""
+    mld  t0, LATE_DATA(x0)
     addi t0, t0, 1
     mexit
 """)])
         assert image.mram.code_version > version
-        assert "late" in image.analysis
-        assert added[0].facts is not None
-        assert len(image.nonstore_code_ranges()) == len(before_ranges) + 1
+        assert image.analysis["late"].facts is added[0].facts
+        assert image.proven_data_pcs() == [added[0].code_offset]
         assert machine.symbols["MR_LATE"] == 1
 
     def test_appended_routine_executes_after_prior_compile(self):
@@ -370,7 +370,6 @@ class TestLockstepWithSynthesis:
         if name == "profiled":
             machine.set_profiling(True)
         elif name == "jit":
-            machine.set_tcache_jit(True)
             machine.sim.tcache.jit_threshold = 1
         return machine
 

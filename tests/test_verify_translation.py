@@ -83,7 +83,7 @@ loop:
 
 def _machine():
     machine = build_metal_machine(
-        [], config=MachineConfig(with_caches=False, jit=True))
+        [], config=MachineConfig(with_caches=False))
     machine.sim.tcache.jit_threshold = 1
     return machine
 
