@@ -5,8 +5,6 @@ contract rather than a guest-visible number (docs/VALIDATION.md):
 
 * **translation** — every block MJIT compiles across the seed slice
   proves symbolically equivalent to its uop IR (zero findings);
-* **elision** — every MAS-proven bounds fact in every bundled mcode
-  application is independently re-derived (zero findings);
 * **host** — the snapshot- and eviction-completeness lints are clean;
 * **throughput** — blocks-validated/sec and wall time per pass, so the
   cost of keeping the verifier in CI stays visible
@@ -21,7 +19,6 @@ import time
 from common import emit, run_once
 
 from repro.verify.corpus import validate_corpus
-from repro.verify.elision import audit_apps
 from repro.verify.hostlint import run_host_lints
 
 SEEDS = tuple(range(24))
@@ -33,21 +30,13 @@ def run_experiment() -> dict:
     t_translation = time.perf_counter() - start
 
     start = time.perf_counter()
-    stats = {}
-    elision_findings = audit_apps(stats=stats)
-    t_elision = time.perf_counter() - start
-
-    start = time.perf_counter()
     host_findings = run_host_lints()
     t_host = time.perf_counter() - start
 
     return {
         "report": report,
-        "elision_findings": elision_findings,
-        "elision_stats": stats,
         "host_findings": host_findings,
         "t_translation": t_translation,
-        "t_elision": t_elision,
         "t_host": t_host,
     }
 
@@ -58,24 +47,17 @@ def check_shape(result: dict) -> None:
     assert report.blocks_validated > 0, "corpus produced no tier-2 blocks"
     assert report.mem_blocks > 0 and report.mram_blocks > 0, \
         "corpus missed one of the two namespaces"
-    assert result["elision_findings"] == [], "elision audit found a hole"
-    assert result["elision_stats"]["claimed_sites"] > 0, \
-        "no MAS-proven sites to audit"
     assert result["host_findings"] == [], "host lints found a violation"
 
 
 def throughput_lines(result: dict) -> str:
     report = result["report"]
     t_tr = result["t_translation"]
-    stats = result["elision_stats"]
     return (f"translation: {report.blocks_validated} unique blocks "
             f"({report.mem_blocks} mem, {report.mram_blocks} mram) proved "
             f"equivalent over {len(SEEDS)} seeds in {t_tr:.2f}s "
             f"({report.blocks_validated / t_tr:.1f} blocks/s "
             f"incl. corpus harvest)\n"
-            f"elision: {stats['claimed_sites']} proven sites across "
-            f"{stats['routines']} routines re-derived in "
-            f"{result['t_elision']:.2f}s\n"
             f"host lints: clean in {result['t_host']:.2f}s")
 
 
@@ -91,6 +73,5 @@ if __name__ == "__main__":
     print(throughput_lines(result))
     print(json.dumps({
         "blocks_validated": result["report"].blocks_validated,
-        "claimed_sites": result["elision_stats"]["claimed_sites"],
         "findings": 0,
     }))

@@ -15,8 +15,7 @@ Static analysis for mroutines, built in layers:
   cycle-budget bounding and side-effect classification.
 * :mod:`repro.analysis.facts` — the per-routine analysis facts
   (:class:`RoutineFacts`) the loader attaches to a
-  :class:`~repro.metal.loader.MetalImage` so MJIT can elide the bounds
-  guards of provably in-bounds ``mld``/``mst`` sites.
+  :class:`~repro.metal.loader.MetalImage`.
 * :mod:`repro.analysis.lint` — ``python -m repro lint``: rustc-style
   diagnostics over a single routine or every bundled mcode app.
 

@@ -2,9 +2,10 @@
 
 :class:`RoutineFacts` is the cross-layer contract: the loader runs MAS
 over each mroutine at image-build time and attaches the facts to the
-:class:`~repro.metal.loader.MetalImage`; the translation cache pulls the
-proven in-bounds ``mld``/``mst`` sites so MJIT may elide their bounds
-guards in the mram-namespace blocks it compiles.
+:class:`~repro.metal.loader.MetalImage` (``repro lint --facts`` prints
+them; MSYNTH reports each synthesized routine's purity).  No execution
+tier reads them: MJIT checks every ``mld``/``mst`` at run time, proven
+or not.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class RoutineFacts:
     proven_accesses: int = 0
     #: mld/mst sites the interval pass could not bound (runtime-checked).
     unproven_accesses: int = 0
-    #: Routine-relative instruction word indices of the proven sites —
-    #: the per-site form of ``proven_accesses``.  MJIT (repro.cpu.jit)
-    #: consumes these to elide the runtime bounds guard at exactly the
-    #: accesses the interval pass licensed; any site not listed here
-    #: keeps the guarded ``execute()`` dispatch.
-    proven_access_words: tuple = ()
     #: Diagnostics summary (pass name -> count), informational only.
     diagnostics: dict = field(default_factory=dict)
 
@@ -77,5 +72,4 @@ class RoutineFacts:
             "has_dynamic_jumps": self.has_dynamic_jumps,
             "proven_accesses": self.proven_accesses,
             "unproven_accesses": self.unproven_accesses,
-            "proven_access_words": list(self.proven_access_words),
         }

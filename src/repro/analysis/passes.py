@@ -559,7 +559,6 @@ def _pass_bounds(routine, graph, allowed_data_ranges, facts, emit):
                                                          instr.imm)
             _eval_instr(env, instr)
 
-    proven_words = []
     for i, instr in accesses:
         if i not in addr_of:
             continue  # dead code
@@ -580,11 +579,9 @@ def _pass_bounds(routine, graph, allowed_data_ranges, facts, emit):
                 emit("bounds", "error", i, msg, witness=witness)
             else:
                 facts.proven_accesses += 1
-                proven_words.append(i)
         elif addr is not dom.TOP and any(
                 lo <= addr.lo and addr.hi < hi for lo, hi in ranges):
             facts.proven_accesses += 1
-            proven_words.append(i)
         elif addr is not dom.TOP and not any(
                 addr.hi >= lo and addr.lo < hi for lo, hi in ranges):
             emit("bounds", "error", i,
@@ -597,7 +594,6 @@ def _pass_bounds(routine, graph, allowed_data_ranges, facts, emit):
                  f"{m} address (interval {bound}) cannot be proven "
                  f"in-bounds statically; the runtime bounds check applies",
                  witness=witness)
-    facts.proven_access_words = tuple(proven_words)
 
 
 # --------------------------------------------------------------------------

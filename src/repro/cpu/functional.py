@@ -251,15 +251,6 @@ class FunctionalSimulator:
             watch = getattr(metal.intercept, "watch_transitions", None)
             if watch is not None:
                 watch(tcache.on_intercept_transition)
-            # Analysis facts for MJIT's mram compiles.  Read through
-            # ``metal.image`` at call time so reload_mroutines (which
-            # replaces the image object) is picked up along with the
-            # code-version bump that re-invokes the provider.
-            def proven_pcs(metal=metal):
-                image = getattr(metal, "image", None)
-                getter = getattr(image, "proven_data_pcs", None)
-                return getter() if getter is not None else ()
-            tcache.set_mram_facts(proven_pcs)
         self._hooks_installed = True
 
     # ------------------------------------------------------------------

@@ -30,15 +30,12 @@ the tier; nothing else gates it).  Guest-RAM loads and stores compile
 the same way in both namespaces: flush the cycle batch, sync devices,
 then ``core.read_mem``/``core.write_mem``.
 
-Guard elision (MAS-licensed).  Inside compiled mroutines, an
-``mld``/``mst`` whose address the interval pass proved in-bounds
-(``RoutineFacts.proven_access_words`` → ``MetalImage.proven_data_pcs``)
-is compiled as a raw ``struct`` access on the MRAM data bytearray: the
-bounds check is gone because the analysis already discharged it.  The
-alignment check stays (an interval proof says nothing about the low
-bits), and any site the pass could *not* prove keeps the guarded
-``execute()`` dispatch — fact miss ⇒ fall back to the guarded tier,
-per-site.
+MRAM data accesses.  Inside compiled mroutines every ``mld``/``mst``
+is a raw ``struct`` access on the MRAM data bytearray behind the same
+test :meth:`repro.metal.mram.Mram._check_data` makes — one alignment
+test and one compare against the data-segment size, which the prologue
+reads once — raising the BUS_ERROR trap ``execute()`` would.  The check
+is exact at every site, so no site needs a static proof.
 
 Calling convention (both namespaces)::
 
@@ -73,6 +70,7 @@ from repro.cpu import alu
 from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import _mem_width, execute
 from repro.cpu.tcache import (
+    _PLAIN_METAL_MNEMONICS,
     F_CSR,
     F_STORE,
     F_SYNC,
@@ -114,9 +112,6 @@ _TIMING_LOCALS = {
     "_men": "menter_cost",
     "_mex": "mexit_cost",
 }
-
-_PLAIN_METAL = frozenset(("rmr", "wmr", "mld", "mst"))
-
 
 def _r(n: int) -> str:
     """Source expression for guest register *n* (x0 reads are literal)."""
@@ -193,10 +188,9 @@ def _branch_cond(m: str, a: str, b: str) -> str:
 class _Codegen:
     """One block → one Python source string (+ its exec namespace)."""
 
-    def __init__(self, block, mem: bool, proven_pcs):
+    def __init__(self, block, mem: bool):
         self.block = block
         self.mem = mem
-        self.proven = proven_pcs
         self.ns = dict(_BASE_NS)
         self.lines = []
         self.indent = 1
@@ -274,7 +268,8 @@ class _Codegen:
                         "_dx" if m.startswith(("div", "rem")) else "_mx")
                     inlined += 1
                     continue
-                if cls is InstrClass.METAL and instr.mnemonic in _PLAIN_METAL:
+                if (cls is InstrClass.METAL
+                        and instr.mnemonic in _PLAIN_METAL_MNEMONICS):
                     m = instr.mnemonic
                     if m == "rmr":
                         track.add(instr.rd)
@@ -282,16 +277,14 @@ class _Codegen:
                     elif m == "wmr":
                         track.add(instr.rs1)
                         inlined += 1
-                    elif pc in self.proven:
-                        # MAS-proven in-bounds mld/mst: raw data access.
-                        self.trapping = True  # alignment check remains
+                    else:
+                        # mld/mst: raw data access behind the segment check.
+                        self.trapping = True
                         if m == "mld":
                             track.update((instr.rs1, instr.rd))
                         else:
                             track.update((instr.rs1, instr.rs2))
                         inlined += 1
-                    else:
-                        self._note_generic()
                     continue
                 self._note_generic()
                 continue
@@ -342,7 +335,8 @@ class _Codegen:
                 self.flush_units()
                 self._emit_muldiv(instr)
                 return
-            if cls is InstrClass.METAL and instr.mnemonic in _PLAIN_METAL:
+            if (cls is InstrClass.METAL
+                    and instr.mnemonic in _PLAIN_METAL_MNEMONICS):
                 m = instr.mnemonic
                 if m == "rmr":
                     if instr.rd:
@@ -351,12 +345,9 @@ class _Codegen:
                 elif m == "wmr":
                     self.emit(f"_mrw({instr.rd}, {_r(instr.rs1)})")
                     self.units += 1
-                elif pc in self.proven:
-                    self.flush_units()
-                    self._emit_proven_access(instr, pc)
                 else:
                     self.flush_units()
-                    self._emit_generic(index, instr, pc, flags)
+                    self._emit_data_access(instr, pc)
                 return
             self.flush_units()
             self._emit_generic(index, instr, pc, flags)
@@ -439,11 +430,11 @@ class _Codegen:
         self.abort(pc + 4)
         self.indent -= 1
 
-    def _emit_proven_access(self, instr, pc: int) -> None:
-        """MAS-licensed mld/mst: bounds guard elided, alignment kept."""
+    def _emit_data_access(self, instr, pc: int) -> None:
+        """mld/mst: the data-segment check, then a raw word access."""
         self.emit(f"epc = {pc}")
         self.emit(f"_o = ({_r(instr.rs1)} + {instr.imm}) & 4294967295")
-        self.emit("if _o & 3:")
+        self.emit("if _o & 3 or _o >= _dn:")
         self.emit("    raise TrapException(CAUSE_BUS_ERROR, _o)")
         if instr.mnemonic == "mld":
             if instr.rd:
@@ -638,6 +629,8 @@ class _Codegen:
                 self.emit("_mrw = core.metal.mregs.write")
             if "(data, _o" in body_text:
                 self.emit("data = core.metal.mram.data")
+            if "_o >= _dn" in body_text:
+                self.emit("_dn = core.metal.mram.data_bytes")
         self.reload()
         self.emit("retired = 0")
         self.emit("loops = 0")
@@ -650,16 +643,10 @@ class _Codegen:
         return "\n".join(self.lines) + "\n"
 
 
-def compile_block(block, mram: bool, proven_pcs=frozenset()):
+def compile_block(block, mram: bool):
     """Tier-2 compile a block of the mem or (*mram*) the mram
-    namespace, or ``None`` to decline.
-
-    *proven_pcs* are the code byte offsets of ``mld``/``mst`` sites the
-    MAS interval pass proved in-bounds (``MetalImage.proven_data_pcs``);
-    those sites compile to raw data-segment accesses, all others keep
-    the guarded ``execute()`` dispatch.
-    """
-    gen = _Codegen(block, not mram, proven_pcs)
+    namespace, or ``None`` to decline."""
+    gen = _Codegen(block, not mram)
     source = gen.generate()
     if source is None:
         return None

@@ -411,10 +411,6 @@ class TranslationCache:
         self._mem_pages = {}    # page number -> set of start pcs
         self._mram = {}         # start offset -> Block
         self._mram_version = None
-        #: Callable returning the proven in-bounds mld/mst site pcs of
-        #: the loaded image (see MetalImage.proven_data_pcs), or None.
-        self._mram_proven = None
-        self._proven_pcs = frozenset()
 
     # ------------------------------------------------------------------
     # dispatch (normal mode, main memory)
@@ -471,20 +467,6 @@ class TranslationCache:
     # ------------------------------------------------------------------
     # dispatch (Metal mode, MRAM)
     # ------------------------------------------------------------------
-    def set_mram_facts(self, proven) -> None:
-        """Install the analysis-facts provider for the mram namespace.
-
-        *proven* is a zero-argument callable returning the code pcs of
-        ``mld``/``mst`` sites the interval pass proved in-bounds, which
-        licenses MJIT's per-site guard elision.  It is re-invoked
-        whenever the MRAM code version changes, so ``reload_mroutines``
-        naturally refreshes the facts along with the blocks they
-        describe.
-        """
-        self._mram_proven = proven
-        self._proven_pcs = frozenset(proven()) if proven is not None \
-            else frozenset()
-
     def mram_block(self, pc: int, mram):
         """Cached (or freshly compiled) MRAM block at offset *pc*, or None."""
         version = mram.code_version
@@ -503,9 +485,6 @@ class TranslationCache:
                 if self.sink is not None:
                     self.sink.tcache_event("flush", "mram", 0, count)
             self._mram_version = version
-            # The new image has new routines — and new analysis facts.
-            if self._mram_proven is not None:
-                self._proven_pcs = frozenset(self._mram_proven())
         block = self._mram.get(pc)
         if block is not None:
             self.stats.hits += 1
@@ -555,15 +534,10 @@ class TranslationCache:
         Returns the compiled function (also cached on ``block.jit_fn``)
         or ``None`` when the codegen declined the block — then ``heat``
         is parked at the cold sentinel so the attempt is never repeated.
-        mram blocks get the interval pass's proven in-bounds site pcs,
-        so the codegen elides the runtime bounds guard at exactly the
-        accesses MAS licensed (any other ``mld``/``mst`` keeps the
-        guarded ``execute()`` dispatch).
         """
         from repro.cpu import jit as mjit
         t0 = perf_counter()
-        fn = mjit.compile_block(
-            block, mram, self._proven_pcs if mram else frozenset())
+        fn = mjit.compile_block(block, mram)
         self.stats.jit_compile_ms += (perf_counter() - t0) * 1e3
         if fn is None:
             block.heat = _JIT_COLD
@@ -581,19 +555,12 @@ class TranslationCache:
         The MVTV translation validator (``repro.verify``) harvests the
         corpus through this: every block MJIT has compiled and not since
         invalidated, with the namespace label (``"mem"``/``"mram"``)
-        the validator needs to pick the calling convention and the
-        proven-access facts (:attr:`proven_pcs`) that licensed it.
+        the validator needs to pick the calling convention.
         """
         for ns, table in (("mem", self._mem), ("mram", self._mram)):
             for block in table.values():
                 if block.valid and block.jit_fn is not None:
                     yield ns, block
-
-    @property
-    def proven_pcs(self) -> frozenset:
-        """The MAS-proven in-bounds mld/mst site pcs currently licensing
-        MJIT guard elision in the mram namespace."""
-        return self._proven_pcs
 
     def tier_of(self, ns: str, pc: int):
         """Execution tier of the cached block headed at *pc*: ``"jit"``,

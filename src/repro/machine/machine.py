@@ -227,9 +227,8 @@ class Machine:
         MRAM data, and only the new routines are assembled, MAS-verified
         and packed past the image's high-water marks.  The MRAM write
         bumps ``code_version``, so the translation cache lazily drops
-        its mram-namespace translations and re-reads the (now updated)
-        purity facts on the next mram dispatch — no explicit flush is
-        needed, and guest-visible state is untouched.
+        its mram-namespace translations on the next mram dispatch — no
+        explicit flush is needed, and guest-visible state is untouched.
 
         Returns the appended routines (with facts attached).
         """

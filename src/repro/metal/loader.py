@@ -46,27 +46,6 @@ class MetalImage:
     #: image was built with ``verify=False``).
     analysis: dict = field(default_factory=dict, repr=False)
 
-    def proven_data_pcs(self):
-        """Code-segment byte offsets of ``mld``/``mst`` instructions whose
-        addresses the MAS interval pass proved inside the routine's
-        allowed data ranges (``facts.proven_access_words``).
-
-        MJIT (:mod:`repro.cpu.jit`) elides the runtime bounds guard at
-        exactly these sites when compiling mroutine blocks; a site
-        absent from this set keeps the guarded ``execute()`` dispatch.
-        """
-        pcs = []
-        for name, result in self.analysis.items():
-            words = getattr(result.facts, "proven_access_words", ())
-            if not words:
-                continue
-            routine = self.routines.get(name)
-            if routine is None or routine.code_words is None:
-                continue
-            base = routine.code_offset
-            pcs.extend(base + 4 * w for w in words)
-        return sorted(pcs)
-
     def entry_offset(self, entry: int) -> int:
         """MRAM byte offset of mroutine *entry* (menter target)."""
         try:
@@ -205,10 +184,11 @@ def append_mroutines(image: MetalImage, routines, verify: bool = True) -> list:
     committed: on failure nothing is partially loaded and the image is
     unchanged.  The commit goes through :meth:`Mram.write_code`, which
     bumps ``code_version`` — the translation cache's lazy mram-namespace
-    check observes the bump, drops every mram translation and re-reads
-    ``proven_data_pcs()`` through the image, which this function has
-    already updated in place (routines, entry table, symbols,
-    ``analysis``, high-water marks).
+    check observes the bump and drops every mram translation.  The image
+    is updated in place (routines, entry table, symbols, ``analysis``,
+    high-water marks): the profiler's loop attribution reads
+    ``analysis``, and the next append allocates past
+    ``code_used_bytes``.
 
     Returns the appended routines (with ``code_offset``/``facts`` filled
     in).
@@ -281,7 +261,7 @@ def append_mroutines(image: MetalImage, routines, verify: bool = True) -> list:
     # Commit: mutate the image in place, then write MRAM.  write_code
     # bumps mram.code_version, which is what downstream caches key on —
     # it must happen *after* the image reflects the new routines so the
-    # lazy re-read sees consistent facts.
+    # first dispatch after the bump sees the complete image.
     for routine in routines:
         image.routines[routine.name] = routine
         image.by_entry[routine.entry] = routine

@@ -64,8 +64,9 @@ EMUL = MRoutine(name="emul", entry=1, source="""
     mexitm
 """, shared_mregs=(13, 14))
 
-#: Pure spin mroutine for the mcode_heavy workload: MAS proves it free
-#: of RAM access, so MJIT may compile its blocks.
+#: Register-only spin mroutine for the mcode_heavy workload: a tight
+#: self-loop, which MJIT compiles like every hot mram block on the
+#: functional engine.
 SPIN = MRoutine(name="spin", entry=0, source="""
     li   t0, 24
 spin_loop:

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 DEFAULT_BUDGET = 2_000_000
 
 #: Hard cap any request may ask for (keeps one request from pinning a
-#: shard for minutes; raise via FleetConfig.max_budget if you mean it).
+#: shard for minutes).
 MAX_BUDGET = 50_000_000
 
 #: Largest inline source accepted, in bytes.
@@ -100,6 +100,12 @@ def workload_names() -> tuple:
     return tuple(WORKLOADS)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true``/``false`` parse to ``bool``, an ``int``
+    subclass, and are not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_request(body: dict, job_id: str,
                   default_budget: int = DEFAULT_BUDGET) -> JobSpec:
     """Validate a ``POST /run`` body into a :class:`JobSpec`.
@@ -121,7 +127,7 @@ def parse_request(body: dict, job_id: str,
         raise ServeRejected(error_dict(
             "bad_request", f"unknown engine {engine!r}"))
     budget = body.get("max_instructions", default_budget)
-    if not isinstance(budget, int) or not 0 < budget <= MAX_BUDGET:
+    if not _is_int(budget) or not 0 < budget <= MAX_BUDGET:
         raise ServeRejected(error_dict(
             "bad_request",
             f"max_instructions must be an int in (0, {MAX_BUDGET}]"))
@@ -135,7 +141,7 @@ def parse_request(body: dict, job_id: str,
                 f"unknown workload {workload!r} "
                 f"(have: {', '.join(sorted(WORKLOADS))})"))
         iters = body.get("iters", WORKLOADS[workload].default_iters)
-        if not isinstance(iters, int) or not 0 < iters <= 10_000_000:
+        if not _is_int(iters) or not 0 < iters <= 10_000_000:
             raise ServeRejected(error_dict(
                 "bad_request", "iters must be an int in (0, 10000000]"))
         return JobSpec(
@@ -150,7 +156,7 @@ def parse_request(body: dict, job_id: str,
         raise ServeRejected(error_dict(
             "bad_request", f"source exceeds {MAX_SOURCE_BYTES} bytes"))
     base = body.get("base", DEFAULT_BASE)
-    if not isinstance(base, int) or base < 0 or base % 4:
+    if not _is_int(base) or base < 0 or base % 4:
         raise ServeRejected(error_dict(
             "bad_request", "base must be a non-negative word-aligned int"))
     label = body.get("label", "user_program")

@@ -96,6 +96,10 @@ class ServeApp:
                     content_length = int(value.strip())
                 except ValueError:
                     content_length = 0
+        if content_length < 0:
+            return 400, {"status": "error",
+                         "error": error_dict("bad_request",
+                                             "negative Content-Length")}
         if content_length > MAX_BODY_BYTES:
             return 413, {"status": "error",
                          "error": error_dict("bad_request",

@@ -13,7 +13,7 @@ features automatically.  The pipeline (``python -m repro synth``):
    provenance and an optional invocation counter), register-allocated
    against the image's free mreg pool, and append it to the live
    :class:`~repro.metal.loader.MetalImage` through the loader's
-   append path (MAS re-verifies; tcache MAS facts refresh lazily);
+   append path (MAS re-verifies; the tcache drops stale mram blocks);
 3. **rewrite** (:mod:`repro.synth.rewrite`) — patch the guest program
    to invoke the new mroutine via ``menter`` (length-preserving inline
    patch, ``jal`` trampoline fall-back);

@@ -7,8 +7,9 @@ runs the whole loop on three machines of identical shape:
 * a **baseline** machine measures the unmodified program and its
   architectural digest;
 * a **rewritten** machine gets the synthesized routines appended to its
-  live image (through the loader's append path, so the MAS facts the
-  tcache reads refresh) and runs the patched program.
+  live image (through the loader's append path, so MAS verifies them
+  and the tcache drops its stale mram blocks) and runs the patched
+  program.
 
 The architectural digest covers GPRs, pc, halt state, console output
 and guest RAM with exactly the patched byte ranges masked — cycle and

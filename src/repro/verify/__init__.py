@@ -1,6 +1,6 @@
 """MVTV: static verification of the JIT tier and host invariants.
 
-Three passes, exposed via ``python -m repro verify`` (see
+Two passes, exposed via ``python -m repro verify`` (see
 ``docs/VALIDATION.md``):
 
 ``translation``
@@ -11,17 +11,11 @@ Three passes, exposed via ``python -m repro verify`` (see
     abort/trap exit protocol — and an ``ast``-based symbolic evaluator
     of the generated Python source builds the *candidate summary*.
     The block is proven equivalent iff the two summaries are
-    structurally identical after canonicalisation.
+    structurally identical after canonicalisation.  That includes the
+    MRAM data-segment check (alignment and bound) at every compiled
+    ``mld``/``mst``, so no separate audit of those accesses is needed.
 
-``elision``
-    Soundness audit of MAS-licensed bounds-guard elision: the in-bounds
-    facts (``RoutineFacts.proven_access_words`` /
-    ``MetalImage.proven_data_pcs``) are re-derived independently by
-    interval-evaluating the symbolic address expressions over the
-    routine CFG, so a bounds-pass bug can never silently license an
-    unguarded MRAM access.
-
-``hostlint``
+``host``
     Host-invariant ``ast`` lints over the repro codebase itself:
     snapshot-completeness (every mutable field a state-bearing class
     assigns in ``__init__`` must be captured by

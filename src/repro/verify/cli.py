@@ -1,12 +1,11 @@
 """``python -m repro verify`` — MVTV static verification.
 
-Three passes (all on by default, selectable with ``--passes``):
+Two passes (both on by default, selectable with ``--passes``):
 
 * ``translation`` — symbolic translation validation of every block
   MJIT compiles across a conformance-generator seed sweep
-  (:mod:`repro.verify.corpus`);
-* ``elision`` — the bounds-guard elision soundness audit over every
-  bundled mcode application (:mod:`repro.verify.elision`);
+  (:mod:`repro.verify.corpus`), including the MRAM data-segment check
+  at every compiled ``mld``/``mst``;
 * ``host`` — the snapshot- and eviction-completeness lints over the
   host sources (:mod:`repro.verify.hostlint`).
 
@@ -24,7 +23,7 @@ import json
 import sys
 
 SMOKE_SEEDS = 500
-PASS_CHOICES = ("translation", "elision", "host")
+PASS_CHOICES = ("translation", "host")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="first seed (sweep covers base..base+N-1)")
     parser.add_argument("--passes", action="append", choices=PASS_CHOICES,
                         help="run only this pass (repeatable; "
-                             "default: all three)")
+                             "default: both)")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the machine-readable report here")
     parser.add_argument("--smoke", action="store_true",
@@ -85,23 +84,6 @@ def verify_main(argv=None) -> int:
               f"({report.mem_blocks} mem, {report.mram_blocks} mram; "
               f"{report.blocks_seen} seen), "
               f"{len(report.findings)} finding(s)")
-
-    if "elision" in passes:
-        from repro.analysis.lint import APPS
-        from repro.verify.elision import audit_apps
-
-        stats = {}
-        elision_findings = audit_apps(stats=stats)
-        findings.extend(elision_findings)
-        payload["elision"] = {
-            "apps": sorted(APPS),
-            "routines": stats.get("routines", 0),
-            "claimed_sites": stats.get("claimed_sites", 0),
-        }
-        print(f"[elision] {len(APPS)} app(s), "
-              f"{stats.get('routines', 0)} routine(s): "
-              f"{stats.get('claimed_sites', 0)} MAS-proven access site(s) "
-              f"re-derived, {len(elision_findings)} finding(s)")
 
     if "host" in passes:
         from repro.verify.hostlint import (

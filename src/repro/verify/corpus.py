@@ -74,7 +74,6 @@ def validate_corpus(seeds, config=None, progress=None) -> CorpusReport:
     seen = set()
     for i, seed in enumerate(seeds):
         tcache = harvest_seed(seed, config)
-        proven = tcache.proven_pcs
         for ns, block in tcache.iter_jit_blocks():
             report.blocks_seen += 1
             key = (ns, block.jit_fn.__jit_source__)
@@ -86,8 +85,7 @@ def validate_corpus(seeds, config=None, progress=None) -> CorpusReport:
                 report.mem_blocks += 1
             else:
                 report.mram_blocks += 1
-            report.findings.extend(validate_block(
-                ns, block, proven if ns == "mram" else frozenset()))
+            report.findings.extend(validate_block(ns, block))
         if progress is not None:
             progress(i, report)
     return report

@@ -1,4 +1,4 @@
-"""MVTV pass 3 — host-invariant static lints.
+"""MVTV pass 2 — host-invariant static lints.
 
 Two whole-machine invariants live in the *host* Python, outside anything
 the translation validator or the MAS passes can see, and regress
@@ -32,9 +32,10 @@ without telling the translation cache:
 * any loader path that writes MRAM code into an *existing* image (the
   MSYNTH append path, as opposed to the boot path that constructs a
   fresh ``MetalImage``) must re-attach analysis results and advance the
-  image's code high-water mark in the same function — otherwise
-  ``proven_data_pcs()`` goes stale and the tcache's lazy re-read after
-  the ``code_version`` bump refreshes from wrong facts.
+  image's code high-water mark in the same function — otherwise the
+  profiler's loop attribution reads a stale ``image.analysis`` and the
+  next append allocates over live mcode from a stale
+  ``code_used_bytes``.
 
 Both lints take ``override_sources`` mapping a repo-relative path
 (under ``src/repro``) to replacement text — the mutation tests use it
@@ -501,8 +502,9 @@ def check_eviction_completeness(override_sources=None) -> list:
                 where=f"{LOADER_FILE}:{qualname}",
                 message=("appends MRAM code to an existing image without "
                          + " or ".join(missing)
-                         + " — the tcache's post-bump lazy re-read would "
-                         "refresh purity facts from a stale image"),
+                         + " — the profiler's loop attribution reads "
+                         "image.analysis, and the next append allocates "
+                         "from code_used_bytes"),
                 detail=f"line {write_sites[0].lineno}",
             ))
 

@@ -58,7 +58,7 @@ class Summary:
 class Finding:
     """One verification failure, with a precise citation."""
 
-    pass_name: str            # translation | elision | snapshot | eviction
+    pass_name: str            # translation | snapshot | eviction
     where: str                # block/routine/class citation
     message: str
     detail: str = ""

@@ -98,6 +98,7 @@ _ATTRS = {
     ("mregs", "read"): _MRRF,
     ("mregs", "write"): _MRWF,
     ("mram", "data"): _DATA,
+    ("mram", "data_bytes"): S.sym("mram.data_bytes"),
 }
 
 _STEPINFO_ATTRS = {"mem_latency": "lat", "control": "ctl",
@@ -248,9 +249,9 @@ class _Ev:
             b = self.eval(node.comparators[0], st)
             return self.compare(node.ops[0], a, b)
         if isinstance(node, ast.BoolOp):
-            if not isinstance(node.op, ast.And):
-                raise UnsupportedSource("boolean or")
-            return S.band(*(S.truth(self.eval(v, st)) for v in node.values))
+            junction = S.band if isinstance(node.op, ast.And) else S.bor
+            return junction(*(S.truth(self.eval(v, st))
+                              for v in node.values))
         if isinstance(node, ast.IfExp):
             c = S.truth(self.eval(node.test, st))
             return S.ite(c, self.eval(node.body, st),

@@ -20,10 +20,6 @@ Canonical forms:
   generated ``if/else`` merge shape with the reference's additive form;
 * boolean negation is pushed into comparisons (``not (a < b)`` is
   ``b <= a``).
-
-The same trees feed the elision audit: :func:`interval` evaluates an
-expression over an environment of unsigned intervals (see
-``repro.verify.elision``).
 """
 
 from __future__ import annotations
@@ -43,10 +39,6 @@ def _key(e) -> str:
 
 def sym(name: str):
     return ("s", name)
-
-
-def is_sym(e) -> bool:
-    return isinstance(e, tuple) and len(e) == 2 and e[0] == "s"
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +184,31 @@ def b2i(c):
     return ("b2i", c)
 
 
-def band(*conds):
+def _junction(op, unit, conds):
+    """Flattened ``band``/``bor``: *unit* is dropped, its negation wins."""
     out = []
     for c in conds:
-        if c is True:
+        if c is unit:
             continue
-        if c is False:
-            return False
-        if isinstance(c, tuple) and c and c[0] == "band":
+        if c is (not unit):
+            return not unit
+        if isinstance(c, tuple) and c and c[0] == op:
             out.extend(c[1])
         else:
             out.append(c)
     if not out:
-        return True
+        return unit
     if len(out) == 1:
         return out[0]
-    return ("band", tuple(out))
+    return (op, tuple(out))
+
+
+def band(*conds):
+    return _junction("band", True, conds)
+
+
+def bor(*conds):
+    return _junction("bor", False, conds)
 
 
 _NEG = {"==": "!=", "!=": "==", "isnone": "notnone", "notnone": "isnone"}
@@ -231,7 +232,7 @@ def not_(c):
     return ("not", c)
 
 
-_BOOL_OPS = frozenset(("==", "!=", "<", "<=", "band", "not",
+_BOOL_OPS = frozenset(("==", "!=", "<", "<=", "band", "bor", "not",
                        "isnone", "notnone", "ite"))
 
 
@@ -299,6 +300,7 @@ def render(e) -> str:
             parts.append(render(term) if coeff == 1
                          else f"{coeff}*{render(term)}")
         return "(+ " + " ".join(parts) + ")"
-    if op == "band":
-        return "(and " + " ".join(render(c) for c in e[1]) + ")"
+    if op in ("band", "bor"):
+        word = "and" if op == "band" else "or"
+        return f"({word} " + " ".join(render(c) for c in e[1]) + ")"
     return "(" + " ".join([op] + [render(x) for x in e[1:]]) + ")"

@@ -100,12 +100,11 @@ def _check_ns(where: str, block, fn, cand, findings: list) -> None:
                     f"{block.entries[idx][2]:#x}"))
 
 
-def validate_block(ns_label: str, block, proven_pcs=frozenset()):
+def validate_block(ns_label: str, block):
     """Prove one compiled block equivalent to its IR reference.
 
     Returns a list of :class:`Finding` (empty = proven equivalent).
-    *ns_label* is ``"mem"`` or ``"mram"``; *proven_pcs* the MAS facts
-    the compilation was licensed with.
+    *ns_label* is ``"mem"`` or ``"mram"``.
     """
     where = f"{ns_label}:{block.start:#x}"
     findings: list = []
@@ -117,7 +116,7 @@ def validate_block(ns_label: str, block, proven_pcs=frozenset()):
             "validate"))
         return findings
     try:
-        ref = reference_summary(block, ns_label, proven_pcs)
+        ref = reference_summary(block, ns_label)
     except UnsupportedBlock as exc:
         findings.append(Finding(
             PASS, where, "block shape outside the reference model "

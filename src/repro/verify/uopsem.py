@@ -35,6 +35,10 @@ SIGN = S.SIGN
 #: METAL mnemonics that stay straight-line inside an mroutine.
 PLAIN_METAL = frozenset(("rmr", "wmr", "mld", "mst"))
 
+#: Size of the MRAM data segment: ``mld``/``mst`` offsets at or past it
+#: take the BUS_ERROR trap, like misaligned ones.
+DATA_BYTES = S.sym("mram.data_bytes")
+
 #: Load/store access widths (independent transcription of the ISA).
 WIDTHS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4,
           "sb": 1, "sh": 2, "sw": 4}
@@ -134,7 +138,7 @@ class BlockInfo:
     nlen: int = 0
 
 
-def scan_block(block, proven_pcs) -> BlockInfo:
+def scan_block(block) -> BlockInfo:
     """Classify every entry exactly as a correct compilation must."""
     tracked = set()
     written = set()
@@ -181,16 +185,13 @@ def scan_block(block, proven_pcs) -> BlockInfo:
                     written.add(instr.rd)
                 elif m == "wmr":
                     tracked.add(instr.rs1)
-                elif pc in proven_pcs:
+                else:
                     trapping = True
                     if m == "mld":
                         tracked.update((instr.rs1, instr.rd))
                         written.add(instr.rd)
                     else:
                         tracked.update((instr.rs1, instr.rs2))
-                else:
-                    trapping = True
-                    has_generic = True
                 continue
             trapping = True
             has_generic = True
@@ -276,10 +277,9 @@ def _esym(k: int, what: str):
 # ---------------------------------------------------------------------------
 
 class _Ref:
-    def __init__(self, block, mem: bool, proven_pcs):
+    def __init__(self, block, mem: bool):
         self.block = block
-        self.proven = proven_pcs
-        self.info = scan_block(block, proven_pcs)
+        self.info = scan_block(block)
         self.ml = S.sym("T.mem_latency" if mem else "T.mram_fetch")
         self.bc = S.ite(S.lt(1, self.ml), self.ml, 1)
         self.me = S.ite(S.lt(1, self.ml), S.add(self.ml, -1), 0)
@@ -404,21 +404,21 @@ class _Ref:
         self.st.alloc(("mrw", instr.rd, self.reg(instr.rs1, self.st)))
         self.units += 1
 
-    def do_proven(self, instr, pc: int) -> None:
+    def do_data_access(self, instr, pc: int) -> None:
         st = self.st
         st.epc = pc
         o = S.mask32(S.add(self.reg(instr.rs1, st), instr.imm))
-        misaligned = S.truth(S.and_(o, 3))
-        if misaligned is True:
+        # Misaligned or outside [0, data size): one fork to BUS_ERROR.
+        bad = S.bor(S.truth(S.and_(o, 3)), S.le(DATA_BYTES, o))
+        if bad is True:
             site = st.alloc(("raise", int(Cause.BUS_ERROR), o))
             self.trap(st, site, lv=1)
             self.st = None  # statically always-trapping: path ends here
             return
-        if misaligned is not False:
-            tr = st.fork(misaligned)
-            site = tr.alloc(("raise", int(Cause.BUS_ERROR), o))
-            self.trap(tr, site, lv=1)
-            st.path.append(S.not_(misaligned))
+        tr = st.fork(bad)
+        site = tr.alloc(("raise", int(Cause.BUS_ERROR), o))
+        self.trap(tr, site, lv=1)
+        st.path.append(S.not_(bad))
         if instr.mnemonic == "mld":
             if instr.rd:
                 k = st.alloc(("upk", o))
@@ -639,12 +639,9 @@ class _Ref:
                         self.do_rmr(instr)
                     elif m == "wmr":
                         self.do_wmr(instr)
-                    elif pc in self.proven:
-                        self.flush_units(self.st)
-                        self.do_proven(instr, pc)
                     else:
                         self.flush_units(self.st)
-                        self.do_generic(index, instr, pc, flags)
+                        self.do_data_access(instr, pc)
                     continue
                 self.flush_units(self.st)
                 self.do_generic(index, instr, pc, flags)
@@ -670,11 +667,9 @@ class _Ref:
                        entry=self.entry)
 
 
-def reference_summary(block, ns: str, proven_pcs=frozenset()) -> Summary:
+def reference_summary(block, ns: str) -> Summary:
     """The summary a correct tier-2 compilation of *block* must have.
 
-    *ns* is ``"mem"`` or ``"mram"``; *proven_pcs* are the MAS-proven
-    in-bounds ``mld``/``mst`` site pcs the codegen was licensed to
-    elide (the elision audit validates the license itself).
+    *ns* is ``"mem"`` or ``"mram"``.
     """
-    return _Ref(block, ns == "mem", frozenset(proven_pcs)).build()
+    return _Ref(block, ns == "mem").build()

@@ -6,8 +6,7 @@ Three layers:
   pass at the *right* word;
 * no-false-positives — every bundled mcode application lints clean
   (zero error diagnostics) under the strict :data:`LINT_CONFIG`;
-* the purity handoff — facts flow loader → image → translation cache,
-  where they decide only which mram blocks MJIT may compile; every
+* the purity facts — they flow loader → image and gate nothing: every
   mroutine, store-free or not, retires on the unguarded block loop with
   results bit-identical to the interpreter's.
 """

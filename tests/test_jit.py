@@ -2,9 +2,10 @@
 
 The closure tier (tcache) is covered by the differential fuzzer and the
 tcache tests; this file pins the *compiler*: the exact Python source
-generated for a known block (golden snapshot), guard elision engaging
-only at MAS-proven access sites, guest-RAM access compiled inside mram
-blocks, and every eviction path dropping compiled code.  Bit-identity
+generated for a known block (golden snapshot), MRAM data accesses
+compiled inline behind the data-segment check (and trapping exactly
+like the interpreter), guest-RAM access compiled inside mram blocks,
+and every eviction path dropping compiled code.  Bit-identity
 of tier-2 execution against the interpreter is fuzzed in
 ``tests/test_superblock_differential.py``.
 """
@@ -13,7 +14,10 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro import MRoutine, build_metal_machine
+from repro.errors import GuestPanic
 from repro.machine.builder import MachineConfig
 
 CODE_BASE = 0x1000
@@ -28,8 +32,8 @@ loop:
     halt
 """
 
-#: Constant-offset MRAM accesses: the interval pass proves both sites
-#: in-bounds, licensing MJIT's guard elision.
+#: Constant-offset MRAM accesses (the interval pass proves both sites
+#: in-bounds).
 ACC = MRoutine(name="acc", entry=1, data_words=4, source="""
     mld x5, ACC_DATA+0(x0)
     addi x5, x5, 1
@@ -39,13 +43,23 @@ ACC = MRoutine(name="acc", entry=1, data_words=4, source="""
 """)
 
 #: MReg-indexed MRAM access: in range at runtime (m20 stays 0) but the
-#: interval pass cannot bound an ``rmr`` result, so the site is
-#: unproven and must keep the guarded ``execute()`` dispatch.
+#: interval pass cannot bound an ``rmr`` result, so the site is unproven.
 IDX = MRoutine(name="idx", entry=1, data_words=4, mregs=(20,), source="""
     rmr x6, m20
     mld x7, IDX_DATA(x6)
     addi x7, x7, 1
     mst x7, IDX_DATA(x6)
+    mexitm
+""")
+
+#: Separately mreg-indexed ``mld`` (m20) and ``mst`` (m21), for driving
+#: either access out of the data segment from the host.
+OOB = MRoutine(name="oob", entry=1, data_words=4, mregs=(20, 21), source="""
+    rmr x6, m20
+    rmr x7, m21
+    mld x5, OOB_DATA(x6)
+    addi x5, x5, 1
+    mst x5, OOB_DATA(x7)
     mexitm
 """)
 
@@ -142,50 +156,78 @@ def test_tier_of_reports_jit():
 
 
 # ---------------------------------------------------------------------------
-# MAS-licensed guard elision
+# MRAM data accesses: inline behind the data-segment check
 # ---------------------------------------------------------------------------
-def test_guard_elision_with_proven_facts():
-    """Constant-offset ``mld``/``mst`` sites the interval pass proved
-    in-bounds compile to direct byte-array access (``_upk``/``_pk``)
-    with only the alignment guard kept."""
-    m = _machine([ACC])
-    image = m.metal_image
-    assert image.analysis["acc"].facts.proven_access_words, (
-        "interval pass failed to prove the constant-offset accesses")
-    assert m.sim.tcache._proven_pcs, "proven pcs never reached the tcache"
-    r = m.load_and_run(MENTER_LOOP, base=CODE_BASE)
-    assert r.instructions > 0
-    sources = _jit_sources(m)
-    assert sources, "no mram block was tier-2 compiled"
-    body = "\n".join(sources.values())
-    assert "_upk(data" in body and "_pk(data" in body, (
-        "proven accesses were not elided to direct array access")
-    assert "CAUSE_BUS_ERROR, _o" in body   # alignment guard stays
-
-
-def test_guard_elision_requires_facts():
-    """An access the interval pass cannot bound (mreg-indexed) keeps the
-    guarded ``execute()`` dispatch — elision only ever follows a proof."""
-    m = _machine([IDX])
-    assert not m.metal_image.analysis["idx"].facts.proven_access_words
+def _assert_mram_access_inline(routine, proven):
+    """Run *routine* hot and check its ``mld``/``mst`` compiled to direct
+    byte-array access (``_upk``/``_pk``) behind the alignment and bound
+    test, with ``execute()`` dispatching only the ``mexitm`` terminator."""
+    m = _machine([routine])
+    facts = m.metal_image.analysis[routine.name].facts
+    assert facts.proven_accesses == proven
     m.load_and_run(MENTER_LOOP, base=CODE_BASE)
     sources = _jit_sources(m)
     assert sources, "no mram block was tier-2 compiled"
     body = "\n".join(sources.values())
-    assert "_upk(data" not in body and "_pk(data" not in body
-    assert "execute(core" in body
+    assert "_upk(data" in body and "_pk(data" in body
+    assert "if _o & 3 or _o >= _dn:" in body
+    assert "_dn = core.metal.mram.data_bytes" in body
+    for block in m.sim.tcache._mram.values():
+        if block.jit_fn is None:
+            continue
+        ns = block.jit_fn.__globals__
+        dispatched = {block.entries[int(key[2:])][0].mnemonic
+                      for key in ns if key.startswith("_i")}
+        assert dispatched <= {"mexitm"}, dispatched
 
 
-def test_elision_parity_with_interpreter():
-    """The elided routine is bit-identical to the interpreter run."""
-    results = {}
+def test_proven_mram_access_compiles_inline():
+    """Constant-offset sites MAS proves in-bounds compile inline and
+    still keep the bound test."""
+    _assert_mram_access_inline(ACC, proven=2)
+
+
+def test_unproven_mram_access_compiles_inline():
+    """An mreg-indexed site MAS cannot bound compiles inline exactly
+    like a proven one, never to an ``execute()`` dispatch."""
+    _assert_mram_access_inline(IDX, proven=0)
+
+
+def test_mram_data_access_parity_with_interpreter():
+    """Both routines are bit-identical to the tcache-off run."""
+    for routine in (ACC, IDX):
+        results = {}
+        for tcache in (False, True):
+            m = _machine([routine], tcache=tcache)
+            r = m.load_and_run(MENTER_LOOP, base=CODE_BASE)
+            results[tcache] = (r.instructions, r.cycles, list(m.core.regs),
+                               bytes(m.core.metal.mram.data))
+        assert m.perf.tcache.jit_instructions > 0
+        assert results[False] == results[True], routine.name
+
+
+@pytest.mark.parametrize("mreg", [20, 21], ids=["mld", "mst"])
+@pytest.mark.parametrize("where", ["misaligned", "data_bytes"])
+def test_mram_data_trap_parity(mreg, where):
+    """An ``mld``/``mst`` offset that is misaligned, or at the end of the
+    data segment, raises the same double-fault panic at tier 2 as in the
+    interpreter, with the same instret, cycles and registers."""
+    outcomes = {}
     for tcache in (False, True):
-        m = _machine([ACC], tcache=tcache)
-        r = m.load_and_run(MENTER_LOOP, base=CODE_BASE)
-        results[tcache] = (r.instructions, r.cycles, list(m.core.regs),
-                           bytes(m.core.metal.mram.data))
-    assert m.perf.tcache.jit_instructions > 0
-    assert results[False] == results[True]
+        m = _machine([OOB], tcache=tcache)
+        mram = m.core.metal.mram
+        base = m.metal_image.routines["oob"].data_offset
+        index = 2 if where == "misaligned" else mram.data_bytes - base
+        m.core.metal.mregs.write(mreg, index)
+        with pytest.raises(GuestPanic) as exc:
+            m.load_and_run(MENTER_LOOP, base=CODE_BASE)
+        outcomes[tcache] = (str(exc.value), m.core.instret, m.cycles,
+                            list(m.core.regs))
+        if tcache:
+            assert m.perf.tcache.jit_instructions > 0
+            assert _jit_sources(m), "the trapping block was not compiled"
+    assert "double fault" in outcomes[False][0]
+    assert outcomes[False] == outcomes[True]
 
 
 def test_mram_block_compiles_guest_ram_access():

@@ -267,6 +267,11 @@ def test_parse_request_source_config_key_is_content_addressed():
     ({"workload": "tight_loop", "engine": "quantum"}, "engine"),
     ({"workload": "tight_loop", "max_instructions": 0}, "max_instructions"),
     ({"source": "_start:\n halt\n", "base": 0x1001}, "aligned"),
+    # JSON booleans are not integers (bool subclasses int in Python).
+    ({"workload": "tight_loop", "max_instructions": True},
+     "max_instructions"),
+    ({"workload": "tight_loop", "iters": True}, "iters"),
+    ({"source": "_start:\n halt\n", "base": False}, "base"),
 ])
 def test_parse_request_rejections(body, fragment):
     with pytest.raises(ServeRejected) as exc:
@@ -390,11 +395,14 @@ def test_fleet_stop_fails_pending_futures():
 
 # -- the HTTP front end ------------------------------------------------------
 
-async def _http_request(host, port, method, path, body=None):
+async def _http_request(host, port, method, path, body=None,
+                        content_length=None):
     reader, writer = await asyncio.open_connection(host, port)
     payload = json.dumps(body).encode() if body is not None else b""
+    if content_length is None:
+        content_length = len(payload)
     writer.write((f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-                  f"Content-Length: {len(payload)}\r\n"
+                  f"Content-Length: {content_length}\r\n"
                   f"Connection: close\r\n\r\n").encode() + payload)
     await writer.drain()
     raw = await reader.read()
@@ -452,6 +460,12 @@ def test_http_server_end_to_end():
             status, body = await _http_request(host, port, "POST",
                                                "/metrics")
             assert status == 405
+            # A negative Content-Length is the client's error, not a
+            # simulator failure.
+            status, body = await _http_request(host, port, "POST", "/run",
+                                               content_length=-1)
+            assert status == 400
+            assert body["error"]["kind"] == "bad_request"
         finally:
             server.close()
             fl.stop()

@@ -75,8 +75,8 @@ def test_missing_code_version_bump_is_detected():
 
 def test_missing_append_fact_refresh_is_detected():
     # The MSYNTH append path writes MRAM code into an existing image; if
-    # it stops re-attaching the analysis results, the tcache's post-bump
-    # lazy re-read would refresh purity facts from a stale image.
+    # it stops re-attaching the analysis results, the profiler's loop
+    # attribution reads a stale image.analysis for the new routines.
     override = _mutated(
         "metal/loader.py",
         "    image.analysis.update(analysis)\n",
@@ -123,7 +123,7 @@ def test_missing_jit_eviction_is_detected():
 
 def test_lint_registry_covers_all_bundled_apps():
     """Every mcode module that exports mroutine factories must be in
-    APPS — a new app cannot dodge the lint (or the elision audit)."""
+    APPS — a new app cannot dodge the lint."""
     mcode = _SRC_ROOT / "mcode"
     modules = {p.stem for p in mcode.glob("*.py")} - {"__init__"}
     factories = {stem for stem in modules

@@ -8,9 +8,10 @@ Four angles:
   three representative hand-written blocks are pinned byte-for-byte
   (``tests/golden/verify_*.txt``), so canonicalisation changes surface
   as diffs rather than silent behaviour shifts;
-* mutation detection — seeding a codegen template bug or a loop-guard
-  bug makes the validator fail the affected block with a precise
-  citation (the acceptance property: a wrong compiler cannot pass);
+* mutation detection — seeding a codegen template bug, a loop-guard
+  bug or a missing MRAM data-segment bound makes the validator fail the
+  affected block with a precise citation (the acceptance property: a
+  wrong compiler cannot pass);
 * exhaustiveness — every uop IR kind and every ALU/branch mnemonic the
   execution model dispatches has a validator rule, so adding a new one
   without teaching the validator fails this suite.
@@ -23,7 +24,7 @@ import pathlib
 
 import pytest
 
-from repro import build_metal_machine
+from repro import MRoutine, build_metal_machine
 from repro.errors import ExecutionLimitExceeded
 from repro.cpu import alu, jit
 from repro.cpu import tcache as tcache_mod
@@ -81,9 +82,30 @@ loop:
 """
 
 
-def _machine():
+#: An mroutine whose ``mld``/``mst`` index comes from an mreg, called
+#: in a loop: the compiled mram block carries the data-segment check.
+IDX = MRoutine(name="idx", entry=1, data_words=4, mregs=(20,), source="""
+    rmr x6, m20
+    mld x7, IDX_DATA(x6)
+    addi x7, x7, 1
+    mst x7, IDX_DATA(x6)
+    mexitm
+""")
+
+MENTER_LOOP = """
+_start:
+    li s0, 10
+loop:
+    menter 1
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+
+
+def _machine(routines=()):
     machine = build_metal_machine(
-        [], config=MachineConfig(with_caches=False))
+        list(routines), config=MachineConfig(with_caches=False))
     machine.sim.tcache.jit_threshold = 1
     return machine
 
@@ -181,6 +203,30 @@ def test_detects_broken_loop_guard(monkeypatch):
     for ns, block in machine.sim.tcache.iter_jit_blocks():
         findings.extend(validate_block(ns, block))
     assert findings, "broken self-loop guard was not detected"
+
+
+def test_detects_missing_mram_bound_check(monkeypatch):
+    """An ``mld``/``mst`` compiled with only the alignment test (the
+    data-segment bound dropped) must fail validation on its mram block;
+    the correct codegen validates clean on the same program."""
+    def run():
+        machine = _machine([IDX])
+        machine.load_and_run(MENTER_LOOP, base=CODE_BASE)
+        blocks = [(ns, b) for ns, b in machine.sim.tcache.iter_jit_blocks()
+                  if ns == "mram"]
+        assert blocks, "no mram block was tier-2 compiled"
+        return [f for ns, b in blocks for f in validate_block(ns, b)]
+
+    assert run() == []
+    real = jit._Codegen.emit
+
+    def drop_bound(self, line=""):
+        real(self, line.replace("if _o & 3 or _o >= _dn:", "if _o & 3:"))
+
+    monkeypatch.setattr(jit._Codegen, "emit", drop_bound)
+    findings = run()
+    assert findings, "missing data-segment bound was not detected"
+    assert all(f.where.startswith("mram:0x") for f in findings)
 
 
 # ---------------------------------------------------------------------------
