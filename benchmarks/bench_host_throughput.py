@@ -27,9 +27,9 @@ The workload programs and machine shapes live in
 so a profiled workload and a benchmarked one are the same program.
 
 Every workload is measured with the interpreter (``tcache_off``) and
-the chained translation cache (``tcache_on``), which on these caches-off
-machines compiles hot blocks to tier 2 on the functional engine (MJIT:
-specialized Python source, see :mod:`repro.cpu.jit`).  The JSON records
+the chained translation cache (``tcache_on``), which compiles hot
+blocks to tier 2 on either engine (MJIT: specialized Python source, see
+:mod:`repro.cpu.jit`).  The JSON records
 the cache win over the interpreter (``speedup``) and each row's tier-2
 counters (``jit``).  A ``trajectory`` list in the JSON keeps the
 tight-loop functional numbers of every PR for trend tracking.

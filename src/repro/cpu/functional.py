@@ -51,9 +51,9 @@ class SimpleTimer:
 
     Approximates a 5-stage pipeline: one cycle per instruction, plus fetch
     latency beyond one cycle, plus data-memory latency beyond the one
-    cycle the MEM stage hides, plus class/control penalties.  The
-    penalties come from one table, :attr:`extra`, which the engine's
-    block loops read as well.
+    cycle the MEM stage hides, plus class/control penalties from one
+    table, :attr:`extra`.  MJIT's analytic codegen modes
+    (:mod:`repro.cpu.jit`) reproduce this cost line for line.
     """
 
     def __init__(self, timing: TimingModel):
@@ -114,8 +114,9 @@ class FunctionalSimulator:
     With the translation cache enabled (the default) the engine runs
     predecoded basic blocks between interrupt/intercept sample points,
     chaining blocks into superblocks across pure control flow so hot
-    traces never return to the dispatch loop; :meth:`step` remains the
-    one-instruction-at-a-time reference path and both paths produce
+    traces never return to the dispatch loop.  A hot block runs as MJIT
+    code, a cold or guarded one entry by entry; :meth:`step` remains
+    the one-instruction-at-a-time reference path, and all three produce
     bit-identical architectural state, instruction counts and cycle
     counts (see docs/PERF.md).
     """
@@ -133,10 +134,6 @@ class FunctionalSimulator:
     def __init__(self, core, timer=None, tcache: bool = True):
         self.core = core
         self.timer = timer or SimpleTimer(core.timing)
-        #: The timer's ``note_run`` (the pipeline scoreboard), or None for
-        #: the analytic timer, whose costs the unguarded block loops add
-        #: inline.  Picked once here, so the loops test a local.
-        self._note_run = getattr(self.timer, "note_run", None)
         self._ticked = 0
         #: Optional per-step hook: fn(StepInfo) (tracing/debugging).
         #: Prefer :meth:`add_step_hook`, which multiplexes this slot.
@@ -146,9 +143,12 @@ class FunctionalSimulator:
         #: Host-side performance counters (see repro.cpu.stats).
         self.perf = PerfCounters()
         icache = core.icache
+        # Compiled code feeds the pipeline scoreboard through its
+        # ``note_run``; the analytic timer's costs it adds itself.
         self._tcache = TranslationCache(
             self.perf.tcache,
-            line_size=icache.line_size if icache is not None else None)
+            line_size=icache.line_size if icache is not None else None,
+            scoreboard=not isinstance(self.timer, SimpleTimer))
         #: Optional trace-profiling sink (repro.profile.sink); attach via
         #: :meth:`set_profile_sink`.  None keeps the run loops at one
         #: pointer test per retired trace.
@@ -169,7 +169,8 @@ class FunctionalSimulator:
     def tcache_enabled(self, value: bool) -> None:
         value = bool(value)
         if value and not self._hooks_installed:
-            self._install_tcache_hooks()
+            self.core.bus.watch_writes(self._tcache.on_ram_write)
+            self._hooks_installed = True
         self._tcache_enabled = value
 
     @property
@@ -238,20 +239,6 @@ class FunctionalSimulator:
             return
         if not hub.fns and self.trace_fn is self._hub_dispatch:
             self.trace_fn = None
-
-    def _install_tcache_hooks(self) -> None:
-        core = self.core
-        tcache = self._tcache
-        core.bus.watch_writes(tcache.on_ram_write)
-        metal = core.metal
-        if metal is not None:
-            # The layered (nested-Metal) intercept view exposes no
-            # observer API; its dispatch-time ``empty`` check is the
-            # guard there.
-            watch = getattr(metal.intercept, "watch_transitions", None)
-            if watch is not None:
-                watch(tcache.on_intercept_transition)
-        self._hooks_installed = True
 
     # ------------------------------------------------------------------
     @property
@@ -459,8 +446,13 @@ class FunctionalSimulator:
     def _exec_block(self, block, budget: int, stop_pc, mram: bool) -> None:
         """Run *block* and the superblock chain behind it.
 
-        One unguarded and one guarded loop serve both namespaces; only
-        the setup below depends on *mram*.
+        Two loops serve both namespaces; only the setup below depends on
+        *mram*.  With no guard in force — no deliverable interrupt, no
+        step hook, no ``stop_pc``, and a budget that covers the block —
+        the unguarded loop runs each block's MJIT function, compiling it
+        once the block's heat reaches the threshold.  Every other block
+        runs on the per-entry loop: a cold block until it is handed
+        back, or the whole chain while a guard applies.
         """
         core = self.core
         timer = self.timer
@@ -475,17 +467,17 @@ class FunctionalSimulator:
         if mram:
             # Metal mode: no interrupt sampling (paper §2.1) and no
             # stop_pc.  Every fetch comes from MRAM at ``mram_fetch``
-            # cost, with no I-cache access (mram blocks carry an empty
-            # fetch plan) and so no hit credit.  ``mexit`` leaves Metal
-            # mode and is never chainable.
+            # cost, with no I-cache access.  ``mexit`` leaves Metal mode
+            # and is never chainable.
             ns = "mram"
-            icache = None
+            icache_access = None
             latency = core.timing.mram_fetch
             poll = False
             code = core.metal.mram
         else:
             ns = "mem"
             icache = core.icache
+            icache_access = icache.access if icache is not None else None
             latency = core.timing.mem_latency
             # Interrupt deliverability is constant inside a block — and
             # along a superblock chain: only terminator instructions (CSR
@@ -506,186 +498,71 @@ class FunctionalSimulator:
         take_irq = self._maybe_take_interrupt
         note = timer.note
         f_sync, f_csr, f_term, f_break = F_SYNC, F_CSR, F_TERM, F_TERM | F_STORE
+        guarded = (poll or check_stop or trace is not None
+                   or budget < len(block.entries))
+        threshold = tcache.jit_threshold
         retired = 0
         chained = 0
+        trap = None
+        trap_pc = 0
+        done = False
 
-        if (not poll and not check_stop and trace is None
-                and budget >= len(block.entries)):
-            # Specialized loop for the common unguarded case: the block's
-            # precompiled ``ops`` program is dispatched computed-goto
-            # style — plain entries run as pre-bound micro-ops with no
-            # flag tests or StepInfo — and
-            # ``core.pc`` / ``core.instret`` / ``timer.cycles`` are
-            # published at sample points (CSR reads, syncs, traps, chain
-            # exit) instead of per entry.  Fetches follow the block's
-            # I-cache fetch plan (see ``tcache._build_ops``): line heads
-            # make real cache accesses in program order and every other
-            # fetch is an LRU-neutral hit, counted in ``ihits``; with no
-            # I-cache every fetch costs ``latency``.  With the
-            # analytic timer, runs and execute() entries add their costs
-            # (the :attr:`SimpleTimer.extra` penalties) to the ``cyc``
-            # batch; with the pipeline scoreboard, runs go through
-            # ``note_run`` with their schedule and execute() entries
-            # through ``note``.
-            # Chainable exits (branch/jal/jalr, length-limit fall-through)
-            # follow the superblock link to the successor block without
-            # bouncing back to ``run()``.  A trap or an abort leaves both
-            # loops with ``next_pc`` at the instruction that faulted or
-            # must be re-fetched.
-            note_run = self._note_run
-            extra = timer.extra.get if note_run is None else None
-            if icache is None:
-                access = None
-                fetch_cost = latency if latency > 1 else 1
-            else:
-                access = icache.access
-                hit = icache.hit_latency
-                fetch_cost = hit if hit > 1 else 1
-            # MJIT's code bakes in the uncached fetch cost and the
-            # analytic timer, so it runs wherever those hold: every mram
-            # block, and mem blocks with no I-cache, on the functional
-            # engine.
-            jit_on = icache is None and note_run is None
-            instret0 = core.instret
-            cyc = 0
-            ihits = 0
-            trap = None
-            while True:
-                if jit_on:
-                    # Tier 2 (MJIT, repro.cpu.jit): dispatch the block's
-                    # compiled function when one exists, compiling it the
-                    # first time the block's heat crosses the threshold.
-                    # The compiled code manages timer.cycles itself, so
-                    # the pending batch is flushed around the call
-                    # (guest-invisible: cycles are only observed at sync
-                    # points, which flush everything anyway).
+        while True:
+            if not guarded:
+                # Unguarded loop: compiled code only (MJIT,
+                # repro.cpu.jit).  The compiled function owns the timer,
+                # the I-cache fetch plan and the register file for its
+                # block; ``core.pc`` and ``core.instret`` are published
+                # here.  Chainable exits (branch/jal/jalr, length-limit
+                # fall-through) follow the superblock link to the
+                # successor without bouncing back to ``run()``.  A block
+                # below the threshold leaves for the per-entry loop.
+                instret0 = core.instret - retired
+                jit0 = retired
+                while True:
                     jfn = block.jit_fn
                     if jfn is None:
                         heat = block.heat + 1
                         block.heat = heat
-                        if heat >= tcache.jit_threshold:
-                            jfn = tcache.jit_compile(block, mram)
-                    if jfn is not None:
-                        timer.cycles += cyc
-                        cyc = 0
-                        status, next_pc, jret, jloops, trap = jfn(
-                            core, block, timer, sync, budget - retired,
-                            instret0 + retired, chain_limit - chained)
-                        retired += jret
-                        stats.jit_instructions += jret
-                        if jloops:
-                            # Internalised self-loop iterations are chain
-                            # transitions the caller would have made.
-                            chained += jloops
-                            stats.chain_hits += jloops
-                            if chained > stats.chain_longest:
-                                stats.chain_longest = chained
-                        core.pc = next_pc
-                        if (status or not block.chainable
-                                or chained >= chain_limit):
-                            break  # 1: invalidated mid-trace; 2: trap
-                        nxt = chain_next(block, next_pc, mram, code)
-                        if (nxt is None
-                                or budget - retired < len(nxt.entries)):
+                        if heat < threshold:
                             break
-                        chained += 1
+                        jfn = tcache.jit_compile(block, mram)
+                    status, next_pc, jret, jloops, trap = jfn(
+                        core, block, timer, sync, budget - retired,
+                        instret0 + retired, chain_limit - chained)
+                    retired += jret
+                    if jloops:
+                        # Internalised self-loop iterations are chain
+                        # transitions the caller would have made.
+                        chained += jloops
+                        stats.chain_hits += jloops
                         if chained > stats.chain_longest:
                             stats.chain_longest = chained
-                        block = nxt
-                        continue
-                next_pc = block.end
-                aborted = False
-                for seg in block.ops:
-                    if not seg[0]:  # OP_RUN: flag-free micro-op run
-                        _kind, uops, count, run_end, leads, same, sched = seg
-                        regs = core.regs
-                        for uop in uops:
-                            uop(regs)
-                        retired += count
-                        ihits += same
-                        if note_run is None:
-                            cyc += same * fetch_cost
-                            for pc in leads:
-                                fetch = access(pc)
-                                cyc += fetch if fetch > 1 else 1
-                        else:
-                            note_run(sched, access, fetch_cost)
-                        next_pc = run_end
-                        continue
-                    _kind, instr, pc, flags, lead = seg
-                    if flags & f_sync:
-                        timer.cycles += cyc
-                        cyc = 0
-                        sync()
-                        if not block.valid:
-                            # Device DMA during the sync rewrote this
-                            # block's page: re-dispatch from here so the
-                            # new bytes are fetched (slow-path parity).
-                            next_pc = pc
-                            aborted = True
-                            break
-                    if flags & f_csr:
-                        timer.cycles += cyc
-                        cyc = 0
-                        core._timer_cycles = timer.cycles
-                        core.instret = instret0 + retired
-                    if lead:
-                        fetch = access(pc)
-                    else:
-                        fetch = fetch_cost
-                        ihits += 1
-                    try:
-                        step = execute(core, instr, pc, fetch_latency=fetch)
-                    except TrapException as exc:
-                        trap = exc
-                        next_pc = pc
-                        aborted = True
+                    core.pc = next_pc
+                    if (status or not block.chainable
+                            or chained >= chain_limit):
+                        # 1: invalidated mid-trace; 2: trap at next_pc.
+                        trap_pc = next_pc
+                        done = True
                         break
-                    retired += 1
-                    if note_run is None:
-                        ml = step.mem_latency
-                        cyc += ((fetch if fetch > 1 else 1)
-                                + (ml - 1 if ml > 1 else 0)
-                                + extra(step.control or step.mnemonic, 0))
-                    else:
-                        note(step)
-                    next_pc = step.next_pc
-                    if flags & F_STORE and not block.valid:
-                        # The store we just executed evicted this block
-                        # (self-modifying code): re-dispatch.
-                        aborted = True
+                    nxt = chain_next(block, next_pc, mram, code)
+                    if nxt is None or budget - retired < len(nxt.entries):
+                        done = True
                         break
-                core.pc = next_pc
-                if aborted or not block.chainable or chained >= chain_limit:
+                    chained += 1
+                    if chained > stats.chain_longest:
+                        stats.chain_longest = chained
+                    block = nxt
+                core.instret = instret0 + retired
+                stats.jit_instructions += retired - jit0
+                if done:
                     break
-                nxt = chain_next(block, next_pc, mram, code)
-                if nxt is None or budget - retired < len(nxt.entries):
-                    break
-                chained += 1
-                if chained > stats.chain_longest:
-                    stats.chain_longest = chained
-                block = nxt
-            core.instret = instret0 + retired
-            timer.cycles += cyc
-            stats.fast_instructions += retired
-            if icache is not None:
-                icache.stats.hits += ihits
-            if sink is not None:
-                sink.note_trace(ns, head, chained, retired,
-                                timer.cycles, timer.cycles - cycles0)
-            if trap is not None:
-                # In Metal mode this is a double fault: it raises.
-                self._dispatch_trap(trap, next_pc)
-                # The trap's traceback holds this frame: drop the local
-                # so the pair is not left for the cyclic collector.
-                trap = None
-            sync()
-            return
-
-        icache_access = icache.access if icache is not None else None
-        while True:
+            # Per-entry loop: ``execute()`` per entry, with the budget,
+            # stop_pc and interrupt guards when they apply.  A cold block
+            # runs here once; its successor goes back to the unguarded
+            # loop, which counts its heat.
             aborted = False
-            for instr, op_fn, pc, flags, _hint in block.entries:
+            for instr, pc, flags in block.entries:
                 if retired:
                     if retired >= budget:
                         aborted = True
@@ -702,14 +579,8 @@ class FunctionalSimulator:
                         # cheap precheck is equivalent to calling
                         # take_irq() always.
                         if irq.pending_bitmap() and take_irq():
-                            sync()
-                            stats.fast_instructions += retired
-                            stats.guarded_instructions += retired
-                            if sink is not None:
-                                sink.note_trace(
-                                    ns, head, chained, retired,
-                                    timer.cycles, timer.cycles - cycles0)
-                            return
+                            aborted = True
+                            break
                 if flags:
                     if flags & f_sync:
                         sync()
@@ -721,16 +592,12 @@ class FunctionalSimulator:
                 fetch = (icache_access(pc) if icache_access is not None
                          else latency)
                 try:
-                    step = op_fn(core, instr, pc, fetch_latency=fetch)
-                except TrapException as trap:
-                    stats.fast_instructions += retired
-                    stats.guarded_instructions += retired
-                    if sink is not None:
-                        sink.note_trace(ns, head, chained, retired,
-                                        timer.cycles, timer.cycles - cycles0)
-                    self._dispatch_trap(trap, pc)  # Metal mode: raises
-                    sync()
-                    return
+                    step = execute(core, instr, pc, fetch_latency=fetch)
+                except TrapException as exc:
+                    trap = exc
+                    trap_pc = pc
+                    aborted = True
+                    break
                 core.pc = step.next_pc
                 core.instret += 1
                 retired += 1
@@ -747,22 +614,30 @@ class FunctionalSimulator:
                         break
             # Chain to the successor when the exit was a pure control
             # transfer (or the fall-through of a length-limited block);
-            # the per-entry budget/stop/poll guards above keep running
-            # inside the successor, so no extra prechecks are needed.
+            # the per-entry guards above keep running inside a guarded
+            # chain, so no extra prechecks are needed.
             if aborted or not block.chainable or chained >= chain_limit:
                 break
             nxt = chain_next(block, core.pc, mram, code)
-            if nxt is None:
+            if nxt is None or (not guarded
+                               and budget - retired < len(nxt.entries)):
                 break
             chained += 1
             if chained > stats.chain_longest:
                 stats.chain_longest = chained
             block = nxt
         stats.fast_instructions += retired
-        stats.guarded_instructions += retired
+        if guarded:
+            stats.guarded_instructions += retired
         if sink is not None:
             sink.note_trace(ns, head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)
+        if trap is not None:
+            # In Metal mode this is a double fault: it raises.
+            self._dispatch_trap(trap, trap_pc)
+            # The trap's traceback holds this frame: drop the local
+            # so the pair is not left for the cyclic collector.
+            trap = None
         sync()
 
     # ------------------------------------------------------------------

@@ -27,13 +27,14 @@ class TcacheStats:
     misses: int = 0
     #: Blocks evicted by write notifications / MRAM reloads.
     invalidations: int = 0
-    #: Whole-namespace flushes (intercept transitions, snapshot restore).
+    #: Whole-namespace flushes (snapshot restore, tcache flushes).
     flushes: int = 0
     #: Guest instructions retired through the block fast path.
     fast_instructions: int = 0
-    #: The part of ``fast_instructions`` retired through the per-entry
-    #: guarded loop (deliverable interrupts, ``stop_pc``, step hooks, a
-    #: budget shorter than the block); the rest ran unguarded.
+    #: The part of ``fast_instructions`` a guard forced onto the
+    #: per-entry loop (deliverable interrupts, ``stop_pc``, step hooks, a
+    #: budget shorter than the block).  Cold blocks, below the MJIT
+    #: threshold, run there too but are not counted.
     guarded_instructions: int = 0
     #: Superblock links installed between blocks.
     chain_links: int = 0

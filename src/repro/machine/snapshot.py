@@ -115,8 +115,9 @@ def restore_snapshot(machine, snap: MachineSnapshot) -> None:
         delivery = snap.metal.get("delivery")
         if delivery is not None:
             core.metal.delivery.restore_state(delivery)
-        # restore_rules fires the empty<->non-empty transition watchers,
-        # invalidating tcache blocks compiled under the old assumption.
+        # Mem blocks do not depend on the rule set: the engine checks
+        # ``intercept.empty`` at every dispatch (and the flush above
+        # dropped every block anyway).
         rules = snap.metal.get("intercept_rules")
         if (rules is not None
                 and hasattr(core.metal.intercept, "restore_rules")):

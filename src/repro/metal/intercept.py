@@ -36,21 +36,6 @@ class InterceptTable:
         self._rules = {}   # InterceptSpec.key -> (InterceptSpec, entry)
         #: Total intercept hits (benchmark accounting).
         self.hits = 0
-        # Observers fired when the table transitions empty<->non-empty
-        # (the translation cache flushes normal-mode blocks, which are
-        # compiled under a "no interception" assumption).
-        self._transition_watchers = []
-
-    def watch_transitions(self, fn) -> None:
-        """Register ``fn(active: bool)`` for empty<->non-empty edges."""
-        if fn not in self._transition_watchers:
-            self._transition_watchers.append(fn)
-
-    def _note_transition(self, was_empty: bool) -> None:
-        empty = not self._rules
-        if empty != was_empty:
-            for fn in self._transition_watchers:
-                fn(not empty)
 
     # -- configuration (micept / miceptd) -----------------------------------
     def enable(self, spec_word: int, entry: int) -> None:
@@ -60,29 +45,21 @@ class InterceptTable:
             raise InterceptError(
                 f"intercept CAM full ({self.slots} slots)"
             )
-        was_empty = not self._rules
         self._rules[spec.key] = (spec, entry)
-        self._note_transition(was_empty)
 
     def disable(self, spec_word: int) -> None:
         """Remove the rule matching a packed spec (no-op if absent)."""
         spec = unpack_intercept_spec(spec_word)
-        was_empty = not self._rules
         self._rules.pop(spec.key, None)
-        self._note_transition(was_empty)
 
     def enable_spec(self, spec: InterceptSpec, entry: int) -> None:
         """Install a rule from an already-built :class:`InterceptSpec`."""
         if spec.key not in self._rules and len(self._rules) >= self.slots:
             raise InterceptError(f"intercept CAM full ({self.slots} slots)")
-        was_empty = not self._rules
         self._rules[spec.key] = (spec, entry)
-        self._note_transition(was_empty)
 
     def clear(self) -> None:
-        was_empty = not self._rules
         self._rules.clear()
-        self._note_transition(was_empty)
 
     # -- snapshot surface (repro.machine.snapshot) ---------------------------
     def snapshot_rules(self) -> dict:
@@ -91,14 +68,8 @@ class InterceptTable:
         return dict(self._rules)
 
     def restore_rules(self, rules: dict) -> None:
-        """Replace the rule set wholesale, firing the empty<->non-empty
-        transition watchers exactly as incremental enable/disable would —
-        the translation cache compiled normal-mode blocks under the
-        current emptiness assumption and must be told when a restore
-        changes it."""
-        was_empty = not self._rules
+        """Replace the rule set wholesale."""
         self._rules = dict(rules)
-        self._note_transition(was_empty)
 
     @property
     def active_rules(self) -> int:

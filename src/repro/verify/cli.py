@@ -4,8 +4,10 @@ Two passes (both on by default, selectable with ``--passes``):
 
 * ``translation`` — symbolic translation validation of every block
   MJIT compiles across a conformance-generator seed sweep
-  (:mod:`repro.verify.corpus`), including the MRAM data-segment check
-  at every compiled ``mld``/``mst``;
+  (:mod:`repro.verify.corpus`), in each codegen mode — caches off,
+  caches on (the I-cache fetch plan) and the pipeline scoreboard —
+  including the MRAM data-segment check at every compiled
+  ``mld``/``mst``;
 * ``host`` — the snapshot- and eviction-completeness lints over the
   host sources (:mod:`repro.verify.hostlint`).
 
@@ -78,11 +80,14 @@ def verify_main(argv=None) -> int:
             "blocks_validated": report.blocks_validated,
             "mem_blocks": report.mem_blocks,
             "mram_blocks": report.mram_blocks,
+            "mode_blocks": dict(report.mode_blocks),
         }
+        modes = ", ".join(f"{n} {mode}"
+                          for mode, n in report.mode_blocks.items())
         print(f"[translation] {len(report.seeds)} seed(s): "
               f"{report.blocks_validated} unique blocks proved equivalent "
               f"({report.mem_blocks} mem, {report.mram_blocks} mram; "
-              f"{report.blocks_seen} seen), "
+              f"{modes}; {report.blocks_seen} seen), "
               f"{len(report.findings)} finding(s)")
 
     if "host" in passes:

@@ -127,7 +127,6 @@ SNAPSHOT_SPECS = (
               allow={
                   "slots": _CONFIG,
                   "hits": _COUNTER,
-                  "_transition_watchers": _WIRING,
               }),
 )
 

@@ -292,6 +292,9 @@ def render(e) -> str:
     if not isinstance(e, tuple) or not e:
         return repr(e)
     op = e[0]
+    if not isinstance(op, str):
+        # A plain value tuple (a note_run schedule), not an expression.
+        return "(" + " ".join(render(x) for x in e) + ")"
     if op == "s":
         return e[1]
     if op == "+":

@@ -1,12 +1,13 @@
 """MJIT tier-2 compiler tests (:mod:`repro.cpu.jit`).
 
-The closure tier (tcache) is covered by the differential fuzzer and the
-tcache tests; this file pins the *compiler*: the exact Python source
-generated for a known block (golden snapshot), MRAM data accesses
-compiled inline behind the data-segment check (and trapping exactly
-like the interpreter), guest-RAM access compiled inside mram blocks,
-and every eviction path dropping compiled code.  Bit-identity
-of tier-2 execution against the interpreter is fuzzed in
+The translation cache's per-entry loop and chaining are covered by the
+differential fuzzer and the tcache tests; this file pins the
+*compiler*: the exact Python source generated for a known block (golden
+snapshot), MRAM data accesses compiled inline behind the data-segment
+check (and trapping exactly like the interpreter), guest-RAM access
+compiled inside mram blocks, a cold loop handed to MJIT by its own
+chained transitions, and every eviction path dropping compiled code.
+Bit-identity of tier-2 execution against the interpreter is fuzzed in
 ``tests/test_superblock_differential.py``.
 """
 
@@ -153,6 +154,21 @@ def test_tier_of_reports_jit():
     m.load_and_run(LOOP, base=CODE_BASE)
     assert m.sim.tcache.tier_of("mem", CODE_BASE + 8) == "jit"
     assert m.sim.tcache.tier_of("mem", 0xDEAD) is None
+
+
+@pytest.mark.parametrize("engine", ["functional", "pipeline"])
+def test_cold_loop_compiles_through_its_own_chain(engine):
+    """The loop is dispatched once and then only chains to itself: its
+    first passes run cold on the per-entry loop, each chained transition
+    counts its heat, and at the threshold the same dispatch hands it to
+    MJIT — with the cache models on, on either engine."""
+    m = build_metal_machine([], config=MachineConfig(engine=engine))
+    m.load_and_run(LOOP, base=CODE_BASE)
+    tc = m.perf.tcache
+    threshold = m.sim.tcache.jit_threshold
+    assert m.sim.tcache.tier_of("mem", CODE_BASE + 8) == "jit"
+    assert tc.jit_instructions >= 3 * (50 - threshold)
+    assert tc.guarded_instructions == 0
 
 
 # ---------------------------------------------------------------------------

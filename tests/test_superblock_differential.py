@@ -16,13 +16,12 @@ the JIT) leaked into guest-visible behaviour.
 
 A second, caches-on pair runs the same program with the I-cache and
 D-cache models on: the interpreter against the chained tcache with MJIT
-at threshold 1, which compiles only mram blocks there.  Its block loop
-replays each block's I-cache fetch plan
+at threshold 1.  Compiled mem blocks replay their I-cache fetch plan
 instead of accessing the cache on every fetch, so the pair also compares
 cache hit and miss counts after every chunk.  A third pair does the same
-on the pipeline engine (interpreter against the chained tcache, caches
-on), whose block loop feeds the scoreboard one run schedule at a time,
-and also compares the three stall counters.
+on the pipeline engine (interpreter against the chained tcache with MJIT
+at threshold 1, caches on), whose compiled code feeds the scoreboard one
+run schedule at a time, and also compares the three stall counters.
 
 Seeds are deterministic and appear both in the test id and in every
 assertion message, so a failure is reproducible with e.g.::
@@ -127,7 +126,7 @@ def test_differential(seed):
     m_ref_c = _build(tcache=False, caches=True)       # caches-on pair
     m_jit_c = _build(tcache=True, jit=True, caches=True)
     m_ref_p = _build(tcache=False, caches=True, engine="pipeline")
-    m_got_p = _build(tcache=True, caches=True, engine="pipeline")
+    m_got_p = _build(tcache=True, jit=True, caches=True, engine="pipeline")
     m_prof.set_profiling(True)
     machines = (m_ref, m_got, m_prof, m_jit, m_ref_c, m_jit_c,
                 m_ref_p, m_got_p)

@@ -14,6 +14,7 @@ import pytest
 from repro import MRoutine, assemble, build_metal_machine, build_trap_machine
 from repro.cpu.exceptions import Cause
 from repro.cpu.functional import FunctionalSimulator
+from repro.cpu.pipeline import PipelineSimulator
 from repro.machine.builder import MachineConfig
 from repro.mem.cache import Cache
 from repro.profile.workloads import SYS, WORKLOADS, workload_source
@@ -358,48 +359,6 @@ def test_snapshot_restore_flushes():
 # superblock chaining
 # ---------------------------------------------------------------------------
 
-def test_next_pc_hint_matches_decoded_target():
-    """The per-entry next_pc_hint must be computed from the decoded
-    instruction, not assumed sequential: a stale hint would chain a block
-    to its fall-through even when the terminator always jumps backward.
-
-    Regression test for the hint bug fixed alongside chaining: probe the
-    cache directly and compare each terminator's hint with the decoded
-    jal/branch target.
-    """
-    from repro.cpu.stats import TcacheStats
-    from repro.cpu.tcache import TranslationCache
-
-    noop = MRoutine(name="noop", entry=0, source="mexit\n")
-    machine = build_metal_machine([noop], with_caches=False)
-    program = machine.assemble("""
-_start:
-    addi a0, a0, 1
-loop:
-    addi a1, a1, 1
-    bnez a1, loop
-after:
-    j    _start
-""", base=0x1000)
-    machine.load(program)
-
-    cache = TranslationCache(TcacheStats())
-    loop = program.symbols["loop"]
-    start = program.symbols["_start"]
-    after = program.symbols["after"]
-
-    block = cache.mem_block(start, machine.bus)
-    # Terminator is `bnez a1, loop`: hint must be the branch target.
-    instr, _fn, pc, _flags, hint = block.entries[-1]
-    assert pc == loop + 4
-    assert hint == loop, f"branch hint {hint:#x} != decoded target {loop:#x}"
-
-    block = cache.mem_block(after, machine.bus)
-    instr, _fn, pc, _flags, hint = block.entries[-1]
-    assert pc == after
-    assert hint == start, f"jal hint {hint:#x} != decoded target {start:#x}"
-
-
 def _hop_program(machine, new_word):
     """A loop at 0x1000 chained through a one-instruction stub on a
     *different* page at 0x2000; the guest patches the stub mid-run while
@@ -465,8 +424,8 @@ def test_chained_successor_evicted_mid_run(engine):
 @pytest.mark.parametrize("tcache", TCACHE)
 def test_intercept_edge_severs_warm_chain(engine, tcache):
     """Installing the first intercept rule while a chained trampoline
-    loop is hot must flush the whole mem namespace — including blocks
-    only reachable through chain links."""
+    loop is hot must keep every mem block — including blocks only
+    reachable through chain links — from running the intercepted load."""
     machine = build_metal_machine([SETUP, EMUL_PLUS], engine=engine,
                                   with_caches=False, tcache=tcache)
     machine.load_and_run("""
@@ -555,19 +514,29 @@ body:
 """
 
 
+#: MJIT thresholds the fetch-plan tests run the tcache at: the default,
+#: where the first passes run on the per-entry loop, and 1, where MJIT's
+#: emitted plan runs every block from its first dispatch.
+THRESHOLDS = (16, 1)
+
+
 def _fetch_plan_pair(source, engine, routines=(NOOP,), setup=None):
-    """Run *source* with the cache models on, tcache off and on; assert
-    identical instructions, cycles, registers and cache counts, and
-    return the tcache-on machine."""
+    """Run *source* with the cache models on, tcache off and (at each of
+    :data:`THRESHOLDS`) on; assert identical instructions, cycles,
+    registers, cache counts and (pipeline engine) stall counters, and
+    return the machine run at threshold 1."""
     outcomes = []
-    for tcache in (False, True):
+    for threshold in (None, *THRESHOLDS):
         machine = build_metal_machine(list(routines), engine=engine,
-                                      tcache=tcache)
+                                      tcache=threshold is not None)
+        if threshold is not None:
+            machine.sim.tcache.jit_threshold = threshold
         if setup is not None:
             setup(machine)
         result = machine.load_and_run(source, max_instructions=100_000)
-        outcomes.append(_outcome(machine, result))
-    assert outcomes[0] == outcomes[1], (
+        outcomes.append((_outcome(machine, result),
+                         getattr(machine.sim, "stalls", None)))
+    assert outcomes[1:] == outcomes[:1] * len(THRESHOLDS), (
         f"fetch plan diverged from the interpreter: {outcomes}")
     return machine
 
@@ -586,21 +555,31 @@ def test_fetch_plan_midline_block_spanning_three_lines(engine):
     (4, 1, 2), (16, 4, 1), (32, 2, 1), (64, 1, 1)])
 def test_fetch_plan_exact_for_any_geometry(line_size, ways, sets):
     """I-caches too small for the loop: every geometry keeps missing,
-    and the plan reproduces each hit, miss and LRU eviction."""
-    outcomes = []
-    for tcache in (False, True):
-        machine = build_metal_machine([NOOP], tcache=tcache)
-        core = machine.core
-        # The engine compiles its fetch plans for the I-cache it is
-        # built with, so swap the cache in and rebuild the engine.
-        core.icache = Cache(size=sets * line_size * ways,
-                            line_size=line_size, ways=ways, name="icache",
-                            miss_latency=core.timing.mem_latency)
-        machine.sim = FunctionalSimulator(core, tcache=tcache)
-        result = machine.load_and_run(MIDLINE_BLOCK, max_instructions=10_000)
-        outcomes.append(_outcome(machine, result))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][3][1] > 40  # I-cache misses: at least one per pass
+    and the plan reproduces each hit, miss and LRU eviction, on either
+    engine and at either MJIT threshold."""
+    for simulator in (FunctionalSimulator, PipelineSimulator):
+        outcomes = []
+        for threshold in (None, *THRESHOLDS):
+            tcache = threshold is not None
+            machine = build_metal_machine([NOOP], tcache=tcache)
+            core = machine.core
+            # The engine compiles its fetch plans for the I-cache it is
+            # built with, so swap the cache in and rebuild the engine.
+            core.icache = Cache(size=sets * line_size * ways,
+                                line_size=line_size, ways=ways,
+                                name="icache",
+                                miss_latency=core.timing.mem_latency)
+            machine.sim = simulator(core, tcache=tcache)
+            if tcache:
+                machine.sim.tcache.jit_threshold = threshold
+            result = machine.load_and_run(MIDLINE_BLOCK,
+                                          max_instructions=10_000)
+            outcomes.append((_outcome(machine, result),
+                             getattr(machine.sim, "stalls", None)))
+        assert outcomes[1:] == outcomes[:1] * len(THRESHOLDS), simulator
+        # I-cache misses: at least one per pass.
+        assert outcomes[0][0][3][1] > 40
+        assert machine.perf.tcache.jit_instructions > 0
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -677,8 +656,7 @@ hop:
     machine = _fetch_plan_pair(source, engine)
     hop = machine.assemble(source).symbols["hop"]
     assert hop // 32 == (hop - 4) // 32
-    if engine == "functional":
-        assert machine.perf.tcache.chain_hits > 0
+    assert machine.perf.tcache.chain_hits > 0
 
 
 #: Metal-mode loop over guest RAM: each pass loads a word, stores it
@@ -707,10 +685,9 @@ copy_loop:
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fetch_plan_mroutine_loads_stores_and_writes_a_device(engine):
     """An mroutine that loads and stores guest RAM and writes a device
-    register runs on the unguarded loop, at tier 2 on the functional
-    engine: its fetches cost ``mram_fetch`` and leave the I-cache
-    alone, and its data accesses and device sync match the
-    interpreter's."""
+    register runs at tier 2 on either engine: its fetches cost
+    ``mram_fetch`` and leave the I-cache alone, and its data accesses
+    and device sync match the interpreter's."""
     source = """
 _start:
     li   s1, 0x3000
@@ -735,23 +712,7 @@ again:
     assert machine.read_word(0x3040) == 0x42
     tc = machine.perf.tcache
     assert tc.guarded_instructions == 0
-    assert (tc.jit_instructions > 0) == (engine == "functional")
-
-
-def test_jit_with_caches_compiles_no_mem_block():
-    """MJIT's mem code bakes in the uncached fetch cost, so with an
-    I-cache only mram blocks reach tier 2."""
-    w = WORKLOADS["mcode_heavy"]
-    source = workload_source("mcode_heavy", 200)
-    outcomes = []
-    for tcache in (False, True):
-        machine = build_metal_machine(
-            list(w.routines), config=MachineConfig(tcache=tcache))
-        machine.sim.tcache.jit_threshold = 1
-        outcomes.append(_outcome(machine, machine.load_and_run(source)))
-    assert outcomes[0] == outcomes[1]
-    tiers = {ns for ns, _block in machine.sim.tcache.iter_jit_blocks()}
-    assert tiers == {"mram"}
+    assert tc.jit_instructions > 0
 
 
 def test_profile_trace_table_same_with_caches():
@@ -805,47 +766,46 @@ def test_metal_workloads_retire_nothing_guarded(engine, workload):
     assert tc.guarded_instructions == 0, machine.perf.summary()
 
 
-@pytest.mark.parametrize("workload", ("syscall_heavy", "intercept_heavy",
-                                      "mcode_heavy"))
-def test_metal_workloads_run_at_tier_two(workload):
-    """On ``MachineConfig()`` the functional engine retires at least 70%
-    of each Metal-heavy workload at tier 2 (intercept_heavy's emulation
-    routine loads guest RAM), with the tcache-off run's instructions,
-    cycles, registers and I-cache and D-cache counts."""
+def _tier_two_run(engine, workload, share):
+    """Run *workload* on ``MachineConfig()`` — cache models on — with the
+    tcache off and on; assert the tcache-on run retires *share* of its
+    instructions at tier 2 with the tcache-off run's instructions,
+    cycles, registers, I-cache and D-cache counts and (pipeline engine)
+    stall counters."""
     w = WORKLOADS[workload]
     source = workload_source(workload)
     outcomes = []
     for tcache in (False, True):
-        machine = build_metal_machine(list(w.routines),
-                                      config=MachineConfig(tcache=tcache))
+        machine = build_metal_machine(
+            list(w.routines),
+            config=MachineConfig(engine=engine, tcache=tcache))
         if w.setup is not None:
             w.setup(machine)
-        outcomes.append(_outcome(machine, machine.load_and_run(source)))
-    assert outcomes[0] == outcomes[1]
+        result = machine.load_and_run(source)
+        outcomes.append((_outcome(machine, result),
+                         getattr(machine.sim, "stalls", None)))
+    assert outcomes[0] == outcomes[1], (engine, workload)
     tc = machine.perf.tcache
-    assert tc.jit_instructions >= 0.7 * outcomes[1][0], (
-        machine.perf.summary())
+    assert tc.jit_instructions >= share * outcomes[1][0][0], (
+        engine, workload, machine.perf.summary())
 
 
-def test_pipeline_jit_compiles_nothing():
-    """MJIT code bakes in the analytic timer's costs, so the pipeline
-    engine never dispatches to it: even at threshold 1 no block
-    compiles, and cycles and stall counters match the tcache-off run."""
-    for workload in ("syscall_heavy", "intercept_heavy", "mcode_heavy"):
-        w = WORKLOADS[workload]
-        source = workload_source(workload, 200)
-        outcomes = []
-        for tcache in (False, True):
-            machine = build_metal_machine(
-                list(w.routines),
-                config=MachineConfig(engine="pipeline", tcache=tcache))
-            if w.setup is not None:
-                w.setup(machine)
-            machine.sim.tcache.jit_threshold = 1
-            result = machine.load_and_run(source)
-            outcomes.append((_outcome(machine, result), machine.sim.stalls))
-        assert machine.perf.tcache.jit_blocks == 0, workload
-        assert outcomes[0] == outcomes[1], workload
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("workload", ("tight_loop", "hash_mix",
+                                      "chain_trampoline", "poly_branch"))
+def test_loop_workloads_run_at_tier_two(engine, workload):
+    """The loop programs retire at least 90% at tier 2 on either
+    engine, I-cache fetch plan and pipeline scoreboard included."""
+    _tier_two_run(engine, workload, 0.9)
+
+
+@pytest.mark.parametrize("workload", ("syscall_heavy", "intercept_heavy",
+                                      "mcode_heavy"))
+def test_metal_workloads_run_at_tier_two(workload):
+    """The Metal-heavy workloads retire at least 70% at tier 2 on either
+    engine (intercept_heavy's emulation routine loads guest RAM)."""
+    for engine in ENGINES:
+        _tier_two_run(engine, workload, 0.7)
 
 
 def test_guarded_instructions_counter_surfaces():

@@ -9,7 +9,8 @@ Four angles:
   (``tests/golden/verify_*.txt``), so canonicalisation changes surface
   as diffs rather than silent behaviour shifts;
 * mutation detection — seeding a codegen template bug, a loop-guard
-  bug or a missing MRAM data-segment bound makes the validator fail the
+  bug, a missing MRAM data-segment bound, a skipped line-head I-cache
+  access or a wrong ``note_run`` schedule makes the validator fail the
   affected block with a precise citation (the acceptance property: a
   wrong compiler cannot pass);
 * exhaustiveness — every uop IR kind and every ALU/branch mnemonic the
@@ -134,6 +135,7 @@ def test_corpus_slice_validates_clean():
     assert report.findings == []
     assert report.blocks_validated > 0
     assert report.mem_blocks > 0
+    assert all(report.mode_blocks.values()), report.mode_blocks
     assert report.blocks_seen >= report.blocks_validated
 
 
@@ -227,6 +229,80 @@ def test_detects_missing_mram_bound_check(monkeypatch):
     findings = run()
     assert findings, "missing data-segment bound was not detected"
     assert all(f.where.startswith("mram:0x") for f in findings)
+
+
+#: A ten-instruction loop body that starts on a 32-byte line and spills
+#: into the next: two line heads per pass.
+TWO_LINES = """
+_start:
+    li s0, 30
+    j loop
+    .align 5
+loop:
+    addi t1, t1, 1
+    addi t2, t2, 3
+    xor t3, t1, t2
+    slli t4, t1, 2
+    add t5, t3, t4
+    sub t6, t5, t1
+    or a1, t6, t2
+    and a2, a1, t3
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+
+
+def _cached_findings(engine):
+    """Run TWO_LINES with the cache models on, MJIT at threshold 1, and
+    validate every compiled block in its cache's codegen mode."""
+    machine = build_metal_machine([], config=MachineConfig(engine=engine))
+    tc = machine.sim.tcache
+    tc.jit_threshold = 1
+    machine.load_and_run(TWO_LINES, base=CODE_BASE)
+    blocks = list(tc.iter_jit_blocks())
+    assert blocks, "program compiled no tier-2 blocks"
+    return [f for ns, b in blocks
+            for f in validate_block(ns, b, tc.line_size, tc.scoreboard)]
+
+
+@pytest.mark.parametrize("engine", ["functional", "pipeline"])
+def test_detects_skipped_line_head_access(monkeypatch, engine):
+    """A codegen that charges one line head as a hit instead of making
+    its ``access(pc)`` must fail validation on the loop block, on
+    either engine; the correct codegen validates clean."""
+    assert _cached_findings(engine) == []
+    real = jit.fetch_plan
+
+    def skip_second_head(entries, line_size):
+        heads = real(entries, line_size)
+        later = [i for i, head in enumerate(heads) if head][1:]
+        if later:
+            heads[later[0]] = False
+        return heads
+
+    monkeypatch.setattr(jit, "fetch_plan", skip_second_head)
+    findings = _cached_findings(engine)
+    assert findings, "skipped line-head access was not detected"
+    assert all(f.where.startswith("mem:0x") for f in findings)
+    assert any("events mismatch" in f.message for f in findings)
+
+
+def test_detects_wrong_note_run_schedule(monkeypatch):
+    """A codegen that bakes a wrong schedule into ``note_run`` — here
+    each plain entry reports no destination register — must fail
+    validation on the pipeline engine."""
+    real = jit._schedule_regs
+
+    def no_rd(instr):
+        rs_a, rs_b, _rd = real(instr)
+        return rs_a, rs_b, 0
+
+    monkeypatch.setattr(jit, "_schedule_regs", no_rd)
+    findings = _cached_findings("pipeline")
+    assert findings, "wrong note_run schedule was not detected"
+    assert all(f.where.startswith("mem:0x") for f in findings)
+    assert any("events mismatch" in f.message for f in findings)
 
 
 # ---------------------------------------------------------------------------
