@@ -20,7 +20,7 @@ without silent corruption:
 * :mod:`repro.conformance.scheduler` — coverage-guided seed scheduling
   that biases generation toward uncovered buckets;
 * :mod:`repro.conformance.campaign` — the four-way lockstep campaign
-  runner (interpreter / chained / profiled / MJIT-at-threshold-1) with
+  runner (interpreter / chained / profiled / hooked) with
   bit-reproducible classification, run via ``python -m repro
   conformance``.
 """

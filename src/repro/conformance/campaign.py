@@ -9,10 +9,11 @@ after every chunk of retired instructions:
 
 =========== ==========================================================
 interp      interpreter, no fast path at all (the reference)
-chained     superblocks + polymorphic chaining + MJIT tier 2 at the
-            default compile threshold (16)
+chained     superblocks + polymorphic chaining + MJIT tier 2, which
+            compiles every block at its first dispatch
 profiled    chained + the MPROF trace sink attached
-jit         chained with MJIT at compile threshold 1
+hooked      chained with a no-op step hook, which keeps every block on
+            the per-entry loop
 =========== ==========================================================
 
 Outcome classification (bit-reproducible, detection-first):
@@ -54,7 +55,7 @@ from repro.conformance.scheduler import CoverageScheduler
 #: generates the exact program ``test_superblock_differential`` seed N.
 PROGRAM_SEED_BASE = 0xC0DE
 
-VARIANTS = ("interp", "chained", "profiled", "jit")
+VARIANTS = ("interp", "chained", "profiled", "hooked")
 
 OUTCOMES = ("pass", "divergence", "decode_disagreement", "hang",
             "host_error")
@@ -93,9 +94,8 @@ def build_variant(variant: str, config: GenConfig):
     )
     if variant == "profiled":
         machine.set_profiling(True)
-    elif variant == "jit":
-        # Compile on first dispatch so every seed exercises tier 2.
-        machine.sim.tcache.jit_threshold = 1
+    elif variant == "hooked":
+        machine.sim.add_step_hook(lambda step: None)
     return machine
 
 

@@ -87,7 +87,8 @@ def conformance_main(argv=None) -> int:
     )
     report = run_conformance(config)
 
-    print(f"MCONF campaign: {args.seeds} seed(s), four-way lockstep, "
+    print(f"MCONF campaign: {args.seeds} seed(s), four-way lockstep "
+          f"(interpreter / chained / profiled / hooked), "
           f"{'guided' if config.guided else 'unguided'} "
           f"(workers={args.workers or 'inline'})")
     print(format_summary(report))

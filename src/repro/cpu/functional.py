@@ -114,11 +114,12 @@ class FunctionalSimulator:
     With the translation cache enabled (the default) the engine runs
     predecoded basic blocks between interrupt/intercept sample points,
     chaining blocks into superblocks across pure control flow so hot
-    traces never return to the dispatch loop.  A hot block runs as MJIT
-    code, a cold or guarded one entry by entry; :meth:`step` remains
-    the one-instruction-at-a-time reference path, and all three produce
-    bit-identical architectural state, instruction counts and cycle
-    counts (see docs/PERF.md).
+    traces never return to the dispatch loop.  A block runs as MJIT
+    code, compiled at its first dispatch, or entry by entry while
+    interrupts are deliverable or a step hook is attached; :meth:`step`
+    remains the one-instruction-at-a-time reference path, and all three
+    produce bit-identical architectural state, instruction counts and
+    cycle counts (see docs/PERF.md).
     """
 
     #: Safety valve for WFI with no event source.
@@ -406,53 +407,69 @@ class FunctionalSimulator:
     # ------------------------------------------------------------------
     # translation-cache fast path
     # ------------------------------------------------------------------
-    def _fast_step(self, budget: int, stop_pc) -> None:
+    def _fast_step(self, budget: int, stop_pc: int) -> None:
         """Advance by one predecoded block, or fall back to :meth:`step`.
 
         Preserves the exact inter-instruction architecture of the
         one-at-a-time path: interrupts are sampled before every
         instruction whenever they are deliverable, device state is synced
-        before any observation point, and the instruction budget is never
-        overshot.
+        before any observation point, and neither the instruction budget
+        nor *stop_pc* (-1 for none; normal mode only) is ever overshot.
+        A block is straight-line code, so an instruction inside it is
+        reached only by running the block from its start: a block longer
+        than the budget, or holding *stop_pc* past its head, runs on
+        :meth:`step` up to that instruction.
         """
         core = self.core
         if core.waiting:
             self.step()
             return
         metal = core.metal
-        if metal is not None and metal.in_metal:
+        mram = metal is not None and metal.in_metal
+        if mram:
             block = self._tcache.mram_block(core.pc, metal.mram)
-            if block is None:
-                self.step()
-                return
-            self._exec_block(block, budget, None, True)
-            return
-        # Normal mode: blocks assume identity fetch translation and an
-        # empty interception table; anything else takes the slow path.
-        if core.tlb.enabled or (metal is not None and not metal.intercept.empty):
+            stop_pc = -1
+        elif core.tlb.enabled or (metal is not None
+                                  and not metal.intercept.empty):
+            # Normal-mode blocks assume identity fetch translation and
+            # an empty interception table.
             self.step()
             return
-        block = self._tcache.mem_block(core.pc, core.bus)
+        else:
+            block = self._tcache.mem_block(core.pc, core.bus)
         if block is None:
             self.step()
             return
+        count = budget
+        if block.start < stop_pc < block.end:
+            # Entries before stop_pc (a misaligned one is never reached).
+            count = min(count, (stop_pc - block.start + 3) >> 2)
+        if count < len(block.entries):
+            for _ in range(count):
+                pc = core.pc
+                self.step()
+                if core.halted or core.pc != pc + 4:
+                    break
+            return
         # Same ordering as step(): sample interrupts before the first
         # fetch of the block.
-        if self._maybe_take_interrupt():
+        if not mram and self._maybe_take_interrupt():
             self._sync_devices()
             return
-        self._exec_block(block, budget, stop_pc, False)
+        self._exec_block(block, budget, stop_pc, mram)
 
-    def _exec_block(self, block, budget: int, stop_pc, mram: bool) -> None:
+    def _exec_block(self, block, budget: int, stop_pc: int,
+                    mram: bool) -> None:
         """Run *block* and the superblock chain behind it.
 
-        Two loops serve both namespaces; only the setup below depends on
-        *mram*.  With no guard in force — no deliverable interrupt, no
-        step hook, no ``stop_pc``, and a budget that covers the block —
-        the unguarded loop runs each block's MJIT function, compiling it
-        once the block's heat reaches the threshold.  Every other block
-        runs on the per-entry loop: a cold block until it is handed
-        back, or the whole chain while a guard applies.
+        The caller has checked that the budget covers *block* and that
+        *block* does not hold *stop_pc* past its head; a chained
+        successor is entered only under the same two conditions.  Each
+        block of the dispatch runs one of two ways, decided once: while
+        interrupts are deliverable or a step hook is attached, the
+        per-entry loop hands every entry to ``execute()``; otherwise
+        the block's MJIT function runs, compiled at its first dispatch.
+        Only the setup below depends on *mram*.
         """
         core = self.core
         timer = self.timer
@@ -465,10 +482,10 @@ class FunctionalSimulator:
         cycles0 = timer.cycles if sink is not None else 0
         irq = core.irq
         if mram:
-            # Metal mode: no interrupt sampling (paper §2.1) and no
-            # stop_pc.  Every fetch comes from MRAM at ``mram_fetch``
-            # cost, with no I-cache access.  ``mexit`` leaves Metal mode
-            # and is never chainable.
+            # Metal mode: no interrupt sampling (paper §2.1).  Every
+            # fetch comes from MRAM at ``mram_fetch`` cost, with no
+            # I-cache access.  ``mexit`` leaves Metal mode and is never
+            # chainable.
             ns = "mram"
             icache_access = None
             latency = core.timing.mram_fetch
@@ -493,84 +510,24 @@ class FunctionalSimulator:
                 poll = core.csrs.interrupts_enabled
             code = core.bus
         chain_next = tcache.chain_next
-        check_stop = stop_pc is not None
         sync = self._sync_devices
         take_irq = self._maybe_take_interrupt
         note = timer.note
         f_sync, f_csr, f_term, f_break = F_SYNC, F_CSR, F_TERM, F_TERM | F_STORE
-        guarded = (poll or check_stop or trace is not None
-                   or budget < len(block.entries))
-        threshold = tcache.jit_threshold
+        guarded = poll or trace is not None
+        instret0 = core.instret
         retired = 0
         chained = 0
         trap = None
         trap_pc = 0
-        done = False
 
         while True:
-            if not guarded:
-                # Unguarded loop: compiled code only (MJIT,
-                # repro.cpu.jit).  The compiled function owns the timer,
-                # the I-cache fetch plan and the register file for its
-                # block; ``core.pc`` and ``core.instret`` are published
-                # here.  Chainable exits (branch/jal/jalr, length-limit
-                # fall-through) follow the superblock link to the
-                # successor without bouncing back to ``run()``.  A block
-                # below the threshold leaves for the per-entry loop.
-                instret0 = core.instret - retired
-                jit0 = retired
-                while True:
-                    jfn = block.jit_fn
-                    if jfn is None:
-                        heat = block.heat + 1
-                        block.heat = heat
-                        if heat < threshold:
-                            break
-                        jfn = tcache.jit_compile(block, mram)
-                    status, next_pc, jret, jloops, trap = jfn(
-                        core, block, timer, sync, budget - retired,
-                        instret0 + retired, chain_limit - chained)
-                    retired += jret
-                    if jloops:
-                        # Internalised self-loop iterations are chain
-                        # transitions the caller would have made.
-                        chained += jloops
-                        stats.chain_hits += jloops
-                        if chained > stats.chain_longest:
-                            stats.chain_longest = chained
-                    core.pc = next_pc
-                    if (status or not block.chainable
-                            or chained >= chain_limit):
-                        # 1: invalidated mid-trace; 2: trap at next_pc.
-                        trap_pc = next_pc
-                        done = True
-                        break
-                    nxt = chain_next(block, next_pc, mram, code)
-                    if nxt is None or budget - retired < len(nxt.entries):
-                        done = True
-                        break
-                    chained += 1
-                    if chained > stats.chain_longest:
-                        stats.chain_longest = chained
-                    block = nxt
-                core.instret = instret0 + retired
-                stats.jit_instructions += retired - jit0
-                if done:
-                    break
-            # Per-entry loop: ``execute()`` per entry, with the budget,
-            # stop_pc and interrupt guards when they apply.  A cold block
-            # runs here once; its successor goes back to the unguarded
-            # loop, which counts its heat.
-            aborted = False
-            for instr, pc, flags in block.entries:
-                if retired:
-                    if retired >= budget:
-                        aborted = True
-                        break
-                    if check_stop and pc == stop_pc:
-                        aborted = True
-                        break
-                    if poll:
+            if guarded:
+                # Per-entry loop: ``execute()`` per entry, polling
+                # interrupts between entries while they are deliverable.
+                aborted = False
+                for instr, pc, flags in block.entries:
+                    if poll and retired:
                         sync()
                         if not block.valid:
                             aborted = True
@@ -581,46 +538,72 @@ class FunctionalSimulator:
                         if irq.pending_bitmap() and take_irq():
                             aborted = True
                             break
-                if flags:
-                    if flags & f_sync:
-                        sync()
-                        if not block.valid:
-                            aborted = True
-                            break  # DMA rewrote this page; core.pc == pc
-                    if flags & f_csr:
-                        core._timer_cycles = timer.cycles
-                fetch = (icache_access(pc) if icache_access is not None
-                         else latency)
-                try:
-                    step = execute(core, instr, pc, fetch_latency=fetch)
-                except TrapException as exc:
-                    trap = exc
-                    trap_pc = pc
-                    aborted = True
-                    break
-                core.pc = step.next_pc
-                core.instret += 1
-                retired += 1
-                note(step)
-                if trace is not None:
-                    trace(step)
-                if flags & f_break:
-                    if flags & f_term:
-                        break
-                    if not block.valid:
-                        # The store we just executed evicted this block
-                        # (self-modifying code): re-dispatch from core.pc.
+                    if flags:
+                        if flags & f_sync:
+                            sync()
+                            if not block.valid:
+                                aborted = True
+                                break  # DMA rewrote this page; core.pc == pc
+                        if flags & f_csr:
+                            core._timer_cycles = timer.cycles
+                    fetch = (icache_access(pc) if icache_access is not None
+                             else latency)
+                    try:
+                        step = execute(core, instr, pc, fetch_latency=fetch)
+                    except TrapException as exc:
+                        trap = exc
+                        trap_pc = pc
                         aborted = True
                         break
+                    core.pc = step.next_pc
+                    core.instret += 1
+                    retired += 1
+                    note(step)
+                    if trace is not None:
+                        trace(step)
+                    if flags & f_break:
+                        if flags & f_term:
+                            break
+                        if not block.valid:
+                            # The store we just executed evicted this
+                            # block (self-modifying code): re-dispatch
+                            # from core.pc.
+                            aborted = True
+                            break
+                if aborted:
+                    break
+            else:
+                # Compiled code (MJIT, repro.cpu.jit).  The function
+                # owns the timer, the I-cache fetch plan and the register
+                # file for its block; ``core.pc`` and ``core.instret``
+                # are published here.
+                jfn = block.jit_fn
+                if jfn is None:
+                    jfn = tcache.jit_compile(block, mram)
+                status, next_pc, jret, jloops, trap = jfn(
+                    core, block, timer, sync, budget - retired,
+                    instret0 + retired, chain_limit - chained)
+                retired += jret
+                if jloops:
+                    # Internalised self-loop iterations are chain
+                    # transitions the caller would have made.
+                    chained += jloops
+                    stats.chain_hits += jloops
+                    if chained > stats.chain_longest:
+                        stats.chain_longest = chained
+                core.pc = next_pc
+                if status:
+                    # 1: invalidated mid-trace; 2: trap at next_pc.
+                    trap_pc = next_pc
+                    break
             # Chain to the successor when the exit was a pure control
-            # transfer (or the fall-through of a length-limited block);
-            # the per-entry guards above keep running inside a guarded
-            # chain, so no extra prechecks are needed.
-            if aborted or not block.chainable or chained >= chain_limit:
+            # transfer (or the fall-through of a length-limited block),
+            # the budget covers it and it does not hold stop_pc.
+            if not block.chainable or chained >= chain_limit:
                 break
             nxt = chain_next(block, core.pc, mram, code)
-            if nxt is None or (not guarded
-                               and budget - retired < len(nxt.entries)):
+            if (nxt is None or budget - retired < len(nxt.entries)
+                    or nxt.start <= stop_pc < nxt.end):
                 break
             chained += 1
             if chained > stats.chain_longest:
@@ -629,6 +612,9 @@ class FunctionalSimulator:
         stats.fast_instructions += retired
         if guarded:
             stats.guarded_instructions += retired
+        else:
+            core.instret = instret0 + retired
+            stats.jit_instructions += retired
         if sink is not None:
             sink.note_trace(ns, head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)
@@ -649,6 +635,7 @@ class FunctionalSimulator:
         start_cycles = self.timer.cycles
         perf = self.perf
         fast = self._tcache_enabled
+        stop = -1 if stop_pc is None else stop_pc
         reason = "limit"
         host_start = perf_counter()
         try:
@@ -656,17 +643,13 @@ class FunctionalSimulator:
                 if core.halted:
                     reason = "halt"
                     break
-                if (
-                    stop_pc is not None
-                    and core.pc == stop_pc
-                    and not core.in_metal
-                ):
+                if core.pc == stop and not core.in_metal:
                     reason = "stop_pc"
                     break
                 if fast:
                     self._fast_step(
                         max_instructions - (core.instret - start_instret),
-                        stop_pc,
+                        stop,
                     )
                 else:
                     self.step()

@@ -1,10 +1,9 @@
-"""MJIT: the tier-2 compiler (hot blocks → specialized Python).
+"""MJIT: the tier-2 compiler (blocks → specialized Python).
 
-A block that is not compiled runs on the engine's per-entry loop and
-pays an ``execute()`` dispatch, a ``StepInfo`` and a timer call per
-retired instruction.  Once its ``heat`` (unguarded dispatches) reaches
-``TranslationCache.jit_threshold``, MJIT renders it as straight Python
-source and ``exec``-compiles it once:
+On the engine's per-entry loop a block pays an ``execute()`` dispatch,
+a ``StepInfo`` and a timer call per retired instruction.  At a block's
+first unguarded dispatch MJIT renders it as straight Python source and
+``exec``-compiles it once:
 
 * decoded fields, immediates and ALU semantics are baked in as literal
   expressions from the shared micro-op IR

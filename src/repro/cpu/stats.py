@@ -31,10 +31,9 @@ class TcacheStats:
     flushes: int = 0
     #: Guest instructions retired through the block fast path.
     fast_instructions: int = 0
-    #: The part of ``fast_instructions`` a guard forced onto the
-    #: per-entry loop (deliverable interrupts, ``stop_pc``, step hooks, a
-    #: budget shorter than the block).  Cold blocks, below the MJIT
-    #: threshold, run there too but are not counted.
+    #: The part of ``fast_instructions`` the per-entry loop retired:
+    #: everything a block dispatch runs while interrupts are deliverable
+    #: or a step hook is attached.
     guarded_instructions: int = 0
     #: Superblock links installed between blocks.
     chain_links: int = 0
@@ -125,6 +124,6 @@ class PerfCounters:
             f"({tc.jit_compile_ms:.2f} ms), {tc.jit_instructions} instrs "
             f"via tier 2 ({tc.jit_dispatch_share:.1%} of fast path)",
             f"fast-path instrs   : {tc.fast_instructions} "
-            f"({tc.guarded_instructions} guarded, "
-            f"{self.slow_instructions} slow)",
+            f"({tc.guarded_instructions} guarded on the per-entry loop); "
+            f"{self.slow_instructions} on step()",
         ])

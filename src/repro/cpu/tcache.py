@@ -9,11 +9,12 @@ predecoding guest code into **basic blocks**: lists of
 ``(instr, pc, flags)`` entries ending at control flow,
 ``menter``/``mexit``, CSR/SYSTEM instructions, or any
 architectural-feature instruction that could change an invariant blocks
-are compiled under.  A block that is not compiled yet runs on the
-engine's per-entry loop, which hands every entry to
-:func:`repro.cpu.executor.execute`; once a block is hot, MJIT
-(:mod:`repro.cpu.jit`) compiles it to a Python function
-(``jit_fn``) that runs with the engine's cache models and timer.
+are compiled under.  MJIT (:mod:`repro.cpu.jit`) compiles a block to
+a Python function (``jit_fn``) at its first unguarded dispatch, and
+that function runs with the engine's cache models and timer; while
+interrupts are deliverable or a step hook is attached, the engine's
+per-entry loop hands every entry to :func:`repro.cpu.executor.execute`
+instead.
 
 Besides its entries each block carries its **superblock chain**
 (``link``/``link_pc``/``links``): after a block exits through a pure
@@ -123,8 +124,7 @@ class Block:
     """One predecoded basic block (plus its superblock chain links)."""
 
     __slots__ = ("start", "end", "entries", "valid",
-                 "chainable", "link", "link_pc", "links",
-                 "heat", "jit_fn")
+                 "chainable", "link", "link_pc", "links", "jit_fn")
 
     def __init__(self, start: int, end: int, entries,
                  chainable: bool = False):
@@ -132,14 +132,9 @@ class Block:
         self.end = end            # byte address just past the last entry
         self.entries = entries    # list of (instr, pc, flags)
         self.valid = True
-        #: Tier-2 hotness: dispatches of this block with no guard in
-        #: force (the same transitions the hit/chain-hit stats count).
-        #: Reaching ``TranslationCache.jit_threshold`` triggers MJIT
-        #: compilation.
-        self.heat = 0
-        #: MJIT-compiled function for this block (tier 2), or None while
-        #: the block is cold.  Every eviction path that clears ``valid``
-        #: also drops this, exactly as it severs chain links.
+        #: MJIT-compiled function for this block (tier 2), or None until
+        #: its first unguarded dispatch.  Every eviction path that clears
+        #: ``valid`` also drops this, exactly as it severs chain links.
         self.jit_fn = None
         #: Whether the block's exit is eligible for chaining (branch/jal/
         #: jalr terminator, or the fall-through of a length-limited block).
@@ -261,11 +256,6 @@ class TranslationCache:
         #: reported for the exported timeline; ``None`` costs nothing on
         #: the hot paths (checked only on the cold branches).
         self.sink = None
-        #: Unguarded dispatches a block must see before MJIT
-        #: (repro.cpu.jit) compiles it.  Low by design: compilation is a
-        #: few hundred microseconds, and a block dispatched this often is
-        #: overwhelmingly a loop body.
-        self.jit_threshold = 16
         self._mem = {}          # start pc -> Block
         self._mem_pages = {}    # page number -> set of start pcs
         self._mram = {}         # start offset -> Block
@@ -368,11 +358,11 @@ class TranslationCache:
         """Compile *block* to tier 2; returns the function, also cached
         on ``block.jit_fn``.
 
-        Called by the engine once ``block.heat`` reaches
-        :attr:`jit_threshold`; *mram* names the block's namespace.  The
-        codegen mode follows from this cache: mem blocks carry the fetch
-        plan for :attr:`line_size`, and :attr:`scoreboard` makes the code
-        feed the pipeline timer.
+        Called by the engine at the block's first unguarded dispatch;
+        *mram* names the block's namespace.  The codegen mode follows
+        from this cache: mem blocks carry the fetch plan for
+        :attr:`line_size`, and :attr:`scoreboard` makes the code feed
+        the pipeline timer.
         """
         from repro.cpu import jit as mjit
         t0 = perf_counter()
@@ -402,15 +392,15 @@ class TranslationCache:
 
     def tier_of(self, ns: str, pc: int):
         """Execution tier of the cached block headed at *pc*: ``"jit"``
-        (compiled), ``"cold"`` (below the threshold, run entry by
-        entry), or ``None`` when nothing is cached there.  Used by the
-        MPROF hot-trace report to label traces with the tier that
-        executed them."""
+        (compiled), ``"guarded"`` (only the per-entry loop has run it),
+        or ``None`` when nothing is cached there.  Used by the MPROF
+        hot-trace report to label traces with the tier that executed
+        them."""
         table = self._mem if ns == "mem" else self._mram
         block = table.get(pc)
         if block is None or not block.valid:
             return None
-        return "jit" if block.jit_fn is not None else "cold"
+        return "jit" if block.jit_fn is not None else "guarded"
 
     # ------------------------------------------------------------------
     # superblock chaining

@@ -27,7 +27,7 @@ I/O.  Both are one-shot unless re-armed.
 
 from __future__ import annotations
 
-from repro.mem.mmio import MmioDevice
+from repro.mem.mmio import DmaDevice
 
 REG_SECTOR = 0x00
 REG_DMA_ADDR = 0x04
@@ -47,12 +47,11 @@ CMD_WRITE = 2
 SECTOR_SIZE = 512
 
 
-class BlockDevice(MmioDevice):
+class BlockDevice(DmaDevice):
     """Single-request-at-a-time block device."""
 
     def __init__(self, base: int = 0xF000_3000, latency_cycles: int = 800):
         super().__init__(base, 0x18, name="blockdev")
-        self.bus = None
         self.latency_cycles = latency_cycles
         self.sectors = {}        # sector number -> bytes
         self.sector_reg = 0

@@ -35,7 +35,7 @@ import heapq
 from collections import deque
 
 from repro.errors import ReproError
-from repro.mem.mmio import MmioDevice
+from repro.mem.mmio import DmaDevice
 
 REG_RX_STATUS = 0x00
 REG_RX_LEN = 0x04
@@ -51,12 +51,11 @@ FAULT_NONE = 0
 FAULT_DMA = 1
 
 
-class Nic(MmioDevice):
+class Nic(DmaDevice):
     """RX-only synthetic NIC (TX is irrelevant to the delivery benchmark)."""
 
     def __init__(self, base: int = 0xF000_2000):
         super().__init__(base, 0x20, name="nic")
-        self.bus = None          # set by the machine builder for DMA
         self.clock = 0
         self._schedule = []      # heap of (arrival_cycle, seq, payload)
         self._seq = 0

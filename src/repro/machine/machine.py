@@ -121,7 +121,7 @@ class Machine:
 
         restore_snapshot(self, snap)
 
-    def run_quantum(self, quantum: int, stop_pc: int = None):
+    def run_quantum(self, quantum: int):
         """Run **at most** *quantum* instructions; never raises on the
         budget.  The engines' stepping is exact-budget: unless the guest
         halts first, exactly *quantum* instructions retire, and the
@@ -131,8 +131,7 @@ class Machine:
         the identical instruction stream as one uninterrupted run.
         This is the preemption primitive the serving shards use to keep
         long jobs from starving short ones."""
-        return self.sim.run(max_instructions=quantum, stop_pc=stop_pc,
-                            raise_on_limit=False)
+        return self.sim.run(max_instructions=quantum, raise_on_limit=False)
 
     # -- lifecycle ---------------------------------------------------------
     def reset(self, pc: int = 0) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 from repro.errors import BusError
@@ -20,7 +21,10 @@ class PhysicalMemory:
             raise ValueError(f"memory size must be positive, got {size}")
         self.base = base
         self.size = size
-        self.data = bytearray(size)
+        #: A private anonymous mapping: zero pages are mapped on first
+        #: touch, so a fresh machine pays only for the RAM its guest
+        #: uses, and dropping the machine unmaps it.
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         #: Optional write-notification hook ``fn(addr, length)`` fired
         #: after every mutation (guest stores, host pokes, DMA).  The
         #: translation cache uses it to evict blocks over modified code.

@@ -9,6 +9,8 @@ maps a Metal-only MMIO window.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.errors import AlignmentError, BusError
 
 
@@ -75,6 +77,27 @@ class MmioDevice:
 
     def tick(self, cycles: int) -> None:
         """Advance device-internal time by *cycles* processor cycles."""
+
+
+class DmaDevice(MmioDevice):
+    """A device that moves data to and from memory through ``bus``
+    (None until the machine builder wires it).
+
+    The bus holds the device, so the device holds the bus only weakly:
+    a dropped machine then frees its RAM at once, without waiting for
+    the cyclic collector.
+    """
+
+    _bus_ref = None
+
+    @property
+    def bus(self):
+        ref = self._bus_ref
+        return ref() if ref is not None else None
+
+    @bus.setter
+    def bus(self, bus) -> None:
+        self._bus_ref = weakref.ref(bus) if bus is not None else None
 
 
 class MmioRegisterBank(MmioDevice):

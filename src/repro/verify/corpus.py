@@ -2,9 +2,9 @@
 
 The corpus is the MCONF generator's program space (the same seed
 derivation the conformance campaign uses: program ``seed`` maps to
-``random.Random(PROGRAM_SEED_BASE + seed)``), executed with
-``jit_threshold=1`` (every warm block is tier-2 compiled) on one machine
-per MJIT codegen mode (:data:`MODES`).  After each program runs, every
+``random.Random(PROGRAM_SEED_BASE + seed)``), executed on one machine
+per MJIT codegen mode (:data:`MODES`), where MJIT compiles every block
+at its first dispatch.  After each program runs, every
 surviving compiled block is harvested from the machine's translation
 cache and handed to :func:`repro.verify.translate.validate_block` in
 that cache's codegen mode.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.verify.translate import validate_block
 
 #: Harvest machine per codegen mode: (engine, cache models on).  The
-#: uncached one is the conformance campaign's ``jit`` variant.
+#: uncached one is the conformance campaign's ``chained`` variant.
 MODES = {
     "uncached": ("functional", False),
     "cached": ("functional", True),
@@ -66,7 +66,6 @@ def harvest_seed(seed: int, mode: str, config=None):
     engine, caches = MODES[mode]
     machine = build_metal_machine(routines(config), engine=engine,
                                   with_caches=caches, ram_bytes=RAM_BYTES)
-    machine.sim.tcache.jit_threshold = 1
     program = machine.assemble(result.source, base=CODE_BASE)
     machine.load(program)
     machine.core.pc = CODE_BASE

@@ -5,8 +5,8 @@ differential fuzzer and the tcache tests; this file pins the
 *compiler*: the exact Python source generated for a known block (golden
 snapshot), MRAM data accesses compiled inline behind the data-segment
 check (and trapping exactly like the interpreter), guest-RAM access
-compiled inside mram blocks, a cold loop handed to MJIT by its own
-chained transitions, and every eviction path dropping compiled code.
+compiled inside mram blocks, a loop compiled at its first dispatch,
+and every eviction path dropping compiled code.
 Bit-identity of tier-2 execution against the interpreter is fuzzed in
 ``tests/test_superblock_differential.py``.
 """
@@ -84,11 +84,9 @@ loop:
 """
 
 
-def _machine(routines=(), threshold=1, **cfg):
-    machine = build_metal_machine(
+def _machine(routines=(), **cfg):
+    return build_metal_machine(
         list(routines), config=MachineConfig(with_caches=False, **cfg))
-    machine.sim.tcache.jit_threshold = threshold
-    return machine
 
 
 def _jit_sources(machine, ns="mram"):
@@ -157,17 +155,16 @@ def test_tier_of_reports_jit():
 
 
 @pytest.mark.parametrize("engine", ["functional", "pipeline"])
-def test_cold_loop_compiles_through_its_own_chain(engine):
-    """The loop is dispatched once and then only chains to itself: its
-    first passes run cold on the per-entry loop, each chained transition
-    counts its heat, and at the threshold the same dispatch hands it to
-    MJIT — with the cache models on, on either engine."""
+def test_loop_compiles_at_first_dispatch(engine):
+    """The loop is dispatched once and then only chains to itself: MJIT
+    compiles it at that first dispatch, so every pass runs at tier 2
+    and none on the per-entry loop — with the cache models on, on
+    either engine."""
     m = build_metal_machine([], config=MachineConfig(engine=engine))
     m.load_and_run(LOOP, base=CODE_BASE)
     tc = m.perf.tcache
-    threshold = m.sim.tcache.jit_threshold
     assert m.sim.tcache.tier_of("mem", CODE_BASE + 8) == "jit"
-    assert tc.jit_instructions >= 3 * (50 - threshold)
+    assert tc.jit_instructions == m.core.instret
     assert tc.guarded_instructions == 0
 
 

@@ -1,5 +1,8 @@
 """Machine builder and composition tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import (
@@ -67,6 +70,32 @@ class TestDevicesWired:
         m = build_trap_machine()
         assert m.nic.bus is m.bus
         assert m.blockdev.bus is m.bus
+
+    @pytest.mark.parametrize("engine", ["functional", "pipeline"])
+    def test_dropped_machine_frees_ram_without_the_collector(self, engine):
+        """The DMA devices hold the bus weakly, so nothing cyclic keeps
+        the RAM of a Metal machine that ran a program alive once the
+        last reference to the machine is gone."""
+        gc.disable()
+        try:
+            m = build_metal_machine(NOOP, engine=engine)
+            m.load_and_run("""
+_start:
+    li   s0, 20
+    li   s1, 0x3000
+loop:
+    menter 0
+    sw   s0, 0(s1)
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+""")
+            assert m.perf.tcache.jit_instructions > 0
+            ram = weakref.ref(m.ram)
+            del m
+            assert ram() is None
+        finally:
+            gc.enable()
 
     def test_irq_lines(self):
         m = build_trap_machine()

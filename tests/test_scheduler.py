@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import MachineConfig
 from repro.osdemo.scheduler import (
     SCHED_SWITCHES,
     boot_scheduler_demo,
@@ -68,3 +69,39 @@ class TestQuantumScaling:
         m.run(max_instructions=100_000, raise_on_limit=False)
         assert m.read_word(SCHED_SWITCHES) > 5
         assert m.read_word(ERRFLAG) == 0
+
+
+def _lockstep_state(m):
+    core = m.core
+    return {
+        "regs": list(core.regs),
+        "pc": core.pc,
+        "instret": core.instret,
+        "cycles": m.cycles,
+        "icache": (core.icache.stats.hits, core.icache.stats.misses),
+        "dcache": (core.dcache.stats.hits, core.dcache.stats.misses),
+        "stalls": getattr(m.sim, "stalls", None),
+        "switches": m.read_word(SCHED_SWITCHES),
+    }
+
+
+@pytest.mark.parametrize("engine", ["functional", "pipeline"])
+def test_lockstep_tcache_off_and_on(engine):
+    """The scheduler's processes run with interrupts live, so the
+    tcache-on machine runs their blocks on the per-entry loop, which
+    polls them.  In 97-instruction chunks, whose ends fall inside
+    blocks, both machines agree on every compared field after every
+    chunk."""
+    machines = [boot_scheduler_demo(config=MachineConfig(engine=engine,
+                                                         tcache=tcache))
+                for tcache in (False, True)]
+    for chunk in range(620):
+        for m in machines:
+            m.run(max_instructions=97, raise_on_limit=False)
+        ref, got = (_lockstep_state(m) for m in machines)
+        for key in ref:
+            assert ref[key] == got[key], (
+                f"chunk {chunk}: {key} diverges "
+                f"(tcache off={ref[key]!r}, on={got[key]!r})")
+    assert ref["switches"] > 10
+    assert machines[1].perf.tcache.guarded_instructions > 0

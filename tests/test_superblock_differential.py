@@ -4,24 +4,25 @@ Random guest programs (ALU ops, branches, jumps, loads/stores,
 ``menter``/``mexit`` round-trips into mroutines that load and store
 guest RAM, and self-modifying stores) run in lockstep on four functional
 machines — tcache off entirely, tcache + superblock chaining on (MJIT
-tier 2 at its default threshold), tcache + chaining with the MPROF
+compiles every block at its first dispatch, including blocks whose code
+the program later rewrites in place), tcache + chaining with the MPROF
 trace sink attached (which bounds chained dispatches at the profiling
-chain quantum), and tcache + chaining with MJIT at threshold 1 (every
-dispatched block is compiled to specialized Python on first execution,
-including blocks whose code the program later rewrites in place) — and
-every architecturally visible piece of state is compared after every
-chunk of retired instructions.
-Any divergence means the host fast path (the chainer, the profiler or
-the JIT) leaked into guest-visible behaviour.
+chain quantum), and tcache + chaining with a no-op step hook (which
+keeps every block on the per-entry loop) — and every architecturally
+visible piece of state is compared after every chunk of retired
+instructions.  Chunk ends fall inside blocks, so the ``step()`` tails
+of a block longer than the budget are covered too.
+Any divergence means the host fast path (the chainer, the profiler,
+the per-entry loop or the JIT) leaked into guest-visible behaviour.
 
 A second, caches-on pair runs the same program with the I-cache and
-D-cache models on: the interpreter against the chained tcache with MJIT
-at threshold 1.  Compiled mem blocks replay their I-cache fetch plan
-instead of accessing the cache on every fetch, so the pair also compares
-cache hit and miss counts after every chunk.  A third pair does the same
-on the pipeline engine (interpreter against the chained tcache with MJIT
-at threshold 1, caches on), whose compiled code feeds the scoreboard one
-run schedule at a time, and also compares the three stall counters.
+D-cache models on: the interpreter against the chained tcache.
+Compiled mem blocks replay their I-cache fetch plan instead of
+accessing the cache on every fetch, so the pair also compares cache hit
+and miss counts after every chunk.  A third pair does the same on the
+pipeline engine (interpreter against the chained tcache, caches on),
+whose compiled code feeds the scoreboard one run schedule at a time,
+and also compares the three stall counters.
 
 Seeds are deterministic and appear both in the test id and in every
 assertion message, so a failure is reproducible with e.g.::
@@ -51,15 +52,15 @@ _routines = routines
 _gen_program = gen_program
 
 
-def _build(tcache: bool, jit: bool = False, caches: bool = False,
+def _build(tcache: bool, hook: bool = False, caches: bool = False,
            engine: str = "functional"):
     machine = build_metal_machine(
         _routines(), engine=engine, with_caches=caches,
         ram_bytes=RAM_BYTES, tcache=tcache,
     )
-    if jit:
-        # Compile on first dispatch so every seed exercises tier 2.
-        machine.sim.tcache.jit_threshold = 1
+    if hook:
+        # A step hook keeps every block on the per-entry loop.
+        machine.sim.add_step_hook(lambda step: None)
     return machine
 
 
@@ -122,13 +123,13 @@ def test_differential(seed):
     m_ref = _build(tcache=False)       # interpreter, no fast path at all
     m_got = _build(tcache=True)        # predecoded blocks + chaining + MJIT
     m_prof = _build(tcache=True)       # chaining + MPROF sink attached
-    m_jit = _build(tcache=True, jit=True)   # MJIT at threshold 1
+    m_hook = _build(tcache=True, hook=True)   # the per-entry loop
     m_ref_c = _build(tcache=False, caches=True)       # caches-on pair
-    m_jit_c = _build(tcache=True, jit=True, caches=True)
+    m_got_c = _build(tcache=True, caches=True)
     m_ref_p = _build(tcache=False, caches=True, engine="pipeline")
-    m_got_p = _build(tcache=True, jit=True, caches=True, engine="pipeline")
+    m_got_p = _build(tcache=True, caches=True, engine="pipeline")
     m_prof.set_profiling(True)
-    machines = (m_ref, m_got, m_prof, m_jit, m_ref_c, m_jit_c,
+    machines = (m_ref, m_got, m_prof, m_hook, m_ref_c, m_got_c,
                 m_ref_p, m_got_p)
 
     programs = []
@@ -150,11 +151,11 @@ def test_differential(seed):
         _assert_same(seed, step, ref, got, code_len, m_ref, m_got)
         _assert_same(seed, step, ref, _state(m_prof), code_len,
                      m_ref, m_prof, label="profiled")
-        _assert_same(seed, step, ref, _state(m_jit), code_len,
-                     m_ref, m_jit, label="jit")
+        _assert_same(seed, step, ref, _state(m_hook), code_len,
+                     m_ref, m_hook, label="hooked")
         _assert_same(seed, step, _cached_state(m_ref_c),
-                     _cached_state(m_jit_c), code_len, m_ref_c, m_jit_c,
-                     label="jit, caches on")
+                     _cached_state(m_got_c), code_len, m_ref_c, m_got_c,
+                     label="chained, caches on")
         _assert_same(seed, step, _pipeline_state(m_ref_p),
                      _pipeline_state(m_got_p), code_len, m_ref_p, m_got_p,
                      label="pipeline, caches on")
@@ -166,17 +167,22 @@ def test_differential(seed):
         f"instructions (generator bug)"
     )
     # The fast path must actually have been on the hook: the chained
-    # machine should have dispatched through the tcache, and the
-    # profiled machine's sink should have recorded its dispatches.
+    # machine should have dispatched through the tcache, the profiled
+    # machine's sink should have recorded its dispatches, and the hooked
+    # machine should have run its blocks on the per-entry loop only.
     stats = m_got.perf.tcache
     assert stats.dispatches > 0, f"seed {seed}: tcache never dispatched"
     assert m_prof.profiler.total_traces > 0, (
         f"seed {seed}: profiler recorded no traces"
     )
-    assert m_jit.perf.tcache.dispatches > 0, (
-        f"seed {seed}: jit machine never dispatched"
+    hooked = m_hook.perf.tcache
+    assert hooked.guarded_instructions > 0, (
+        f"seed {seed}: hooked machine never ran a block"
     )
-    assert m_jit_c.perf.tcache.fast_instructions > 0, (
+    assert hooked.jit_instructions == 0, (
+        f"seed {seed}: hooked machine ran compiled code"
+    )
+    assert m_got_c.perf.tcache.fast_instructions > 0, (
         f"seed {seed}: caches-on machine never ran a block"
     )
     assert m_got_p.perf.tcache.fast_instructions > 0, (
@@ -212,8 +218,8 @@ def test_differential_snapshot_midrun(snap_seed):
     snapshot_mid = max(1, probe.core.instret // 2)
 
     machines = (_build(tcache=False), _build(tcache=True),
-                _build(tcache=True), _build(tcache=True, jit=True))
-    m_ref, m_got, m_prof, m_jit = machines
+                _build(tcache=True), _build(tcache=True, hook=True))
+    m_ref, m_got, m_prof, m_hook = machines
     m_prof.set_profiling(True)
     for machine in machines:
         program = machine.assemble(source, base=CODE_BASE)
@@ -227,8 +233,8 @@ def test_differential_snapshot_midrun(snap_seed):
                      m_ref, m_got)
         _assert_same(snap_seed, step, ref, _state(m_prof), code_len,
                      m_ref, m_prof, label="profiled")
-        _assert_same(snap_seed, step, ref, _state(m_jit), code_len,
-                     m_ref, m_jit, label="jit")
+        _assert_same(snap_seed, step, ref, _state(m_hook), code_len,
+                     m_ref, m_hook, label="hooked")
         return ref
 
     def continue_to_halt():

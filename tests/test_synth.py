@@ -367,8 +367,8 @@ class TestLockstepWithSynthesis:
             setup(machine)
         if name == "profiled":
             machine.set_profiling(True)
-        elif name == "jit":
-            machine.sim.tcache.jit_threshold = 1
+        elif name == "hooked":
+            machine.sim.add_step_hook(lambda step: None)
         return machine
 
     def test_four_way_differential_25_seeds(self):

@@ -318,10 +318,24 @@ def test_set_tcache_mid_machine(engine):
 # counters and snapshot interaction
 # ---------------------------------------------------------------------------
 
+#: A loop whose ``menter`` round-trip through the ``noop`` mroutine
+#: ends every dispatch, so each pass re-dispatches cached blocks.
+MENTER_LOOP = """
+_start:
+    li   s0, 24
+loop:
+    addi a0, a0, 3
+    menter 0
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+
+
 def test_perf_counters_surface():
     noop = MRoutine(name="noop", entry=0, source="mexit\n")
     machine = build_metal_machine([noop], with_caches=False)
-    machine.load_and_run(FIB_WORKLOAD, max_instructions=10_000)
+    machine.load_and_run(MENTER_LOOP, max_instructions=10_000)
     perf = machine.perf
     stats = perf.tcache
     assert perf.guest_instructions > 0
@@ -514,29 +528,35 @@ body:
 """
 
 
-#: MJIT thresholds the fetch-plan tests run the tcache at: the default,
-#: where the first passes run on the per-entry loop, and 1, where MJIT's
-#: emitted plan runs every block from its first dispatch.
-THRESHOLDS = (16, 1)
+#: The tcache-on runs the fetch-plan tests compare with the
+#: interpreter: hooked, where a no-op step hook keeps every block on the
+#: per-entry loop, and compiled, where MJIT's emitted plan runs every
+#: block from its first dispatch.  Compiled runs last.
+TCACHE_RUNS = ("hooked", "compiled")
+
+
+def _tcache_run(machine, run) -> None:
+    """Set *machine* up for one of :data:`TCACHE_RUNS`."""
+    if run == "hooked":
+        machine.sim.add_step_hook(lambda step: None)
 
 
 def _fetch_plan_pair(source, engine, routines=(NOOP,), setup=None):
-    """Run *source* with the cache models on, tcache off and (at each of
-    :data:`THRESHOLDS`) on; assert identical instructions, cycles,
+    """Run *source* with the cache models on, tcache off and (for each
+    of :data:`TCACHE_RUNS`) on; assert identical instructions, cycles,
     registers, cache counts and (pipeline engine) stall counters, and
-    return the machine run at threshold 1."""
+    return the compiled run's machine."""
     outcomes = []
-    for threshold in (None, *THRESHOLDS):
+    for run in (None, *TCACHE_RUNS):
         machine = build_metal_machine(list(routines), engine=engine,
-                                      tcache=threshold is not None)
-        if threshold is not None:
-            machine.sim.tcache.jit_threshold = threshold
+                                      tcache=run is not None)
+        _tcache_run(machine, run)
         if setup is not None:
             setup(machine)
         result = machine.load_and_run(source, max_instructions=100_000)
         outcomes.append((_outcome(machine, result),
                          getattr(machine.sim, "stalls", None)))
-    assert outcomes[1:] == outcomes[:1] * len(THRESHOLDS), (
+    assert outcomes[1:] == outcomes[:1] * len(TCACHE_RUNS), (
         f"fetch plan diverged from the interpreter: {outcomes}")
     return machine
 
@@ -556,11 +576,11 @@ def test_fetch_plan_midline_block_spanning_three_lines(engine):
 def test_fetch_plan_exact_for_any_geometry(line_size, ways, sets):
     """I-caches too small for the loop: every geometry keeps missing,
     and the plan reproduces each hit, miss and LRU eviction, on either
-    engine and at either MJIT threshold."""
+    engine, compiled and on the per-entry loop."""
     for simulator in (FunctionalSimulator, PipelineSimulator):
         outcomes = []
-        for threshold in (None, *THRESHOLDS):
-            tcache = threshold is not None
+        for run in (None, *TCACHE_RUNS):
+            tcache = run is not None
             machine = build_metal_machine([NOOP], tcache=tcache)
             core = machine.core
             # The engine compiles its fetch plans for the I-cache it is
@@ -570,13 +590,12 @@ def test_fetch_plan_exact_for_any_geometry(line_size, ways, sets):
                                 name="icache",
                                 miss_latency=core.timing.mem_latency)
             machine.sim = simulator(core, tcache=tcache)
-            if tcache:
-                machine.sim.tcache.jit_threshold = threshold
+            _tcache_run(machine, run)
             result = machine.load_and_run(MIDLINE_BLOCK,
                                           max_instructions=10_000)
             outcomes.append((_outcome(machine, result),
                              getattr(machine.sim, "stalls", None)))
-        assert outcomes[1:] == outcomes[:1] * len(THRESHOLDS), simulator
+        assert outcomes[1:] == outcomes[:1] * len(TCACHE_RUNS), simulator
         # I-cache misses: at least one per pass.
         assert outcomes[0][0][3][1] > 40
         assert machine.perf.tcache.jit_instructions > 0
@@ -819,4 +838,69 @@ def test_guarded_instructions_counter_surfaces():
     assert counters["guarded_instructions"] == tc.guarded_instructions
     assert "guarded" in machine.perf.summary()
     tc.reset()
+    assert tc.guarded_instructions == 0
+
+
+# ---------------------------------------------------------------------------
+# stop_pc and budgets end a dispatch at a block boundary
+# ---------------------------------------------------------------------------
+
+STOP_LOOP = """
+_start:
+    li   s0, 300
+    li   s1, 0x3000
+loop:
+    lw   t0, 0(s1)
+    addi t0, t0, 1
+    sw   t0, 0(s1)
+    addi s1, s1, 4
+    addi s0, s0, -1
+    bnez s0, loop
+after:
+    addi a0, a0, 7
+    addi a1, a1, 9
+    halt
+"""
+
+
+def _stop_run(engine, tcache, stop):
+    """Run STOP_LOOP on ``MachineConfig()`` to the *stop* label and
+    return the stop's outcome and the machine.  ``"loop+8"`` first runs
+    1,000 instructions, so the loop block is compiled and the budget
+    ends inside it, then stops inside that block on its next pass;
+    ``"after"`` stops at the head of the loop's chained successor."""
+    machine = build_metal_machine(
+        [NOOP], config=MachineConfig(engine=engine, tcache=tcache))
+    program = machine.assemble(STOP_LOOP, base=0x1000)
+    machine.load(program)
+    machine.core.pc = 0x1000
+    if stop == "loop+8":
+        machine.run(max_instructions=1_000, raise_on_limit=False)
+        stop_pc = program.symbols["loop"] + 8
+    else:
+        stop_pc = program.symbols["after"]
+    result = machine.run(stop_pc=stop_pc, raise_on_limit=False)
+    core = machine.core
+    outcome = (result.stop_reason, core.pc, core.instret, machine.cycles,
+               tuple(core.regs),
+               (core.icache.stats.hits, core.icache.stats.misses),
+               (core.dcache.stats.hits, core.dcache.stats.misses),
+               getattr(machine.sim, "stalls", None))
+    assert outcome[:2] == ("stop_pc", stop_pc)
+    return outcome, machine
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("stop", ("loop+8", "after"))
+def test_stop_pc_matches_the_interpreter_at_tier_two(engine, stop):
+    """stop_pc inside a block earlier passes compiled, and stop_pc at
+    the head of a chained successor: the tcache-on run stops where the
+    interpreter does, with its instructions, cycles, registers, cache
+    counts and stall counters, after retiring at least 90% at tier 2."""
+    reference, _ = _stop_run(engine, False, stop)
+    outcome, machine = _stop_run(engine, True, stop)
+    assert outcome == reference
+    tc = machine.perf.tcache
+    assert tc.jit_instructions >= 0.9 * machine.core.instret, (
+        machine.perf.summary())
     assert tc.guarded_instructions == 0

@@ -105,10 +105,8 @@ loop:
 
 
 def _machine(routines=()):
-    machine = build_metal_machine(
+    return build_metal_machine(
         list(routines), config=MachineConfig(with_caches=False))
-    machine.sim.tcache.jit_threshold = 1
-    return machine
 
 
 def _compiled_blocks(source):
@@ -254,11 +252,10 @@ loop:
 
 
 def _cached_findings(engine):
-    """Run TWO_LINES with the cache models on, MJIT at threshold 1, and
-    validate every compiled block in its cache's codegen mode."""
+    """Run TWO_LINES with the cache models on and validate every
+    compiled block in its cache's codegen mode."""
     machine = build_metal_machine([], config=MachineConfig(engine=engine))
     tc = machine.sim.tcache
-    tc.jit_threshold = 1
     machine.load_and_run(TWO_LINES, base=CODE_BASE)
     blocks = list(tc.iter_jit_blocks())
     assert blocks, "program compiled no tier-2 blocks"
