@@ -54,8 +54,12 @@ Run directly (``PYTHONPATH=src python benchmarks/bench_host_throughput.py``)
 or via pytest.  ``--smoke`` runs a <30s subset for CI: it checks the
 tight-loop hit rate (≥90%) and tier-2 dispatch share (≥90%),
 cross-mode result equality, that chains actually engage and that the
-Metal-heavy workloads retire nothing on the guarded loop, but skips the
-wall-clock speedup assertions (too noisy for shared runners); its
+Metal-heavy workloads retire nothing on the guarded loop, and boots the
+preemptive scheduler on ``MachineConfig()`` with its timer interrupts
+live: identical instructions, cycles and context switches with the
+tcache off and on, ≥85% at tier 2 and nothing on the per-entry loop.
+It skips the wall-clock speedup assertions (too noisy for shared
+runners); its
 results land in ``BENCH_host_throughput_smoke.json`` (uploaded as a CI
 artifact) so the committed full-run JSON is never clobbered by a smoke
 run.
@@ -69,6 +73,8 @@ import os
 import sys
 from time import perf_counter
 
+from repro.machine.builder import MachineConfig
+from repro.osdemo.scheduler import SCHED_SWITCHES, boot_scheduler_demo
 from repro.profile.workloads import build_workload, workload_source
 
 from common import perf_summary
@@ -225,6 +231,45 @@ def measure_profiler_overhead(iters: int, reps: int,
     }
 
 
+def check_scheduler(instructions: int = 50_000) -> dict:
+    """Boot the preemptive scheduler on ``MachineConfig()`` (timer
+    interrupts live) with the tcache off and on, run *instructions*,
+    and assert the runs agree and the fast run stays at tier 2 and off
+    the per-entry loop (the device horizon makes interrupts need no
+    polling).  Structural only: no wall-clock assert."""
+    outcomes = {}
+    for tcache in (False, True):
+        machine = boot_scheduler_demo(config=MachineConfig(tcache=tcache))
+        host0 = perf_counter()
+        machine.run(max_instructions=instructions, raise_on_limit=False)
+        host = perf_counter() - host0
+        tc = machine.perf.tcache
+        outcomes[tcache] = {
+            "instret": machine.core.instret,
+            "cycles": machine.cycles,
+            "switches": machine.read_word(SCHED_SWITCHES),
+            "mips": round(machine.core.instret / host / 1e6, 4),
+            "jit_share": round(tc.jit_instructions
+                               / machine.core.instret, 4),
+            "guarded_instructions": tc.guarded_instructions,
+        }
+    off, on = outcomes[False], outcomes[True]
+    for key in ("instret", "cycles", "switches"):
+        assert on[key] == off[key], (
+            f"scheduler: {key} differs with the tcache on "
+            f"({on[key]} vs {off[key]})")
+    assert on["switches"] > 10, f"scheduler: {on['switches']} switches"
+    assert on["jit_share"] >= 0.85, (
+        f"scheduler: tier-2 share {on['jit_share']:.1%} < 85%")
+    assert on["guarded_instructions"] == 0, (
+        f"scheduler: {on['guarded_instructions']} instructions on the "
+        f"per-entry loop")
+    print(f"preemptive_scheduler: {on['switches']} switches, tier 2 "
+          f"{on['jit_share']:.1%}, {off['mips']:.3f} -> {on['mips']:.3f} "
+          f"MIPS")
+    return {"tcache_off": off, "tcache_on": on}
+
+
 def _load_previous(path: str):
     try:
         with open(path) as fh:
@@ -276,7 +321,7 @@ def _trajectory(results: dict, previous, profiler: dict = None) -> list:
 
 
 def _emit_json(results: dict, json_path: str = JSON_PATH,
-               profiler: dict = None) -> str:
+               profiler: dict = None, scheduler: dict = None) -> str:
     path = os.path.abspath(json_path)
     trajectory = _trajectory(results, _load_previous(path),
                              profiler=profiler)
@@ -287,6 +332,8 @@ def _emit_json(results: dict, json_path: str = JSON_PATH,
     }
     if profiler:
         payload["profiler"] = profiler
+    if scheduler:
+        payload["scheduler"] = scheduler
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -382,8 +429,9 @@ def run_smoke() -> dict:
     results = run_suite(iters, reps=1, engines=("functional",))
     _print_table(results)
     profiler = measure_profiler_overhead(iters["tight_loop"], reps=1)
+    scheduler = check_scheduler()
     path = _emit_json(results, json_path=SMOKE_JSON_PATH,
-                      profiler=profiler)
+                      profiler=profiler, scheduler=scheduler)
     print(f"smoke results written to {path}")
     tight = results["tight_loop"]["functional"]
     assert tight["tcache_on"]["hit_rate"] >= 0.90, (

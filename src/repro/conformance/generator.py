@@ -24,6 +24,11 @@ seed:
                      values (``lui t5, 0x80000``) with bltu/bgeu
 ``divrem``           div/divu/rem/remu, including divide-by-zero
                      and overflow corner semantics
+``irq``              a prologue that arms the timer, routes its line to
+                     a transparent handler mroutine and enables delivery
+                     (``mintc``); the handler re-arms COMPARE at COUNT
+                     plus a per-program random delta, so interrupts land
+                     at random entry positions of every block
 ===================  ====================================================
 
 Programs are always-terminating by construction: forward control flow is
@@ -87,6 +92,13 @@ ENTRY_SPICE = 1
 ENTRY_MLOOP = 2
 ENTRY_VECSKIP = 3
 ENTRY_VECINIT = 4
+ENTRY_IRQTICK = 5
+ENTRY_IRQINIT = 6
+
+#: Range of the irq extension's timer period, in cycles: long enough
+#: for a program to make progress between interrupts (a caches-off
+#: fetch costs ``mem_latency``), short enough to take dozens.
+IRQ_DELTA = (150, 1500)
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,8 @@ class GenConfig:
     misalign: float = 0.0
     unsigned_branch: float = 0.0
     divrem: float = 0.0
+    #: Probability that a program arms the timer (a per-program draw).
+    irq: float = 0.0
     ext_rate: float = 0.25
 
     #: Body-slot features, in weighted-choice order (stable!).
@@ -217,6 +231,46 @@ def routines(config: GenConfig = GenConfig()):
             mexit
         """)
         routines_ += [vecskip, vecinit]
+    if config.irq > 0:
+        # Transparent timer handler: spill the scratch pair to MRegs,
+        # re-arm COMPARE at COUNT + the program's delta, restore.
+        irqtick = MRoutine(name="irqtick", entry=ENTRY_IRQTICK,
+                           data_words=1, mregs=(12, 13), source="""
+            wmr  m12, t5
+            wmr  m13, t6
+            li   t5, TIMER_COUNT
+            lw   t6, 0(t5)
+            mld  t5, IRQTICK_DATA(zero)
+            add  t6, t6, t5
+            li   t5, TIMER_COMPARE
+            sw   t6, 0(t5)
+            rmr  t6, m13
+            rmr  t5, m12
+            mexit
+        """)
+        # Prologue: t6 holds the delta; arm and enable the timer, route
+        # its line to irqtick, enable delivery.
+        irqinit = MRoutine(name="irqinit", entry=ENTRY_IRQINIT,
+                           shared_data=("irqtick",), source="""
+            mst  t6, IRQTICK_DATA(zero)
+            li   t5, TIMER_COUNT
+            lw   t5, 0(t5)
+            add  t6, t5, t6
+            li   t5, TIMER_COMPARE
+            sw   t6, 0(t5)
+            li   t5, TIMER_CTRL
+            li   t6, 1
+            sw   t6, 0(t5)
+            li   t5, CAUSE_INTERRUPT_TIMER
+            li   t6, MR_IRQTICK
+            mivec t5, t6
+            li   t6, 1
+            mintc t6
+            li   t5, 0
+            li   t6, 0
+            mexit
+        """)
+        routines_ += [irqtick, irqinit]
     return routines_
 
 
@@ -235,6 +289,10 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
     if config.needs_traps:
         lines.append("    menter MR_VECINIT")
         marks.add("gen:vecinit")
+    if config.irq > 0 and rng.random() < config.irq:
+        lines.append(f"    li   t6, {rng.randint(*IRQ_DELTA)}")
+        lines.append("    menter MR_IRQINIT")
+        marks.add("gen:irq")
     lines += [
         f"    li   s1, {DATA_BASE}",
         f"    li   s0, {rng.randint(24, 60)}",

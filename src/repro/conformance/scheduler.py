@@ -30,6 +30,7 @@ FEATURE_BUCKETS = {
     "divrem": frozenset({
         "gen:divrem", "dec:div", "dec:divu", "dec:rem", "dec:remu",
     }),
+    "irq": frozenset({"gen:irq"}),
 }
 
 #: Per-feature weight when the feature is targeted (has uncovered

@@ -13,6 +13,7 @@ baseline), and WFI sleep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 from repro.errors import (
@@ -29,10 +30,40 @@ from repro.cpu.timing import TimingModel
 from repro.isa.decoder import decode
 from repro.isa.instruction import InstrClass
 from repro.isa.opcodes import SPECS
+from repro.mem.mmio import NEVER
 from repro.profile.sink import StepHub
 
 _MULDIV_MNEMONICS = tuple(mnemonic for mnemonic, spec in SPECS.items()
                           if spec.cls is InstrClass.MULDIV)
+
+#: Interrupt horizon of a dispatch whose interrupts are not deliverable:
+#: above every bus horizon, so no horizon test ever fires.
+MASKED = NEVER << 1
+
+#: Control kind (``StepInfo.control``) a redirecting class reports.
+_CONTROL_OF_CLASS = {InstrClass.BRANCH: "branch", InstrClass.JAL: "jal",
+                     InstrClass.JALR: "jalr"}
+
+
+def cost_key(instr) -> str:
+    """The timers' cost key of *instr* when it redirects: its control
+    kind (``mexitm`` is an ``mexit``), else its mnemonic."""
+    control = _CONTROL_OF_CLASS.get(instr.spec.cls)
+    if control is not None:
+        return control
+    return "mexit" if instr.mnemonic == "mexitm" else instr.mnemonic
+
+
+def data_latency(instr, data: int, mram_fetch: int) -> int:
+    """Worst data-access latency of *instr*: *data* for a bus load or
+    store, ``mram_fetch`` for an MRAM data access, else 0."""
+    cls = instr.spec.cls
+    if (cls is InstrClass.LOAD or cls is InstrClass.STORE
+            or instr.mnemonic in ("mpld", "mpst")):
+        return data
+    if instr.mnemonic in ("mld", "mst"):
+        return mram_fetch
+    return 0
 
 
 def muldiv_extra(timing: TimingModel) -> dict:
@@ -40,6 +71,20 @@ def muldiv_extra(timing: TimingModel) -> dict:
     return {mnemonic: (timing.div_extra if mnemonic.startswith(("div", "rem"))
                        else timing.mul_extra)
             for mnemonic in _MULDIV_MNEMONICS}
+
+
+def block_bound(timer, mem_fetch, data: int, entries, heads,
+                mram: bool) -> int:
+    """``W``: the most cycles a block of *entries* (fetch plan *heads*,
+    mram namespace if *mram*) can advance *timer*.  *mem_fetch* is the
+    worst ``(line head, other)`` fetch latency of a mem block, *data*
+    that of a load or store."""
+    if mram:
+        head = other = timer.timing.mram_fetch
+    else:
+        head, other = mem_fetch
+    fetches = [head if is_head else other for is_head in heads]
+    return timer.block_bound(entries, fetches, data)
 
 
 #: Effectively-unbounded chain quantum used when no profiler is attached.
@@ -80,6 +125,20 @@ class SimpleTimer:
                         + (mem - 1 if mem > 1 else 0)
                         + self.extra.get(step.control or step.mnemonic, 0))
 
+    def block_bound(self, entries, fetches, data: int) -> int:
+        """Most cycles :meth:`note` can add over *entries*, whose
+        fetches take at most ``fetches[i]`` and whose loads and stores
+        at most *data*: every redirect taken, every access the slowest."""
+        extra = self.extra
+        mram_fetch = self.timing.mram_fetch
+        total = 0
+        for (instr, _pc, _flags), fetch in zip(entries, fetches):
+            mem = data_latency(instr, data, mram_fetch)
+            total += ((fetch if fetch > 1 else 1)
+                      + (mem - 1 if mem > 1 else 0)
+                      + extra.get(cost_key(instr), 0))
+        return total
+
     def note_event(self, cycles: int) -> None:
         """Charge raw cycles (trap dispatch, redirects, idle waits)."""
         self.cycles += cycles
@@ -115,11 +174,13 @@ class FunctionalSimulator:
     predecoded basic blocks between interrupt/intercept sample points,
     chaining blocks into superblocks across pure control flow so hot
     traces never return to the dispatch loop.  A block runs as MJIT
-    code, compiled at its first dispatch, or entry by entry while
-    interrupts are deliverable or a step hook is attached; :meth:`step`
-    remains the one-instruction-at-a-time reference path, and all three
-    produce bit-identical architectural state, instruction counts and
-    cycle counts (see docs/PERF.md).
+    code, compiled at its first dispatch, or entry by entry while a
+    step hook is attached; :meth:`step` remains the
+    one-instruction-at-a-time reference path, and all three produce
+    bit-identical architectural state, instruction counts and cycle
+    counts (see docs/PERF.md).  Live interrupts need no polling: a
+    block runs off :meth:`step` only if it cannot reach the bus
+    horizon (:class:`repro.mem.bus.MemoryBus`).
     """
 
     #: Safety valve for WFI with no event source.
@@ -135,7 +196,8 @@ class FunctionalSimulator:
     def __init__(self, core, timer=None, tcache: bool = True):
         self.core = core
         self.timer = timer or SimpleTimer(core.timing)
-        self._ticked = 0
+        core.bus.clock = self.timer
+        self._sync = self._horizon_sync()
         #: Optional per-step hook: fn(StepInfo) (tracing/debugging).
         #: Prefer :meth:`add_step_hook`, which multiplexes this slot.
         self.trace_fn = None
@@ -144,12 +206,28 @@ class FunctionalSimulator:
         #: Host-side performance counters (see repro.cpu.stats).
         self.perf = PerfCounters()
         icache = core.icache
+        dcache = core.dcache
+        timing = core.timing
+        # Worst-case latencies for block bounds: a line head may miss
+        # the I-cache (any other fetch hits it), and a load or store may
+        # take the slower of a D-cache miss and an MMIO access.
+        if icache is None:
+            mem_fetch = (timing.mem_latency, timing.mem_latency)
+        else:
+            mem_fetch = (icache.hit_latency + icache.miss_latency,
+                         icache.hit_latency)
+        data = max(dcache.hit_latency + dcache.miss_latency
+                   if dcache is not None else timing.mem_latency,
+                   timing.mmio_latency)
         # Compiled code feeds the pipeline scoreboard through its
-        # ``note_run``; the analytic timer's costs it adds itself.
+        # ``note_run``; the analytic timer's costs it adds itself.  (The
+        # bus holds the cache through its write watcher, so nothing the
+        # cache holds may lead back to the bus.)
         self._tcache = TranslationCache(
             self.perf.tcache,
             line_size=icache.line_size if icache is not None else None,
-            scoreboard=not isinstance(self.timer, SimpleTimer))
+            scoreboard=not isinstance(self.timer, SimpleTimer),
+            bound=partial(block_bound, self.timer, mem_fetch, data))
         #: Optional trace-profiling sink (repro.profile.sink); attach via
         #: :meth:`set_profile_sink`.  None keeps the run loops at one
         #: pointer test per retired trace.
@@ -247,10 +325,23 @@ class FunctionalSimulator:
         return self.timer.cycles
 
     def _sync_devices(self) -> None:
-        delta = self.timer.cycles - self._ticked
-        if delta > 0:
-            self.core.bus.tick(delta)
-            self._ticked = self.timer.cycles
+        """Tick every device up to the current cycle (the reference
+        path: :meth:`step` calls this after every instruction)."""
+        self.core.bus.advance(self.timer.cycles)
+
+    def _horizon_sync(self):
+        """The fast path's device sync: devices catch up only once the
+        cycle count reaches the bus horizon.  Below it no interrupt line
+        can rise and no DMA can land, and a register access catches the
+        devices up itself (see :class:`repro.mem.bus.MemoryBus`)."""
+        timer = self.timer
+        bus = self.core.bus
+
+        def sync():
+            cycles = timer.cycles
+            if cycles >= bus.horizon:
+                bus.advance(cycles)
+        return sync
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -411,14 +502,18 @@ class FunctionalSimulator:
         """Advance by one predecoded block, or fall back to :meth:`step`.
 
         Preserves the exact inter-instruction architecture of the
-        one-at-a-time path: interrupts are sampled before every
-        instruction whenever they are deliverable, device state is synced
-        before any observation point, and neither the instruction budget
-        nor *stop_pc* (-1 for none; normal mode only) is ever overshot.
-        A block is straight-line code, so an instruction inside it is
-        reached only by running the block from its start: a block longer
-        than the budget, or holding *stop_pc* past its head, runs on
-        :meth:`step` up to that instruction.
+        one-at-a-time path: device state is synced before any
+        observation point, an interrupt is taken at the same entry
+        boundary, and neither the instruction budget nor *stop_pc* (-1
+        for none; normal mode only) is ever overshot.  A block is
+        straight-line code, so an instruction inside it is reached only
+        by running the block from its start: a block longer than the
+        budget, or holding *stop_pc* past its head, runs on :meth:`step`
+        up to that instruction.  While interrupts are deliverable, so
+        does a block that might reach the bus horizon: no interrupt line
+        can rise before it, so a block whose worst-case cycle bound
+        (``block.bound``) ends short of it has no entry boundary at
+        which :meth:`step` would take one.
         """
         core = self.core
         if core.waiting:
@@ -426,6 +521,7 @@ class FunctionalSimulator:
             return
         metal = core.metal
         mram = metal is not None and metal.in_metal
+        hz = MASKED
         if mram:
             block = self._tcache.mram_block(core.pc, metal.mram)
             stop_pc = -1
@@ -437,6 +533,13 @@ class FunctionalSimulator:
             return
         else:
             block = self._tcache.mem_block(core.pc, core.bus)
+            # Interrupt deliverability is constant along a dispatch:
+            # only terminators that never chain (CSR writes, Metal
+            # transitions) and trap entries can change it.
+            if core.irq is not None and (
+                    metal.delivery.interrupts_enabled if metal is not None
+                    else core.csrs.interrupts_enabled):
+                hz = core.bus.horizon
         if block is None:
             self.step()
             return
@@ -444,35 +547,37 @@ class FunctionalSimulator:
         if block.start < stop_pc < block.end:
             # Entries before stop_pc (a misaligned one is never reached).
             count = min(count, (stop_pc - block.start + 3) >> 2)
-        if count < len(block.entries):
-            for _ in range(count):
+        if (count < len(block.entries)
+                or self.timer.cycles + block.bound >= hz):
+            for _ in range(min(count, len(block.entries))):
                 pc = core.pc
                 self.step()
                 if core.halted or core.pc != pc + 4:
                     break
             return
-        # Same ordering as step(): sample interrupts before the first
-        # fetch of the block.
-        if not mram and self._maybe_take_interrupt():
-            self._sync_devices()
-            return
-        self._exec_block(block, budget, stop_pc, mram)
+        self._exec_block(block, budget, stop_pc, mram, hz)
 
     def _exec_block(self, block, budget: int, stop_pc: int,
-                    mram: bool) -> None:
+                    mram: bool, hz: int) -> None:
         """Run *block* and the superblock chain behind it.
 
-        The caller has checked that the budget covers *block* and that
-        *block* does not hold *stop_pc* past its head; a chained
-        successor is entered only under the same two conditions.  Each
+        The caller has checked that the budget covers *block*, that
+        *block* does not hold *stop_pc* past its head, and that its
+        cycle bound ends short of the interrupt horizon *hz* (the bus
+        horizon while interrupts are deliverable, else :data:`MASKED`);
+        a chained successor is entered only under the same three
+        conditions.  A load or store that pulls the bus horizon below
+        *hz* (a timer armed, a fault injected from inside an MMIO
+        access) ends the dispatch at the next entry boundary.  Each
         block of the dispatch runs one of two ways, decided once: while
-        interrupts are deliverable or a step hook is attached, the
-        per-entry loop hands every entry to ``execute()``; otherwise
-        the block's MJIT function runs, compiled at its first dispatch.
-        Only the setup below depends on *mram*.
+        a step hook is attached, the per-entry loop hands every entry
+        to ``execute()``; otherwise the block's MJIT function runs,
+        compiled at its first dispatch.  Only the setup below depends
+        on *mram*.
         """
         core = self.core
         timer = self.timer
+        bus = core.bus
         trace = self.trace_fn
         stats = self.perf.tcache
         tcache = self._tcache
@@ -480,41 +585,28 @@ class FunctionalSimulator:
         chain_limit = self._profile_chain_limit
         head = block.start
         cycles0 = timer.cycles if sink is not None else 0
-        irq = core.irq
         if mram:
-            # Metal mode: no interrupt sampling (paper §2.1).  Every
+            # Metal mode: never interruptible (paper §2.1).  Every
             # fetch comes from MRAM at ``mram_fetch`` cost, with no
             # I-cache access.  ``mexit`` leaves Metal mode and is never
             # chainable.
             ns = "mram"
             icache_access = None
             latency = core.timing.mram_fetch
-            poll = False
             code = core.metal.mram
         else:
             ns = "mem"
             icache = core.icache
             icache_access = icache.access if icache is not None else None
             latency = core.timing.mem_latency
-            # Interrupt deliverability is constant inside a block — and
-            # along a superblock chain: only terminator instructions (CSR
-            # writes, Metal transitions) or trap entries can change it;
-            # traps exit the loop and only branch/jal/jalr terminators
-            # are chainable.
-            metal = core.metal
-            if irq is None:
-                poll = False
-            elif metal is not None:
-                poll = metal.delivery.interrupts_enabled
-            else:
-                poll = core.csrs.interrupts_enabled
             code = core.bus
         chain_next = tcache.chain_next
-        sync = self._sync_devices
-        take_irq = self._maybe_take_interrupt
+        sync = self._sync
         note = timer.note
-        f_sync, f_csr, f_term, f_break = F_SYNC, F_CSR, F_TERM, F_TERM | F_STORE
-        guarded = poll or trace is not None
+        f_sync, f_csr, f_term = F_SYNC, F_CSR, F_TERM
+        f_break = F_TERM | F_STORE | F_SYNC
+        live = hz < MASKED
+        guarded = trace is not None
         instret0 = core.instret
         retired = 0
         chained = 0
@@ -523,21 +615,10 @@ class FunctionalSimulator:
 
         while True:
             if guarded:
-                # Per-entry loop: ``execute()`` per entry, polling
-                # interrupts between entries while they are deliverable.
+                # Per-entry loop: ``execute()`` per entry, so the step
+                # hook sees every StepInfo.
                 aborted = False
                 for instr, pc, flags in block.entries:
-                    if poll and retired:
-                        sync()
-                        if not block.valid:
-                            aborted = True
-                            break  # DMA rewrote this page; core.pc == pc
-                        # pending_bitmap() is side-effect-free, so the
-                        # cheap precheck is equivalent to calling
-                        # take_irq() always.
-                        if irq.pending_bitmap() and take_irq():
-                            aborted = True
-                            break
                     if flags:
                         if flags & f_sync:
                             sync()
@@ -564,10 +645,10 @@ class FunctionalSimulator:
                     if flags & f_break:
                         if flags & f_term:
                             break
-                        if not block.valid:
-                            # The store we just executed evicted this
-                            # block (self-modifying code): re-dispatch
-                            # from core.pc.
+                        if not block.valid or live and bus.horizon < hz:
+                            # The access evicted this block (self-
+                            # modifying code) or pulled the horizon in:
+                            # re-dispatch from core.pc.
                             aborted = True
                             break
                 if aborted:
@@ -580,9 +661,17 @@ class FunctionalSimulator:
                 jfn = block.jit_fn
                 if jfn is None:
                     jfn = tcache.jit_compile(block, mram)
+                limit = chain_limit - chained
+                if live:
+                    # An internalised iteration takes at most
+                    # block.bound cycles: allow only those that end
+                    # short of the interrupt horizon.
+                    fit = (hz - timer.cycles - 1) // block.bound - 1
+                    if fit < limit:
+                        limit = fit
                 status, next_pc, jret, jloops, trap = jfn(
                     core, block, timer, sync, budget - retired,
-                    instret0 + retired, chain_limit - chained)
+                    instret0 + retired, limit, hz)
                 retired += jret
                 if jloops:
                     # Internalised self-loop iterations are chain
@@ -593,17 +682,20 @@ class FunctionalSimulator:
                         stats.chain_longest = chained
                 core.pc = next_pc
                 if status:
-                    # 1: invalidated mid-trace; 2: trap at next_pc.
+                    # 1: invalidated mid-trace or horizon pulled in;
+                    # 2: trap at next_pc.
                     trap_pc = next_pc
                     break
             # Chain to the successor when the exit was a pure control
             # transfer (or the fall-through of a length-limited block),
-            # the budget covers it and it does not hold stop_pc.
+            # the budget covers it, it does not hold stop_pc and it
+            # cannot reach the interrupt horizon.
             if not block.chainable or chained >= chain_limit:
                 break
             nxt = chain_next(block, core.pc, mram, code)
             if (nxt is None or budget - retired < len(nxt.entries)
-                    or nxt.start <= stop_pc < nxt.end):
+                    or nxt.start <= stop_pc < nxt.end
+                    or live and timer.cycles + nxt.bound >= hz):
                 break
             chained += 1
             if chained > stats.chain_longest:
@@ -637,6 +729,11 @@ class FunctionalSimulator:
         fast = self._tcache_enabled
         stop = -1 if stop_pc is None else stop_pc
         reason = "limit"
+        bus = core.bus
+        # Host calls between runs (packets scheduled, input fed, faults
+        # injected, a snapshot restored) may have moved the horizon.
+        bus.advance(start_cycles)
+        bus.refresh()
         host_start = perf_counter()
         try:
             while core.instret - start_instret < max_instructions:
@@ -659,6 +756,8 @@ class FunctionalSimulator:
         finally:
             perf.host_seconds += perf_counter() - host_start
             perf.guest_instructions += core.instret - start_instret
+            # Devices lag below the horizon: host reads see them exact.
+            bus.advance(self.timer.cycles)
         if core.halted:
             reason = "halt"
         return RunResult(

@@ -12,7 +12,7 @@ first unguarded dispatch MJIT renders it as straight Python source and
 * the invalidation / budget / chain-quantum guards are hoisted out of
   the instruction stream, and a trace whose terminator targets its own
   head internalises the loop (bounded by the caller's remaining budget
-  and chain quantum);
+  and iteration limit);
 * the block's I-cache fetch plan (:func:`fetch_plan`) is baked in: a
   line head makes a real ``access(pc)``, in program order; every other
   fetch costs the hit latency and is credited to the I-cache's hit count
@@ -34,21 +34,29 @@ makes, so no site needs a static proof.
 Calling convention (every mode and namespace)::
 
     status, next_pc, retired, loops, trap = jit_fn(
-        core, block, timer, sync, budget, instret_base, limit)
+        core, block, timer, sync, budget, instret_base, limit, hz)
 
 * ``status == 0`` — normal exit; ``next_pc`` is the successor pc.
 * ``status == 1`` — aborted: the block was invalidated mid-trace (DMA
   during a sync, or the trace's own store — SMC; only mem blocks can
-  be); ``next_pc`` is the resume pc and no stale entry was executed.
+  be), or in a mem block a load or store pulled the bus horizon below
+  *hz*; ``next_pc`` is the resume pc and no stale entry was executed.
 * ``status == 2`` — trap: ``next_pc`` is the faulting pc (epc), ``trap``
   the :class:`TrapException`; registers are already spilled and
   ``timer.cycles`` flushed — the caller only dispatches.
 
-``retired`` counts instructions retired inside the call and ``loops``
-the internalised self-loop iterations (chain transitions the caller
-credits to ``chain_hits``).  The compiled code updates ``timer.cycles``
-(or calls the timer) itself, and the caller passes ``instret_base`` so
-CSR reads inside the trace can latch an exact ``core.instret``.
+*hz* is the dispatch's interrupt horizon: the bus horizon while
+interrupts are deliverable, else ``MASKED``, above every horizon.
+*limit* bounds the internalised self-loop iterations: the chain
+quantum, and while interrupts are deliverable only as many iterations
+as end short of *hz* at ``block.bound`` cycles each, so no entry
+boundary the loop runs can reach a deliverable interrupt.  ``retired``
+counts instructions retired inside the call and ``loops`` the
+internalised self-loop iterations (chain transitions the caller
+credits to ``chain_hits``).  The compiled code
+updates ``timer.cycles`` (or calls the timer) itself, and the caller
+passes ``instret_base`` so CSR reads inside the trace can latch an
+exact ``core.instret``.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ import struct
 from repro.cpu import alu
 from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import _mem_width, execute
+from repro.cpu.functional import MASKED
 from repro.cpu.tcache import (
     F_CSR,
     F_STORE,
@@ -68,6 +77,7 @@ from repro.cpu.tcache import (
     IR_REG,
     IR_SET,
     _schedule_regs,
+    fetch_plan,
     uop_ir,
 )
 from repro.isa.instruction import InstrClass
@@ -165,28 +175,6 @@ def _branch_cond(m: str, a: str, b: str) -> str:
     if m == "bge":
         return f"({a} ^ 2147483648) >= ({b} ^ 2147483648)"
     raise KeyError(m)
-
-
-def fetch_plan(entries, line_size):
-    """The block's I-cache fetch plan: one flag per entry, true for a
-    *line head*.
-
-    A block fetches sequentially, so only a line head — the block's
-    first fetch, or the first fetch in a new line of *line_size* bytes —
-    needs a real cache access; any other fetch re-reads the line the
-    fetch just before it made most-recent in its set, which is a hit that
-    leaves the LRU state unchanged.  With no I-cache (*line_size* None)
-    the plan has no heads.
-    """
-    if line_size is None:
-        return [False] * len(entries)
-    heads = []
-    prev = None
-    for _instr, pc, _flags in entries:
-        line = pc // line_size
-        heads.append(line != prev)
-        prev = line
-    return heads
 
 
 class _Codegen:
@@ -287,6 +275,23 @@ class _Codegen:
             self.emit("timer.cycles += cyc")
         self.credit()
         self.emit(f"return (1, {resume_pc}, retired, loops, None)")
+
+    def access_exit(self, pc: int, store: bool) -> None:
+        """After the load or store at *pc*: escape to ``pc + 4`` when a
+        store evicted this block (SMC) or, in a mem block, the access
+        pulled the bus horizon below the interrupt horizon ``hz`` (an
+        armed timer, a fault injected from inside an MMIO access)."""
+        tests = []
+        if store:
+            tests.append("not block.valid")
+        if self.mem:
+            tests.append(f"hz < {MASKED} and _bus.horizon < hz")
+        if not tests:
+            return
+        self.emit(f"if {' or '.join(tests)}:")
+        self.indent += 1
+        self.abort(pc + 4)
+        self.indent -= 1
 
     # -- scan pass -------------------------------------------------------
     def scan(self) -> None:
@@ -436,6 +441,7 @@ class _Codegen:
         if instr.rd:
             self.emit(f"r{instr.rd} = _v")
         self._emit_mem_cost(cost)
+        self.access_exit(pc, False)
 
     def _emit_store(self, index: int, instr, pc: int) -> None:
         width = _mem_width(instr.mnemonic)
@@ -445,12 +451,7 @@ class _Codegen:
         self.emit(f"_l = write_mem(({self.reg(instr.rs1)} + {instr.imm})"
                   f" & 4294967295, {width}, {self.reg(instr.rs2)})")
         self._emit_mem_cost(cost)
-        # The store itself may have evicted this block (SMC): escape
-        # before any further entry runs, resuming after the store.
-        self.emit("if not block.valid:")
-        self.indent += 1
-        self.abort(pc + 4)
-        self.indent -= 1
+        self.access_exit(pc, True)
 
     def _emit_data_access(self, instr, pc: int) -> None:
         """mld/mst: the data-segment check, then a raw word access."""
@@ -493,11 +494,8 @@ class _Codegen:
             self.emit("_lv = 1")
         self.emit("note(_s)")
         self.emit("retired += 1")
-        if flags & F_STORE:
-            self.emit("if not block.valid:")
-            self.indent += 1
-            self.abort(pc + 4)
-            self.indent -= 1
+        if flags & F_SYNC and not flags & F_TERM:
+            self.access_exit(pc, bool(flags & F_STORE))
         if flags & F_TERM:
             self.emit("next_pc = _s.next_pc")
             if self.looped:
@@ -634,7 +632,7 @@ class _Codegen:
         # Prologue.
         self.indent = 0
         self.emit("def _jit(core, block, timer, sync, budget, "
-                  "instret_base, limit):")
+                  "instret_base, limit, hz):")
         self.indent = 1
         self.emit("regs = core.regs")
         self.emit("timing = timer.timing")
@@ -657,6 +655,8 @@ class _Codegen:
             self.emit("_me = _ml - 1 if _ml > 1 else 0")
         for name in sorted(self.timing_needs):
             self.emit(f"{name} = timing.{_TIMING_LOCALS[name]}")
+        if "_bus.horizon" in body_text:
+            self.emit("_bus = core.bus")
         if "read_mem(" in body_text:
             self.emit("read_mem = core.read_mem")
         if "write_mem(" in body_text:

@@ -31,7 +31,13 @@ from __future__ import annotations
 
 from repro.cpu.core import CpuCore
 from repro.cpu.executor import StepInfo
-from repro.cpu.functional import FunctionalSimulator, muldiv_extra
+from repro.cpu.functional import (
+    FunctionalSimulator,
+    cost_key,
+    data_latency,
+    muldiv_extra,
+)
+from repro.isa.instruction import InstrClass
 from repro.cpu.timing import TimingModel
 
 
@@ -75,6 +81,10 @@ class PipelineTimer:
             "menter": (False, transition),
             "mexit": (False, transition),
         }
+        #: Control kind -> how far past the scoreboard frontier its
+        #: redirect can hold the next fetch (see :meth:`block_bound`).
+        self._excess = {kind: delta + 1 if in_ex else delta
+                        for kind, (in_ex, delta) in self._redirects.items()}
 
     # ------------------------------------------------------------------
     def note(self, step: StepInfo) -> None:
@@ -211,6 +221,40 @@ class PipelineTimer:
         # is its latest.
         if wb_end > self.cycles:
             self.cycles = wb_end
+
+    def block_bound(self, entries, fetches, data: int) -> int:
+        """Most cycles :meth:`note`/:meth:`note_run` can advance
+        ``cycles`` over *entries*, stalls included, when their fetches
+        take at most ``fetches[i]`` and their loads and stores at most
+        *data*.
+
+        Let the frontier F be the latest of ``if_end + 4``, ``id_end +
+        3``, ``ex_end + 2``, ``mem_end + 1`` and ``wb_end``; after any
+        instruction F is ``wb_end``, which ``cycles`` never trails.
+        One instruction moves F to at most G + fetch + EX extra + MEM
+        extra (+1 when the one before it is a load its operand may wait
+        for), where G is F, or a pending redirect + 3 when that is
+        later: the redirect an instruction sets is at most ``excess``
+        past its own F, and at block entry at most 4 (or the largest
+        excess) past ``cycles``.
+        """
+        excess = self._excess
+        ex_extra = self._ex_extra
+        mram_fetch = self.timing.mram_fetch
+        total = max(4, *excess.values())
+        last = len(entries) - 1
+        for i, ((instr, _pc, _flags), fetch) in enumerate(
+                zip(entries, fetches)):
+            mem = data_latency(instr, data, mram_fetch)
+            total += ((fetch if fetch > 1 else 1)
+                      + ex_extra.get(instr.mnemonic, 0)
+                      + (mem - 1 if mem > 1 else 0))
+            if i < last:
+                total += excess.get(cost_key(instr), 0)
+                if (instr.spec.cls is InstrClass.LOAD
+                        or instr.mnemonic in ("mld", "mpld")):
+                    total += 1
+        return total
 
     # ------------------------------------------------------------------
     def note_event(self, cycles: int) -> None:

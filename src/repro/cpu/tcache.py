@@ -123,15 +123,20 @@ LINKS_MAX = 4
 class Block:
     """One predecoded basic block (plus its superblock chain links)."""
 
-    __slots__ = ("start", "end", "entries", "valid",
+    __slots__ = ("start", "end", "entries", "valid", "bound",
                  "chainable", "link", "link_pc", "links", "jit_fn")
 
     def __init__(self, start: int, end: int, entries,
-                 chainable: bool = False):
+                 chainable: bool = False, bound: int = 0):
         self.start = start
         self.end = end            # byte address just past the last entry
         self.entries = entries    # list of (instr, pc, flags)
         self.valid = True
+        #: ``W``: the most cycles running the block can add to the
+        #: engine's timer, from the timing model and the fetch plan.
+        #: While interrupts are deliverable a block runs compiled only
+        #: if ``cycles + bound`` ends short of the bus horizon.
+        self.bound = bound
         #: MJIT-compiled function for this block (tier 2), or None until
         #: its first unguarded dispatch.  Every eviction path that clears
         #: ``valid`` also drops this, exactly as it severs chain links.
@@ -174,6 +179,10 @@ def _classify(instr, mram: bool):
     flags = F_TERM
     if cls is InstrClass.CSR:
         flags |= F_CSR
+    elif instr.mnemonic == "mipend":
+        # It reads the pending lines: devices sync before it as before
+        # a load.
+        flags |= F_SYNC
     return flags, True
 
 
@@ -221,6 +230,28 @@ def uop_ir(instr, pc: int):
     return None
 
 
+def fetch_plan(entries, line_size):
+    """The block's I-cache fetch plan: one flag per entry, true for a
+    *line head*.
+
+    A block fetches sequentially, so only a line head — the block's
+    first fetch, or the first fetch in a new line of *line_size* bytes —
+    needs a real cache access; any other fetch re-reads the line the
+    fetch just before it made most-recent in its set, which is a hit that
+    leaves the LRU state unchanged.  With no I-cache (*line_size* None)
+    the plan has no heads.
+    """
+    if line_size is None:
+        return [False] * len(entries)
+    heads = []
+    prev = None
+    for _instr, pc, _flags in entries:
+        line = pc // line_size
+        heads.append(line != prev)
+        prev = line
+    return heads
+
+
 def _schedule_regs(instr):
     """``(rs_a, rs_b, rd)`` of a plain entry as ``execute()`` reports
     them to the timer: the registers read (0 for none) and the one
@@ -242,8 +273,11 @@ class TranslationCache:
     #: interrupt-sampling work lost when a block aborts early.
     MAX_BLOCK_LEN = 64
 
-    def __init__(self, stats, line_size, scoreboard: bool):
+    def __init__(self, stats, line_size, scoreboard: bool, bound=None):
         self.stats = stats
+        #: ``bound(entries, heads, mram) -> W`` (see :attr:`Block.bound`),
+        #: supplied by the engine, which knows its timer; None: 0.
+        self.bound = bound
         #: I-cache line size the mem blocks' fetch plans are compiled
         #: for (see :mod:`repro.cpu.jit`); None for a core with no I-cache.
         self.line_size = line_size
@@ -337,7 +371,12 @@ class TranslationCache:
                 break
         if not entries:
             return None
-        block = Block(pc, p, entries, chainable)
+        bound = 0
+        if self.bound is not None:
+            bound = self.bound(
+                entries, fetch_plan(entries, None if mram else self.line_size),
+                mram)
+        block = Block(pc, p, entries, chainable, bound)
         if mram:
             self._mram[pc] = block
         else:

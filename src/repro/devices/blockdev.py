@@ -27,7 +27,7 @@ I/O.  Both are one-shot unless re-armed.
 
 from __future__ import annotations
 
-from repro.mem.mmio import DmaDevice
+from repro.mem.mmio import NEVER, DmaDevice
 
 REG_SECTOR = 0x00
 REG_DMA_ADDR = 0x04
@@ -117,6 +117,15 @@ class BlockDevice(DmaDevice):
     def irq_pending(self) -> bool:
         return self.irq_enabled and self.status in (STATUS_COMPLETE,
                                                     STATUS_ERROR)
+
+    def next_event(self) -> int:
+        if self.status == STATUS_BUSY:
+            # A hung request never completes; a busy one completes (and
+            # DMAs) once its countdown runs out.
+            if self._fault_timeout:
+                return NEVER
+            return self._countdown if self._countdown > 0 else 0
+        return 0 if self.irq_pending() else NEVER
 
     # -- register interface -----------------------------------------------------
     def read_reg(self, offset: int) -> int:

@@ -35,7 +35,7 @@ import heapq
 from collections import deque
 
 from repro.errors import ReproError
-from repro.mem.mmio import DmaDevice
+from repro.mem.mmio import NEVER, DmaDevice
 
 REG_RX_STATUS = 0x00
 REG_RX_LEN = 0x04
@@ -132,6 +132,14 @@ class Nic(DmaDevice):
 
     def irq_pending(self) -> bool:
         return self.irq_enabled and bool(self._rx)
+
+    def next_event(self) -> int:
+        if self.irq_enabled and self._rx:
+            return 0
+        if not self._schedule:
+            return NEVER
+        due = self._schedule[0][0] - self.clock
+        return due if due > 0 else 0
 
     # -- register interface -----------------------------------------------------
     def read_reg(self, offset: int) -> int:

@@ -50,6 +50,12 @@ class InterruptController:
             return None
         return (bitmap & -bitmap).bit_length() - 1
 
+    @property
+    def latched(self) -> bool:
+        """Whether any line is latched (software-raised, spurious or
+        stormed) and not yet acknowledged."""
+        return bool(self._latched)
+
     def raise_line(self, line: int) -> None:
         """Software-raise *line* (latched until acknowledged)."""
         self._latched |= 1 << line

@@ -12,7 +12,7 @@ Register map (word offsets):
 
 from __future__ import annotations
 
-from repro.mem.mmio import MmioDevice
+from repro.mem.mmio import NEVER, MmioDevice
 
 REG_COUNT = 0x00
 REG_COMPARE = 0x04
@@ -48,3 +48,8 @@ class Timer(MmioDevice):
 
     def irq_pending(self) -> bool:
         return self.irq_enabled and self.count >= self.compare
+
+    def next_event(self) -> int:
+        if not self.irq_enabled:
+            return NEVER
+        return self.compare - self.count if self.count < self.compare else 0

@@ -109,6 +109,7 @@ def _base_machine(config: MachineConfig, metal_unit, name: str) -> Machine:
     irq.wire(plic_mod.LINE_NIC, nic.irq_pending)
     irq.wire(plic_mod.LINE_BLOCK, blockdev.irq_pending)
     irq.wire(plic_mod.LINE_CONSOLE, console.irq_pending)
+    bus.irq = irq
 
     timing = config.timing or TimingModel()
     icache = dcache = None

@@ -4,14 +4,27 @@ from __future__ import annotations
 
 from repro.errors import BusError
 from repro.mem.memory import PhysicalMemory
+from repro.mem.mmio import NEVER
 
 
 class MemoryBus:
     """Physical address space composed of RAM regions and MMIO devices.
 
     Lookup order is registration order; regions must not overlap (checked
-    at attach time).  The bus also fans out ``tick()`` and interrupt-line
-    polling to attached devices.
+    at attach time).  The bus also fans out ``tick()`` to attached
+    devices.
+
+    **Device time.**  Devices are deterministic functions of the cycle
+    count, and their ``tick`` is batch-exact, so the bus lets them lag
+    behind the engine's ``clock``: :attr:`ticked` is the cycle they were
+    last brought up to, and :attr:`horizon` the earliest cycle at which
+    one of them can raise an interrupt line or write RAM (the minimum of
+    their :meth:`~repro.mem.mmio.MmioDevice.next_event`, or
+    :attr:`ticked` itself while a PLIC line is latched).  Below the
+    horizon a lagging device is indistinguishable from an exact one
+    except through its registers, so every register access first
+    brings every device up to the clock, and afterwards recomputes the
+    horizon (the access may have armed a timer or started a transfer).
     """
 
     def __init__(self):
@@ -21,6 +34,13 @@ class MemoryBus:
         self._ram0 = None
         # Write-notification fan-out (translation-cache invalidation).
         self._write_watchers = []
+        #: The engine's timer (anything with ``cycles``), or None: then
+        #: devices advance only through :meth:`tick`/:meth:`advance`.
+        self.clock = None
+        #: Interrupt controller whose latched lines count as due now.
+        self.irq = None
+        self.ticked = 0
+        self.horizon = 0
 
     # -- configuration ------------------------------------------------------
     def attach_ram(self, base: int, size: int) -> PhysicalMemory:
@@ -96,24 +116,61 @@ class MemoryBus:
                 return is_dev
         return False
 
+    def _access(self, addr: int, op: str, *args):
+        """Perform ``region.op(addr, *args)`` for an address outside the
+        first RAM region.  A device is brought up to the clock first,
+        and the horizon is recomputed after its register access."""
+        for region, is_dev in self.regions:
+            if region.contains(addr):
+                if not is_dev:
+                    return getattr(region, op)(addr, *args)
+                if self.clock is not None:
+                    self.advance(self.clock.cycles)
+                try:
+                    return getattr(region, op)(addr, *args)
+                finally:
+                    self.refresh()
+        raise BusError(addr)
+
     # -- access methods ---------------------------------------------------------
     def read_u8(self, addr: int) -> int:
-        return self._route(addr).read_u8(addr)
+        ram0 = self._ram0
+        if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
+            return ram0.read_u8(addr)
+        return self._access(addr, "read_u8")
 
     def read_u16(self, addr: int) -> int:
-        return self._route(addr).read_u16(addr)
+        ram0 = self._ram0
+        if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
+            return ram0.read_u16(addr)
+        return self._access(addr, "read_u16")
 
     def read_u32(self, addr: int) -> int:
-        return self._route(addr).read_u32(addr)
+        ram0 = self._ram0
+        if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
+            return ram0.read_u32(addr)
+        return self._access(addr, "read_u32")
 
     def write_u8(self, addr: int, value: int) -> None:
-        self._route(addr).write_u8(addr, value)
+        ram0 = self._ram0
+        if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
+            ram0.write_u8(addr, value)
+        else:
+            self._access(addr, "write_u8", value)
 
     def write_u16(self, addr: int, value: int) -> None:
-        self._route(addr).write_u16(addr, value)
+        ram0 = self._ram0
+        if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
+            ram0.write_u16(addr, value)
+        else:
+            self._access(addr, "write_u16", value)
 
     def write_u32(self, addr: int, value: int) -> None:
-        self._route(addr).write_u32(addr, value)
+        ram0 = self._ram0
+        if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
+            ram0.write_u32(addr, value)
+        else:
+            self._access(addr, "write_u32", value)
 
     def read_bytes(self, addr: int, length: int) -> bytes:
         region = self._route(addr)
@@ -133,8 +190,25 @@ class MemoryBus:
         for device in self.devices:
             device.tick(cycles)
 
-    def pending_irqs(self):
-        """Yield (line_index, device) for devices asserting interrupts."""
-        for i, device in enumerate(self.devices):
-            if device.irq_pending():
-                yield i, device
+    def advance(self, now: int) -> None:
+        """Bring every device up to cycle *now*; on crossing the
+        horizon, also recompute it."""
+        delta = now - self.ticked
+        if delta > 0:
+            self.tick(delta)
+            self.ticked = now
+            if now >= self.horizon:
+                self.refresh()
+
+    def refresh(self) -> None:
+        """Recompute :attr:`horizon` from the devices' current state."""
+        irq = self.irq
+        if irq is not None and irq.latched:
+            self.horizon = self.ticked
+            return
+        due = NEVER
+        for device in self.devices:
+            event = device.next_event()
+            if event < due:
+                due = event
+        self.horizon = self.ticked + due

@@ -13,6 +13,9 @@ import weakref
 
 from repro.errors import AlignmentError, BusError
 
+#: :meth:`MmioDevice.next_event` of a device with nothing scheduled.
+NEVER = 1 << 62
+
 
 class MmioDevice:
     """Base class: a device occupying ``size`` bytes of physical space.
@@ -76,7 +79,16 @@ class MmioDevice:
         return False
 
     def tick(self, cycles: int) -> None:
-        """Advance device-internal time by *cycles* processor cycles."""
+        """Advance device-internal time by *cycles* processor cycles.
+
+        Batch-exact: ``tick(a)`` then ``tick(b)`` leaves the same state
+        as ``tick(a + b)``, so the bus may catch a device up late."""
+
+    def next_event(self) -> int:
+        """Cycles until the device can raise its interrupt line or
+        write RAM with no register access in between: 0 while the line
+        is up, :data:`NEVER` when nothing is scheduled."""
+        return 0 if self.irq_pending() else NEVER
 
 
 class DmaDevice(MmioDevice):

@@ -15,7 +15,10 @@ symbolic latency), ``timer.note_run(schedule, access, fetch_cost)``
 with the schedule the exec namespace binds, ``timer.note(step)``, and
 the one-batch I-cache hit credit ``_ist.hits += ih``.  A timer call
 leaves ``timer.cycles`` at a fresh symbol, so the timer itself stays
-trusted and only what the code hands it is compared.
+trusted and only what the code hands it is compared.  Likewise every
+call that can touch a device (``sync``, ``read_mem``, ``write_mem``,
+``execute``) leaves ``bus.horizon`` at a fresh symbol, which the
+horizon exits compare with the ``hz`` parameter.
 
 Joins whose arms only compute data are ITE-merged so the summary stays
 small; joins that decide the block's successor (``next_pc`` writes) or
@@ -38,7 +41,7 @@ from repro.verify.model import Exit, Summary
 
 #: The MJIT calling convention, one for both namespaces.
 PARAMS = ("core", "block", "timer", "sync", "budget", "instret_base",
-          "limit")
+          "limit", "hz")
 
 #: Loop-carried names the evaluator generalises at a ``while True`` head
 #: (anything else assigned in the body must be provably loop-invariant).
@@ -75,6 +78,7 @@ class _Mark:
 
 
 _CORE = _Mark("core")
+_BUS = _Mark("bus")
 _BLOCK = _Mark("block")
 _TIMER = _Mark("timer")
 _TIMING = _Mark("timing")
@@ -102,6 +106,7 @@ _NOTERUN = _Mark("note_run")
 #: cased in :meth:`_Ev.eval` because they read evaluator state).
 _ATTRS = {
     ("core", "regs"): _REGS,
+    ("core", "bus"): _BUS,
     ("core", "read_mem"): _READM,
     ("core", "write_mem"): _WRITEM,
     ("core", "metal"): _METAL,
@@ -126,14 +131,17 @@ _STEPINFO_ATTRS = {"next_pc": "next_pc"}
 class CState:
     """One symbolic path through the generated function."""
 
-    __slots__ = ("vars", "regfile", "tc", "valid", "events", "path",
-                 "counter")
+    __slots__ = ("vars", "regfile", "tc", "valid", "horizon", "events",
+                 "path", "counter")
 
     def __init__(self):
         self.vars = {}
         self.regfile = {}
         self.tc = S.sym("T.cycles0")
         self.valid = S.sym("V0")
+        #: The bus horizon: each device-touching event leaves it at a
+        #: fresh symbol, read back by the horizon exits.
+        self.horizon = S.sym("H0")
         self.events = []
         self.path = []
         self.counter = 0
@@ -309,6 +317,8 @@ class _Ev:
             return st.tc
         if base.tag == "block" and node.attr == "valid":
             return st.valid
+        if base.tag == "bus" and node.attr == "horizon":
+            return st.horizon
         if base.tag == "timing":
             return S.sym(f"T.{node.attr}")
         if base.tag == "stepinfo":
@@ -394,17 +404,20 @@ class _Ev:
             self.expect_args(tag, args, kwargs, 0)
             k = st.alloc(("sync", st.tc))
             st.valid = _esym(k, "valid")
+            st.horizon = _esym(k, "horizon")
             return None
         if tag == "read_mem":
             self.expect_args(tag, args, kwargs, 2)
             k = st.alloc(("read", args[0], args[1]))
             self.trap_fork(st, k)
+            st.horizon = _esym(k, "horizon")
             return _Mark("multi", (_esym(k, "val"), _esym(k, "lat")))
         if tag == "write_mem":
             self.expect_args(tag, args, kwargs, 3)
             k = st.alloc(("write", args[0], args[1], args[2]))
             self.trap_fork(st, k)
             st.valid = _esym(k, "valid")
+            st.horizon = _esym(k, "horizon")
             return _esym(k, "lat")
         if tag == "execute":
             if (len(args) != 3 or set(kwargs) != {"fetch_latency"}
@@ -418,6 +431,7 @@ class _Ev:
             for n in range(1, 32):
                 st.regfile[n] = _esym(k, f"r{n}")
             st.valid = _esym(k, "valid")  # a store may evict the block
+            st.horizon = _esym(k, "horizon")
             self.trap_fork(st, k)
             return _Mark("stepinfo", k)
         if tag == "access":
@@ -683,6 +697,7 @@ class _Ev:
                                  f"x{n}")
         m.tc = unify(a.tc, b.tc, "timer.cycles")
         m.valid = unify(a.valid, b.valid, "block.valid")
+        m.horizon = unify(a.horizon, b.horizon, "bus.horizon")
         return m
 
     def do_while(self, stmt: ast.While, st: CState):
@@ -707,6 +722,8 @@ class _Ev:
                                            "execute"))):
             self.entry["L.valid"] = st.valid
             st.valid = S.sym("L.valid")
+            # Every horizon exit reads the value its own access left.
+            st.horizon = S.sym("L.horizon")
         if _has_call(stmt.body, frozenset(("execute",))):
             for n in range(1, 32):
                 self.entry[f"L.regs{n}"] = self.rf_get(st, n)
@@ -786,6 +803,7 @@ def candidate_summary(source: str, ns) -> Summary:
         "budget": S.sym("budget"),
         "instret_base": S.sym("instret_base"),
         "limit": S.sym("limit"),
+        "hz": S.sym("hz"),
         "execute": _EXEC, "TrapException": _TRAPCTOR,
         "CAUSE_BUS_ERROR": int(Cause.BUS_ERROR),
         "_upk": _UPK, "_pk": _PK,

@@ -29,6 +29,7 @@ import copy
 from dataclasses import dataclass, field
 
 from repro.cpu.exceptions import Cause
+from repro.cpu.functional import MASKED
 from repro.cpu.tcache import (
     F_CSR, F_STORE, F_SYNC, F_TERM, IR_IMM, IR_NOP, IR_REG, IR_SET,
     _schedule_regs, uop_ir,
@@ -46,6 +47,9 @@ PLAIN_METAL = frozenset(("rmr", "wmr", "mld", "mst"))
 #: Size of the MRAM data segment: ``mld``/``mst`` offsets at or past it
 #: take the BUS_ERROR trap, like misaligned ones.
 DATA_BYTES = S.sym("mram.data_bytes")
+
+#: The dispatch's interrupt horizon (the ``hz`` parameter).
+HZ = S.sym("hz")
 
 #: Load/store access widths (independent transcription of the ISA).
 WIDTHS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4,
@@ -233,6 +237,7 @@ class RState:
     epc: object = None
     tc: object = None
     valid: object = None
+    horizon: object = None                        # bus.horizon
     next_pc: object = None
     events: list = field(default_factory=list)
     path: list = field(default_factory=list)
@@ -271,6 +276,7 @@ def _clamp(lat):
 class _Ref:
     def __init__(self, block, mem: bool, line_size, scoreboard: bool):
         self.block = block
+        self.mem = mem
         self.scoreboard = scoreboard
         self.cached = mem and line_size is not None
         self.heads = line_heads(block, line_size if mem else None)
@@ -488,6 +494,7 @@ class _Ref:
         st.cyc = 0
         k = st.alloc(("sync", st.tc))
         st.valid = _esym(k, "valid")
+        st.horizon = _esym(k, "horizon")
         invalid = S.not_(S.truth(st.valid))
         ab = st.fork(invalid)
         self.abort(ab, pc, flush=False)
@@ -495,6 +502,22 @@ class _Ref:
 
     def _mem_cost(self, lat):
         return S.ite(S.lt(1, lat), S.add(lat, -1), 0)
+
+    def access_exit(self, pc: int, store: bool) -> None:
+        """After a load or store: the status-1 exit to ``pc + 4`` when a
+        store evicted the block or, in a mem block, the access pulled
+        the bus horizon below a deliverable interrupt horizon."""
+        st = self.st
+        tests = []
+        if store:
+            tests.append(S.not_(S.truth(st.valid)))
+        if self.mem:
+            tests.append(S.band(S.lt(HZ, MASKED), S.lt(st.horizon, HZ)))
+        if not tests:
+            return
+        cond = S.bor(*tests)
+        self.abort(st.fork(cond), pc + 4, flush=True)
+        st.path.append(S.not_(cond))
 
     def do_load(self, index: int, instr, pc: int) -> None:
         self.sync_prologue(pc)
@@ -505,6 +528,7 @@ class _Ref:
         addr = S.mask32(S.add(self.reg(instr.rs1, st), instr.imm))
         k = st.alloc(("read", addr, WIDTHS[m]))
         self.trap(st.fork(), k, lv=1)  # read_mem may raise mid-call
+        st.horizon = _esym(k, "horizon")
         val, lat = _esym(k, "val"), _esym(k, "lat")
         ext = SIGN_EXTEND[m]
         if ext is not None:
@@ -514,6 +538,7 @@ class _Ref:
             st.regs[instr.rd] = val
         st.retired = S.add(st.retired, 1)
         st.cyc = S.add(st.cyc, cost, self._mem_cost(lat))
+        self.access_exit(pc, False)
 
     def do_store(self, index: int, instr, pc: int) -> None:
         self.sync_prologue(pc)
@@ -525,12 +550,10 @@ class _Ref:
                       self.reg(instr.rs2, st)))
         self.trap(st.fork(), k, lv=1)  # write_mem may raise mid-call
         st.valid = _esym(k, "valid")
+        st.horizon = _esym(k, "horizon")
         st.retired = S.add(st.retired, 1)
         st.cyc = S.add(st.cyc, cost, self._mem_cost(_esym(k, "lat")))
-        invalid = S.not_(S.truth(st.valid))
-        ab = st.fork(invalid)
-        self.abort(ab, pc + 4, flush=True)
-        st.path.append(S.truth(st.valid))
+        self.access_exit(pc, True)
 
     def do_dispatch(self, index: int, pc: int, flags: int,
                     pending: list) -> None:
@@ -553,15 +576,14 @@ class _Ref:
         for n in range(1, 32):
             st.regfile[n] = _esym(k, f"r{n}")
         st.valid = _esym(k, "valid")  # a store may evict the block
+        st.horizon = _esym(k, "horizon")
         self.trap(st.fork(), k, lv=0)
         for n in sorted(self.info.tracked):
             st.regs[n] = st.regfile[n]
         st.tc = _esym(st.alloc(("note", k)), "tc")
         st.retired = S.add(st.retired, 1)
-        if flags & F_STORE:
-            ab = st.fork(S.not_(S.truth(st.valid)))
-            self.abort(ab, pc + 4, flush=True)
-            st.path.append(S.truth(st.valid))
+        if flags & F_SYNC and not flags & F_TERM:
+            self.access_exit(pc, bool(flags & F_STORE))
         if flags & F_TERM:
             st.next_pc = _esym(k, "next_pc")
             if self.info.looped:
@@ -664,6 +686,8 @@ class _Ref:
         if info.has_sync or info.has_generic:
             self.entry["L.valid"] = st.valid
             st.valid = S.sym("L.valid")
+            # Every horizon exit reads the value its own access left.
+            st.horizon = S.sym("L.horizon")
         if info.has_generic:
             for n in range(1, 32):
                 self.entry[f"L.regs{n}"] = st.regfile.get(
@@ -675,7 +699,7 @@ class _Ref:
         info = self.info
         st = RState(
             regs={n: S.sym(f"R{n}") for n in info.tracked},
-            tc=S.sym("T.cycles0"), valid=S.sym("V0"),
+            tc=S.sym("T.cycles0"), valid=S.sym("V0"), horizon=S.sym("H0"),
             epc=self.block.start if info.trapping else None,
         )
         if info.looped:

@@ -27,7 +27,7 @@ import random
 import pytest
 
 from repro.conformance.campaign import (
-    PROGRAM_SEED_BASE, ConformanceConfig, failures,
+    PROGRAM_SEED_BASE, ConformanceConfig, build_variant, failures,
     measure_static_coverage, report_json, run_cell, run_conformance,
 )
 from repro.conformance.coverage import (
@@ -37,12 +37,13 @@ from repro.conformance.crosscheck import (
     bucket_sweep_words, check_word, check_words, crosscheck_sweep,
 )
 from repro.conformance.generator import (
-    GenConfig, assemble_words, gen_program, generate,
+    CODE_BASE, GenConfig, assemble_words, gen_program, generate,
 )
 from repro.conformance.oracle import (
     IMM_SIGNED, ORACLE_SPECS, corrupted_table, oracle_decode,
 )
 from repro.conformance.scheduler import CoverageScheduler
+from repro.cpu.exceptions import Cause
 
 # --------------------------------------------------------------------------
 # generator parity
@@ -116,6 +117,29 @@ def test_extended_programs_still_terminate_and_lockstep():
         assert record["outcome"] == "pass", (
             f"seed {seed}: {record['outcome']} — {record['detail']}")
         assert record["instret"] > 0
+
+
+def test_irq_programs_take_interrupts_in_lockstep():
+    """With the irq extension the prologue arms the timer, routes its
+    line to the transparent handler and enables delivery; the handler
+    re-arms the timer.  The programs take timer interrupts at entry
+    positions all over their blocks and keep the four machines
+    (interpreter, MJIT, profiled, hooked) in lockstep."""
+    config = GenConfig(irq=1.0)
+    delivered = 0
+    for seed in (1, 2, 4):
+        result = generate(random.Random(PROGRAM_SEED_BASE + seed), config)
+        assert "gen:irq" in result.gen_buckets
+        record = run_cell(seed, config)
+        assert record["outcome"] == "pass", (
+            f"seed {seed}: {record['outcome']} — {record['detail']}")
+        machine = build_variant("interp", config)
+        machine.load(machine.assemble(result.source, base=CODE_BASE))
+        machine.core.pc = CODE_BASE
+        machine.run(max_instructions=40_000)
+        delivered += machine.core.metal.stats.deliveries.get(
+            Cause.interrupt(0), 0)
+    assert delivered >= 20
 
 
 # --------------------------------------------------------------------------
@@ -281,6 +305,7 @@ def test_scheduler_targets_uncovered_features():
     assert config.csr == 0.9
     assert config.divrem == 0.9
     assert config.misalign == 0.9
+    assert config.irq == 0.9
     assert 0 < config.unsigned_branch <= 0.4
 
 

@@ -99,7 +99,7 @@ def _jit_sources(machine, ns="mram"):
 # codegen golden snapshot
 # ---------------------------------------------------------------------------
 GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
-    def _jit(core, block, timer, sync, budget, instret_base, limit):
+    def _jit(core, block, timer, sync, budget, instret_base, limit, hz):
         regs = core.regs
         timing = timer.timing
         _ml = timing.mem_latency

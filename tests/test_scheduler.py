@@ -3,10 +3,15 @@
 import pytest
 
 from repro import MachineConfig
+from repro.osdemo.layout import MemoryLayout
 from repro.osdemo.scheduler import (
+    CTX_BASE,
+    CTX_STRIDE,
     SCHED_SWITCHES,
     boot_scheduler_demo,
+    demo_processes,
 )
+from repro.serve.api import architectural_digest
 
 COUNTER0 = 0x6000
 COUNTER1 = 0x6004
@@ -87,11 +92,12 @@ def _lockstep_state(m):
 
 @pytest.mark.parametrize("engine", ["functional", "pipeline"])
 def test_lockstep_tcache_off_and_on(engine):
-    """The scheduler's processes run with interrupts live, so the
-    tcache-on machine runs their blocks on the per-entry loop, which
-    polls them.  In 97-instruction chunks, whose ends fall inside
-    blocks, both machines agree on every compared field after every
-    chunk."""
+    """The scheduler's processes run with interrupts live; the
+    tcache-on machine runs their blocks as MJIT code as long as they
+    cannot reach the bus horizon, and on ``step()`` near it.  In
+    97-instruction chunks, whose ends fall inside blocks, both machines
+    agree on every compared field after every chunk, and nothing runs
+    on the per-entry loop."""
     machines = [boot_scheduler_demo(config=MachineConfig(engine=engine,
                                                          tcache=tcache))
                 for tcache in (False, True)]
@@ -104,4 +110,44 @@ def test_lockstep_tcache_off_and_on(engine):
                 f"chunk {chunk}: {key} diverges "
                 f"(tcache off={ref[key]!r}, on={got[key]!r})")
     assert ref["switches"] > 10
-    assert machines[1].perf.tcache.guarded_instructions > 0
+    tc = machines[1].perf.tcache
+    assert tc.guarded_instructions == 0
+    assert tc.jit_instructions >= 0.85 * machines[1].core.instret
+
+
+@pytest.mark.parametrize("engine,quantum", [("functional", 2007),
+                                            ("pipeline", 2000)])
+def test_every_switch_matches_the_interpreter(engine, quantum):
+    """Over 40 context switches both machines stop at the kernel's
+    interrupt entry, where the tcache-on machine's full state (the
+    architectural digest, cycles, cache counts, stalls) equals the
+    tcache-off machine's.  Every pc of both user loops shows up as an
+    interrupted pc saved in a context block: each engine's quantum is
+    picked so that the timer walks through all the loops' phases."""
+    layout = MemoryLayout()
+    machines = [boot_scheduler_demo(
+        quantum=quantum, config=MachineConfig(engine=engine, tcache=tcache))
+        for tcache in (False, True)]
+    saved = set()
+    for switch in range(40):
+        states = []
+        for m in machines:
+            m.run(max_instructions=100_000, stop_pc=layout.irq_entry,
+                  raise_on_limit=False)
+            states.append(dict(_lockstep_state(m),
+                               digest=architectural_digest(m)))
+            m.run(max_instructions=1, raise_on_limit=False)
+        assert states[0] == states[1], f"switch {switch}"
+        saved.update(machines[0].read_word(CTX_BASE + CTX_STRIDE * pid)
+                     for pid in (0, 1))
+    symbols = machines[0].assemble(demo_processes(),
+                                   base=layout.user_base).symbols
+    loop_pcs = set()
+    for proc in ("p0", "p1"):
+        # li (lui + addi), beq; then lw, addi, sw, j.
+        loop_pcs.update(symbols[f"{proc}loop"] + 4 * k for k in range(3))
+        loop_pcs.update(symbols[f"{proc}ok"] + 4 * k for k in range(4))
+    assert loop_pcs <= saved, sorted(hex(pc) for pc in loop_pcs - saved)
+    tc = machines[1].perf.tcache
+    assert tc.guarded_instructions == 0
+    assert tc.jit_instructions >= 0.85 * machines[1].core.instret

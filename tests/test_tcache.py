@@ -828,9 +828,10 @@ def test_metal_workloads_run_at_tier_two(workload):
 
 
 def test_guarded_instructions_counter_surfaces():
-    """Deliverable interrupts keep blocks on the guarded loop; the
-    counter reaches the metrics registry and the perf summary."""
+    """A step hook keeps blocks on the per-entry loop; the counter
+    reaches the metrics registry and the perf summary."""
     machine = _timer_interrupt_machine("functional", True)
+    machine.sim.add_step_hook(lambda step: None)
     machine.load_and_run(TIMER_WORKLOAD, max_instructions=100_000)
     tc = machine.perf.tcache
     assert 0 < tc.guarded_instructions <= tc.fast_instructions

@@ -205,6 +205,34 @@ def test_detects_broken_loop_guard(monkeypatch):
     assert findings, "broken self-loop guard was not detected"
 
 
+@pytest.mark.parametrize("engine", ["functional", "pipeline"])
+def test_detects_dropped_horizon_exit(monkeypatch, engine):
+    """The exit after a load or store that pulled the bus horizon in
+    must be there: a codegen that keeps only the eviction test fails
+    validation on the affected mem block, in the analytic and the
+    scoreboard modes."""
+    def store_exit_only(self, pc, store):
+        if store:
+            self.emit("if not block.valid:")
+            self.indent += 1
+            self.abort(pc + 4)
+            self.indent -= 1
+
+    def cited():
+        machine = build_metal_machine([], config=MachineConfig(
+            engine=engine, with_caches=False))
+        machine.load_and_run(MEMLOOP, base=CODE_BASE)
+        tcache = machine.sim.tcache
+        return [f.where for ns, block in tcache.iter_jit_blocks()
+                for f in validate_block(ns, block,
+                                        scoreboard=tcache.scoreboard)]
+
+    assert cited() == []
+    monkeypatch.setattr(jit._Codegen, "access_exit", store_exit_only)
+    assert any("mem:0x" in where for where in cited()), (
+        "dropped horizon exit was not detected")
+
+
 def test_detects_missing_mram_bound_check(monkeypatch):
     """An ``mld``/``mst`` compiled with only the alignment test (the
     data-segment bound dropped) must fail validation on its mram block;
