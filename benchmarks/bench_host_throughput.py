@@ -44,7 +44,11 @@ The tcache is architecture-invisible, so for every workload and engine
 the guest results (``RunResult.instructions`` / ``cycles``) must be
 bit-identical across all modes, and Metal-mode blocks share the
 unguarded block loop, so mcode_heavy and syscall_heavy retire no
-instruction on the guarded loop — this file asserts both, plus the
+instruction on the guarded loop.  A dispatch chains across Metal
+transitions too, so each ``tcache_on`` row records
+``dispatches_per_instruction`` (dispatcher block lookups, hits plus
+misses, per instruction), and syscall_heavy must stay at or below 0.01
+and mcode_heavy at or below 0.005 — this file asserts all three, plus the
 headline wins for the functional engine on the tight loop: ≥2.6× over
 the interpreter, a tier-2 dispatch share ≥90% and ≥6.16 MIPS absolute
 (2× the PR-4 trajectory number).  Results land in
@@ -54,7 +58,8 @@ Run directly (``PYTHONPATH=src python benchmarks/bench_host_throughput.py``)
 or via pytest.  ``--smoke`` runs a <30s subset for CI: it checks the
 tight-loop hit rate (≥90%) and tier-2 dispatch share (≥90%),
 cross-mode result equality, that chains actually engage and that the
-Metal-heavy workloads retire nothing on the guarded loop, and boots the
+Metal-heavy workloads retire nothing on the guarded loop and stay under
+their dispatches-per-instruction bounds, and boots the
 preemptive scheduler on ``MachineConfig()`` with its timer interrupts
 live: identical instructions, cycles and context switches with the
 tcache off and on, ≥85% at tier 2 and nothing on the per-entry loop.
@@ -62,7 +67,9 @@ It skips the wall-clock speedup assertions (too noisy for shared
 runners); its
 results land in ``BENCH_host_throughput_smoke.json`` (uploaded as a CI
 artifact) so the committed full-run JSON is never clobbered by a smoke
-run.
+run.  Both files record the host's fingerprint (CPU model, core count,
+Python), and so does this run's trajectory entry: MIPS compare only
+between runs on one fingerprint.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from time import perf_counter
 
@@ -83,8 +91,28 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                          "BENCH_host_throughput.json")
 SMOKE_JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                "BENCH_host_throughput_smoke.json")
-#: Label this PR's tight-loop numbers carry in the JSON trajectory.
-TRAJECTORY_LABEL = "pr6_mjit"
+#: Label this run's tight-loop numbers carry in the JSON trajectory.
+TRAJECTORY_LABEL = "metal_crossings"
+
+#: Most dispatcher block lookups (``hits + misses``) per instruction a
+#: Metal-heavy workload may make with the tcache on: its Metal
+#: transitions are chain crossings.
+DISPATCH_BOUNDS = {"syscall_heavy": 0.01, "mcode_heavy": 0.005}
+
+
+def host_fingerprint() -> dict:
+    """CPU model, core count and Python version of this host."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu_model": model, "nproc": os.cpu_count(),
+            "python": platform.python_version()}
 
 
 def _build(workload: str, engine: str):
@@ -136,6 +164,8 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
         "hit_rate": round(best_stats.hit_rate, 4),
     }
     if tcache:
+        row["dispatches_per_instruction"] = round(
+            (best_stats.hits + best_stats.misses) / ref[0], 5)
         row["chains"] = {
             "links": best_stats.chain_links,
             "hits": best_stats.chain_hits,
@@ -171,6 +201,13 @@ def run_suite(iters: dict, reps: int, engines=("functional", "pipeline")):
                 assert on["guarded_instructions"] == 0, (
                     f"{workload}/{engine}: {on['guarded_instructions']} "
                     f"instructions retired on the guarded loop")
+            # Metal transitions chain: the dispatcher is rarely entered.
+            bound = DISPATCH_BOUNDS.get(workload)
+            if bound is not None:
+                assert on["dispatches_per_instruction"] <= bound, (
+                    f"{workload}/{engine}: "
+                    f"{on['dispatches_per_instruction']} dispatches per "
+                    f"instruction > {bound}")
             # The tcache is guest-invisible: identical results in both
             # modes.
             for key in ("instructions", "cycles"):
@@ -278,12 +315,14 @@ def _load_previous(path: str):
         return None
 
 
-def _trajectory(results: dict, previous, profiler: dict = None) -> list:
-    """Per-PR history of the tight-loop functional numbers.
+def _trajectory(results: dict, previous, profiler: dict = None,
+                host: dict = None) -> list:
+    """History of the tight-loop functional numbers, one entry per label.
 
     Carries the previous file's trajectory forward; a pre-trajectory file
-    (PR 1) is bootstrapped from its recorded results.  The current run
-    replaces any earlier entry with the same label.
+    is bootstrapped from its recorded results.  The current run, with
+    its *host* fingerprint, replaces any earlier entry with the same
+    label.
     """
     trajectory = list(previous.get("trajectory", [])) if previous else []
     if not trajectory and previous:
@@ -302,6 +341,7 @@ def _trajectory(results: dict, previous, profiler: dict = None) -> list:
     if tight:
         entry = {
             "label": TRAJECTORY_LABEL,
+            "host": host,
             "tight_loop_functional": {
                 "tcache_off_mips": tight["tcache_off"]["mips"],
                 "tcache_on_mips": tight["tcache_on"]["mips"],
@@ -323,10 +363,12 @@ def _trajectory(results: dict, previous, profiler: dict = None) -> list:
 def _emit_json(results: dict, json_path: str = JSON_PATH,
                profiler: dict = None, scheduler: dict = None) -> str:
     path = os.path.abspath(json_path)
+    host = host_fingerprint()
     trajectory = _trajectory(results, _load_previous(path),
-                             profiler=profiler)
+                             profiler=profiler, host=host)
     payload = {
         "benchmark": "host_throughput",
+        "host": host,
         "results": results,
         "trajectory": trajectory,
     }

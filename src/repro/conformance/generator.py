@@ -29,6 +29,11 @@ seed:
                      (``mintc``); the handler re-arms COMPARE at COUNT
                      plus a per-program random delta, so interrupts land
                      at random entry positions of every block
+``ecall``            a prologue that routes ECALL to a handler mroutine
+                     and picks a pool register; body slots then make
+                     ``ecall``s, whose handler reads and writes MRegs,
+                     resumes at m30 + 4 and ends in ``mexitm``,
+                     committing a running MReg sum into that register
 ===================  ====================================================
 
 Programs are always-terminating by construction: forward control flow is
@@ -44,6 +49,7 @@ from dataclasses import dataclass, field, fields
 
 from repro import MRoutine
 from repro.asm import assemble
+from repro.isa.registers import reg_num
 
 CODE_BASE = 0x1000
 DATA_BASE = 0x40000          # scratch data region, far from the code pages
@@ -94,11 +100,16 @@ ENTRY_VECSKIP = 3
 ENTRY_VECINIT = 4
 ENTRY_IRQTICK = 5
 ENTRY_IRQINIT = 6
+ENTRY_ECALLH = 7
+ENTRY_ECALLINIT = 8
 
 #: Range of the irq extension's timer period, in cycles: long enough
 #: for a program to make progress between interrupts (a caches-off
 #: fetch costs ``mem_latency``), short enough to take dozens.
 IRQ_DELTA = (150, 1500)
+
+#: Chance that a body slot of an ``ecall`` program is an ``ecall``.
+ECALL_RATE = 0.1
 
 
 @dataclass(frozen=True)
@@ -118,6 +129,9 @@ class GenConfig:
     divrem: float = 0.0
     #: Probability that a program arms the timer (a per-program draw).
     irq: float = 0.0
+    #: Probability that a program routes ECALL and makes ecalls (a
+    #: per-program draw).
+    ecall: float = 0.0
     ext_rate: float = 0.25
 
     #: Body-slot features, in weighted-choice order (stable!).
@@ -271,6 +285,38 @@ def routines(config: GenConfig = GenConfig()):
             mexit
         """)
         routines_ += [irqtick, irqinit]
+    if config.ecall > 0:
+        # ECALL handler: spill t6, add a0 + 1 into the running sum in m15,
+        # commit the sum into the register the prologue chose (m16)
+        # and resume after the ecall.
+        ecallh = MRoutine(name="ecallh", entry=ENTRY_ECALLH,
+                          mregs=(14, 15), shared_mregs=(16,), source="""
+            wmr  m14, t6
+            rmr  t6, m15
+            add  t6, t6, a0
+            addi t6, t6, 1
+            wmr  m15, t6
+            wmr  m27, t6
+            rmr  t6, m16
+            wmr  m26, t6
+            rmr  t6, m30
+            addi t6, t6, 4
+            wmr  m31, t6
+            rmr  t6, m14
+            mexitm
+        """)
+        # Prologue: t6 holds the destination register's number.
+        ecallinit = MRoutine(name="ecallinit", entry=ENTRY_ECALLINIT,
+                             shared_mregs=(16,), source="""
+            wmr  m16, t6
+            li   t5, CAUSE_ECALL
+            li   t6, MR_ECALLH
+            mivec t5, t6
+            li   t5, 0
+            li   t6, 0
+            mexit
+        """)
+        routines_ += [ecallh, ecallinit]
     return routines_
 
 
@@ -293,6 +339,11 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
         lines.append(f"    li   t6, {rng.randint(*IRQ_DELTA)}")
         lines.append("    menter MR_IRQINIT")
         marks.add("gen:irq")
+    ecalls = config.ecall > 0 and rng.random() < config.ecall
+    if ecalls:
+        lines.append(f"    li   t6, {reg_num(rng.choice(REG_POOL))}")
+        lines.append("    menter MR_ECALLINIT")
+        marks.add("gen:ecall")
     lines += [
         f"    li   s1, {DATA_BASE}",
         f"    li   s0, {rng.randint(24, 60)}",
@@ -348,6 +399,9 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
     for k in range(n_chunks):
         lines.append(f"chunk_{k}:")
         for _ in range(rng.randint(3, 10)):
+            if ecalls and rng.random() < ECALL_RATE:
+                lines.append("    ecall")
+                continue
             if body_weights and rng.random() < config.ext_rate:
                 emit_extension()
                 continue

@@ -31,6 +31,7 @@ FEATURE_BUCKETS = {
         "gen:divrem", "dec:div", "dec:divu", "dec:rem", "dec:remu",
     }),
     "irq": frozenset({"gen:irq"}),
+    "ecall": frozenset({"gen:ecall"}),
 }
 
 #: Per-feature weight when the feature is targeted (has uncovered

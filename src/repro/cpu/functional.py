@@ -172,15 +172,16 @@ class FunctionalSimulator:
 
     With the translation cache enabled (the default) the engine runs
     predecoded basic blocks between interrupt/intercept sample points,
-    chaining blocks into superblocks across pure control flow so hot
-    traces never return to the dispatch loop.  A block runs as MJIT
-    code, compiled at its first dispatch, or entry by entry while a
-    step hook is attached; :meth:`step` remains the
-    one-instruction-at-a-time reference path, and all three produce
-    bit-identical architectural state, instruction counts and cycle
-    counts (see docs/PERF.md).  Live interrupts need no polling: a
-    block runs off :meth:`step` only if it cannot reach the bus
-    horizon (:class:`repro.mem.bus.MemoryBus`).
+    chaining blocks into superblocks across pure control flow and
+    across Metal transitions (``menter``, ``mexit``/``mexitm``, a trap
+    delivered to an mroutine), so hot traces never return to the
+    dispatch loop.  A block runs as MJIT code, compiled at its first
+    dispatch, or entry by entry while a step hook is attached;
+    :meth:`step` remains the one-instruction-at-a-time reference path,
+    and all three produce bit-identical architectural state,
+    instruction counts and cycle counts (see docs/PERF.md).  Live
+    interrupts need no polling: a block runs off :meth:`step` only if
+    it cannot reach the bus horizon (:class:`repro.mem.bus.MemoryBus`).
     """
 
     #: Safety valve for WFI with no event source.
@@ -513,7 +514,9 @@ class FunctionalSimulator:
         does a block that might reach the bus horizon: no interrupt line
         can rise before it, so a block whose worst-case cycle bound
         (``block.bound``) ends short of it has no entry boundary at
-        which :meth:`step` would take one.
+        which :meth:`step` would take one.  A dispatch that begins in
+        Metal mode keeps *stop_pc* for the normal-mode code its
+        ``mexit`` crosses into.
         """
         core = self.core
         if core.waiting:
@@ -521,32 +524,24 @@ class FunctionalSimulator:
             return
         metal = core.metal
         mram = metal is not None and metal.in_metal
-        hz = MASKED
         if mram:
             block = self._tcache.mram_block(core.pc, metal.mram)
-            stop_pc = -1
-        elif core.tlb.enabled or (metal is not None
-                                  and not metal.intercept.empty):
-            # Normal-mode blocks assume identity fetch translation and
-            # an empty interception table.
-            self.step()
-            return
+            hz = MASKED
+            stop = -1
         else:
+            hz = self._mem_horizon()
+            if hz is None:
+                self.step()
+                return
             block = self._tcache.mem_block(core.pc, core.bus)
-            # Interrupt deliverability is constant along a dispatch:
-            # only terminators that never chain (CSR writes, Metal
-            # transitions) and trap entries can change it.
-            if core.irq is not None and (
-                    metal.delivery.interrupts_enabled if metal is not None
-                    else core.csrs.interrupts_enabled):
-                hz = core.bus.horizon
+            stop = stop_pc
         if block is None:
             self.step()
             return
         count = budget
-        if block.start < stop_pc < block.end:
+        if block.start < stop < block.end:
             # Entries before stop_pc (a misaligned one is never reached).
-            count = min(count, (stop_pc - block.start + 3) >> 2)
+            count = min(count, (stop - block.start + 3) >> 2)
         if (count < len(block.entries)
                 or self.timer.cycles + block.bound >= hz):
             for _ in range(min(count, len(block.entries))):
@@ -556,6 +551,26 @@ class FunctionalSimulator:
                     break
             return
         self._exec_block(block, budget, stop_pc, mram, hz)
+
+    def _mem_horizon(self):
+        """The interrupt horizon a normal-mode dispatch runs under: the
+        bus horizon while interrupts are deliverable, else
+        :data:`MASKED`; or None when no normal-mode block may run, since
+        they assume identity fetch translation and an empty
+        interception table.  Only terminators that end a dispatch (CSR
+        writes, and trap entries on the trap baseline) and mroutines can
+        change these, so a dispatch checks them once and again at each
+        ``mexit`` crossing."""
+        core = self.core
+        metal = core.metal
+        if core.tlb.enabled or (metal is not None
+                                and not metal.intercept.empty):
+            return None
+        if core.irq is not None and (
+                metal.delivery.interrupts_enabled if metal is not None
+                else core.csrs.interrupts_enabled):
+            return core.bus.horizon
+        return MASKED
 
     def _exec_block(self, block, budget: int, stop_pc: int,
                     mram: bool, hz: int) -> None:
@@ -572,12 +587,23 @@ class FunctionalSimulator:
         block of the dispatch runs one of two ways, decided once: while
         a step hook is attached, the per-entry loop hands every entry
         to ``execute()``; otherwise the block's MJIT function runs,
-        compiled at its first dispatch.  Only the setup below depends
-        on *mram*.
+        compiled at its first dispatch.
+
+        On a Metal machine with no profile sink attached, the chain
+        also *crosses* namespaces: after a block whose exit switched
+        the mode bit (``menter``, ``mexit``/``mexitm``) or whose
+        terminator trapped in normal mode (delivered here, into its
+        mroutine), the namespace locals switch and the block's target
+        map leads into the other namespace.  Metal mode is never
+        interruptible and has no *stop_pc*; the ``mexit`` crossing
+        re-checks what :meth:`_fast_step` checks (:meth:`_mem_horizon`).
+        A trap at an inner entry ends the dispatch: only a terminator's
+        target map holds the other namespace's pcs.
         """
         core = self.core
         timer = self.timer
         bus = core.bus
+        metal = core.metal
         trace = self.trace_fn
         stats = self.perf.tcache
         tcache = self._tcache
@@ -585,21 +611,14 @@ class FunctionalSimulator:
         chain_limit = self._profile_chain_limit
         head = block.start
         cycles0 = timer.cycles if sink is not None else 0
+        ns = "mram" if mram else "mem"
+        # The namespace locals, which a crossing switches (with hz):
+        # the code source chain lookups fetch from, and stop_pc, which
+        # names a normal-mode pc.
         if mram:
-            # Metal mode: never interruptible (paper §2.1).  Every
-            # fetch comes from MRAM at ``mram_fetch`` cost, with no
-            # I-cache access.  ``mexit`` leaves Metal mode and is never
-            # chainable.
-            ns = "mram"
-            icache_access = None
-            latency = core.timing.mram_fetch
-            code = core.metal.mram
+            code, stop = metal.mram, -1
         else:
-            ns = "mem"
-            icache = core.icache
-            icache_access = icache.access if icache is not None else None
-            latency = core.timing.mem_latency
-            code = core.bus
+            code, stop = bus, stop_pc
         chain_next = tcache.chain_next
         sync = self._sync
         note = timer.note
@@ -607,112 +626,152 @@ class FunctionalSimulator:
         f_break = F_TERM | F_STORE | F_SYNC
         live = hz < MASKED
         guarded = trace is not None
+        # An MPROF trace record covers one namespace.
+        crossing = metal is not None and sink is None
         instret0 = core.instret
         retired = 0
         chained = 0
+        # The self-loop limit, set only for blocks that loop (no other
+        # compiled block reads it).
+        limit = 0
         trap = None
-        trap_pc = 0
 
-        while True:
-            if guarded:
-                # Per-entry loop: ``execute()`` per entry, so the step
-                # hook sees every StepInfo.
-                aborted = False
-                for instr, pc, flags in block.entries:
-                    if flags:
-                        if flags & f_sync:
-                            sync()
-                            if not block.valid:
-                                aborted = True
-                                break  # DMA rewrote this page; core.pc == pc
-                        if flags & f_csr:
-                            core._timer_cycles = timer.cycles
-                    fetch = (icache_access(pc) if icache_access is not None
-                             else latency)
-                    try:
-                        step = execute(core, instr, pc, fetch_latency=fetch)
-                    except TrapException as exc:
-                        trap = exc
-                        trap_pc = pc
-                        aborted = True
-                        break
-                    core.pc = step.next_pc
-                    core.instret += 1
-                    retired += 1
-                    note(step)
-                    if trace is not None:
-                        trace(step)
-                    if flags & f_break:
-                        if flags & f_term:
+        try:
+            while True:
+                if guarded:
+                    # Per-entry loop: ``execute()`` per entry, so the step
+                    # hook sees every StepInfo.  In Metal mode every fetch
+                    # comes from MRAM at ``mram_fetch`` cost, with no
+                    # I-cache access.
+                    status = 0
+                    icache = None if mram else core.icache
+                    icache_access = (icache.access if icache is not None
+                                     else None)
+                    latency = (core.timing.mram_fetch if mram
+                               else core.timing.mem_latency)
+                    for instr, pc, flags in block.entries:
+                        if flags:
+                            if flags & f_sync:
+                                sync()
+                                if not block.valid:
+                                    # DMA rewrote this page; core.pc == pc.
+                                    status = 1
+                                    break
+                            if flags & f_csr:
+                                core._timer_cycles = timer.cycles
+                        fetch = (icache_access(pc) if icache_access is not None
+                                 else latency)
+                        try:
+                            step = execute(core, instr, pc,
+                                           fetch_latency=fetch)
+                        except TrapException as exc:
+                            trap = exc
+                            status = 2
                             break
-                        if not block.valid or live and bus.horizon < hz:
-                            # The access evicted this block (self-
-                            # modifying code) or pulled the horizon in:
-                            # re-dispatch from core.pc.
-                            aborted = True
-                            break
-                if aborted:
-                    break
-            else:
-                # Compiled code (MJIT, repro.cpu.jit).  The function
-                # owns the timer, the I-cache fetch plan and the register
-                # file for its block; ``core.pc`` and ``core.instret``
-                # are published here.
-                jfn = block.jit_fn
-                if jfn is None:
-                    jfn = tcache.jit_compile(block, mram)
-                limit = chain_limit - chained
-                if live:
-                    # An internalised iteration takes at most
-                    # block.bound cycles: allow only those that end
-                    # short of the interrupt horizon.
-                    fit = (hz - timer.cycles - 1) // block.bound - 1
-                    if fit < limit:
-                        limit = fit
-                status, next_pc, jret, jloops, trap = jfn(
-                    core, block, timer, sync, budget - retired,
-                    instret0 + retired, limit, hz)
-                retired += jret
-                if jloops:
-                    # Internalised self-loop iterations are chain
-                    # transitions the caller would have made.
-                    chained += jloops
-                    stats.chain_hits += jloops
-                    if chained > stats.chain_longest:
-                        stats.chain_longest = chained
-                core.pc = next_pc
-                if status:
+                        core.pc = step.next_pc
+                        core.instret += 1
+                        retired += 1
+                        note(step)
+                        if trace is not None:
+                            trace(step)
+                        if flags & f_break:
+                            if flags & f_term:
+                                break
+                            if not block.valid or live and bus.horizon < hz:
+                                # The access evicted this block (self-
+                                # modifying code) or pulled the horizon in:
+                                # re-dispatch from core.pc.
+                                status = 1
+                                break
+                else:
+                    # Compiled code (MJIT, repro.cpu.jit).  The function
+                    # owns the timer, the I-cache fetch plan and the register
+                    # file for its block; ``core.pc`` and ``core.instret``
+                    # are published here.
+                    jfn = block.jit_fn or tcache.jit_compile(block, mram)
+                    if block.looped:
+                        # An internalised iteration takes at most
+                        # block.bound cycles: allow only those that end
+                        # short of the interrupt horizon.
+                        limit = chain_limit - chained
+                        if live:
+                            fit = (hz - timer.cycles - 1) // block.bound - 1
+                            if fit < limit:
+                                limit = fit
+                    status, next_pc, jret, jloops, trap = jfn(
+                        core, block, timer, sync, budget - retired,
+                        instret0 + retired, limit, hz)
+                    retired += jret
+                    if jloops:
+                        # Internalised self-loop iterations are chain
+                        # transitions the caller would have made.
+                        chained += jloops
+                        stats.chain_hits += jloops
+                        if chained > stats.chain_longest:
+                            stats.chain_longest = chained
                     # 1: invalidated mid-trace or horizon pulled in;
                     # 2: trap at next_pc.
-                    trap_pc = next_pc
+                    core.pc = next_pc
+                if status or not block.chainable:
+                    # The dispatch ends here unless the block crossed into
+                    # the other namespace.
+                    if not crossing:
+                        break
+                    if status:
+                        # A trap leaves core.pc at the faulting entry.
+                        if (status == 1 or mram or block.chainable
+                                or core.pc != block.end - 4):
+                            break
+                        # A normal-mode terminator trapped: deliver it
+                        # now.
+                        self._dispatch_trap(trap, core.pc)
+                        # The trap's traceback holds this frame.
+                        trap = None
+                    elif metal.in_metal == mram:
+                        break
+                    if mram:
+                        hz = self._mem_horizon()
+                        if hz is None:
+                            break
+                        mram = False
+                        code, stop = bus, stop_pc
+                    else:
+                        hz = MASKED
+                        mram = True
+                        code, stop = metal.mram, -1
+                    live = hz < MASKED
+                    nxt = tcache.cross_next(block, core.pc, mram, code)
+                elif chained >= chain_limit:
                     break
-            # Chain to the successor when the exit was a pure control
-            # transfer (or the fall-through of a length-limited block),
-            # the budget covers it, it does not hold stop_pc and it
-            # cannot reach the interrupt horizon.
-            if not block.chainable or chained >= chain_limit:
-                break
-            nxt = chain_next(block, core.pc, mram, code)
-            if (nxt is None or budget - retired < len(nxt.entries)
-                    or nxt.start <= stop_pc < nxt.end
-                    or live and timer.cycles + nxt.bound >= hz):
-                break
-            chained += 1
-            if chained > stats.chain_longest:
-                stats.chain_longest = chained
-            block = nxt
-        stats.fast_instructions += retired
-        if guarded:
-            stats.guarded_instructions += retired
-        else:
-            core.instret = instret0 + retired
-            stats.jit_instructions += retired
+                else:
+                    nxt = chain_next(block, core.pc, mram, code)
+                # Chain to the successor when the exit was a pure control
+                # transfer (or the fall-through of a length-limited block)
+                # or a crossing, the budget covers it, it does not hold
+                # stop_pc and it cannot reach the interrupt horizon.
+                if (nxt is None or budget - retired < len(nxt.entries)
+                        or nxt.start <= stop < nxt.end
+                        or live and timer.cycles + nxt.bound >= hz):
+                    break
+                chained += 1
+                if chained > stats.chain_longest:
+                    stats.chain_longest = chained
+                block = nxt
+        finally:
+            # However the dispatch ends (an in-loop delivery raises for
+            # an unrouted cause), publish what it retired.
+            stats.fast_instructions += retired
+            if guarded:
+                stats.guarded_instructions += retired
+            else:
+                core.instret = instret0 + retired
+                stats.jit_instructions += retired
         if sink is not None:
             sink.note_trace(ns, head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)
         if trap is not None:
             # In Metal mode this is a double fault: it raises.
-            self._dispatch_trap(trap, trap_pc)
+            self._dispatch_trap(trap, core.pc)
             # The trap's traceback holds this frame: drop the local
             # so the pair is not left for the cyclic collector.
             trap = None

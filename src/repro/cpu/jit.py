@@ -29,7 +29,16 @@ directly, and ends in one ``timer.note_run`` with the run's schedule
 ``execute()`` whose StepInfo goes to ``timer.note``.  Inside compiled
 mroutines every ``mld``/``mst`` is a raw ``struct`` access on the MRAM
 data bytearray behind the test :meth:`repro.metal.mram.Mram._check_data`
-makes, so no site needs a static proof.
+makes, so no site needs a static proof, and every ``rmr``/``wmr`` indexes
+the MReg list (:attr:`repro.metal.mregs.MRegFile.values`); in scoreboard
+mode they join the plain ``note_run`` runs.
+
+The Metal transitions are compiled too, so the engine can chain across
+them (docs/PERF.md, "Crossings"): a mem block's ``ecall`` is fetched
+and leaves with status 2 and an ECALL trap that is never raised (every
+mode), and in the analytic modes ``mexit``/``mexitm`` call the Metal
+unit's own ``exit_metal()`` and charge the fetch plus ``mexit_cost``;
+``mexitm`` commits ``m27`` into ``x[m26 & 31]`` after the final spill.
 
 Calling convention (every mode and namespace)::
 
@@ -42,8 +51,9 @@ Calling convention (every mode and namespace)::
   be), or in a mem block a load or store pulled the bus horizon below
   *hz*; ``next_pc`` is the resume pc and no stale entry was executed.
 * ``status == 2`` — trap: ``next_pc`` is the faulting pc (epc), ``trap``
-  the :class:`TrapException`; registers are already spilled and
-  ``timer.cycles`` flushed — the caller only dispatches.
+  the :class:`TrapException` (raised inside the code, or for a mem
+  block's ``ecall`` the shared unraised one); registers are already
+  spilled and ``timer.cycles`` flushed — the caller only dispatches.
 
 *hz* is the dispatch's interrupt horizon: the bus horizon while
 interrupts are deliverable, else ``MASKED``, above every horizon.
@@ -93,6 +103,9 @@ _BASE_NS = {
     "execute": execute,
     "TrapException": TrapException,
     "CAUSE_BUS_ERROR": Cause.BUS_ERROR,
+    # The trap a mem block's ``ecall`` returns with status 2.  It is
+    # never raised, so it has no traceback and one instance serves.
+    "_ecall": TrapException(Cause.ECALL, 0),
     "_upk": _WORD.unpack_from,
     "_pk": _WORD.pack_into,
 }
@@ -107,6 +120,7 @@ _TIMING_LOCALS = {
     "_jp": "jump_penalty",
     "_dx": "div_extra",
     "_mx": "mul_extra",
+    "_mxc": "mexit_cost",
 }
 
 
@@ -194,7 +208,11 @@ class _Codegen:
         self.timing_needs = set()   # local names from _TIMING_LOCALS
         self.generic = []           # ns keys of execute() entries
         self.trapping = False
-        self.looped = False
+        self.looped = block.looped
+        #: Set once a terminator has emitted its own return (``ecall``).
+        self.exited = False
+        #: Whether the final spill is followed by the ``mexitm`` commit.
+        self.commit = False
         self.units = 0              # pending retirements of plain entries
         self.fetches = 0            # pending non-head fetches among them
         self.run = []               # scoreboard: pending run schedule
@@ -312,7 +330,15 @@ class _Codegen:
                 continue
             cls = instr.spec.cls
             m = instr.mnemonic
-            if self.scoreboard:
+            if m == "rmr" and not flags:
+                if not self.scoreboard:
+                    track.add(instr.rd)
+            elif m == "wmr" and not flags:
+                if not self.scoreboard:
+                    track.add(instr.rs1)
+            elif self.mem and m == "ecall":
+                pass  # leaves with the unraised trap
+            elif self.scoreboard:
                 self.trapping = True  # an execute() dispatch
             elif cls is InstrClass.BRANCH:
                 track.update((instr.rs1, instr.rs2))
@@ -327,10 +353,8 @@ class _Codegen:
                 track.update((instr.rd, instr.rs1, instr.rs2))
                 self.timing_needs.add(
                     "_dx" if m.startswith(("div", "rem")) else "_mx")
-            elif m == "rmr" and not flags:
-                track.add(instr.rd)
-            elif m == "wmr" and not flags:
-                track.add(instr.rs1)
+            elif m in ("mexit", "mexitm") and not self.mem:
+                self.timing_needs.add("_mxc")
             elif cls is InstrClass.LOAD or (m == "mld" and not flags):
                 # A guest-RAM load, or a raw MRAM data access behind the
                 # segment check: either may trap.
@@ -353,16 +377,19 @@ class _Codegen:
             return
         cls = instr.spec.cls
         m = instr.mnemonic
-        if self.scoreboard:
-            self.flush_units()
-            self._emit_dispatch(index, instr, pc, flags)
-        elif m == "rmr" and not flags:
+        if m == "rmr" and not flags:
             if instr.rd:
-                self.emit(f"r{instr.rd} = _mrr({instr.rs1})")
+                self.emit(f"{self.reg(instr.rd)} = _mr[{instr.rs1}]")
             self.unit(index, instr, pc)
         elif m == "wmr" and not flags:
-            self.emit(f"_mrw({instr.rd}, {self.reg(instr.rs1)})")
+            self.emit(f"_mr[{instr.rd}] = {self.reg(instr.rs1)}")
             self.unit(index, instr, pc)
+        elif self.mem and m == "ecall":
+            self.flush_units()
+            self._emit_ecall(index, pc)
+        elif self.scoreboard:
+            self.flush_units()
+            self._emit_dispatch(index, instr, pc, flags)
         else:
             self.flush_units()
             if cls is InstrClass.BRANCH:
@@ -373,6 +400,8 @@ class _Codegen:
                 self._emit_jalr(index, instr, pc)
             elif cls is InstrClass.MULDIV:
                 self._emit_muldiv(index, instr, pc)
+            elif m in ("mexit", "mexitm") and not self.mem:
+                self._emit_mexit(index, instr, pc)
             elif m in ("mld", "mst") and not flags:
                 self._emit_data_access(instr, pc)
             elif cls is InstrClass.LOAD:
@@ -403,6 +432,27 @@ class _Codegen:
         cost, _lat = self.fetch(index, pc)
         self.emit("retired += 1")
         self.emit(f"cyc += {cost} + {extra}")
+
+    def _emit_ecall(self, index: int, pc: int) -> None:
+        """A mem block's ``ecall``: its fetch, then the status-2 exit
+        with the unraised ECALL trap, which the engine delivers."""
+        self.fetch(index, pc)
+        self.spill()
+        if not self.scoreboard:
+            self.emit("timer.cycles += cyc")
+        self.credit()
+        self.emit(f"return (2, {pc}, retired, loops, _ecall)")
+        self.exited = True
+
+    def _emit_mexit(self, index: int, instr, pc: int) -> None:
+        """``mexit``/``mexitm`` (analytic modes): the Metal unit's
+        ``exit_metal()`` gives the resume pc, at the fetch plus
+        ``mexit_cost``.  ``mexitm``'s commit follows the final spill."""
+        cost, _lat = self.fetch(index, pc)
+        self.emit("retired += 1")
+        self.emit(f"cyc += {cost} + _mxc")
+        self.emit("next_pc = _exit()")
+        self.commit = instr.mnemonic == "mexitm"
 
     def _sync_prologue(self, pc: int) -> None:
         """Flush + device sync + invalidation escape (loads/stores)."""
@@ -573,18 +623,7 @@ class _Codegen:
         block = self.block
         entries = block.entries
         self.scan()
-        last_instr, last_pc, last_flags = entries[-1]
-        term_cls = last_instr.spec.cls if last_flags & F_TERM else None
-        # Internalise the loop only for exits that can actually target
-        # the block head: a statically self-targeting branch/jal, or any
-        # jalr (dynamic target, checked at run time).
-        self.looped = bool(block.chainable) and (
-            (term_cls is InstrClass.BRANCH
-             and ((last_pc + last_instr.imm) & _M) == block.start)
-            or (term_cls is InstrClass.JAL
-                and ((last_pc + last_instr.imm) & _M) == block.start)
-            or term_cls is InstrClass.JALR
-        )
+        last_flags = entries[-1][2]
         scored = self.scoreboard
 
         # Body first (into a side buffer) so the prologue can hoist
@@ -622,11 +661,14 @@ class _Codegen:
             self.credit()
             self.emit("return (2, epc, retired, loops, trap)")
             self.indent -= 1
-        self.spill()
-        if not scored:
-            self.emit("timer.cycles += cyc")
-        self.credit()
-        self.emit("return (0, next_pc, retired, loops, None)")
+        if not self.exited:
+            self.spill()
+            if self.commit:
+                self.emit("_rset(_mr[26] & 31, _mr[27])")
+            if not scored:
+                self.emit("timer.cycles += cyc")
+            self.credit()
+            self.emit("return (0, next_pc, retired, loops, None)")
         body, self.lines = self.lines, head_lines
 
         # Prologue.
@@ -662,10 +704,12 @@ class _Codegen:
         if "write_mem(" in body_text:
             self.emit("write_mem = core.write_mem")
         if not self.mem:
-            if "_mrr(" in body_text:
-                self.emit("_mrr = core.metal.mregs.read")
-            if "_mrw(" in body_text:
-                self.emit("_mrw = core.metal.mregs.write")
+            if "_mr[" in body_text:
+                self.emit("_mr = core.metal.mregs.values")
+            if "_exit()" in body_text:
+                self.emit("_exit = core.metal.exit_metal")
+            if "_rset(" in body_text:
+                self.emit("_rset = core.rset")
             if "(data, _o" in body_text:
                 self.emit("data = core.metal.mram.data")
             if "_o >= _dn" in body_text:

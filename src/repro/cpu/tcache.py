@@ -28,10 +28,17 @@ between a few targets keep all of them linked instead of relinking on
 every flip.  A link is followed only when the observed ``next_pc``
 matches a map entry *and* that successor is still valid, so evictions
 sever chains instead of executing stale code.  Only branch/jal/jalr
-terminators are chainable: every other terminator (CSR, SYSTEM, Metal
-transitions, architectural-feature instructions) can move an invariant
-the chain was built under (interrupt enables, translation, interception,
-halt/wfi), so those always return to the dispatcher.
+terminators are *chainable* within a namespace.  A Metal transition
+(``menter``, ``mexit``/``mexitm``, or a terminator that traps into an
+mroutine) is followed through the same target map into the other
+namespace (a *crossing*, see
+:meth:`repro.cpu.functional.FunctionalSimulator._exec_block`): such a
+block's map holds only targets of the namespace it crosses into, and
+the engine re-checks every invariant the other namespace is dispatched
+under.  Every other terminator (CSR, SYSTEM, architectural-feature
+instructions) can move an invariant the chain was built under
+(interrupt enables, translation, interception, halt/wfi), so those
+return to the dispatcher.
 
 Two separate block namespaces keep Metal-mode fetch locality intact:
 
@@ -64,9 +71,12 @@ Superblock chains participate implicitly: every eviction path above marks
 the victim blocks ``valid = False`` *before* dropping them, and every
 chain traversal re-checks the successor's ``valid`` flag (plus the
 observed next pc), so an evicted successor breaks the link rather than
-executing stale code.  A chain cannot carry a mem block past an intercept
-rule either: during a run only Metal-mode ``micept``/``miceptd`` change
-the table, and leaving Metal mode always returns to the dispatcher.
+executing stale code.  A crossing into MRAM first applies the lazy
+``code_version`` flush (:meth:`TranslationCache.cross_next`), so a warm
+mem→mram link never outlives an mroutine reload.  A chain cannot carry
+a mem block past an intercept rule either: during a run only Metal-mode
+``micept``/``miceptd`` change the table, and the ``mexit`` crossing
+re-checks that it is empty.
 """
 
 from __future__ import annotations
@@ -124,10 +134,12 @@ class Block:
     """One predecoded basic block (plus its superblock chain links)."""
 
     __slots__ = ("start", "end", "entries", "valid", "bound",
-                 "chainable", "link", "link_pc", "links", "jit_fn")
+                 "chainable", "looped", "link", "link_pc", "links",
+                 "jit_fn")
 
     def __init__(self, start: int, end: int, entries,
-                 chainable: bool = False, bound: int = 0):
+                 chainable: bool = False, bound: int = 0,
+                 looped: bool = False):
         self.start = start
         self.end = end            # byte address just past the last entry
         self.entries = entries    # list of (instr, pc, flags)
@@ -144,6 +156,11 @@ class Block:
         #: Whether the block's exit is eligible for chaining (branch/jal/
         #: jalr terminator, or the fall-through of a length-limited block).
         self.chainable = chainable
+        #: Whether the exit can target the block's own head: a chainable
+        #: branch or jal whose static target is ``start``, or any
+        #: chainable jalr (dynamic target).  MJIT internalises such a
+        #: self-loop, and only then does the engine compute its limit.
+        self.looped = looped
         #: Most-recently-used chained successor block and the guest pc the
         #: link is valid for; both are set together on first traversal,
         #: and the link is re-validated against the observed next pc
@@ -253,9 +270,10 @@ def fetch_plan(entries, line_size):
 
 
 def _schedule_regs(instr):
-    """``(rs_a, rs_b, rd)`` of a plain entry as ``execute()`` reports
-    them to the timer: the registers read (0 for none) and the one
-    written (0 for none).  A write to x0 still reads its sources."""
+    """``(rs_a, rs_b, rd)`` of a plain entry (or an mram ``rmr``/``wmr``)
+    as ``execute()`` reports them to the timer: the registers read (0
+    for none) and the one written (0 for none).  A write to x0 still
+    reads its sources."""
     cls = instr.spec.cls
     if cls is InstrClass.ALU_IMM:
         return instr.rs1, 0, instr.rd
@@ -263,7 +281,21 @@ def _schedule_regs(instr):
         return instr.rs1, instr.rs2, instr.rd
     if cls is InstrClass.FENCE:
         return 0, 0, 0
-    return 0, 0, instr.rd  # lui, auipc
+    if instr.mnemonic == "wmr":
+        return instr.rs1, 0, 0
+    return 0, 0, instr.rd  # lui, auipc, rmr
+
+
+def _targets_head(entry, start: int) -> bool:
+    """Whether a chainable block's last *entry* can jump to its head
+    *start*: a branch or jal whose static target is *start*, or any
+    jalr (its target is known only at run time)."""
+    instr, pc, _flags = entry
+    cls = instr.spec.cls
+    if cls is InstrClass.JALR:
+        return True
+    return (cls in (InstrClass.BRANCH, InstrClass.JAL)
+            and ((pc + instr.imm) & 0xFFFFFFFF) == start)
 
 
 class TranslationCache:
@@ -314,22 +346,8 @@ class TranslationCache:
     # ------------------------------------------------------------------
     def mram_block(self, pc: int, mram):
         """Cached (or freshly compiled) MRAM block at offset *pc*, or None."""
-        version = mram.code_version
-        if version != self._mram_version:
-            # Lazy namespace invalidation: mroutine load/unload bumped the
-            # code version since we last compiled.  Mark the blocks invalid
-            # (not just unreachable) so chain links held by surviving
-            # predecessors can never be followed into the stale code.
-            if self._mram:
-                count = len(self._mram)
-                for block in self._mram.values():
-                    block.valid = False
-                    block.jit_fn = None
-                self.stats.invalidations += count
-                self._mram.clear()
-                if self.sink is not None:
-                    self.sink.tcache_event("flush", "mram", 0, count)
-            self._mram_version = version
+        if mram.code_version != self._mram_version:
+            self._expire_mram(mram.code_version)
         block = self._mram.get(pc)
         if block is not None:
             self.stats.hits += 1
@@ -376,7 +394,8 @@ class TranslationCache:
             bound = self.bound(
                 entries, fetch_plan(entries, None if mram else self.line_size),
                 mram)
-        block = Block(pc, p, entries, chainable, bound)
+        block = Block(pc, p, entries, chainable, bound,
+                      chainable and _targets_head(entries[-1], pc))
         if mram:
             self._mram[pc] = block
         else:
@@ -474,6 +493,16 @@ class TranslationCache:
         if nxt is not None:
             self._chain_install(block, next_pc, nxt)
         return nxt
+
+    def cross_next(self, block, next_pc: int, mram: bool, code):
+        """:meth:`chain_next` across a Metal transition into the *mram*
+        namespace (or out of it).  Entering MRAM first applies the lazy
+        ``code_version`` flush :meth:`mram_block` makes, so a warm link
+        from a mem block never reaches a translation of reloaded
+        mroutine code."""
+        if mram and code.code_version != self._mram_version:
+            self._expire_mram(code.code_version)
+        return self.chain_next(block, next_pc, mram, code)
 
     def _chain_alt(self, block, next_pc: int):
         """Resolve *next_pc* through the secondary target map.
@@ -576,6 +605,15 @@ class TranslationCache:
     def flush_all(self) -> None:
         """Drop everything (snapshot restore, tests)."""
         self.flush_mem()
+        self._expire_mram(None)
+
+    def _expire_mram(self, version) -> None:
+        """Drop the mram namespace and compile for MRAM code *version*
+        next (None: unknown, after :meth:`flush_all`).  This is the lazy
+        invalidation after an mroutine load/unload bumped the code
+        version: the blocks are marked invalid (not just unreachable) so
+        chain links held by surviving predecessors can never be
+        followed into the stale code."""
         if self._mram:
             count = len(self._mram)
             for block in self._mram.values():
@@ -585,7 +623,7 @@ class TranslationCache:
             self._mram.clear()
             if self.sink is not None:
                 self.sink.tcache_event("flush", "mram", 0, count)
-        self._mram_version = None
+        self._mram_version = version
 
     # ------------------------------------------------------------------
     @property

@@ -21,29 +21,32 @@ class MRegFile:
     """32 x 32-bit Metal-exclusive registers."""
 
     def __init__(self):
-        self._regs = [0] * MREG_COUNT
+        #: The 32 values.  One list for the file's lifetime (reset and
+        #: restore write it in place), so MJIT code indexes it directly:
+        #: an ``rmr``/``wmr`` register field is 5 bits, always in range.
+        self.values = [0] * MREG_COUNT
 
     def read(self, index: int) -> int:
         if not 0 <= index < MREG_COUNT:
             raise MetalError(f"MReg index out of range: {index}")
-        return self._regs[index]
+        return self.values[index]
 
     def write(self, index: int, value: int) -> None:
         if not 0 <= index < MREG_COUNT:
             raise MetalError(f"MReg index out of range: {index}")
-        self._regs[index] = value & 0xFFFFFFFF
+        self.values[index] = value & 0xFFFFFFFF
 
     def reset(self) -> None:
-        self._regs = [0] * MREG_COUNT
+        self.values[:] = [0] * MREG_COUNT
 
     def snapshot(self):
         """Copy of all register values (tests and nested-Metal swaps)."""
-        return list(self._regs)
+        return list(self.values)
 
     def restore(self, values) -> None:
         if len(values) != MREG_COUNT:
             raise MetalError("MReg snapshot must have 32 values")
-        self._regs = [v & 0xFFFFFFFF for v in values]
+        self.values[:] = [v & 0xFFFFFFFF for v in values]
 
     def __getitem__(self, index: int) -> int:
         return self.read(index)

@@ -72,7 +72,7 @@ class MetalUnit:
         if self.in_metal:
             raise MetalModeError("menter while already in Metal mode")
         offset = self.image.entry_offset(entry)
-        self.mregs.write(MREG_RETURN, return_pc)
+        self.mregs.values[MREG_RETURN] = return_pc & 0xFFFFFFFF
         self.in_metal = True
         self.stats.enters += 1
         return offset
@@ -99,17 +99,18 @@ class MetalUnit:
             if entry is None:
                 raise MetalError(f"unrouted cause {cause} (no mivec mapping)")
         offset = self.image.entry_offset(entry)
-        self.mregs.write(MREG_CAUSE, cause)
-        self.mregs.write(MREG_INFO, info)
-        self.mregs.write(MREG_EPC, epc)
+        mregs = self.mregs.values
+        mregs[MREG_CAUSE] = cause & 0xFFFFFFFF
+        mregs[MREG_INFO] = info & 0xFFFFFFFF
+        mregs[MREG_EPC] = epc & 0xFFFFFFFF
         # Default resume point: retry the instruction — except intercepts,
         # which default to *skip* so the handler emulates the instruction
         # (retry would re-intercept forever).
         resume = epc + 4 if cause == Cause.INTERCEPT else epc
-        self.mregs.write(MREG_RETURN, resume)
+        mregs[MREG_RETURN] = resume & 0xFFFFFFFF
         if operands is not None:
-            self.mregs.write(MREG_ICEPT_RS1, operands[0])
-            self.mregs.write(MREG_ICEPT_RS2, operands[1])
+            mregs[MREG_ICEPT_RS1] = operands[0] & 0xFFFFFFFF
+            mregs[MREG_ICEPT_RS2] = operands[1] & 0xFFFFFFFF
         self.in_metal = True
         self.stats.note_delivery(cause)
         if cause == Cause.INTERCEPT:
@@ -135,7 +136,7 @@ class MetalUnit:
             raise MetalModeError("mexit in normal mode")
         self.in_metal = False
         self.stats.exits += 1
-        return self.mregs.read(MREG_RETURN)
+        return self.mregs.values[MREG_RETURN]
 
     # ------------------------------------------------------------------
     def reset(self) -> None:

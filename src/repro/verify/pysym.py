@@ -13,7 +13,12 @@ canonical form :mod:`repro.verify.uopsem` builds from the IR.
 The I-cache and timer calls are events: ``access(pc)`` (ordered, with a
 symbolic latency), ``timer.note_run(schedule, access, fetch_cost)``
 with the schedule the exec namespace binds, ``timer.note(step)``, and
-the one-batch I-cache hit credit ``_ist.hits += ih``.  A timer call
+the one-batch I-cache hit credit ``_ist.hits += ih``.  So are the Metal
+unit's state accesses: an MReg list read or write, ``exit_metal()``
+(with a symbolic resume pc), and the status-2 return of the unraised
+ECALL trap the namespace binds as ``_ecall``; ``mexitm``'s
+``core.rset(index, value)`` writes the register file under a symbolic
+index.  A timer call
 leaves ``timer.cycles`` at a fresh symbol, so the timer itself stays
 trusted and only what the code hands it is compared.  Likewise every
 call that can touch a device (``sync``, ``read_mem``, ``write_mem``,
@@ -35,7 +40,7 @@ import ast
 import copy
 import re
 
-from repro.cpu.exceptions import Cause
+from repro.cpu.exceptions import Cause, TrapException
 from repro.verify import sym as S
 from repro.verify.model import Exit, Summary
 
@@ -88,8 +93,10 @@ _READM = _Mark("read_mem")
 _WRITEM = _Mark("write_mem")
 _METAL = _Mark("metal")
 _MREGS = _Mark("mregs")
-_MRRF = _Mark("mrr")
-_MRWF = _Mark("mrw")
+_MRLIST = _Mark("mrlist")
+_MEXIT = _Mark("mexit")
+_RSET = _Mark("rset")
+_ECALL = _Mark("ecall")
 _MRAM = _Mark("mram")
 _DATA = _Mark("data")
 _EXEC = _Mark("execute")
@@ -110,6 +117,7 @@ _ATTRS = {
     ("core", "read_mem"): _READM,
     ("core", "write_mem"): _WRITEM,
     ("core", "metal"): _METAL,
+    ("core", "rset"): _RSET,
     ("core", "icache"): _ICACHE,
     ("icache", "access"): _ACCESS,
     ("icache", "hit_latency"): S.sym("I.hit_latency"),
@@ -119,8 +127,8 @@ _ATTRS = {
     ("timer", "note_run"): _NOTERUN,
     ("metal", "mregs"): _MREGS,
     ("metal", "mram"): _MRAM,
-    ("mregs", "read"): _MRRF,
-    ("mregs", "write"): _MRWF,
+    ("metal", "exit_metal"): _MEXIT,
+    ("mregs", "values"): _MRLIST,
     ("mram", "data"): _DATA,
     ("mram", "data_bytes"): S.sym("mram.data_bytes"),
 }
@@ -307,6 +315,12 @@ class _Ev:
             if not isinstance(sched, tuple):
                 raise UnsupportedSource(f"schedule {name!r} is not bound")
             return sched
+        if name == "_ecall":
+            trap = self.ns.get(name)
+            if (not isinstance(trap, TrapException)
+                    or trap.cause != Cause.ECALL or trap.info != 0):
+                raise UnsupportedSource("_ecall is not an ECALL trap")
+            return _ECALL
         raise UnsupportedSource(f"read of undefined name {name!r}")
 
     def load_attr(self, node: ast.Attribute, st: CState):
@@ -338,6 +352,8 @@ class _Ev:
             raise UnsupportedSource("symbolic subscript index")
         if isinstance(base, _Mark) and base.tag == "regs":
             return 0 if idx == 0 else self.rf_get(st, idx)
+        if isinstance(base, _Mark) and base.tag == "mrlist" and 0 <= idx < 32:
+            return _esym(st.alloc(("mrr", idx)), "val")
         if isinstance(base, _Mark) and base.tag == "upkres" and idx == 0:
             return _esym(base.arg, "val")
         raise UnsupportedSource("subscript on unexpected object")
@@ -456,13 +472,15 @@ class _Ev:
                           None if access is None else "access", cost))
             st.tc = _esym(k, "tc")
             return None
-        if tag == "mrr":
-            self.expect_args(tag, args, kwargs, 1)
-            k = st.alloc(("mrr", args[0]))
-            return _esym(k, "val")
-        if tag == "mrw":
+        if tag == "mexit":
+            self.expect_args(tag, args, kwargs, 0)
+            return _esym(st.alloc(("mexit",)), "pc")
+        if tag == "rset":
             self.expect_args(tag, args, kwargs, 2)
-            st.alloc(("mrw", args[0], args[1]))
+            index, value = args
+            for n in range(1, 32):
+                st.regfile[n] = S.ite(S.eq(index, n), value,
+                                      self.rf_get(st, n))
             return None
         if tag == "upk":
             self.expect_args(tag, args, kwargs, 2)
@@ -589,6 +607,10 @@ class _Ev:
                     and isinstance(idx, int) and 1 <= idx < 32):
                 st.regfile[idx] = v
                 return
+            if (isinstance(base, _Mark) and base.tag == "mrlist"
+                    and isinstance(idx, int) and 0 <= idx < 32):
+                st.alloc(("mrw", idx, v))
+                return
             raise UnsupportedSource("subscript store on unexpected object")
         if isinstance(target, ast.Attribute):
             obj = self.eval(target.value, st)
@@ -633,6 +655,9 @@ class _Ev:
             raise UnsupportedSource(f"return status {status!r}")
         kind = ("ret0", "abort", "trap")[status]
         site = None
+        if kind == "trap" and trap == _ECALL:
+            # The unraised trap: its "raise" is the return itself.
+            trap = _Mark("trapval", st.alloc(("raise", int(Cause.ECALL), 0)))
         if kind == "trap":
             if not (isinstance(trap, _Mark) and trap.tag == "trapval"):
                 raise UnsupportedSource("status-2 return without the "

@@ -13,9 +13,15 @@ calling convention.  It never looks at the generated Python source;
 
 Every codegen mode has its reference here: *uncached* and *cached*
 (the analytic timer, with or without an I-cache fetch plan) and
-*scoreboard* (runs of plain entries reported through
-``timer.note_run`` with their :func:`_schedule_regs` schedule, every
-other entry an ``execute()`` whose StepInfo goes to ``timer.note``).
+*scoreboard* (runs of plain entries and mram ``rmr``/``wmr`` reported
+through ``timer.note_run`` with their :func:`_schedule_regs` schedule,
+every other entry an ``execute()`` whose StepInfo goes to
+``timer.note``).  The Metal transitions MJIT compiles have their own
+rules: a mem block's ``ecall`` (its fetch, then a status-2 exit with an
+ECALL trap at the ecall's pc, in every mode) and, in the analytic modes,
+``mexit``/``mexitm`` (the fetch plus ``mexit_cost``, ``exit_metal()``'s
+resume pc, and for ``mexitm`` the commit of m27 into ``x[m26 & 31]``
+after the final spill).
 
 The semantic tables (:data:`IMM_SEM`, :data:`REG_SEM`,
 :data:`BRANCH_SEM`, :data:`IR_RULES`) are deliberately exhaustive and
@@ -142,8 +148,9 @@ def _plain(instr, pc: int, flags: int):
     return uop_ir(instr, pc) if not flags else None
 
 
-def scan_block(block, scoreboard: bool) -> BlockInfo:
-    """Classify every entry exactly as a correct compilation must."""
+def scan_block(block, scoreboard: bool, mem: bool) -> BlockInfo:
+    """Classify every entry exactly as a correct compilation must.
+    *mem* names the block's namespace (False: mram)."""
     tracked = set()
     written = set()
     trapping = has_generic = has_sync = False
@@ -157,8 +164,13 @@ def scan_block(block, scoreboard: bool) -> BlockInfo:
             kind, ird, a, b, _m = ir
             reads, write = {IR_IMM: ((a,), ird), IR_REG: ((a, b), ird),
                             IR_SET: ((), ird)}.get(kind, ((), 0))
+        elif not flags and m in ("rmr", "wmr"):
+            reads, write = ((), rd) if m == "rmr" else ((rs1,), 0)
+        elif mem and m == "ecall":
+            continue  # the status-2 exit reads and writes no register
         elif scoreboard or (flags & F_TERM and cls not in (
-                InstrClass.BRANCH, InstrClass.JAL, InstrClass.JALR)):
+                InstrClass.BRANCH, InstrClass.JAL, InstrClass.JALR)
+                and (mem or m not in ("mexit", "mexitm"))):
             trapping = has_generic = True  # an execute() dispatch
             has_sync |= bool(flags & F_SYNC)
             continue
@@ -170,11 +182,12 @@ def scan_block(block, scoreboard: bool) -> BlockInfo:
             reads, write = (rs1,), rd
         elif cls is InstrClass.MULDIV:
             reads, write = (rs1, rs2), rd
+        elif m in ("mexit", "mexitm"):
+            continue  # exit_metal() in line; the commit follows the spill
         elif not flags and cls is InstrClass.METAL and m in PLAIN_METAL:
-            reads, write = {"rmr": ((), rd), "wmr": ((rs1,), 0),
-                            "mld": ((rs1,), rd),
+            reads, write = {"mld": ((rs1,), rd),
                             "mst": ((rs1, rs2), 0)}[m]
-            trapping |= m in ("mld", "mst")
+            trapping = True
         elif cls is InstrClass.LOAD or cls is InstrClass.STORE:
             reads, write = ((rs1,), rd) if cls is InstrClass.LOAD \
                 else ((rs1, rs2), 0)
@@ -190,20 +203,10 @@ def scan_block(block, scoreboard: bool) -> BlockInfo:
     written.discard(0)
     if has_generic:
         written |= tracked  # reload after execute() reassigns every local
-
-    last_instr, last_pc, last_flags = block.entries[-1]
-    term_cls = last_instr.spec.cls if last_flags & F_TERM else None
-    looped = bool(block.chainable) and (
-        (term_cls is InstrClass.BRANCH
-         and ((last_pc + last_instr.imm) & M32) == block.start)
-        or (term_cls is InstrClass.JAL
-            and ((last_pc + last_instr.imm) & M32) == block.start)
-        or term_cls is InstrClass.JALR
-    )
     return BlockInfo(
         tracked=frozenset(tracked), written=frozenset(written),
         trapping=trapping, has_generic=has_generic, has_sync=has_sync,
-        looped=looped, nlen=len(block.entries),
+        looped=block.looped, nlen=len(block.entries),
     )
 
 
@@ -282,7 +285,7 @@ class _Ref:
         self.heads = line_heads(block, line_size if mem else None)
         #: Whether any fetch is a hit the exits credit (the code's ``ih``).
         self.counts_hits = self.cached and not all(self.heads)
-        self.info = scan_block(block, scoreboard)
+        self.info = scan_block(block, scoreboard, mem)
         if self.cached:
             self.ml = S.sym("I.hit_latency")
         else:
@@ -457,7 +460,7 @@ class _Ref:
     def do_rmr(self, index: int, instr) -> None:
         if instr.rd:
             k = self.st.alloc(("mrr", instr.rs1))
-            self.st.regs[instr.rd] = _esym(k, "val")
+            self.set_reg(instr.rd, _esym(k, "val"), self.st)
         self.unit(index)
 
     def do_wmr(self, index: int, instr) -> None:
@@ -592,6 +595,46 @@ class _Ref:
             pending.append(st)
 
     # -- terminators ----------------------------------------------------
+    def do_ecall(self, index: int, pc: int) -> None:
+        """A mem block's ``ecall``: fetched (a line head's access, else a
+        hit the exit credits), never retired or charged, and the exit
+        carries an ECALL trap at *pc* that the engine delivers."""
+        st = self.st
+        self.fetch(st, index)
+        self.spill(st)
+        st.tc = S.add(st.tc, st.cyc)
+        self.credit(st)
+        site = st.alloc(("raise", int(Cause.ECALL), 0))
+        self.exits.append(Exit(
+            kind="trap", path=tuple(st.path), events=tuple(st.events),
+            retired=st.retired, loops=st.loops, tc=st.tc,
+            regfile=self.norm_regfile(st), next_pc=pc, trap=site))
+
+    def do_mexit(self, index: int, instr) -> None:
+        """``mexit``/``mexitm`` (analytic modes): the unit's exit gives
+        the resume pc; the cost is the fetch plus ``mexit_cost``.
+        ``mexitm`` then writes ``x[m26 & 31] := m27`` over the spilled
+        register file (x0 stays 0)."""
+        st = self.st
+        cost, _lat = self.fetch(st, index)
+        st.retired = S.add(st.retired, 1)
+        st.cyc = S.add(st.cyc, cost, self.timing("mexit_cost"))
+        st.next_pc = _esym(st.alloc(("mexit",)), "pc")
+        self.spill(st)
+        if instr.mnemonic == "mexitm":
+            rd = S.and_(_esym(st.alloc(("mrr", 26)), "val"), 31)
+            value = _esym(st.alloc(("mrr", 27)), "val")
+            for n in range(1, 32):
+                st.regfile[n] = S.ite(S.eq(rd, n), value,
+                                      st.regfile.get(
+                                          n, self.regfile_default(n)))
+        st.tc = S.add(st.tc, st.cyc)
+        self.credit(st)
+        self.exits.append(Exit(
+            kind="ret0", path=tuple(st.path), events=tuple(st.events),
+            retired=st.retired, loops=st.loops, tc=st.tc,
+            regfile=self.norm_regfile(st), next_pc=st.next_pc))
+
     def _loop_guard(self, st: RState, *head):
         return S.band(*head, S.lt(st.loops, S.sym("limit")),
                       S.le(self.info.nlen,
@@ -717,11 +760,13 @@ class _Ref:
                 self.unit(index)
                 continue
             m = instr.mnemonic
-            if not self.scoreboard and not flags and m in ("rmr", "wmr"):
+            if not flags and m in ("rmr", "wmr"):
                 (self.do_rmr if m == "rmr" else self.do_wmr)(index, instr)
                 continue
             self.flush_units(self.st)
-            if self.scoreboard:
+            if self.mem and m == "ecall":
+                self.do_ecall(index, pc)
+            elif self.scoreboard:
                 self.do_dispatch(index, pc, flags, pending)
             elif cls is InstrClass.BRANCH:
                 self.do_branch(index, instr, pc, pending)
@@ -731,6 +776,8 @@ class _Ref:
                 self.do_jalr(index, instr, pc, pending)
             elif cls is InstrClass.MULDIV:
                 self.do_muldiv(index, instr)
+            elif m in ("mexit", "mexitm") and not self.mem:
+                self.do_mexit(index, instr)
             elif m in ("mld", "mst") and not flags:
                 self.do_data_access(instr, pc)
             elif cls is InstrClass.LOAD and flags == F_SYNC:

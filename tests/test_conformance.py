@@ -91,6 +91,7 @@ def test_gen_program_matches_generate():
     ("misalign", "(s1)"),
     ("divrem", ("div", "rem")),
     ("unsigned_branch", "lui  t5"),
+    ("ecall", "ecall\n"),
 ])
 def test_extensions_emit_their_instructions(feature, needle):
     config = GenConfig(**{feature: 1.0}, ext_rate=0.9)
@@ -140,6 +141,28 @@ def test_irq_programs_take_interrupts_in_lockstep():
         delivered += machine.core.metal.stats.deliveries.get(
             Cause.interrupt(0), 0)
     assert delivered >= 20
+
+
+def test_ecall_programs_cross_in_lockstep():
+    """With the ecall extension the prologue routes ECALL to a handler
+    that ends in ``mexitm``; body ecalls then cross into it and back
+    inside one dispatch on the MJIT machines, and the four machines
+    stay in lockstep, with chunk boundaries landing inside the
+    handler."""
+    config = GenConfig(ecall=1.0)
+    delivered = 0
+    for seed in (4, 5, 6):
+        result = generate(random.Random(PROGRAM_SEED_BASE + seed), config)
+        assert "gen:ecall" in result.gen_buckets
+        record = run_cell(seed, config)
+        assert record["outcome"] == "pass", (
+            f"seed {seed}: {record['outcome']} — {record['detail']}")
+        machine = build_variant("interp", config)
+        machine.load(machine.assemble(result.source, base=CODE_BASE))
+        machine.core.pc = CODE_BASE
+        machine.run(max_instructions=40_000)
+        delivered += machine.core.metal.stats.deliveries.get(Cause.ECALL, 0)
+    assert delivered >= 50
 
 
 # --------------------------------------------------------------------------
@@ -306,6 +329,7 @@ def test_scheduler_targets_uncovered_features():
     assert config.divrem == 0.9
     assert config.misalign == 0.9
     assert config.irq == 0.9
+    assert config.ecall == 0.9
     assert 0 < config.unsigned_branch <= 0.4
 
 

@@ -319,7 +319,8 @@ def test_set_tcache_mid_machine(engine):
 # ---------------------------------------------------------------------------
 
 #: A loop whose ``menter`` round-trip through the ``noop`` mroutine
-#: ends every dispatch, so each pass re-dispatches cached blocks.
+#: crosses into MRAM and back inside one dispatch: after the first pass
+#: every block transition, crossings included, is a chain hit.
 MENTER_LOOP = """
 _start:
     li   s0, 24
@@ -343,6 +344,7 @@ def test_perf_counters_surface():
     assert perf.host_mips > 0
     assert stats.blocks_compiled > 0
     assert stats.hits > 0
+    assert stats.chain_hits >= 3 * 20
     assert stats.hit_rate > 0.5
     assert stats.fast_instructions > 0
     assert stats.fast_instructions <= perf.guest_instructions

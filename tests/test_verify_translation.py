@@ -10,9 +10,11 @@ Four angles:
   as diffs rather than silent behaviour shifts;
 * mutation detection — seeding a codegen template bug, a loop-guard
   bug, a missing MRAM data-segment bound, a skipped line-head I-cache
-  access or a wrong ``note_run`` schedule makes the validator fail the
-  affected block with a precise citation (the acceptance property: a
-  wrong compiler cannot pass);
+  access, a wrong ``note_run`` schedule, an ``mexit`` without its cost,
+  an ``ecall`` exit without its fetch or hit credit, or an ``mexitm``
+  commit before the final spill makes the validator fail the affected
+  block with a precise citation (the acceptance property: a wrong
+  compiler cannot pass);
 * exhaustiveness — every uop IR kind and every ALU/branch mnemonic the
   execution model dispatches has a validator rule, so adding a new one
   without teaching the validator fails this suite.
@@ -328,6 +330,124 @@ def test_detects_wrong_note_run_schedule(monkeypatch):
     assert findings, "wrong note_run schedule was not detected"
     assert all(f.where.startswith("mem:0x") for f in findings)
     assert any("events mismatch" in f.message for f in findings)
+
+
+# ---------------------------------------------------------------------------
+# the compiled Metal transitions
+# ---------------------------------------------------------------------------
+
+#: ECALL handler ending in ``mexitm`` with tracked registers around the
+#: commit: x[m26 & 31] := m27 must follow the final spill.
+ECALLH = MRoutine(name="ecallh", entry=2, mregs=(14, 15), source="""
+    wmr  m14, t6
+    rmr  t6, m15
+    add  t6, t6, a0
+    wmr  m15, t6
+    wmr  m27, t6
+    li   t6, 12
+    wmr  m26, t6
+    rmr  t6, m30
+    addi t6, t6, 4
+    wmr  m31, t6
+    rmr  t6, m14
+    mexitm
+""")
+
+#: ecall, menter/mexit and the mroutines' rmr/wmr in one loop.
+TRANSITIONS = """
+_start:
+    li   s0, 6
+loop:
+    addi a0, a0, 5
+    ecall
+    menter 1
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+
+
+def _transition_findings(engine, caches):
+    """Run TRANSITIONS and validate every compiled block in its cache's
+    codegen mode; returns ``(findings, ns_of_each_block)``."""
+    from repro.cpu.exceptions import Cause
+    machine = build_metal_machine(
+        [MRoutine(name=r.name, entry=r.entry, source=r.source,
+                  mregs=r.mregs) for r in (IDX, ECALLH)],
+        config=MachineConfig(engine=engine, with_caches=caches))
+    machine.route_cause(Cause.ECALL, "ecallh")
+    machine.load_and_run(TRANSITIONS, base=CODE_BASE)
+    tc = machine.sim.tcache
+    blocks = list(tc.iter_jit_blocks())
+    return ([f for ns, b in blocks
+             for f in validate_block(ns, b, tc.line_size, tc.scoreboard)],
+            [(ns, b.jit_fn.__jit_source__) for ns, b in blocks])
+
+
+@pytest.mark.parametrize("engine,caches", [
+    ("functional", False), ("functional", True), ("pipeline", True)])
+def test_transitions_validate_clean(engine, caches):
+    """The ecall exit, the inline ``mexit``/``mexitm`` and the direct
+    MReg accesses validate in every codegen mode."""
+    findings, sources = _transition_findings(engine, caches)
+    assert findings == []
+    text = "\n".join(source for _ns, source in sources)
+    assert "_ecall)" in text and "_mr[" in text
+    if engine == "functional":
+        assert "_exit()" in text and "_rset(" in text
+
+
+def test_detects_mexit_without_its_cost(monkeypatch):
+    """An inline ``mexit`` that charges only its fetch must fail
+    validation on its mram block."""
+    real = jit._Codegen.emit
+
+    def no_cost(self, line=""):
+        real(self, line.replace(" + _mxc", ""))
+
+    monkeypatch.setattr(jit._Codegen, "emit", no_cost)
+    findings, _ = _transition_findings("functional", False)
+    assert findings, "mexit without mexit_cost was not detected"
+    assert all(f.where.startswith("mram:0x") for f in findings)
+
+
+@pytest.mark.parametrize("drop", ["fetch", "credit"])
+def test_detects_ecall_exit_without_its_fetch(monkeypatch, drop):
+    """An ecall exit that drops its I-cache fetch (a line head's access
+    or a hit) or the exit's hit credit must fail validation."""
+    def ecall_exit(self, index, pc):
+        if drop != "fetch":
+            self.fetch(index, pc)
+        self.spill()
+        if not self.scoreboard:
+            self.emit("timer.cycles += cyc")
+        if drop != "credit":
+            self.credit()
+        self.emit(f"return (2, {pc}, retired, loops, _ecall)")
+        self.exited = True
+
+    monkeypatch.setattr(jit._Codegen, "_emit_ecall", ecall_exit)
+    for engine in ("functional", "pipeline"):
+        findings, _ = _transition_findings(engine, True)
+        assert findings, f"{engine}: ecall exit without its {drop}"
+        assert all(f.where.startswith("mem:0x") for f in findings)
+
+
+def test_detects_mexitm_commit_before_the_spill(monkeypatch):
+    """``mexitm`` committing m27 before the final spill lets the spill
+    overwrite the committed register: validation must fail."""
+    real = jit._Codegen._emit_mexit
+
+    def early_commit(self, index, instr, pc):
+        real(self, index, instr, pc)
+        if self.commit:
+            self.emit("_rset(_mr[26] & 31, _mr[27])")
+            self.commit = False
+
+    monkeypatch.setattr(jit._Codegen, "_emit_mexit", early_commit)
+    findings, _ = _transition_findings("functional", False)
+    assert findings, "mexitm committing before the spill was not detected"
+    assert all(f.where.startswith("mram:0x") for f in findings)
 
 
 # ---------------------------------------------------------------------------
