@@ -10,8 +10,9 @@ per host second (host MIPS) with the predecoded translation cache
 * **syscall_heavy** — every iteration delivers an ECALL to an mroutine
   and returns: stresses the MRAM block namespace and Metal transitions;
 * **intercept_heavy** — every iteration's ``lw`` is intercepted and
-  emulated by an mroutine: the tcache's worst case (interception active
-  disables normal-mode blocks entirely);
+  emulated by an mroutine: normal-mode blocks compiled under the
+  installed rule set end at the ``lw``, whose delivery crosses into the
+  handler and back;
 * **chain_trampoline** — straight-line work split across blocks glued by
   unconditional jumps: the superblock chainer's best case (one chained
   trace per iteration instead of three dispatches);
@@ -43,12 +44,13 @@ asserted ≤15% in the full run.
 The tcache is architecture-invisible, so for every workload and engine
 the guest results (``RunResult.instructions`` / ``cycles``) must be
 bit-identical across all modes, and Metal-mode blocks share the
-unguarded block loop, so mcode_heavy and syscall_heavy retire no
-instruction on the guarded loop.  A dispatch chains across Metal
-transitions too, so each ``tcache_on`` row records
-``dispatches_per_instruction`` (dispatcher block lookups, hits plus
-misses, per instruction), and syscall_heavy must stay at or below 0.01
-and mcode_heavy at or below 0.005 — this file asserts all three, plus the
+unguarded block loop, so mcode_heavy, syscall_heavy and intercept_heavy
+retire no instruction on the guarded loop.  A dispatch chains across
+Metal transitions and intercept deliveries too, so each ``tcache_on``
+row records ``dispatches_per_instruction`` (dispatcher block lookups,
+hits plus misses, per instruction), and syscall_heavy and
+intercept_heavy must stay at or below 0.01 and mcode_heavy at or below
+0.005 — this file asserts all three, plus the
 headline wins for the functional engine on the tight loop: ≥2.6× over
 the interpreter, a tier-2 dispatch share ≥90% and ≥6.16 MIPS absolute
 (2× the PR-4 trajectory number).  Results land in
@@ -92,12 +94,13 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 SMOKE_JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                "BENCH_host_throughput_smoke.json")
 #: Label this run's tight-loop numbers carry in the JSON trajectory.
-TRAJECTORY_LABEL = "metal_crossings"
+TRAJECTORY_LABEL = "intercepted_blocks"
 
 #: Most dispatcher block lookups (``hits + misses``) per instruction a
 #: Metal-heavy workload may make with the tcache on: its Metal
-#: transitions are chain crossings.
-DISPATCH_BOUNDS = {"syscall_heavy": 0.01, "mcode_heavy": 0.005}
+#: transitions and intercept deliveries are chain crossings.
+DISPATCH_BOUNDS = {"syscall_heavy": 0.01, "intercept_heavy": 0.01,
+                   "mcode_heavy": 0.005}
 
 
 def host_fingerprint() -> dict:
@@ -197,7 +200,8 @@ def run_suite(iters: dict, reps: int, engines=("functional", "pipeline")):
             results[workload][engine] = row
             # Metal-mode blocks share the unguarded block loop, whether
             # or not MAS proved their routine store-free.
-            if workload in ("mcode_heavy", "syscall_heavy"):
+            if workload in ("mcode_heavy", "syscall_heavy",
+                            "intercept_heavy"):
                 assert on["guarded_instructions"] == 0, (
                     f"{workload}/{engine}: {on['guarded_instructions']} "
                     f"instructions retired on the guarded loop")

@@ -111,6 +111,7 @@ def machine_state(machine) -> dict:
         "waiting": core.waiting,
         "in_metal": core.in_metal,
         "mregs": core.metal.mregs.snapshot(),
+        "intercept_hits": core.metal.intercept.hits,
         "mram_data": bytes(core.metal.mram.data),
         "data": machine.read_bytes(DATA_BASE, 4 * DATA_WORDS),
     }

@@ -34,6 +34,13 @@ seed:
                      ``ecall``s, whose handler reads and writes MRegs,
                      resumes at m30 + 4 and ends in ``mexitm``,
                      committing a running MReg sum into that register
+``icept``            a prologue that installs an intercept rule for one
+                     (opcode, funct3) the body uses (``lw`` or ``addi``),
+                     whose handler emulates the instruction
+                     transparently and commits its result with
+                     ``mexitm``; body slots then ``menter`` a routine
+                     that turns the rule off and on, so dispatches cross
+                     rule-set changes
 ===================  ====================================================
 
 Programs are always-terminating by construction: forward control flow is
@@ -49,6 +56,8 @@ from dataclasses import dataclass, field, fields
 
 from repro import MRoutine
 from repro.asm import assemble
+from repro.isa.metal_ops import pack_intercept_spec
+from repro.isa.opcodes import OP_ALU_IMM, OP_LOAD
 from repro.isa.registers import reg_num
 
 CODE_BASE = 0x1000
@@ -102,6 +111,10 @@ ENTRY_IRQTICK = 5
 ENTRY_IRQINIT = 6
 ENTRY_ECALLH = 7
 ENTRY_ECALLINIT = 8
+ENTRY_ICPTLW = 9
+ENTRY_ICPTADDI = 10
+ENTRY_ICPTINIT = 11
+ENTRY_ICPTTOG = 12
 
 #: Range of the irq extension's timer period, in cycles: long enough
 #: for a program to make progress between interrupts (a caches-off
@@ -110,6 +123,21 @@ IRQ_DELTA = (150, 1500)
 
 #: Chance that a body slot of an ``ecall`` program is an ``ecall``.
 ECALL_RATE = 0.1
+
+#: The icept extension's rules: (match spec, handler routine).  Each
+#: (opcode, funct3) names one instruction of the generator's body.
+ICEPT_RULES = (
+    (pack_intercept_spec(OP_LOAD, 2), "ICPTLW"),       # lw
+    (pack_intercept_spec(OP_ALU_IMM, 0), "ICPTADDI"),  # addi (li, nop)
+)
+
+#: Chance that a body slot of an ``icept`` program toggles the rule.
+ICEPT_TOGGLE_RATE = 0.08
+
+#: MRegs the icept routines share: the handlers' t5/t6 spills (m17,
+#: m18), whether the rule is on (m19), its spec (m20) and handler entry
+#: (m21).
+ICEPT_MREGS = (17, 18, 19, 20, 21)
 
 
 @dataclass(frozen=True)
@@ -132,6 +160,9 @@ class GenConfig:
     #: Probability that a program routes ECALL and makes ecalls (a
     #: per-program draw).
     ecall: float = 0.0
+    #: Probability that a program intercepts one instruction and
+    #: toggles the rule (a per-program draw).
+    icept: float = 0.0
     ext_rate: float = 0.25
 
     #: Body-slot features, in weighted-choice order (stable!).
@@ -317,7 +348,93 @@ def routines(config: GenConfig = GenConfig()):
             mexit
         """)
         routines_ += [ecallh, ecallinit]
+    if config.icept > 0:
+        routines_ += _icept_routines()
     return routines_
+
+
+def _icept_routines():
+    """The icept extension's mroutines.  The handlers keep every
+    register but the intercepted instruction's rd, which ``mexitm``
+    sets to the emulated result; a misaligned ``lw`` (which the
+    misalign extension makes) is skipped, as ``vecskip`` skips it."""
+    # Emulate lw: load from m25 + imm.
+    icptlw = MRoutine(name="icptlw", entry=ENTRY_ICPTLW,
+                      shared_mregs=ICEPT_MREGS, source="""
+        wmr  m17, t5
+        wmr  m18, t6
+        rmr  t5, m29
+        srai t6, t5, 20
+        rmr  t5, m25
+        add  t5, t5, t6
+        andi t6, t5, 3
+        bnez t6, skip
+        lw   t6, 0(t5)
+        wmr  m27, t6
+        rmr  t5, m29
+        srli t5, t5, 7
+        andi t5, t5, 31
+        wmr  m26, t5
+        rmr  t6, m18
+        rmr  t5, m17
+        mexitm
+    skip:
+        rmr  t6, m18
+        rmr  t5, m17
+        mexit
+    """)
+    # Emulate addi: m25 plus the immediate.
+    icptaddi = MRoutine(name="icptaddi", entry=ENTRY_ICPTADDI,
+                        shared_mregs=ICEPT_MREGS, source="""
+        wmr  m17, t5
+        wmr  m18, t6
+        rmr  t5, m29
+        srai t6, t5, 20
+        rmr  t5, m25
+        add  t6, t5, t6
+        wmr  m27, t6
+        rmr  t5, m29
+        srli t5, t5, 7
+        andi t5, t5, 31
+        wmr  m26, t5
+        rmr  t6, m18
+        rmr  t5, m17
+        mexitm
+    """)
+    # Prologue: t6 holds the spec, t5 the handler entry.
+    icptinit = MRoutine(name="icptinit", entry=ENTRY_ICPTINIT,
+                        shared_mregs=ICEPT_MREGS, source="""
+        wmr  m20, t6
+        wmr  m21, t5
+        micept t6, t5
+        li   t6, 1
+        wmr  m19, t6
+        li   t5, 0
+        li   t6, 0
+        mexit
+    """)
+    # Turn the rule off if it is on, else on again.
+    icpttog = MRoutine(name="icpttog", entry=ENTRY_ICPTTOG,
+                       shared_mregs=ICEPT_MREGS, source="""
+        wmr  m17, t5
+        wmr  m18, t6
+        rmr  t5, m20
+        rmr  t6, m19
+        bnez t6, rule_off
+        rmr  t6, m21
+        micept t5, t6
+        li   t6, 1
+        j    toggled
+    rule_off:
+        miceptd t5
+        li   t6, 0
+    toggled:
+        wmr  m19, t6
+        rmr  t6, m18
+        rmr  t5, m17
+        mexit
+    """)
+    return [icptlw, icptaddi, icptinit, icpttog]
 
 
 def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
@@ -344,6 +461,13 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
         lines.append(f"    li   t6, {reg_num(rng.choice(REG_POOL))}")
         lines.append("    menter MR_ECALLINIT")
         marks.add("gen:ecall")
+    icept = config.icept > 0 and rng.random() < config.icept
+    if icept:
+        spec, handler = rng.choice(ICEPT_RULES)
+        lines.append(f"    li   t6, {spec}")
+        lines.append(f"    li   t5, MR_{handler}")
+        lines.append("    menter MR_ICPTINIT")
+        marks.add("gen:icept")
     lines += [
         f"    li   s1, {DATA_BASE}",
         f"    li   s0, {rng.randint(24, 60)}",
@@ -401,6 +525,9 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
         for _ in range(rng.randint(3, 10)):
             if ecalls and rng.random() < ECALL_RATE:
                 lines.append("    ecall")
+                continue
+            if icept and rng.random() < ICEPT_TOGGLE_RATE:
+                lines.append("    menter MR_ICPTTOG")
                 continue
             if body_weights and rng.random() < config.ext_rate:
                 emit_extension()

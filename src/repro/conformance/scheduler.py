@@ -32,6 +32,7 @@ FEATURE_BUCKETS = {
     }),
     "irq": frozenset({"gen:irq"}),
     "ecall": frozenset({"gen:ecall"}),
+    "icept": frozenset({"gen:icept"}),
 }
 
 #: Per-feature weight when the feature is targeted (has uncovered

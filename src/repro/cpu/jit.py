@@ -36,9 +36,13 @@ mode they join the plain ``note_run`` runs.
 The Metal transitions are compiled too, so the engine can chain across
 them (docs/PERF.md, "Crossings"): a mem block's ``ecall`` is fetched
 and leaves with status 2 and an ECALL trap that is never raised (every
-mode), and in the analytic modes ``mexit``/``mexitm`` call the Metal
-unit's own ``exit_metal()`` and charge the fetch plus ``mexit_cost``;
-``mexitm`` commits ``m27`` into ``x[m26 & 31]`` after the final spill.
+mode); a mem block's intercept terminator (``F_ICEPT``) is fetched,
+charges its raw fetch latency as ``step()`` does (``timer.note_event``
+in scoreboard mode) and leaves the same way with an INTERCEPT trap
+carrying the word, bound once per block as ``_icept``; and in the
+analytic modes ``mexit``/``mexitm`` call the Metal unit's own
+``exit_metal()`` and charge the fetch plus ``mexit_cost``; ``mexitm``
+commits ``m27`` into ``x[m26 & 31]`` after the final spill.
 
 Calling convention (every mode and namespace)::
 
@@ -52,8 +56,9 @@ Calling convention (every mode and namespace)::
   *hz*; ``next_pc`` is the resume pc and no stale entry was executed.
 * ``status == 2`` — trap: ``next_pc`` is the faulting pc (epc), ``trap``
   the :class:`TrapException` (raised inside the code, or for a mem
-  block's ``ecall`` the shared unraised one); registers are already
-  spilled and ``timer.cycles`` flushed — the caller only dispatches.
+  block's ``ecall`` or intercept terminator an unraised one); registers
+  are already spilled and ``timer.cycles`` flushed — the caller only
+  dispatches.
 
 *hz* is the dispatch's interrupt horizon: the bus horizon while
 interrupts are deliverable, else ``MASKED``, above every horizon.
@@ -79,6 +84,7 @@ from repro.cpu.executor import _mem_width, execute
 from repro.cpu.functional import MASKED
 from repro.cpu.tcache import (
     F_CSR,
+    F_ICEPT,
     F_STORE,
     F_SYNC,
     F_TERM,
@@ -316,6 +322,8 @@ class _Codegen:
         """Classify every entry: host locals, timing locals, traps."""
         track = self.tracked
         for instr, pc, flags in self.block.entries:
+            if flags & F_ICEPT:
+                continue  # leaves with the unraised trap
             ir = None if flags else uop_ir(instr, pc)
             if ir is not None:
                 kind, rd, a, b, _m = ir
@@ -370,6 +378,10 @@ class _Codegen:
     # -- body emission ---------------------------------------------------
     def emit_entry(self, index: int, entry) -> None:
         instr, pc, flags = entry
+        if flags & F_ICEPT:
+            self.flush_units()
+            self._emit_intercept(index, instr, pc)
+            return
         ir = None if flags else uop_ir(instr, pc)
         if ir is not None:
             self._emit_ir(ir)
@@ -442,6 +454,23 @@ class _Codegen:
             self.emit("timer.cycles += cyc")
         self.credit()
         self.emit(f"return (2, {pc}, retired, loops, _ecall)")
+        self.exited = True
+
+    def _emit_intercept(self, index: int, word: int, pc: int) -> None:
+        """An intercepted *word*: its fetch, the raw fetch latency as
+        ``step()`` charges it, then the status-2 exit with the block's
+        unraised INTERCEPT trap, which the engine delivers."""
+        _cost, lat = self.fetch(index, pc)
+        if self.scoreboard:
+            self.emit(f"timer.note_event({lat})")
+        else:
+            self.emit(f"cyc += {lat}")
+        self.ns["_icept"] = TrapException(Cause.INTERCEPT, word)
+        self.spill()
+        if not self.scoreboard:
+            self.emit("timer.cycles += cyc")
+        self.credit()
+        self.emit(f"return (2, {pc}, retired, loops, _icept)")
         self.exited = True
 
     def _emit_mexit(self, index: int, instr, pc: int) -> None:

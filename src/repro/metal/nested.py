@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from repro.errors import NestedMetalError
 from repro.cpu.exceptions import Cause, is_interrupt
 from repro.metal.delivery import DeliveryTable
-from repro.metal.intercept import InterceptTable
+from repro.metal.intercept import NO_RULES, InterceptTable
 from repro.metal.unit import MetalUnit
 
 
@@ -67,6 +67,13 @@ class _LayeredInterceptView:
     @property
     def empty(self) -> bool:
         return all(layer.intercept.empty for layer in self._unit.layers)
+
+    @property
+    def signature(self):
+        """:data:`NO_RULES` while no layer holds a rule, else None: a
+        match depends on the replay state, so no translation can decide
+        it ahead of time (normal-mode code runs on ``step()``)."""
+        return NO_RULES if self.empty else None
 
     def match(self, word: int):
         unit = self._unit

@@ -81,14 +81,18 @@ def verify_main(argv=None) -> int:
             "mem_blocks": report.mem_blocks,
             "mram_blocks": report.mram_blocks,
             "mode_blocks": dict(report.mode_blocks),
+            "exit_blocks": dict(report.exit_blocks),
         }
         modes = ", ".join(f"{n} {mode}"
                           for mode, n in report.mode_blocks.items())
+        exits = ", ".join(f"{n} {kind}"
+                          for kind, n in report.exit_blocks.items())
         print(f"[translation] {len(report.seeds)} seed(s): "
               f"{report.blocks_validated} unique blocks proved equivalent "
               f"({report.mem_blocks} mem, {report.mram_blocks} mram; "
               f"{modes}; {report.blocks_seen} seen), "
               f"{len(report.findings)} finding(s)")
+        print(f"[translation] exits: {exits}")
 
     if "host" in passes:
         from repro.verify.hostlint import (

@@ -4,16 +4,20 @@ The corpus is the MCONF generator's program space (the same seed
 derivation the conformance campaign uses: program ``seed`` maps to
 ``random.Random(PROGRAM_SEED_BASE + seed)``), executed on one machine
 per MJIT codegen mode (:data:`MODES`), where MJIT compiles every block
-at its first dispatch.  After each program runs, every
-surviving compiled block is harvested from the machine's translation
-cache and handed to :func:`repro.verify.translate.validate_block` in
-that cache's codegen mode.
+at its first dispatch.  Seeds cycle through :data:`CORPUS_CONFIGS`, the
+base program space and the generator's coverage-gated extensions, so
+the corpus holds every Metal transition MJIT compiles.  After each
+program runs, every surviving compiled block is harvested from the
+machine's translation cache and handed to
+:func:`repro.verify.translate.validate_block` in that cache's codegen
+mode.
 
 Blocks are deduplicated across seeds by mode and generated source text:
 the validator's verdict is a pure function of the source, the block's
 uop IR and the mode, so re-proving an identical block adds nothing.  The
-report counts both raw sightings and unique validations, in total and
-per mode, so a seed sweep's coverage stays visible.
+report counts both raw sightings and unique validations, in total, per
+mode and per exit kind (:func:`exit_kind`), so a seed sweep's coverage
+stays visible.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.conformance.generator import GenConfig
+from repro.cpu.tcache import F_ICEPT, F_TERM
 from repro.verify.translate import validate_block
 
 #: Harvest machine per codegen mode: (engine, cache models on).  The
@@ -30,6 +36,37 @@ MODES = {
     "cached": ("functional", True),
     "scoreboard": ("pipeline", True),
 }
+
+
+#: Generator config of corpus seed ``seed``, by ``seed % 4``: the base
+#: program space; ``ecall`` exits and ``mexitm`` commits; interrupts and
+#: the body extensions' trap deliveries; intercept terminators under
+#: rule sets turned off and on.
+CORPUS_CONFIGS = (
+    GenConfig(),
+    GenConfig(ecall=1.0),
+    GenConfig(irq=1.0, csr=0.5, misalign=0.5, divrem=0.5, auipc_mem=0.5),
+    GenConfig(icept=1.0),
+)
+
+#: The exit kinds :func:`exit_kind` reports.
+EXIT_KINDS = ("branch", "fall", "ecall", "intercept", "menter", "mexit",
+              "mexitm", "other")
+
+
+def exit_kind(block) -> str:
+    """How *block* leaves: an intercept terminator, a Metal transition
+    (``ecall``, ``menter``, ``mexit``, ``mexitm``), a chainable
+    control transfer (``branch``), no terminator (``fall``), or any
+    other terminator."""
+    instr, _pc, flags = block.entries[-1]
+    if flags & F_ICEPT:
+        return "intercept"
+    if not flags & F_TERM:
+        return "fall"
+    if instr.mnemonic in ("ecall", "menter", "mexit", "mexitm"):
+        return instr.mnemonic
+    return "branch" if block.chainable else "other"
 
 
 @dataclass
@@ -44,6 +81,9 @@ class CorpusReport:
     #: Unique blocks proved per harvest mode (see :data:`MODES`).
     mode_blocks: dict = field(
         default_factory=lambda: dict.fromkeys(MODES, 0))
+    #: Unique blocks proved per :func:`exit_kind`.
+    exit_blocks: dict = field(
+        default_factory=lambda: dict.fromkeys(EXIT_KINDS, 0))
     findings: list = field(default_factory=list)
 
     @property
@@ -53,14 +93,16 @@ class CorpusReport:
 
 def harvest_seed(seed: int, mode: str, config=None):
     """Run one generated program on the *mode* harvest machine; returns
-    its translation cache (holding every block MJIT compiled)."""
+    its translation cache (holding every block MJIT compiled).  The
+    program is generated with *config*, or the seed's entry of
+    :data:`CORPUS_CONFIGS`."""
     from repro.conformance.campaign import (
         CHUNK, CODE_BASE, PROGRAM_SEED_BASE, RAM_BYTES, TOTAL_LIMIT,
     )
-    from repro.conformance.generator import GenConfig, generate, routines
+    from repro.conformance.generator import generate, routines
     from repro.machine.builder import build_metal_machine
 
-    config = config or GenConfig()
+    config = config or CORPUS_CONFIGS[seed % len(CORPUS_CONFIGS)]
     rng = random.Random(PROGRAM_SEED_BASE + seed)
     result = generate(rng, config)
     engine, caches = MODES[mode]
@@ -80,7 +122,8 @@ def harvest_seed(seed: int, mode: str, config=None):
 
 def validate_corpus(seeds, config=None, progress=None) -> CorpusReport:
     """Translation-validate every unique block the *seeds* compile on
-    the harvest machine of each codegen mode.
+    the harvest machine of each codegen mode (with *config*, or each
+    seed's entry of :data:`CORPUS_CONFIGS`).
 
     *progress*, if given, is called as ``progress(seed_index, report)``
     after each seed (CLI heartbeat for long sweeps).
@@ -99,6 +142,7 @@ def validate_corpus(seeds, config=None, progress=None) -> CorpusReport:
                 seen.add(key)
                 report.blocks_validated += 1
                 report.mode_blocks[mode] += 1
+                report.exit_blocks[exit_kind(block)] += 1
                 if ns == "mem":
                     report.mem_blocks += 1
                 else:

@@ -127,6 +127,8 @@ SNAPSHOT_SPECS = (
               allow={
                   "slots": _CONFIG,
                   "hits": _COUNTER,
+                  "signature": ("derived from the rules; restore_rules "
+                                "recomputes it"),
               }),
 )
 

@@ -16,9 +16,10 @@ with the schedule the exec namespace binds, ``timer.note(step)``, and
 the one-batch I-cache hit credit ``_ist.hits += ih``.  So are the Metal
 unit's state accesses: an MReg list read or write, ``exit_metal()``
 (with a symbolic resume pc), and the status-2 return of the unraised
-ECALL trap the namespace binds as ``_ecall``; ``mexitm``'s
+ECALL trap the namespace binds as ``_ecall`` or of the INTERCEPT trap a
+block binds as ``_icept`` (with its word); ``mexitm``'s
 ``core.rset(index, value)`` writes the register file under a symbolic
-index.  A timer call
+index.  ``timer.note_event(cycles)`` is a timer call too.  A timer call
 leaves ``timer.cycles`` at a fresh symbol, so the timer itself stays
 trusted and only what the code hands it is compared.  Likewise every
 call that can touch a device (``sync``, ``read_mem``, ``write_mem``,
@@ -108,6 +109,7 @@ _ACCESS = _Mark("access")
 _ISTATS = _Mark("istats")
 _NOTE = _Mark("note")
 _NOTERUN = _Mark("note_run")
+_NOTEEVENT = _Mark("note_event")
 
 #: Attribute reads on opaque markers (state-bearing ones are special-
 #: cased in :meth:`_Ev.eval` because they read evaluator state).
@@ -125,6 +127,7 @@ _ATTRS = {
     ("timer", "timing"): _TIMING,
     ("timer", "note"): _NOTE,
     ("timer", "note_run"): _NOTERUN,
+    ("timer", "note_event"): _NOTEEVENT,
     ("metal", "mregs"): _MREGS,
     ("metal", "mram"): _MRAM,
     ("metal", "exit_metal"): _MEXIT,
@@ -321,6 +324,12 @@ class _Ev:
                     or trap.cause != Cause.ECALL or trap.info != 0):
                 raise UnsupportedSource("_ecall is not an ECALL trap")
             return _ECALL
+        if name == "_icept":
+            trap = self.ns.get(name)
+            if (not isinstance(trap, TrapException)
+                    or trap.cause != Cause.INTERCEPT):
+                raise UnsupportedSource("_icept is not an INTERCEPT trap")
+            return _Mark("icept", trap.info)
         raise UnsupportedSource(f"read of undefined name {name!r}")
 
     def load_attr(self, node: ast.Attribute, st: CState):
@@ -470,6 +479,11 @@ class _Ev:
                 raise UnsupportedSource("note_run() call shape")
             k = st.alloc(("note_run", sched,
                           None if access is None else "access", cost))
+            st.tc = _esym(k, "tc")
+            return None
+        if tag == "note_event":
+            self.expect_args(tag, args, kwargs, 1)
+            k = st.alloc(("note_event", args[0]))
             st.tc = _esym(k, "tc")
             return None
         if tag == "mexit":
@@ -655,9 +669,13 @@ class _Ev:
             raise UnsupportedSource(f"return status {status!r}")
         kind = ("ret0", "abort", "trap")[status]
         site = None
+        # An unraised trap: its "raise" is the return itself.
         if kind == "trap" and trap == _ECALL:
-            # The unraised trap: its "raise" is the return itself.
             trap = _Mark("trapval", st.alloc(("raise", int(Cause.ECALL), 0)))
+        elif (kind == "trap" and isinstance(trap, _Mark)
+              and trap.tag == "icept"):
+            trap = _Mark("trapval", st.alloc(
+                ("raise", int(Cause.INTERCEPT), trap.arg)))
         if kind == "trap":
             if not (isinstance(trap, _Mark) and trap.tag == "trapval"):
                 raise UnsupportedSource("status-2 return without the "

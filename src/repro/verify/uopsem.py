@@ -18,10 +18,13 @@ through ``timer.note_run`` with their :func:`_schedule_regs` schedule,
 every other entry an ``execute()`` whose StepInfo goes to
 ``timer.note``).  The Metal transitions MJIT compiles have their own
 rules: a mem block's ``ecall`` (its fetch, then a status-2 exit with an
-ECALL trap at the ecall's pc, in every mode) and, in the analytic modes,
-``mexit``/``mexitm`` (the fetch plus ``mexit_cost``, ``exit_metal()``'s
-resume pc, and for ``mexitm`` the commit of m27 into ``x[m26 & 31]``
-after the final spill).
+ECALL trap at the ecall's pc, in every mode), a mem block's intercept
+terminator (its fetch, its raw fetch latency — added to the cycles in
+the analytic modes, a ``timer.note_event`` in scoreboard mode — then a
+status-2 exit with an INTERCEPT trap carrying the word at its pc) and,
+in the analytic modes, ``mexit``/``mexitm`` (the fetch plus
+``mexit_cost``, ``exit_metal()``'s resume pc, and for ``mexitm`` the
+commit of m27 into ``x[m26 & 31]`` after the final spill).
 
 The semantic tables (:data:`IMM_SEM`, :data:`REG_SEM`,
 :data:`BRANCH_SEM`, :data:`IR_RULES`) are deliberately exhaustive and
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from repro.cpu.exceptions import Cause
 from repro.cpu.functional import MASKED
 from repro.cpu.tcache import (
-    F_CSR, F_STORE, F_SYNC, F_TERM, IR_IMM, IR_NOP, IR_REG, IR_SET,
+    F_CSR, F_ICEPT, F_STORE, F_SYNC, F_TERM, IR_IMM, IR_NOP, IR_REG, IR_SET,
     _schedule_regs, uop_ir,
 )
 from repro.isa.instruction import InstrClass
@@ -155,6 +158,8 @@ def scan_block(block, scoreboard: bool, mem: bool) -> BlockInfo:
     written = set()
     trapping = has_generic = has_sync = False
     for instr, pc, flags in block.entries:
+        if flags == F_TERM | F_ICEPT:
+            continue  # the status-2 exit reads and writes no register
         cls = instr.spec.cls
         m = instr.mnemonic
         rd, rs1, rs2 = instr.rd, instr.rs1, instr.rs2
@@ -610,6 +615,28 @@ class _Ref:
             retired=st.retired, loops=st.loops, tc=st.tc,
             regfile=self.norm_regfile(st), next_pc=pc, trap=site))
 
+    def do_intercept(self, index: int, word: int, pc: int) -> None:
+        """An intercepted *word*: fetched (a line head's access, else a
+        hit the exit credits) and charged its raw fetch latency as
+        ``step()`` charges it — added to the cycles, or reported through
+        ``timer.note_event`` in scoreboard mode — never retired, and
+        the exit carries an INTERCEPT trap with the word at *pc*, which
+        the engine delivers."""
+        st = self.st
+        _cost, lat = self.fetch(st, index)
+        if self.scoreboard:
+            st.tc = _esym(st.alloc(("note_event", lat)), "tc")
+        else:
+            st.cyc = S.add(st.cyc, lat)
+        self.spill(st)
+        st.tc = S.add(st.tc, st.cyc)
+        self.credit(st)
+        site = st.alloc(("raise", int(Cause.INTERCEPT), word))
+        self.exits.append(Exit(
+            kind="trap", path=tuple(st.path), events=tuple(st.events),
+            retired=st.retired, loops=st.loops, tc=st.tc,
+            regfile=self.norm_regfile(st), next_pc=pc, trap=site))
+
     def do_mexit(self, index: int, instr) -> None:
         """``mexit``/``mexitm`` (analytic modes): the unit's exit gives
         the resume pc; the cost is the fetch plus ``mexit_cost``.
@@ -753,6 +780,11 @@ class _Ref:
             if self.st is None:
                 break  # a statically-certain trap ended every path
             instr, pc, flags = entry
+            if flags == F_TERM | F_ICEPT:
+                self.flush_units(self.st)
+                self.do_intercept(index, instr, pc)
+                self.st = None
+                break
             cls = instr.spec.cls
             ir = _plain(instr, pc, flags)
             if ir is not None:

@@ -92,6 +92,7 @@ def test_gen_program_matches_generate():
     ("divrem", ("div", "rem")),
     ("unsigned_branch", "lui  t5"),
     ("ecall", "ecall\n"),
+    ("icept", "MR_ICPTINIT"),
 ])
 def test_extensions_emit_their_instructions(feature, needle):
     config = GenConfig(**{feature: 1.0}, ext_rate=0.9)
@@ -163,6 +164,30 @@ def test_ecall_programs_cross_in_lockstep():
         machine.run(max_instructions=40_000)
         delivered += machine.core.metal.stats.deliveries.get(Cause.ECALL, 0)
     assert delivered >= 50
+
+
+def test_icept_programs_cross_rule_sets_in_lockstep():
+    """With the icept extension the prologue intercepts one instruction
+    the body uses, with a handler that emulates it and ends in
+    ``mexitm``, and body slots turn the rule off and on: the MJIT
+    machines compile blocks under both rule sets, deliver intercepts
+    into the handler inside a dispatch and cross back, and the four
+    machines stay in lockstep, intercept hits included."""
+    config = GenConfig(icept=1.0)
+    hits = 0
+    for seed in (16, 19, 39):   # addi, lw, lw
+        result = generate(random.Random(PROGRAM_SEED_BASE + seed), config)
+        assert "gen:icept" in result.gen_buckets
+        assert "MR_ICPTTOG" in result.source
+        record = run_cell(seed, config)
+        assert record["outcome"] == "pass", (
+            f"seed {seed}: {record['outcome']} — {record['detail']}")
+        machine = build_variant("interp", config)
+        machine.load(machine.assemble(result.source, base=CODE_BASE))
+        machine.core.pc = CODE_BASE
+        machine.run(max_instructions=40_000)
+        hits += machine.core.metal.intercept.hits
+    assert hits >= 100
 
 
 # --------------------------------------------------------------------------
@@ -330,6 +355,7 @@ def test_scheduler_targets_uncovered_features():
     assert config.misalign == 0.9
     assert config.irq == 0.9
     assert config.ecall == 0.9
+    assert config.icept == 0.9
     assert 0 < config.unsigned_branch <= 0.4
 
 

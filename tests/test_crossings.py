@@ -178,7 +178,8 @@ def test_stop_pc_after_mexit_in_a_metal_mode_dispatch(engine, offset):
 
 
 #: Installs the ``lw`` intercept rule (a0 = spec, a1 = entry) and
-#: returns: normal-mode code after this ``mexit`` must run on step().
+#: returns: normal-mode code after this ``mexit`` runs under the new
+#: rule set.
 MICEPT = MRoutine(name="setup", entry=3, source="""
     micept a0, a1
     mexit
@@ -207,8 +208,9 @@ EMUL = MRoutine(name="emul", entry=4, mregs=(13, 12), source="""
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_micept_before_mexit_ends_the_dispatch(engine):
-    """An mroutine that installs an intercept rule: the code after its
-    ``mexit`` runs on step(), where the rule takes its ``lw``."""
+    """An mroutine that installs an intercept rule ends the dispatch at
+    its ``micept``; its ``mexit`` crossing then selects the new rule
+    set, under which the ``lw`` after it is an intercept terminator."""
     source = """
 _start:
     li   s2, 0x3000

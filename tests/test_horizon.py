@@ -15,6 +15,7 @@ import pytest
 
 from repro import MRoutine, build_metal_machine
 from repro.cpu.exceptions import Cause
+from repro.cpu.tcache import F_ICEPT
 from repro.fault.injector import FaultSpec, Trigger, run_with_fault
 from repro.machine.builder import MachineConfig, build_palcode_machine
 from repro.osdemo.scheduler import boot_scheduler_demo
@@ -317,14 +318,116 @@ def _trace(machine, budget):
     return steps
 
 
+#: Re-arms the timer 97 cycles ahead (the handler of a live tick).
+TICK = MRoutine(name="tick", entry=4, mregs=(10, 11), source="""
+    wmr  m10, t0
+    wmr  m11, t1
+    li   t0, TIMER_COUNT
+    lw   t1, 0(t0)
+    addi t1, t1, 97
+    li   t0, TIMER_COMPARE
+    sw   t1, 0(t0)
+    rmr  t1, m11
+    rmr  t0, m10
+    mexit
+""")
+
+#: Routes the timer line to ``tick``, arms and enables the timer and
+#: makes interrupts deliverable.
+TICK_ON = MRoutine(name="tick_on", entry=5, source="""
+    li   t0, CAUSE_INTERRUPT_TIMER
+    li   t1, MR_TICK
+    mivec t0, t1
+    li   t0, TIMER_COUNT
+    lw   t1, 0(t0)
+    addi t1, t1, 97
+    li   t0, TIMER_COMPARE
+    sw   t1, 0(t0)
+    li   t0, TIMER_CTRL
+    li   t1, 1
+    sw   t1, 0(t0)
+    li   t0, 1
+    mintc t0
+    li   t0, 0
+    li   t1, 0
+    mexit
+""")
+
+
+def _step_trace(machine, calls):
+    """Call the interpreter's ``step()`` *calls* times: one ``(pc,
+    cycles before, normal mode, intercept rule set, instret, intercept
+    hits)`` per call, and the same after the last.  A call retires one
+    instruction or takes one delivery (intercept, trap or interrupt)."""
+    sim = machine.sim
+    core = machine.core
+    intercept = core.metal.intercept
+    records = []
+    for _ in range(calls + 1):
+        records.append((core.pc, sim.timer.cycles, not core.in_metal,
+                        intercept.signature, core.instret, intercept.hits))
+        if core.halted:
+            break
+        sim.step()
+    return records
+
+
+def _intercepted_bounds_hold(machine, calls):
+    """Check ``bound`` over every straight run of a mem block in
+    *calls* interpreter steps of *machine*, compiling each block under
+    the rule set installed when it starts: an intercepted block's run
+    ends once its last word is delivered to the handler.  Returns the
+    (all, intercepted) runs checked."""
+    records = _step_trace(machine, calls)
+    tcache = machine.sim.tcache
+    checked = intercepted = 0
+    for i, (pc, before, normal, rules, instret, hits) in enumerate(records):
+        if not normal:
+            continue
+        tcache.select_rules(rules)
+        block = tcache.mem_block(pc, machine.bus)
+        if block is None:
+            continue
+        n = len(block.entries)
+        run = records[i:i + n + 1]
+        icept = bool(block.entries[-1][2] & F_ICEPT)
+        if (len(run) <= n
+                or [r[0] for r in run[:n]] != [e[1] for e in block.entries]
+                or not all(r[2] for r in run[:n])
+                or run[n][4] - instret != n - icept
+                or run[n][5] - hits != icept):
+            continue  # trapped, interrupted or redirected early
+        spent = run[n][1] - before
+        assert spent <= block.bound, (hex(pc), spent, block.bound)
+        checked += 1
+        intercepted += icept
+    return checked, intercepted
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_block_bound_holds(engine):
     """Every time one of a mem block's straight runs retires on the
     interpreter, from cold caches on, the timer advances by at most the
     block's ``bound``: loop programs, Metal transitions (also with the
     PALcode-style machine's slow transitions), the scheduler's context
-    switches with their MMIO accesses, and the caches-off
-    configuration."""
+    switches with their MMIO accesses, the caches-off configuration,
+    and blocks ending in an intercepted word (its fetch and redirect
+    included) with timer interrupts live."""
+    w = WORKLOADS["intercept_heavy"]
+    source = workload_source("intercept_heavy", 300).replace(
+        "_start:\n", "_start:\n    menter MR_TICK_ON\n")
+    for caches in (True, False):
+        m = build_metal_machine(
+            [MRoutine(name=r.name, entry=r.entry, source=r.source,
+                      shared_mregs=r.shared_mregs) for r in w.routines]
+            + [TICK, TICK_ON],
+            config=MachineConfig(engine=engine, with_caches=caches,
+                                 tcache=False))
+        m.load(m.assemble(source))
+        m.core.pc = 0x1000
+        checked, intercepted = _intercepted_bounds_hold(m, 12_000)
+        assert m.core.metal.stats.deliveries[Cause.interrupt(0)] > 20
+        assert intercepted > 100 and checked > 2 * intercepted
     cases = []
     for name in ("tight_loop", "hash_mix", "poly_branch", "syscall_heavy",
                  "mcode_heavy"):

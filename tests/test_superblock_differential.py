@@ -45,7 +45,7 @@ from repro import build_metal_machine
 # tests/test_conformance.py pins golden digests for seeds 0-4.
 from repro.conformance.generator import (
     CHUNK, CODE_BASE, DATA_BASE, DATA_WORDS, RAM_BYTES, TOTAL_LIMIT,
-    gen_program, routines,
+    GenConfig, gen_program, routines,
 )
 
 _routines = routines
@@ -53,9 +53,9 @@ _gen_program = gen_program
 
 
 def _build(tcache: bool, hook: bool = False, caches: bool = False,
-           engine: str = "functional"):
+           engine: str = "functional", config: GenConfig = GenConfig()):
     machine = build_metal_machine(
-        _routines(), engine=engine, with_caches=caches,
+        _routines(config), engine=engine, with_caches=caches,
         ram_bytes=RAM_BYTES, tcache=tcache,
     )
     if hook:
@@ -75,6 +75,7 @@ def _state(machine) -> dict:
         "waiting": core.waiting,
         "in_metal": core.in_metal,
         "mregs": core.metal.mregs.snapshot(),
+        "intercept_hits": core.metal.intercept.hits,
         "mram_data": bytes(core.metal.mram.data),
         "data": machine.read_bytes(DATA_BASE, 4 * DATA_WORDS),
     }
@@ -114,20 +115,42 @@ def pytest_generate_tests(metafunc):
     if "snap_seed" in metafunc.fixturenames:
         metafunc.parametrize("snap_seed", range(SNAPSHOT_SEEDS),
                              ids=[f"snap{i}" for i in range(SNAPSHOT_SEEDS)])
+    if "icept_seed" in metafunc.fixturenames:
+        metafunc.parametrize("icept_seed", ICEPT_SEEDS,
+                             ids=[f"icept{i}" for i in ICEPT_SEEDS])
 
 
 def test_differential(seed):
-    rng = random.Random(0xC0DE + seed)
-    source = _gen_program(rng)
+    _lockstep(seed, GenConfig())
 
-    m_ref = _build(tcache=False)       # interpreter, no fast path at all
-    m_got = _build(tcache=True)        # predecoded blocks + chaining + MJIT
-    m_prof = _build(tcache=True)       # chaining + MPROF sink attached
-    m_hook = _build(tcache=True, hook=True)   # the per-entry loop
-    m_ref_c = _build(tcache=False, caches=True)       # caches-on pair
-    m_got_c = _build(tcache=True, caches=True)
-    m_ref_p = _build(tcache=False, caches=True, engine="pipeline")
-    m_got_p = _build(tcache=True, caches=True, engine="pipeline")
+
+#: Seeds whose ``icept`` programs take the most intercepts (lw and
+#: addi rules), for the caches-on and pipeline pairs the MCONF
+#: lockstep does not run.
+ICEPT_SEEDS = (10, 16, 19, 21, 34, 39)
+
+
+def test_differential_intercepted(icept_seed):
+    """Programs that intercept ``lw`` or ``addi`` and turn the rule off
+    and on, on all eight machines."""
+    _lockstep(icept_seed, GenConfig(icept=1.0))
+
+
+def _lockstep(seed, config):
+    rng = random.Random(0xC0DE + seed)
+    source = _gen_program(rng, config)
+
+    def build(tcache, **kwargs):
+        return _build(tcache, config=config, **kwargs)
+
+    m_ref = build(tcache=False)        # interpreter, no fast path at all
+    m_got = build(tcache=True)         # predecoded blocks + chaining + MJIT
+    m_prof = build(tcache=True)        # chaining + MPROF sink attached
+    m_hook = build(tcache=True, hook=True)    # the per-entry loop
+    m_ref_c = build(tcache=False, caches=True)        # caches-on pair
+    m_got_c = build(tcache=True, caches=True)
+    m_ref_p = build(tcache=False, caches=True, engine="pipeline")
+    m_got_p = build(tcache=True, caches=True, engine="pipeline")
     m_prof.set_profiling(True)
     machines = (m_ref, m_got, m_prof, m_hook, m_ref_c, m_got_c,
                 m_ref_p, m_got_p)

@@ -11,10 +11,11 @@ Four angles:
 * mutation detection — seeding a codegen template bug, a loop-guard
   bug, a missing MRAM data-segment bound, a skipped line-head I-cache
   access, a wrong ``note_run`` schedule, an ``mexit`` without its cost,
-  an ``ecall`` exit without its fetch or hit credit, or an ``mexitm``
-  commit before the final spill makes the validator fail the affected
-  block with a precise citation (the acceptance property: a wrong
-  compiler cannot pass);
+  an ``ecall`` exit without its fetch or hit credit, an intercept exit
+  without its fetch, hit credit or fetch-latency charge or with the
+  wrong epc, or an ``mexitm`` commit before the final spill makes the
+  validator fail the affected block with a precise citation (the
+  acceptance property: a wrong compiler cannot pass);
 * exhaustiveness — every uop IR kind and every ALU/branch mnemonic the
   execution model dispatches has a validator rule, so adding a new one
   without teaching the validator fails this suite.
@@ -448,6 +449,131 @@ def test_detects_mexitm_commit_before_the_spill(monkeypatch):
     findings, _ = _transition_findings("functional", False)
     assert findings, "mexitm committing before the spill was not detected"
     assert all(f.where.startswith("mram:0x") for f in findings)
+
+
+# ---------------------------------------------------------------------------
+# the compiled intercept terminator
+# ---------------------------------------------------------------------------
+
+#: Installs the ``lw`` rule (a0 = spec, a1 = handler entry).
+ISETUP = MRoutine(name="isetup", entry=5, source="""
+    micept a0, a1
+    mexit
+""")
+
+#: Emulates the intercepted ``lw``, plus 1000, committed by ``mexitm``.
+IEMUL = MRoutine(name="iemul", entry=6, mregs=(12, 13), source="""
+    wmr  m13, t0
+    wmr  m12, t1
+    rmr  t0, m29
+    srai t1, t0, 20
+    rmr  t0, m25
+    add  t0, t0, t1
+    lw   t1, 0(t0)
+    addi t1, t1, 1000
+    wmr  m27, t1
+    rmr  t0, m29
+    srli t0, t0, 7
+    andi t0, t0, 31
+    wmr  m26, t0
+    rmr  t1, m12
+    rmr  t0, m13
+    mexitm
+""")
+
+#: The loop's first ``lw`` heads its block (a line head); the second
+#: follows an ``addi`` in the same block (mid-line).
+ICEPT_LOOP = """
+_start:
+    li   a0, 0x503
+    li   a1, MR_IEMUL
+    menter MR_ISETUP
+    li   s2, 0x3000
+    li   s0, 6
+loop:
+    lw   a2, 0(s2)
+    addi a3, a3, 1
+    lw   a4, 4(s2)
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+
+ICEPT_MODES = {"uncached": ("functional", False),
+               "cached": ("functional", True),
+               "scoreboard": ("pipeline", True)}
+
+
+def _intercept_findings(mode):
+    """Run ICEPT_LOOP in codegen *mode* (a broken exit may keep it from
+    halting); returns the findings of every compiled block, the sources
+    of the intercept blocks and the intercept hits."""
+    engine, caches = ICEPT_MODES[mode]
+    machine = build_metal_machine(
+        [MRoutine(name=r.name, entry=r.entry, source=r.source,
+                  mregs=r.mregs) for r in (ISETUP, IEMUL)],
+        config=MachineConfig(engine=engine, with_caches=caches))
+    machine.load(machine.assemble(ICEPT_LOOP, base=CODE_BASE))
+    machine.core.pc = CODE_BASE
+    machine.run(max_instructions=2_000, raise_on_limit=False)
+    tc = machine.sim.tcache
+    blocks = list(tc.iter_jit_blocks())
+    return ([f for ns, b in blocks
+             for f in validate_block(ns, b, tc.line_size, tc.scoreboard)],
+            [b.jit_fn.__jit_source__ for _ns, b in blocks
+             if "_icept)" in b.jit_fn.__jit_source__],
+            machine.core.metal.intercept.hits)
+
+
+@pytest.mark.parametrize("mode", sorted(ICEPT_MODES))
+def test_intercept_exits_validate_clean(mode):
+    """Intercept terminators at a line head and mid-line validate in
+    every codegen mode."""
+    findings, sources, hits = _intercept_findings(mode)
+    assert findings == []
+    assert len(sources) >= 2
+    assert hits == 12
+
+
+def _mutant_intercept(drop):
+    """``_emit_intercept`` without one of its parts: the fetch (the
+    latency charged is then a hit's), the hit credit, the fetch-latency
+    charge, or with the epc one instruction late."""
+    def emit(self, index, word, pc):
+        lat = self.fetch(index, pc)[1] if drop != "fetch" else "_ml"
+        if drop != "charge":
+            self.emit(f"timer.note_event({lat})" if self.scoreboard
+                      else f"cyc += {lat}")
+        self.ns["_icept"] = jit.TrapException(jit.Cause.INTERCEPT, word)
+        self.spill()
+        if not self.scoreboard:
+            self.emit("timer.cycles += cyc")
+        if drop != "credit":
+            self.credit()
+        epc = pc + 4 if drop == "epc" else pc
+        self.emit(f"return (2, {epc}, retired, loops, _icept)")
+        self.exited = True
+    return emit
+
+
+@pytest.mark.parametrize("drop,modes", [
+    # Without an I-cache a fetch is only its latency, and nothing is
+    # credited: those two mutants leave the uncached code unchanged.
+    ("fetch", ("cached", "scoreboard")),
+    ("credit", ("cached", "scoreboard")),
+    ("charge", ("uncached", "cached", "scoreboard")),
+    ("epc", ("uncached", "cached", "scoreboard")),
+])
+def test_detects_broken_intercept_exit(monkeypatch, drop, modes):
+    """An intercept exit that drops its fetch, its hit credit or its
+    fetch-latency charge, or leaves with the wrong epc, fails
+    validation on its mem block."""
+    monkeypatch.setattr(jit._Codegen, "_emit_intercept",
+                        _mutant_intercept(drop))
+    for mode in modes:
+        findings, _, _ = _intercept_findings(mode)
+        assert findings, f"{mode}: intercept exit without its {drop}"
+        assert all(f.where.startswith("mem:0x") for f in findings)
 
 
 # ---------------------------------------------------------------------------
