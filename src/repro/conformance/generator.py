@@ -134,6 +134,10 @@ ICEPT_RULES = (
 #: Chance that a body slot of an ``icept`` program toggles the rule.
 ICEPT_TOGGLE_RATE = 0.08
 
+#: Chance that a body slot of a program that intercepts ``lw`` is an
+#: aligned ``lw`` off s1 (the base body makes one in about 40 slots).
+ICEPT_LW_RATE = 0.2
+
 #: MRegs the icept routines share: the handlers' t5/t6 spills (m17,
 #: m18), whether the rule is on (m19), its spec (m20) and handler entry
 #: (m21).
@@ -462,8 +466,10 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
         lines.append("    menter MR_ECALLINIT")
         marks.add("gen:ecall")
     icept = config.icept > 0 and rng.random() < config.icept
+    lw_rule = False
     if icept:
         spec, handler = rng.choice(ICEPT_RULES)
+        lw_rule = handler == "ICPTLW"
         lines.append(f"    li   t6, {spec}")
         lines.append(f"    li   t5, MR_{handler}")
         lines.append("    menter MR_ICPTINIT")
@@ -528,6 +534,10 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
                 continue
             if icept and rng.random() < ICEPT_TOGGLE_RATE:
                 lines.append("    menter MR_ICPTTOG")
+                continue
+            if lw_rule and rng.random() < ICEPT_LW_RATE:
+                off = rng.randrange(0, 4 * DATA_WORDS, 4)
+                lines.append(f"    lw {reg()}, {off}(s1)")
                 continue
             if body_weights and rng.random() < config.ext_rate:
                 emit_extension()

@@ -21,6 +21,7 @@ from repro.errors import (
     ExecutionLimitExceeded,
     GuestPanic,
     HaltedError,
+    SimulatorError,
 )
 from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import StepInfo, execute
@@ -230,9 +231,9 @@ class FunctionalSimulator:
                    if dcache is not None else timing.mem_latency,
                    timing.mmio_latency)
         # Compiled code feeds the pipeline scoreboard through its
-        # ``note_run``; the analytic timer's costs it adds itself.  (The
-        # bus holds the cache through its write watcher, so nothing the
-        # cache holds may lead back to the bus.)
+        # ``note_run`` and ``note_op``; the analytic timer's costs it
+        # adds itself.  (The bus holds the cache through its write
+        # watcher, so nothing the cache holds may lead back to the bus.)
         self._tcache = TranslationCache(
             self.perf.tcache,
             line_size=icache.line_size if icache is not None else None,
@@ -439,8 +440,13 @@ class FunctionalSimulator:
         if trap.cause == Cause.INTERCEPT:
             # A block's intercept terminator: the rule set it was
             # compiled under is still installed (only Metal mode changes
-            # it), so the word matches.
-            self._intercept(pc, trap.info)
+            # it, and the tcache flushes the blocks of another set), so
+            # the word matches.  A word that does not would neither run
+            # nor retire, and the run would spin on it.
+            if not self._intercept(pc, trap.info):
+                raise SimulatorError(
+                    f"stale intercept terminator at pc={pc:#010x}: no "
+                    f"installed rule matches word {trap.info:#010x}")
             return
         if metal is not None:
             if metal.in_metal:

@@ -19,19 +19,25 @@ first unguarded dispatch MJIT renders it as straight Python source and
   in one batch at every exit.
 
 The codegen mode follows from the engine, never from an option (see
-docs/PERF.md): with the analytic timer, guest registers live in host
-locals and unit costs batch into ``cyc``, in lockstep with
+docs/PERF.md), and decides only where guest registers live and how an
+entry is charged; one emitter per entry class serves every mode.  With
+the analytic timer, guest registers live in host locals and costs add
+into ``cyc``, in lockstep with
 :class:`~repro.cpu.functional.SimpleTimer` (*uncached*, or *cached* for
-mem blocks of a core with an I-cache); with the pipeline scoreboard,
-each run of plain entries keeps its register code, on ``core.regs``
-directly, and ends in one ``timer.note_run`` with the run's schedule
-(*scoreboard*).  Every entry the code does not inline is an
-``execute()`` whose StepInfo goes to ``timer.note``.  Inside compiled
-mroutines every ``mld``/``mst`` is a raw ``struct`` access on the MRAM
-data bytearray behind the test :meth:`repro.metal.mram.Mram._check_data`
-makes, so no site needs a static proof, and every ``rmr``/``wmr`` indexes
-the MReg list (:attr:`repro.metal.mregs.MRegFile.values`); in scoreboard
-mode they join the plain ``note_run`` runs.
+mem blocks of a core with an I-cache).  With the pipeline scoreboard
+(*scoreboard*) the registers stay in ``core.regs``, each run of plain
+entries ends in one ``timer.note_run`` with the run's schedule, and
+every other inlined entry (branch, ``jal``, ``jalr``, muldiv, load,
+store, and in mroutines ``mld``/``mst`` and ``mexit``/``mexitm``) makes
+one ``timer.note_op`` with what ``execute()`` would report.  Only CSR,
+SYSTEM and architectural-feature terminators and ``menter`` (and a mem
+block's illegal ``mexit``) stay ``execute()`` entries whose StepInfo
+goes to ``timer.note``.  Inside compiled mroutines every
+``mld``/``mst`` is a raw ``struct`` access on the MRAM data bytearray
+behind the test :meth:`repro.metal.mram.Mram._check_data` makes, so no
+site needs a static proof, and every ``rmr``/``wmr`` indexes the MReg
+list (:attr:`repro.metal.mregs.MRegFile.values`); in scoreboard mode
+they join the plain ``note_run`` runs.
 
 The Metal transitions are compiled too, so the engine can chain across
 them (docs/PERF.md, "Crossings"): a mem block's ``ecall`` is fetched
@@ -39,10 +45,12 @@ and leaves with status 2 and an ECALL trap that is never raised (every
 mode); a mem block's intercept terminator (``F_ICEPT``) is fetched,
 charges its raw fetch latency as ``step()`` does (``timer.note_event``
 in scoreboard mode) and leaves the same way with an INTERCEPT trap
-carrying the word, bound once per block as ``_icept``; and in the
-analytic modes ``mexit``/``mexitm`` call the Metal unit's own
-``exit_metal()`` and charge the fetch plus ``mexit_cost``; ``mexitm``
-commits ``m27`` into ``x[m26 & 31]`` after the final spill.
+carrying the word, bound once per block as ``_icept``; and
+``mexit``/``mexitm`` call the Metal unit's own ``exit_metal()`` and
+charge the fetch plus ``mexit_cost`` (a ``note_op`` with the ``mexit``
+redirect, and for ``mexitm`` the register it commits, in scoreboard
+mode); ``mexitm`` commits ``m27`` into ``x[m26 & 31]`` after the final
+spill.
 
 Calling convention (every mode and namespace)::
 
@@ -85,7 +93,6 @@ from repro.cpu.functional import MASKED
 from repro.cpu.tcache import (
     F_CSR,
     F_ICEPT,
-    F_STORE,
     F_SYNC,
     F_TERM,
     IR_IMM,
@@ -128,6 +135,10 @@ _TIMING_LOCALS = {
     "_mx": "mul_extra",
     "_mxc": "mexit_cost",
 }
+
+#: The analytic modes' penalty local for each control kind MJIT inlines
+#: (the scoreboard gets the kind itself).
+_PENALTY = {"branch": "_bt", "jal": "_jp", "jalr": "_bt", "mexit": "_mxc"}
 
 
 def _imm_rhs(m: str, a: str, imm: int) -> str:
@@ -317,18 +328,52 @@ class _Codegen:
         self.abort(pc + 4)
         self.indent -= 1
 
+    def charge(self, fetch, reads=(0, 0), rd=0, mem=None, is_load=False,
+               extra=None, control=None) -> None:
+        """Charge one inlined entry, given :meth:`fetch`'s ``(cost,
+        latency)`` pair: its SimpleTimer cost into ``cyc`` (analytic
+        modes), or one ``note_op`` with what ``execute()`` would report
+        to the scoreboard.  *reads* and *rd* are the registers it reads
+        and writes (source text, 0 for none), *mem* the source of its
+        data latency (``_l`` after a load or store, ``_ml`` for an MRAM
+        data access), *extra* its EX-extra timing local and *control*
+        its redirect kind."""
+        cost, lat = fetch
+        if extra:
+            self.timing_needs.add(extra)
+        if self.scoreboard:
+            self.emit(f"note_op({lat}, {reads[0]}, {reads[1]}, {rd}, "
+                      f"{mem or 0}, {is_load}, {extra or 0}, {control!r})")
+            return
+        terms = [cost]
+        if extra:
+            terms.append(extra)
+        if control is not None:
+            penalty = _PENALTY[control]
+            self.timing_needs.add(penalty)
+            terms.append(penalty)
+        if mem == "_ml":
+            terms.append("_me")   # the prologue's ``_ml - 1`` clamp
+        rhs = " + ".join(terms)
+        if mem == "_l":
+            self.emit("if _l > 1:")
+            self.emit(f"    cyc += {rhs} + _l - 1")
+            self.emit("else:")
+            self.emit(f"    cyc += {rhs}")
+        else:
+            self.emit(f"cyc += {rhs}")
+
     # -- scan pass -------------------------------------------------------
     def scan(self) -> None:
-        """Classify every entry: host locals, timing locals, traps."""
-        track = self.tracked
+        """Classify every entry: the registers the inline code touches
+        (host locals in the analytic modes) and whether any may trap."""
+        track = set()
         for instr, pc, flags in self.block.entries:
             if flags & F_ICEPT:
                 continue  # leaves with the unraised trap
             ir = None if flags else uop_ir(instr, pc)
             if ir is not None:
                 kind, rd, a, b, _m = ir
-                if self.scoreboard:
-                    continue  # registers stay in ``regs``
                 if kind == IR_IMM:
                     track.update((rd, a))
                 elif kind == IR_REG:
@@ -339,30 +384,21 @@ class _Codegen:
             cls = instr.spec.cls
             m = instr.mnemonic
             if m == "rmr" and not flags:
-                if not self.scoreboard:
-                    track.add(instr.rd)
+                track.add(instr.rd)
             elif m == "wmr" and not flags:
-                if not self.scoreboard:
-                    track.add(instr.rs1)
+                track.add(instr.rs1)
             elif self.mem and m == "ecall":
                 pass  # leaves with the unraised trap
-            elif self.scoreboard:
-                self.trapping = True  # an execute() dispatch
             elif cls is InstrClass.BRANCH:
                 track.update((instr.rs1, instr.rs2))
-                self.timing_needs.add("_bt")
             elif cls is InstrClass.JAL:
                 track.add(instr.rd)
-                self.timing_needs.add("_jp")
             elif cls is InstrClass.JALR:
                 track.update((instr.rs1, instr.rd))
-                self.timing_needs.add("_bt")
             elif cls is InstrClass.MULDIV:
                 track.update((instr.rd, instr.rs1, instr.rs2))
-                self.timing_needs.add(
-                    "_dx" if m.startswith(("div", "rem")) else "_mx")
             elif m in ("mexit", "mexitm") and not self.mem:
-                self.timing_needs.add("_mxc")
+                pass
             elif cls is InstrClass.LOAD or (m == "mld" and not flags):
                 # A guest-RAM load, or a raw MRAM data access behind the
                 # segment check: either may trap.
@@ -373,7 +409,10 @@ class _Codegen:
                 track.update((instr.rs1, instr.rs2))
             else:
                 self.trapping = True  # an execute() dispatch
-        track.discard(0)
+        if not self.scoreboard:
+            # Scoreboard code keeps the registers in ``regs``.
+            track.discard(0)
+            self.tracked = track
 
     # -- body emission ---------------------------------------------------
     def emit_entry(self, index: int, entry) -> None:
@@ -399,9 +438,6 @@ class _Codegen:
         elif self.mem and m == "ecall":
             self.flush_units()
             self._emit_ecall(index, pc)
-        elif self.scoreboard:
-            self.flush_units()
-            self._emit_dispatch(index, instr, pc, flags)
         else:
             self.flush_units()
             if cls is InstrClass.BRANCH:
@@ -415,7 +451,7 @@ class _Codegen:
             elif m in ("mexit", "mexitm") and not self.mem:
                 self._emit_mexit(index, instr, pc)
             elif m in ("mld", "mst") and not flags:
-                self._emit_data_access(instr, pc)
+                self._emit_data_access(index, instr, pc)
             elif cls is InstrClass.LOAD:
                 self._emit_load(index, instr, pc)
             elif cls is InstrClass.STORE:
@@ -437,13 +473,13 @@ class _Codegen:
 
     def _emit_muldiv(self, index: int, instr, pc: int) -> None:
         m = instr.mnemonic
-        extra = "_dx" if m.startswith(("div", "rem")) else "_mx"
         if instr.rd:
-            self.emit(f"r{instr.rd} = _op_{m}"
+            self.emit(f"{self.reg(instr.rd)} = _op_{m}"
                       f"({self.reg(instr.rs1)}, {self.reg(instr.rs2)})")
-        cost, _lat = self.fetch(index, pc)
+        fetch = self.fetch(index, pc)
         self.emit("retired += 1")
-        self.emit(f"cyc += {cost} + {extra}")
+        self.charge(fetch, (instr.rs1, instr.rs2), instr.rd,
+                    extra="_dx" if m.startswith(("div", "rem")) else "_mx")
 
     def _emit_ecall(self, index: int, pc: int) -> None:
         """A mem block's ``ecall``: its fetch, then the status-2 exit
@@ -474,14 +510,16 @@ class _Codegen:
         self.exited = True
 
     def _emit_mexit(self, index: int, instr, pc: int) -> None:
-        """``mexit``/``mexitm`` (analytic modes): the Metal unit's
-        ``exit_metal()`` gives the resume pc, at the fetch plus
-        ``mexit_cost``.  ``mexitm``'s commit follows the final spill."""
-        cost, _lat = self.fetch(index, pc)
-        self.emit("retired += 1")
-        self.emit(f"cyc += {cost} + _mxc")
-        self.emit("next_pc = _exit()")
+        """``mexit``/``mexitm``: the Metal unit's ``exit_metal()`` gives
+        the resume pc, at the fetch plus ``mexit_cost`` (the scoreboard
+        is told the register ``mexitm`` commits).  ``mexitm``'s commit
+        follows the final spill."""
         self.commit = instr.mnemonic == "mexitm"
+        fetch = self.fetch(index, pc)
+        self.emit("retired += 1")
+        self.charge(fetch, rd="_mr[26] & 31" if self.commit else 0,
+                    control="mexit")
+        self.emit("next_pc = _exit()")
 
     def _sync_prologue(self, pc: int) -> None:
         """Flush + device sync + invalidation escape (loads/stores)."""
@@ -496,18 +534,11 @@ class _Codegen:
         self.emit(f"return (1, {pc}, retired, loops, None)")
         self.indent -= 1
 
-    def _emit_mem_cost(self, cost: str) -> None:
-        self.emit("retired += 1")
-        self.emit("if _l > 1:")
-        self.emit(f"    cyc += {cost} + _l - 1")
-        self.emit("else:")
-        self.emit(f"    cyc += {cost}")
-
     def _emit_load(self, index: int, instr, pc: int) -> None:
         m = instr.mnemonic
         width = _mem_width(m)
         self._sync_prologue(pc)
-        cost, _lat = self.fetch(index, pc)
+        fetch = self.fetch(index, pc)
         self.emit(f"epc = {pc}")
         self.emit(f"_v, _l = read_mem(({self.reg(instr.rs1)} + {instr.imm})"
                   f" & 4294967295, {width})")
@@ -518,38 +549,44 @@ class _Codegen:
             self.emit("if _v >= 32768:")
             self.emit("    _v |= 4294901760")
         if instr.rd:
-            self.emit(f"r{instr.rd} = _v")
-        self._emit_mem_cost(cost)
+            self.emit(f"{self.reg(instr.rd)} = _v")
+        self.emit("retired += 1")
+        self.charge(fetch, (instr.rs1, 0), instr.rd, "_l", is_load=True)
         self.access_exit(pc, False)
 
     def _emit_store(self, index: int, instr, pc: int) -> None:
         width = _mem_width(instr.mnemonic)
         self._sync_prologue(pc)
-        cost, _lat = self.fetch(index, pc)
+        fetch = self.fetch(index, pc)
         self.emit(f"epc = {pc}")
         self.emit(f"_l = write_mem(({self.reg(instr.rs1)} + {instr.imm})"
                   f" & 4294967295, {width}, {self.reg(instr.rs2)})")
-        self._emit_mem_cost(cost)
+        self.emit("retired += 1")
+        self.charge(fetch, (instr.rs1, instr.rs2), mem="_l")
         self.access_exit(pc, True)
 
-    def _emit_data_access(self, instr, pc: int) -> None:
+    def _emit_data_access(self, index: int, instr, pc: int) -> None:
         """mld/mst: the data-segment check, then a raw word access."""
+        fetch = self.fetch(index, pc)
         self.emit(f"epc = {pc}")
         self.emit(f"_o = ({self.reg(instr.rs1)} + {instr.imm}) & 4294967295")
         self.emit("if _o & 3 or _o >= _dn:")
         self.emit("    raise TrapException(CAUSE_BUS_ERROR, _o)")
         if instr.mnemonic == "mld":
             if instr.rd:
-                self.emit(f"r{instr.rd} = _upk(data, _o)[0]")
+                self.emit(f"{self.reg(instr.rd)} = _upk(data, _o)[0]")
+            self.emit("retired += 1")
+            self.charge(fetch, (instr.rs1, 0), instr.rd, "_ml", is_load=True)
         else:
             self.emit(f"_pk(data, _o, {self.reg(instr.rs2)})")
-        self.emit("retired += 1")
-        self.emit("cyc += bc + _me")
+            self.emit("retired += 1")
+            self.charge(fetch, (instr.rs1, instr.rs2), mem="_ml")
 
     def _emit_dispatch(self, index: int, instr, pc: int, flags: int) -> None:
-        """An ``execute()`` whose StepInfo goes to ``timer.note``: every
-        non-plain entry in scoreboard mode, and the terminators the
-        analytic modes do not inline."""
+        """An ``execute()`` whose StepInfo goes to ``timer.note``: the
+        terminators MJIT does not inline (CSR, SYSTEM and
+        architectural-feature instructions, ``menter``, and a mem
+        block's ``mexit``/``mexitm``), none of which chains."""
         if flags & F_SYNC:
             self._sync_prologue(pc)
         key = f"_i{index}"
@@ -573,16 +610,7 @@ class _Codegen:
             self.emit("_lv = 1")
         self.emit("note(_s)")
         self.emit("retired += 1")
-        if flags & F_SYNC and not flags & F_TERM:
-            self.access_exit(pc, bool(flags & F_STORE))
-        if flags & F_TERM:
-            self.emit("next_pc = _s.next_pc")
-            if self.looped:
-                self.emit(f"if next_pc == {self.block.start} and "
-                          f"{self._self_loop_guard()}:")
-                self.emit("    loops += 1")
-                self.emit("    continue")
-                self.emit("break")
+        self.emit("next_pc = _s.next_pc")
 
     # -- inlined terminators --------------------------------------------
     def _self_loop_guard(self) -> str:
@@ -592,13 +620,14 @@ class _Codegen:
     def _emit_branch(self, index: int, instr, pc: int) -> None:
         taken = (pc + instr.imm) & _M
         fall = (pc + 4) & _M
+        reads = (instr.rs1, instr.rs2)
         cond = _branch_cond(instr.mnemonic, self.reg(instr.rs1),
                             self.reg(instr.rs2))
-        cost, _lat = self.fetch(index, pc)
+        fetch = self.fetch(index, pc)
         self.emit("retired += 1")
         self.emit(f"if {cond}:")
         self.indent += 1
-        self.emit(f"cyc += {cost} + _bt")
+        self.charge(fetch, reads, control="branch")
         if self.looped and taken == self.block.start:
             self.emit(f"if {self._self_loop_guard()}:")
             self.emit("    loops += 1")
@@ -609,7 +638,7 @@ class _Codegen:
         self.indent -= 1
         self.emit("else:")
         self.indent += 1
-        self.emit(f"cyc += {cost}")
+        self.charge(fetch, reads)
         self.emit(f"next_pc = {fall}")
         if self.looped:
             self.emit("break")
@@ -617,11 +646,11 @@ class _Codegen:
 
     def _emit_jal(self, index: int, instr, pc: int) -> None:
         target = (pc + instr.imm) & _M
-        cost, _lat = self.fetch(index, pc)
+        fetch = self.fetch(index, pc)
         self.emit("retired += 1")
-        self.emit(f"cyc += {cost} + _jp")
+        self.charge(fetch, rd=instr.rd, control="jal")
         if instr.rd:
-            self.emit(f"r{instr.rd} = {(pc + 4) & _M}")
+            self.emit(f"{self.reg(instr.rd)} = {(pc + 4) & _M}")
         if self.looped and target == self.block.start:
             self.emit(f"if {self._self_loop_guard()}:")
             self.emit("    loops += 1")
@@ -631,13 +660,13 @@ class _Codegen:
             self.emit("break")
 
     def _emit_jalr(self, index: int, instr, pc: int) -> None:
-        cost, _lat = self.fetch(index, pc)
+        fetch = self.fetch(index, pc)
         self.emit("retired += 1")
-        self.emit(f"cyc += {cost} + _bt")
+        self.charge(fetch, (instr.rs1, 0), instr.rd, control="jalr")
         # Target reads rs1 before the link write (rd == rs1 is legal).
         self.emit(f"_t0 = ({self.reg(instr.rs1)} + {instr.imm}) & 4294967294")
         if instr.rd:
-            self.emit(f"r{instr.rd} = {(pc + 4) & _M}")
+            self.emit(f"{self.reg(instr.rd)} = {(pc + 4) & _M}")
         if self.looped:
             self.emit(f"if _t0 == {self.block.start} and "
                       f"{self._self_loop_guard()}:")
@@ -722,6 +751,8 @@ class _Codegen:
             self.emit("note = timer.note")
         if "note_run(" in body_text:
             self.emit("note_run = timer.note_run")
+        if "note_op(" in body_text:
+            self.emit("note_op = timer.note_op")
         if not self.mem and ("bc + _me" in body_text):
             self.emit("_me = _ml - 1 if _ml > 1 else 0")
         for name in sorted(self.timing_needs):

@@ -88,6 +88,23 @@ class PipelineTimer:
 
     # ------------------------------------------------------------------
     def note(self, step: StepInfo) -> None:
+        reads = step.reads
+        self.note_op(step.fetch_latency,
+                     reads[0] if reads else 0,
+                     reads[1] if len(reads) > 1 else 0,
+                     step.rd, step.mem_latency, step.is_load,
+                     self._ex_extra.get(step.mnemonic, 0), step.control)
+
+    def note_op(self, fetch: int, rs_a: int, rs_b: int, rd: int, mem: int,
+                is_load: bool, extra: int, control) -> None:
+        """Schedule one instruction: fetched in *fetch* cycles, reading
+        registers *rs_a* and *rs_b* and writing *rd* (0 for none), in
+        MEM for *mem* cycles (*is_load*: its result is ready only after
+        MEM), in EX for *extra* cycles past the first, and redirecting
+        fetch by control kind *control* (None for none).  :meth:`note`
+        reports a StepInfo this way, and MJIT's scoreboard-mode code
+        reports every entry it inlines outside a :meth:`note_run` run.
+        """
         # The max-plus recurrence of the stages, as compare-and-assign on
         # locals: each stage ends one cycle after the previous
         # instruction left it, or after this instruction's previous stage,
@@ -97,7 +114,6 @@ class PipelineTimer:
         if redirect > if_start:
             self.stall_control += redirect - if_start
             if_start = redirect
-        fetch = step.fetch_latency
         if fetch > 1:
             self.stall_fetch += fetch - 1
             if_end = if_start + fetch - 1
@@ -112,19 +128,19 @@ class PipelineTimer:
         ex_base = self._ex_end + 1
         if id_end >= ex_base:
             ex_base = id_end + 1
-        ex_start = ex_base
         ready = self._ready
-        for reg in step.reads:
-            if ready[reg] > ex_start:
-                ex_start = ready[reg]
+        ex_start = ready[rs_a]
+        if ready[rs_b] > ex_start:
+            ex_start = ready[rs_b]
         if ex_start > ex_base:
             self.stall_load_use += ex_start - ex_base
-        ex_end = ex_start + self._ex_extra.get(step.mnemonic, 0)
+        else:
+            ex_start = ex_base
+        ex_end = ex_start + extra
 
         mem_end = self._mem_end + 1
         if ex_end >= mem_end:
             mem_end = ex_end + 1
-        mem = step.mem_latency
         if mem > 1:
             mem_end += mem - 1
 
@@ -133,12 +149,10 @@ class PipelineTimer:
             wb_end = mem_end + 1
 
         # Register readiness for consumers.
-        rd = step.rd
         if rd:
-            ready[rd] = mem_end + 1 if step.is_load else ex_end + 1
+            ready[rd] = mem_end + 1 if is_load else ex_end + 1
 
         # Control redirects.
-        control = step.control
         if control is not None:
             in_ex, delta = self._redirects[control]
             self._redirect = (ex_end if in_ex else id_end) + delta
@@ -152,7 +166,7 @@ class PipelineTimer:
             self.cycles = wb_end
 
     def note_run(self, schedule, access, fetch_cost: int) -> None:
-        """:meth:`note` over a run of plain instructions, in one call.
+        """:meth:`note_op` over a run of plain instructions, in one call.
 
         MJIT's scoreboard-mode code (``repro.cpu.jit``) calls this for
         each run of plain entries of a compiled block: ALU,
@@ -223,7 +237,7 @@ class PipelineTimer:
             self.cycles = wb_end
 
     def block_bound(self, entries, fetches, data: int) -> int:
-        """Most cycles :meth:`note`/:meth:`note_run` can advance
+        """Most cycles :meth:`note_op`/:meth:`note_run` can advance
         ``cycles`` over *entries*, stalls included, when their fetches
         take at most ``fetches[i]`` and their loads and stores at most
         *data*.

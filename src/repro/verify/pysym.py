@@ -12,8 +12,10 @@ canonical form :mod:`repro.verify.uopsem` builds from the IR.
 
 The I-cache and timer calls are events: ``access(pc)`` (ordered, with a
 symbolic latency), ``timer.note_run(schedule, access, fetch_cost)``
-with the schedule the exec namespace binds, ``timer.note(step)``, and
-the one-batch I-cache hit credit ``_ist.hits += ih``.  So are the Metal
+with the schedule the exec namespace binds, ``timer.note(step)``,
+``timer.note_op(fetch, rs_a, rs_b, rd, mem, is_load, extra, control)``
+with its eight arguments, and the one-batch I-cache hit credit
+``_ist.hits += ih``.  So are the Metal
 unit's state accesses: an MReg list read or write, ``exit_metal()``
 (with a symbolic resume pc), and the status-2 return of the unraised
 ECALL trap the namespace binds as ``_ecall`` or of the INTERCEPT trap a
@@ -110,6 +112,7 @@ _ISTATS = _Mark("istats")
 _NOTE = _Mark("note")
 _NOTERUN = _Mark("note_run")
 _NOTEEVENT = _Mark("note_event")
+_NOTEOP = _Mark("note_op")
 
 #: Attribute reads on opaque markers (state-bearing ones are special-
 #: cased in :meth:`_Ev.eval` because they read evaluator state).
@@ -128,6 +131,7 @@ _ATTRS = {
     ("timer", "note"): _NOTE,
     ("timer", "note_run"): _NOTERUN,
     ("timer", "note_event"): _NOTEEVENT,
+    ("timer", "note_op"): _NOTEOP,
     ("metal", "mregs"): _MREGS,
     ("metal", "mram"): _MRAM,
     ("metal", "exit_metal"): _MEXIT,
@@ -237,13 +241,12 @@ class _Ev:
         self.exits = []
         self.entry = {}
         self.looped = False
-        self.gen_regfile = False
         self.handler = None        # (stmts, alias) inside a try
         self.invariants = {}       # un-generalised loop-carried locals
 
     # -- state helpers ---------------------------------------------------
     def rf_default(self, n: int):
-        return S.sym(f"L.regs{n}" if self.gen_regfile else f"R{n}")
+        return S.sym(f"R{n}")
 
     def rf_get(self, st: CState, n: int):
         return st.regfile.get(n, self.rf_default(n))
@@ -484,6 +487,13 @@ class _Ev:
         if tag == "note_event":
             self.expect_args(tag, args, kwargs, 1)
             k = st.alloc(("note_event", args[0]))
+            st.tc = _esym(k, "tc")
+            return None
+        if tag == "note_op":
+            self.expect_args(tag, args, kwargs, 8)
+            if any(isinstance(a, _Mark) for a in args):
+                raise UnsupportedSource("note_op() of an opaque object")
+            k = st.alloc(("note_op", *args))
             st.tc = _esym(k, "tc")
             return None
         if tag == "mexit":
@@ -758,20 +768,15 @@ class _Ev:
             else:
                 self.invariants[name] = st.vars[name]
         if (_assigns_attr(stmt.body, "cycles")
-                or _has_call(stmt.body, frozenset(("note", "note_run")))):
+                or _has_call(stmt.body, frozenset(
+                    ("note", "note_run", "note_op")))):
             self.entry["L.tc"] = st.tc
             st.tc = S.sym("L.tc")
-        if _has_call(stmt.body, frozenset(("sync", "write_mem",
-                                           "execute"))):
+        if _has_call(stmt.body, frozenset(("sync", "write_mem"))):
             self.entry["L.valid"] = st.valid
             st.valid = S.sym("L.valid")
             # Every horizon exit reads the value its own access left.
             st.horizon = S.sym("L.horizon")
-        if _has_call(stmt.body, frozenset(("execute",))):
-            for n in range(1, 32):
-                self.entry[f"L.regs{n}"] = self.rf_get(st, n)
-            self.gen_regfile = True
-            st.regfile = {}
         out = self.exec_stmts(stmt.body, [st])
         res = []
         for tag, s in out:
@@ -792,8 +797,7 @@ class _Ev:
         carried = []
         for gname in self.entry:
             name = gname[2:]
-            if name.startswith("regs") or name in ("tc", "retired",
-                                                   "loops"):
+            if name in ("tc", "retired", "loops"):
                 continue
             if name == "valid":
                 carried.append(("valid", st.valid))

@@ -11,20 +11,28 @@ calling convention.  It never looks at the generated Python source;
 :mod:`repro.verify.pysym` summarises that independently and
 :mod:`repro.verify.translate` requires the two to be identical.
 
-Every codegen mode has its reference here: *uncached* and *cached*
-(the analytic timer, with or without an I-cache fetch plan) and
-*scoreboard* (runs of plain entries and mram ``rmr``/``wmr`` reported
-through ``timer.note_run`` with their :func:`_schedule_regs` schedule,
-every other entry an ``execute()`` whose StepInfo goes to
-``timer.note``).  The Metal transitions MJIT compiles have their own
+Every codegen mode has its reference here, from one rule per entry
+kind: the modes differ only in where guest registers live and in how
+an entry is charged (:meth:`_Ref.charge`).  *uncached* and *cached*
+(the analytic timer, with or without an I-cache fetch plan) add the
+SimpleTimer cost; *scoreboard* keeps the registers in the register
+file, reports runs of plain entries and mram ``rmr``/``wmr`` through
+``timer.note_run`` with their :func:`_schedule_regs` schedule, and
+every other inlined entry as one ``timer.note_op`` event carrying what
+``execute()`` reports (fetch latency, registers read and written, data
+latency, load or not, EX extra, redirect kind).  The terminators MJIT
+does not inline are an ``execute()`` whose StepInfo goes to
+``timer.note``.  The Metal transitions MJIT compiles have their own
 rules: a mem block's ``ecall`` (its fetch, then a status-2 exit with an
 ECALL trap at the ecall's pc, in every mode), a mem block's intercept
 terminator (its fetch, its raw fetch latency — added to the cycles in
 the analytic modes, a ``timer.note_event`` in scoreboard mode — then a
-status-2 exit with an INTERCEPT trap carrying the word at its pc) and,
-in the analytic modes, ``mexit``/``mexitm`` (the fetch plus
-``mexit_cost``, ``exit_metal()``'s resume pc, and for ``mexitm`` the
-commit of m27 into ``x[m26 & 31]`` after the final spill).
+status-2 exit with an INTERCEPT trap carrying the word at its pc) and
+``mexit``/``mexitm`` (the fetch plus ``mexit_cost``, or a ``note_op``
+with the ``mexit`` redirect that for ``mexitm`` reports the register
+``m26 & 31`` it commits; ``exit_metal()``'s resume pc; and for
+``mexitm`` the commit of m27 into ``x[m26 & 31]`` after the final
+spill).
 
 The semantic tables (:data:`IMM_SEM`, :data:`REG_SEM`,
 :data:`BRANCH_SEM`, :data:`IR_RULES`) are deliberately exhaustive and
@@ -120,6 +128,11 @@ BRANCH_SEM = {
     "bge": lambda a, b: S.le(_signed(b), _signed(a)),
 }
 
+#: The timing attribute of each inlined control kind's penalty
+#: (SimpleTimer); the scoreboard is told the kind itself.
+PENALTY = {"branch": "branch_taken_penalty", "jal": "jump_penalty",
+           "jalr": "branch_taken_penalty", "mexit": "mexit_cost"}
+
 #: Validator rule per IR kind; every kind :func:`uop_ir` can emit MUST
 #: appear here (test-asserted).  Handlers take (builder, ir).
 IR_RULES = {
@@ -173,9 +186,9 @@ def scan_block(block, scoreboard: bool, mem: bool) -> BlockInfo:
             reads, write = ((), rd) if m == "rmr" else ((rs1,), 0)
         elif mem and m == "ecall":
             continue  # the status-2 exit reads and writes no register
-        elif scoreboard or (flags & F_TERM and cls not in (
-                InstrClass.BRANCH, InstrClass.JAL, InstrClass.JALR)
-                and (mem or m not in ("mexit", "mexitm"))):
+        elif flags & F_TERM and cls not in (
+                InstrClass.BRANCH, InstrClass.JAL, InstrClass.JALR) \
+                and (mem or m not in ("mexit", "mexitm")):
             trapping = has_generic = True  # an execute() dispatch
             has_sync |= bool(flags & F_SYNC)
             continue
@@ -200,7 +213,7 @@ def scan_block(block, scoreboard: bool, mem: bool) -> BlockInfo:
         else:
             raise UnsupportedBlock(
                 f"flagged non-terminator at {pc:#x} (flags={flags})")
-        if not scoreboard:
+        if not scoreboard:  # scoreboard code keeps them in ``regs``
             tracked.update(reads)
             tracked.add(write)
             written.add(write)
@@ -296,13 +309,11 @@ class _Ref:
         else:
             self.ml = S.sym("T.mem_latency" if mem else "T.mram_fetch")
         self.bc = _clamp(self.ml)
-        self.me = S.ite(S.lt(1, self.ml), S.add(self.ml, -1), 0)
         self.exits = []
         self.entry = {}
         self.units = 0
         self.fetches = 0
         self.run = []
-        self.gen_regfile = False
 
     def timing(self, attr: str):
         return S.sym(f"T.{attr}")
@@ -323,7 +334,7 @@ class _Ref:
             st.regs[n] = value
 
     def regfile_default(self, n: int):
-        return S.sym(f"L.regs{n}" if self.gen_regfile else f"R{n}")
+        return S.sym(f"R{n}")
 
     def norm_regfile(self, st: RState) -> tuple:
         return tuple(sorted(
@@ -375,7 +386,7 @@ class _Ref:
             carried.append(("cyc", st.cyc))
         if self.info.trapping:
             carried.append(("epc", st.epc))
-        if self.info.has_sync or self.info.has_generic:
+        if self.info.has_sync:
             carried.append(("valid", st.valid))
         if self.counts_hits:
             carried.append(("ih", st.ih))
@@ -428,6 +439,29 @@ class _Ref:
         if self.cached:
             st.ih = S.add(st.ih, fetches)
 
+    def charge(self, st: RState, fetch, reads=(0, 0), rd=0, mem=None,
+               is_load=False, extra=None, control=None) -> None:
+        """Charge one inlined entry, given :meth:`fetch`'s ``(cost,
+        latency)``: its SimpleTimer cost (the analytic modes), or a
+        ``note_op`` event with what ``execute()`` reports to the
+        scoreboard — the registers read and written, the data latency
+        *mem* (None: no data access), *is_load*, the EX extra cycles
+        (timing attribute *extra*) and the redirect kind *control*."""
+        cost, lat = fetch
+        extra = 0 if extra is None else self.timing(extra)
+        if self.scoreboard:
+            k = st.alloc(("note_op", lat, reads[0], reads[1], rd,
+                          0 if mem is None else mem, is_load, extra,
+                          control))
+            st.tc = _esym(k, "tc")
+            return
+        terms = [cost, extra]
+        if control is not None:
+            terms.append(self.timing(PENALTY[control]))
+        if mem is not None:
+            terms.append(self._mem_cost(mem))
+        st.cyc = S.add(st.cyc, *terms)
+
     # -- IR kinds -------------------------------------------------------
     def _ir_nop(self, ir) -> None:
         pass
@@ -454,13 +488,13 @@ class _Ref:
         st = self.st
         m = instr.mnemonic
         if instr.rd:
-            st.regs[instr.rd] = S.alu(m, self.reg(instr.rs1, st),
-                                      self.reg(instr.rs2, st))
-        extra = self.timing(
-            "div_extra" if m.startswith(("div", "rem")) else "mul_extra")
-        cost, _lat = self.fetch(st, index)
+            self.set_reg(instr.rd, S.alu(m, self.reg(instr.rs1, st),
+                                         self.reg(instr.rs2, st)), st)
+        fetch = self.fetch(st, index)
         st.retired = S.add(st.retired, 1)
-        st.cyc = S.add(st.cyc, cost, extra)
+        self.charge(st, fetch, (instr.rs1, instr.rs2), instr.rd,
+                    extra="div_extra" if m.startswith(("div", "rem"))
+                    else "mul_extra")
 
     def do_rmr(self, index: int, instr) -> None:
         if instr.rd:
@@ -472,8 +506,9 @@ class _Ref:
         self.st.alloc(("mrw", instr.rd, self.reg(instr.rs1, self.st)))
         self.unit(index)
 
-    def do_data_access(self, instr, pc: int) -> None:
+    def do_data_access(self, index: int, instr, pc: int) -> None:
         st = self.st
+        fetch = self.fetch(st, index)
         st.epc = pc
         o = S.mask32(S.add(self.reg(instr.rs1, st), instr.imm))
         # Misaligned or outside [0, data size): one fork to BUS_ERROR.
@@ -487,14 +522,16 @@ class _Ref:
         site = tr.alloc(("raise", int(Cause.BUS_ERROR), o))
         self.trap(tr, site, lv=1)
         st.path.append(S.not_(bad))
+        st.retired = S.add(st.retired, 1)
         if instr.mnemonic == "mld":
             if instr.rd:
                 k = st.alloc(("upk", o))
-                st.regs[instr.rd] = _esym(k, "val")
+                self.set_reg(instr.rd, _esym(k, "val"), st)
+            self.charge(st, fetch, (instr.rs1, 0), instr.rd, self.ml,
+                        is_load=True)
         else:
             st.alloc(("pk", o, self.reg(instr.rs2, st)))
-        st.retired = S.add(st.retired, 1)
-        st.cyc = S.add(st.cyc, self.bc, self.me)
+            self.charge(st, fetch, (instr.rs1, instr.rs2), mem=self.ml)
 
     def sync_prologue(self, pc: int) -> None:
         st = self.st
@@ -530,7 +567,7 @@ class _Ref:
     def do_load(self, index: int, instr, pc: int) -> None:
         self.sync_prologue(pc)
         st = self.st
-        cost, _lat = self.fetch(st, index)
+        fetch = self.fetch(st, index)
         st.epc = pc
         m = instr.mnemonic
         addr = S.mask32(S.add(self.reg(instr.rs1, st), instr.imm))
@@ -543,15 +580,15 @@ class _Ref:
             threshold, mask = ext
             val = S.ite(S.le(threshold, val), S.or_(val, mask), val)
         if instr.rd:
-            st.regs[instr.rd] = val
+            self.set_reg(instr.rd, val, st)
         st.retired = S.add(st.retired, 1)
-        st.cyc = S.add(st.cyc, cost, self._mem_cost(lat))
+        self.charge(st, fetch, (instr.rs1, 0), instr.rd, lat, is_load=True)
         self.access_exit(pc, False)
 
     def do_store(self, index: int, instr, pc: int) -> None:
         self.sync_prologue(pc)
         st = self.st
-        cost, _lat = self.fetch(st, index)
+        fetch = self.fetch(st, index)
         st.epc = pc
         addr = S.mask32(S.add(self.reg(instr.rs1, st), instr.imm))
         k = st.alloc(("write", addr, WIDTHS[instr.mnemonic],
@@ -560,14 +597,15 @@ class _Ref:
         st.valid = _esym(k, "valid")
         st.horizon = _esym(k, "horizon")
         st.retired = S.add(st.retired, 1)
-        st.cyc = S.add(st.cyc, cost, self._mem_cost(_esym(k, "lat")))
+        self.charge(st, fetch, (instr.rs1, instr.rs2), mem=_esym(k, "lat"))
         self.access_exit(pc, True)
 
     def do_dispatch(self, index: int, pc: int, flags: int,
                     pending: list) -> None:
-        """An ``execute()`` whose StepInfo goes to ``timer.note``: every
-        non-plain entry in scoreboard mode, and the terminators the
-        analytic modes do not inline."""
+        """An ``execute()`` whose StepInfo goes to ``timer.note``: the
+        terminators MJIT does not inline (CSR, SYSTEM and
+        architectural-feature instructions, ``menter``, and a mem
+        block's ``mexit``/``mexitm``), none of which chains."""
         if flags & F_SYNC:
             self.sync_prologue(pc)
         st = self.st
@@ -590,14 +628,8 @@ class _Ref:
             st.regs[n] = st.regfile[n]
         st.tc = _esym(st.alloc(("note", k)), "tc")
         st.retired = S.add(st.retired, 1)
-        if flags & F_SYNC and not flags & F_TERM:
-            self.access_exit(pc, bool(flags & F_STORE))
-        if flags & F_TERM:
-            st.next_pc = _esym(k, "next_pc")
-            if self.info.looped:
-                st = self._try_loopback(st, self._loop_guard(
-                    st, S.eq(st.next_pc, self.block.start)))
-            pending.append(st)
+        st.next_pc = _esym(k, "next_pc")
+        pending.append(st)
 
     # -- terminators ----------------------------------------------------
     def do_ecall(self, index: int, pc: int) -> None:
@@ -638,17 +670,22 @@ class _Ref:
             regfile=self.norm_regfile(st), next_pc=pc, trap=site))
 
     def do_mexit(self, index: int, instr) -> None:
-        """``mexit``/``mexitm`` (analytic modes): the unit's exit gives
-        the resume pc; the cost is the fetch plus ``mexit_cost``.
+        """``mexit``/``mexitm``: the unit's exit gives the resume pc; the
+        cost is the fetch plus ``mexit_cost``, or an ``mexit`` redirect
+        that tells the scoreboard the register ``mexitm`` commits.
         ``mexitm`` then writes ``x[m26 & 31] := m27`` over the spilled
         register file (x0 stays 0)."""
         st = self.st
-        cost, _lat = self.fetch(st, index)
+        commit = instr.mnemonic == "mexitm"
+        fetch = self.fetch(st, index)
         st.retired = S.add(st.retired, 1)
-        st.cyc = S.add(st.cyc, cost, self.timing("mexit_cost"))
+        rd = 0
+        if commit and self.scoreboard:
+            rd = S.and_(_esym(st.alloc(("mrr", 26)), "val"), 31)
+        self.charge(st, fetch, rd=rd, control="mexit")
         st.next_pc = _esym(st.alloc(("mexit",)), "pc")
         self.spill(st)
-        if instr.mnemonic == "mexitm":
+        if commit:
             rd = S.and_(_esym(st.alloc(("mrr", 26)), "val"), 31)
             value = _esym(st.alloc(("mrr", 27)), "val")
             for n in range(1, 32):
@@ -688,30 +725,30 @@ class _Ref:
         cond = BRANCH_SEM[m](self.reg(instr.rs1, st),
                              self.reg(instr.rs2, st))
         taken_pc = (pc + instr.imm) & M32
-        cost, _lat = self.fetch(st, index)
+        reads = (instr.rs1, instr.rs2)
+        fetch = self.fetch(st, index)
         st.retired = S.add(st.retired, 1)
         if cond is not False:
             taken = st.fork(None if cond is True else cond)
-            taken.cyc = S.add(taken.cyc, cost,
-                              self.timing("branch_taken_penalty"))
+            self.charge(taken, fetch, reads, control="branch")
             if self.info.looped and taken_pc == self.block.start:
                 taken = self._try_loopback(taken, self._loop_guard(taken))
             taken.next_pc = taken_pc
             pending.append(taken)
         if cond is not True:
             fall = st.fork(None if cond is False else S.not_(cond))
-            fall.cyc = S.add(fall.cyc, cost)
+            self.charge(fall, fetch, reads)
             fall.next_pc = (pc + 4) & M32
             pending.append(fall)
 
     def do_jal(self, index: int, instr, pc: int, pending: list) -> None:
         st = self.st
         target = (pc + instr.imm) & M32
-        cost, _lat = self.fetch(st, index)
+        fetch = self.fetch(st, index)
         st.retired = S.add(st.retired, 1)
-        st.cyc = S.add(st.cyc, cost, self.timing("jump_penalty"))
+        self.charge(st, fetch, rd=instr.rd, control="jal")
         if instr.rd:
-            st.regs[instr.rd] = (pc + 4) & M32
+            self.set_reg(instr.rd, (pc + 4) & M32, st)
         if self.info.looped and target == self.block.start:
             st = self.st = self._try_loopback(st, self._loop_guard(st))
         st.next_pc = target
@@ -719,13 +756,13 @@ class _Ref:
 
     def do_jalr(self, index: int, instr, pc: int, pending: list) -> None:
         st = self.st
-        cost, _lat = self.fetch(st, index)
+        fetch = self.fetch(st, index)
         st.retired = S.add(st.retired, 1)
-        st.cyc = S.add(st.cyc, cost, self.timing("branch_taken_penalty"))
+        self.charge(st, fetch, (instr.rs1, 0), instr.rd, control="jalr")
         # Target reads rs1 before the link write (rd == rs1 is legal).
         t0 = S.and_(S.add(self.reg(instr.rs1, st), instr.imm), 0xFFFFFFFE)
         if instr.rd:
-            st.regs[instr.rd] = (pc + 4) & M32
+            self.set_reg(instr.rd, (pc + 4) & M32, st)
         if self.info.looped:
             guard = self._loop_guard(st, S.eq(t0, self.block.start))
             st = self.st = self._try_loopback(st, guard)
@@ -753,17 +790,11 @@ class _Ref:
         if info.has_sync or self.scoreboard:
             self.entry["L.tc"] = st.tc
             st.tc = S.sym("L.tc")
-        if info.has_sync or info.has_generic:
+        if info.has_sync:
             self.entry["L.valid"] = st.valid
             st.valid = S.sym("L.valid")
             # Every horizon exit reads the value its own access left.
             st.horizon = S.sym("L.horizon")
-        if info.has_generic:
-            for n in range(1, 32):
-                self.entry[f"L.regs{n}"] = st.regfile.get(
-                    n, self.regfile_default(n))
-            self.gen_regfile = True
-            st.regfile = {}
 
     def build(self) -> Summary:
         info = self.info
@@ -798,8 +829,6 @@ class _Ref:
             self.flush_units(self.st)
             if self.mem and m == "ecall":
                 self.do_ecall(index, pc)
-            elif self.scoreboard:
-                self.do_dispatch(index, pc, flags, pending)
             elif cls is InstrClass.BRANCH:
                 self.do_branch(index, instr, pc, pending)
             elif cls is InstrClass.JAL:
@@ -811,7 +840,7 @@ class _Ref:
             elif m in ("mexit", "mexitm") and not self.mem:
                 self.do_mexit(index, instr)
             elif m in ("mld", "mst") and not flags:
-                self.do_data_access(instr, pc)
+                self.do_data_access(index, instr, pc)
             elif cls is InstrClass.LOAD and flags == F_SYNC:
                 self.do_load(index, instr, pc)
             elif cls is InstrClass.STORE and flags == F_SYNC | F_STORE:

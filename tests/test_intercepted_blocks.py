@@ -16,11 +16,13 @@ from __future__ import annotations
 import pytest
 
 from repro import MRoutine, build_metal_machine
+from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.tcache import F_ICEPT, fetch_plan
-from repro.errors import DecodeError
+from repro.errors import DecodeError, SimulatorError
 from repro.isa.decoder import decode
 from repro.machine.builder import MachineConfig
 from repro.machine.snapshot import restore_snapshot, take_snapshot
+from repro.metal.intercept import InterceptTable
 
 ENGINES = ("functional", "pipeline")
 CACHES = (True, False)
@@ -357,6 +359,36 @@ def test_host_changes_rules_between_runs(engine, caches):
         return states + _to_halt(machine)
 
     _pair(engine, caches, LOOP, drive)
+
+
+def test_unmatched_intercept_terminator_is_an_error():
+    """An intercept terminator whose word no installed rule matches can
+    neither run nor retire: delivering it raises, naming the pc and the
+    word, instead of leaving the pc in place for the run to spin on."""
+    machine = _machine("functional", False, True)
+    word = machine.assemble("lw a2, 0(s2)", base=0x1000).words()[0]
+    with pytest.raises(SimulatorError, match=f"0x00001000.*{word:#010x}"):
+        machine.sim._dispatch_trap(
+            TrapException(Cause.INTERCEPT, word), 0x1000)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_stale_intercept_block_ends_the_run(monkeypatch, engine):
+    """A host ``clear()`` that kept the old rule set's signature would
+    leave blocks compiled under that set in the cache: the next run
+    reaches one of their intercept terminators and fails within its
+    budget."""
+    def clear_keeping_signature(self):
+        self._rules.clear()
+
+    monkeypatch.setattr(InterceptTable, "clear", clear_keeping_signature)
+    machine = _machine(engine, True, True)
+    machine.load(machine.assemble(LOOP, base=0x1000))
+    machine.core.pc = 0x1000
+    machine.run(max_instructions=60, raise_on_limit=False)
+    machine.core.metal.intercept.clear()
+    with pytest.raises(SimulatorError, match="stale intercept terminator"):
+        machine.run(max_instructions=50, raise_on_limit=False)
 
 
 @pytest.mark.parametrize("caches", CACHES)

@@ -3,10 +3,12 @@
 The translation cache's per-entry loop and chaining are covered by the
 differential fuzzer and the tcache tests; this file pins the
 *compiler*: the exact Python source generated for a known block (golden
-snapshot), MRAM data accesses compiled inline behind the data-segment
-check (and trapping exactly like the interpreter), guest-RAM access
-compiled inside mram blocks, a loop compiled at its first dispatch,
-and every eviction path dropping compiled code.
+snapshots of the analytic and the scoreboard code), scoreboard code
+inlining every entry the analytic code inlines, MRAM data accesses
+compiled inline behind the data-segment check (and trapping exactly
+like the interpreter), guest-RAM access compiled inside mram blocks, a
+loop compiled at its first dispatch, and every eviction path dropping
+compiled code.
 Bit-identity of tier-2 execution against the interpreter is fuzzed in
 ``tests/test_superblock_differential.py``.
 """
@@ -145,6 +147,77 @@ def test_golden_source_self_loop():
     block = m.sim.tcache._mem[CODE_BASE + 8]
     assert block.jit_fn is not None, "hot loop block was not tier-2 compiled"
     assert block.jit_fn.__jit_source__.rstrip() == GOLDEN_LOOP_BLOCK
+
+
+GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
+    def _jit(core, block, timer, sync, budget, instret_base, limit, hz):
+        regs = core.regs
+        timing = timer.timing
+        _ml = timing.mem_latency
+        bc = _ml if _ml > 1 else 1
+        note_run = timer.note_run
+        note_op = timer.note_op
+        retired = 0
+        loops = 0
+        while True:
+            regs[6] = (regs[6] + 1) & 4294967295
+            regs[5] = (regs[5] + -1) & 4294967295
+            note_run(_q0, None, bc)
+            retired += 2
+            retired += 1
+            if regs[5] != 0:
+                note_op(_ml, 5, 0, 0, 0, False, 0, 'branch')
+                if loops < limit and budget - retired >= 3:
+                    loops += 1
+                    continue
+                next_pc = 4104
+                break
+            else:
+                note_op(_ml, 5, 0, 0, 0, False, 0, None)
+                next_pc = 4116
+                break
+        return (0, next_pc, retired, loops, None)""")
+
+
+def test_golden_scoreboard_source_self_loop():
+    """On the pipeline engine the same block keeps its registers in
+    ``regs``, reports its two plain entries in one ``note_run`` and the
+    branch, inline, as one ``note_op`` per arm, taken with its
+    redirect: no ``execute()``."""
+    m = _machine(engine="pipeline")
+    m.load_and_run(LOOP, base=CODE_BASE)
+    assert m.reg("t1") == 50
+    source = m.sim.tcache._mem[CODE_BASE + 8].jit_fn.__jit_source__
+    assert source.rstrip() == GOLDEN_SCOREBOARD_LOOP_BLOCK
+    assert "execute(" not in source
+    assert source.count("note_run(") == 1
+    assert source.count("note_op(") == 2
+
+
+def _compiled_sources(engine, name):
+    """Every block host-throughput workload *name* compiles on
+    *engine*, by namespace and start pc."""
+    from repro.profile.workloads import build_workload, workload_source
+    machine = build_workload(name, engine=engine)
+    machine.load_and_run(workload_source(name, 40), base=CODE_BASE)
+    return {(ns, b.start): b.jit_fn.__jit_source__
+            for ns, b in machine.sim.tcache.iter_jit_blocks()}
+
+
+def test_scoreboard_inlines_what_the_analytic_modes_inline():
+    """No block of the host-throughput workloads hands the scoreboard
+    more entries through ``execute()`` than the analytic code does."""
+    from repro.profile.workloads import WORKLOADS
+    compared = 0
+    for name in WORKLOADS:
+        analytic = _compiled_sources("functional", name)
+        scoreboard = _compiled_sources("pipeline", name)
+        assert scoreboard, name
+        for key in analytic.keys() & scoreboard.keys():
+            compared += 1
+            assert (scoreboard[key].count("execute(")
+                    <= analytic[key].count("execute(")), (name, key)
+    assert compared >= len(WORKLOADS)
 
 
 def test_tier_of_reports_jit():

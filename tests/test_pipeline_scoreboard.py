@@ -1,5 +1,6 @@
 """Direct unit tests of the pipeline scoreboard: hand-computed schedules,
-and random sequences checked against the ``max()`` form it replaced."""
+and random sequences of StepInfos, positional single instructions and
+plain runs checked against the ``max()`` form it replaced."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -281,8 +282,28 @@ def _run_op(draw):
     return ("run", tuple(entries), draw(_latency))
 
 
+#: Every control kind a StepInfo can report.
+_CONTROLS = (None, "branch", "jal", "jalr", "mret", "mraise", "menter",
+             "mexit")
+
+
+@st.composite
+def _positional_op(draw):
+    """One instruction in :meth:`PipelineTimer.note_op`'s positional
+    form: any registers, fetch and memory latencies, load or not, the
+    EX extra of an ALU or muldiv mnemonic, any control kind."""
+    mnemonic, cls = draw(st.sampled_from((
+        ("add", InstrClass.ALU_REG), ("mul", InstrClass.MULDIV),
+        ("mulhu", InstrClass.MULDIV), ("div", InstrClass.MULDIV),
+        ("remu", InstrClass.MULDIV))))
+    return ("op", mnemonic, cls, draw(_latency), draw(_regs), draw(_regs),
+            draw(_regs), draw(_latency), draw(st.booleans()),
+            draw(st.sampled_from(_CONTROLS)))
+
+
 _ops = st.lists(st.one_of(
     _step_op(), _step_op(), _run_op(), _run_op(),
+    _positional_op(), _positional_op(),
     st.tuples(st.just("event"), st.integers(0, 40)),
     st.tuples(st.just("trap"), st.booleans()),
     st.tuples(st.just("intercept")),
@@ -304,11 +325,25 @@ _FIELDS = ("_if_end", "_id_end", "_ex_end", "_mem_end", "_wb_end",
 
 def _apply(ref, new, op):
     """Feed *op* to both timers: runs go to *new* through ``note_run``
-    and to *ref* one instruction at a time."""
+    and to *ref* one instruction at a time, positional ops to *new*
+    through ``note_op`` and to *ref* as a StepInfo."""
     kind = op[0]
     if kind == "step":
         ref.note(op[1])
         new.note(op[1])
+    elif kind == "op":
+        (_kind, mnemonic, cls, fetch, rs_a, rs_b, rd, mem, is_load,
+         control) = op
+        ref.note(step(mnemonic=mnemonic, cls=cls, fetch=fetch, mem=mem,
+                      rd=rd, reads=(rs_a, rs_b), control=control,
+                      is_load=is_load))
+        extra = 0
+        if cls is InstrClass.MULDIV:
+            timing = ref.timing
+            extra = (timing.div_extra
+                     if mnemonic.startswith(("div", "rem"))
+                     else timing.mul_extra)
+        new.note_op(fetch, rs_a, rs_b, rd, mem, is_load, extra, control)
     elif kind == "run":
         _kind, entries, fetch_cost = op
         heads = {}

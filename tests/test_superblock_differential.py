@@ -21,8 +21,12 @@ Compiled mem blocks replay their I-cache fetch plan instead of
 accessing the cache on every fetch, so the pair also compares cache hit
 and miss counts after every chunk.  A third pair does the same on the
 pipeline engine (interpreter against the chained tcache, caches on),
-whose compiled code feeds the scoreboard one run schedule at a time,
-and also compares the three stall counters.
+whose compiled code feeds the scoreboard one run schedule or one
+inlined entry at a time, and also compares the three stall counters.
+Besides the default programs, all eight machines run the intercepting
+``icept`` seeds and 40 seeds of extension programs (divides,
+misaligned accesses, ``ecall`` handlers ending in ``mexitm``, live
+timer interrupts).
 
 Seeds are deterministic and appear both in the test id and in every
 assertion message, so a failure is reproducible with e.g.::
@@ -118,22 +122,41 @@ def pytest_generate_tests(metafunc):
     if "icept_seed" in metafunc.fixturenames:
         metafunc.parametrize("icept_seed", ICEPT_SEEDS,
                              ids=[f"icept{i}" for i in ICEPT_SEEDS])
+    if "ext_seed" in metafunc.fixturenames:
+        metafunc.parametrize("ext_seed", range(EXT_SEEDS),
+                             ids=[f"ext{i}" for i in range(EXT_SEEDS)])
 
 
 def test_differential(seed):
     _lockstep(seed, GenConfig())
 
 
-#: Seeds whose ``icept`` programs take the most intercepts (lw and
-#: addi rules), for the caches-on and pipeline pairs the MCONF
-#: lockstep does not run.
-ICEPT_SEEDS = (10, 16, 19, 21, 34, 39)
+#: Seeds whose ``icept`` programs take the most intercepts (the two
+#: ``lw``-rule and four ``addi``-rule programs of seeds 0-39 with the
+#: most), for the caches-on and pipeline pairs the MCONF lockstep does
+#: not run.
+ICEPT_SEEDS = (8, 10, 16, 17, 21, 34)
 
 
 def test_differential_intercepted(icept_seed):
     """Programs that intercept ``lw`` or ``addi`` and turn the rule off
     and on, on all eight machines."""
     _lockstep(icept_seed, GenConfig(icept=1.0))
+
+
+#: The body extensions and Metal transitions whose entries MJIT inlines
+#: on every engine: divides and remainders (EX extra cycles on the
+#: pipeline), misaligned loads and stores that trap out of compiled
+#: code, ``ecall`` handlers that commit with ``mexitm``, and loads and
+#: stores under a live timer interrupt.
+EXT_CONFIG = GenConfig(divrem=0.5, misalign=0.5, ecall=1.0, irq=1.0)
+EXT_SEEDS = 40
+
+
+def test_differential_extensions(ext_seed):
+    """Extension programs on all eight machines, so the caches-on
+    functional and pipeline pairs see them too."""
+    _lockstep(ext_seed, EXT_CONFIG)
 
 
 def _lockstep(seed, config):

@@ -13,9 +13,11 @@ Four angles:
   access, a wrong ``note_run`` schedule, an ``mexit`` without its cost,
   an ``ecall`` exit without its fetch or hit credit, an intercept exit
   without its fetch, hit credit or fetch-latency charge or with the
-  wrong epc, or an ``mexitm`` commit before the final spill makes the
-  validator fail the affected block with a precise citation (the
-  acceptance property: a wrong compiler cannot pass);
+  wrong epc, an ``mexitm`` commit before the final spill, or a wrong
+  ``note_op`` report (a taken branch without its redirect, a load as a
+  non-load, an ``mexitm`` committing x0) makes the validator fail the
+  affected block with a precise citation (the acceptance property: a
+  wrong compiler cannot pass);
 * exhaustiveness — every uop IR kind and every ALU/branch mnemonic the
   execution model dispatches has a validator rule, so adding a new one
   without teaching the validator fails this suite.
@@ -449,6 +451,71 @@ def test_detects_mexitm_commit_before_the_spill(monkeypatch):
     findings, _ = _transition_findings("functional", False)
     assert findings, "mexitm committing before the spill was not detected"
     assert all(f.where.startswith("mram:0x") for f in findings)
+
+
+# ---------------------------------------------------------------------------
+# the scoreboard's inlined entries
+# ---------------------------------------------------------------------------
+
+def _mutant_charge(mutate):
+    """``_Codegen.charge`` with its keyword arguments rewritten by
+    *mutate* (a dict -> None edit)."""
+    real = jit._Codegen.charge
+
+    def charge(self, fetch, reads=(0, 0), rd=0, mem=None, is_load=False,
+               extra=None, control=None):
+        kw = dict(reads=reads, rd=rd, mem=mem, is_load=is_load,
+                  extra=extra, control=control)
+        mutate(kw)
+        real(self, fetch, **kw)
+    return charge
+
+
+def _drop_branch_redirect(kw):
+    if kw["control"] == "branch":
+        kw["control"] = None
+
+
+def _load_not_a_load(kw):
+    if kw["mem"] == "_l":
+        kw["is_load"] = False
+
+
+def _mexitm_commits_x0(kw):
+    if kw["control"] == "mexit":
+        kw["rd"] = 0
+
+
+def _scoreboard_findings(source):
+    """Run *source* on the pipeline engine, caches on, and validate
+    every compiled block in scoreboard mode."""
+    machine = build_metal_machine([], config=MachineConfig(
+        engine="pipeline"))
+    machine.load_and_run(source, base=CODE_BASE)
+    tc = machine.sim.tcache
+    assert tc.scoreboard
+    return [f for ns, b in tc.iter_jit_blocks()
+            for f in validate_block(ns, b, tc.line_size, tc.scoreboard)]
+
+
+@pytest.mark.parametrize("mutate,run,where", [
+    (_drop_branch_redirect, lambda: _scoreboard_findings(MEMLOOP), "mem"),
+    (_load_not_a_load, lambda: _scoreboard_findings(MEMLOOP), "mem"),
+    (_mexitm_commits_x0,
+     lambda: _transition_findings("pipeline", True)[0], "mram"),
+], ids=["branch_without_redirect", "load_not_a_load", "mexitm_rd_0"])
+def test_detects_wrong_scoreboard_report(monkeypatch, mutate, run, where):
+    """Scoreboard code that reports an inlined entry wrongly to
+    ``note_op`` — a taken branch without its redirect, a load as a
+    non-load, an ``mexitm`` committing x0 — fails validation on the
+    affected block with an events mismatch; the correct codegen
+    validates clean."""
+    assert run() == []
+    monkeypatch.setattr(jit._Codegen, "charge", _mutant_charge(mutate))
+    findings = run()
+    assert findings, f"{mutate.__name__} was not detected"
+    assert all(f.where.startswith(f"{where}:0x") for f in findings)
+    assert any("events mismatch" in f.message for f in findings)
 
 
 # ---------------------------------------------------------------------------
