@@ -41,6 +41,10 @@ seed:
                      ``mexitm``; body slots then ``menter`` a routine
                      that turns the rule off and on, so dispatches cross
                      rule-set changes
+``calls``            ``jal ra, leaf_k`` calls to leaf functions after
+                     ``done`` that run a few ALU ops and loads and
+                     return through ``jalr zero, 0(ra)``: a block
+                     continues through a ``jal`` that links
 ===================  ====================================================
 
 Programs are always-terminating by construction: forward control flow is
@@ -138,6 +142,9 @@ ICEPT_TOGGLE_RATE = 0.08
 #: aligned ``lw`` off s1 (the base body makes one in about 40 slots).
 ICEPT_LW_RATE = 0.2
 
+#: Leaf functions of the calls extension.
+CALL_LEAVES = 3
+
 #: MRegs the icept routines share: the handlers' t5/t6 spills (m17,
 #: m18), whether the rule is on (m19), its spec (m20) and handler entry
 #: (m21).
@@ -167,10 +174,12 @@ class GenConfig:
     #: Probability that a program intercepts one instruction and
     #: toggles the rule (a per-program draw).
     icept: float = 0.0
+    #: Body-slot weight of a call to a leaf function.
+    calls: float = 0.0
     ext_rate: float = 0.25
 
     #: Body-slot features, in weighted-choice order (stable!).
-    _BODY_FEATURES = ("csr", "auipc_mem", "misalign", "divrem")
+    _BODY_FEATURES = ("csr", "auipc_mem", "misalign", "divrem", "calls")
 
     def body_weights(self):
         return tuple((name, getattr(self, name))
@@ -519,10 +528,13 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
                     + rng.randint(1, step - 1)
                 lines.append(f"    {op} {reg()}, {off}(s1)")
                 marks.add("gen:misalign_store")
-        else:  # divrem
+        elif name == "divrem":
             op = rng.choice(DIVREM)
             lines.append(f"    {op} {reg()}, {reg()}, {reg()}")
             marks.add("gen:divrem")
+        else:  # calls
+            lines.append(f"    jal  ra, leaf_{rng.randrange(CALL_LEAVES)}")
+            marks.add("gen:calls")
 
     patch_slots = []
 
@@ -625,6 +637,18 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
 
     lines.append("done:")
     lines.append("    halt")
+    if config.calls > 0:
+        for k in range(CALL_LEAVES):
+            lines.append(f"leaf_{k}:")
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.25:
+                    off = rng.randrange(0, 4 * DATA_WORDS, 4)
+                    lines.append(f"    lw   {reg()}, {off}(s1)")
+                else:
+                    op = rng.choice(ALU_IMM)
+                    lines.append(f"    {op} {reg()}, {reg()}, "
+                                 f"{rng.randint(-2048, 2047)}")
+            lines.append("    jalr zero, 0(ra)")
     return GenResult(source="\n".join(lines) + "\n", gen_buckets=marks)
 
 

@@ -33,6 +33,7 @@ FEATURE_BUCKETS = {
     "irq": frozenset({"gen:irq"}),
     "ecall": frozenset({"gen:ecall"}),
     "icept": frozenset({"gen:icept"}),
+    "calls": frozenset({"gen:calls"}),
 }
 
 #: Per-feature weight when the feature is targeted (has uncovered

@@ -15,11 +15,12 @@ how latencies combine into cycles.
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import BusError, MramError
 from repro.cpu.csr import CsrFile
 from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.timing import TimingModel
-from repro.isa.fields import u32
 from repro.mmu.tlb import Tlb
 from repro.mmu.types import AccessType, FaultKind, TranslationFault
 
@@ -28,6 +29,11 @@ _FAULT_CAUSE = {
     AccessType.LOAD: Cause.PAGE_FAULT_LOAD,
     AccessType.STORE: Cause.PAGE_FAULT_STORE,
 }
+
+_U16 = struct.Struct("<H").unpack_from
+_U32 = struct.Struct("<I").unpack_from
+_PK16 = struct.Struct("<H").pack_into
+_PK32 = struct.Struct("<I").pack_into
 
 _MISALIGNED_CAUSE = {
     AccessType.FETCH: Cause.MISALIGNED_FETCH,
@@ -138,8 +144,31 @@ class CpuCore:
         return self.timing.mem_latency
 
     def read_mem(self, va: int, width: int, physical: bool = False):
-        """Read *width* bytes; returns ``(unsigned_value, latency)``."""
-        va = u32(va)
+        """Read *width* bytes; returns ``(unsigned_value, latency)``.
+
+        The common case is direct: an aligned access under identity
+        translation (*physical*, or the TLB off) that lies wholly inside
+        the bus's first RAM region (:attr:`~repro.mem.bus.MemoryBus.ram0`)
+        reads the region's bytes at the offset and charges the D-cache
+        (or ``mem_latency``).  A misaligned, paged, device or
+        out-of-region access takes the bus route, which traps and times
+        it; both give the same value, latency and cache state.
+        """
+        va &= 0xFFFFFFFF
+        ram = self.bus.ram0
+        if ((physical or not self.tlb.enabled) and ram is not None
+                and not va & (width - 1)):
+            off = va - ram.base
+            if 0 <= off <= ram.size - width:
+                if width == 4:
+                    value = _U32(ram.data, off)[0]
+                elif width == 1:
+                    value = ram.data[off]
+                else:
+                    value = _U16(ram.data, off)[0]
+                dcache = self.dcache
+                return value, (dcache.access(va) if dcache is not None
+                               else self.timing.mem_latency)
         if va % width:
             raise TrapException(Cause.MISALIGNED_LOAD, va)
         pa = va if physical else self.translate(va, AccessType.LOAD)
@@ -157,8 +186,31 @@ class CpuCore:
 
     def write_mem(self, va: int, width: int, value: int,
                   physical: bool = False) -> int:
-        """Write *width* bytes; returns the access latency."""
-        va = u32(va)
+        """Write *width* bytes; returns the access latency.
+
+        Takes the direct path :meth:`read_mem` describes when it can:
+        it writes the region's bytes, fires the region's write hook
+        (translation-cache invalidation) and charges the D-cache (or
+        ``mem_latency``); every other access takes the bus route.
+        """
+        va &= 0xFFFFFFFF
+        ram = self.bus.ram0
+        if ((physical or not self.tlb.enabled) and ram is not None
+                and not va & (width - 1)):
+            off = va - ram.base
+            if 0 <= off <= ram.size - width:
+                if width == 4:
+                    _PK32(ram.data, off, value & 0xFFFFFFFF)
+                elif width == 1:
+                    ram.data[off] = value & 0xFF
+                else:
+                    _PK16(ram.data, off, value & 0xFFFF)
+                hook = ram.write_hook
+                if hook is not None:
+                    hook(va, width)
+                dcache = self.dcache
+                return (dcache.access(va) if dcache is not None
+                        else self.timing.mem_latency)
         if va % width:
             raise TrapException(Cause.MISALIGNED_STORE, va)
         pa = va if physical else self.translate(va, AccessType.STORE)

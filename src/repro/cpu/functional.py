@@ -27,7 +27,7 @@ from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import StepInfo, execute
 from repro.cpu.stats import PerfCounters
 from repro.cpu.tcache import (
-    F_CSR, F_ICEPT, F_STORE, F_SYNC, F_TERM, TranslationCache,
+    F_CSR, F_ICEPT, F_STORE, F_SYNC, F_TERM, TranslationCache, entry_index,
 )
 from repro.cpu.timing import TimingModel
 from repro.isa.decoder import decode
@@ -540,15 +540,17 @@ class FunctionalSimulator:
         one-at-a-time path: device state is synced before any
         observation point, an interrupt is taken at the same entry
         boundary, and neither the instruction budget nor *stop_pc* (-1
-        for none; normal mode only) is ever overshot.  A block is
-        straight-line code, so an instruction inside it is reached only
-        by running the block from its start: a block longer than the
-        budget, or holding *stop_pc* past its head, runs on :meth:`step`
-        up to that instruction.  While interrupts are deliverable, so
-        does a block that might reach the bus horizon: no interrupt line
-        can rise before it, so a block whose worst-case cycle bound
-        (``block.bound``) ends short of it has no entry boundary at
-        which :meth:`step` would take one.  A dispatch that begins in
+        for none; normal mode only) is ever overshot.  A block is one
+        path (it continues through direct jumps), so an instruction
+        inside it is reached only by running the block from its start:
+        a block longer than the budget, or with an entry at *stop_pc*
+        past its head, runs on :meth:`step` up to that instruction, or
+        up to its first jump or taken branch when that comes first.
+        While interrupts are deliverable, so does a block that might
+        reach the bus horizon: no interrupt line can rise before it, so
+        a block whose worst-case cycle bound (``block.bound``) ends
+        short of it has no entry boundary at which :meth:`step` would
+        take one.  A dispatch that begins in
         Metal mode keeps *stop_pc* for the normal-mode code its
         ``mexit`` crosses into.
         """
@@ -573,9 +575,12 @@ class FunctionalSimulator:
             self.step()
             return
         count = budget
-        if block.start < stop < block.end:
-            # Entries before stop_pc (a misaligned one is never reached).
-            count = min(count, (stop - block.start + 3) >> 2)
+        if stop != -1:
+            # The entries before the one at stop_pc (run() stops at the
+            # head itself before dispatching).
+            at = entry_index(block, stop)
+            if 0 <= at < count:
+                count = at
         if (count < len(block.entries)
                 or self.timer.cycles + block.bound >= hz):
             for _ in range(min(count, len(block.entries))):
@@ -619,7 +624,7 @@ class FunctionalSimulator:
         """Run *block* and the superblock chain behind it.
 
         The caller has checked that the budget covers *block*, that
-        *block* does not hold *stop_pc* past its head, and that its
+        *block* has no entry at *stop_pc* past its head, and that its
         cycle bound ends short of the interrupt horizon *hz* (the bus
         horizon while interrupts are deliverable, else :data:`MASKED`);
         a chained successor is entered only under the same three
@@ -772,7 +777,7 @@ class FunctionalSimulator:
                     if status:
                         # A trap leaves core.pc at the faulting entry.
                         if (status == 1 or mram or block.chainable
-                                or core.pc != block.end - 4):
+                                or core.pc != block.entries[-1][1]):
                             break
                         # A normal-mode terminator trapped or was
                         # intercepted: deliver it now.
@@ -802,7 +807,7 @@ class FunctionalSimulator:
                 # or a crossing, the budget covers it, it does not hold
                 # stop_pc and it cannot reach the interrupt horizon.
                 if (nxt is None or budget - retired < len(nxt.entries)
-                        or nxt.start <= stop < nxt.end
+                        or stop != -1 and entry_index(nxt, stop) >= 0
                         or live and timer.cycles + nxt.bound >= hz):
                     break
                 chained += 1

@@ -140,6 +140,11 @@ _TIMING_LOCALS = {
 #: (the scoreboard gets the kind itself).
 _PENALTY = {"branch": "_bt", "jal": "_jp", "jalr": "_bt", "mexit": "_mxc"}
 
+#: Classes whose emitter retires the entry before any exit, so the
+#: plain entries flushed before it retire in the same statement.
+_CARRY_CLASSES = frozenset((InstrClass.BRANCH, InstrClass.JAL,
+                            InstrClass.JALR, InstrClass.MULDIV))
+
 
 def _imm_rhs(m: str, a: str, imm: int) -> str:
     """RHS expression for a reg-imm ALU op (semantics of alu.IMM_OPS)."""
@@ -232,6 +237,12 @@ class _Codegen:
         self.commit = False
         self.units = 0              # pending retirements of plain entries
         self.fetches = 0            # pending non-head fetches among them
+        #: Flushed retirements and non-head fetches not yet emitted: the
+        #: next entry's own ``retired +=`` (:meth:`retire`) and ``ih +=``
+        #: (:meth:`fetch`) take them along, or :meth:`settle` emits them
+        #: before an exit.
+        self.carry = 0
+        self.carry_ih = 0
         self.run = []               # scoreboard: pending run schedule
         self.schedules = 0          # scoreboard: runs bound so far
 
@@ -246,9 +257,12 @@ class _Codegen:
             return "0"
         return f"regs[{n}]" if self.scoreboard else f"r{n}"
 
-    def flush_units(self) -> None:
+    def flush_units(self, carry: bool = False) -> None:
         """Retire the pending plain entries: one ``note_run`` with their
-        schedule (scoreboard), or their batched fetch cost."""
+        schedule (scoreboard), or their batched fetch cost.  Their hit
+        count goes to the next entry's fetch, and with *carry* (that
+        entry retires before any exit can read ``retired``) their
+        retirements to its :meth:`retire`."""
         n = self.units
         if not n:
             return
@@ -261,12 +275,29 @@ class _Codegen:
             self.run = []
             access = "access" if self.cached else "None"
             self.emit(f"note_run({key}, {access}, bc)")
-        self.emit(f"retired += {n}")
+        if carry:
+            self.carry = n
+        else:
+            self.emit(f"retired += {n}")
         if fetches and not self.scoreboard:
             self.emit("cyc += bc" if fetches == 1
                       else f"cyc += {fetches} * bc")
         if fetches and self.cached:
-            self.emit(f"ih += {fetches}")
+            self.carry_ih = fetches
+
+    def settle(self) -> None:
+        """Emit the carried counts: an exit follows."""
+        if self.carry:
+            self.emit(f"retired += {self.carry}")
+            self.carry = 0
+        if self.carry_ih:
+            self.emit(f"ih += {self.carry_ih}")
+            self.carry_ih = 0
+
+    def retire(self) -> None:
+        """Retire one inlined entry, with the retirements carried to it."""
+        self.emit(f"retired += {1 + self.carry}")
+        self.carry = 0
 
     def unit(self, index: int, instr, pc: int) -> None:
         """Account one plain entry into the pending batch."""
@@ -283,11 +314,14 @@ class _Codegen:
     def fetch(self, index: int, pc: int):
         """Emit the fetch of a non-plain entry.  Returns source for its
         clamped cycle cost and for the latency ``execute()`` is told."""
-        if self.heads[index]:
+        head = self.heads[index]
+        if self.cached and (self.carry_ih or not head):
+            # A non-head fetch counts with the carried ones.
+            self.emit(f"ih += {self.carry_ih + (0 if head else 1)}")
+            self.carry_ih = 0
+        if head:
             self.emit(f"_f = access({pc})")
             return "(_f if _f > 1 else 1)", "_f"
-        if self.cached:
-            self.emit("ih += 1")
         return "bc", "_ml"
 
     def credit(self) -> None:
@@ -439,16 +473,18 @@ class _Codegen:
             self.flush_units()
             self._emit_ecall(index, pc)
         else:
-            self.flush_units()
+            mexit = m in ("mexit", "mexitm") and not self.mem
+            # These retire before any exit: the batch's count goes along.
+            self.flush_units(carry=mexit or cls in _CARRY_CLASSES)
             if cls is InstrClass.BRANCH:
                 self._emit_branch(index, instr, pc)
             elif cls is InstrClass.JAL:
-                self._emit_jal(index, instr, pc)
+                self._emit_jal(index, instr, pc, flags)
             elif cls is InstrClass.JALR:
                 self._emit_jalr(index, instr, pc)
             elif cls is InstrClass.MULDIV:
                 self._emit_muldiv(index, instr, pc)
-            elif m in ("mexit", "mexitm") and not self.mem:
+            elif mexit:
                 self._emit_mexit(index, instr, pc)
             elif m in ("mld", "mst") and not flags:
                 self._emit_data_access(index, instr, pc)
@@ -477,7 +513,7 @@ class _Codegen:
             self.emit(f"{self.reg(instr.rd)} = _op_{m}"
                       f"({self.reg(instr.rs1)}, {self.reg(instr.rs2)})")
         fetch = self.fetch(index, pc)
-        self.emit("retired += 1")
+        self.retire()
         self.charge(fetch, (instr.rs1, instr.rs2), instr.rd,
                     extra="_dx" if m.startswith(("div", "rem")) else "_mx")
 
@@ -516,13 +552,14 @@ class _Codegen:
         follows the final spill."""
         self.commit = instr.mnemonic == "mexitm"
         fetch = self.fetch(index, pc)
-        self.emit("retired += 1")
+        self.retire()
         self.charge(fetch, rd="_mr[26] & 31" if self.commit else 0,
                     control="mexit")
         self.emit("next_pc = _exit()")
 
     def _sync_prologue(self, pc: int) -> None:
         """Flush + device sync + invalidation escape (loads/stores)."""
+        self.settle()
         if not self.scoreboard:
             self.emit("timer.cycles += cyc")
             self.emit("cyc = 0")
@@ -550,7 +587,7 @@ class _Codegen:
             self.emit("    _v |= 4294901760")
         if instr.rd:
             self.emit(f"{self.reg(instr.rd)} = _v")
-        self.emit("retired += 1")
+        self.retire()
         self.charge(fetch, (instr.rs1, 0), instr.rd, "_l", is_load=True)
         self.access_exit(pc, False)
 
@@ -561,7 +598,7 @@ class _Codegen:
         self.emit(f"epc = {pc}")
         self.emit(f"_l = write_mem(({self.reg(instr.rs1)} + {instr.imm})"
                   f" & 4294967295, {width}, {self.reg(instr.rs2)})")
-        self.emit("retired += 1")
+        self.retire()
         self.charge(fetch, (instr.rs1, instr.rs2), mem="_l")
         self.access_exit(pc, True)
 
@@ -575,11 +612,11 @@ class _Codegen:
         if instr.mnemonic == "mld":
             if instr.rd:
                 self.emit(f"{self.reg(instr.rd)} = _upk(data, _o)[0]")
-            self.emit("retired += 1")
+            self.retire()
             self.charge(fetch, (instr.rs1, 0), instr.rd, "_ml", is_load=True)
         else:
             self.emit(f"_pk(data, _o, {self.reg(instr.rs2)})")
-            self.emit("retired += 1")
+            self.retire()
             self.charge(fetch, (instr.rs1, instr.rs2), mem="_ml")
 
     def _emit_dispatch(self, index: int, instr, pc: int, flags: int) -> None:
@@ -609,7 +646,7 @@ class _Codegen:
         if self.tracked:
             self.emit("_lv = 1")
         self.emit("note(_s)")
-        self.emit("retired += 1")
+        self.retire()
         self.emit("next_pc = _s.next_pc")
 
     # -- inlined terminators --------------------------------------------
@@ -624,7 +661,7 @@ class _Codegen:
         cond = _branch_cond(instr.mnemonic, self.reg(instr.rs1),
                             self.reg(instr.rs2))
         fetch = self.fetch(index, pc)
-        self.emit("retired += 1")
+        self.retire()
         self.emit(f"if {cond}:")
         self.indent += 1
         self.charge(fetch, reads, control="branch")
@@ -644,13 +681,17 @@ class _Codegen:
             self.emit("break")
         self.indent -= 1
 
-    def _emit_jal(self, index: int, instr, pc: int) -> None:
+    def _emit_jal(self, index: int, instr, pc: int, flags: int) -> None:
+        """A ``jal``: its fetch, charge and link write, then its exit; a
+        ``jal`` the block continues through (no ``F_TERM``) has none."""
         target = (pc + instr.imm) & _M
         fetch = self.fetch(index, pc)
-        self.emit("retired += 1")
+        self.retire()
         self.charge(fetch, rd=instr.rd, control="jal")
         if instr.rd:
             self.emit(f"{self.reg(instr.rd)} = {(pc + 4) & _M}")
+        if not flags & F_TERM:
+            return
         if self.looped and target == self.block.start:
             self.emit(f"if {self._self_loop_guard()}:")
             self.emit("    loops += 1")
@@ -661,7 +702,7 @@ class _Codegen:
 
     def _emit_jalr(self, index: int, instr, pc: int) -> None:
         fetch = self.fetch(index, pc)
-        self.emit("retired += 1")
+        self.retire()
         self.charge(fetch, (instr.rs1, 0), instr.rd, control="jalr")
         # Target reads rs1 before the link write (rd == rs1 is legal).
         self.emit(f"_t0 = ({self.reg(instr.rs1)} + {instr.imm}) & 4294967294")
@@ -696,6 +737,7 @@ class _Codegen:
         for index, entry in enumerate(entries):
             self.emit_entry(index, entry)
         self.flush_units()
+        self.settle()
         if not (last_flags & F_TERM):
             self.emit(f"next_pc = {block.end}")
         if self.looped:

@@ -5,16 +5,19 @@ The seed interpreter pays a full Python round-trip per guest instruction:
 ``decode()``, an interception probe, and ``execute()`` dispatch — even
 though guest code is overwhelmingly straight-line loops re-executing the
 same words.  The tcache amortises everything *before* ``execute()`` by
-predecoding guest code into **basic blocks**: lists of
-``(instr, pc, flags)`` entries ending at control flow,
-``menter``/``mexit``, CSR/SYSTEM instructions, or any
-architectural-feature instruction that could change an invariant blocks
-are compiled under.  MJIT (:mod:`repro.cpu.jit`) compiles a block to
-a Python function (``jit_fn``) at its first unguarded dispatch, and
-that function runs with the engine's cache models and timer; while
-interrupts are deliverable or a step hook is attached, the engine's
-per-entry loop hands every entry to :func:`repro.cpu.executor.execute`
-instead.
+predecoding guest code into **blocks**: lists of ``(instr, pc, flags)``
+entries ending at control flow, ``menter``/``mexit``, CSR/SYSTEM
+instructions, or any architectural-feature instruction that could
+change an invariant blocks are compiled under.  A block continues
+through a direct jump: a ``jal`` whose target is word-aligned and not
+yet in the block stays in it as a plain entry (its link write and jump
+charge included), and decoding resumes at the target, so a loop split
+by unconditional jumps is one block that ends at its back edge.  MJIT
+(:mod:`repro.cpu.jit`) compiles a block to a Python function
+(``jit_fn``) at its first unguarded dispatch, and that function runs
+with the engine's cache models and timer; while a step hook is
+attached, the engine's per-entry loop hands every entry to
+:func:`repro.cpu.executor.execute` instead.
 
 Besides its entries each block carries its **superblock chain**
 (``link``/``link_pc``/``links``): after a block exits through a pure
@@ -64,6 +67,8 @@ Invalidation protocol summary (see docs/PERF.md):
 event                     effect
 ========================  =============================================
 store / DMA to code page  evict every mem block registered on the page
+                          (a block is registered on the page of each of
+                          its entries, jump targets included)
 mroutine load / unload    flush the mram namespace (lazy, via version)
 intercept rules changed   flush the mem namespace (lazy: at the next
                           normal-mode dispatch or ``mexit`` crossing)
@@ -151,9 +156,16 @@ class Block:
                  chainable: bool = False, bound: int = 0,
                  looped: bool = False):
         self.start = start
-        self.end = end            # byte address just past the last entry
-        #: list of (instr, pc, flags); an intercept terminator
-        #: (``F_ICEPT``) holds the raw word instead of the instr.
+        #: The pc the block continues at when it runs off its last
+        #: entry: just past that entry, or, when it is a ``jal`` the
+        #: block continues through, its target (one that could not be
+        #: decoded, or that the length limit left out).
+        self.end = end
+        #: list of (instr, pc, flags), in execution order, each pc at
+        #: most once; a ``jal`` the block continues through is an entry
+        #: without ``F_TERM``, and the next entry is at its target.  An
+        #: intercept terminator (``F_ICEPT``) holds the raw word instead
+        #: of the instr.
         self.entries = entries
         self.valid = True
         #: ``W``: the most cycles running the block can add to the
@@ -170,8 +182,10 @@ class Block:
         self.chainable = chainable
         #: Whether the exit can target the block's own head: a chainable
         #: branch or jal whose static target is ``start``, or any
-        #: chainable jalr (dynamic target).  MJIT internalises such a
-        #: self-loop, and only then does the engine compute its limit.
+        #: chainable jalr (dynamic target).  A ``jal`` to the head always
+        #: ends the block, so a loop closed by a jump is one looped
+        #: block.  MJIT internalises such a self-loop, and only then does
+        #: the engine compute its limit.
         self.looped = looped
         #: Most-recently-used chained successor block and the guest pc the
         #: link is valid for; both are set together on first traversal,
@@ -310,8 +324,16 @@ def _targets_head(entry, start: int) -> bool:
             and ((pc + instr.imm) & 0xFFFFFFFF) == start)
 
 
+def entry_index(block, pc: int) -> int:
+    """Index of *block*'s entry at *pc*, or -1 when it has none there."""
+    for index, (_instr, epc, _flags) in enumerate(block.entries):
+        if epc == pc:
+            return index
+    return -1
+
+
 class TranslationCache:
-    """Per-engine cache of predecoded basic blocks, in two namespaces."""
+    """Per-engine cache of predecoded blocks, in two namespaces."""
 
     #: Longest block, in instructions.  Bounds compile latency and the
     #: interrupt-sampling work lost when a block aborts early.
@@ -388,10 +410,14 @@ class TranslationCache:
         *code* is the fetch source: the MRAM for an mram block (*mram*),
         else the bus.  The block ends at a terminator, at
         :attr:`MAX_BLOCK_LEN` entries, or where fetch or decode fails.
-        In a mem block a word the selected rule set intercepts is the
-        terminator, whether or not it decodes.
+        A ``jal`` whose target is word-aligned and not yet an entry of
+        the block does not end it: it stays in as a plain entry and
+        decoding resumes at the target.  In a mem block a word the
+        selected rule set intercepts is the terminator, whether or not
+        it decodes.
         """
         entries = []
+        seen = set()
         p = pc
         chainable = True  # a length-limited block falls through
         rules = NO_RULES if mram else self.rules
@@ -415,6 +441,13 @@ class TranslationCache:
             except (BusError, MramError, DecodeError):
                 break
             flags, term = _classify(instr, mram)
+            seen.add(p)
+            if instr.spec.cls is InstrClass.JAL:
+                target = (p + instr.imm) & 0xFFFFFFFF
+                if not target & 3 and target not in seen:
+                    entries.append((instr, p, 0))
+                    p = target
+                    continue
             entries.append((instr, p, flags))
             p += 4
             if term:
@@ -434,7 +467,7 @@ class TranslationCache:
         else:
             self._mem[pc] = block
             pages = self._mem_pages
-            for page in range(pc >> PAGE_SHIFT, ((p - 1) >> PAGE_SHIFT) + 1):
+            for page in {epc >> PAGE_SHIFT for _instr, epc, _flags in entries}:
                 pages.setdefault(page, set()).add(pc)
         self.stats.blocks_compiled += 1
         if self.sink is not None:

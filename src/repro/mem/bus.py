@@ -30,8 +30,11 @@ class MemoryBus:
     def __init__(self):
         self.regions = []   # list of (region, is_device)
         self.devices = []   # devices only, for tick/irq fan-out
-        # Fast path: most accesses hit the first RAM region.
-        self._ram0 = None
+        #: The first RAM region attached, or None.  Most accesses hit it,
+        #: so the access methods test it before routing, and
+        #: :meth:`repro.cpu.core.CpuCore.read_mem`/``write_mem`` access
+        #: its bytes directly.
+        self.ram0 = None
         # Write-notification fan-out (translation-cache invalidation).
         self._write_watchers = []
         #: The engine's timer (anything with ``cycles``), or None: then
@@ -47,8 +50,8 @@ class MemoryBus:
         """Create and attach a RAM region; returns it."""
         ram = PhysicalMemory(size, base=base)
         self._attach(ram, is_device=False)
-        if self._ram0 is None:
-            self._ram0 = ram
+        if self.ram0 is None:
+            self.ram0 = ram
         if self._write_watchers:
             ram.write_hook = self._region_hook()
         return ram
@@ -98,7 +101,7 @@ class MemoryBus:
 
     # -- routing --------------------------------------------------------------
     def _route(self, addr: int):
-        ram0 = self._ram0
+        ram0 = self.ram0
         if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
             return ram0
         for region, _ in self.regions:
@@ -108,7 +111,7 @@ class MemoryBus:
 
     def is_device(self, addr: int) -> bool:
         """True if *addr* routes to an MMIO device (timing differs)."""
-        ram0 = self._ram0
+        ram0 = self.ram0
         if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
             return False
         for region, is_dev in self.regions:
@@ -134,39 +137,39 @@ class MemoryBus:
 
     # -- access methods ---------------------------------------------------------
     def read_u8(self, addr: int) -> int:
-        ram0 = self._ram0
+        ram0 = self.ram0
         if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
             return ram0.read_u8(addr)
         return self._access(addr, "read_u8")
 
     def read_u16(self, addr: int) -> int:
-        ram0 = self._ram0
+        ram0 = self.ram0
         if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
             return ram0.read_u16(addr)
         return self._access(addr, "read_u16")
 
     def read_u32(self, addr: int) -> int:
-        ram0 = self._ram0
+        ram0 = self.ram0
         if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
             return ram0.read_u32(addr)
         return self._access(addr, "read_u32")
 
     def write_u8(self, addr: int, value: int) -> None:
-        ram0 = self._ram0
+        ram0 = self.ram0
         if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
             ram0.write_u8(addr, value)
         else:
             self._access(addr, "write_u8", value)
 
     def write_u16(self, addr: int, value: int) -> None:
-        ram0 = self._ram0
+        ram0 = self.ram0
         if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
             ram0.write_u16(addr, value)
         else:
             self._access(addr, "write_u16", value)
 
     def write_u32(self, addr: int, value: int) -> None:
-        ram0 = self._ram0
+        ram0 = self.ram0
         if ram0 is not None and ram0.base <= addr < ram0.base + ram0.size:
             ram0.write_u32(addr, value)
         else:

@@ -71,6 +71,10 @@ class Cache:
         set_idx = line % self.num_sets
         tag = line // self.num_sets
         ways = self._sets[set_idx]
+        if ways and ways[0] == tag:
+            # A hit in the MRU way leaves the LRU order as it is.
+            self.stats.hits += 1
+            return self.hit_latency
         if tag in ways:
             ways.remove(tag)
             ways.insert(0, tag)

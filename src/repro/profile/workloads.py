@@ -134,9 +134,9 @@ loop:
 
 
 def _chain_trampoline(iters: int) -> str:
-    """Straight-line ALU work spread over three blocks joined by
-    unconditional jumps plus the loop's backward branch — every block
-    transition is chainable."""
+    """Straight-line ALU work split by two unconditional jumps plus the
+    loop's backward branch.  A block continues through each ``j``, so
+    the translation cache makes the loop one self-looping block."""
     return f"""
 _start:
     li t0, {iters}

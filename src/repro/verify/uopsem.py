@@ -32,7 +32,14 @@ status-2 exit with an INTERCEPT trap carrying the word at its pc) and
 with the ``mexit`` redirect that for ``mexitm`` reports the register
 ``m26 & 31`` it commits; ``exit_metal()``'s resume pc; and for
 ``mexitm`` the commit of m27 into ``x[m26 & 31]`` after the final
-spill).
+spill).  One ``jal`` rule serves the terminating ``jal`` and a ``jal``
+the block continues through (an entry without ``F_TERM``): both are
+fetched, retired, charged the jump (``jump_penalty``, or a ``note_op``
+with the ``jal`` redirect) and write their link register, and only the
+terminating one exits.  The reference takes the pc every entry must
+have from the entry before it (the next word, or a continued
+``jal``'s target), so a block that does not follow its own control
+flow is outside the model.
 
 The semantic tables (:data:`IMM_SEM`, :data:`REG_SEM`,
 :data:`BRANCH_SEM`, :data:`IR_RULES`) are deliberately exhaustive and
@@ -741,7 +748,11 @@ class _Ref:
             fall.next_pc = (pc + 4) & M32
             pending.append(fall)
 
-    def do_jal(self, index: int, instr, pc: int, pending: list) -> None:
+    def do_jal(self, index: int, instr, pc: int, flags: int,
+               pending: list) -> None:
+        """A ``jal``: fetched, retired, charged the jump and its link
+        written; a terminating one then exits to its target, and one the
+        block continues through (no ``F_TERM``) does not exit."""
         st = self.st
         target = (pc + instr.imm) & M32
         fetch = self.fetch(st, index)
@@ -749,6 +760,8 @@ class _Ref:
         self.charge(st, fetch, rd=instr.rd, control="jal")
         if instr.rd:
             self.set_reg(instr.rd, (pc + 4) & M32, st)
+        if not flags & F_TERM:
+            return
         if self.info.looped and target == self.block.start:
             st = self.st = self._try_loopback(st, self._loop_guard(st))
         st.next_pc = target
@@ -807,10 +820,19 @@ class _Ref:
             self.generalize(st)
         self.st = st
         pending = []
+        # The pc the next entry must have: the one after the entry
+        # before it, or that entry's target when it is a jal the block
+        # continues through.
+        expect = self.block.start
         for index, entry in enumerate(self.block.entries):
             if self.st is None:
                 break  # a statically-certain trap ended every path
             instr, pc, flags = entry
+            if pc != expect:
+                raise UnsupportedBlock(
+                    f"entry at {pc:#x} does not follow the one before "
+                    f"it (expected {expect:#x})")
+            expect = (pc + 4) & M32
             if flags == F_TERM | F_ICEPT:
                 self.flush_units(self.st)
                 self.do_intercept(index, instr, pc)
@@ -832,7 +854,8 @@ class _Ref:
             elif cls is InstrClass.BRANCH:
                 self.do_branch(index, instr, pc, pending)
             elif cls is InstrClass.JAL:
-                self.do_jal(index, instr, pc, pending)
+                self.do_jal(index, instr, pc, flags, pending)
+                expect = (pc + instr.imm) & M32
             elif cls is InstrClass.JALR:
                 self.do_jalr(index, instr, pc, pending)
             elif cls is InstrClass.MULDIV:
@@ -854,9 +877,9 @@ class _Ref:
                 self.st = None
                 break
         if self.st is not None:
-            # Length-limited block: falls through to its end address.
+            # No terminator: the block runs off its last entry.
             self.flush_units(self.st)
-            self.st.next_pc = self.block.end
+            self.st.next_pc = expect
             pending.append(self.st)
         for p in pending:
             self.ret0(p)

@@ -97,3 +97,59 @@ def test_rerun_is_deterministic(addresses):
     lat1 = [c1.access(a) for a in addresses]
     lat2 = [c2.access(a) for a in addresses]
     assert lat1 == lat2
+
+
+class TestMruHit:
+    """``Cache.access`` returns at once on a hit in a set's MRU way."""
+
+    def test_mru_hit_keeps_the_lru_order(self):
+        c = make_cache(ways=4, size=2048)
+        set_stride = c.num_sets * c.line_size
+        for k in (3, 2, 1, 0):
+            c.access(k * set_stride)
+        order = list(c._sets[0])
+        assert c.access(8) == c.hit_latency   # line 0, the MRU way
+        assert c._sets[0] == order
+        assert (c.stats.hits, c.stats.misses) == (1, 4)
+
+    def test_hit_in_another_way_moves_it_to_the_front(self):
+        c = make_cache(ways=4, size=2048)
+        set_stride = c.num_sets * c.line_size
+        for k in (3, 2, 1, 0):
+            c.access(k * set_stride)
+        assert c.access(2 * set_stride) == c.hit_latency
+        assert c._sets[0] == [2, 0, 1, 3]
+
+
+def _lru_reference(cache, addresses):
+    """Plain LRU: every hit moves its tag to the front of the set."""
+    sets = [[] for _ in range(cache.num_sets)]
+    latencies = []
+    hits = misses = 0
+    for addr in addresses:
+        line = addr // cache.line_size
+        ways = sets[line % cache.num_sets]
+        tag = line // cache.num_sets
+        if tag in ways:
+            ways.remove(tag)
+            ways.insert(0, tag)
+            hits += 1
+            latencies.append(cache.hit_latency)
+        else:
+            ways.insert(0, tag)
+            del ways[cache.ways:]
+            misses += 1
+            latencies.append(cache.hit_latency + cache.miss_latency)
+    return latencies, hits, misses, sets
+
+
+@given(st.lists(st.integers(0, 0x7FF), min_size=1, max_size=200),
+       st.sampled_from((1, 2, 4)))
+def test_access_matches_plain_lru(addresses, ways):
+    """Latencies, counts and every set's order agree with plain LRU.
+    Each set sees four tags, so hits in the MRU way, hits in other ways
+    and evictions all occur."""
+    c = make_cache(ways=ways)
+    latencies = [c.access(a) for a in addresses]
+    expected = _lru_reference(make_cache(ways=ways), addresses)
+    assert (latencies, c.stats.hits, c.stats.misses, c._sets) == expected

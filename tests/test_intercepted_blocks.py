@@ -95,6 +95,8 @@ SKIPBAD = MRoutine(name="skipbad", entry=5, mregs=(16, 17), source="""
 
 #: Turns the ``lw`` rule (handler ``emul``) off if it is on, else on:
 #: its one ``mexit`` block returns to the same pc under both rule sets.
+#: Both arms reach it by a branch: a block continues through a ``j``,
+#: which would give each arm its own ``mexit`` block.
 FLIP = MRoutine(name="flip", entry=6, mregs=(18, 19, 20), source=f"""
     wmr  m18, t0
     wmr  m19, t1
@@ -104,11 +106,11 @@ FLIP = MRoutine(name="flip", entry=6, mregs=(18, 19, 20), source=f"""
     li   t1, MR_EMUL
     micept t0, t1
     li   t1, 1
-    j    flipped
+    beq  zero, zero, flipped
 flip_off:
     miceptd t0
     li   t1, 0
-    j    flipped
+    beq  zero, zero, flipped
 flipped:
     wmr  m20, t1
     rmr  t1, m19

@@ -115,9 +115,8 @@ GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
         while True:
             r6 = (r6 + 1) & 4294967295
             r5 = (r5 + -1) & 4294967295
-            retired += 2
             cyc += 2 * bc
-            retired += 1
+            retired += 3
             if r5 != 0:
                 cyc += bc + _bt
                 if loops < limit and budget - retired >= 3:
@@ -163,8 +162,7 @@ GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
             regs[6] = (regs[6] + 1) & 4294967295
             regs[5] = (regs[5] + -1) & 4294967295
             note_run(_q0, None, bc)
-            retired += 2
-            retired += 1
+            retired += 3
             if regs[5] != 0:
                 note_op(_ml, 5, 0, 0, 0, False, 0, 'branch')
                 if loops < limit and budget - retired >= 3:

@@ -24,9 +24,11 @@ pipeline engine (interpreter against the chained tcache, caches on),
 whose compiled code feeds the scoreboard one run schedule or one
 inlined entry at a time, and also compares the three stall counters.
 Besides the default programs, all eight machines run the intercepting
-``icept`` seeds and 40 seeds of extension programs (divides,
+``icept`` seeds, 40 seeds of extension programs (divides,
 misaligned accesses, ``ecall`` handlers ending in ``mexitm``, live
-timer interrupts).
+timer interrupts) and 20 seeds of ``calls`` programs, whose blocks
+continue through ``jal ra`` into leaf functions that return through
+``jalr``.
 
 Seeds are deterministic and appear both in the test id and in every
 assertion message, so a failure is reproducible with e.g.::
@@ -125,6 +127,9 @@ def pytest_generate_tests(metafunc):
     if "ext_seed" in metafunc.fixturenames:
         metafunc.parametrize("ext_seed", range(EXT_SEEDS),
                              ids=[f"ext{i}" for i in range(EXT_SEEDS)])
+    if "calls_seed" in metafunc.fixturenames:
+        metafunc.parametrize("calls_seed", range(CALLS_SEEDS),
+                             ids=[f"calls{i}" for i in range(CALLS_SEEDS)])
 
 
 def test_differential(seed):
@@ -157,6 +162,16 @@ def test_differential_extensions(ext_seed):
     """Extension programs on all eight machines, so the caches-on
     functional and pipeline pairs see them too."""
     _lockstep(ext_seed, EXT_CONFIG)
+
+
+CALLS_SEEDS = 20
+
+
+def test_differential_calls(calls_seed):
+    """Programs that call leaf functions through ``jal ra``, on all
+    eight machines: the only generated ``jal`` that writes a link
+    register, which a block continuing through it must write."""
+    _lockstep(calls_seed, GenConfig(calls=1.0))
 
 
 def _lockstep(seed, config):

@@ -13,9 +13,11 @@ Four angles:
   access, a wrong ``note_run`` schedule, an ``mexit`` without its cost,
   an ``ecall`` exit without its fetch or hit credit, an intercept exit
   without its fetch, hit credit or fetch-latency charge or with the
-  wrong epc, an ``mexitm`` commit before the final spill, or a wrong
+  wrong epc, an ``mexitm`` commit before the final spill, a wrong
   ``note_op`` report (a taken branch without its redirect, a load as a
-  non-load, an ``mexitm`` committing x0) makes the validator fail the
+  non-load, an ``mexitm`` committing x0), or a ``jal`` its block
+  continues through without its link write or its jump charge makes
+  the validator fail the
   affected block with a precise citation (the acceptance property: a
   wrong compiler cannot pass);
 * exhaustiveness — every uop IR kind and every ALU/branch mnemonic the
@@ -26,6 +28,7 @@ Four angles:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import pathlib
 
 import pytest
@@ -641,6 +644,91 @@ def test_detects_broken_intercept_exit(monkeypatch, drop, modes):
         findings, _, _ = _intercept_findings(mode)
         assert findings, f"{mode}: intercept exit without its {drop}"
         assert all(f.where.startswith("mem:0x") for f in findings)
+
+
+# ---------------------------------------------------------------------------
+# the jal a block continues through
+# ---------------------------------------------------------------------------
+
+#: The loop's block continues through ``jal ra, leaf`` and the leaf's
+#: ``j`` and ends at its ``jalr`` return.  ra starts at the return
+#: address, so a codegen that drops the link write still runs the same
+#: path.
+JUMP_LOOP = """
+_start:
+    li   ra, ret
+    li   s0, 6
+loop:
+    addi a0, a0, 1
+    jal  ra, leaf
+ret:
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+leaf:
+    addi a1, a1, 2
+    j    leaf_ret
+    nop
+leaf_ret:
+    jalr zero, 0(ra)
+"""
+
+
+def _jump_findings(mode):
+    """Run JUMP_LOOP in codegen *mode* (one of :data:`ICEPT_MODES`);
+    returns the findings of every compiled block and the number of
+    compiled ``jal`` entries their blocks continue through."""
+    engine, caches = ICEPT_MODES[mode]
+    machine = build_metal_machine([], config=MachineConfig(
+        engine=engine, with_caches=caches))
+    machine.load_and_run(JUMP_LOOP, base=CODE_BASE)
+    tc = machine.sim.tcache
+    blocks = list(tc.iter_jit_blocks())
+    return ([f for ns, b in blocks
+             for f in validate_block(ns, b, tc.line_size, tc.scoreboard)],
+            sum(1 for _ns, b in blocks for instr, _pc, flags in b.entries
+                if instr.mnemonic == "jal" and not flags & tcache_mod.F_TERM))
+
+
+@pytest.mark.parametrize("mode", sorted(ICEPT_MODES))
+def test_continued_jals_validate_clean(mode):
+    findings, continued = _jump_findings(mode)
+    assert findings == []
+    assert continued >= 2
+
+
+def _mutant_continued_jal(drop):
+    """``_emit_jal`` that, for a ``jal`` its block continues through,
+    drops the link write (``link``) or the jump's charge (``charge``:
+    the analytic modes' ``jump_penalty``, the scoreboard's ``jal``
+    redirect)."""
+    real = jit._Codegen._emit_jal
+
+    def emit_jal(self, index, instr, pc, flags):
+        if flags & tcache_mod.F_TERM:
+            real(self, index, instr, pc, flags)
+        elif drop == "link":
+            real(self, index, dataclasses.replace(instr, rd=0), pc, flags)
+        else:
+            charge = self.charge
+            self.charge = lambda fetch, **kw: charge(
+                fetch, **{**kw, "control": None})
+            real(self, index, instr, pc, flags)
+            del self.charge
+    return emit_jal
+
+
+@pytest.mark.parametrize("mode", sorted(ICEPT_MODES))
+@pytest.mark.parametrize("drop", ("link", "charge"))
+def test_detects_broken_continued_jal(monkeypatch, drop, mode):
+    """A continued ``jal`` that drops its link write, or charges no jump
+    penalty (reports no redirect to the scoreboard), fails validation
+    on the loop's mem block."""
+    monkeypatch.setattr(jit._Codegen, "_emit_jal",
+                        _mutant_continued_jal(drop))
+    findings, _ = _jump_findings(mode)
+    assert findings, f"{mode}: continued jal without its {drop}"
+    assert all(f.where.startswith("mem:0x") for f in findings)
 
 
 # ---------------------------------------------------------------------------
