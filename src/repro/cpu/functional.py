@@ -267,10 +267,6 @@ class FunctionalSimulator:
     def tcache(self) -> TranslationCache:
         return self._tcache
 
-    def flush_tcache(self) -> None:
-        """Drop every compiled block (snapshot restore, tests)."""
-        self._tcache.flush_all()
-
     # ------------------------------------------------------------------
     # profiling / per-step hooks (see repro.profile)
     # ------------------------------------------------------------------

@@ -27,8 +27,8 @@ class TcacheStats:
     misses: int = 0
     #: Blocks evicted by write notifications / MRAM reloads.
     invalidations: int = 0
-    #: Whole-namespace flushes (snapshot restore, tcache flushes,
-    #: intercept rule changes).
+    #: Whole-namespace flushes of the mem blocks (intercept rule
+    #: changes).
     flushes: int = 0
     #: Guest instructions retired through the block fast path.
     fast_instructions: int = 0

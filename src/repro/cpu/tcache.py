@@ -668,18 +668,13 @@ class TranslationCache:
                 self.sink.tcache_event("flush", "mem", 0, count)
         self.stats.flushes += 1
 
-    def flush_all(self) -> None:
-        """Drop everything (snapshot restore, tests)."""
-        self.flush_mem()
-        self._expire_mram(None)
-
     def _expire_mram(self, version) -> None:
         """Drop the mram namespace and compile for MRAM code *version*
-        next (None: unknown, after :meth:`flush_all`).  This is the lazy
-        invalidation after an mroutine load/unload bumped the code
-        version: the blocks are marked invalid (not just unreachable) so
-        chain links held by surviving predecessors can never be
-        followed into the stale code."""
+        next.  This is the lazy invalidation after an mroutine
+        load/unload (or a snapshot restore) bumped the code version:
+        the blocks are marked invalid (not just unreachable) so chain
+        links held by surviving predecessors can never be followed into
+        the stale code."""
         if self._mram:
             count = len(self._mram)
             for block in self._mram.values():

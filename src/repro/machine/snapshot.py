@@ -8,6 +8,16 @@ guest may have changed between snapshot and restore.  Device-internal
 state (queues, countdowns) is deliberately *not* captured — snapshots
 model checkpointing the processor, not the world.
 
+RAM is captured sparsely: ``MachineSnapshot.ram`` is the RAM size and
+:meth:`PhysicalMemory.pages`, the 4 KiB pages that hold a non-zero
+byte, so a booted machine's capsule is kilobytes, not the whole RAM.
+The capsule is self-contained: a restore makes RAM equal it whatever
+the target machine held (:meth:`PhysicalMemory.load_pages`), writing
+only the pages whose bytes differ, through the RAM write hook.  The
+translation cache therefore evicts only the blocks on rewritten pages,
+and a warm start or a resume keeps the code compiled from every other
+page.
+
 Used by tests for A/B experiments (run, snapshot, perturb, restore), the
 MFI fault-injection recovery layer (periodic checkpoints + retry, see
 docs/FAULTS.md) and as a building block for nested-Metal context
@@ -33,7 +43,7 @@ class MachineSnapshot:
     csrs: dict
     tlb_entries: list
     tlb_state: tuple            # (enabled, asid, pkr, replace_ptr)
-    ram: bytes
+    ram: tuple                  # (size, PhysicalMemory.pages())
     metal: dict = field(default_factory=dict)
 
 
@@ -55,7 +65,7 @@ def take_snapshot(machine) -> MachineSnapshot:
         tlb_entries=copy.deepcopy(core.tlb.entries),
         tlb_state=(core.tlb.enabled, core.tlb.current_asid, core.tlb.pkr,
                    core.tlb._replace_ptr),
-        ram=bytes(machine.ram.data),
+        ram=(machine.ram.size, machine.ram.pages()),
     )
     if core.metal is not None:
         snap.metal = {
@@ -78,6 +88,10 @@ def take_snapshot(machine) -> MachineSnapshot:
 
 def restore_snapshot(machine, snap: MachineSnapshot) -> None:
     """Restore *machine* to *snap* (taken from the same configuration)."""
+    size, pages = snap.ram
+    if size != machine.ram.size:
+        raise ValueError(f"capsule holds {size} bytes of RAM, "
+                         f"the machine has {machine.ram.size}")
     core = machine.core
     core.regs = list(snap.regs)
     core.pc = snap.pc
@@ -90,12 +104,9 @@ def restore_snapshot(machine, snap: MachineSnapshot) -> None:
     core.tlb.entries = copy.deepcopy(snap.tlb_entries)
     (core.tlb.enabled, core.tlb.current_asid, core.tlb.pkr,
      core.tlb._replace_ptr) = snap.tlb_state
-    # RAM is replaced wholesale (bypassing the bus write hooks), so any
-    # predecoded translations of the old contents must be dropped.
-    machine.ram.data[:] = snap.ram
-    flush = getattr(machine.sim, "flush_tcache", None)
-    if flush is not None:
-        flush()
+    # Each rewritten page goes through the write hook, which evicts the
+    # blocks compiled from it; blocks on unchanged pages stay valid.
+    machine.ram.load_pages(pages)
     if core.metal is not None and snap.metal:
         core.metal.in_metal = snap.metal["in_metal"]
         core.metal.mregs.restore(snap.metal["mregs"])
@@ -117,8 +128,8 @@ def restore_snapshot(machine, snap: MachineSnapshot) -> None:
             core.metal.delivery.restore_state(delivery)
         # Mem blocks are compiled under one rule set: the next
         # normal-mode dispatch selects the restored set by its
-        # signature, which restore_rules recomputes (and the flush above
-        # dropped every block anyway).
+        # signature, which restore_rules recomputes, and flushes the
+        # mem blocks if it differs.
         rules = snap.metal.get("intercept_rules")
         if (rules is not None
                 and hasattr(core.metal.intercept, "restore_rules")):

@@ -7,6 +7,12 @@ import struct
 
 from repro.errors import BusError
 
+#: Granule of :meth:`PhysicalMemory.pages` (the tcache's eviction page).
+PAGE_BYTES = 4096
+#: Scan stride: a zero chunk is skipped with one compare.
+CHUNK_BYTES = 64 * 1024
+_ZEROS = memoryview(bytes(CHUNK_BYTES))
+
 
 class PhysicalMemory:
     """A little-endian RAM region of a fixed size.
@@ -90,3 +96,39 @@ class PhysicalMemory:
     def contains(self, addr: int) -> bool:
         """True if *addr* falls inside this region."""
         return self.base <= addr < self.base + self.size
+
+    # -- sparse images (snapshot capsules) --------------------------------
+    def _holds(self, off: int, stop: int, expect) -> bool:
+        """Whether bytes ``[off, stop)`` equal *expect*, compared in
+        place (``mmap.find`` of a needle as long as the range)."""
+        return self.data.find(expect, off, stop) == off
+
+    def _spans(self, keep=()):
+        """``(off, stop)`` of every page, except in the all-zero
+        :data:`CHUNK_BYTES` chunks holding no offset of *keep*: those
+        are skipped with one compare."""
+        size = self.size
+        kept = {off - off % CHUNK_BYTES for off in keep}
+        for chunk in range(0, size, CHUNK_BYTES):
+            end = min(chunk + CHUNK_BYTES, size)
+            if chunk in kept or not self._holds(chunk, end,
+                                                _ZEROS[:end - chunk]):
+                for off in range(chunk, end, PAGE_BYTES):
+                    yield off, min(off + PAGE_BYTES, end)
+
+    def pages(self) -> dict:
+        """``{offset: bytes}`` for every :data:`PAGE_BYTES` page that
+        holds a non-zero byte (the last page may be short), found
+        without copying the rest of RAM."""
+        return {off: self.data[off:stop] for off, stop in self._spans()
+                if not self._holds(off, stop, _ZEROS[:stop - off])}
+
+    def load_pages(self, pages: dict) -> None:
+        """Make RAM equal the image *pages* (from :meth:`pages`; a page
+        missing from it is zero).  Only the pages whose bytes differ are
+        rewritten, each through :meth:`write_bytes`, so the write hook
+        reports exactly the changed pages."""
+        for off, stop in self._spans(pages):
+            want = pages.get(off, _ZEROS[:stop - off])
+            if not self._holds(off, stop, want):
+                self.write_bytes(self.base + off, want)

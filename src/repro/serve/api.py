@@ -190,7 +190,7 @@ def architectural_digest(machine, console_text: str = None) -> dict:
         "pc": core.pc,
         "halted": core.halted,
         "instret": core.instret,
-        "ram_sha": hashlib.sha256(bytes(machine.ram.data)).hexdigest(),
+        "ram_sha": hashlib.sha256(machine.ram.data).hexdigest(),
         "console": (machine.output if console_text is None else console_text),
     }
     if core.metal is not None:

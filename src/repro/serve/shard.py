@@ -9,7 +9,9 @@ A shard owns real simulation state and *keeps* it between requests:
   request for a config pays the full boot (build machine, load
   mroutines + MAS analysis, assemble, load — the *cold* path); every
   later request restores the pooled snapshot instead (*warm*), which
-  the serving benchmark shows is well over 2x faster.
+  the serving benchmark shows is well over 2x faster.  A restore
+  rewrites only the RAM pages that differ, so the machine keeps the
+  code compiled from every other page.
 
 Execution is **preemptive**: each dispatch runs at most one *quantum*
 of instructions through the engines' exact-budget stepping.  A job that
@@ -76,30 +78,38 @@ class ShardWorker:
         machine.core.pc = program.symbols.get("_start", spec.base)
         return machine, MetricsRegistry(machine)
 
-    def acquire(self, spec: JobSpec):
+    def acquire(self, spec: JobSpec, resume=None):
         """``(machine, registry, warm, setup_seconds)`` ready to run.
 
-        Warm: restore the pooled boot snapshot (cheap).  Cold: boot,
-        then seed the pool so the next request for this config is warm.
+        Warm: restore the pooled machine to *resume* (a preempted job's
+        capsule) or else to its boot snapshot.  Cold: boot, seed the
+        pool so the next request for this config is warm, then restore
+        *resume* if given.  Either way the machine is restored once,
+        and only the RAM pages that differ are rewritten, so the code
+        compiled from every other page stays warm.
         """
         key = spec.config_key
         t0 = perf_counter()
-        entry = self._pool.get(key)
-        if entry is not None:
+        entry = self._pool.pop(key, None)
+        warm = entry is not None
+        if warm:
             machine, registry, boot_snap = entry
-            machine.restore(boot_snap)
-            machine.console.clear_output()
-            self._pool.pop(key)
+            machine.restore(boot_snap if resume is None else resume)
             self._pool[key] = entry          # refresh LRU position
             self.stats["warm_starts"] += 1
-            return machine, registry, True, perf_counter() - t0
-        machine, registry = self._boot(spec)
-        self._pool[key] = (machine, registry, machine.take_snapshot())
-        while len(self._pool) > self._capacity:
-            self._pool.pop(next(iter(self._pool)))
-            self.stats["pool_evictions"] += 1
-        self.stats["cold_boots"] += 1
-        return machine, registry, False, perf_counter() - t0
+        else:
+            machine, registry = self._boot(spec)
+            self._pool[key] = (machine, registry, machine.take_snapshot())
+            while len(self._pool) > self._capacity:
+                self._pool.pop(next(iter(self._pool)))
+                self.stats["pool_evictions"] += 1
+            if resume is not None:
+                machine.restore(resume)
+            self.stats["cold_boots"] += 1
+        if resume is not None:
+            self.stats["resumes"] += 1
+        machine.console.clear_output()
+        return machine, registry, warm, perf_counter() - t0
 
     # -- one dispatch -------------------------------------------------------
     def execute(self, job: dict) -> dict:
@@ -121,12 +131,10 @@ class ShardWorker:
             "result": None, "error": None, "snapshot": None,
         }
         try:
-            machine, registry, warm, setup = self.acquire(spec)
-            if job.get("resume") is not None:
-                # Migration/continuation: overwrite the boot state with
-                # the preempted job's capsule (shipped via the queue).
-                machine.restore(job["resume"])
-                self.stats["resumes"] += 1
+            # Migration/continuation: the preempted job's capsule
+            # (shipped via the queue) replaces the boot state.
+            machine, registry, warm, setup = self.acquire(
+                spec, job.get("resume"))
             response["warm"] = warm
             response["setup_seconds"] = setup
 

@@ -24,8 +24,10 @@ without telling the translation cache:
   in the same function (the tcache's lazy invalidation token);
 * any :class:`~repro.mem.memory.PhysicalMemory` method that mutates
   ``self.data`` must fire ``self.write_hook`` (the tcache's SMC
-  eviction feed), and whole-RAM replacement outside the class must
-  flush the tcache;
+  eviction feed), and a RAM write in ``machine/snapshot.py``, outside
+  the class, must flush the tcache (a snapshot restore goes through
+  ``PhysicalMemory.load_pages``, whose writes fire the hook, so a
+  correct restore has no such write);
 * any function that marks a translation block ``valid = False`` must
   also sever ``jit_fn`` so a stale compiled function can never be
   re-entered through a held reference;
@@ -442,7 +444,9 @@ def check_eviction_completeness(override_sources=None) -> list:
                     detail=f"line {mutates[0].lineno}",
                 ))
 
-    # Rule 2b: whole-RAM replacement outside the class flushes the tcache.
+    # Rule 2b: a RAM write in snapshot.py, outside the class, bypasses
+    # the write hook, so it must flush the tcache.  Restores go through
+    # PhysicalMemory.load_pages instead and leave nothing to check.
     for relpath in ("machine/snapshot.py",):
         tree = ast.parse(_source(relpath, override_sources))
         for qualname, fn in _functions(tree):

@@ -396,9 +396,9 @@ def test_stale_intercept_block_ends_the_run(monkeypatch, engine):
 @pytest.mark.parametrize("caches", CACHES)
 @pytest.mark.parametrize("engine", ENGINES)
 def test_restore_drops_patched_blocks(engine, caches):
-    """A snapshot restore replaces RAM without the write hook: its flush
-    drops the blocks compiled from code patched after the snapshot,
-    under either rule set, so the patch never runs again."""
+    """A snapshot restore rewrites the patched page through the write
+    hook, which drops the blocks compiled from code patched after the
+    snapshot, under either rule set, so the patch never runs again."""
     symbols = _machine(engine, caches, False).assemble(
         TOGGLE, base=0x1000).symbols
     sub = _machine(engine, caches, False).assemble(

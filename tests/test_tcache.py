@@ -353,7 +353,7 @@ def test_perf_counters_surface():
     assert "host MIPS" in summary and "hit rate" in summary
 
 
-def test_snapshot_restore_flushes():
+def test_snapshot_restore_evicts_patched_code():
     from repro.machine.snapshot import restore_snapshot, take_snapshot
 
     noop = MRoutine(name="noop", entry=0, source="mexit\n")
@@ -365,7 +365,7 @@ def test_snapshot_restore_flushes():
     snap = take_snapshot(machine)
     machine.run(max_instructions=10_000)
     assert machine.reg("a0") == 101
-    # Restore rewrites RAM wholesale (bypassing write hooks); cached
+    # Restore rewrites the patched page through the write hook; cached
     # translations of the patched code must not survive.
     restore_snapshot(machine, snap)
     machine.run(max_instructions=10_000)
@@ -474,8 +474,9 @@ mid:
 
 
 def test_snapshot_restore_severs_chains():
-    """flush_all on snapshot restore must also kill chained successors:
-    a link into a dropped block may never execute stale code."""
+    """The eviction on snapshot restore must also kill chained
+    successors: a link into a dropped block may never execute stale
+    code."""
     from repro.machine.snapshot import restore_snapshot, take_snapshot
 
     noop = MRoutine(name="noop", entry=0, source="mexit\n")

@@ -102,6 +102,22 @@ def test_missing_highwater_advance_is_detected():
     assert "code_used_bytes advance" in findings[0].message
 
 
+def test_unhooked_ram_restore_is_detected():
+    # A restore that assigns guest RAM directly, instead of going
+    # through load_pages (whose writes fire the hook), and flushes
+    # nothing would leave blocks compiled from the old bytes live.
+    override = _mutated(
+        "machine/snapshot.py",
+        "    machine.ram.load_pages(pages)\n",
+        "    machine.ram.data[:] = bytes(size)\n")
+    findings = check_eviction_completeness(override_sources=override)
+    assert len(findings) == 1
+    finding = findings[0]
+    assert finding.pass_name == "eviction"
+    assert "restore_snapshot" in finding.where
+    assert "without flushing the tcache" in finding.message
+
+
 def test_missing_jit_eviction_is_detected():
     # Invalidating a block without dropping its compiled function leaves
     # the dispatcher a stale jit_fn to call.
