@@ -26,15 +26,12 @@ from repro.errors import (
 from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import StepInfo, execute
 from repro.cpu.stats import PerfCounters
-from repro.cpu.tcache import (
-    F_CSR, F_ICEPT, F_STORE, F_SYNC, F_TERM, TranslationCache, entry_index,
-)
+from repro.cpu.tcache import F_ICEPT, TranslationCache, entry_index
 from repro.cpu.timing import TimingModel
 from repro.isa.decoder import decode
 from repro.isa.instruction import InstrClass
 from repro.isa.opcodes import SPECS
 from repro.mem.mmio import NEVER
-from repro.profile.sink import StepHub
 
 _MULDIV_MNEMONICS = tuple(mnemonic for mnemonic, spec in SPECS.items()
                           if spec.cls is InstrClass.MULDIV)
@@ -186,9 +183,9 @@ class FunctionalSimulator:
     across Metal transitions (``menter``, ``mexit``/``mexitm``, a trap
     delivered to an mroutine), so hot traces never return to the
     dispatch loop.  A block runs as MJIT code, compiled at its first
-    dispatch, or entry by entry while a step hook is attached;
-    :meth:`step` remains the one-instruction-at-a-time reference path,
-    and all three produce bit-identical architectural state,
+    dispatch; :meth:`step` remains the one-instruction-at-a-time
+    reference path, which runs every instruction while a step hook is
+    subscribed, and the two produce bit-identical architectural state,
     instruction counts and cycle counts (see docs/PERF.md).  Live
     interrupts need no polling: a block runs off :meth:`step` only if
     it cannot reach the bus horizon (:class:`repro.mem.bus.MemoryBus`).
@@ -209,11 +206,9 @@ class FunctionalSimulator:
         self.timer = timer or SimpleTimer(core.timing)
         core.bus.clock = self.timer
         self._sync = self._horizon_sync()
-        #: Optional per-step hook: fn(StepInfo) (tracing/debugging).
-        #: Prefer :meth:`add_step_hook`, which multiplexes this slot.
-        self.trace_fn = None
-        self._step_hub = None
-        self._hub_dispatch = None
+        #: Per-step hooks, each called as fn(StepInfo) after every
+        #: instruction :meth:`step` retires (tracing, debugging).
+        self.step_hooks = []
         #: Host-side performance counters (see repro.cpu.stats).
         self.perf = PerfCounters()
         icache = core.icache
@@ -297,34 +292,15 @@ class FunctionalSimulator:
     def add_step_hook(self, fn) -> None:
         """Subscribe *fn(StepInfo)* to the per-step event stream.
 
-        Multiplexes the single ``trace_fn`` slot through a
-        :class:`repro.profile.sink.StepHub` so tracers, debuggers and
-        profilers can coexist; a raw ``trace_fn`` someone installed by
-        hand is absorbed into the hub and keeps firing.
+        While a hook is subscribed every instruction retires on
+        :meth:`step`, so the hooks see each one's StepInfo.
         """
-        hub = self._step_hub
-        if hub is None:
-            hub = self._step_hub = StepHub()
-            # Bind once: ``hub.dispatch`` makes a fresh bound method per
-            # access, which would defeat the identity tests below.
-            self._hub_dispatch = hub.dispatch
-        if self.trace_fn is not self._hub_dispatch:
-            if self.trace_fn is not None:
-                hub.fns.append(self.trace_fn)
-            self.trace_fn = self._hub_dispatch
-        hub.fns.append(fn)
+        self.step_hooks.append(fn)
 
     def remove_step_hook(self, fn) -> None:
-        """Unsubscribe *fn*; clears ``trace_fn`` when no hooks remain."""
-        hub = self._step_hub
-        if hub is None:
-            return
-        try:
-            hub.fns.remove(fn)
-        except ValueError:
-            return
-        if not hub.fns and self.trace_fn is self._hub_dispatch:
-            self.trace_fn = None
+        """Unsubscribe *fn*, if it is subscribed."""
+        if fn in self.step_hooks:
+            self.step_hooks.remove(fn)
 
     # ------------------------------------------------------------------
     @property
@@ -404,8 +380,10 @@ class FunctionalSimulator:
         core.pc = step.next_pc
         core.instret += 1
         self.timer.note(step)
-        if self.trace_fn is not None:
-            self.trace_fn(step)
+        if self.step_hooks:
+            # Looping over an empty list would still build an iterator.
+            for hook in self.step_hooks:
+                hook(step)
         self._sync_devices()
 
     # ------------------------------------------------------------------
@@ -546,9 +524,12 @@ class FunctionalSimulator:
         reach the bus horizon: no interrupt line can rise before it, so
         a block whose worst-case cycle bound (``block.bound``) ends
         short of it has no entry boundary at which :meth:`step` would
-        take one.  A dispatch that begins in
-        Metal mode keeps *stop_pc* for the normal-mode code its
-        ``mexit`` crosses into.
+        take one.  While a step hook is subscribed every block runs on
+        :meth:`step` this way, so the hooks see each StepInfo.  An
+        attached profile sink gets one trace record for what such a run
+        retired, headed at the block.  A dispatch that begins in Metal
+        mode keeps *stop_pc* for the normal-mode code its ``mexit``
+        crosses into.
         """
         core = self.core
         if core.waiting:
@@ -577,13 +558,21 @@ class FunctionalSimulator:
             at = entry_index(block, stop)
             if 0 <= at < count:
                 count = at
-        if (count < len(block.entries)
-                or self.timer.cycles + block.bound >= hz):
+        timer = self.timer
+        if (count < len(block.entries) or self.step_hooks
+                or timer.cycles + block.bound >= hz):
+            cycles0 = timer.cycles
+            instret0 = core.instret
             for _ in range(min(count, len(block.entries))):
                 pc = core.pc
                 self.step()
                 if core.halted or core.pc != pc + 4:
                     break
+            sink = self._profile_sink
+            if sink is not None and core.instret > instret0:
+                sink.note_trace("mram" if mram else "mem", block.start, 0,
+                                core.instret - instret0, timer.cycles,
+                                timer.cycles - cycles0)
             return
         self._exec_block(block, budget, stop_pc, mram, hz)
 
@@ -626,11 +615,9 @@ class FunctionalSimulator:
         a chained successor is entered only under the same three
         conditions.  A load or store that pulls the bus horizon below
         *hz* (a timer armed, a fault injected from inside an MMIO
-        access) ends the dispatch at the next entry boundary.  Each
-        block of the dispatch runs one of two ways, decided once: while
-        a step hook is attached, the per-entry loop hands every entry
-        to ``execute()``; otherwise the block's MJIT function runs,
-        compiled at its first dispatch.
+        access) ends the dispatch at the next entry boundary.  Every
+        block of the dispatch runs as its MJIT function, compiled at its
+        first dispatch.
 
         On a Metal machine with no profile sink attached, the chain
         also *crosses* namespaces: after a block whose exit switched
@@ -647,7 +634,6 @@ class FunctionalSimulator:
         timer = self.timer
         bus = core.bus
         metal = core.metal
-        trace = self.trace_fn
         stats = self.perf.tcache
         tcache = self._tcache
         sink = self._profile_sink
@@ -664,11 +650,7 @@ class FunctionalSimulator:
             code, stop = bus, stop_pc
         chain_next = tcache.chain_next
         sync = self._sync
-        note = timer.note
-        f_sync, f_csr, f_term = F_SYNC, F_CSR, F_TERM
-        f_break = F_TERM | F_STORE | F_SYNC
         live = hz < MASKED
-        guarded = trace is not None
         # An MPROF trace record covers one namespace.
         crossing = metal is not None and sink is None
         instret0 = core.instret
@@ -681,90 +663,34 @@ class FunctionalSimulator:
 
         try:
             while True:
-                if guarded:
-                    # Per-entry loop: ``execute()`` per entry, so the step
-                    # hook sees every StepInfo.  In Metal mode every fetch
-                    # comes from MRAM at ``mram_fetch`` cost, with no
-                    # I-cache access.
-                    status = 0
-                    icache = None if mram else core.icache
-                    icache_access = (icache.access if icache is not None
-                                     else None)
-                    latency = (core.timing.mram_fetch if mram
-                               else core.timing.mem_latency)
-                    for instr, pc, flags in block.entries:
-                        if flags:
-                            if flags & F_ICEPT:
-                                # An intercepted word (``instr`` is the
-                                # raw word): fetched, then delivered.
-                                timer.note_event(
-                                    icache_access(pc)
-                                    if icache_access is not None
-                                    else latency)
-                                trap = TrapException(Cause.INTERCEPT, instr)
-                                status = 2
-                                break
-                            if flags & f_sync:
-                                sync()
-                                if not block.valid:
-                                    # DMA rewrote this page; core.pc == pc.
-                                    status = 1
-                                    break
-                            if flags & f_csr:
-                                core._timer_cycles = timer.cycles
-                        fetch = (icache_access(pc) if icache_access is not None
-                                 else latency)
-                        try:
-                            step = execute(core, instr, pc,
-                                           fetch_latency=fetch)
-                        except TrapException as exc:
-                            trap = exc
-                            status = 2
-                            break
-                        core.pc = step.next_pc
-                        core.instret += 1
-                        retired += 1
-                        note(step)
-                        if trace is not None:
-                            trace(step)
-                        if flags & f_break:
-                            if flags & f_term:
-                                break
-                            if not block.valid or live and bus.horizon < hz:
-                                # The access evicted this block (self-
-                                # modifying code) or pulled the horizon in:
-                                # re-dispatch from core.pc.
-                                status = 1
-                                break
-                else:
-                    # Compiled code (MJIT, repro.cpu.jit).  The function
-                    # owns the timer, the I-cache fetch plan and the register
-                    # file for its block; ``core.pc`` and ``core.instret``
-                    # are published here.
-                    jfn = block.jit_fn or tcache.jit_compile(block, mram)
-                    if block.looped:
-                        # An internalised iteration takes at most
-                        # block.bound cycles: allow only those that end
-                        # short of the interrupt horizon.
-                        limit = chain_limit - chained
-                        if live:
-                            fit = (hz - timer.cycles - 1) // block.bound - 1
-                            if fit < limit:
-                                limit = fit
-                    status, next_pc, jret, jloops, trap = jfn(
-                        core, block, timer, sync, budget - retired,
-                        instret0 + retired, limit, hz)
-                    retired += jret
-                    if jloops:
-                        # Internalised self-loop iterations are chain
-                        # transitions the caller would have made.
-                        chained += jloops
-                        stats.chain_hits += jloops
-                        if chained > stats.chain_longest:
-                            stats.chain_longest = chained
-                    # 1: invalidated mid-trace or horizon pulled in;
-                    # 2: trap at next_pc.
-                    core.pc = next_pc
+                # MJIT code (repro.cpu.jit).  The function owns the timer,
+                # the I-cache fetch plan and the register file for its
+                # block; ``core.pc`` and ``core.instret`` are published
+                # here.
+                jfn = block.jit_fn or tcache.jit_compile(block, mram)
+                if block.looped:
+                    # An internalised iteration takes at most block.bound
+                    # cycles: allow only those that end short of the
+                    # interrupt horizon.
+                    limit = chain_limit - chained
+                    if live:
+                        fit = (hz - timer.cycles - 1) // block.bound - 1
+                        if fit < limit:
+                            limit = fit
+                status, next_pc, jret, jloops, trap = jfn(
+                    core, block, timer, sync, budget - retired,
+                    instret0 + retired, limit, hz)
+                retired += jret
+                if jloops:
+                    # Internalised self-loop iterations are chain
+                    # transitions the caller would have made.
+                    chained += jloops
+                    stats.chain_hits += jloops
+                    if chained > stats.chain_longest:
+                        stats.chain_longest = chained
+                # 1: invalidated mid-trace or horizon pulled in; 2: trap
+                # at next_pc.
+                core.pc = next_pc
                 if status or not block.chainable:
                     # The dispatch ends here unless the block crossed into
                     # the other namespace.
@@ -813,12 +739,9 @@ class FunctionalSimulator:
         finally:
             # However the dispatch ends (an in-loop delivery raises for
             # an unrouted cause), publish what it retired.
+            core.instret = instret0 + retired
             stats.fast_instructions += retired
-            if guarded:
-                stats.guarded_instructions += retired
-            else:
-                core.instret = instret0 + retired
-                stats.jit_instructions += retired
+            stats.jit_instructions += retired
         if sink is not None:
             sink.note_trace(ns, head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)

@@ -1,9 +1,9 @@
 """MJIT: the tier-2 compiler (blocks → specialized Python).
 
-On the engine's per-entry loop a block pays an ``execute()`` dispatch,
-a ``StepInfo`` and a timer call per retired instruction.  At a block's
-first unguarded dispatch MJIT renders it as straight Python source and
-``exec``-compiles it once:
+On the engine's ``step()`` every instruction pays a fetch, a decode,
+an ``execute()`` dispatch, a ``StepInfo`` and a timer call.  At a
+block's first dispatch MJIT renders the block as straight Python source
+and ``exec``-compiles it once:
 
 * decoded fields, immediates and ALU semantics are baked in as literal
   expressions from the shared micro-op IR

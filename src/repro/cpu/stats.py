@@ -32,10 +32,6 @@ class TcacheStats:
     flushes: int = 0
     #: Guest instructions retired through the block fast path.
     fast_instructions: int = 0
-    #: The part of ``fast_instructions`` the per-entry loop retired:
-    #: everything a block dispatch runs while interrupts are deliverable
-    #: or a step hook is attached.
-    guarded_instructions: int = 0
     #: Superblock links installed between blocks.
     chain_links: int = 0
     #: Block transitions that followed an existing chain link.
@@ -72,12 +68,6 @@ class TcacheStats:
         for f in fields(self):
             setattr(self, f.name, f.default)
 
-    @property
-    def jit_dispatch_share(self) -> float:
-        """Fraction of fast-path instructions retired through tier 2."""
-        total = self.fast_instructions
-        return self.jit_instructions / total if total else 0.0
-
 
 @dataclass
 class PerfCounters:
@@ -109,6 +99,8 @@ class PerfCounters:
     def summary(self) -> str:
         """Human-readable multi-line counter dump."""
         tc = self.tcache
+        guest = self.guest_instructions
+        jit_share = tc.jit_instructions / guest if guest else 0.0
         return "\n".join([
             f"guest instructions : {self.guest_instructions}",
             f"host seconds       : {self.host_seconds:.3f}",
@@ -123,8 +115,7 @@ class PerfCounters:
             f"{tc.chain_breaks} broken (longest {tc.chain_longest})",
             f"tcache jit (MJIT)  : {tc.jit_blocks} blocks compiled "
             f"({tc.jit_compile_ms:.2f} ms), {tc.jit_instructions} instrs "
-            f"via tier 2 ({tc.jit_dispatch_share:.1%} of fast path)",
-            f"fast-path instrs   : {tc.fast_instructions} "
-            f"({tc.guarded_instructions} guarded on the per-entry loop); "
+            f"via tier 2 ({jit_share:.1%} of guest instructions)",
+            f"fast-path instrs   : {tc.fast_instructions}; "
             f"{self.slow_instructions} on step()",
         ])

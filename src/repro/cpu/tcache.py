@@ -14,10 +14,10 @@ yet in the block stays in it as a plain entry (its link write and jump
 charge included), and decoding resumes at the target, so a loop split
 by unconditional jumps is one block that ends at its back edge.  MJIT
 (:mod:`repro.cpu.jit`) compiles a block to a Python function
-(``jit_fn``) at its first unguarded dispatch, and that function runs
-with the engine's cache models and timer; while a step hook is
-attached, the engine's per-entry loop hands every entry to
-:func:`repro.cpu.executor.execute` instead.
+(``jit_fn``) at its first dispatch, and that function runs with the
+engine's cache models and timer; while a step hook is subscribed, the
+engine runs every block on its ``step()`` instead, and MJIT compiles
+nothing.
 
 Besides its entries each block carries its **superblock chain**
 (``link``/``link_pc``/``links``): after a block exits through a pure
@@ -74,7 +74,11 @@ intercept rules changed   flush the mem namespace (lazy: at the next
                           normal-mode dispatch or ``mexit`` crossing)
 paging enabled            mem blocks bypassed at dispatch (no eviction
                           needed: block content is translation-free)
-snapshot restore          full flush (RAM bytes replaced wholesale)
+snapshot restore          rewrite only the RAM pages that differ,
+                          through the write hook (evicting those pages'
+                          blocks, as a store does); flush the mram
+                          namespace only if MRAM code changed (lazy,
+                          via version)
 ========================  =============================================
 
 Superblock chains participate implicitly: every eviction path above marks
@@ -103,7 +107,6 @@ from repro.metal.intercept import NO_RULES, intercepts
 F_SYNC = 1    #: sync devices before executing (loads/stores may hit MMIO)
 F_TERM = 2    #: terminator — the block ends after this entry
 F_CSR = 4     #: latch ``core._timer_cycles`` before executing (CSR reads)
-F_STORE = 8   #: may invalidate blocks — re-check validity afterwards
 #: Intercept terminator (with F_TERM): the entry holds the raw word
 #: instead of a decoded instruction, and delivers it to its handler.
 F_ICEPT = 16
@@ -174,8 +177,9 @@ class Block:
         #: if ``cycles + bound`` ends short of the bus horizon.
         self.bound = bound
         #: MJIT-compiled function for this block (tier 2), or None until
-        #: its first unguarded dispatch.  Every eviction path that clears
-        #: ``valid`` also drops this, exactly as it severs chain links.
+        #: the engine first runs it off ``step()``.  Every eviction path
+        #: that clears ``valid`` also drops this, exactly as it severs
+        #: chain links.
         self.jit_fn = None
         #: Whether the block's exit is eligible for chaining (branch/jal/
         #: jalr terminator, or the fall-through of a length-limited block).
@@ -212,10 +216,8 @@ def _classify(instr, mram: bool):
     cls = instr.spec.cls
     if cls in _PLAIN_CLASSES:
         return 0, False
-    if cls is InstrClass.LOAD:
+    if cls is InstrClass.LOAD or cls is InstrClass.STORE:
         return F_SYNC, False
-    if cls is InstrClass.STORE:
-        return F_SYNC | F_STORE, False
     if mram and cls is InstrClass.METAL \
             and instr.mnemonic in _PLAIN_METAL_MNEMONICS:
         return 0, False
@@ -482,11 +484,11 @@ class TranslationCache:
         """Compile *block* to tier 2; returns the function, also cached
         on ``block.jit_fn``.
 
-        Called by the engine at the block's first unguarded dispatch;
-        *mram* names the block's namespace.  The codegen mode follows
-        from this cache: mem blocks carry the fetch plan for
-        :attr:`line_size`, and :attr:`scoreboard` makes the code feed
-        the pipeline timer.
+        Called by the engine the first time it runs *block* off
+        ``step()``; *mram* names the block's namespace.  The codegen
+        mode follows from this cache: mem blocks carry the fetch plan
+        for :attr:`line_size`, and :attr:`scoreboard` makes the code
+        feed the pipeline timer.
         """
         from repro.cpu import jit as mjit
         t0 = perf_counter()
@@ -516,15 +518,15 @@ class TranslationCache:
 
     def tier_of(self, ns: str, pc: int):
         """Execution tier of the cached block headed at *pc*: ``"jit"``
-        (compiled), ``"guarded"`` (only the per-entry loop has run it),
-        or ``None`` when nothing is cached there.  Used by the MPROF
-        hot-trace report to label traces with the tier that executed
-        them."""
+        (compiled), ``"step"`` (MJIT never compiled it, so only the
+        engine's ``step()`` has run it), or ``None`` when nothing is
+        cached there.  Used by the MPROF hot-trace report to label
+        traces with the tier that executed them."""
         table = self._mem if ns == "mem" else self._mram
         block = table.get(pc)
         if block is None or not block.valid:
             return None
-        return "jit" if block.jit_fn is not None else "guarded"
+        return "jit" if block.jit_fn is not None else "step"
 
     # ------------------------------------------------------------------
     # superblock chaining

@@ -87,10 +87,9 @@ class Tracer:
             return "<unavailable>"
 
     # -- attach/detach -------------------------------------------------------
-    # Subscribes through the engine's step hub (add_step_hook) rather
-    # than grabbing the raw trace_fn slot, so tracers compose with other
-    # per-step consumers; a raw hook someone installed by hand is
-    # absorbed by the hub and keeps firing.
+    # Subscribes to the engine's step hooks, so tracers compose with
+    # other per-step consumers.  While any hook is subscribed the engine
+    # runs every instruction on step(), which calls each hook.
     def __enter__(self) -> "Tracer":
         self.machine.sim.add_step_hook(self._on_step)
         return self

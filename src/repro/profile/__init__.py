@@ -4,7 +4,7 @@ Three layers (see ``docs/PROFILING.md``):
 
 1. :mod:`repro.profile.sink` — the near-zero-overhead trace event sink
    the execution engines feed (ring buffer + per-trace aggregates +
-   tcache event log), plus the :class:`StepHub` per-step fan-out.
+   tcache event log).
 2. :mod:`repro.profile.registry` — the metrics registry: one
    snapshot/delta API over engine counters, pipeline stalls and sink
    aggregates, with per-mroutine / per-loop attribution via the Metal
@@ -13,14 +13,14 @@ Three layers (see ``docs/PROFILING.md``):
    Chrome-trace/Perfetto JSON exporter (plus its validator).
 
 The CLI (``python -m repro profile``) lives in
-:mod:`repro.profile.cli`; it is deliberately **not** imported here —
-``repro.cpu.functional`` imports this package, and the CLI imports the
-machine builder, which would close an import cycle.
+:mod:`repro.profile.cli` and is not imported here: ``python -m repro``
+imports each subsystem CLI lazily, when its subcommand runs.  The
+engines do not import this package; a machine attaches a sink through
+:meth:`repro.machine.machine.Machine.set_profiling`.
 """
 
 from repro.profile.sink import (  # noqa: F401
     DEFAULT_CAPACITY,
-    StepHub,
     TraceAggregate,
     TraceEventSink,
 )

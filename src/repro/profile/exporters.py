@@ -5,9 +5,9 @@ Two output formats over the same recorded data:
 * :func:`format_hot_traces` — the human-readable hot-trace report shown
   by ``python -m repro profile``: top-N traces by retired instructions,
   per-mroutine/per-loop attribution, the execution tier currently
-  holding each trace head (``guarded`` or MJIT ``jit``), and the head
-  of each trace disassembled so the hot loop body is visible in the
-  terminal.
+  holding each trace head (MJIT ``jit``, or ``step`` for a block only
+  ``step()`` has run), and the head of each trace disassembled so the
+  hot loop body is visible in the terminal.
 * :func:`chrome_trace` — a Chrome-trace / Perfetto ``traceEvents`` JSON
   payload: one complete ("X") event per retired-trace ring record, one
   instant ("i") event per translation-cache event (compiles,

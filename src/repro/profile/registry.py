@@ -57,10 +57,10 @@ class TraceAttribution:
     #: back edge — i.e. the trace is (the body of) a static loop.
     loop: bool = False
     #: Execution tier of the block currently cached at the head pc:
-    #: ``"jit"`` (MJIT tier 2), ``"guarded"`` (predecoded, run only
-    #: entry by entry on the per-entry loop), or None when nothing is
-    #: cached there any more (evicted, or the machine runs without a
-    #: tcache).
+    #: ``"jit"`` (MJIT tier 2), ``"step"`` (predecoded, but only
+    #: :meth:`~repro.cpu.functional.FunctionalSimulator.step` has run
+    #: it), or None when nothing is cached there any more (evicted, or
+    #: the machine runs without a tcache).
     tier: Optional[str] = None
 
     @property

@@ -19,11 +19,6 @@ attaching or detaching it never changes architectural state, instruction
 counts or cycle counts (asserted by ``tests/test_profile.py``).  When no
 sink is attached the engines pay one ``is not None`` test per trace
 retirement and nothing per instruction.
-
-:class:`StepHub` is the companion *per-step* event hub: engines expose
-one ``trace_fn`` slot, and the hub fans it out to any number of
-subscribers (the :class:`repro.machine.trace.Tracer`, debuggers, custom
-profilers) so they stop fighting over the raw slot.
 """
 
 from __future__ import annotations
@@ -192,15 +187,3 @@ class TraceEventSink:
         self._events.clear()
         self._events_dropped = 0
 
-
-class StepHub:
-    """Fan-out for the engines' single per-step ``trace_fn`` slot."""
-
-    __slots__ = ("fns",)
-
-    def __init__(self):
-        self.fns = []
-
-    def dispatch(self, step) -> None:
-        for fn in self.fns:
-            fn(step)

@@ -12,8 +12,8 @@ single-slot chainer of PR 2 relinked on every flip and the LRU target
 map keeps fully linked.
 
 This module is intentionally *not* imported from
-``repro.profile.__init__`` — it builds machines, and the machine
-builder imports the engines, which import the profile sink.
+``repro.profile.__init__``: it builds machines, so importing it loads
+the machine builder and every engine.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from repro.cpu.exceptions import Cause
 from repro.cpu.functional import MASKED
 from repro.cpu.tcache import (
-    F_CSR, F_ICEPT, F_STORE, F_SYNC, F_TERM, IR_IMM, IR_NOP, IR_REG, IR_SET,
+    F_CSR, F_ICEPT, F_SYNC, F_TERM, IR_IMM, IR_NOP, IR_REG, IR_SET,
     _schedule_regs, uop_ir,
 )
 from repro.isa.instruction import InstrClass
@@ -866,7 +866,7 @@ class _Ref:
                 self.do_data_access(index, instr, pc)
             elif cls is InstrClass.LOAD and flags == F_SYNC:
                 self.do_load(index, instr, pc)
-            elif cls is InstrClass.STORE and flags == F_SYNC | F_STORE:
+            elif cls is InstrClass.STORE and flags == F_SYNC:
                 self.do_store(index, instr, pc)
             elif flags & F_TERM:
                 self.do_dispatch(index, pc, flags, pending)

@@ -7,8 +7,8 @@ Three layers:
 * no-false-positives — every bundled mcode application lints clean
   (zero error diagnostics) under the strict :data:`LINT_CONFIG`;
 * the purity facts — they flow loader → image and gate nothing: every
-  mroutine, store-free or not, retires on the unguarded block loop with
-  results bit-identical to the interpreter's.
+  mroutine, store-free or not, retires at tier 2 with results
+  bit-identical to the interpreter's.
 """
 
 import pytest
@@ -338,17 +338,14 @@ class TestPurityFacts:
 
 
 class TestTcachePureLoop:
-    """Metal-mode blocks share the engine's unguarded block loop, and
-    MJIT compiles them whatever their purity: the facts classify a
-    routine, they gate nothing."""
+    """MJIT compiles Metal-mode blocks whatever their purity: the facts
+    classify a routine, they gate nothing."""
 
     def test_pure_routine_runs_unguarded(self):
         m = spin_machine()
         m.load_and_run(DRIVER)
         tc = m.perf.tcache
-        assert tc.jit_instructions > 0
-        assert tc.fast_instructions > 0
-        assert tc.guarded_instructions == 0
+        assert tc.jit_instructions == m.perf.guest_instructions > 0
 
     def test_guest_invisible_bit_identical(self):
         """The interpreter and MJIT agree on the pure routine."""
@@ -361,8 +358,8 @@ class TestTcachePureLoop:
         assert runs[True] == runs[False]
 
     def test_impure_routine_not_dispatched_pure(self):
-        """A routine that stores to guest RAM runs at tier 2, unguarded,
-        with the interpreter's results."""
+        """A routine that stores to guest RAM runs at tier 2 with the
+        interpreter's results."""
         runs = {}
         for tcache in (False, True):
             m = spin_machine(STORE_SPIN, tcache=tcache)
@@ -371,8 +368,7 @@ class TestTcachePureLoop:
             runs[tcache] = (m.instret, m.cycles, tuple(m.core.regs))
         assert runs[True] == runs[False]
         tc = m.perf.tcache
-        assert tc.jit_instructions > 0
-        assert tc.guarded_instructions == 0
+        assert tc.jit_instructions == m.perf.guest_instructions > 0
 
     def test_reload_drops_stale_purity(self):
         m = spin_machine()

@@ -271,7 +271,8 @@ PEND = MRoutine(name="pend", entry=1, source="\n".join(
 def test_mipend_sees_a_line_that_rose_in_the_mroutine(engine, caches):
     """The timer comes due 100 cycles into a 200-instruction mroutine
     that ends in ``mipend``: the interpreter, the compiled path and the
-    hooked per-entry loop all read the timer line as pending."""
+    hooked machine's ``step()`` prefix path all read the timer line as
+    pending."""
     outcomes = []
     for run in ("interpreter", "compiled", "hooked"):
         machine = build_metal_machine([PEND], config=MachineConfig(

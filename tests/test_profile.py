@@ -21,9 +21,13 @@ import sys
 import pytest
 
 from repro import MRoutine, build_metal_machine
+from repro.cpu.exceptions import Cause
+from repro.machine.builder import MachineConfig
+from repro.osdemo.scheduler import boot_scheduler_demo
 from repro.profile.exporters import chrome_trace, validate_chrome_trace
 from repro.profile.registry import MetricsRegistry, Snapshot
 from repro.profile.sink import TraceAggregate, TraceEventSink
+from repro.profile.workloads import WORKLOADS, workload_source
 
 LOOP = """
 _start:
@@ -57,8 +61,105 @@ loop:
 """
 
 
+#: Guest words the crossing program's timer handler counts its
+#: deliveries in, and its intercepted ``lw`` reads.
+TICKS = 0x3F00
+DATA = 0x3000
+
+#: The ``lw`` intercept match spec (opcode LOAD, funct3 2).
+LW = 0x503
+
+#: Timer handler: counts the delivery at TICKS and stops the timer.
+TICK = MRoutine(name="tick", entry=1, mregs=(10, 11), source=f"""
+    wmr  m10, t0
+    wmr  m11, t1
+    li   t0, {TICKS}
+    mpld t1, 0(t0)
+    addi t1, t1, 1
+    mpst t1, 0(t0)
+    li   t0, TIMER_CTRL
+    mpst zero, 0(t0)
+    rmr  t1, m11
+    rmr  t0, m10
+    mexit
+""")
+
+#: Routes the timer to TICK, enables interrupts and intercepts ``lw``
+#: with EMUL.
+BOOT = MRoutine(name="boot", entry=2, source=f"""
+    li   t0, CAUSE_INTERRUPT_TIMER
+    li   t1, MR_TICK
+    mivec t0, t1
+    li   t0, 1
+    mintc t0
+    li   t0, {LW}
+    li   t1, MR_EMUL
+    micept t0, t1
+    mexit
+""")
+
+#: ECALL handler: resumes after the ``ecall``.
+SYSH = MRoutine(name="sysh", entry=3, mregs=(12,), source="""
+    wmr  m12, t0
+    rmr  t0, m31
+    addi t0, t0, 4
+    wmr  m31, t0
+    rmr  t0, m12
+    mexit
+""")
+
+#: Emulates the intercepted ``lw``: loads the word and commits it into
+#: the ``lw``'s rd (``mexitm``).
+EMUL = MRoutine(name="emul", entry=4, mregs=(13, 14), source="""
+    wmr  m13, t0
+    wmr  m14, t1
+    rmr  t0, m29
+    srai t1, t0, 20
+    rmr  t0, m25
+    add  t0, t0, t1
+    lw   t1, 0(t0)
+    wmr  m27, t1
+    rmr  t0, m29
+    srli t0, t0, 7
+    andi t0, t0, 31
+    wmr  m26, t0
+    rmr  t1, m14
+    rmr  t0, m13
+    mexitm
+""")
+
+#: A loop whose every pass crosses into an intercept handler and an
+#: ECALL handler; the timer interrupts it once.
+CROSSINGS = f"""
+_start:
+    menter MR_BOOT
+    li   s2, {DATA}
+    li   s0, 40
+loop:
+    lw   a2, 0(s2)
+    add  a5, a5, a2
+    ecall
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+
+
 def _machine(**kwargs):
     return build_metal_machine([SPIN], with_caches=False, **kwargs)
+
+
+def _crossing_machine(tcache: bool):
+    """A ``MachineConfig()`` machine loaded with :data:`CROSSINGS`."""
+    m = build_metal_machine([TICK, BOOT, SYSH, EMUL],
+                            config=MachineConfig(tcache=tcache))
+    m.route_cause(Cause.ECALL, "sysh")
+    m.write_word(DATA, 7)
+    m.timer.compare = 500
+    m.timer.irq_enabled = True
+    m.load(m.assemble(CROSSINGS))
+    m.core.pc = 0x1000
+    return m
 
 
 def _arch_state(m):
@@ -313,17 +414,15 @@ class TestStepHub:
         m.sim.add_step_hook(seen_b.append)
         m.load_and_run(LOOP % 5)
         assert len(seen_a) == len(seen_b) > 0
-        m.sim.remove_step_hook(seen_a.append)  # unknown fn: no-op
-        m.sim.remove_step_hook(seen_b[0])      # not a hook either
-
-    def test_absorbs_raw_trace_fn(self):
-        m = _machine()
-        raw, hooked = [], []
-        m.sim.trace_fn = raw.append
-        m.sim.add_step_hook(hooked.append)
-        m.load_and_run(LOOP % 5)
-        assert len(raw) == len(hooked) > 0
-        m.sim.remove_step_hook(hooked.append)
+        # A re-bound method compares equal to the subscribed one, so
+        # this unsubscribes seen_a's hook.
+        m.sim.remove_step_hook(seen_a.append)
+        m.sim.remove_step_hook(seen_b[0])      # not a hook: a no-op
+        a, b = len(seen_a), len(seen_b)
+        m.reset(pc=0x1000)
+        m.run(max_instructions=10, raise_on_limit=False)
+        assert len(seen_a) == a
+        assert len(seen_b) == b + 10
 
     def test_tracer_composes_with_profiling(self):
         from repro.machine.trace import Tracer
@@ -334,6 +433,59 @@ class TestStepHub:
             m.load_and_run(LOOP % 10)
         assert len(tracer) > 0
         assert m.profiler.total_traces > 0
+
+    def test_tracer_sees_the_interpreters_stream(self):
+        """A Tracer on a tcache-on machine records the tcache-off
+        machine's (pc, mnemonic, mode) sequence through a timer
+        interrupt, an ``ecall`` into its mroutine and an intercepted
+        ``lw``; while it is attached nothing retires at tier 2."""
+        from repro.machine.trace import Tracer
+
+        streams = []
+        for tcache in (False, True):
+            m = _crossing_machine(tcache)
+            with Tracer(m, limit=100_000) as tracer:
+                m.run(max_instructions=100_000)
+            assert m.core.halted
+            assert m.read_word(TICKS) == 1                 # the interrupt
+            assert m.core.metal.intercept.hits == 40
+            assert m.core.metal.stats.deliveries[Cause.ECALL] == 40
+            streams.append([(r.pc, r.mnemonic, r.in_metal)
+                            for r in tracer.records])
+        assert streams[0] == streams[1]
+        assert len(streams[1]) == m.core.instret
+        tc = m.perf.tcache
+        assert tc.hits + tc.misses > 0
+        assert tc.jit_instructions == 0
+
+
+class TestCoverage:
+    """Every retired instruction lands in the trace table, including
+    those the engine runs on ``step()`` up to a budget's end or the
+    interrupt horizon."""
+
+    @staticmethod
+    def _table_instructions(sink) -> int:
+        return sum(agg.instructions for agg in sink.trace_table().values())
+
+    def test_budget_chunks(self):
+        w = WORKLOADS["tight_loop"]
+        m = build_metal_machine(list(w.routines))
+        sink = m.set_profiling(True)
+        m.load(m.assemble(workload_source("tight_loop", 200)))
+        m.core.pc = 0x1000
+        for _ in range(7):
+            m.run(max_instructions=97, raise_on_limit=False)
+        assert m.core.instret == 7 * 97
+        assert self._table_instructions(sink) == m.core.instret
+
+    def test_preemptive_scheduler(self):
+        m = boot_scheduler_demo(config=MachineConfig())
+        sink = m.set_profiling(True)
+        m.run(max_instructions=50_000, raise_on_limit=False)
+        assert m.core.instret == 50_000
+        assert m.core.metal.stats.deliveries[Cause.interrupt(0)] > 10
+        assert self._table_instructions(sink) == m.core.instret
 
 
 class TestCli:

@@ -96,8 +96,8 @@ def test_lockstep_tcache_off_and_on(engine):
     tcache-on machine runs their blocks as MJIT code as long as they
     cannot reach the bus horizon, and on ``step()`` near it.  In
     97-instruction chunks, whose ends fall inside blocks, both machines
-    agree on every compared field after every chunk, and nothing runs
-    on the per-entry loop."""
+    agree on every compared field after every chunk, and at least 85%
+    of the tcache-on machine's instructions retire at tier 2."""
     machines = [boot_scheduler_demo(config=MachineConfig(engine=engine,
                                                          tcache=tcache))
                 for tcache in (False, True)]
@@ -111,7 +111,6 @@ def test_lockstep_tcache_off_and_on(engine):
                 f"(tcache off={ref[key]!r}, on={got[key]!r})")
     assert ref["switches"] > 10
     tc = machines[1].perf.tcache
-    assert tc.guarded_instructions == 0
     assert tc.jit_instructions >= 0.85 * machines[1].core.instret
 
 
@@ -149,5 +148,4 @@ def test_every_switch_matches_the_interpreter(engine, quantum):
         loop_pcs.update(symbols[f"{proc}ok"] + 4 * k for k in range(4))
     assert loop_pcs <= saved, sorted(hex(pc) for pc in loop_pcs - saved)
     tc = machines[1].perf.tcache
-    assert tc.guarded_instructions == 0
     assert tc.jit_instructions >= 0.85 * machines[1].core.instret

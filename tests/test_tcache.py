@@ -533,9 +533,9 @@ body:
 
 
 #: The tcache-on runs the fetch-plan tests compare with the
-#: interpreter: hooked, where a no-op step hook keeps every block on the
-#: per-entry loop, and compiled, where MJIT's emitted plan runs every
-#: block from its first dispatch.  Compiled runs last.
+#: interpreter: hooked, where a no-op step hook sends every block to
+#: ``step()``, and compiled, where MJIT's emitted plan runs every block
+#: from its first dispatch.  Compiled runs last.
 TCACHE_RUNS = ("hooked", "compiled")
 
 
@@ -580,7 +580,7 @@ def test_fetch_plan_midline_block_spanning_three_lines(engine):
 def test_fetch_plan_exact_for_any_geometry(line_size, ways, sets):
     """I-caches too small for the loop: every geometry keeps missing,
     and the plan reproduces each hit, miss and LRU eviction, on either
-    engine, compiled and on the per-entry loop."""
+    engine, compiled and under a step hook."""
     for simulator in (FunctionalSimulator, PipelineSimulator):
         outcomes = []
         for run in (None, *TCACHE_RUNS):
@@ -685,7 +685,7 @@ hop:
 #: Metal-mode loop over guest RAM: each pass loads a word, stores it
 #: back incremented 64 bytes further on, writes it to the console and
 #: adds the timer count into t6, so the routine's blocks carry F_SYNC
-#: and F_STORE entries and a late device sync changes t6.
+#: entries and a late device sync changes t6.
 RAM_COPY = MRoutine(name="copy", entry=1, source="""
     li   t0, 0x3000
     li   t1, 8
@@ -734,8 +734,7 @@ again:
     assert machine.reg("t6") > 0
     assert machine.read_word(0x3040) == 0x42
     tc = machine.perf.tcache
-    assert tc.guarded_instructions == 0
-    assert tc.jit_instructions > 0
+    assert tc.jit_instructions == machine.perf.guest_instructions
 
 
 def test_profile_trace_table_same_with_caches():
@@ -754,7 +753,7 @@ def test_profile_trace_table_same_with_caches():
 
 def test_default_machine_runs_unguarded():
     """On ``MachineConfig()`` loop-heavy workloads retire at least 90%
-    of their instructions through the unguarded block loops, on either
+    of their instructions through the block fast path, on either
     engine's timer."""
     for engine, workload in (("functional", "tight_loop"),
                              ("pipeline", "tight_loop"),
@@ -765,8 +764,7 @@ def test_default_machine_runs_unguarded():
         machine.load_and_run(workload_source(workload, 2_000))
         perf = machine.perf
         tc = perf.tcache
-        unguarded = tc.fast_instructions - tc.guarded_instructions
-        assert unguarded >= 0.9 * perf.guest_instructions, (
+        assert tc.fast_instructions >= 0.9 * perf.guest_instructions, (
             engine, workload, perf.summary())
 
 
@@ -774,10 +772,9 @@ def test_default_machine_runs_unguarded():
 @pytest.mark.parametrize("workload", ("syscall_heavy", "intercept_heavy",
                                       "mcode_heavy"))
 def test_metal_workloads_retire_nothing_guarded(engine, workload):
-    """Metal-mode blocks run on the same unguarded loop as mem blocks,
-    whether or not MAS proved their routine store-free: on
-    ``MachineConfig()`` the Metal-heavy workloads retire no instruction
-    through the guarded loop."""
+    """Metal-mode blocks run compiled like mem blocks, whether or not
+    MAS proved their routine store-free: on ``MachineConfig()`` the
+    Metal-heavy workloads retire every instruction at tier 2."""
     w = WORKLOADS[workload]
     machine = build_metal_machine(list(w.routines),
                                   config=MachineConfig(engine=engine))
@@ -785,8 +782,8 @@ def test_metal_workloads_retire_nothing_guarded(engine, workload):
         w.setup(machine)
     machine.load_and_run(workload_source(workload, 200))
     tc = machine.perf.tcache
-    assert tc.fast_instructions > 0
-    assert tc.guarded_instructions == 0, machine.perf.summary()
+    assert tc.jit_instructions == machine.perf.guest_instructions > 0, (
+        machine.perf.summary())
 
 
 def _tier_two_run(engine, workload, share):
@@ -829,21 +826,6 @@ def test_metal_workloads_run_at_tier_two(workload):
     engine (intercept_heavy's emulation routine loads guest RAM)."""
     for engine in ENGINES:
         _tier_two_run(engine, workload, 0.7)
-
-
-def test_guarded_instructions_counter_surfaces():
-    """A step hook keeps blocks on the per-entry loop; the counter
-    reaches the metrics registry and the perf summary."""
-    machine = _timer_interrupt_machine("functional", True)
-    machine.sim.add_step_hook(lambda step: None)
-    machine.load_and_run(TIMER_WORKLOAD, max_instructions=100_000)
-    tc = machine.perf.tcache
-    assert 0 < tc.guarded_instructions <= tc.fast_instructions
-    counters = machine.metrics().snapshot().counters
-    assert counters["guarded_instructions"] == tc.guarded_instructions
-    assert "guarded" in machine.perf.summary()
-    tc.reset()
-    assert tc.guarded_instructions == 0
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +890,6 @@ def test_stop_pc_matches_the_interpreter_at_tier_two(engine, stop):
     tc = machine.perf.tcache
     assert tc.jit_instructions >= 0.9 * machine.core.instret, (
         machine.perf.summary())
-    assert tc.guarded_instructions == 0
 
 
 # ---------------------------------------------------------------------------

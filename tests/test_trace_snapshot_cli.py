@@ -67,10 +67,10 @@ class TestTracer:
 
     def test_detach_restores_hook(self):
         m = build_trap_machine(with_caches=False)
-        assert m.sim.trace_fn is None
+        assert m.sim.step_hooks == []
         with Tracer(m):
-            assert m.sim.trace_fn is not None
-        assert m.sim.trace_fn is None
+            assert len(m.sim.step_hooks) == 1
+        assert m.sim.step_hooks == []
 
     def test_format_contains_pc_and_text(self):
         m = build_trap_machine(with_caches=False)
