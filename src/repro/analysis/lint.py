@@ -142,22 +142,6 @@ APPS = {
 }
 
 
-def _builtin_symbols() -> dict:
-    """The symbol environment mcode is assembled against by the machine
-    builder (mirrors ``Machine.reload_mroutines``)."""
-    from repro.cpu.csr import CSR_SYMBOLS
-    from repro.cpu.exceptions import CAUSE_SYMBOLS
-    from repro.machine.builder import DEVICE_SYMBOLS
-    from repro.mcode.pagetable import PTE_SYMBOLS
-    from repro.mcode.runtime import PRIV_SYMBOLS
-
-    env = {}
-    for table in (CAUSE_SYMBOLS, CSR_SYMBOLS, DEVICE_SYMBOLS,
-                  PTE_SYMBOLS, PRIV_SYMBOLS):
-        env.update(table)
-    return env
-
-
 # ---------------------------------------------------------------------------
 # Analysis driver
 # ---------------------------------------------------------------------------
@@ -171,10 +155,12 @@ def lint_routines(routines, config=LINT_CONFIG):
     :class:`~repro.errors.MroutineLoadError` if the set cannot even be
     assembled/placed (duplicate entries, bad symbols, segment overflow).
     """
+    from repro.machine.builder import assembler_symbols
+
     routines = list(routines)
     # verify=False: placement only — MAS below is the verifier, and we
     # want diagnostics collected, not the loader's first-error raise.
-    image = load_mroutines(routines, extra_symbols=_builtin_symbols(),
+    image = load_mroutines(routines, extra_symbols=assembler_symbols(),
                            verify=False)
     results = {}
     for routine in routines:

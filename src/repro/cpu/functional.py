@@ -508,73 +508,66 @@ class FunctionalSimulator:
     # translation-cache fast path
     # ------------------------------------------------------------------
     def _fast_step(self, budget: int, stop_pc: int) -> None:
-        """Advance by one predecoded block, or fall back to :meth:`step`.
+        """Advance by one dispatch of predecoded blocks, or on :meth:`step`.
 
         Preserves the exact inter-instruction architecture of the
         one-at-a-time path: device state is synced before any
         observation point, an interrupt is taken at the same entry
         boundary, and neither the instruction budget nor *stop_pc* (-1
-        for none; normal mode only) is ever overshot.  A block is one
-        path (it continues through direct jumps), so an instruction
-        inside it is reached only by running the block from its start:
-        a block longer than the budget, or with an entry at *stop_pc*
-        past its head, runs on :meth:`step` up to that instruction, or
-        up to its first jump or taken branch when that comes first.
-        While interrupts are deliverable, so does a block that might
-        reach the bus horizon: no interrupt line can rise before it, so
-        a block whose worst-case cycle bound (``block.bound``) ends
-        short of it has no entry boundary at which :meth:`step` would
-        take one.  While a step hook is subscribed every block runs on
-        :meth:`step` this way, so the hooks see each StepInfo.  An
-        attached profile sink gets one trace record for what such a run
-        retired, headed at the block.  A dispatch that begins in Metal
-        mode keeps *stop_pc* for the normal-mode code its ``mexit``
-        crosses into.
+        for none; normal mode only) is ever overshot.  The block at the
+        pc runs compiled when :meth:`_exec_block` admits it.  A block is
+        one path (it continues through direct jumps), so an instruction
+        inside it is reached only by running the block from its start: a
+        refused block runs on :meth:`step` up to the entry at *stop_pc*
+        or the budget's end, or up to its first jump or taken branch
+        when that comes first.  While a step hook is subscribed every
+        block runs on :meth:`step` this way, so the hooks see each
+        StepInfo.  With no block to run (a waiting core, paging on, the
+        nested layered view holding a rule, a pc nothing compiles at)
+        one :meth:`step` runs.  An attached profile sink gets one trace
+        record for what :meth:`step` retired here, headed at the pc the
+        run began at.  A dispatch that begins in Metal mode keeps
+        *stop_pc* for the normal-mode code its ``mexit`` crosses into.
         """
         core = self.core
-        if core.waiting:
-            self.step()
-            return
         metal = core.metal
         mram = metal is not None and metal.in_metal
-        if mram:
-            block = self._tcache.mram_block(core.pc, metal.mram)
-            hz = MASKED
-            stop = -1
-        else:
-            hz = self._mem_horizon()
-            if hz is None:
-                self.step()
+        block = None
+        if not core.waiting:
+            if mram:
+                block = self._tcache.mram_block(core.pc, metal.mram)
+                hz = MASKED
+            else:
+                hz = self._mem_horizon()
+                if hz is not None:
+                    block = self._tcache.mem_block(core.pc, core.bus)
+            if (block is not None and not self.step_hooks
+                    and self._exec_block(block, budget, stop_pc, mram, hz)):
                 return
-            block = self._tcache.mem_block(core.pc, core.bus)
-            stop = stop_pc
+        timer = self.timer
+        cycles0 = timer.cycles
+        instret0 = core.instret
+        head = core.pc
         if block is None:
             self.step()
-            return
-        count = budget
-        if stop != -1:
-            # The entries before the one at stop_pc (run() stops at the
-            # head itself before dispatching).
-            at = entry_index(block, stop)
-            if 0 <= at < count:
-                count = at
-        timer = self.timer
-        if (count < len(block.entries) or self.step_hooks
-                or timer.cycles + block.bound >= hz):
-            cycles0 = timer.cycles
-            instret0 = core.instret
+        else:
+            count = budget
+            if not mram and stop_pc != -1:
+                # The entries before the one at stop_pc (run() stops at
+                # the head itself before dispatching).
+                at = entry_index(block, stop_pc)
+                if 0 <= at < count:
+                    count = at
             for _ in range(min(count, len(block.entries))):
                 pc = core.pc
                 self.step()
                 if core.halted or core.pc != pc + 4:
                     break
-            sink = self._profile_sink
-            if sink is not None and core.instret > instret0:
-                sink.note_trace("mram" if mram else "mem", block.start, 0,
-                                core.instret - instret0, timer.cycles,
-                                timer.cycles - cycles0)
-            return
-        self._exec_block(block, budget, stop_pc, mram, hz)
+        sink = self._profile_sink
+        if sink is not None and core.instret > instret0:
+            sink.note_trace("mram" if mram else "mem", head, 0,
+                            core.instret - instret0, timer.cycles,
+                            timer.cycles - cycles0)
 
     def _mem_horizon(self):
         """The interrupt horizon a normal-mode dispatch runs under: the
@@ -605,19 +598,22 @@ class FunctionalSimulator:
         return MASKED
 
     def _exec_block(self, block, budget: int, stop_pc: int,
-                    mram: bool, hz: int) -> None:
-        """Run *block* and the superblock chain behind it.
+                    mram: bool, hz: int) -> bool:
+        """Run *block* and the superblock chain behind it; return False,
+        having run nothing, when *block* itself is refused.
 
-        The caller has checked that the budget covers *block*, that
-        *block* has no entry at *stop_pc* past its head, and that its
-        cycle bound ends short of the interrupt horizon *hz* (the bus
-        horizon while interrupts are deliverable, else :data:`MASKED`);
-        a chained successor is entered only under the same three
-        conditions.  A load or store that pulls the bus horizon below
-        *hz* (a timer armed, a fault injected from inside an MMIO
-        access) ends the dispatch at the next entry boundary.  Every
-        block of the dispatch runs as its MJIT function, compiled at its
-        first dispatch.
+        One rule admits every block of the dispatch, *block* included:
+        the budget covers it, it has no entry at *stop_pc*, and its
+        worst-case cycle bound (``block.bound``) ends short of the
+        interrupt horizon *hz* (the bus horizon while interrupts are
+        deliverable, else :data:`MASKED`): no interrupt line can rise
+        before the horizon, so such a block has no entry boundary at
+        which :meth:`step` would take one.  A looped block's iteration
+        limit is the same rule counted in runs.  A load or store that
+        pulls the bus horizon below *hz* (a timer armed, a fault
+        injected from inside an MMIO access) ends the dispatch at the
+        next entry boundary.  Every block of the dispatch runs as its
+        MJIT function, compiled at its first dispatch.
 
         On a Metal machine with no profile sink attached, the chain
         also *crosses* namespaces: after a block whose exit switched
@@ -655,7 +651,8 @@ class FunctionalSimulator:
         crossing = metal is not None and sink is None
         instret0 = core.instret
         retired = 0
-        chained = 0
+        # Chain transitions made; -1 until the first block is admitted.
+        chained = -1
         # The self-loop limit, set only for blocks that loop (no other
         # compiled block reads it).
         limit = 0
@@ -663,23 +660,33 @@ class FunctionalSimulator:
 
         try:
             while True:
+                n = len(block.entries)
+                if (budget - retired < n
+                        or stop != -1 and entry_index(block, stop) >= 0
+                        or live and timer.cycles + block.bound >= hz):
+                    if chained < 0:
+                        return False
+                    break
+                chained += 1
+                if chained > stats.chain_longest:
+                    stats.chain_longest = chained
                 # MJIT code (repro.cpu.jit).  The function owns the timer,
                 # the I-cache fetch plan and the register file for its
                 # block; ``core.pc`` and ``core.instret`` are published
                 # here.
                 jfn = block.jit_fn or tcache.jit_compile(block, mram)
                 if block.looped:
-                    # An internalised iteration takes at most block.bound
-                    # cycles: allow only those that end short of the
-                    # interrupt horizon.
-                    limit = chain_limit - chained
+                    # The admission rule counted in further runs: the
+                    # chain quantum, the budget, and (at block.bound
+                    # cycles a run) the runs that end short of hz.
+                    limit = min(chain_limit - chained,
+                                (budget - retired) // n - 1)
                     if live:
                         fit = (hz - timer.cycles - 1) // block.bound - 1
                         if fit < limit:
                             limit = fit
                 status, next_pc, jret, jloops, trap = jfn(
-                    core, block, timer, sync, budget - retired,
-                    instret0 + retired, limit, hz)
+                    core, block, timer, sync, instret0 + retired, limit, hz)
                 retired += jret
                 if jloops:
                     # Internalised self-loop iterations are chain
@@ -724,17 +731,11 @@ class FunctionalSimulator:
                     break
                 else:
                     nxt = chain_next(block, core.pc, mram, code)
-                # Chain to the successor when the exit was a pure control
-                # transfer (or the fall-through of a length-limited block)
-                # or a crossing, the budget covers it, it does not hold
-                # stop_pc and it cannot reach the interrupt horizon.
-                if (nxt is None or budget - retired < len(nxt.entries)
-                        or stop != -1 and entry_index(nxt, stop) >= 0
-                        or live and timer.cycles + nxt.bound >= hz):
+                # The successor of a pure control transfer (or of the
+                # fall-through of a length-limited block) or a crossing,
+                # if it is admitted at the loop head.
+                if nxt is None:
                     break
-                chained += 1
-                if chained > stats.chain_longest:
-                    stats.chain_longest = chained
                 block = nxt
         finally:
             # However the dispatch ends (an in-loop delivery raises for
@@ -752,6 +753,7 @@ class FunctionalSimulator:
             # so the pair is not left for the cyclic collector.
             trap = None
         sync()
+        return True
 
     # ------------------------------------------------------------------
     def run(self, max_instructions: int = 5_000_000, stop_pc: int = None,

@@ -9,10 +9,9 @@ and ``exec``-compiles it once:
   expressions from the shared micro-op IR
   (:func:`repro.cpu.tcache.uop_ir`), the same IR the translation
   validator checks the generated code against;
-* the invalidation / budget / chain-quantum guards are hoisted out of
-  the instruction stream, and a trace whose terminator targets its own
-  head internalises the loop (bounded by the caller's remaining budget
-  and iteration limit);
+* the invalidation guards are hoisted out of the instruction stream,
+  and a trace whose terminator targets its own head internalises the
+  loop (bounded by the caller's iteration limit);
 * the block's I-cache fetch plan (:func:`fetch_plan`) is baked in: a
   line head makes a real ``access(pc)``, in program order; every other
   fetch costs the hit latency and is credited to the I-cache's hit count
@@ -55,7 +54,7 @@ spill.
 Calling convention (every mode and namespace)::
 
     status, next_pc, retired, loops, trap = jit_fn(
-        core, block, timer, sync, budget, instret_base, limit, hz)
+        core, block, timer, sync, instret_base, limit, hz)
 
 * ``status == 0`` — normal exit; ``next_pc`` is the successor pc.
 * ``status == 1`` — aborted: the block was invalidated mid-trace (DMA
@@ -70,16 +69,18 @@ Calling convention (every mode and namespace)::
 
 *hz* is the dispatch's interrupt horizon: the bus horizon while
 interrupts are deliverable, else ``MASKED``, above every horizon.
-*limit* bounds the internalised self-loop iterations: the chain
-quantum, and while interrupts are deliverable only as many iterations
-as end short of *hz* at ``block.bound`` cycles each, so no entry
-boundary the loop runs can reach a deliverable interrupt.  ``retired``
-counts instructions retired inside the call and ``loops`` the
-internalised self-loop iterations (chain transitions the caller
-credits to ``chain_hits``).  The compiled code
-updates ``timer.cycles`` (or calls the timer) itself, and the caller
-passes ``instret_base`` so CSR reads inside the trace can latch an
-exact ``core.instret``.
+*limit* bounds the internalised self-loop iterations after the first,
+and the guard at the back edge is only ``loops < limit``: the engine
+admits the first run and counts its admission rule in further runs (the
+chain quantum left, the runs the remaining budget covers, and while
+interrupts are deliverable the runs that end short of *hz* at
+``block.bound`` cycles each), so the loop never overshoots the budget
+and no entry boundary it runs can reach a deliverable interrupt.
+``retired`` counts instructions retired inside the call and ``loops``
+the internalised self-loop iterations (chain transitions the caller
+credits to ``chain_hits``).  The compiled code updates ``timer.cycles``
+(or calls the timer) itself, and the caller passes ``instret_base`` so
+CSR reads inside the trace can latch an exact ``core.instret``.
 """
 
 from __future__ import annotations
@@ -651,8 +652,7 @@ class _Codegen:
 
     # -- inlined terminators --------------------------------------------
     def _self_loop_guard(self) -> str:
-        nlen = len(self.block.entries)
-        return f"loops < limit and budget - retired >= {nlen}"
+        return "loops < limit"
 
     def _emit_branch(self, index: int, instr, pc: int) -> None:
         taken = (pc + instr.imm) & _M
@@ -773,8 +773,8 @@ class _Codegen:
 
         # Prologue.
         self.indent = 0
-        self.emit("def _jit(core, block, timer, sync, budget, "
-                  "instret_base, limit, hz):")
+        self.emit("def _jit(core, block, timer, sync, instret_base, limit, "
+                  "hz):")
         self.indent = 1
         self.emit("regs = core.regs")
         self.emit("timing = timer.timing")

@@ -32,16 +32,12 @@ class TcacheStats:
     flushes: int = 0
     #: Guest instructions retired through the block fast path.
     fast_instructions: int = 0
-    #: Superblock links installed between blocks.
+    #: Superblock links installed between blocks (target-map entries).
     chain_links: int = 0
     #: Block transitions that followed an existing chain link.
     chain_hits: int = 0
-    #: Chain-link follows satisfied by a *secondary* entry of the
-    #: polymorphic target map (an alternating-target branch that would
-    #: have been a break+relink under the monomorphic single slot).
-    chain_poly_hits: int = 0
-    #: Chain links severed (successor evicted, or observed target
-    #: missing from the target map).
+    #: Chain lookups that missed a non-empty target map (successor
+    #: evicted, or a target the exit had not taken before).
     chain_breaks: int = 0
     #: Longest run of chained block transitions inside one dispatch.
     chain_longest: int = 0
@@ -111,8 +107,8 @@ class PerfCounters:
             f"tcache invalidated : {tc.invalidations} blocks, "
             f"{tc.flushes} flushes",
             f"tcache chains      : {tc.chain_links} links, "
-            f"{tc.chain_hits} followed ({tc.chain_poly_hits} polymorphic), "
-            f"{tc.chain_breaks} broken (longest {tc.chain_longest})",
+            f"{tc.chain_hits} followed, {tc.chain_breaks} broken "
+            f"(longest {tc.chain_longest})",
             f"tcache jit (MJIT)  : {tc.jit_blocks} blocks compiled "
             f"({tc.jit_compile_ms:.2f} ms), {tc.jit_instructions} instrs "
             f"via tier 2 ({jit_share:.1%} of guest instructions)",

@@ -19,18 +19,18 @@ engine's cache models and timer; while a step hook is subscribed, the
 engine runs every block on its ``step()`` instead, and MJIT compiles
 nothing.
 
-Besides its entries each block carries its **superblock chain**
-(``link``/``link_pc``/``links``): after a block exits through a pure
-control-flow terminator (branch/jal/jalr, or the fall-through of a
-length-limited block) the engine links it to the successor block and on
-later dispatches follows the link directly, never returning to the
-dispatch loop.  The chain slot is a small LRU **target map** (an MRU
-``link``/``link_pc`` pair plus up to three secondary ``links``
-entries), so indirect jumps and data-dependent branches that alternate
-between a few targets keep all of them linked instead of relinking on
-every flip.  A link is followed only when the observed ``next_pc``
-matches a map entry *and* that successor is still valid, so evictions
-sever chains instead of executing stale code.  Only branch/jal/jalr
+Besides its entries each block carries its **superblock chain**, the
+**target map** ``links`` (``{next_pc: Block}``): after a block exits
+through a pure control-flow terminator (branch/jal/jalr, or the
+fall-through of a length-limited block) the engine links it to the
+successor block and on later dispatches follows the link directly,
+never returning to the dispatch loop.  The map holds every target the
+exit has taken, so indirect jumps and data-dependent branches keep all
+of their targets linked however many there are (QEMU resolves indirect
+jumps through a hashed jump cache the same way).  A link is followed
+only when the observed ``next_pc`` has a map entry *and* that successor
+is still valid, so evictions sever chains instead of executing stale
+code.  Only branch/jal/jalr
 terminators are *chainable* within a namespace.  A Metal transition
 (``menter``, ``mexit``/``mexitm``, or a terminator that traps into an
 mroutine) is followed through the same target map into the other
@@ -141,19 +141,11 @@ _CHAIN_CLASSES = frozenset((
 ))
 
 
-#: Polymorphic chain capacity: the MRU ``link`` slot plus up to
-#: ``LINKS_MAX - 1`` secondary targets in :attr:`Block.links`.  Four
-#: targets cover the alternating-branch / small-switch cases the
-#: monomorphic slot thrashed on without growing every block.
-LINKS_MAX = 4
-
-
 class Block:
     """One predecoded basic block (plus its superblock chain links)."""
 
     __slots__ = ("start", "end", "entries", "valid", "bound",
-                 "chainable", "looped", "link", "link_pc", "links",
-                 "jit_fn")
+                 "chainable", "looped", "links", "jit_fn")
 
     def __init__(self, start: int, end: int, entries,
                  chainable: bool = False, bound: int = 0,
@@ -191,18 +183,10 @@ class Block:
         #: block.  MJIT internalises such a self-loop, and only then does
         #: the engine compute its limit.
         self.looped = looped
-        #: Most-recently-used chained successor block and the guest pc the
-        #: link is valid for; both are set together on first traversal,
-        #: and the link is re-validated against the observed next pc
-        #: every time it is followed.
-        self.link = None
-        self.link_pc = None
-        #: Secondary chain targets, MRU-first: a list of ``(pc, Block)``
-        #: pairs (or None until first needed).  Together with the ``link``
-        #: slot this forms a small LRU target map so alternating-target
-        #: branches stop relinking on every flip; capped at
-        #: ``LINKS_MAX - 1`` entries.
-        self.links = None
+        #: The chain's target map, ``{next_pc: successor Block}``: one
+        #: entry per target the exit has taken, installed on its first
+        #: traversal and followed only while the successor is valid.
+        self.links = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -341,10 +325,10 @@ class TranslationCache:
     #: interrupt-sampling work lost when a block aborts early.
     MAX_BLOCK_LEN = 64
 
-    def __init__(self, stats, line_size, scoreboard: bool, bound=None):
+    def __init__(self, stats, line_size, scoreboard: bool, bound):
         self.stats = stats
         #: ``bound(entries, heads, mram) -> W`` (see :attr:`Block.bound`),
-        #: supplied by the engine, which knows its timer; None: 0.
+        #: supplied by the engine, which knows its timer.
         self.bound = bound
         #: I-cache line size the mem blocks' fetch plans are compiled
         #: for (see :mod:`repro.cpu.jit`); None for a core with no I-cache.
@@ -457,11 +441,9 @@ class TranslationCache:
                 break
         if not entries:
             return None
-        bound = 0
-        if self.bound is not None:
-            bound = self.bound(
-                entries, fetch_plan(entries, None if mram else self.line_size),
-                mram)
+        bound = self.bound(
+            entries, fetch_plan(entries, None if mram else self.line_size),
+            mram)
         block = Block(pc, p, entries, chainable, bound,
                       chainable and _targets_head(entries[-1], pc))
         if mram:
@@ -536,22 +518,23 @@ class TranslationCache:
 
         Returns the successor block of the same namespace (*mram*, with
         *code* the MRAM or the bus it is fetched from), or ``None`` when
-        the target cannot be translated.  The chain slot is a small LRU
-        target map (the MRU ``link``/``link_pc`` pair plus up to three
-        secondaries in ``links``), so a branch that alternates between a
-        handful of targets keeps every successor linked instead of
-        relinking on each flip.  A stale entry — successor evicted, or
-        the observed target absent from the map — is severed and
-        re-resolved through :meth:`mem_block` or :meth:`mram_block`, so
-        a chain can never reach stale code.
+        the target cannot be translated.  A hit is one lookup in the
+        target map and the successor's ``valid`` test.  A miss while the
+        map holds any entry — the successor evicted, or a target the
+        exit has not taken before — is a chain break; the target is
+        resolved through :meth:`mem_block` or :meth:`mram_block` and
+        linked, so a chain can never reach stale code.
         """
-        link = block.link
-        if link is not None and block.link_pc == next_pc and link.valid:
+        links = block.links
+        nxt = links.get(next_pc)
+        if nxt is not None and nxt.valid:
             self.stats.chain_hits += 1
-            return link
-        nxt = self._chain_alt(block, next_pc)
-        if nxt is not None:
             return nxt
+        if links:
+            self.stats.chain_breaks += 1
+            if self.sink is not None:
+                ns = "mem" if self._mem.get(block.start) is block else "mram"
+                self.sink.tcache_event("chain_break", ns, block.start)
         if next_pc % 4:
             return None
         if mram:
@@ -559,7 +542,8 @@ class TranslationCache:
         else:
             nxt = self.mem_block(next_pc, code)
         if nxt is not None:
-            self._chain_install(block, next_pc, nxt)
+            links[next_pc] = nxt
+            self.stats.chain_links += 1
         return nxt
 
     def cross_next(self, block, next_pc: int, mram: bool, code):
@@ -572,62 +556,6 @@ class TranslationCache:
             self._expire_mram(code.code_version)
         return self.chain_next(block, next_pc, mram, code)
 
-    def _chain_alt(self, block, next_pc: int):
-        """Resolve *next_pc* through the secondary target map.
-
-        Returns the (validated and MRU-promoted) successor on a
-        polymorphic hit, or ``None`` — after accounting the miss as a
-        chain break when the map held any entry for the edge.
-        """
-        stats = self.stats
-        alts = block.links
-        hit = None
-        if alts:
-            for i, (pc, candidate) in enumerate(alts):
-                if pc == next_pc:
-                    del alts[i]
-                    if candidate.valid:
-                        hit = candidate
-                    break
-        if hit is None:
-            # Genuine miss: evicted successor or a target the map has
-            # never seen.  Severing the MRU slot (the historical
-            # monomorphic behaviour) is only needed when it was the
-            # stale entry; map misses leave the other targets linked.
-            link = block.link
-            if link is not None and block.link_pc == next_pc:
-                block.link = None
-                stats.chain_breaks += 1
-            elif link is not None or alts:
-                stats.chain_breaks += 1
-            else:
-                return None
-            if self.sink is not None:
-                ns = "mem" if self._mem.get(block.start) is block else "mram"
-                self.sink.tcache_event("chain_break", ns, block.start)
-            return None
-        self._chain_promote(block, next_pc, hit)
-        stats.chain_hits += 1
-        stats.chain_poly_hits += 1
-        return hit
-
-    def _chain_promote(self, block, next_pc: int, nxt) -> None:
-        """Make *nxt* the MRU entry, demoting the previous MRU into the
-        secondary map (dropping it if evicted)."""
-        prev, prev_pc = block.link, block.link_pc
-        block.link = nxt
-        block.link_pc = next_pc
-        if prev is not None and prev.valid and prev_pc != next_pc:
-            alts = block.links
-            if alts is None:
-                alts = block.links = []
-            alts.insert(0, (prev_pc, prev))
-            del alts[LINKS_MAX - 1:]
-
-    def _chain_install(self, block, next_pc: int, nxt) -> None:
-        self._chain_promote(block, next_pc, nxt)
-        self.stats.chain_links += 1
-
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
@@ -638,10 +566,10 @@ class TranslationCache:
         fires for guest stores, host pokes, program loads and DMA alike.
         """
         pages = self._mem_pages
-        if not pages:
-            return
         first = addr >> PAGE_SHIFT
         last = (addr + length - 1) >> PAGE_SHIFT
+        if first == last and first not in pages:
+            return  # the common store: one page, and no block on it
         for page in range(first, last + 1):
             starts = pages.pop(page, None)
             if starts is None:

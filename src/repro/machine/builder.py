@@ -74,6 +74,20 @@ DEVICE_SYMBOLS = {
 }
 
 
+def assembler_symbols(extra=()) -> dict:
+    """The symbol environment guest code and mroutines assemble against:
+    cause codes, CSR numbers and fields, device registers, PTE bits and
+    privilege levels, then *extra* (a config's ``extra_symbols``).  Boot,
+    :meth:`~repro.machine.machine.Machine.reload_mroutines`, the serving
+    gate and ``repro lint`` all assemble with it."""
+    env = {}
+    for table in (CAUSE_SYMBOLS, CSR_SYMBOLS, DEVICE_SYMBOLS, PTE_SYMBOLS,
+                  PRIV_SYMBOLS):
+        env.update(table)
+    env.update(extra)
+    return env
+
+
 @dataclass
 class MachineConfig:
     """Knobs shared by all machine builders."""
@@ -134,16 +148,9 @@ def _base_machine(config: MachineConfig, metal_unit, name: str) -> Machine:
     else:
         raise ValueError(f"unknown engine {config.engine!r}")
 
-    symbols = {}
-    symbols.update(CAUSE_SYMBOLS)
-    symbols.update(CSR_SYMBOLS)
-    symbols.update(DEVICE_SYMBOLS)
-    symbols.update(PTE_SYMBOLS)
-    symbols.update(PRIV_SYMBOLS)
-    symbols.update(config.extra_symbols)
-
     return Machine(
-        core=core, simulator=sim, bus=bus, ram=ram, symbols=symbols,
+        core=core, simulator=sim, bus=bus, ram=ram,
+        symbols=assembler_symbols(config.extra_symbols),
         console=console, timer=timer, nic=nic, blockdev=blockdev,
         irq=irq, name=name,
     )
@@ -154,13 +161,8 @@ def build_metal_machine(routines=(), config: MachineConfig = None,
     """Build the paper's Metal machine with *routines* loaded at boot."""
     config = config or MachineConfig(**config_kwargs)
     # mroutines may name causes, device registers and each other.
-    mcode_env = {}
-    mcode_env.update(CAUSE_SYMBOLS)
-    mcode_env.update(DEVICE_SYMBOLS)
-    mcode_env.update(PTE_SYMBOLS)
-    mcode_env.update(PRIV_SYMBOLS)
-    mcode_env.update(config.extra_symbols)
-    image = load_mroutines(routines, mram=mram, extra_symbols=mcode_env)
+    symbols = assembler_symbols(config.extra_symbols)
+    image = load_mroutines(routines, mram=mram, extra_symbols=symbols)
     unit = MetalUnit(image)
     machine = _base_machine(config, unit, name="metal")
     machine.metal_image = image
@@ -176,13 +178,8 @@ def build_nested_metal_machine(routines=(), layer_names=("vmm", "os", "app"),
     from repro.metal.nested import NestedMetalUnit
 
     config = config or MachineConfig(**config_kwargs)
-    mcode_env = {}
-    mcode_env.update(CAUSE_SYMBOLS)
-    mcode_env.update(DEVICE_SYMBOLS)
-    mcode_env.update(PTE_SYMBOLS)
-    mcode_env.update(PRIV_SYMBOLS)
-    mcode_env.update(config.extra_symbols)
-    image = load_mroutines(routines, extra_symbols=mcode_env)
+    symbols = assembler_symbols(config.extra_symbols)
+    image = load_mroutines(routines, extra_symbols=symbols)
     unit = NestedMetalUnit(image, layer_names=layer_names)
     machine = _base_machine(config, unit, name="nested-metal")
     machine.metal_image = image

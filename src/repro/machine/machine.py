@@ -197,23 +197,16 @@ class Machine:
         interception routes referring to old entry numbers are the
         caller's responsibility to re-establish.
         """
-        from repro.cpu.csr import CSR_SYMBOLS
-        from repro.cpu.exceptions import CAUSE_SYMBOLS
-        from repro.machine.builder import DEVICE_SYMBOLS
-        from repro.mcode.pagetable import PTE_SYMBOLS
-        from repro.mcode.runtime import PRIV_SYMBOLS
+        from repro.machine.builder import assembler_symbols
         from repro.metal.loader import load_mroutines
 
         unit = self.core.metal
         if unit is None:
             raise ValueError("reload_mroutines on a machine without Metal")
-        env = {}
-        for table in (CAUSE_SYMBOLS, CSR_SYMBOLS, DEVICE_SYMBOLS,
-                      PTE_SYMBOLS, PRIV_SYMBOLS):
-            env.update(table)
         mram = unit.mram
         mram.clear()
-        image = load_mroutines(routines, mram=mram, extra_symbols=env)
+        image = load_mroutines(routines, mram=mram,
+                               extra_symbols=assembler_symbols())
         unit.image = image
         self.metal_image = image
         self.symbols.update(image.symbols)

@@ -7,9 +7,9 @@ a documented shape — tcache best case, Metal-transition stress, chain
 stress, and so on — so a profile of one is comparable across PRs and
 across the CLI/benchmark boundary.  ``poly_branch`` is the polymorphic
 chainer's showcase: its hot block exits through a conditional branch
-whose target alternates every iteration, which the monomorphic
-single-slot chainer of PR 2 relinked on every flip and the LRU target
-map keeps fully linked.
+whose target alternates every iteration, which a monomorphic
+single-slot chainer relinks on every flip and the target map keeps
+fully linked.
 
 This module is intentionally *not* imported from
 ``repro.profile.__init__``: it builds machines, so importing it loads
@@ -165,8 +165,9 @@ def _poly_branch(iters: int) -> str:
     The ``loop`` head block exits through ``beqz`` toward ``even`` on
     half the iterations and falls through to ``odd`` on the other half:
     a monomorphic chain slot breaks and relinks on *every* iteration,
-    while the LRU target map keeps both successors linked (observable as
-    ``chain_poly_hits`` with near-zero ``chain_breaks``)."""
+    while the target map keeps both successors linked (observable as
+    ``chain_hits`` covering every iteration with near-zero
+    ``chain_breaks``)."""
     return f"""
 _start:
     li t0, {iters}

@@ -39,22 +39,6 @@ from repro.isa.instruction import InstrClass
 from repro.serve.api import ServeRejected, error_dict
 
 
-def guest_symbols() -> dict:
-    """The symbol environment shard machines assemble guest code
-    against (mirrors ``repro.machine.builder._base_machine``)."""
-    from repro.cpu.csr import CSR_SYMBOLS
-    from repro.cpu.exceptions import CAUSE_SYMBOLS
-    from repro.machine.builder import DEVICE_SYMBOLS
-    from repro.mcode.pagetable import PTE_SYMBOLS
-    from repro.mcode.runtime import PRIV_SYMBOLS
-
-    env = {}
-    for table in (CAUSE_SYMBOLS, CSR_SYMBOLS, DEVICE_SYMBOLS,
-                  PTE_SYMBOLS, PRIV_SYMBOLS):
-        env.update(table)
-    return env
-
-
 def lint_guest_program(program, has_mroutines: bool = False,
                        name: str = "program") -> list:
     """Guest-flavoured MAS lint over an assembled :class:`Program`.
@@ -164,11 +148,11 @@ def admit_source(spec, ram_bytes: int, has_mroutines: bool = False):
     """
     from repro.analysis.lint import diagnostic_dict
     from repro.asm import assemble
-    from repro.machine.builder import RAM_BASE
+    from repro.machine.builder import RAM_BASE, assembler_symbols
 
     try:
         program = assemble(spec.source, base=spec.base,
-                           symbols=guest_symbols())
+                           symbols=assembler_symbols())
     except ReproError as exc:
         raise ServeRejected(error_dict(
             "assembly_error", f"{type(exc).__name__}: {exc}"))

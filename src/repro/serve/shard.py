@@ -195,8 +195,4 @@ def shard_loop(shard_id, request_q, response_q) -> None:
         message = request_q.get()
         if message == WorkerHost.STOP:
             return
-        if message == ("__stats__",):
-            response_q.put({"kind": "stats", "shard": shard_id,
-                            "stats": dict(worker.stats)})
-            continue
         response_q.put(worker.execute(message))

@@ -48,8 +48,7 @@ from repro.verify import sym as S
 from repro.verify.model import Exit, Summary
 
 #: The MJIT calling convention, one for both namespaces.
-PARAMS = ("core", "block", "timer", "sync", "budget", "instret_base",
-          "limit", "hz")
+PARAMS = ("core", "block", "timer", "sync", "instret_base", "limit", "hz")
 
 #: Loop-carried names the evaluator generalises at a ``while True`` head
 #: (anything else assigned in the body must be provably loop-invariant).
@@ -847,7 +846,6 @@ def candidate_summary(source: str, ns) -> Summary:
     st = CState()
     st.vars = {
         "core": _CORE, "block": _BLOCK, "timer": _TIMER, "sync": _SYNC,
-        "budget": S.sym("budget"),
         "instret_base": S.sym("instret_base"),
         "limit": S.sym("limit"),
         "hz": S.sym("hz"),

@@ -163,7 +163,6 @@ class BlockInfo:
     has_generic: bool = False          # any execute() dispatch
     has_sync: bool = False             # any RAM load/store (sync prologue)
     looped: bool = False
-    nlen: int = 0
 
 
 def _plain(instr, pc: int, flags: int):
@@ -231,7 +230,7 @@ def scan_block(block, scoreboard: bool, mem: bool) -> BlockInfo:
     return BlockInfo(
         tracked=frozenset(tracked), written=frozenset(written),
         trapping=trapping, has_generic=has_generic, has_sync=has_sync,
-        looped=block.looped, nlen=len(block.entries),
+        looped=block.looped,
     )
 
 
@@ -707,9 +706,7 @@ class _Ref:
             regfile=self.norm_regfile(st), next_pc=st.next_pc))
 
     def _loop_guard(self, st: RState, *head):
-        return S.band(*head, S.lt(st.loops, S.sym("limit")),
-                      S.le(self.info.nlen,
-                           S.sub(S.sym("budget"), st.retired)))
+        return S.band(*head, S.lt(st.loops, S.sym("limit")))
 
     def _try_loopback(self, st: RState, guard):
         """Fork the internalised back edge; returns the break state

@@ -101,7 +101,7 @@ def _jit_sources(machine, ns="mram"):
 # codegen golden snapshot
 # ---------------------------------------------------------------------------
 GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
-    def _jit(core, block, timer, sync, budget, instret_base, limit, hz):
+    def _jit(core, block, timer, sync, instret_base, limit, hz):
         regs = core.regs
         timing = timer.timing
         _ml = timing.mem_latency
@@ -119,7 +119,7 @@ GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
             retired += 3
             if r5 != 0:
                 cyc += bc + _bt
-                if loops < limit and budget - retired >= 3:
+                if loops < limit:
                     loops += 1
                     continue
                 next_pc = 4104
@@ -149,7 +149,7 @@ def test_golden_source_self_loop():
 
 
 GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
-    def _jit(core, block, timer, sync, budget, instret_base, limit, hz):
+    def _jit(core, block, timer, sync, instret_base, limit, hz):
         regs = core.regs
         timing = timer.timing
         _ml = timing.mem_latency
@@ -165,7 +165,7 @@ GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
             retired += 3
             if regs[5] != 0:
                 note_op(_ml, 5, 0, 0, 0, False, 0, 'branch')
-                if loops < limit and budget - retired >= 3:
+                if loops < limit:
                     loops += 1
                     continue
                 next_pc = 4104

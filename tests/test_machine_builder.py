@@ -181,3 +181,29 @@ _start:
     halt
 """, base=0x1000)
         assert m.reg("a0") == 3
+
+
+class TestSymbolEnvironment:
+    """Boot, ``reload_mroutines``, the serving gate and ``repro lint``
+    assemble against one symbol environment, so code that assembles in
+    one of them assembles in all four."""
+
+    def test_every_name_assembles_everywhere(self):
+        from repro.analysis.lint import lint_routines
+        from repro.machine.builder import DEFAULT_RAM_BYTES, assembler_symbols
+        from repro.serve.api import DEFAULT_BUDGET, parse_request
+        from repro.serve.gate import admit_source
+
+        names = sorted(assembler_symbols())
+        assert {"CAUSE_ECALL", "CSR_MSTATUS", "TIMER_COMPARE"} <= set(names)
+        body = "".join(f"    li   t0, {name}\n" for name in names)
+        routine = MRoutine(name="names", entry=0, source=body + "    mexit\n")
+        machine = build_metal_machine([routine])            # boot
+        machine.reload_mroutines([routine])
+        results, _extra = lint_routines([routine])          # repro lint
+        assert list(results) == ["names"]
+        spec = parse_request({"source": "_start:\n" + body + "    halt\n"},
+                             "names", DEFAULT_BUDGET)
+        admit_source(spec, DEFAULT_RAM_BYTES)               # the gate
+        # Guest code sees the same names, plus the image's MR_* entries.
+        assert set(names) <= set(machine.symbols)

@@ -14,7 +14,9 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -485,6 +487,29 @@ class TestCoverage:
         m.run(max_instructions=50_000, raise_on_limit=False)
         assert m.core.instret == 50_000
         assert m.core.metal.stats.deliveries[Cause.interrupt(0)] > 10
+        assert self._table_instructions(sink) == m.core.instret
+
+    def test_paging_example(self, monkeypatch, capsys):
+        """While paging is on no normal-mode block runs, so every
+        normal-mode instruction retires on a blockless ``step()``."""
+        path = (pathlib.Path(__file__).parent.parent / "examples"
+                / "custom_page_tables.py")
+        spec = importlib.util.spec_from_file_location("page_tables", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        built = []
+
+        def build(*args, **kwargs):
+            machine = build_metal_machine(*args, **kwargs)
+            built.append((machine, machine.set_profiling(True)))
+            return machine
+
+        monkeypatch.setattr(example, "build_metal_machine", build)
+        example.main()
+        assert "forwarded to the OS" in capsys.readouterr().out
+        (m, sink), = built
+        assert m.core.tlb.enabled
+        assert m.core.instret == 1194
         assert self._table_instructions(sink) == m.core.instret
 
 

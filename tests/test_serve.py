@@ -24,7 +24,7 @@ from repro.serve.api import (
     digest_hex, parse_request,
 )
 from repro.serve.fleet import Fleet, FleetConfig
-from repro.serve.gate import admit_source, guest_symbols, lint_guest_program
+from repro.serve.gate import admit_source, lint_guest_program
 from repro.serve.http import start_server
 from repro.serve.shard import ShardWorker
 
@@ -222,23 +222,24 @@ def test_gate_warns_on_no_reachable_halt():
 def test_gate_symbols_match_machine_environment():
     """The gate assembles with the exact symbol set shards use, so
     admission and execution can never disagree about a program."""
-    from repro.machine.builder import build_metal_machine
+    from repro.machine.builder import assembler_symbols, build_metal_machine
 
     machine = build_metal_machine([], engine="functional",
                                   with_caches=False)
     # User sources execute on a no-mroutine machine: symbol sets must
     # match exactly (mroutine-bearing machines add MR_* labels on top).
-    assert dict(machine.symbols) == guest_symbols()
+    assert dict(machine.symbols) == assembler_symbols()
     workload_machine = build_workload("tight_loop", engine="functional")
-    for name, value in guest_symbols().items():
+    for name, value in assembler_symbols().items():
         assert workload_machine.symbols[name] == value
 
 
 def test_lint_guest_program_flags_undecodable_reachable_word():
     from repro.asm.assembler import assemble
+    from repro.machine.builder import assembler_symbols
 
     program = assemble("_start:\n    .word 0xffffffff\n    halt\n",
-                       base=0x1000, symbols=guest_symbols())
+                       base=0x1000, symbols=assembler_symbols())
     findings = lint_guest_program(program)
     assert any(f.severity == "error" and "undecodable" in f.message
                for f in findings)

@@ -200,11 +200,13 @@ def test_detects_corrupted_imm_template(monkeypatch):
 
 
 def test_detects_broken_loop_guard(monkeypatch):
-    """Dropping the budget clause from the self-loop guard changes the
-    loop-exit protocol and must be caught."""
+    """An off-by-one self-loop guard runs one iteration past the
+    engine's limit, which can overshoot the budget or reach the
+    interrupt horizon; it changes the loop-exit protocol and must be
+    caught."""
     monkeypatch.setattr(
         jit._Codegen, "_self_loop_guard",
-        lambda self: "loops < limit")
+        lambda self: "loops <= limit")
     machine = _machine()
     machine.load_and_run(LOOP, base=CODE_BASE, max_instructions=100_000)
     findings = []
