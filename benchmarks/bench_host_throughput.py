@@ -97,7 +97,7 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 SMOKE_JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                "BENCH_host_throughput_smoke.json")
 #: Label this run's tight-loop numbers carry in the JSON trajectory.
-TRAJECTORY_LABEL = "ram_path_superblocks"
+TRAJECTORY_LABEL = "regions"
 
 #: Most dispatcher block lookups (``hits + misses``) per instruction a
 #: Metal-heavy workload may make with the tcache on: its Metal

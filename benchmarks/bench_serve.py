@@ -61,7 +61,7 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 SMOKE_JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                "serve_smoke.json")
 #: Label this PR's numbers carry in the JSON trajectory.
-TRAJECTORY_LABEL = "sparse_capsules"
+TRAJECTORY_LABEL = "regions"
 
 #: Iteration count per workload request — small enough that a request is
 #: latency- not compute-bound, large enough to cross several quanta for

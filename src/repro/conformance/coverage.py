@@ -39,7 +39,7 @@ EDGE_KINDS = (
 GEN_MARKS = (
     "vecinit", "menter", "smc", "csr", "auipc_mem",
     "misalign_load", "misalign_store", "unsigned_branch", "divrem",
-    "irq", "ecall", "icept", "calls",
+    "irq", "ecall", "icept", "calls", "switch",
 )
 
 

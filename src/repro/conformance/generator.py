@@ -45,6 +45,11 @@ seed:
                      ``done`` that run a few ALU ops and loads and
                      return through ``jalr zero, 0(ra)``: a block
                      continues through a ``jal`` that links
+``switch``           a 3- or 4-way dispatch on a pool register, made
+                     once through a ``jalr`` to a computed target (a
+                     table of four-instruction cases) and once through
+                     a chain of branches: inside the chunk loops, a
+                     hot cycle of many linked blocks (MJIT regions)
 ===================  ====================================================
 
 Programs are always-terminating by construction: forward control flow is
@@ -176,10 +181,15 @@ class GenConfig:
     icept: float = 0.0
     #: Body-slot weight of a call to a leaf function.
     calls: float = 0.0
+    #: Body-slot weight of a switch (a computed jump, then a branch
+    #: chain).
+    switch: float = 0.0
     ext_rate: float = 0.25
 
-    #: Body-slot features, in weighted-choice order (stable!).
-    _BODY_FEATURES = ("csr", "auipc_mem", "misalign", "divrem", "calls")
+    #: Body-slot features, in weighted-choice order (stable! a new one
+    #: goes last, so the programs of existing configs stay the same).
+    _BODY_FEATURES = ("csr", "auipc_mem", "misalign", "divrem", "calls",
+                      "switch")
 
     def body_weights(self):
         return tuple((name, getattr(self, name))
@@ -532,11 +542,55 @@ def generate(rng, config: GenConfig = GenConfig()) -> GenResult:
             op = rng.choice(DIVREM)
             lines.append(f"    {op} {reg()}, {reg()}, {reg()}")
             marks.add("gen:divrem")
-        else:  # calls
+        elif name == "calls":
             lines.append(f"    jal  ra, leaf_{rng.randrange(CALL_LEAVES)}")
             marks.add("gen:calls")
+        else:  # switch
+            emit_switch()
+            marks.add("gen:switch")
+
+    def alu_imm():
+        lines.append(f"    {rng.choice(ALU_IMM)} {reg()}, {reg()}, "
+                     f"{rng.randint(-2048, 2047)}")
+
+    def emit_switch():
+        """A 3- or 4-way dispatch on ``sel & 3`` (t5 the index, t0 the
+        target), once through a ``jalr`` into a table of four-instruction
+        cases, then again through a chain of branches.  All forward."""
+        tag = f"sw{len(switches)}"
+        switches.append(tag)
+        ways = rng.choice((3, 4))
+        sel = reg()
+        lines.append(f"    andi t5, {sel}, 3")
+        lines.append("    slli t5, t5, 4")
+        lines.append(f"    li   t0, {tag}_cases")
+        lines.append("    add  t0, t0, t5")
+        lines.append("    jalr zero, 0(t0)")
+        lines.append(f"{tag}_cases:")
+        for k in range(4):
+            if k < ways:
+                for _ in range(3):
+                    alu_imm()
+                lines.append(f"    j    {tag}_join")
+            else:
+                # Index 3 of a 3-way switch takes case 0.
+                lines.append(f"    j    {tag}_cases")
+                lines.extend(["    nop"] * 3)
+        lines.append(f"{tag}_join:")
+        lines.append(f"    andi t5, {sel}, 3")
+        for k in range(ways - 1):
+            lines.append(f"    beqz t5, {tag}_b{k}")
+            lines.append("    addi t5, t5, -1")
+        lines.append(f"    j    {tag}_b{ways - 1}")
+        for k in range(ways):
+            lines.append(f"{tag}_b{k}:")
+            for _ in range(rng.randint(1, 3)):
+                alu_imm()
+            lines.append(f"    j    {tag}_end")
+        lines.append(f"{tag}_end:")
 
     patch_slots = []
+    switches = []
 
     for k in range(n_chunks):
         lines.append(f"chunk_{k}:")

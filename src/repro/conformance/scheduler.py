@@ -34,6 +34,7 @@ FEATURE_BUCKETS = {
     "ecall": frozenset({"gen:ecall"}),
     "icept": frozenset({"gen:icept"}),
     "calls": frozenset({"gen:calls"}),
+    "switch": frozenset({"gen:switch"}),
 }
 
 #: Per-feature weight when the feature is targeted (has uncovered

@@ -94,8 +94,14 @@ def block_bound(timer, mem_fetch, data: int, entries, heads,
     return timer.block_bound(entries, fetches, data)
 
 
-#: Effectively-unbounded chain quantum used when no profiler is attached.
-_CHAIN_UNLIMITED = 1 << 62
+#: Effectively-unbounded chain quantum used when no profiler is attached:
+#: the largest one-digit int, so a region's edge test ``loops < quantum``
+#: stays on CPython's fast small-int compare.
+_CHAIN_UNLIMITED = (1 << 30) - 1
+
+#: Blocks one dispatch remembers entering, to find a cycle to join into
+#: a region: twice the most members a region has.
+_TRAIL = 2 * TranslationCache.MAX_REGION_MEMBERS
 
 
 class SimpleTimer:
@@ -183,7 +189,9 @@ class FunctionalSimulator:
     across Metal transitions (``menter``, ``mexit``/``mexitm``, a trap
     delivered to an mroutine), so hot traces never return to the
     dispatch loop.  A block runs as MJIT code, compiled at its first
-    dispatch; :meth:`step` remains the one-instruction-at-a-time
+    dispatch, and each hot cycle of linked blocks as one compiled
+    region, whose edges test the dispatch's admission rule in place;
+    :meth:`step` remains the one-instruction-at-a-time
     reference path, which runs every instruction while a step hook is
     subscribed, and the two produce bit-identical architectural state,
     instruction counts and cycle counts (see docs/PERF.md).  Live
@@ -608,23 +616,31 @@ class FunctionalSimulator:
         interrupt horizon *hz* (the bus horizon while interrupts are
         deliverable, else :data:`MASKED`): no interrupt line can rise
         before the horizon, so such a block has no entry boundary at
-        which :meth:`step` would take one.  A looped block's iteration
-        limit is the same rule counted in runs.  A load or store that
-        pulls the bus horizon below *hz* (a timer armed, a fault
-        injected from inside an MMIO access) ends the dispatch at the
-        next entry boundary.  Every block of the dispatch runs as its
-        MJIT function, compiled at its first dispatch.
+        which :meth:`step` would take one.  A load or store that pulls
+        the bus horizon below *hz* (a timer armed, a fault injected from
+        inside an MMIO access) ends the dispatch at the next entry
+        boundary.
+
+        Every block runs as the MJIT function of its region (one block,
+        or a cycle of linked blocks, see :mod:`repro.cpu.jit`), compiled
+        at its first dispatch.  Inside a region an exit to a member
+        tests this rule in place, with the chain quantum; any other exit
+        returns here naming the member it left, and the chain goes on
+        from that member.  When the chain comes back to a block this
+        dispatch already entered, the blocks entered since join one
+        region (:meth:`repro.cpu.tcache.TranslationCache.join`).
 
         On a Metal machine with no profile sink attached, the chain
         also *crosses* namespaces: after a block whose exit switched
         the mode bit (``menter``, ``mexit``/``mexitm``) or whose
         terminator trapped in normal mode (delivered here, into its
         mroutine), the namespace locals switch and the block's target
-        map leads into the other namespace.  Metal mode is never
-        interruptible and has no *stop_pc*; the ``mexit`` crossing
-        re-checks what :meth:`_fast_step` checks (:meth:`_mem_horizon`).
-        A trap at an inner entry ends the dispatch: only a terminator's
-        target map holds the other namespace's pcs.
+        map leads into the other namespace.  A region crosses inside
+        itself the same way.  Metal mode is never interruptible and has
+        no *stop_pc*; the ``mexit`` crossing re-checks what
+        :meth:`_fast_step` checks (:meth:`_mem_horizon`).  A trap at an
+        inner entry ends the dispatch: only a terminator's target map
+        holds the other namespace's pcs.
         """
         core = self.core
         timer = self.timer
@@ -646,51 +662,44 @@ class FunctionalSimulator:
             code, stop = bus, stop_pc
         chain_next = tcache.chain_next
         sync = self._sync
-        live = hz < MASKED
         # An MPROF trace record covers one namespace.
         crossing = metal is not None and sink is None
+        # A region's crossing re-check at an mexit (None: no crossing).
+        cross = self._mem_horizon if crossing else None
         instret0 = core.instret
         retired = 0
         # Chain transitions made; -1 until the first block is admitted.
         chained = -1
-        # The self-loop limit, set only for blocks that loop (no other
-        # compiled block reads it).
-        limit = 0
+        # The blocks this dispatch entered, for joining a cycle.
+        trail = []
         trap = None
 
         try:
             while True:
-                n = len(block.entries)
-                if (budget - retired < n
+                if (budget - retired < len(block.entries)
                         or stop != -1 and entry_index(block, stop) >= 0
-                        or live and timer.cycles + block.bound >= hz):
+                        or timer.cycles + block.bound >= hz):
                     if chained < 0:
                         return False
                     break
                 chained += 1
                 if chained > stats.chain_longest:
                     stats.chain_longest = chained
+                if len(trail) < _TRAIL:
+                    trail.append(block)
                 # MJIT code (repro.cpu.jit).  The function owns the timer,
                 # the I-cache fetch plan and the register file for its
-                # block; ``core.pc`` and ``core.instret`` are published
+                # region; ``core.pc`` and ``core.instret`` are published
                 # here.
-                jfn = block.jit_fn or tcache.jit_compile(block, mram)
-                if block.looped:
-                    # The admission rule counted in further runs: the
-                    # chain quantum, the budget, and (at block.bound
-                    # cycles a run) the runs that end short of hz.
-                    limit = min(chain_limit - chained,
-                                (budget - retired) // n - 1)
-                    if live:
-                        fit = (hz - timer.cycles - 1) // block.bound - 1
-                        if fit < limit:
-                            limit = fit
-                status, next_pc, jret, jloops, trap = jfn(
-                    core, block, timer, sync, instret0 + retired, limit, hz)
+                jfn = block.jit_fn or tcache.jit_compile(block)
+                members = block.region
+                status, next_pc, jret, jloops, trap, m, hz = jfn(
+                    core, block.index, timer, sync, instret0 + retired,
+                    budget - retired, stop_pc, hz, chain_limit - chained,
+                    cross)
                 retired += jret
                 if jloops:
-                    # Internalised self-loop iterations are chain
-                    # transitions the caller would have made.
+                    # Edges inside the region are chain transitions.
                     chained += jloops
                     stats.chain_hits += jloops
                     if chained > stats.chain_longest:
@@ -698,6 +707,14 @@ class FunctionalSimulator:
                 # 1: invalidated mid-trace or horizon pulled in; 2: trap
                 # at next_pc.
                 core.pc = next_pc
+                block = members[m]
+                if block.mram != mram:
+                    # The region crossed into the other namespace.
+                    mram = block.mram
+                    if mram:
+                        code, stop = metal.mram, -1
+                    else:
+                        code, stop = bus, stop_pc
                 if status or not block.chainable:
                     # The dispatch ends here unless the block crossed into
                     # the other namespace.
@@ -706,7 +723,8 @@ class FunctionalSimulator:
                     if status:
                         # A trap leaves core.pc at the faulting entry.
                         if (status == 1 or mram or block.chainable
-                                or core.pc != block.entries[-1][1]):
+                                or core.pc != block.entries[-1][1]
+                                or not isinstance(trap, TrapException)):
                             break
                         # A normal-mode terminator trapped or was
                         # intercepted: deliver it now.
@@ -725,7 +743,6 @@ class FunctionalSimulator:
                         hz = MASKED
                         mram = True
                         code, stop = metal.mram, -1
-                    live = hz < MASKED
                     nxt = tcache.cross_next(block, core.pc, mram, code)
                 elif chained >= chain_limit:
                     break
@@ -736,6 +753,10 @@ class FunctionalSimulator:
                 # if it is admitted at the loop head.
                 if nxt is None:
                     break
+                if nxt in trail:
+                    # Back at a block this dispatch entered: a cycle.
+                    tcache.join(trail[trail.index(nxt):])
+                    del trail[:]
                 block = nxt
         finally:
             # However the dispatch ends (an in-loop delivery raises for
@@ -747,6 +768,9 @@ class FunctionalSimulator:
             sink.note_trace(ns, head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)
         if trap is not None:
+            if not isinstance(trap, TrapException):
+                # A delivery inside a region raised (an unrouted cause).
+                raise trap
             # In Metal mode this is a double fault: it raises.
             self._dispatch_trap(trap, core.pc)
             # The trap's traceback holds this frame: drop the local

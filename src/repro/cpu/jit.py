@@ -1,18 +1,25 @@
-"""MJIT: the tier-2 compiler (blocks → specialized Python).
+"""MJIT: the tier-2 compiler (regions of blocks → specialized Python).
 
 On the engine's ``step()`` every instruction pays a fetch, a decode,
-an ``execute()`` dispatch, a ``StepInfo`` and a timer call.  At a
-block's first dispatch MJIT renders the block as straight Python source
-and ``exec``-compiles it once:
+an ``execute()`` dispatch, a ``StepInfo`` and a timer call.  MJIT
+renders a *region* — one block, or a cycle of linked blocks the engine
+found a dispatch coming back around (:meth:`repro.cpu.tcache.
+TranslationCache.join`), of either namespace — as straight Python source
+and ``exec``-compiles it once.  A block's function is its one-member
+region, compiled at its first dispatch:
 
 * decoded fields, immediates and ALU semantics are baked in as literal
   expressions from the shared micro-op IR
   (:func:`repro.cpu.tcache.uop_ir`), the same IR the translation
   validator checks the generated code against;
-* the invalidation guards are hoisted out of the instruction stream,
-  and a trace whose terminator targets its own head internalises the
-  loop (bounded by the caller's iteration limit);
-* the block's I-cache fetch plan (:func:`fetch_plan`) is baked in: a
+* each member's body comes from the per-class emitters, one prologue and
+  one epilogue serve the region, and the guest registers stay in host
+  locals across members;
+* an exit into a member is an *edge* (:meth:`_Codegen.edge`): it tests
+  the engine's admission rule in place, with only the checks that can
+  fail on that edge, and continues the function's loop at that member
+  (``m`` names it); any other exit returns, naming the member it left;
+* each member's I-cache fetch plan (:func:`fetch_plan`) is baked in: a
   line head makes a real ``access(pc)``, in program order; every other
   fetch costs the hit latency and is credited to the I-cache's hit count
   in one batch at every exit.
@@ -27,9 +34,10 @@ mem blocks of a core with an I-cache).  With the pipeline scoreboard
 (*scoreboard*) the registers stay in ``core.regs``, each run of plain
 entries ends in one ``timer.note_run`` with the run's schedule, and
 every other inlined entry (branch, ``jal``, ``jalr``, muldiv, load,
-store, and in mroutines ``mld``/``mst`` and ``mexit``/``mexitm``) makes
-one ``timer.note_op`` with what ``execute()`` would report.  Only CSR,
-SYSTEM and architectural-feature terminators and ``menter`` (and a mem
+store, ``menter`` in a region with mram members, and in mroutines
+``mld``/``mst`` and ``mexit``/``mexitm``) makes one ``timer.note_op``
+with what ``execute()`` would report.  Only CSR, SYSTEM and
+architectural-feature terminators (and any other ``menter``, a mem
 block's illegal ``mexit``) stay ``execute()`` entries whose StepInfo
 goes to ``timer.note``.  Inside compiled mroutines every
 ``mld``/``mst`` is a raw ``struct`` access on the MRAM data bytearray
@@ -38,46 +46,63 @@ site needs a static proof, and every ``rmr``/``wmr`` indexes the MReg
 list (:attr:`repro.metal.mregs.MRegFile.values`); in scoreboard mode
 they join the plain ``note_run`` runs.
 
-The Metal transitions are compiled too, so the engine can chain across
-them (docs/PERF.md, "Crossings"): a mem block's ``ecall`` is fetched
-and leaves with status 2 and an ECALL trap that is never raised (every
-mode); a mem block's intercept terminator (``F_ICEPT``) is fetched,
-charges its raw fetch latency as ``step()`` does (``timer.note_event``
-in scoreboard mode) and leaves the same way with an INTERCEPT trap
-carrying the word, bound once per block as ``_icept``; and
-``mexit``/``mexitm`` call the Metal unit's own ``exit_metal()`` and
-charge the fetch plus ``mexit_cost`` (a ``note_op`` with the ``mexit``
-redirect, and for ``mexitm`` the register it commits, in scoreboard
-mode); ``mexitm`` commits ``m27`` into ``x[m26 & 31]`` after the final
-spill.
+The Metal transitions are compiled too (docs/PERF.md, "Crossings" and
+"Regions"): in a region with mram members ``menter`` calls the unit's
+``enter()`` (an entry with no mroutine is the illegal-instruction trap
+``execute()`` raises); ``mexit``/``mexitm`` call the unit's
+``exit_metal()`` and charge the fetch plus ``mexit_cost`` (a ``note_op``
+with the ``mexit`` redirect, and for ``mexitm`` the register it commits,
+in scoreboard mode), and ``mexitm`` commits ``m27`` into ``x[m26 & 31]``
+over the spilled register file.  A mem block's ``ecall`` is fetched and
+leaves with status 2 and an ECALL trap that is never raised, and its
+intercept terminator (``F_ICEPT``) is fetched, charges its raw fetch
+latency as ``step()`` does and leaves the same way with an INTERCEPT
+trap carrying the word, which the engine delivers.  In a region with
+members in the other namespace, and while the dispatch may cross, a
+region makes the crossing itself: the ECALL or intercept delivery
+through the unit's own ``deliver`` (a subclass's override included; a
+delivery that raises leaves with status 2 and the error), then the edges
+into the mram members; after ``mexit``, the engine's ``_mem_horizon``
+re-check (``cross``), whose None leaves the region, then the edges into
+the mem members.
 
 Calling convention (every mode and namespace)::
 
-    status, next_pc, retired, loops, trap = jit_fn(
-        core, block, timer, sync, instret_base, limit, hz)
+    status, next_pc, retired, edges, trap, m, hz = jit_fn(
+        core, m, timer, sync, instret_base, budget, stop, hz, quantum,
+        cross)
 
 * ``status == 0`` — normal exit; ``next_pc`` is the successor pc.
-* ``status == 1`` — aborted: the block was invalidated mid-trace (DMA
+* ``status == 1`` — aborted: a member was invalidated mid-trace (DMA
   during a sync, or the trace's own store — SMC; only mem blocks can
-  be), or in a mem block a load or store pulled the bus horizon below
+  be), or in a mem member a load or store pulled the bus horizon below
   *hz*; ``next_pc`` is the resume pc and no stale entry was executed.
 * ``status == 2`` — trap: ``next_pc`` is the faulting pc (epc), ``trap``
   the :class:`TrapException` (raised inside the code, or for a mem
-  block's ``ecall`` or intercept terminator an unraised one); registers
-  are already spilled and ``timer.cycles`` flushed — the caller only
-  dispatches.
+  block's ``ecall`` or intercept terminator an unraised one) or the
+  ``MetalError`` a delivery raised; registers are already spilled and
+  ``timer.cycles`` flushed — the caller only dispatches.
 
-*hz* is the dispatch's interrupt horizon: the bus horizon while
-interrupts are deliverable, else ``MASKED``, above every horizon.
-*limit* bounds the internalised self-loop iterations after the first,
-and the guard at the back edge is only ``loops < limit``: the engine
-admits the first run and counts its admission rule in further runs (the
-chain quantum left, the runs the remaining budget covers, and while
-interrupts are deliverable the runs that end short of *hz* at
-``block.bound`` cycles each), so the loop never overshoots the budget
-and no entry boundary it runs can reach a deliverable interrupt.
-``retired`` counts instructions retired inside the call and ``loops``
-the internalised self-loop iterations (chain transitions the caller
+The argument ``m`` is the member the call enters at (the entry block's
+``index``), and the returned ``m`` the member the region left, which
+the engine chains from.  *budget* is the instructions the dispatch may
+still retire, *stop* its normal-mode stop pc (-1: none), *hz* the
+interrupt horizon of the entry's namespace (the bus horizon while
+interrupts are deliverable, else ``MASKED``, above every horizon;
+returned as it stands after any crossing), *quantum* the chain
+transitions the dispatch may still make, and *cross* the engine's
+``_mem_horizon`` when the dispatch may cross namespaces (a Metal machine
+with no profile sink), else None.  An edge into member ``j`` tests, in
+this order: ``j`` is still valid (only in a region some member of which
+can invalidate a block: an evicted member drops its region from every
+member); ``retired <= bud<j>``, the prologue's ``budget - len(j)``;
+``stop`` is not an entry of ``j`` (a mem member of a multi-member
+region); ``cycles + j.bound < hz`` while interrupts are deliverable
+(``live``, the prologue's ``hz < MASKED``; a mem member); the chain
+quantum (not on a crossing); ``cross`` (``menter``'s crossing); and,
+from a mem member into MRAM, ``mram.code_version`` is the version the
+region was built under.  ``retired`` counts instructions retired inside
+the call and ``edges`` the edges taken (chain transitions the caller
 credits to ``chain_hits``).  The compiled code updates ``timer.cycles``
 (or calls the timer) itself, and the caller passes ``instret_base`` so
 CSR reads inside the trace can latch an exact ``core.instret``.
@@ -91,6 +116,7 @@ from repro.cpu import alu
 from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import _mem_width, execute
 from repro.cpu.functional import MASKED
+from repro.errors import MetalError
 from repro.cpu.tcache import (
     F_CSR,
     F_ICEPT,
@@ -117,6 +143,8 @@ _BASE_NS = {
     "execute": execute,
     "TrapException": TrapException,
     "CAUSE_BUS_ERROR": Cause.BUS_ERROR,
+    "CAUSE_ILLEGAL": Cause.ILLEGAL_INSTRUCTION,
+    "MetalError": MetalError,
     # The trap a mem block's ``ecall`` returns with status 2.  It is
     # never raised, so it has no traceback and one instance serves.
     "_ecall": TrapException(Cause.ECALL, 0),
@@ -135,11 +163,13 @@ _TIMING_LOCALS = {
     "_dx": "div_extra",
     "_mx": "mul_extra",
     "_mxc": "mexit_cost",
+    "_mec": "menter_cost",
 }
 
 #: The analytic modes' penalty local for each control kind MJIT inlines
 #: (the scoreboard gets the kind itself).
-_PENALTY = {"branch": "_bt", "jal": "_jp", "jalr": "_bt", "mexit": "_mxc"}
+_PENALTY = {"branch": "_bt", "jal": "_jp", "jalr": "_bt", "mexit": "_mxc",
+            "menter": "_mec"}
 
 #: Classes whose emitter retires the entry before any exit, so the
 #: plain entries flushed before it retire in the same statement.
@@ -214,28 +244,95 @@ def _branch_cond(m: str, a: str, b: str) -> str:
     raise KeyError(m)
 
 
-class _Codegen:
-    """One block → one Python source string (+ its exec namespace)."""
+def _exits(block):
+    """How *block* can continue into another block: one ``(pc, mram)``
+    per exit, *pc* its static target or None for a dynamic one, *mram*
+    the namespace it continues in.  A Metal transition crosses."""
+    instr, pc, flags = block.entries[-1]
+    mram = block.mram
+    if flags & F_ICEPT:
+        return [(None, True)]
+    if not flags & F_TERM:
+        return [(block.end, mram)]
+    cls = instr.spec.cls
+    if cls is InstrClass.BRANCH:
+        return [((pc + instr.imm) & _M, mram), ((pc + 4) & _M, mram)]
+    if cls is InstrClass.JAL:
+        return [((pc + instr.imm) & _M, mram)]
+    if cls is InstrClass.JALR:
+        return [(None, mram)]
+    if not mram and instr.mnemonic in ("ecall", "menter"):
+        return [(None, True)]
+    if mram and instr.mnemonic in ("mexit", "mexitm"):
+        return [(None, False)]
+    return []
 
-    def __init__(self, block, mem: bool, line_size, scoreboard: bool):
-        self.block = block
-        self.mem = mem
+
+class _Codegen:
+    """One region → one Python source string (+ its exec namespace).
+
+    A region is a tuple of member blocks, one or a cycle of linked
+    blocks, possibly of both namespaces.  Each member's body comes from
+    the per-class emitters; an exit into a member is an *edge*, which
+    tests the engine's admission rule in place and continues the
+    function's loop at that member (see :meth:`edge`)."""
+
+    def __init__(self, members, line_size, scoreboard: bool, version):
+        self.members = members
+        self.line_size = line_size
         self.scoreboard = scoreboard
-        #: Whether fetches go through an I-cache model (mem blocks only).
-        self.cached = line_size is not None
-        self.heads = fetch_plan(block.entries, line_size)
+        self.multi = len(members) > 1
+        self.has_mem = any(not block.mram for block in members)
+        self.has_mram = any(block.mram for block in members)
+        #: Whether fetches go through an I-cache model (the mem members
+        #: of a core with one).
+        self.cached_any = line_size is not None and self.has_mem
         self.ns = dict(_BASE_NS)
+        for k, block in enumerate(members):
+            self.ns[f"_b{k}"] = block
+        if self.has_mram:
+            # The MRAM code version the mram members were built under.
+            self.ns["_cv"] = version
+        #: Whether an exit of some member can continue into a member:
+        #: the function is then one loop over its members.
+        self.looped = any(
+            other.mram == mram and (pc is None or other.start == pc)
+            for block in members for pc, mram in _exits(block)
+            for other in members)
+        #: Whether an edge can enter a mem member and so test the
+        #: horizon: a prologue ``live = hz < MASKED`` then serves them,
+        #: kept up to date where a crossing sets ``hz``.
+        self.live = self.looped and self.has_mem
+        #: Members an edge enters: the prologue binds ``bud<j>``, the
+        #: budget left once member ``j`` has run.
+        self.budgets = set()
         self.lines = []
         self.indent = 1
         self.tracked = set()        # guest regs living in host locals
         self.timing_needs = set()   # local names from _TIMING_LOCALS
         self.generic = []           # ns keys of execute() entries
         self.trapping = False
-        self.looped = block.looped
-        #: Set once a terminator has emitted its own return (``ecall``).
-        self.exited = False
-        #: Whether the final spill is followed by the ``mexitm`` commit.
-        self.commit = False
+        #: Whether no member can invalidate a block: then no edge tests
+        #: ``valid`` (the region is dropped with any evicted member).
+        self.quiet = True
+        #: Whether some exit reaches the epilogue.
+        self.falls = False
+        self.uses_me = False
+        self.run = []               # scoreboard: pending run schedule
+        self.schedules = 0          # scoreboard: runs bound so far
+
+    def member(self, k: int) -> None:
+        """Emit member *k* from now on: its namespace, fetch plan and
+        fetch-latency locals, with empty batches."""
+        block = self.members[k]
+        self.k = k
+        self.block = block
+        self.mem = not block.mram
+        #: Whether this member's fetches go through the I-cache model.
+        self.cached = self.mem and self.line_size is not None
+        self.heads = fetch_plan(block.entries,
+                                self.line_size if self.mem else None)
+        self.bc, self.ml = ("bc", "_ml") if self.mem else ("bm", "_mm")
         self.units = 0              # pending retirements of plain entries
         self.fetches = 0            # pending non-head fetches among them
         #: Flushed retirements and non-head fetches not yet emitted: the
@@ -244,8 +341,7 @@ class _Codegen:
         #: before an exit.
         self.carry = 0
         self.carry_ih = 0
-        self.run = []               # scoreboard: pending run schedule
-        self.schedules = 0          # scoreboard: runs bound so far
+        self.run = []
 
     # -- emission helpers ------------------------------------------------
     def emit(self, line: str = "") -> None:
@@ -275,14 +371,14 @@ class _Codegen:
             self.ns[key] = tuple(self.run)
             self.run = []
             access = "access" if self.cached else "None"
-            self.emit(f"note_run({key}, {access}, bc)")
+            self.emit(f"note_run({key}, {access}, {self.bc})")
         if carry:
             self.carry = n
         else:
             self.emit(f"retired += {n}")
         if fetches and not self.scoreboard:
-            self.emit("cyc += bc" if fetches == 1
-                      else f"cyc += {fetches} * bc")
+            self.emit(f"cyc += {self.bc}" if fetches == 1
+                      else f"cyc += {fetches} * {self.bc}")
         if fetches and self.cached:
             self.carry_ih = fetches
 
@@ -323,11 +419,11 @@ class _Codegen:
         if head:
             self.emit(f"_f = access({pc})")
             return "(_f if _f > 1 else 1)", "_f"
-        return "bc", "_ml"
+        return self.bc, self.ml
 
     def credit(self) -> None:
         """Credit the non-head fetches to the I-cache (every exit)."""
-        if self.cached:
+        if self.cached_any:
             self.emit("_ist.hits += ih")
 
     def spill(self) -> None:
@@ -338,22 +434,36 @@ class _Codegen:
         for n in sorted(self.tracked):
             self.emit(f"r{n} = regs[{n}]")
 
+    def ret(self, status: int, pc, trap) -> None:
+        """The return of the calling convention, from the current
+        member."""
+        self.emit(f"return ({status}, {pc}, retired, loops, {trap}, m, hz)")
+
     def abort(self, resume_pc: int) -> None:
         """Escape with status 1 (block invalidated), locals spilled."""
         self.spill()
         if not self.scoreboard:
             self.emit("timer.cycles += cyc")
         self.credit()
-        self.emit(f"return (1, {resume_pc}, retired, loops, None)")
+        self.ret(1, resume_pc, None)
+
+    def trap_exit(self, pc: int, trap: str) -> None:
+        """The status-2 exit with the unraised trap bound as *trap*,
+        which the engine delivers."""
+        self.spill()
+        if not self.scoreboard:
+            self.emit("timer.cycles += cyc")
+        self.credit()
+        self.ret(2, pc, trap)
 
     def access_exit(self, pc: int, store: bool) -> None:
         """After the load or store at *pc*: escape to ``pc + 4`` when a
-        store evicted this block (SMC) or, in a mem block, the access
+        store evicted this member (SMC) or, in a mem member, the access
         pulled the bus horizon below the interrupt horizon ``hz`` (an
         armed timer, a fault injected from inside an MMIO access)."""
         tests = []
         if store:
-            tests.append("not block.valid")
+            tests.append(f"not b{self.k}.valid")
         if self.mem:
             tests.append(f"hz < {MASKED} and _bus.horizon < hz")
         if not tests:
@@ -370,7 +480,7 @@ class _Codegen:
         modes), or one ``note_op`` with what ``execute()`` would report
         to the scoreboard.  *reads* and *rd* are the registers it reads
         and writes (source text, 0 for none), *mem* the source of its
-        data latency (``_l`` after a load or store, ``_ml`` for an MRAM
+        data latency (``_l`` after a load or store, ``_mm`` for an MRAM
         data access), *extra* its EX-extra timing local and *control*
         its redirect kind."""
         cost, lat = fetch
@@ -387,8 +497,9 @@ class _Codegen:
             penalty = _PENALTY[control]
             self.timing_needs.add(penalty)
             terms.append(penalty)
-        if mem == "_ml":
-            terms.append("_me")   # the prologue's ``_ml - 1`` clamp
+        if mem == "_mm":
+            terms.append("_me")   # the prologue's ``_mm - 1`` clamp
+            self.uses_me = True
         rhs = " + ".join(terms)
         if mem == "_l":
             self.emit("if _l > 1:")
@@ -398,52 +509,161 @@ class _Codegen:
         else:
             self.emit(f"cyc += {rhs}")
 
+    # -- edges and exits -------------------------------------------------
+    def edge(self, j: int, cond=None, crossing: bool = False,
+             tested: bool = True) -> None:
+        """An edge into member *j* (when *cond*, a target compare, holds):
+        the engine's admission rule, tested in place, with only the
+        checks that can fail here, then the loop continues at *j*.
+
+        The checks, in this order: *j* is still valid (unless the region
+        is quiet); the remaining budget covers it (``retired <=
+        bud<j>``, the prologue's ``budget - len(j)``); it has no entry at
+        ``stop`` (a mem member of a multi-member region: the one member
+        of a one-member region was admitted with the same ``stop``);
+        ``cycles + bound < hz`` while interrupts are deliverable
+        (``live``; a mem member; Metal mode is never interruptible); the
+        chain quantum is not used up (a *crossing*, made only with no profile sink
+        attached, has no quantum); the dispatch may cross namespaces
+        (unless already *tested*); and an edge into MRAM from a mem
+        member makes the lazy ``code_version`` test."""
+        target = self.members[j]
+        tests = [] if cond is None else [cond]
+        if not self.quiet:
+            tests.append(f"b{j}.valid")
+        self.budgets.add(j)
+        tests.append(f"retired <= bud{j}")
+        if not target.mram:
+            if self.multi:
+                pcs = ", ".join(str(pc) for _i, pc, _f in target.entries)
+                tests.append(f"stop not in {{{pcs}}}")
+            now = "timer.cycles" if self.scoreboard else "timer.cycles + cyc"
+            tests.append(f"(not live or {now} + {target.bound} < hz)")
+        if not crossing:
+            tests.append("loops < quantum")
+        elif not tested:
+            tests.append("cross is not None")
+        if target.mram and self.mem:
+            tests.append("_mram.code_version == _cv")
+        self.emit(f"if {' and '.join(tests)}:")
+        self.indent += 1
+        if j != self.k:
+            self.emit(f"m = {j}")
+        self.emit("loops += 1")
+        self.emit("continue")
+        self.indent -= 1
+
+    def out(self) -> None:
+        """The exit to the epilogue, ``next_pc`` set."""
+        self.falls = True
+        if self.looped:
+            self.emit("break")
+
+    def leave(self, target) -> None:
+        """Leave the member toward *target* in its own namespace: a
+        static pc, or the name of the local holding a dynamic one.  An
+        edge into each member that starts there comes first."""
+        for j, block in enumerate(self.members):
+            if block.mram != self.block.mram:
+                continue
+            if isinstance(target, str):
+                self.edge(j, f"{target} == {block.start}")
+            elif block.start == target:
+                self.edge(j)
+        self.emit(f"next_pc = {target}")
+        self.out()
+
+    def cross_into_mram(self, tested: bool) -> None:
+        """After ``menter`` or a delivery (``next_pc`` the MRAM offset):
+        the edges into the mram members, then the exit."""
+        self.emit(f"hz = {MASKED}")
+        if self.live:
+            self.emit("live = False")
+        for j, block in enumerate(self.members):
+            if block.mram:
+                self.edge(j, f"next_pc == {block.start}", crossing=True,
+                          tested=tested)
+        self.out()
+
+    def deliver(self, pc: int, cause: int, info, entry, operands) -> None:
+        """The Metal unit's own ``deliver`` (a subclass's override
+        included) into the mroutine; a delivery that raises (an
+        unrouted cause) leaves with status 2 and the error, which the
+        engine raises.  ``cyc`` is flushed."""
+        self.emit("try:")
+        self.emit(f"    next_pc = _deliver({cause}, {pc}, {info}, {entry}, "
+                  f"{operands})")
+        self.emit("except MetalError as _x:")
+        self.indent += 1
+        self.spill()
+        self.credit()
+        self.ret(2, pc, "_x")
+        self.indent -= 1
+
+    def flush_cyc(self) -> None:
+        if not self.scoreboard:
+            self.emit("timer.cycles += cyc")
+            self.emit("cyc = 0")
+
     # -- scan pass -------------------------------------------------------
     def scan(self) -> None:
         """Classify every entry: the registers the inline code touches
-        (host locals in the analytic modes) and whether any may trap."""
+        (host locals in the analytic modes), whether any may trap, and
+        whether any can invalidate a block."""
         track = set()
-        for instr, pc, flags in self.block.entries:
-            if flags & F_ICEPT:
-                continue  # leaves with the unraised trap
-            ir = None if flags else uop_ir(instr, pc)
-            if ir is not None:
-                kind, rd, a, b, _m = ir
-                if kind == IR_IMM:
-                    track.update((rd, a))
-                elif kind == IR_REG:
-                    track.update((rd, a, b))
-                elif kind == IR_SET:
-                    track.add(rd)
-                continue
-            cls = instr.spec.cls
-            m = instr.mnemonic
-            if m == "rmr" and not flags:
-                track.add(instr.rd)
-            elif m == "wmr" and not flags:
-                track.add(instr.rs1)
-            elif self.mem and m == "ecall":
-                pass  # leaves with the unraised trap
-            elif cls is InstrClass.BRANCH:
-                track.update((instr.rs1, instr.rs2))
-            elif cls is InstrClass.JAL:
-                track.add(instr.rd)
-            elif cls is InstrClass.JALR:
-                track.update((instr.rs1, instr.rd))
-            elif cls is InstrClass.MULDIV:
-                track.update((instr.rd, instr.rs1, instr.rs2))
-            elif m in ("mexit", "mexitm") and not self.mem:
-                pass
-            elif cls is InstrClass.LOAD or (m == "mld" and not flags):
-                # A guest-RAM load, or a raw MRAM data access behind the
-                # segment check: either may trap.
-                self.trapping = True
-                track.update((instr.rs1, instr.rd))
-            elif cls is InstrClass.STORE or (m == "mst" and not flags):
-                self.trapping = True
-                track.update((instr.rs1, instr.rs2))
-            else:
-                self.trapping = True  # an execute() dispatch
+        for block in self.members:
+            mem = not block.mram
+            for instr, pc, flags in block.entries:
+                if flags & F_ICEPT:
+                    if self.has_mram:
+                        # The delivery latches the word's operands.
+                        track.update(((instr >> 15) & 31, (instr >> 20) & 31))
+                    continue
+                ir = None if flags else uop_ir(instr, pc)
+                if ir is not None:
+                    kind, rd, a, b, _m = ir
+                    if kind == IR_IMM:
+                        track.update((rd, a))
+                    elif kind == IR_REG:
+                        track.update((rd, a, b))
+                    elif kind == IR_SET:
+                        track.add(rd)
+                    continue
+                cls = instr.spec.cls
+                m = instr.mnemonic
+                if m == "rmr" and not flags:
+                    track.add(instr.rd)
+                elif m == "wmr" and not flags:
+                    track.add(instr.rs1)
+                elif mem and m == "ecall":
+                    pass  # delivered, or leaves with the unraised trap
+                elif mem and m == "menter" and self.has_mram:
+                    self.trapping = True  # an entry with no mroutine
+                elif cls is InstrClass.BRANCH:
+                    track.update((instr.rs1, instr.rs2))
+                elif cls is InstrClass.JAL:
+                    track.add(instr.rd)
+                elif cls is InstrClass.JALR:
+                    track.update((instr.rs1, instr.rd))
+                elif cls is InstrClass.MULDIV:
+                    track.update((instr.rd, instr.rs1, instr.rs2))
+                elif m in ("mexit", "mexitm") and not mem:
+                    # The crossing re-check may flush the mem blocks.
+                    if self.has_mem:
+                        self.quiet = False
+                elif cls is InstrClass.LOAD or (m == "mld" and not flags):
+                    # A guest-RAM load, or a raw MRAM data access behind
+                    # the segment check: either may trap.
+                    self.trapping = True
+                    self.quiet &= cls is not InstrClass.LOAD
+                    track.update((instr.rs1, instr.rd))
+                elif cls is InstrClass.STORE or (m == "mst" and not flags):
+                    self.trapping = True
+                    self.quiet &= cls is not InstrClass.STORE
+                    track.update((instr.rs1, instr.rs2))
+                else:
+                    self.trapping = True  # an execute() dispatch
+                    self.quiet = False
         if not self.scoreboard:
             # Scoreboard code keeps the registers in ``regs``.
             track.discard(0)
@@ -473,6 +693,9 @@ class _Codegen:
         elif self.mem and m == "ecall":
             self.flush_units()
             self._emit_ecall(index, pc)
+        elif self.mem and m == "menter" and self.has_mram:
+            self.flush_units()
+            self._emit_menter(index, instr, pc)
         else:
             mexit = m in ("mexit", "mexitm") and not self.mem
             # These retire before any exit: the batch's count goes along.
@@ -519,57 +742,118 @@ class _Codegen:
                     extra="_dx" if m.startswith(("div", "rem")) else "_mx")
 
     def _emit_ecall(self, index: int, pc: int) -> None:
-        """A mem block's ``ecall``: its fetch, then the status-2 exit
-        with the unraised ECALL trap, which the engine delivers."""
+        """A mem member's ``ecall``: its fetch, then the status-2 exit
+        with the unraised ECALL trap, which the engine delivers; in a
+        region with mram members, the delivery instead, when the
+        dispatch may cross, and the crossing."""
         self.fetch(index, pc)
-        self.spill()
-        if not self.scoreboard:
-            self.emit("timer.cycles += cyc")
-        self.credit()
-        self.emit(f"return (2, {pc}, retired, loops, _ecall)")
-        self.exited = True
+        if not self.has_mram:
+            self.trap_exit(pc, "_ecall")
+            return
+        self.emit("if cross is None:")
+        self.indent += 1
+        self.trap_exit(pc, "_ecall")
+        self.indent -= 1
+        self.flush_cyc()
+        self.deliver(pc, int(Cause.ECALL), 0, None, None)
+        self.emit("timer.note_trap(True)")
+        self.cross_into_mram(tested=True)
 
     def _emit_intercept(self, index: int, word: int, pc: int) -> None:
         """An intercepted *word*: its fetch, the raw fetch latency as
-        ``step()`` charges it, then the status-2 exit with the block's
-        unraised INTERCEPT trap, which the engine delivers."""
+        ``step()`` charges it, then the status-2 exit with the member's
+        unraised INTERCEPT trap, which the engine delivers; in a region
+        with mram members, when the dispatch may cross and a rule
+        matches, the redirect, the delivery with the latched operands
+        and the crossing instead."""
         _cost, lat = self.fetch(index, pc)
         if self.scoreboard:
             self.emit(f"timer.note_event({lat})")
         else:
             self.emit(f"cyc += {lat}")
-        self.ns["_icept"] = TrapException(Cause.INTERCEPT, word)
-        self.spill()
-        if not self.scoreboard:
-            self.emit("timer.cycles += cyc")
-        self.credit()
-        self.emit(f"return (2, {pc}, retired, loops, _icept)")
-        self.exited = True
+        key = f"_icept{self.k}"
+        self.ns[key] = TrapException(Cause.INTERCEPT, word)
+        if not self.has_mram:
+            self.trap_exit(pc, key)
+            return
+        self.emit("if cross is None:")
+        self.indent += 1
+        self.trap_exit(pc, key)
+        self.indent -= 1
+        self.emit(f"_e = _match({word})")
+        self.emit("if _e is None:")
+        self.indent += 1
+        self.trap_exit(pc, key)
+        self.indent -= 1
+        self.flush_cyc()
+        self.emit("timer.note_intercept()")
+        operands = (f"({self.reg((word >> 15) & 31)}, "
+                    f"{self.reg((word >> 20) & 31)})")
+        self.deliver(pc, int(Cause.INTERCEPT), word, "_e", operands)
+        self.cross_into_mram(tested=True)
+
+    def _emit_menter(self, index: int, instr, pc: int) -> None:
+        """``menter`` in a region with mram members: the Metal unit's
+        ``enter()`` gives the mroutine's offset at the fetch plus
+        ``menter_cost`` (a ``note_op`` with the ``menter`` redirect); an
+        entry with no mroutine is the illegal instruction ``execute()``
+        makes it.  Then the crossing."""
+        fetch = self.fetch(index, pc)
+        self.emit(f"epc = {pc}")
+        self.emit("try:")
+        self.emit(f"    next_pc = _enter({instr.imm}, {pc + 4})")
+        self.emit("except MetalError:")
+        self.emit(f"    raise TrapException(CAUSE_ILLEGAL, {instr.raw or 0})")
+        self.retire()
+        self.charge(fetch, control="menter")
+        self.cross_into_mram(tested=False)
 
     def _emit_mexit(self, index: int, instr, pc: int) -> None:
         """``mexit``/``mexitm``: the Metal unit's ``exit_metal()`` gives
         the resume pc, at the fetch plus ``mexit_cost`` (the scoreboard
-        is told the register ``mexitm`` commits).  ``mexitm``'s commit
-        follows the final spill."""
-        self.commit = instr.mnemonic == "mexitm"
+        is told the register ``mexitm`` commits).  ``mexitm`` commits
+        over the spilled register file, and the locals are reloaded.  In
+        a region with mem members, when the dispatch may cross, the
+        crossing re-checks the engine's ``_mem_horizon`` (``cross``);
+        None leaves the region."""
+        commit = instr.mnemonic == "mexitm"
         fetch = self.fetch(index, pc)
         self.retire()
-        self.charge(fetch, rd="_mr[26] & 31" if self.commit else 0,
+        self.charge(fetch, rd="_mr[26] & 31" if commit else 0,
                     control="mexit")
         self.emit("next_pc = _exit()")
+        if commit:
+            self.commit()
+        if self.has_mem:
+            self.emit("if cross is not None:")
+            self.indent += 1
+            self.emit("hz = cross()")
+            self.emit("if hz is not None:")
+            self.indent += 1
+            self.emit(f"live = hz < {MASKED}")
+            for j, block in enumerate(self.members):
+                if not block.mram:
+                    self.edge(j, f"next_pc == {block.start}", crossing=True)
+            self.indent -= 2
+        self.out()
+
+    def commit(self) -> None:
+        """``mexitm``'s commit of m27 into ``x[m26 & 31]``: over the
+        spilled register file, then the locals are reloaded."""
+        self.spill()
+        self.emit("_rset(_mr[26] & 31, _mr[27])")
+        self.reload()
 
     def _sync_prologue(self, pc: int) -> None:
         """Flush + device sync + invalidation escape (loads/stores)."""
         self.settle()
-        if not self.scoreboard:
-            self.emit("timer.cycles += cyc")
-            self.emit("cyc = 0")
+        self.flush_cyc()
         self.emit("sync()")
-        self.emit("if not block.valid:")
+        self.emit(f"if not b{self.k}.valid:")
         self.indent += 1
         self.spill()
         self.credit()
-        self.emit(f"return (1, {pc}, retired, loops, None)")
+        self.ret(1, pc, None)
         self.indent -= 1
 
     def _emit_load(self, index: int, instr, pc: int) -> None:
@@ -614,27 +898,26 @@ class _Codegen:
             if instr.rd:
                 self.emit(f"{self.reg(instr.rd)} = _upk(data, _o)[0]")
             self.retire()
-            self.charge(fetch, (instr.rs1, 0), instr.rd, "_ml", is_load=True)
+            self.charge(fetch, (instr.rs1, 0), instr.rd, "_mm", is_load=True)
         else:
             self.emit(f"_pk(data, _o, {self.reg(instr.rs2)})")
             self.retire()
-            self.charge(fetch, (instr.rs1, instr.rs2), mem="_ml")
+            self.charge(fetch, (instr.rs1, instr.rs2), mem="_mm")
 
     def _emit_dispatch(self, index: int, instr, pc: int, flags: int) -> None:
         """An ``execute()`` whose StepInfo goes to ``timer.note``: the
         terminators MJIT does not inline (CSR, SYSTEM and
-        architectural-feature instructions, ``menter``, and a mem
-        block's ``mexit``/``mexitm``), none of which chains."""
+        architectural-feature instructions, ``menter`` outside a region
+        with mram members, and a mem member's ``mexit``/``mexitm``),
+        none of which chains."""
         if flags & F_SYNC:
             self._sync_prologue(pc)
-        key = f"_i{index}"
+        key = f"_i{self.k}_{index}"
         self.ns[key] = instr
         self.generic.append(key)
         if flags & F_CSR:
             # Publish cycles and instret for the CSR read.
-            if not self.scoreboard:
-                self.emit("timer.cycles += cyc")
-                self.emit("cyc = 0")
+            self.flush_cyc()
             self.emit("core._timer_cycles = timer.cycles")
             self.emit("core.instret = instret_base + retired")
         _cost, lat = self.fetch(index, pc)
@@ -649,11 +932,9 @@ class _Codegen:
         self.emit("note(_s)")
         self.retire()
         self.emit("next_pc = _s.next_pc")
+        self.out()
 
     # -- inlined terminators --------------------------------------------
-    def _self_loop_guard(self) -> str:
-        return "loops < limit"
-
     def _emit_branch(self, index: int, instr, pc: int) -> None:
         taken = (pc + instr.imm) & _M
         fall = (pc + 4) & _M
@@ -665,20 +946,12 @@ class _Codegen:
         self.emit(f"if {cond}:")
         self.indent += 1
         self.charge(fetch, reads, control="branch")
-        if self.looped and taken == self.block.start:
-            self.emit(f"if {self._self_loop_guard()}:")
-            self.emit("    loops += 1")
-            self.emit("    continue")
-        self.emit(f"next_pc = {taken}")
-        if self.looped:
-            self.emit("break")
+        self.leave(taken)
         self.indent -= 1
         self.emit("else:")
         self.indent += 1
         self.charge(fetch, reads)
-        self.emit(f"next_pc = {fall}")
-        if self.looped:
-            self.emit("break")
+        self.leave(fall)
         self.indent -= 1
 
     def _emit_jal(self, index: int, instr, pc: int, flags: int) -> None:
@@ -690,15 +963,8 @@ class _Codegen:
         self.charge(fetch, rd=instr.rd, control="jal")
         if instr.rd:
             self.emit(f"{self.reg(instr.rd)} = {(pc + 4) & _M}")
-        if not flags & F_TERM:
-            return
-        if self.looped and target == self.block.start:
-            self.emit(f"if {self._self_loop_guard()}:")
-            self.emit("    loops += 1")
-            self.emit("    continue")
-        self.emit(f"next_pc = {target}")
-        if self.looped:
-            self.emit("break")
+        if flags & F_TERM:
+            self.leave(target)
 
     def _emit_jalr(self, index: int, instr, pc: int) -> None:
         fetch = self.fetch(index, pc)
@@ -708,21 +974,12 @@ class _Codegen:
         self.emit(f"_t0 = ({self.reg(instr.rs1)} + {instr.imm}) & 4294967294")
         if instr.rd:
             self.emit(f"{self.reg(instr.rd)} = {(pc + 4) & _M}")
-        if self.looped:
-            self.emit(f"if _t0 == {self.block.start} and "
-                      f"{self._self_loop_guard()}:")
-            self.emit("    loops += 1")
-            self.emit("    continue")
-        self.emit("next_pc = _t0")
-        if self.looped:
-            self.emit("break")
+        self.leave("_t0")
 
     # -- whole-function assembly ----------------------------------------
     def generate(self) -> str:
-        block = self.block
-        entries = block.entries
+        members = self.members
         self.scan()
-        last_flags = entries[-1][2]
         scored = self.scoreboard
 
         # Body first (into a side buffer) so the prologue can hoist
@@ -734,12 +991,22 @@ class _Codegen:
         if self.looped:
             self.emit("while True:")
             self.indent += 1
-        for index, entry in enumerate(entries):
-            self.emit_entry(index, entry)
-        self.flush_units()
-        self.settle()
-        if not (last_flags & F_TERM):
-            self.emit(f"next_pc = {block.end}")
+        for k, block in enumerate(members):
+            if self.multi:
+                self.emit("if m == 0:" if k == 0
+                          else "else:" if k == len(members) - 1
+                          else f"elif m == {k}:")
+                self.indent += 1
+            self.member(k)
+            for index, entry in enumerate(block.entries):
+                self.emit_entry(index, entry)
+            if not block.entries[-1][2] & F_TERM:
+                # No terminator: the member runs off its last entry.
+                self.flush_units()
+                self.settle()
+                self.leave(block.end)
+            if self.multi:
+                self.indent -= 1
         if self.looped:
             self.indent -= 1
         if self.trapping:
@@ -759,33 +1026,31 @@ class _Codegen:
             if not scored:
                 self.emit("timer.cycles += cyc")
             self.credit()
-            self.emit("return (2, epc, retired, loops, trap)")
+            self.ret(2, "epc", "trap")
             self.indent -= 1
-        if not self.exited:
+        if self.falls:
             self.spill()
-            if self.commit:
-                self.emit("_rset(_mr[26] & 31, _mr[27])")
             if not scored:
                 self.emit("timer.cycles += cyc")
             self.credit()
-            self.emit("return (0, next_pc, retired, loops, None)")
+            self.ret(0, "next_pc", None)
         body, self.lines = self.lines, head_lines
 
         # Prologue.
         self.indent = 0
-        self.emit("def _jit(core, block, timer, sync, instret_base, limit, "
-                  "hz):")
+        self.emit("def _jit(core, m, timer, sync, instret_base, budget, "
+                  "stop, hz, quantum, cross):")
         self.indent = 1
         self.emit("regs = core.regs")
         self.emit("timing = timer.timing")
-        if self.cached:
-            self.emit("_ml = core.icache.hit_latency")
-        elif self.mem:
-            self.emit("_ml = timing.mem_latency")
-        else:
-            self.emit("_ml = timing.mram_fetch")
-        self.emit("bc = _ml if _ml > 1 else 1")
-        if self.cached:
+        if self.has_mem:
+            self.emit("_ml = core.icache.hit_latency" if self.cached_any
+                      else "_ml = timing.mem_latency")
+            self.emit("bc = _ml if _ml > 1 else 1")
+        if self.has_mram:
+            self.emit("_mm = timing.mram_fetch")
+            self.emit("bm = _mm if _mm > 1 else 1")
+        if self.cached_any:
             self.emit("access = core.icache.access")
             self.emit("_ist = core.icache.stats")
         body_text = "\n".join(body)
@@ -795,8 +1060,8 @@ class _Codegen:
             self.emit("note_run = timer.note_run")
         if "note_op(" in body_text:
             self.emit("note_op = timer.note_op")
-        if not self.mem and ("bc + _me" in body_text):
-            self.emit("_me = _ml - 1 if _ml > 1 else 0")
+        if self.uses_me:
+            self.emit("_me = _mm - 1 if _mm > 1 else 0")
         for name in sorted(self.timing_needs):
             self.emit(f"{name} = timing.{_TIMING_LOCALS[name]}")
         if "_bus.horizon" in body_text:
@@ -805,26 +1070,40 @@ class _Codegen:
             self.emit("read_mem = core.read_mem")
         if "write_mem(" in body_text:
             self.emit("write_mem = core.write_mem")
-        if not self.mem:
-            if "_mr[" in body_text:
-                self.emit("_mr = core.metal.mregs.values")
-            if "_exit()" in body_text:
-                self.emit("_exit = core.metal.exit_metal")
-            if "_rset(" in body_text:
-                self.emit("_rset = core.rset")
-            if "(data, _o" in body_text:
-                self.emit("data = core.metal.mram.data")
-            if "_o >= _dn" in body_text:
-                self.emit("_dn = core.metal.mram.data_bytes")
+        if "_mr[" in body_text:
+            self.emit("_mr = core.metal.mregs.values")
+        if "_exit()" in body_text:
+            self.emit("_exit = core.metal.exit_metal")
+        if "_rset(" in body_text:
+            self.emit("_rset = core.rset")
+        if "(data, _o" in body_text:
+            self.emit("data = core.metal.mram.data")
+        if "_o >= _dn" in body_text:
+            self.emit("_dn = core.metal.mram.data_bytes")
+        if "_deliver(" in body_text:
+            self.emit("_deliver = core.metal.deliver")
+        if "_match(" in body_text:
+            self.emit("_match = core.metal.intercept.match")
+        if "_enter(" in body_text:
+            self.emit("_enter = core.metal.enter")
+        if "_mram.code_version" in body_text:
+            self.emit("_mram = core.metal.mram")
+        for k in range(len(members)):
+            if f"b{k}.valid" in body_text:
+                self.emit(f"b{k} = _b{k}")
+        for j in sorted(self.budgets):
+            self.emit(f"bud{j} = budget - {len(members[j].entries)}")
+        if self.live:
+            self.emit(f"live = hz < {MASKED}")
         self.reload()
         self.emit("retired = 0")
         self.emit("loops = 0")
         if not scored:
             self.emit("cyc = 0")
-        if self.cached:
+        if self.cached_any:
             self.emit("ih = 0")
         if self.trapping:
-            self.emit(f"epc = {block.start}")
+            self.emit(f"epc = {members[0].start}")
         if self.generic and self.tracked:
             self.emit("_lv = 1")
         self.lines.extend(body)
@@ -832,32 +1111,37 @@ class _Codegen:
 
 
 #: ``(source, code object)`` by generated source, shared by every
-#: translation cache in the process.  A block's source is a pure function
-#: of its entries and codegen mode, so a machine running code another
-#: machine already ran (a fresh machine per job, a shard restoring a
-#: capsule) reuses the bytecode: ``compile()`` is most of a compile's
-#: cost, and shared code keeps each dead machine's garbage small.  An
-#: entry is ~8 KiB; the table is cleared when full.
+#: translation cache in the process.  A region's source is a pure
+#: function of its members' entries and bounds and the codegen mode, so
+#: a machine running code another machine already ran (a fresh machine
+#: per job, a shard restoring a capsule) reuses the bytecode:
+#: ``compile()`` is most of a compile's cost, and shared code keeps each
+#: dead machine's garbage small.  An entry is ~8 KiB; the table is
+#: cleared when full.
 _CODE = {}
 _CODE_MAX = 1024
 
 
-def compile_block(block, mram: bool, line_size, scoreboard: bool):
-    """Tier-2 compile a block of the mem or (*mram*) the mram namespace.
+def compile_region(members, line_size, scoreboard: bool, version=None):
+    """Tier-2 compile the region *members* (a tuple of blocks of either
+    namespace, see :meth:`repro.cpu.tcache.TranslationCache.join`).
 
-    *line_size* is the I-cache line size a mem block's fetches go
-    through (None: no I-cache), and *scoreboard* selects code that feeds
-    the pipeline timer instead of adding the analytic timer's costs.
+    *line_size* is the I-cache line size the mem members' fetches go
+    through (None: no I-cache), *scoreboard* selects code that feeds
+    the pipeline timer instead of adding the analytic timer's costs,
+    and *version* is the MRAM code version the mram members were built
+    under (an edge into MRAM tests it).
     """
-    gen = _Codegen(block, not mram, line_size, scoreboard)
+    gen = _Codegen(members, line_size, scoreboard, version)
     source = gen.generate()
     compiled = _CODE.get(source)
     if compiled is None:
         if len(_CODE) >= _CODE_MAX:
             _CODE.clear()
-        ns_label = "mram" if mram else "mem"
+        head = members[0]
+        ns_label = "mram" if head.mram else "mem"
         compiled = _CODE[source] = (source, compile(
-            source, f"<mjit:{ns_label}:{block.start:#x}>", "exec"))
+            source, f"<mjit:{ns_label}:{head.start:#x}>", "exec"))
     exec(compiled[1], gen.ns)
     fn = gen.ns.pop("_jit")
     fn.__jit_source__ = compiled[0]

@@ -13,11 +13,15 @@ through a direct jump: a ``jal`` whose target is word-aligned and not
 yet in the block stays in it as a plain entry (its link write and jump
 charge included), and decoding resumes at the target, so a loop split
 by unconditional jumps is one block that ends at its back edge.  MJIT
-(:mod:`repro.cpu.jit`) compiles a block to a Python function
-(``jit_fn``) at its first dispatch, and that function runs with the
-engine's cache models and timer; while a step hook is subscribed, the
-engine runs every block on its ``step()`` instead, and MJIT compiles
-nothing.
+(:mod:`repro.cpu.jit`) compiles a block at its first dispatch to a
+Python function (``jit_fn``), its one-member *region*, and that
+function runs with the engine's cache models and timer.  When a
+dispatch comes back around a cycle of linked blocks, the cycle is
+compiled as one region (:meth:`TranslationCache.join`): one function
+whose exits into members test the engine's admission rule in place.
+The calling convention is one for both (:mod:`repro.cpu.jit`).  While a
+step hook is subscribed, the engine runs every block on its ``step()``
+instead, and MJIT compiles nothing.
 
 Besides its entries each block carries its **superblock chain**, the
 **target map** ``links`` (``{next_pc: Block}``): after a block exits
@@ -81,14 +85,18 @@ snapshot restore          rewrite only the RAM pages that differ,
                           via version)
 ========================  =============================================
 
-Superblock chains participate implicitly: every eviction path above marks
-the victim blocks ``valid = False`` *before* dropping them, and every
-chain traversal re-checks the successor's ``valid`` flag (plus the
+Superblock chains participate implicitly: every eviction path above
+marks the victim blocks ``valid = False`` *before* dropping them, and
+every chain traversal re-checks the successor's ``valid`` flag (plus the
 observed next pc), so an evicted successor breaks the link rather than
-executing stale code.  A crossing into MRAM first applies the lazy
-``code_version`` flush (:meth:`TranslationCache.cross_next`), so a warm
-mem→mram link never outlives an mroutine reload.  A chain cannot carry
-a mem block into another rule set either: during a run only Metal-mode
+executing stale code.  Regions likewise: an eviction drops the victim's
+region from every member (:meth:`TranslationCache._evict`), so a region
+is entered only with all its members valid, and inside a region that can
+evict a block, an edge tests its member's ``valid``.  A crossing into
+MRAM first applies the lazy ``code_version`` flush
+(:meth:`TranslationCache.cross_next`), so a warm mem→mram link never
+outlives an mroutine reload.  A chain cannot carry a mem block into
+another rule set either: during a run only Metal-mode
 ``micept``/``miceptd`` change the rules, and the ``mexit`` crossing
 selects the new set, whose flush invalidates every block a link from
 MRAM could reach.
@@ -144,12 +152,12 @@ _CHAIN_CLASSES = frozenset((
 class Block:
     """One predecoded basic block (plus its superblock chain links)."""
 
-    __slots__ = ("start", "end", "entries", "valid", "bound",
-                 "chainable", "looped", "links", "jit_fn")
+    __slots__ = ("start", "end", "entries", "valid", "bound", "mram",
+                 "chainable", "links", "jit_fn", "region", "index")
 
     def __init__(self, start: int, end: int, entries,
                  chainable: bool = False, bound: int = 0,
-                 looped: bool = False):
+                 mram: bool = False):
         self.start = start
         #: The pc the block continues at when it runs off its last
         #: entry: just past that entry, or, when it is a ``jal`` the
@@ -168,21 +176,22 @@ class Block:
         #: While interrupts are deliverable a block runs compiled only
         #: if ``cycles + bound`` ends short of the bus horizon.
         self.bound = bound
-        #: MJIT-compiled function for this block (tier 2), or None until
-        #: the engine first runs it off ``step()``.  Every eviction path
-        #: that clears ``valid`` also drops this, exactly as it severs
-        #: chain links.
+        #: The namespace: an mram block (Metal-mode code) or a mem block.
+        self.mram = mram
+        #: The MJIT function of the region the block runs in (tier 2),
+        #: or None until the engine first runs it off ``step()``.
         self.jit_fn = None
+        #: The members of that region (the block alone, or a cycle of
+        #: linked blocks, see :meth:`TranslationCache.join`), each of
+        #: whose ``jit_fn`` is the same function, and the block's
+        #: position among them (the function's entry argument).  Every
+        #: eviction path that clears ``valid`` drops the region from all
+        #: of its members, exactly as it severs chain links.
+        self.region = None
+        self.index = 0
         #: Whether the block's exit is eligible for chaining (branch/jal/
         #: jalr terminator, or the fall-through of a length-limited block).
         self.chainable = chainable
-        #: Whether the exit can target the block's own head: a chainable
-        #: branch or jal whose static target is ``start``, or any
-        #: chainable jalr (dynamic target).  A ``jal`` to the head always
-        #: ends the block, so a loop closed by a jump is one looped
-        #: block.  MJIT internalises such a self-loop, and only then does
-        #: the engine compute its limit.
-        self.looped = looped
         #: The chain's target map, ``{next_pc: successor Block}``: one
         #: entry per target the exit has taken, installed on its first
         #: traversal and followed only while the successor is valid.
@@ -298,18 +307,6 @@ def _schedule_regs(instr):
     return 0, 0, instr.rd  # lui, auipc, rmr
 
 
-def _targets_head(entry, start: int) -> bool:
-    """Whether a chainable block's last *entry* can jump to its head
-    *start*: a branch or jal whose static target is *start*, or any
-    jalr (its target is known only at run time)."""
-    instr, pc, _flags = entry
-    cls = instr.spec.cls
-    if cls is InstrClass.JALR:
-        return True
-    return (cls in (InstrClass.BRANCH, InstrClass.JAL)
-            and ((pc + instr.imm) & 0xFFFFFFFF) == start)
-
-
 def entry_index(block, pc: int) -> int:
     """Index of *block*'s entry at *pc*, or -1 when it has none there."""
     for index, (_instr, epc, _flags) in enumerate(block.entries):
@@ -324,6 +321,10 @@ class TranslationCache:
     #: Longest block, in instructions.  Bounds compile latency and the
     #: interrupt-sampling work lost when a block aborts early.
     MAX_BLOCK_LEN = 64
+    #: Most members, and most entries over all members, of one region
+    #: (:meth:`join`).  Bounds a region's compile latency and source.
+    MAX_REGION_MEMBERS = 8
+    MAX_REGION_ENTRIES = 160
 
     def __init__(self, stats, line_size, scoreboard: bool, bound):
         self.stats = stats
@@ -444,8 +445,7 @@ class TranslationCache:
         bound = self.bound(
             entries, fetch_plan(entries, None if mram else self.line_size),
             mram)
-        block = Block(pc, p, entries, chainable, bound,
-                      chainable and _targets_head(entries[-1], pc))
+        block = Block(pc, p, entries, chainable, bound, mram)
         if mram:
             self._mram[pc] = block
         else:
@@ -462,28 +462,98 @@ class TranslationCache:
     # ------------------------------------------------------------------
     # MJIT tier 2 (repro.cpu.jit)
     # ------------------------------------------------------------------
-    def jit_compile(self, block, mram: bool):
-        """Compile *block* to tier 2; returns the function, also cached
-        on ``block.jit_fn``.
+    def jit_compile(self, block):
+        """Compile *block* to tier 2 as its one-member region; returns
+        the function, also cached on ``block.jit_fn``.
 
         Called by the engine the first time it runs *block* off
-        ``step()``; *mram* names the block's namespace.  The codegen
-        mode follows from this cache: mem blocks carry the fetch plan
-        for :attr:`line_size`, and :attr:`scoreboard` makes the code
-        feed the pipeline timer.
+        ``step()``.  The codegen mode follows from this cache: mem
+        blocks carry the fetch plan for :attr:`line_size`, and
+        :attr:`scoreboard` makes the code feed the pipeline timer.
         """
+        return self._compile((block,))
+
+    def join(self, blocks) -> None:
+        """Run the cycle *blocks* as one region from now on.
+
+        *blocks* are the blocks one dispatch entered, in order, the
+        first also the successor of the last.  The region's members are
+        the union of their regions, in that order; it is compiled
+        unless it is their region already, a member was evicted, or it
+        exceeds :attr:`MAX_REGION_MEMBERS` members or
+        :attr:`MAX_REGION_ENTRIES` entries.  So a region grows each time
+        a dispatch leaves it and comes back, up to the caps.
+        """
+        members = []
+        for block in blocks:
+            for member in block.region or (block,):
+                if member not in members:
+                    members.append(member)
+        region = members[0].region
+        if (region is not None and len(region) == len(members)
+                and all(member.region is region for member in members)):
+            return
+        if (len(members) > self.MAX_REGION_MEMBERS
+                or sum(len(member.entries) for member in members)
+                > self.MAX_REGION_ENTRIES
+                or not all(member.valid for member in members)):
+            return
+        self._compile(tuple(members))
+
+    def _compile(self, members):
+        """Compile the region *members* and install it on each of them,
+        dropping the regions they ran in before."""
         from repro.cpu import jit as mjit
         t0 = perf_counter()
-        fn = mjit.compile_block(block, mram,
-                                None if mram else self.line_size,
-                                self.scoreboard)
+        for member in members:
+            self._drop(member)
+        fn = mjit.compile_region(members, self.line_size, self.scoreboard,
+                                 self._mram_version)
+        for index, member in enumerate(members):
+            member.jit_fn = fn
+            member.region = members
+            member.index = index
         self.stats.jit_compile_ms += (perf_counter() - t0) * 1e3
-        block.jit_fn = fn
         self.stats.jit_blocks += 1
         if self.sink is not None:
-            self.sink.tcache_event("jit_compile", "mram" if mram else "mem",
-                                   block.start, len(block.entries))
+            head = members[0]
+            self.sink.tcache_event(
+                "jit_compile", "mram" if head.mram else "mem", head.start,
+                sum(len(member.entries) for member in members))
         return fn
+
+    @staticmethod
+    def _drop(block) -> None:
+        """Drop the region *block* runs in from all of its members."""
+        for member in block.region or ():
+            member.jit_fn = None
+            member.region = None
+
+    @staticmethod
+    def _evict(block) -> None:
+        """Invalidate *block* and drop its region from every member, so
+        neither a held reference nor another member's region function
+        can run the stale code."""
+        block.valid = False
+        for member in block.region or (block,):
+            member.jit_fn = None
+            member.region = None
+
+    def iter_regions(self):
+        """Yield the members of every live tier-2 region, once each.
+
+        The MVTV translation validator (``repro.verify``) harvests the
+        corpus through this: every region MJIT has compiled and not
+        since dropped.
+        """
+        seen = set()
+        for table in (self._mem, self._mram):
+            for block in table.values():
+                region = block.region
+                if (block.valid and region is not None
+                        and id(region) not in seen):
+                    seen.add(id(region))
+                    yield region
 
     def iter_jit_blocks(self):
         """Yield ``(ns, block)`` for every live tier-2 block.
@@ -579,8 +649,7 @@ class TranslationCache:
             for start in starts:
                 block = blocks.pop(start, None)
                 if block is not None and block.valid:
-                    block.valid = False
-                    block.jit_fn = None
+                    self._evict(block)
                     self.stats.invalidations += 1
                     if sink is not None:
                         sink.tcache_event("invalidate", "mem", start)
@@ -589,8 +658,7 @@ class TranslationCache:
         if self._mem:
             count = len(self._mem)
             for block in self._mem.values():
-                block.valid = False
-                block.jit_fn = None
+                self._evict(block)
             self.stats.invalidations += count
             self._mem.clear()
             self._mem_pages.clear()
@@ -608,8 +676,7 @@ class TranslationCache:
         if self._mram:
             count = len(self._mram)
             for block in self._mram.values():
-                block.valid = False
-                block.jit_fn = None
+                self._evict(block)
             self.stats.invalidations += count
             self._mram.clear()
             if self.sink is not None:

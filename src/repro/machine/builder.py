@@ -152,7 +152,7 @@ def _base_machine(config: MachineConfig, metal_unit, name: str) -> Machine:
         core=core, simulator=sim, bus=bus, ram=ram,
         symbols=assembler_symbols(config.extra_symbols),
         console=console, timer=timer, nic=nic, blockdev=blockdev,
-        irq=irq, name=name,
+        irq=irq, name=name, extra_symbols=config.extra_symbols,
     )
 
 

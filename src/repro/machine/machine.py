@@ -20,12 +20,16 @@ class Machine:
 
     def __init__(self, core: CpuCore, simulator, bus, ram, symbols=None,
                  console=None, timer=None, nic=None, blockdev=None,
-                 irq=None, metal_image=None, name: str = "machine"):
+                 irq=None, metal_image=None, name: str = "machine",
+                 extra_symbols=None):
         self.core = core
         self.sim = simulator
         self.bus = bus
         self.ram = ram
         self.symbols = dict(symbols or {})
+        #: The config's ``extra_symbols``: mroutines reloaded after boot
+        #: assemble against them, as boot's did.
+        self.extra_symbols = dict(extra_symbols or {})
         self.console = console
         self.timer = timer
         self.nic = nic
@@ -205,8 +209,9 @@ class Machine:
             raise ValueError("reload_mroutines on a machine without Metal")
         mram = unit.mram
         mram.clear()
-        image = load_mroutines(routines, mram=mram,
-                               extra_symbols=assembler_symbols())
+        image = load_mroutines(
+            routines, mram=mram,
+            extra_symbols=assembler_symbols(self.extra_symbols))
         unit.image = image
         self.metal_image = image
         self.symbols.update(image.symbols)

@@ -2,16 +2,17 @@
 
 Two passes (both on by default, selectable with ``--passes``):
 
-* ``translation`` — symbolic translation validation of every block
+* ``translation`` — symbolic translation validation of every region
   MJIT compiles across a conformance-generator seed sweep
   (:mod:`repro.verify.corpus`), in each codegen mode — caches off,
   caches on (the I-cache fetch plan) and the pipeline scoreboard —
-  including the MRAM data-segment check at every compiled
-  ``mld``/``mst``;
+  including every edge between members and the MRAM data-segment check
+  at every compiled ``mld``/``mst``;
 * ``host`` — the snapshot- and eviction-completeness lints over the
   host sources (:mod:`repro.verify.hostlint`).
 
-Exit status is non-zero iff any pass produced a finding.  ``--json``
+Exit status is non-zero iff any pass produced a finding, or a codegen
+mode compiled multi-member regions but proved none of them.  ``--json``
 writes a machine-readable report (the shape ``python -m repro lint
 --json`` mirrors); ``--smoke`` sweeps the conformance smoke corpus and
 defaults the report path to ``verify_smoke.json`` — the CI
@@ -63,6 +64,7 @@ def verify_main(argv=None) -> int:
 
     if "translation" in passes:
         from repro.verify.corpus import validate_corpus
+        from repro.verify.model import Finding
 
         def heartbeat(i, report):
             if (i + 1) % 50 == 0:
@@ -81,6 +83,8 @@ def verify_main(argv=None) -> int:
             "mem_blocks": report.mem_blocks,
             "mram_blocks": report.mram_blocks,
             "mode_blocks": dict(report.mode_blocks),
+            "mode_regions": dict(report.mode_regions),
+            "mode_regions_seen": dict(report.mode_regions_seen),
             "exit_blocks": dict(report.exit_blocks),
         }
         modes = ", ".join(f"{n} {mode}"
@@ -88,11 +92,20 @@ def verify_main(argv=None) -> int:
         exits = ", ".join(f"{n} {kind}"
                           for kind, n in report.exit_blocks.items())
         print(f"[translation] {len(report.seeds)} seed(s): "
-              f"{report.blocks_validated} unique blocks proved equivalent "
+              f"{report.blocks_validated} blocks of unique regions proved "
+              f"equivalent "
               f"({report.mem_blocks} mem, {report.mram_blocks} mram; "
               f"{modes}; {report.blocks_seen} seen), "
               f"{len(report.findings)} finding(s)")
         print(f"[translation] exits: {exits}")
+        regions = ", ".join(
+            f"{report.mode_regions[mode]}/{seen} {mode}"
+            for mode, seen in report.mode_regions_seen.items())
+        print(f"[translation] multi-member regions proved/seen: {regions}")
+        for mode in report.unproved_modes:
+            findings.append(Finding(
+                "translation", f"mode {mode}",
+                "compiled multi-member regions but proved none of them"))
 
     if "host" in passes:
         from repro.verify.hostlint import (

@@ -4,20 +4,22 @@ The corpus is the MCONF generator's program space (the same seed
 derivation the conformance campaign uses: program ``seed`` maps to
 ``random.Random(PROGRAM_SEED_BASE + seed)``), executed on one machine
 per MJIT codegen mode (:data:`MODES`), where MJIT compiles every block
-at its first dispatch.  Seeds cycle through :data:`CORPUS_CONFIGS`, the
-base program space and the generator's coverage-gated extensions, so
-the corpus holds every Metal transition MJIT compiles.  After each
-program runs, every surviving compiled block is harvested from the
-machine's translation cache and handed to
-:func:`repro.verify.translate.validate_block` in that cache's codegen
+at its first dispatch and joins each hot cycle of linked blocks into a
+region.  Seeds cycle through :data:`CORPUS_CONFIGS`, the base program
+space and the generator's coverage-gated extensions, so the corpus
+holds every Metal transition MJIT compiles.  After each program runs,
+every surviving compiled region is harvested from the machine's
+translation cache and handed to
+:func:`repro.verify.translate.validate_region` in that cache's codegen
 mode.
 
-Blocks are deduplicated across seeds by mode and generated source text:
-the validator's verdict is a pure function of the source, the block's
-uop IR and the mode, so re-proving an identical block adds nothing.  The
-report counts both raw sightings and unique validations, in total, per
-mode and per exit kind (:func:`exit_kind`), so a seed sweep's coverage
-stays visible.
+Regions are deduplicated across seeds by mode and generated source
+text: the validator's verdict is a pure function of the source, the
+members' uop IR and the mode, so re-proving an identical region adds
+nothing.  The report counts both raw sightings and unique validations
+of member blocks, in total, per mode and per exit kind
+(:func:`exit_kind`), and the multi-member regions seen and proved per
+mode, so a seed sweep's coverage stays visible.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.conformance.generator import GenConfig
 from repro.cpu.tcache import F_ICEPT, F_TERM
-from repro.verify.translate import validate_block
+from repro.verify.translate import validate_region
 
 #: Harvest machine per codegen mode: (engine, cache models on).  The
 #: uncached one is the conformance campaign's ``chained`` variant.
@@ -39,13 +41,14 @@ MODES = {
 
 
 #: Generator config of corpus seed ``seed``, by ``seed % 4``: the base
-#: program space; ``ecall`` exits and ``mexitm`` commits; interrupts and
-#: the body extensions' trap deliveries; intercept terminators under
-#: rule sets turned off and on.
+#: program space; ``ecall`` exits and ``mexitm`` commits; interrupts,
+#: the body extensions' trap deliveries and switches (regions of many
+#: members); intercept terminators under rule sets turned off and on.
 CORPUS_CONFIGS = (
     GenConfig(),
     GenConfig(ecall=1.0),
-    GenConfig(irq=1.0, csr=0.5, misalign=0.5, divrem=0.5, auipc_mem=0.5),
+    GenConfig(irq=1.0, csr=0.5, misalign=0.5, divrem=0.5, auipc_mem=0.5,
+              switch=0.5),
     GenConfig(icept=1.0),
 )
 
@@ -75,7 +78,7 @@ class CorpusReport:
 
     seeds: tuple
     blocks_seen: int = 0        # compiled blocks encountered (with dups)
-    blocks_validated: int = 0   # unique (mode, namespace, source) proved
+    blocks_validated: int = 0   # members of unique (mode, source) regions
     mem_blocks: int = 0
     mram_blocks: int = 0
     #: Unique blocks proved per harvest mode (see :data:`MODES`).
@@ -84,16 +87,28 @@ class CorpusReport:
     #: Unique blocks proved per :func:`exit_kind`.
     exit_blocks: dict = field(
         default_factory=lambda: dict.fromkeys(EXIT_KINDS, 0))
+    #: Multi-member regions harvested (with dups) per harvest mode.
+    mode_regions_seen: dict = field(
+        default_factory=lambda: dict.fromkeys(MODES, 0))
+    #: Unique multi-member regions proved without a finding, per mode.
+    mode_regions: dict = field(
+        default_factory=lambda: dict.fromkeys(MODES, 0))
     findings: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
+    @property
+    def unproved_modes(self) -> list:
+        """Modes that compiled multi-member regions but proved none."""
+        return [mode for mode, seen in self.mode_regions_seen.items()
+                if seen and not self.mode_regions[mode]]
+
 
 def harvest_seed(seed: int, mode: str, config=None):
     """Run one generated program on the *mode* harvest machine; returns
-    its translation cache (holding every block MJIT compiled).  The
+    its translation cache (holding every region MJIT compiled).  The
     program is generated with *config*, or the seed's entry of
     :data:`CORPUS_CONFIGS`."""
     from repro.conformance.campaign import (
@@ -121,7 +136,7 @@ def harvest_seed(seed: int, mode: str, config=None):
 
 
 def validate_corpus(seeds, config=None, progress=None) -> CorpusReport:
-    """Translation-validate every unique block the *seeds* compile on
+    """Translation-validate every unique region the *seeds* compile on
     the harvest machine of each codegen mode (with *config*, or each
     seed's entry of :data:`CORPUS_CONFIGS`).
 
@@ -134,21 +149,26 @@ def validate_corpus(seeds, config=None, progress=None) -> CorpusReport:
     for i, seed in enumerate(seeds):
         for mode in MODES:
             tcache = harvest_seed(seed, mode, config)
-            for ns, block in tcache.iter_jit_blocks():
-                report.blocks_seen += 1
-                key = (mode, ns, block.jit_fn.__jit_source__)
+            for region in tcache.iter_regions():
+                multi = len(region) > 1
+                report.blocks_seen += len(region)
+                report.mode_regions_seen[mode] += multi
+                key = (mode, region[0].jit_fn.__jit_source__)
                 if key in seen:
                     continue
                 seen.add(key)
-                report.blocks_validated += 1
-                report.mode_blocks[mode] += 1
-                report.exit_blocks[exit_kind(block)] += 1
-                if ns == "mem":
-                    report.mem_blocks += 1
-                else:
-                    report.mram_blocks += 1
-                report.findings.extend(validate_block(
-                    ns, block, tcache.line_size, tcache.scoreboard))
+                report.blocks_validated += len(region)
+                report.mode_blocks[mode] += len(region)
+                for block in region:
+                    report.exit_blocks[exit_kind(block)] += 1
+                    if block.mram:
+                        report.mram_blocks += 1
+                    else:
+                        report.mem_blocks += 1
+                findings = validate_region(region, tcache.line_size,
+                                           tcache.scoreboard)
+                report.findings.extend(findings)
+                report.mode_regions[mode] += multi and not findings
         if progress is not None:
             progress(i, report)
     return report

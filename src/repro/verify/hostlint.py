@@ -29,8 +29,10 @@ without telling the translation cache:
   ``PhysicalMemory.load_pages``, whose writes fire the hook, so a
   correct restore has no such write);
 * any function that marks a translation block ``valid = False`` must
-  also sever ``jit_fn`` so a stale compiled function can never be
-  re-entered through a held reference;
+  also drop the region it runs in — ``jit_fn = None`` and ``region =
+  None`` on every member of ``block.region`` — so a stale compiled
+  function can never be re-entered, through a held reference or from
+  another member of its region;
 * any loader path that writes MRAM code into an *existing* image (the
   MSYNTH append path, as opposed to the boot path that constructs a
   fresh ``MetalImage``) must re-attach analysis results and advance the
@@ -91,7 +93,7 @@ SNAPSHOT_SPECS = (
     ClassSpec("machine/machine.py", "Machine", "machine", allow={
         "sim": "the simulation engine itself, not machine state",
         "bus": _WIRING,
-        "symbols": _CONFIG,
+        "symbols": _CONFIG, "extra_symbols": _CONFIG,
         "console": _DEVICES, "timer": _DEVICES, "nic": _DEVICES,
         "blockdev": _DEVICES, "irq": _DEVICES,
         "metal_image": "static image description; MRAM holds the live copy",
@@ -513,34 +515,49 @@ def check_eviction_completeness(override_sources=None) -> list:
                 detail=f"line {write_sites[0].lineno}",
             ))
 
-    # Rule 3: invalidating a block severs its compiled function too.
+    # Rule 3: invalidating a block drops the region it runs in from
+    # every member: a loop over the block's ``region`` severs each
+    # member's ``jit_fn`` and ``region``.
     for relpath in BLOCK_FILES:
         tree = ast.parse(_source(relpath, override_sources))
         for qualname, fn in _functions(tree):
-            invalidated = []   # (base repr, lineno)
-            severed = set()    # base reprs with jit_fn = None
+            invalidated = []   # (base dump, lineno)
+            dropped = set()    # base dumps whose region loop drops both
             for node in ast.walk(fn):
-                if not isinstance(node, ast.Assign):
-                    continue
-                for t in node.targets:
-                    if not isinstance(t, ast.Attribute):
-                        continue
-                    base = ast.dump(t.value)
-                    if (t.attr == "valid"
-                            and isinstance(node.value, ast.Constant)
-                            and node.value.value is False):
-                        invalidated.append((base, node.lineno))
-                    elif (t.attr == "jit_fn"
-                          and isinstance(node.value, ast.Constant)
-                          and node.value.value is None):
-                        severed.add(base)
+                if isinstance(node, ast.Assign):
+                    for t in node.targets:
+                        if (isinstance(t, ast.Attribute)
+                                and t.attr == "valid"
+                                and isinstance(node.value, ast.Constant)
+                                and node.value.value is False):
+                            invalidated.append((ast.dump(t.value),
+                                                node.lineno))
+                elif (isinstance(node, ast.For)
+                      and isinstance(node.target, ast.Name)):
+                    severed = {
+                        t.attr
+                        for sub in node.body if isinstance(sub, ast.Assign)
+                        for t in sub.targets
+                        if isinstance(t, ast.Attribute)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id == node.target.id
+                        and isinstance(sub.value, ast.Constant)
+                        and sub.value.value is None
+                    }
+                    if {"jit_fn", "region"} <= severed:
+                        dropped.update(
+                            ast.dump(sub.value) for sub in ast.walk(node.iter)
+                            if isinstance(sub, ast.Attribute)
+                            and sub.attr == "region")
             for base, lineno in invalidated:
-                if base not in severed:
+                if base not in dropped:
                     findings.append(Finding(
                         pass_name=PASS_EVICTION,
                         where=f"{relpath}:{qualname}",
-                        message=("sets a block invalid without severing "
-                                 "jit_fn = None in the same function — a "
+                        message=("sets a block invalid without dropping "
+                                 "its region (jit_fn = None and region = "
+                                 "None on every member of block.region) in "
+                                 "the same function — another member or a "
                                  "held reference could re-enter stale "
                                  "compiled code"),
                         detail=f"line {lineno}",

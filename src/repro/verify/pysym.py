@@ -1,14 +1,17 @@
 """Candidate block summaries from MJIT-generated Python source.
 
 This is the *candidate* side of the translation validator: a symbolic
-evaluator over the ``ast`` of a compiled block's ``__jit_source__``.
+evaluator over the ``ast`` of a compiled region's ``__jit_source__``.
 It knows nothing about the micro-op IR — it only understands the
 restricted Python the codegen emits (straight-line arithmetic on
 locals, the guest-state markers bound in the prologue, the semantics
 helpers from the exec namespace, the I-cache and timer calls,
-``if``/``while True``/``try`` control flow and the 5-tuple return
+``if``/``while True``/``try`` control flow and the 7-tuple return
 protocol) and turns the function into a :class:`Summary` in the same
-canonical form :mod:`repro.verify.uopsem` builds from the IR.
+canonical form :mod:`repro.verify.uopsem` builds from the IR.  The
+function is evaluated once per member, with the entry argument ``m``
+bound to that member's index, so each exit is tagged with the member it
+leaves from and the loop head dispatches to exactly one member.
 
 The I-cache and timer calls are events: ``access(pc)`` (ordered, with a
 symbolic latency), ``timer.note_run(schedule, access, fetch_cost)``
@@ -19,9 +22,16 @@ with its eight arguments, and the one-batch I-cache hit credit
 unit's state accesses: an MReg list read or write, ``exit_metal()``
 (with a symbolic resume pc), and the status-2 return of the unraised
 ECALL trap the namespace binds as ``_ecall`` or of the INTERCEPT trap a
-block binds as ``_icept`` (with its word); ``mexitm``'s
+member binds as ``_icept<k>`` (with its word); ``mexitm``'s
 ``core.rset(index, value)`` writes the register file under a symbolic
-index.  ``timer.note_event(cycles)`` is a timer call too.  A timer call
+index.  ``timer.note_event(cycles)``, ``timer.note_trap(metal)`` and
+``timer.note_intercept()`` are timer calls too.  The crossings a region
+makes in place are events as well: the unit's ``deliver`` (whose
+``MetalError`` leaves with status 2 and the error), ``enter`` (whose
+``MetalError`` raises the illegal-instruction trap), the intercept
+table's ``match``, and the engine's ``cross()`` re-check (a symbolic
+horizon, after which every member's ``valid`` is fresh).  An edge's
+admission checks are path literals.  A timer call
 leaves ``timer.cycles`` at a fresh symbol, so the timer itself stays
 trusted and only what the code hands it is compared.  Likewise every
 call that can touch a device (``sync``, ``read_mem``, ``write_mem``,
@@ -45,16 +55,20 @@ import re
 
 from repro.cpu.exceptions import Cause, TrapException
 from repro.verify import sym as S
-from repro.verify.model import Exit, Summary
+from repro.verify.model import Exit, Summary, valid_name
 
 #: The MJIT calling convention, one for both namespaces.
-PARAMS = ("core", "block", "timer", "sync", "instret_base", "limit", "hz")
+PARAMS = ("core", "m", "timer", "sync", "instret_base", "budget", "stop",
+          "hz", "quantum", "cross")
 
 #: Loop-carried names the evaluator generalises at a ``while True`` head
-#: (anything else assigned in the body must be provably loop-invariant).
-_GENERAL = re.compile(r"^(r\d+|retired|loops|cyc|epc|ih)$")
+#: (anything else assigned in the body but the member index ``m`` must
+#: be provably loop-invariant).
+_GENERAL = re.compile(r"^(r\d+|retired|loops|cyc|epc|ih|hz|live)$")
 
-_INSTR_NAME = re.compile(r"^_i(\d+)$")
+_INSTR_NAME = re.compile(r"^_i(\d+)_(\d+)$")
+_ICEPT_NAME = re.compile(r"^_icept\d+$")
+_MEMBER_NAME = re.compile(r"^_b(\d+)$")
 _OPFN_NAME = re.compile(r"^_op_(\w+)$")
 _SCHED_NAME = re.compile(r"^_q\d+$")
 
@@ -112,6 +126,12 @@ _NOTE = _Mark("note")
 _NOTERUN = _Mark("note_run")
 _NOTEEVENT = _Mark("note_event")
 _NOTEOP = _Mark("note_op")
+_NOTETRAP = _Mark("note_trap")
+_NOTEICEPT = _Mark("note_intercept")
+_DELIVER = _Mark("deliver")
+_ENTER = _Mark("enter")
+_ITABLE = _Mark("itable")
+_MATCH = _Mark("match")
 
 #: Attribute reads on opaque markers (state-bearing ones are special-
 #: cased in :meth:`_Ev.eval` because they read evaluator state).
@@ -131,12 +151,19 @@ _ATTRS = {
     ("timer", "note_run"): _NOTERUN,
     ("timer", "note_event"): _NOTEEVENT,
     ("timer", "note_op"): _NOTEOP,
+    ("timer", "note_trap"): _NOTETRAP,
+    ("timer", "note_intercept"): _NOTEICEPT,
     ("metal", "mregs"): _MREGS,
     ("metal", "mram"): _MRAM,
     ("metal", "exit_metal"): _MEXIT,
+    ("metal", "deliver"): _DELIVER,
+    ("metal", "enter"): _ENTER,
+    ("metal", "intercept"): _ITABLE,
+    ("itable", "match"): _MATCH,
     ("mregs", "values"): _MRLIST,
     ("mram", "data"): _DATA,
     ("mram", "data_bytes"): S.sym("mram.data_bytes"),
+    ("mram", "code_version"): S.sym("mram.code_version"),
 }
 
 _STEPINFO_ATTRS = {"next_pc": "next_pc"}
@@ -148,11 +175,13 @@ class CState:
     __slots__ = ("vars", "regfile", "tc", "valid", "horizon", "events",
                  "path", "counter")
 
-    def __init__(self):
+    def __init__(self, members: int = 1):
         self.vars = {}
         self.regfile = {}
         self.tc = S.sym("T.cycles0")
-        self.valid = S.sym("V0")
+        #: Each member's ``valid``.
+        self.valid = [S.sym("V0" if k == 0 else f"V0.{k}")
+                      for k in range(members)]
         #: The bus horizon: each device-touching event leaves it at a
         #: fresh symbol, read back by the horizon exits.
         self.horizon = S.sym("H0")
@@ -164,6 +193,7 @@ class CState:
         st = copy.copy(self)
         st.vars = dict(self.vars)
         st.regfile = dict(self.regfile)
+        st.valid = list(self.valid)
         st.events = list(self.events)
         st.path = list(self.path)
         if extra is not None:
@@ -175,6 +205,10 @@ class CState:
         self.counter += 1
         self.events.append(event)
         return k
+
+    def invalidate(self, k: int) -> None:
+        """Event *k* may have evicted any member."""
+        self.valid = [_esym(k, valid_name(j)) for j in range(len(self.valid))]
 
 
 def _esym(k: int, what: str):
@@ -230,18 +264,28 @@ def _assigns_name(node, name: str) -> bool:
     return name in _assigned_names([node])
 
 
+def _transfers(node) -> bool:
+    """Whether *node* holds a ``continue``, ``break`` or ``return``: an
+    ``if`` that decides where control goes stays path-split."""
+    return any(isinstance(sub, (ast.Continue, ast.Break, ast.Return))
+               for sub in ast.walk(node))
+
+
 # ---------------------------------------------------------------------------
 # the evaluator
 # ---------------------------------------------------------------------------
 
 class _Ev:
-    def __init__(self, ns):
+    def __init__(self, ns, member: int = 0):
         self.ns = ns               # the function's exec namespace
+        self.member = member       # the member this evaluation enters
         self.exits = []
         self.entry = {}
         self.looped = False
         self.handler = None        # (stmts, alias) inside a try
         self.invariants = {}       # un-generalised loop-carried locals
+        self.carries_m = False     # the loop body assigns ``m``
+        self.fallible = None       # event of the last unit call
 
     # -- state helpers ---------------------------------------------------
     def rf_default(self, n: int):
@@ -298,6 +342,13 @@ class _Ev:
                          self.eval(node.orelse, st))
         if isinstance(node, ast.Call):
             return self.call(node, st)
+        if isinstance(node, ast.Tuple):
+            return tuple(self.eval(e, st) for e in node.elts)
+        if isinstance(node, ast.Set):
+            values = [self.eval(e, st) for e in node.elts]
+            if not all(isinstance(v, int) for v in values):
+                raise UnsupportedSource("set of non-constants")
+            return frozenset(values)
         raise UnsupportedSource(f"expression {ast.dump(node)[:60]}")
 
     @staticmethod
@@ -311,7 +362,16 @@ class _Ev:
             return st.vars[name]
         m = _INSTR_NAME.match(name)
         if m:
-            return _Mark("instr", int(m.group(1)))
+            return _Mark("instr", (int(m.group(1)), int(m.group(2))))
+        m = _MEMBER_NAME.match(name)
+        if m:
+            if name not in self.ns:
+                raise UnsupportedSource(f"member {name!r} is not bound")
+            return _Mark("member", int(m.group(1)))
+        if name == "_cv":
+            if name not in self.ns:
+                raise UnsupportedSource("_cv is not bound")
+            return S.sym("cv")
         m = _OPFN_NAME.match(name)
         if m:
             return _Mark("opfn", m.group(1))
@@ -326,7 +386,7 @@ class _Ev:
                     or trap.cause != Cause.ECALL or trap.info != 0):
                 raise UnsupportedSource("_ecall is not an ECALL trap")
             return _ECALL
-        if name == "_icept":
+        if _ICEPT_NAME.match(name):
             trap = self.ns.get(name)
             if (not isinstance(trap, TrapException)
                     or trap.cause != Cause.INTERCEPT):
@@ -340,8 +400,10 @@ class _Ev:
             raise UnsupportedSource(f"attribute on non-object .{node.attr}")
         if base.tag == "timer" and node.attr == "cycles":
             return st.tc
-        if base.tag == "block" and node.attr == "valid":
-            return st.valid
+        if base.tag == "member" and node.attr == "valid":
+            if not 0 <= base.arg < len(st.valid):
+                raise UnsupportedSource(f"member {base.arg} out of range")
+            return st.valid[base.arg]
         if base.tag == "bus" and node.attr == "horizon":
             return st.horizon
         if base.tag == "timing":
@@ -413,10 +475,22 @@ class _Ev:
             if b is None:
                 return S.notnone(a)
             raise UnsupportedSource("is not against non-None")
+        if isinstance(op, ast.NotIn):
+            if not (isinstance(b, frozenset)
+                    and all(isinstance(v, int) for v in b)):
+                raise UnsupportedSource("not in a non-constant set")
+            return S.notin(a, b)
         raise UnsupportedSource(f"comparison {type(op).__name__}")
 
     # -- calls (the event vocabulary) ------------------------------------
     def call(self, node: ast.Call, st: CState):
+        if isinstance(node.func, ast.Name) and node.func.id == "cross":
+            # The engine's crossing re-check (a parameter).
+            if node.args or node.keywords:
+                raise UnsupportedSource("cross() takes no args")
+            k = st.alloc(("cross",))
+            st.invalidate(k)
+            return _esym(k, "hz")
         fn = self.eval(node.func, st)
         if not isinstance(fn, _Mark):
             raise UnsupportedSource("call of non-helper")
@@ -430,7 +504,7 @@ class _Ev:
         if tag == "sync":
             self.expect_args(tag, args, kwargs, 0)
             k = st.alloc(("sync", st.tc))
-            st.valid = _esym(k, "valid")
+            st.invalidate(k)
             st.horizon = _esym(k, "horizon")
             return None
         if tag == "read_mem":
@@ -443,7 +517,7 @@ class _Ev:
             self.expect_args(tag, args, kwargs, 3)
             k = st.alloc(("write", args[0], args[1], args[2]))
             self.trap_fork(st, k)
-            st.valid = _esym(k, "valid")
+            st.invalidate(k)
             st.horizon = _esym(k, "horizon")
             return _esym(k, "lat")
         if tag == "execute":
@@ -457,7 +531,7 @@ class _Ev:
                           kwargs["fetch_latency"]))
             for n in range(1, 32):
                 st.regfile[n] = _esym(k, f"r{n}")
-            st.valid = _esym(k, "valid")  # a store may evict the block
+            st.invalidate(k)  # a store may evict a block
             st.horizon = _esym(k, "horizon")
             self.trap_fork(st, k)
             return _Mark("stepinfo", k)
@@ -483,11 +557,20 @@ class _Ev:
                           None if access is None else "access", cost))
             st.tc = _esym(k, "tc")
             return None
-        if tag == "note_event":
-            self.expect_args(tag, args, kwargs, 1)
-            k = st.alloc(("note_event", args[0]))
+        if tag in ("note_event", "note_trap", "note_intercept"):
+            self.expect_args(tag, args, kwargs,
+                             0 if tag == "note_intercept" else 1)
+            k = st.alloc((tag, *args))
             st.tc = _esym(k, "tc")
             return None
+        if tag in ("deliver", "enter", "match"):
+            self.expect_args(tag, args, kwargs,
+                             {"deliver": 5, "enter": 2, "match": 1}[tag])
+            if any(isinstance(a, _Mark) for a in args):
+                raise UnsupportedSource(f"{tag}() of an opaque object")
+            k = st.alloc((tag, *args))
+            self.fallible = k
+            return _esym(k, "entry" if tag == "match" else "pc")
         if tag == "note_op":
             self.expect_args(tag, args, kwargs, 8)
             if any(isinstance(a, _Mark) for a in args):
@@ -670,9 +753,9 @@ class _Ev:
 
     def do_return(self, stmt: ast.Return, st: CState) -> None:
         if not (isinstance(stmt.value, ast.Tuple)
-                and len(stmt.value.elts) == 5):
-            raise UnsupportedSource("return is not the 5-tuple protocol")
-        status, next_pc, retired, loops, trap = (
+                and len(stmt.value.elts) == 7):
+            raise UnsupportedSource("return is not the 7-tuple protocol")
+        status, next_pc, retired, loops, trap, left, hz = (
             self.eval(e, st) for e in stmt.value.elts)
         if status not in (0, 1, 2):
             raise UnsupportedSource(f"return status {status!r}")
@@ -686,20 +769,22 @@ class _Ev:
             trap = _Mark("trapval", st.alloc(
                 ("raise", int(Cause.INTERCEPT), trap.arg)))
         if kind == "trap":
-            if not (isinstance(trap, _Mark) and trap.tag == "trapval"):
+            if not (isinstance(trap, _Mark)
+                    and trap.tag in ("trapval", "metalerr")):
                 raise UnsupportedSource("status-2 return without the "
                                         "caught exception")
             site = trap.arg
         elif trap is not None:
             raise UnsupportedSource(f"status-{status} return carries an "
                                     "exception")
-        if isinstance(next_pc, _Mark) or isinstance(retired, _Mark) \
-                or isinstance(loops, _Mark):
+        if any(isinstance(v, _Mark) for v in (next_pc, retired, loops, left,
+                                              hz)):
             raise UnsupportedSource("opaque object in return tuple")
         self.exits.append(Exit(
             kind=kind, path=tuple(st.path), events=tuple(st.events),
             retired=retired, loops=loops, tc=st.tc,
-            regfile=self.norm_regfile(st), next_pc=next_pc, trap=site))
+            regfile=self.norm_regfile(st), next_pc=next_pc, trap=site,
+            member=self.member, left=left, hz=hz))
 
     # -- control flow ----------------------------------------------------
     def do_if(self, stmt: ast.If, st: CState):
@@ -720,7 +805,8 @@ class _Ev:
         if (len(t_falls) == 1 and len(f_falls) == 1
                 and len(t_falls[0].events) == base_events
                 and len(f_falls[0].events) == base_events
-                and not _assigns_name(stmt, "next_pc")):
+                and not _assigns_name(stmt, "next_pc")
+                and not _transfers(stmt)):
             return others + [("fall", self.merge(cond, st,
                                                  t_falls[0], f_falls[0]))]
         return others + [("fall", s) for s in t_falls + f_falls]
@@ -748,7 +834,8 @@ class _Ev:
             m.regfile[n] = unify(self.rf_get(a, n), self.rf_get(b, n),
                                  f"x{n}")
         m.tc = unify(a.tc, b.tc, "timer.cycles")
-        m.valid = unify(a.valid, b.valid, "block.valid")
+        m.valid = [unify(va, vb, "valid")
+                   for va, vb in zip(a.valid, b.valid)]
         m.horizon = unify(a.horizon, b.horizon, "bus.horizon")
         return m
 
@@ -760,7 +847,10 @@ class _Ev:
             raise UnsupportedSource("nested loop")
         self.looped = True
         assigned = _assigned_names(stmt.body)
-        for name in sorted(assigned & set(st.vars)):
+        # The member index the edges set: carried, never generalised
+        # (each evaluation enters one member).
+        self.carries_m = "m" in assigned
+        for name in sorted(assigned & set(st.vars) - {"m"}):
             if _GENERAL.match(name):
                 self.entry[f"L.{name}"] = st.vars[name]
                 st.vars[name] = S.sym(f"L.{name}")
@@ -771,9 +861,11 @@ class _Ev:
                     ("note", "note_run", "note_op")))):
             self.entry["L.tc"] = st.tc
             st.tc = S.sym("L.tc")
-        if _has_call(stmt.body, frozenset(("sync", "write_mem"))):
-            self.entry["L.valid"] = st.valid
-            st.valid = S.sym("L.valid")
+        if _has_call(stmt.body, frozenset(("sync", "write_mem", "cross"))):
+            for k, v in enumerate(st.valid):
+                name = f"L.{valid_name(k)}"
+                self.entry[name] = v
+                st.valid[k] = S.sym(name)
             # Every horizon exit reads the value its own access left.
             st.horizon = S.sym("L.horizon")
         out = self.exec_stmts(stmt.body, [st])
@@ -794,24 +886,32 @@ class _Ev:
                     f"loop-carried local {name!r} is not restored to its "
                     "entry value on the back edge")
         carried = []
+        valid = {valid_name(k): v for k, v in enumerate(st.valid)}
         for gname in self.entry:
             name = gname[2:]
             if name in ("tc", "retired", "loops"):
                 continue
-            if name == "valid":
-                carried.append(("valid", st.valid))
+            if name in valid:
+                carried.append((name, valid[name]))
             else:
                 carried.append((name, st.vars[name]))
+        if self.carries_m:
+            carried.append(("m", st.vars["m"]))
         self.exits.append(Exit(
             kind="loop", path=tuple(st.path), events=tuple(st.events),
             retired=st.vars["retired"], loops=st.vars["loops"], tc=st.tc,
-            regfile=self.norm_regfile(st), carried=tuple(sorted(carried))))
+            regfile=self.norm_regfile(st), carried=tuple(sorted(carried)),
+            member=self.member))
 
     def do_try(self, stmt: ast.Try, st: CState):
-        if (len(stmt.handlers) != 1 or stmt.orelse or stmt.finalbody
-                or self.handler is not None):
+        if (len(stmt.handlers) != 1 or stmt.orelse or stmt.finalbody):
             raise UnsupportedSource("try shape")
         handler = stmt.handlers[0]
+        if isinstance(handler.type, ast.Name) \
+                and handler.type.id == "MetalError":
+            return self.do_fallible(stmt, st)
+        if self.handler is not None:
+            raise UnsupportedSource("nested try")
         if not (isinstance(handler.type, ast.Name)
                 and handler.type.id == "TrapException" and handler.name):
             raise UnsupportedSource("handler is not `except TrapException"
@@ -821,14 +921,43 @@ class _Ev:
         self.handler = None
         return out
 
+    def do_fallible(self, stmt: ast.Try, st: CState):
+        """``try: next_pc = <unit call> except MetalError [as e]: ...``:
+        the call's event, then the handler, from the state the call
+        left, with *e* bound to the error the call raised."""
+        handler = stmt.handlers[0]
+        body = stmt.body
+        if not (len(body) == 1 and isinstance(body[0], ast.Assign)
+                and isinstance(body[0].value, ast.Call)):
+            raise UnsupportedSource("fallible try is not one call")
+        self.fallible = None
+        value = self.eval(body[0].value, st)
+        site, self.fallible = self.fallible, None
+        if site is None:
+            raise UnsupportedSource("fallible try around a call that "
+                                    "cannot raise MetalError")
+        err = st.fork()
+        if handler.name:
+            err.vars[handler.name] = _Mark("metalerr", site)
+        out = self.exec_stmts(handler.body, [err])
+        if any(tag == "fall" for tag, _s in out):
+            raise UnsupportedSource("MetalError handler falls through")
+        target = body[0].targets
+        if len(target) != 1 or not isinstance(target[0], ast.Name):
+            raise UnsupportedSource("fallible try target")
+        st.vars[target[0].id] = value
+        return out + [("fall", st)]
 
-def candidate_summary(source: str, ns) -> Summary:
+
+def candidate_summary(source: str, ns, members: int = 1) -> Summary:
     """Symbolically evaluate a ``__jit_source__`` into a Summary.
 
     *ns* is the compiled function's exec namespace, which holds the
-    ``note_run`` schedules.  Raises :class:`UnsupportedSource` when the
-    source leaves the MJIT grammar (the driver turns that into a
-    finding).
+    ``note_run`` schedules and the member blocks; *members* is the
+    region's member count.  The function is evaluated once per member,
+    entered with ``m`` bound to its index.  Raises
+    :class:`UnsupportedSource` when the source leaves the MJIT grammar
+    (:mod:`repro.verify.translate` turns that into a finding).
     """
     tree = ast.parse(source)
     if len(tree.body) != 1 or not isinstance(tree.body[0], ast.FunctionDef):
@@ -842,19 +971,30 @@ def candidate_summary(source: str, ns) -> Summary:
             or a.kwarg or a.defaults):
         raise UnsupportedSource(
             f"calling convention: params {names} != {PARAMS}")
-    ev = _Ev(ns)
-    st = CState()
-    st.vars = {
-        "core": _CORE, "block": _BLOCK, "timer": _TIMER, "sync": _SYNC,
-        "instret_base": S.sym("instret_base"),
-        "limit": S.sym("limit"),
-        "hz": S.sym("hz"),
-        "execute": _EXEC, "TrapException": _TRAPCTOR,
-        "CAUSE_BUS_ERROR": int(Cause.BUS_ERROR),
-        "_upk": _UPK, "_pk": _PK,
-    }
-    leftover = ev.exec_stmts(fn.body, [st])
-    if leftover:
-        raise UnsupportedSource("control falls off the end of the "
-                                "function")
-    return Summary(looped=ev.looped, exits=ev.exits, entry=ev.entry)
+    exits = []
+    entry = None
+    looped = False
+    for member in range(members):
+        ev = _Ev(ns, member)
+        st = CState(members)
+        st.vars = {
+            "core": _CORE, "m": member, "timer": _TIMER, "sync": _SYNC,
+            "instret_base": S.sym("instret_base"),
+            "budget": S.sym("budget"), "stop": S.sym("stop"),
+            "hz": S.sym("hz"), "quantum": S.sym("quantum"),
+            "cross": S.sym("cross"),
+            "execute": _EXEC, "TrapException": _TRAPCTOR,
+            "CAUSE_BUS_ERROR": int(Cause.BUS_ERROR),
+            "CAUSE_ILLEGAL": int(Cause.ILLEGAL_INSTRUCTION),
+            "_upk": _UPK, "_pk": _PK,
+        }
+        leftover = ev.exec_stmts(fn.body, [st])
+        if leftover:
+            raise UnsupportedSource("control falls off the end of the "
+                                    "function")
+        if entry is not None and ev.entry != entry:
+            raise UnsupportedSource("loop entry differs between members")
+        entry = ev.entry
+        looped = ev.looped
+        exits.extend(ev.exits)
+    return Summary(looped=looped, exits=exits, entry=entry or {})

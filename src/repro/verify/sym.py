@@ -176,6 +176,14 @@ def notnone(e):
     return ("notnone", e)
 
 
+def notin(a, values):
+    """``a not in values`` over a constant set of ints (sorted)."""
+    values = tuple(sorted(values))
+    if _is_int(a):
+        return a not in values
+    return ("notin", a, values)
+
+
 def b2i(c):
     if c is True:
         return 1
@@ -233,7 +241,7 @@ def not_(c):
 
 
 _BOOL_OPS = frozenset(("==", "!=", "<", "<=", "band", "bor", "not",
-                       "isnone", "notnone", "ite"))
+                       "isnone", "notnone", "notin", "ite"))
 
 
 def truth(e):

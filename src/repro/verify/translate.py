@@ -1,15 +1,16 @@
 """Translation validation: reference vs candidate summary comparison.
 
-:func:`validate_block` proves one tier-2 block correct by construction
-comparison: the reference summary (from the micro-op IR,
-:mod:`repro.verify.uopsem`) and the candidate summary (from the
-generated source, :mod:`repro.verify.pysym`) are built in the same
-canonical symbolic domain, so equivalence of register/pc/memory
-effects, cycle + instret accounting and the 0/1/2 exit protocol is
-plain structural equality — any difference is a :class:`Finding` with
-a block/exit/field citation.  It also checks the binding identity of
-the block's exec namespace (each ``_i<k>`` must be the block's own
-decoded instruction object).
+:func:`validate_region` proves one tier-2 region correct by
+construction comparison: the reference summary (from the members'
+micro-op IR, :mod:`repro.verify.uopsem`) and the candidate summary
+(from the generated source, :mod:`repro.verify.pysym`) are built in the
+same canonical symbolic domain, so equivalence of register/pc/memory
+effects, cycle + instret accounting, the 0/1/2 exit protocol and every
+edge's admission checks is plain structural equality — any difference
+is a :class:`Finding` citing the member, exit and field.  It also checks
+the binding identity of the region's exec namespace (each ``_b<k>``
+must be the member, and each ``_i<k>_<i>`` its own decoded
+instruction object).
 """
 
 from __future__ import annotations
@@ -75,24 +76,36 @@ def _diff_entry(where: str, ref: dict, cand: dict, findings: list) -> None:
                       f"{_render(cand[name])}")))
 
 
-def _check_ns(where: str, block, fn, cand, findings: list) -> None:
+def _label(block) -> str:
+    return f"{'mram' if block.mram else 'mem'}:{block.start:#x}"
+
+
+def _check_ns(members, fn, cand, findings: list) -> None:
     ns = getattr(fn, "__globals__", {})
+    for k, block in enumerate(members):
+        if ns.get(f"_b{k}") is not block:
+            findings.append(Finding(
+                PASS, _label(block), f"namespace binding _b{k} is not "
+                "the region's member"))
     seen = set()
     for ex in cand.exits:
         for ev in ex.events:
             if ev[0] != "exec" or ev[1] in seen:
                 continue
             seen.add(ev[1])
-            idx = ev[1]
-            if not (0 <= idx < len(block.entries)):
+            k, idx = ev[1]
+            if not (0 <= k < len(members)
+                    and 0 <= idx < len(members[k].entries)):
                 findings.append(Finding(
-                    PASS, where, f"execute() dispatches _i{idx} outside "
-                    f"the block's {len(block.entries)} entries"))
+                    PASS, _label(members[0]), f"execute() dispatches "
+                    f"_i{k}_{idx} outside the region's members"))
                 continue
-            if ns.get(f"_i{idx}") is not block.entries[idx][0]:
+            block = members[k]
+            where = _label(block)
+            if ns.get(f"_i{k}_{idx}") is not block.entries[idx][0]:
                 findings.append(Finding(
-                    PASS, where, f"namespace binding _i{idx} is not the "
-                    "block's own decoded instruction"))
+                    PASS, where, f"namespace binding _i{k}_{idx} is not "
+                    "the member's own decoded instruction"))
             if ev[2] != block.entries[idx][1]:
                 findings.append(Finding(
                     PASS, where, f"execute() at entry {idx} passes pc "
@@ -100,59 +113,63 @@ def _check_ns(where: str, block, fn, cand, findings: list) -> None:
                     f"{block.entries[idx][1]:#x}"))
 
 
-def validate_block(ns_label: str, block, line_size=None,
-                   scoreboard: bool = False):
-    """Prove one compiled block equivalent to its IR reference.
+def _census(exits) -> dict:
+    out: dict = {}
+    for ex in exits:
+        out[ex.kind] = out.get(ex.kind, 0) + 1
+    return out
 
-    Returns a list of :class:`Finding` (empty = proven equivalent).
-    *ns_label* is ``"mem"`` or ``"mram"``; *line_size* and *scoreboard*
+
+def validate_region(members, line_size=None, scoreboard: bool = False):
+    """Prove one compiled region equivalent to its members' IR
+    references, edges included.
+
+    Returns a list of :class:`Finding` (empty = proven equivalent), each
+    citing the member whose exits differ.  *line_size* and *scoreboard*
     are the codegen mode of the translation cache that compiled the
-    block (its ``line_size`` and ``scoreboard``).
+    region (its ``line_size`` and ``scoreboard``).
     """
-    where = f"{ns_label}:{block.start:#x}"
+    members = tuple(members)
+    head = _label(members[0])
     findings: list = []
-    fn = getattr(block, "jit_fn", None)
+    fn = getattr(members[0], "jit_fn", None)
     source = getattr(fn, "__jit_source__", None)
     if not source:
         findings.append(Finding(
-            PASS, where, "compiled block has no __jit_source__ to "
+            PASS, head, "compiled region has no __jit_source__ to "
             "validate"))
         return findings
     try:
-        ref = reference_summary(block, ns_label, line_size, scoreboard)
+        ref = reference_summary(members, line_size, scoreboard)
     except UnsupportedBlock as exc:
         findings.append(Finding(
-            PASS, where, "block shape outside the reference model "
+            PASS, head, "region shape outside the reference model "
             "(MJIT should have declined it)", str(exc)))
         return findings
     try:
-        cand = candidate_summary(source, fn.__globals__)
+        cand = candidate_summary(source, fn.__globals__, len(members))
     except UnsupportedSource as exc:
         findings.append(Finding(
-            PASS, where, "generated source leaves the MJIT grammar",
+            PASS, head, "generated source leaves the MJIT grammar",
             str(exc)))
         return findings
 
-    _check_ns(where, block, fn, cand, findings)
+    _check_ns(members, fn, cand, findings)
     if ref.looped != cand.looped:
         findings.append(Finding(
-            PASS, where, "self-loop internalisation mismatch",
+            PASS, head, "region loop mismatch",
             f"reference looped={ref.looped}, candidate "
             f"looped={cand.looped}"))
-    _diff_entry(where, ref.entry, cand.entry, findings)
+    _diff_entry(head, ref.entry, cand.entry, findings)
 
-    rex = ref.sorted_exits()
-    cex = cand.sorted_exits()
-    if len(rex) != len(cex):
-        def census(exits):
-            out: dict = {}
-            for ex in exits:
-                out[ex.kind] = out.get(ex.kind, 0) + 1
-            return out
-        findings.append(Finding(
-            PASS, where, "exit count mismatch",
-            f"reference {census(rex)}, candidate {census(cex)}"))
-    for r, c in zip(rex, cex):
-        _diff_exit(where, r, c, findings)
+    for k, block in enumerate(members):
+        where = _label(block)
+        rex = [ex for ex in ref.sorted_exits() if ex.member == k]
+        cex = [ex for ex in cand.sorted_exits() if ex.member == k]
+        if len(rex) != len(cex):
+            findings.append(Finding(
+                PASS, where, "exit count mismatch",
+                f"reference {_census(rex)}, candidate {_census(cex)}"))
+        for r, c in zip(rex, cex):
+            _diff_exit(where, r, c, findings)
     return findings
-

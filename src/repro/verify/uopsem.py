@@ -60,7 +60,7 @@ from repro.cpu.tcache import (
 )
 from repro.isa.instruction import InstrClass
 from repro.verify import sym as S
-from repro.verify.model import Exit, Summary
+from repro.verify.model import Exit, Summary, valid_name
 
 M32 = S.M32
 SIGN = S.SIGN
@@ -138,7 +138,8 @@ BRANCH_SEM = {
 #: The timing attribute of each inlined control kind's penalty
 #: (SimpleTimer); the scoreboard is told the kind itself.
 PENALTY = {"branch": "branch_taken_penalty", "jal": "jump_penalty",
-           "jalr": "branch_taken_penalty", "mexit": "mexit_cost"}
+           "jalr": "branch_taken_penalty", "mexit": "mexit_cost",
+           "menter": "menter_cost"}
 
 #: Validator rule per IR kind; every kind :func:`uop_ir` can emit MUST
 #: appear here (test-asserted).  Handlers take (builder, ir).
@@ -150,19 +151,39 @@ IR_RULES = {
 }
 
 # ---------------------------------------------------------------------------
-# block classification (independent transcription of the codegen contract)
+# region classification (independent transcription of the codegen contract)
 # ---------------------------------------------------------------------------
 
+#: The calling convention's parameters an edge reads.
+BUDGET = S.sym("budget")
+STOP = S.sym("stop")
+QUANTUM = S.sym("quantum")
+CROSS = S.sym("cross")
+#: The MRAM code version an edge into MRAM tests, and the version the
+#: region's mram members were built under (bound in its namespace).
+MRAM_VERSION = S.sym("mram.code_version")
+BUILT_VERSION = S.sym("cv")
+
+
 @dataclass
-class BlockInfo:
-    """What the reference derived about the block's compilation shape."""
+class RegionInfo:
+    """What the reference derived about the region's compilation shape."""
 
     tracked: frozenset = frozenset()   # regs living in host locals
-    written: frozenset = frozenset()   # subset actually (re)assigned
+    written: frozenset = frozenset()   # subset (re)assigned in the loop
     trapping: bool = False
     has_generic: bool = False          # any execute() dispatch
     has_sync: bool = False             # any RAM load/store (sync prologue)
-    looped: bool = False
+    looped: bool = False               # some exit continues into a member
+    #: No member can invalidate a block, so no edge tests ``valid``.
+    quiet: bool = True
+    #: The members' validity is loop-carried (a sync, a store, or the
+    #: ``mexit`` crossing's re-check can change it).
+    valid_carried: bool = False
+    #: ``timer.cycles`` moves inside the loop.
+    tc_carried: bool = False
+    #: Some member sets the horizon (a crossing).
+    assigns_hz: bool = False
 
 
 def _plain(instr, pc: int, flags: int):
@@ -170,67 +191,118 @@ def _plain(instr, pc: int, flags: int):
     return uop_ir(instr, pc) if not flags else None
 
 
-def scan_block(block, scoreboard: bool, mem: bool) -> BlockInfo:
-    """Classify every entry exactly as a correct compilation must.
-    *mem* names the block's namespace (False: mram)."""
+def continues(block, members) -> bool:
+    """Whether an exit of *block* can continue into one of *members*:
+    a static target some member of its namespace starts at, a ``jalr``
+    (any member of its namespace), or a Metal transition into a member
+    of the other namespace (``ecall``, an intercept terminator or
+    ``menter`` into MRAM, ``mexit``/``mexitm`` out of it)."""
+    instr, pc, flags = block.entries[-1]
+    same = [b.start for b in members if b.mram == block.mram]
+    other = [b for b in members if b.mram != block.mram]
+    if flags & F_ICEPT:
+        return not block.mram and bool(other)
+    if not flags & F_TERM:
+        return block.end in same
+    cls = instr.spec.cls
+    if cls is InstrClass.BRANCH:
+        return (pc + instr.imm) & M32 in same or (pc + 4) & M32 in same
+    if cls is InstrClass.JAL:
+        return (pc + instr.imm) & M32 in same
+    if cls is InstrClass.JALR:
+        return bool(same)
+    if instr.mnemonic in ("ecall", "menter"):
+        # In place only into MRAM members (so only on a Metal machine).
+        return not block.mram and bool(other)
+    if instr.mnemonic in ("mexit", "mexitm"):
+        return block.mram and bool(other)
+    return False
+
+
+def scan_region(members, scoreboard: bool) -> RegionInfo:
+    """Classify every entry of every member exactly as a correct
+    compilation must."""
     tracked = set()
     written = set()
-    trapping = has_generic = has_sync = False
-    for instr, pc, flags in block.entries:
-        if flags == F_TERM | F_ICEPT:
-            continue  # the status-2 exit reads and writes no register
-        cls = instr.spec.cls
-        m = instr.mnemonic
-        rd, rs1, rs2 = instr.rd, instr.rs1, instr.rs2
-        ir = _plain(instr, pc, flags)
-        # (registers the inline code reads, the one it writes or 0)
-        if ir is not None:
-            kind, ird, a, b, _m = ir
-            reads, write = {IR_IMM: ((a,), ird), IR_REG: ((a, b), ird),
-                            IR_SET: ((), ird)}.get(kind, ((), 0))
-        elif not flags and m in ("rmr", "wmr"):
-            reads, write = ((), rd) if m == "rmr" else ((rs1,), 0)
-        elif mem and m == "ecall":
-            continue  # the status-2 exit reads and writes no register
-        elif flags & F_TERM and cls not in (
-                InstrClass.BRANCH, InstrClass.JAL, InstrClass.JALR) \
-                and (mem or m not in ("mexit", "mexitm")):
-            trapping = has_generic = True  # an execute() dispatch
-            has_sync |= bool(flags & F_SYNC)
-            continue
-        elif cls is InstrClass.BRANCH:
-            reads, write = (rs1, rs2), 0
-        elif cls is InstrClass.JAL:
-            reads, write = (), rd
-        elif cls is InstrClass.JALR:
-            reads, write = (rs1,), rd
-        elif cls is InstrClass.MULDIV:
-            reads, write = (rs1, rs2), rd
-        elif m in ("mexit", "mexitm"):
-            continue  # exit_metal() in line; the commit follows the spill
-        elif not flags and cls is InstrClass.METAL and m in PLAIN_METAL:
-            reads, write = {"mld": ((rs1,), rd),
-                            "mst": ((rs1, rs2), 0)}[m]
-            trapping = True
-        elif cls is InstrClass.LOAD or cls is InstrClass.STORE:
-            reads, write = ((rs1,), rd) if cls is InstrClass.LOAD \
-                else ((rs1, rs2), 0)
-            trapping = has_sync = True
-        else:
-            raise UnsupportedBlock(
-                f"flagged non-terminator at {pc:#x} (flags={flags})")
-        if not scoreboard:  # scoreboard code keeps them in ``regs``
-            tracked.update(reads)
-            tracked.add(write)
-            written.add(write)
+    trapping = has_generic = has_sync = commits = crosses = delivers = False
+    assigns_hz = False
+    has_mem = any(not b.mram for b in members)
+    has_mram = any(b.mram for b in members)
+    for block in members:
+        mem = not block.mram
+        for instr, pc, flags in block.entries:
+            if flags == F_TERM | F_ICEPT:
+                if has_mram:
+                    # The delivery latches the word's operand registers.
+                    delivers = assigns_hz = True
+                    if not scoreboard:
+                        tracked.update(((instr >> 15) & 31,
+                                        (instr >> 20) & 31))
+                continue
+            cls = instr.spec.cls
+            m = instr.mnemonic
+            rd, rs1, rs2 = instr.rd, instr.rs1, instr.rs2
+            ir = _plain(instr, pc, flags)
+            # (registers the inline code reads, the one it writes or 0)
+            if ir is not None:
+                kind, ird, a, b, _m = ir
+                reads, write = {IR_IMM: ((a,), ird), IR_REG: ((a, b), ird),
+                                IR_SET: ((), ird)}.get(kind, ((), 0))
+            elif not flags and m in ("rmr", "wmr"):
+                reads, write = ((), rd) if m == "rmr" else ((rs1,), 0)
+            elif mem and m == "ecall":
+                delivers |= has_mram
+                assigns_hz |= has_mram
+                continue  # the exit reads and writes no register
+            elif mem and m == "menter" and has_mram:
+                trapping = assigns_hz = True
+                continue
+            elif flags & F_TERM and cls not in (
+                    InstrClass.BRANCH, InstrClass.JAL, InstrClass.JALR) \
+                    and (mem or m not in ("mexit", "mexitm")):
+                trapping = has_generic = True  # an execute() dispatch
+                has_sync |= bool(flags & F_SYNC)
+                continue
+            elif cls is InstrClass.BRANCH:
+                reads, write = (rs1, rs2), 0
+            elif cls is InstrClass.JAL:
+                reads, write = (), rd
+            elif cls is InstrClass.JALR:
+                reads, write = (rs1,), rd
+            elif cls is InstrClass.MULDIV:
+                reads, write = (rs1, rs2), rd
+            elif m in ("mexit", "mexitm"):
+                commits |= m == "mexitm"
+                if has_mem:
+                    crosses = assigns_hz = True
+                continue
+            elif not flags and cls is InstrClass.METAL and m in PLAIN_METAL:
+                reads, write = {"mld": ((rs1,), rd),
+                                "mst": ((rs1, rs2), 0)}[m]
+                trapping = True
+            elif cls is InstrClass.LOAD or cls is InstrClass.STORE:
+                reads, write = ((rs1,), rd) if cls is InstrClass.LOAD \
+                    else ((rs1, rs2), 0)
+                trapping = has_sync = True
+            else:
+                raise UnsupportedBlock(
+                    f"flagged non-terminator at {pc:#x} (flags={flags})")
+            if not scoreboard:  # scoreboard code keeps them in ``regs``
+                tracked.update(reads)
+                tracked.add(write)
+                written.add(write)
     tracked.discard(0)
     written.discard(0)
-    if has_generic:
-        written |= tracked  # reload after execute() reassigns every local
-    return BlockInfo(
+    if has_generic or commits:
+        written |= tracked  # a reload reassigns every local
+    return RegionInfo(
         tracked=frozenset(tracked), written=frozenset(written),
         trapping=trapping, has_generic=has_generic, has_sync=has_sync,
-        looped=block.looped,
+        looped=any(continues(block, members) for block in members),
+        quiet=not (has_sync or has_generic or crosses),
+        valid_carried=has_sync or crosses,
+        tc_carried=scoreboard or has_sync or has_generic or delivers,
+        assigns_hz=assigns_hz,
     )
 
 
@@ -253,7 +325,7 @@ def line_heads(block, line_size) -> list:
 
 @dataclass
 class RState:
-    """One symbolic path through the block."""
+    """One symbolic path through the region."""
 
     regs: dict = field(default_factory=dict)      # local n -> expr
     regfile: dict = field(default_factory=dict)   # spilled n -> expr
@@ -263,8 +335,10 @@ class RState:
     ih: object = 0                                # non-head fetches
     epc: object = None
     tc: object = None
-    valid: object = None
+    valid: list = field(default_factory=list)     # per member
     horizon: object = None                        # bus.horizon
+    hz: object = None                             # the interrupt horizon
+    live: object = None                           # hz < MASKED
     next_pc: object = None
     events: list = field(default_factory=list)
     path: list = field(default_factory=list)
@@ -274,6 +348,7 @@ class RState:
         st = copy.copy(self)
         st.regs = dict(self.regs)
         st.regfile = dict(self.regfile)
+        st.valid = list(self.valid)
         st.events = list(self.events)
         st.path = list(self.path)
         if extra is not None:
@@ -285,6 +360,10 @@ class RState:
         self.counter += 1
         self.events.append(event)
         return k
+
+    def invalidate(self, k: int) -> None:
+        """Event *k* may have evicted any member."""
+        self.valid = [_esym(k, valid_name(j)) for j in range(len(self.valid))]
 
 
 def _esym(k: int, what: str):
@@ -301,22 +380,40 @@ def _clamp(lat):
 # ---------------------------------------------------------------------------
 
 class _Ref:
-    def __init__(self, block, mem: bool, line_size, scoreboard: bool):
-        self.block = block
-        self.mem = mem
+    def __init__(self, members, line_size, scoreboard: bool):
+        self.members = members
+        self.line_size = line_size
         self.scoreboard = scoreboard
-        self.cached = mem and line_size is not None
-        self.heads = line_heads(block, line_size if mem else None)
+        self.multi = len(members) > 1
+        self.has_mram = any(b.mram for b in members)
+        self.info = scan_region(members, scoreboard)
+        self.cached_any = line_size is not None and any(
+            not b.mram for b in members)
         #: Whether any fetch is a hit the exits credit (the code's ``ih``).
-        self.counts_hits = self.cached and not all(self.heads)
-        self.info = scan_block(block, scoreboard, mem)
+        self.counts_hits = line_size is not None and any(
+            not b.mram and not all(line_heads(b, line_size))
+            for b in members)
+        #: Whether an edge can enter a mem member: the code keeps
+        #: ``live = hz < MASKED`` for its horizon tests.
+        self.live = self.info.looped and any(not b.mram for b in members)
+        self.exits = []
+        self.entry = {}
+        self.units = 0
+        self.fetches = 0
+        self.run = []
+
+    def member(self, k: int) -> None:
+        block = self.members[k]
+        self.k = k
+        self.block = block
+        self.mem = not block.mram
+        self.cached = self.mem and self.line_size is not None
+        self.heads = line_heads(block, self.line_size if self.mem else None)
         if self.cached:
             self.ml = S.sym("I.hit_latency")
         else:
-            self.ml = S.sym("T.mem_latency" if mem else "T.mram_fetch")
+            self.ml = S.sym("T.mem_latency" if self.mem else "T.mram_fetch")
         self.bc = _clamp(self.ml)
-        self.exits = []
-        self.entry = {}
         self.units = 0
         self.fetches = 0
         self.run = []
@@ -351,55 +448,139 @@ class _Ref:
         for n in sorted(self.info.tracked):
             st.regfile[n] = st.regs[n]
 
+    def reload(self, st: RState) -> None:
+        for n in sorted(self.info.tracked):
+            st.regs[n] = st.regfile.get(n, self.regfile_default(n))
+
     def credit(self, st: RState) -> None:
         """The exit's I-cache hit credit for the non-head fetches."""
-        if self.cached:
+        if self.cached_any:
             st.alloc(("ihit", st.ih))
+
+    def record(self, st: RState, kind: str, next_pc=None, trap=None,
+               carried=()) -> None:
+        returned = kind != "loop"
+        self.exits.append(Exit(
+            kind=kind, path=tuple(st.path), events=tuple(st.events),
+            retired=st.retired, loops=st.loops, tc=st.tc,
+            regfile=self.norm_regfile(st), next_pc=next_pc, trap=trap,
+            carried=carried, member=self.k,
+            left=self.k if returned else None,
+            hz=st.hz if returned else None))
 
     # -- exits ----------------------------------------------------------
     def ret0(self, st: RState) -> None:
         self.spill(st)
         st.tc = S.add(st.tc, st.cyc)
         self.credit(st)
-        self.exits.append(Exit(
-            kind="ret0", path=tuple(st.path), events=tuple(st.events),
-            retired=st.retired, loops=st.loops, tc=st.tc,
-            regfile=self.norm_regfile(st), next_pc=st.next_pc))
+        self.record(st, "ret0", st.next_pc)
 
     def abort(self, st: RState, resume_pc: int, flush: bool) -> None:
         self.spill(st)
         if flush:
             st.tc = S.add(st.tc, st.cyc)
         self.credit(st)
-        self.exits.append(Exit(
-            kind="abort", path=tuple(st.path), events=tuple(st.events),
-            retired=st.retired, loops=st.loops, tc=st.tc,
-            regfile=self.norm_regfile(st), next_pc=resume_pc))
+        self.record(st, "abort", resume_pc)
 
     def trap(self, st: RState, site: int, lv: int) -> None:
         if not self.info.has_generic or lv:
             self.spill(st)
         st.tc = S.add(st.tc, st.cyc)
         self.credit(st)
-        self.exits.append(Exit(
-            kind="trap", path=tuple(st.path), events=tuple(st.events),
-            retired=st.retired, loops=st.loops, tc=st.tc,
-            regfile=self.norm_regfile(st), next_pc=st.epc, trap=site))
+        self.record(st, "trap", st.epc, site)
 
-    def loopback(self, st: RState) -> None:
-        carried = [(f"r{n}", st.regs[n]) for n in sorted(self.info.written)]
+    def trap_exit(self, st: RState, pc: int, cause, info) -> None:
+        """The status-2 exit with an unraised trap at *pc*, which the
+        engine delivers."""
+        self.spill(st)
+        st.tc = S.add(st.tc, st.cyc)
+        self.credit(st)
+        site = st.alloc(("raise", int(cause), info))
+        self.record(st, "trap", pc, site)
+
+    def loopback(self, st: RState, j: int) -> None:
+        """The edge into member *j*: the loop continues there."""
+        info = self.info
+        carried = [(f"r{n}", st.regs[n]) for n in sorted(info.written)]
         if not self.scoreboard:
             carried.append(("cyc", st.cyc))
-        if self.info.trapping:
+        if info.trapping:
             carried.append(("epc", st.epc))
-        if self.info.has_sync:
-            carried.append(("valid", st.valid))
+        if info.valid_carried:
+            carried.extend((valid_name(k), v) for k, v in enumerate(st.valid))
         if self.counts_hits:
             carried.append(("ih", st.ih))
-        self.exits.append(Exit(
-            kind="loop", path=tuple(st.path), events=tuple(st.events),
-            retired=st.retired, loops=st.loops, tc=st.tc,
-            regfile=self.norm_regfile(st), carried=tuple(sorted(carried))))
+        if info.assigns_hz:
+            carried.append(("hz", st.hz))
+            if self.live:
+                carried.append(("live", st.live))
+        if self.multi:
+            carried.append(("m", j))
+        self.record(st, "loop", carried=tuple(sorted(carried)))
+
+    # -- edges ----------------------------------------------------------
+    def edge(self, st: RState, j: int, cond=None, crossing: bool = False,
+             tested: bool = True) -> None:
+        """Fork the edge into member *j* (when *cond*): it is taken when
+        the admission rule holds — *j* still valid (unless the region
+        is quiet), the budget covering it, no entry of a mem member of a
+        multi-member region at ``stop``, ``cycles + bound < hz`` for a
+        mem member while interrupts are deliverable, the chain quantum
+        left (not on a crossing), the dispatch crossing (if not yet
+        *tested*), and for an edge from a mem member into MRAM the
+        unchanged code version.  *st* keeps the path that leaves."""
+        target = self.members[j]
+        tests = [] if cond is None else [cond]
+        if not self.info.quiet:
+            tests.append(S.truth(st.valid[j]))
+        tests.append(S.le(st.retired, S.add(BUDGET, -len(target.entries))))
+        if not target.mram:
+            if self.multi:
+                tests.append(S.notin(STOP, [pc for _i, pc, _f
+                                            in target.entries]))
+            tests.append(S.bor(
+                S.not_(S.truth(st.live)),
+                S.lt(S.add(st.tc, st.cyc, target.bound), st.hz)))
+        if not crossing:
+            tests.append(S.lt(st.loops, QUANTUM))
+        elif not tested:
+            tests.append(S.notnone(CROSS))
+        if target.mram and self.mem:
+            tests.append(S.eq(MRAM_VERSION, BUILT_VERSION))
+        test = S.band(*tests)
+        if test is False:
+            return
+        go = st.fork(test)
+        go.loops = S.add(go.loops, 1)
+        self.loopback(go, j)
+        st.path.append(S.not_(test))
+
+    def leave(self, st: RState, target, dynamic: bool = False) -> None:
+        """Leave toward *target* in the member's namespace (a static pc,
+        or with *dynamic* an expression): the edges into the members
+        that start there, then the status-0 exit."""
+        for j, block in enumerate(self.members):
+            if block.mram != self.block.mram:
+                continue
+            if dynamic:
+                self.edge(st, j, S.eq(target, block.start))
+            elif block.start == target:
+                self.edge(st, j)
+        st.next_pc = target
+        self.ret0(st)
+
+    def cross_into_mram(self, st: RState, tested: bool) -> None:
+        """After ``menter`` or a delivery (``next_pc`` the MRAM offset):
+        the horizon is masked, then the edges into the mram members and
+        the status-0 exit."""
+        st.hz = MASKED
+        if self.live:
+            st.live = False
+        for j, block in enumerate(self.members):
+            if block.mram:
+                self.edge(st, j, S.eq(st.next_pc, block.start),
+                          crossing=True, tested=tested)
+        self.ret0(st)
 
     # -- fetches and unit batching ---------------------------------------
     def fetch(self, st: RState, index: int):
@@ -544,26 +725,26 @@ class _Ref:
         st.tc = S.add(st.tc, st.cyc)
         st.cyc = 0
         k = st.alloc(("sync", st.tc))
-        st.valid = _esym(k, "valid")
+        st.invalidate(k)
         st.horizon = _esym(k, "horizon")
-        invalid = S.not_(S.truth(st.valid))
+        invalid = S.not_(S.truth(st.valid[self.k]))
         ab = st.fork(invalid)
         self.abort(ab, pc, flush=False)
-        st.path.append(S.truth(st.valid))
+        st.path.append(S.truth(st.valid[self.k]))
 
     def _mem_cost(self, lat):
         return S.ite(S.lt(1, lat), S.add(lat, -1), 0)
 
     def access_exit(self, pc: int, store: bool) -> None:
         """After a load or store: the status-1 exit to ``pc + 4`` when a
-        store evicted the block or, in a mem block, the access pulled
+        store evicted the member or, in a mem member, the access pulled
         the bus horizon below a deliverable interrupt horizon."""
         st = self.st
         tests = []
         if store:
-            tests.append(S.not_(S.truth(st.valid)))
+            tests.append(S.not_(S.truth(st.valid[self.k])))
         if self.mem:
-            tests.append(S.band(S.lt(HZ, MASKED), S.lt(st.horizon, HZ)))
+            tests.append(S.band(S.lt(st.hz, MASKED), S.lt(st.horizon, st.hz)))
         if not tests:
             return
         cond = S.bor(*tests)
@@ -600,18 +781,18 @@ class _Ref:
         k = st.alloc(("write", addr, WIDTHS[instr.mnemonic],
                       self.reg(instr.rs2, st)))
         self.trap(st.fork(), k, lv=1)  # write_mem may raise mid-call
-        st.valid = _esym(k, "valid")
+        st.invalidate(k)
         st.horizon = _esym(k, "horizon")
         st.retired = S.add(st.retired, 1)
         self.charge(st, fetch, (instr.rs1, instr.rs2), mem=_esym(k, "lat"))
         self.access_exit(pc, True)
 
-    def do_dispatch(self, index: int, pc: int, flags: int,
-                    pending: list) -> None:
+    def do_dispatch(self, index: int, pc: int, flags: int) -> None:
         """An ``execute()`` whose StepInfo goes to ``timer.note``: the
         terminators MJIT does not inline (CSR, SYSTEM and
-        architectural-feature instructions, ``menter``, and a mem
-        block's ``mexit``/``mexitm``), none of which chains."""
+        architectural-feature instructions, ``menter`` outside a region
+        with mram members, and a mem member's ``mexit``/``mexitm``),
+        none of which chains."""
         if flags & F_SYNC:
             self.sync_prologue(pc)
         st = self.st
@@ -624,10 +805,10 @@ class _Ref:
         _cost, lat = self.fetch(st, index)
         st.epc = pc
         self.spill(st)
-        k = st.alloc(("exec", index, pc, lat))
+        k = st.alloc(("exec", (self.k, index), pc, lat))
         for n in range(1, 32):
             st.regfile[n] = _esym(k, f"r{n}")
-        st.valid = _esym(k, "valid")  # a store may evict the block
+        st.invalidate(k)  # a store may evict a block
         st.horizon = _esym(k, "horizon")
         self.trap(st.fork(), k, lv=0)
         for n in sorted(self.info.tracked):
@@ -635,23 +816,38 @@ class _Ref:
         st.tc = _esym(st.alloc(("note", k)), "tc")
         st.retired = S.add(st.retired, 1)
         st.next_pc = _esym(k, "next_pc")
-        pending.append(st)
+        self.ret0(st)
 
     # -- terminators ----------------------------------------------------
+    def deliver(self, st: RState, pc: int, cause, info, entry, operands):
+        """The unit's ``deliver``: the event, and the status-2 exit with
+        the error a delivery that raises leaves with.  Returns the
+        handler offset."""
+        k = st.alloc(("deliver", int(cause), pc, info, entry, operands))
+        fail = st.fork()
+        self.spill(fail)
+        self.credit(fail)
+        self.record(fail, "trap", pc, k)
+        return _esym(k, "pc")
+
     def do_ecall(self, index: int, pc: int) -> None:
-        """A mem block's ``ecall``: fetched (a line head's access, else a
-        hit the exit credits), never retired or charged, and the exit
-        carries an ECALL trap at *pc* that the engine delivers."""
+        """A mem member's ``ecall``: fetched (a line head's access, else
+        a hit the exit credits), never retired or charged, and the exit
+        carries an ECALL trap at *pc* that the engine delivers — or, in
+        a region with mram members and a dispatch that may cross, the
+        delivery, its redirect and the crossing."""
         st = self.st
         self.fetch(st, index)
-        self.spill(st)
+        if not any(b.mram for b in self.members):
+            self.trap_exit(st, pc, Cause.ECALL, 0)
+            return
+        self.trap_exit(st.fork(S.isnone(CROSS)), pc, Cause.ECALL, 0)
+        st.path.append(S.notnone(CROSS))
         st.tc = S.add(st.tc, st.cyc)
-        self.credit(st)
-        site = st.alloc(("raise", int(Cause.ECALL), 0))
-        self.exits.append(Exit(
-            kind="trap", path=tuple(st.path), events=tuple(st.events),
-            retired=st.retired, loops=st.loops, tc=st.tc,
-            regfile=self.norm_regfile(st), next_pc=pc, trap=site))
+        st.cyc = 0
+        st.next_pc = self.deliver(st, pc, Cause.ECALL, 0, None, None)
+        st.tc = _esym(st.alloc(("note_trap", True)), "tc")
+        self.cross_into_mram(st, tested=True)
 
     def do_intercept(self, index: int, word: int, pc: int) -> None:
         """An intercepted *word*: fetched (a line head's access, else a
@@ -659,28 +855,61 @@ class _Ref:
         ``step()`` charges it — added to the cycles, or reported through
         ``timer.note_event`` in scoreboard mode — never retired, and
         the exit carries an INTERCEPT trap with the word at *pc*, which
-        the engine delivers."""
+        the engine delivers.  In a region with mram members, when the
+        dispatch may cross and a rule matches the word: the redirect,
+        the delivery with the latched operands, and the crossing."""
         st = self.st
         _cost, lat = self.fetch(st, index)
         if self.scoreboard:
             st.tc = _esym(st.alloc(("note_event", lat)), "tc")
         else:
             st.cyc = S.add(st.cyc, lat)
-        self.spill(st)
+        if not any(b.mram for b in self.members):
+            self.trap_exit(st, pc, Cause.INTERCEPT, word)
+            return
+        self.trap_exit(st.fork(S.isnone(CROSS)), pc, Cause.INTERCEPT, word)
+        st.path.append(S.notnone(CROSS))
+        entry = _esym(st.alloc(("match", word)), "entry")
+        self.trap_exit(st.fork(S.isnone(entry)), pc, Cause.INTERCEPT, word)
+        st.path.append(S.notnone(entry))
         st.tc = S.add(st.tc, st.cyc)
-        self.credit(st)
-        site = st.alloc(("raise", int(Cause.INTERCEPT), word))
-        self.exits.append(Exit(
-            kind="trap", path=tuple(st.path), events=tuple(st.events),
-            retired=st.retired, loops=st.loops, tc=st.tc,
-            regfile=self.norm_regfile(st), next_pc=pc, trap=site))
+        st.cyc = 0
+        st.tc = _esym(st.alloc(("note_intercept",)), "tc")
+        operands = (self.reg((word >> 15) & 31, st),
+                    self.reg((word >> 20) & 31, st))
+        st.next_pc = self.deliver(st, pc, Cause.INTERCEPT, word, entry,
+                                  operands)
+        self.cross_into_mram(st, tested=True)
+
+    def do_menter(self, index: int, instr, pc: int) -> None:
+        """A mem member's ``menter``, in a region with mram members (any
+        other is an ``execute()`` dispatch): fetched; the unit's ``enter``
+        gives the mroutine's offset, and one that raises (no mroutine
+        at the entry) is the illegal-instruction trap at *pc*; retired
+        and charged the fetch plus ``menter_cost`` (a ``note_op`` with
+        the ``menter`` redirect); then the crossing."""
+        st = self.st
+        fetch = self.fetch(st, index)
+        st.epc = pc
+        k = st.alloc(("enter", instr.imm, pc + 4))
+        bad = st.fork()
+        site = bad.alloc(("raise", int(Cause.ILLEGAL_INSTRUCTION),
+                          instr.raw or 0))
+        self.trap(bad, site, lv=1)
+        st.next_pc = _esym(k, "pc")
+        st.retired = S.add(st.retired, 1)
+        self.charge(st, fetch, control="menter")
+        self.cross_into_mram(st, tested=False)
 
     def do_mexit(self, index: int, instr) -> None:
         """``mexit``/``mexitm``: the unit's exit gives the resume pc; the
         cost is the fetch plus ``mexit_cost``, or an ``mexit`` redirect
         that tells the scoreboard the register ``mexitm`` commits.
         ``mexitm`` then writes ``x[m26 & 31] := m27`` over the spilled
-        register file (x0 stays 0)."""
+        register file (x0 stays 0), and the locals are reloaded.  In a
+        region with mem members, when the dispatch may cross, the
+        crossing re-checks the horizon (``cross()``): None leaves,
+        else the edges into the mem members."""
         st = self.st
         commit = instr.mnemonic == "mexitm"
         fetch = self.fetch(st, index)
@@ -690,66 +919,53 @@ class _Ref:
             rd = S.and_(_esym(st.alloc(("mrr", 26)), "val"), 31)
         self.charge(st, fetch, rd=rd, control="mexit")
         st.next_pc = _esym(st.alloc(("mexit",)), "pc")
-        self.spill(st)
         if commit:
+            self.spill(st)
             rd = S.and_(_esym(st.alloc(("mrr", 26)), "val"), 31)
             value = _esym(st.alloc(("mrr", 27)), "val")
             for n in range(1, 32):
                 st.regfile[n] = S.ite(S.eq(rd, n), value,
                                       st.regfile.get(
                                           n, self.regfile_default(n)))
-        st.tc = S.add(st.tc, st.cyc)
-        self.credit(st)
-        self.exits.append(Exit(
-            kind="ret0", path=tuple(st.path), events=tuple(st.events),
-            retired=st.retired, loops=st.loops, tc=st.tc,
-            regfile=self.norm_regfile(st), next_pc=st.next_pc))
+            self.reload(st)
+        if any(not b.mram for b in self.members):
+            self.ret0(st.fork(S.isnone(CROSS)))
+            st.path.append(S.notnone(CROSS))
+            k = st.alloc(("cross",))
+            st.hz = _esym(k, "hz")
+            st.invalidate(k)
+            self.ret0(st.fork(S.isnone(st.hz)))
+            st.path.append(S.notnone(st.hz))
+            st.live = S.lt(st.hz, MASKED)
+            for j, block in enumerate(self.members):
+                if not block.mram:
+                    self.edge(st, j, S.eq(st.next_pc, block.start),
+                              crossing=True)
+        self.ret0(st)
 
-    def _loop_guard(self, st: RState, *head):
-        return S.band(*head, S.lt(st.loops, S.sym("limit")))
-
-    def _try_loopback(self, st: RState, guard):
-        """Fork the internalised back edge; returns the break state
-        (or ``None`` when the guard is statically always-looping)."""
-        if guard is False:
-            return st  # statically never loops back
-        if guard is True:
-            raise UnsupportedBlock("self-loop guard is statically true")
-        back = st.fork(guard)
-        back.loops = S.add(back.loops, 1)
-        self.loopback(back)
-        st.path.append(S.not_(guard))
-        return st
-
-    def do_branch(self, index: int, instr, pc: int, pending: list) -> None:
+    def do_branch(self, index: int, instr, pc: int) -> None:
         st = self.st
         m = instr.mnemonic
         if m not in BRANCH_SEM:
             raise UnsupportedBlock(f"no BRANCH_SEM rule for {m!r}")
         cond = BRANCH_SEM[m](self.reg(instr.rs1, st),
                              self.reg(instr.rs2, st))
-        taken_pc = (pc + instr.imm) & M32
         reads = (instr.rs1, instr.rs2)
         fetch = self.fetch(st, index)
         st.retired = S.add(st.retired, 1)
         if cond is not False:
             taken = st.fork(None if cond is True else cond)
             self.charge(taken, fetch, reads, control="branch")
-            if self.info.looped and taken_pc == self.block.start:
-                taken = self._try_loopback(taken, self._loop_guard(taken))
-            taken.next_pc = taken_pc
-            pending.append(taken)
+            self.leave(taken, (pc + instr.imm) & M32)
         if cond is not True:
             fall = st.fork(None if cond is False else S.not_(cond))
             self.charge(fall, fetch, reads)
-            fall.next_pc = (pc + 4) & M32
-            pending.append(fall)
+            self.leave(fall, (pc + 4) & M32)
 
-    def do_jal(self, index: int, instr, pc: int, flags: int,
-               pending: list) -> None:
+    def do_jal(self, index: int, instr, pc: int, flags: int) -> None:
         """A ``jal``: fetched, retired, charged the jump and its link
-        written; a terminating one then exits to its target, and one the
-        block continues through (no ``F_TERM``) does not exit."""
+        written; a terminating one then leaves toward its target, and
+        one the block continues through (no ``F_TERM``) does not."""
         st = self.st
         target = (pc + instr.imm) & M32
         fetch = self.fetch(st, index)
@@ -757,14 +973,10 @@ class _Ref:
         self.charge(st, fetch, rd=instr.rd, control="jal")
         if instr.rd:
             self.set_reg(instr.rd, (pc + 4) & M32, st)
-        if not flags & F_TERM:
-            return
-        if self.info.looped and target == self.block.start:
-            st = self.st = self._try_loopback(st, self._loop_guard(st))
-        st.next_pc = target
-        pending.append(st)
+        if flags & F_TERM:
+            self.leave(st, target)
 
-    def do_jalr(self, index: int, instr, pc: int, pending: list) -> None:
+    def do_jalr(self, index: int, instr, pc: int) -> None:
         st = self.st
         fetch = self.fetch(st, index)
         st.retired = S.add(st.retired, 1)
@@ -773,13 +985,9 @@ class _Ref:
         t0 = S.and_(S.add(self.reg(instr.rs1, st), instr.imm), 0xFFFFFFFE)
         if instr.rd:
             self.set_reg(instr.rd, (pc + 4) & M32, st)
-        if self.info.looped:
-            guard = self._loop_guard(st, S.eq(t0, self.block.start))
-            st = self.st = self._try_loopback(st, guard)
-        st.next_pc = t0
-        pending.append(st)
+        self.leave(st, t0, dynamic=True)
 
-    # -- whole-block ----------------------------------------------------
+    # -- whole region ---------------------------------------------------
     def generalize(self, st: RState) -> None:
         info = self.info
         for n in sorted(info.written):
@@ -792,38 +1000,35 @@ class _Ref:
             names.append("epc")
         if self.counts_hits:
             names.append("ih")
+        if info.assigns_hz:
+            names.append("hz")
+            if self.live:
+                names.append("live")
         for name in names:
             self.entry[f"L.{name}"] = getattr(st, name)
             setattr(st, name, S.sym(f"L.{name}"))
-        # Timer calls (scoreboard) or the sync prologue's flush move
-        # timer.cycles inside the loop.
-        if info.has_sync or self.scoreboard:
+        if info.tc_carried:
             self.entry["L.tc"] = st.tc
             st.tc = S.sym("L.tc")
-        if info.has_sync:
-            self.entry["L.valid"] = st.valid
-            st.valid = S.sym("L.valid")
+        if info.valid_carried:
+            for k, v in enumerate(st.valid):
+                name = f"L.{valid_name(k)}"
+                self.entry[name] = v
+                st.valid[k] = S.sym(name)
             # Every horizon exit reads the value its own access left.
             st.horizon = S.sym("L.horizon")
 
-    def build(self) -> Summary:
-        info = self.info
-        st = RState(
-            regs={n: S.sym(f"R{n}") for n in info.tracked},
-            tc=S.sym("T.cycles0"), valid=S.sym("V0"), horizon=S.sym("H0"),
-            epc=self.block.start if info.trapping else None,
-        )
-        if info.looped:
-            self.generalize(st)
+    def build_member(self, st: RState) -> None:
+        """Every exit of the current member from loop-head state *st*."""
         self.st = st
-        pending = []
+        block = self.block
         # The pc the next entry must have: the one after the entry
         # before it, or that entry's target when it is a jal the block
         # continues through.
-        expect = self.block.start
-        for index, entry in enumerate(self.block.entries):
+        expect = block.start
+        for index, entry in enumerate(block.entries):
             if self.st is None:
-                break  # a statically-certain trap ended every path
+                return  # a statically-certain trap ended every path
             instr, pc, flags = entry
             if pc != expect:
                 raise UnsupportedBlock(
@@ -833,8 +1038,7 @@ class _Ref:
             if flags == F_TERM | F_ICEPT:
                 self.flush_units(self.st)
                 self.do_intercept(index, instr, pc)
-                self.st = None
-                break
+                return
             cls = instr.spec.cls
             ir = _plain(instr, pc, flags)
             if ir is not None:
@@ -848,13 +1052,15 @@ class _Ref:
             self.flush_units(self.st)
             if self.mem and m == "ecall":
                 self.do_ecall(index, pc)
+            elif self.mem and m == "menter" and self.has_mram:
+                self.do_menter(index, instr, pc)
             elif cls is InstrClass.BRANCH:
-                self.do_branch(index, instr, pc, pending)
+                self.do_branch(index, instr, pc)
             elif cls is InstrClass.JAL:
-                self.do_jal(index, instr, pc, flags, pending)
+                self.do_jal(index, instr, pc, flags)
                 expect = (pc + instr.imm) & M32
             elif cls is InstrClass.JALR:
-                self.do_jalr(index, instr, pc, pending)
+                self.do_jalr(index, instr, pc)
             elif cls is InstrClass.MULDIV:
                 self.do_muldiv(index, instr)
             elif m in ("mexit", "mexitm") and not self.mem:
@@ -866,30 +1072,45 @@ class _Ref:
             elif cls is InstrClass.STORE and flags == F_SYNC:
                 self.do_store(index, instr, pc)
             elif flags & F_TERM:
-                self.do_dispatch(index, pc, flags, pending)
+                self.do_dispatch(index, pc, flags)
             else:
                 raise UnsupportedBlock(
                     f"unexpected entry at {pc:#x} (flags={flags})")
             if flags & F_TERM:
-                self.st = None
-                break
+                return
         if self.st is not None:
-            # No terminator: the block runs off its last entry.
+            # No terminator: the member runs off its last entry.
             self.flush_units(self.st)
-            self.st.next_pc = expect
-            pending.append(self.st)
-        for p in pending:
-            self.ret0(p)
+            self.leave(self.st, expect)
+
+    def build(self) -> Summary:
+        info = self.info
+        members = self.members
+        st = RState(
+            regs={n: S.sym(f"R{n}") for n in info.tracked},
+            tc=S.sym("T.cycles0"), horizon=S.sym("H0"), hz=HZ,
+            valid=[S.sym("V0" if k == 0 else f"V0.{k}")
+                   for k in range(len(members))],
+            epc=members[0].start if info.trapping else None,
+            live=S.lt(HZ, MASKED),
+        )
+        if info.looped:
+            self.generalize(st)
+        for k in range(len(members)):
+            self.member(k)
+            self.build_member(st.fork())
         return Summary(looped=info.looped, exits=self.exits,
                        entry=self.entry)
 
 
-def reference_summary(block, ns: str, line_size=None,
+def reference_summary(members, line_size=None,
                       scoreboard: bool = False) -> Summary:
-    """The summary a correct tier-2 compilation of *block* must have.
+    """The summary a correct tier-2 compilation of the region *members*
+    (a tuple of blocks, each knowing its namespace) must have, each exit
+    tagged with the member it leaves from.
 
-    *ns* is ``"mem"`` or ``"mram"``; *line_size* is the I-cache line
-    size mem blocks fetch through (None: no I-cache) and *scoreboard*
-    selects the pipeline timer's call protocol.
+    *line_size* is the I-cache line size mem members fetch through
+    (None: no I-cache) and *scoreboard* selects the pipeline timer's
+    call protocol.
     """
-    return _Ref(block, ns == "mem", line_size, scoreboard).build()
+    return _Ref(tuple(members), line_size, scoreboard).build()

@@ -94,6 +94,7 @@ def test_gen_program_matches_generate():
     ("ecall", "ecall\n"),
     ("icept", "MR_ICPTINIT"),
     ("calls", "jal  ra, leaf_"),
+    ("switch", "_cases:"),
 ])
 def test_extensions_emit_their_instructions(feature, needle):
     config = GenConfig(**{feature: 1.0}, ext_rate=0.9)
@@ -358,6 +359,7 @@ def test_scheduler_targets_uncovered_features():
     assert config.ecall == 0.9
     assert config.icept == 0.9
     assert config.calls == 0.9
+    assert config.switch == 0.9
     assert 0 < config.unsigned_branch <= 0.4
 
 

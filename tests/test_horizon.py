@@ -20,7 +20,7 @@ from repro.fault.injector import FaultSpec, Trigger, run_with_fault
 from repro.machine.builder import MachineConfig, build_palcode_machine
 from repro.osdemo.scheduler import boot_scheduler_demo
 from repro.profile.workloads import WORKLOADS, workload_source
-from repro.verify.translate import validate_block
+from repro.verify.translate import validate_region
 
 ENGINES = ("functional", "pipeline")
 
@@ -287,10 +287,9 @@ def test_mipend_sees_a_line_that_rose_in_the_mroutine(engine, caches):
         if run == "compiled":
             # The synced mipend terminator validates like any block.
             tcache = machine.sim.tcache
-            for ns, block in tcache.iter_jit_blocks():
-                assert validate_block(
-                    ns, block, None if ns == "mram" else tcache.line_size,
-                    tcache.scoreboard) == []
+            for region in tcache.iter_regions():
+                assert validate_region(region, tcache.line_size,
+                                       tcache.scoreboard) == []
     assert outcomes[0][0] == 1
     assert outcomes[1] == outcomes[0]
     assert outcomes[2] == outcomes[0]

@@ -101,12 +101,14 @@ def _jit_sources(machine, ns="mram"):
 # codegen golden snapshot
 # ---------------------------------------------------------------------------
 GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
-    def _jit(core, block, timer, sync, instret_base, limit, hz):
+    def _jit(core, m, timer, sync, instret_base, budget, stop, hz, quantum, cross):
         regs = core.regs
         timing = timer.timing
         _ml = timing.mem_latency
         bc = _ml if _ml > 1 else 1
         _bt = timing.branch_taken_penalty
+        bud0 = budget - 3
+        live = hz < 9223372036854775808
         r5 = regs[5]
         r6 = regs[6]
         retired = 0
@@ -119,7 +121,7 @@ GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
             retired += 3
             if r5 != 0:
                 cyc += bc + _bt
-                if loops < limit:
+                if retired <= bud0 and (not live or timer.cycles + cyc + 62 < hz) and loops < quantum:
                     loops += 1
                     continue
                 next_pc = 4104
@@ -131,13 +133,14 @@ GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
         regs[5] = r5
         regs[6] = r6
         timer.cycles += cyc
-        return (0, next_pc, retired, loops, None)""")
+        return (0, next_pc, retired, loops, None, m, hz)""")
 
 
 def test_golden_source_self_loop():
-    """The hot self-loop block compiles to exactly the expected source:
-    registers as locals, the backward branch internalized as ``while
-    True``/``continue``, unit costs batched, state spilled only at the
+    """The hot self-loop block compiles to exactly the expected source,
+    its one-member region: registers as locals, the backward branch an
+    edge (the admission rule tested in place, then ``continue``), unit
+    costs batched, state spilled only at the
     exits.  An intentional codegen change means updating this snapshot —
     an unintentional one means a bug."""
     m = _machine()
@@ -149,13 +152,15 @@ def test_golden_source_self_loop():
 
 
 GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
-    def _jit(core, block, timer, sync, instret_base, limit, hz):
+    def _jit(core, m, timer, sync, instret_base, budget, stop, hz, quantum, cross):
         regs = core.regs
         timing = timer.timing
         _ml = timing.mem_latency
         bc = _ml if _ml > 1 else 1
         note_run = timer.note_run
         note_op = timer.note_op
+        bud0 = budget - 3
+        live = hz < 9223372036854775808
         retired = 0
         loops = 0
         while True:
@@ -165,7 +170,7 @@ GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
             retired += 3
             if regs[5] != 0:
                 note_op(_ml, 5, 0, 0, 0, False, 0, 'branch')
-                if loops < limit:
+                if retired <= bud0 and (not live or timer.cycles + 64 < hz) and loops < quantum:
                     loops += 1
                     continue
                 next_pc = 4104
@@ -174,7 +179,7 @@ GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
                 note_op(_ml, 5, 0, 0, 0, False, 0, None)
                 next_pc = 4116
                 break
-        return (0, next_pc, retired, loops, None)""")
+        return (0, next_pc, retired, loops, None, m, hz)""")
 
 
 def test_golden_scoreboard_source_self_loop():
@@ -258,8 +263,11 @@ def _assert_mram_access_inline(routine, proven):
         if block.jit_fn is None:
             continue
         ns = block.jit_fn.__globals__
-        dispatched = {block.entries[int(key[2:])][0].mnemonic
-                      for key in ns if key.startswith("_i")}
+        dispatched = set()
+        for key in ns:
+            if key.startswith("_i") and not key.startswith("_icept"):
+                k, index = map(int, key[2:].split("_"))
+                dispatched.add(block.region[k].entries[index][0].mnemonic)
         assert dispatched <= {"mexitm"}, dispatched
 
 

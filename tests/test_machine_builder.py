@@ -207,3 +207,17 @@ class TestSymbolEnvironment:
         admit_source(spec, DEFAULT_RAM_BYTES)               # the gate
         # Guest code sees the same names, plus the image's MR_* entries.
         assert set(names) <= set(machine.symbols)
+
+    @pytest.mark.parametrize("build", ["metal", "nested"])
+    def test_reload_sees_the_configs_extra_symbols(self, build):
+        """A routine that boots naming one of the config's
+        ``extra_symbols`` reloads too, on both Metal builders."""
+        from repro.machine.builder import build_nested_metal_machine
+
+        routine = MRoutine(name="r", entry=0,
+                           source="li t0, FOO\nmexit\n")
+        builder = (build_metal_machine if build == "metal"
+                   else build_nested_metal_machine)
+        machine = builder([routine], extra_symbols={"FOO": 5})
+        machine.reload_mroutines([routine])
+        assert machine.metal_image.routines["r"].entry == 0

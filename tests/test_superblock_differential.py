@@ -29,9 +29,10 @@ inlined entry at a time, and also compares the three stall counters.
 Besides the default programs, all eight machines run the intercepting
 ``icept`` seeds, 40 seeds of extension programs (divides,
 misaligned accesses, ``ecall`` handlers ending in ``mexitm``, live
-timer interrupts) and 20 seeds of ``calls`` programs, whose blocks
+timer interrupts), 20 seeds of ``calls`` programs, whose blocks
 continue through ``jal ra`` into leaf functions that return through
-``jalr``.
+``jalr``, and 20 seeds of ``switch`` programs, whose 3- and 4-way
+dispatches make hot cycles of many linked blocks (MJIT regions).
 
 Seeds are deterministic and appear both in the test id and in every
 assertion message, so a failure is reproducible with e.g.::
@@ -133,6 +134,9 @@ def pytest_generate_tests(metafunc):
     if "calls_seed" in metafunc.fixturenames:
         metafunc.parametrize("calls_seed", range(CALLS_SEEDS),
                              ids=[f"calls{i}" for i in range(CALLS_SEEDS)])
+    if "switch_seed" in metafunc.fixturenames:
+        metafunc.parametrize("switch_seed", range(SWITCH_SEEDS),
+                             ids=[f"switch{i}" for i in range(SWITCH_SEEDS)])
 
 
 def test_differential(seed):
@@ -175,6 +179,17 @@ def test_differential_calls(calls_seed):
     eight machines: the only generated ``jal`` that writes a link
     register, which a block continuing through it must write."""
     _lockstep(calls_seed, GenConfig(calls=1.0))
+
+
+SWITCH_SEEDS = 20
+
+
+def test_differential_switch(switch_seed):
+    """Programs that dispatch 3 or 4 ways inside their chunk loops, once
+    through a computed ``jalr`` and once through a branch chain, on all
+    eight machines: hot cycles of many linked blocks, which MJIT joins
+    into regions."""
+    _lockstep(switch_seed, GenConfig(switch=1.0))
 
 
 def _lockstep(seed, config):

@@ -1141,8 +1141,13 @@ def test_jal_into_the_blocks_own_body(engine, caches):
     first = tc._mem[0x1000]
     assert _block_pcs(machine, 0x1000) == list(
         range(0x1000, symbols["body"] + 12, 4))
-    assert first.entries[-1][2] & F_TERM and not first.looped
-    assert tc._mem[symbols["body"]].looped
+    # The first block runs once; the body is a one-member region whose
+    # function loops.
+    assert first.entries[-1][2] & F_TERM
+    assert "while True" not in first.jit_fn.__jit_source__
+    body = tc._mem[symbols["body"]]
+    assert body.region == (body,)
+    assert "while True" in body.jit_fn.__jit_source__
 
 
 @pytest.mark.parametrize("caches", (True, False))

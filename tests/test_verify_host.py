@@ -118,19 +118,38 @@ def test_unhooked_ram_restore_is_detected():
     assert "without flushing the tcache" in finding.message
 
 
-def test_missing_jit_eviction_is_detected():
-    # Invalidating a block without dropping its compiled function leaves
-    # the dispatcher a stale jit_fn to call.
+def _evict_findings(kept):
+    """The eviction lint of a ``TranslationCache._evict`` that keeps
+    *kept* of its region drop."""
     override = _mutated(
         "cpu/tcache.py",
-        "                block.valid = False\n"
-        "                block.jit_fn = None",
-        "                block.valid = False")
-    findings = check_eviction_completeness(override_sources=override)
+        "        block.valid = False\n"
+        "        for member in block.region or (block,):\n"
+        "            member.jit_fn = None\n"
+        "            member.region = None\n",
+        "        block.valid = False\n" + kept)
+    return check_eviction_completeness(override_sources=override)
+
+
+def test_missing_jit_eviction_is_detected():
+    # Invalidating a block without dropping its compiled region leaves
+    # the dispatcher a stale jit_fn to call.
+    findings = _evict_findings("")
     assert len(findings) == 1
     finding = findings[0]
     assert finding.pass_name == "eviction"
-    assert "flush_mem" in finding.where
+    assert "_evict" in finding.where
+
+
+def test_region_kept_on_eviction_is_detected():
+    # Severing only jit_fn leaves the region on the other members, whose
+    # region function would run the evicted member's stale code.
+    findings = _evict_findings(
+        "        for member in block.region or (block,):\n"
+        "            member.jit_fn = None\n")
+    assert len(findings) == 1
+    assert "_evict" in findings[0].where
+    assert "dropping its region" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ Four angles:
 from __future__ import annotations
 
 import contextlib
+import re
 import dataclasses
 import pathlib
 
@@ -40,7 +41,7 @@ from repro.cpu import tcache as tcache_mod
 from repro.machine.builder import MachineConfig
 from repro.verify.corpus import validate_corpus
 from repro.verify.model import render_summary
-from repro.verify.translate import validate_block
+from repro.verify.translate import validate_region
 from repro.verify.uopsem import (
     BRANCH_SEM, IMM_SEM, IR_RULES, REG_SEM, reference_summary,
 )
@@ -127,8 +128,9 @@ def _looped_block(source):
     blocks = [block for ns, block in _compiled_blocks(source) if ns == "mem"]
     assert blocks, "program compiled no tier-2 blocks"
     looped = [b for b in blocks
-              if reference_summary(b, "mem").looped]
+              if reference_summary(b.region).looped]
     assert len(looped) == 1, "expected exactly one looped block"
+    assert looped[0].region == (looped[0],)
     return looped[0]
 
 
@@ -148,7 +150,7 @@ def test_corpus_slice_validates_clean():
 def test_hand_written_programs_validate_clean():
     for source in (LOOP, MEMLOOP, MIXLOOP):
         for ns, block in _compiled_blocks(source):
-            assert validate_block(ns, block) == []
+            assert validate_region(block.region) == []
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,7 @@ def test_hand_written_programs_validate_clean():
 ])
 def test_golden_reference_summary(name, source):
     block = _looped_block(source)
-    text = render_summary(reference_summary(block, "mem"))
+    text = render_summary(reference_summary(block.region))
     golden = (GOLDEN_DIR / f"{name}.txt").read_text()
     assert text == golden, (
         f"canonical summary of {name} changed; if intended, regenerate "
@@ -192,7 +194,7 @@ def test_detects_corrupted_imm_template(monkeypatch):
     findings = []
     cited = []
     for ns, block in machine.sim.tcache.iter_jit_blocks():
-        fs = validate_block(ns, block)
+        fs = validate_region(block.region)
         findings.extend(fs)
         cited.extend(f.where for f in fs)
     assert findings, "corrupted addi template was not detected"
@@ -200,18 +202,21 @@ def test_detects_corrupted_imm_template(monkeypatch):
 
 
 def test_detects_broken_loop_guard(monkeypatch):
-    """An off-by-one self-loop guard runs one iteration past the
-    engine's limit, which can overshoot the budget or reach the
-    interrupt horizon; it changes the loop-exit protocol and must be
-    caught."""
-    monkeypatch.setattr(
-        jit._Codegen, "_self_loop_guard",
-        lambda self: "loops <= limit")
+    """An off-by-one budget test on the self-loop's edge runs one
+    iteration past the budget; it changes the loop-exit protocol and
+    must be caught."""
+    real = jit._Codegen.emit
+
+    def one_too_many(self, line=""):
+        real(self, re.sub(r"retired <= (bud\d+)", r"retired <= \1 + 1",
+                          line))
+
+    monkeypatch.setattr(jit._Codegen, "emit", one_too_many)
     machine = _machine()
     machine.load_and_run(LOOP, base=CODE_BASE, max_instructions=100_000)
     findings = []
     for ns, block in machine.sim.tcache.iter_jit_blocks():
-        findings.extend(validate_block(ns, block))
+        findings.extend(validate_region(block.region))
     assert findings, "broken self-loop guard was not detected"
 
 
@@ -223,7 +228,7 @@ def test_detects_dropped_horizon_exit(monkeypatch, engine):
     scoreboard modes."""
     def store_exit_only(self, pc, store):
         if store:
-            self.emit("if not block.valid:")
+            self.emit(f"if not b{self.k}.valid:")
             self.indent += 1
             self.abort(pc + 4)
             self.indent -= 1
@@ -234,8 +239,8 @@ def test_detects_dropped_horizon_exit(monkeypatch, engine):
         machine.load_and_run(MEMLOOP, base=CODE_BASE)
         tcache = machine.sim.tcache
         return [f.where for ns, block in tcache.iter_jit_blocks()
-                for f in validate_block(ns, block,
-                                        scoreboard=tcache.scoreboard)]
+                for f in validate_region(block.region,
+                                         scoreboard=tcache.scoreboard)]
 
     assert cited() == []
     monkeypatch.setattr(jit._Codegen, "access_exit", store_exit_only)
@@ -253,7 +258,7 @@ def test_detects_missing_mram_bound_check(monkeypatch):
         blocks = [(ns, b) for ns, b in machine.sim.tcache.iter_jit_blocks()
                   if ns == "mram"]
         assert blocks, "no mram block was tier-2 compiled"
-        return [f for ns, b in blocks for f in validate_block(ns, b)]
+        return [f for ns, b in blocks for f in validate_region(b.region)]
 
     assert run() == []
     real = jit._Codegen.emit
@@ -298,7 +303,7 @@ def _cached_findings(engine):
     blocks = list(tc.iter_jit_blocks())
     assert blocks, "program compiled no tier-2 blocks"
     return [f for ns, b in blocks
-            for f in validate_block(ns, b, tc.line_size, tc.scoreboard)]
+            for f in validate_region(b.region, tc.line_size, tc.scoreboard)]
 
 
 @pytest.mark.parametrize("engine", ["functional", "pipeline"])
@@ -388,19 +393,21 @@ def _transition_findings(engine, caches):
     tc = machine.sim.tcache
     blocks = list(tc.iter_jit_blocks())
     return ([f for ns, b in blocks
-             for f in validate_block(ns, b, tc.line_size, tc.scoreboard)],
+             for f in validate_region(b.region, tc.line_size, tc.scoreboard)],
             [(ns, b.jit_fn.__jit_source__) for ns, b in blocks])
 
 
 @pytest.mark.parametrize("engine,caches", [
     ("functional", False), ("functional", True), ("pipeline", True)])
 def test_transitions_validate_clean(engine, caches):
-    """The ecall exit, the inline ``mexit``/``mexitm`` and the direct
-    MReg accesses validate in every codegen mode."""
+    """The ecall exit and its delivery in place, the inline ``menter``
+    and ``mexit``/``mexitm`` and the direct MReg accesses validate in
+    every codegen mode."""
     findings, sources = _transition_findings(engine, caches)
     assert findings == []
     text = "\n".join(source for _ns, source in sources)
-    assert "_ecall)" in text and "_mr[" in text
+    assert "_ecall, m, hz)" in text and "_mr[" in text
+    assert "_deliver(" in text and "_enter(" in text
     if engine == "functional":
         assert "_exit()" in text and "_rset(" in text
 
@@ -419,22 +426,30 @@ def test_detects_mexit_without_its_cost(monkeypatch):
     assert all(f.where.startswith("mram:0x") for f in findings)
 
 
+def _without(emitter, drop):
+    """*emitter* (a ``_Codegen`` method) run with its I-cache fetch
+    (``fetch``: no access or hit is emitted, and the latency is a
+    hit's) or its exits' hit credit (``credit``) left out."""
+    real = getattr(jit._Codegen, emitter)
+
+    def emit(self, *args):
+        if drop == "fetch":
+            self.fetch = lambda index, pc: (self.bc, self.ml)
+        else:
+            self.credit = lambda: None
+        try:
+            real(self, *args)
+        finally:
+            del self.__dict__[drop]
+    return emit
+
+
 @pytest.mark.parametrize("drop", ["fetch", "credit"])
 def test_detects_ecall_exit_without_its_fetch(monkeypatch, drop):
     """An ecall exit that drops its I-cache fetch (a line head's access
     or a hit) or the exit's hit credit must fail validation."""
-    def ecall_exit(self, index, pc):
-        if drop != "fetch":
-            self.fetch(index, pc)
-        self.spill()
-        if not self.scoreboard:
-            self.emit("timer.cycles += cyc")
-        if drop != "credit":
-            self.credit()
-        self.emit(f"return (2, {pc}, retired, loops, _ecall)")
-        self.exited = True
-
-    monkeypatch.setattr(jit._Codegen, "_emit_ecall", ecall_exit)
+    monkeypatch.setattr(jit._Codegen, "_emit_ecall",
+                        _without("_emit_ecall", drop))
     for engine in ("functional", "pipeline"):
         findings, _ = _transition_findings(engine, True)
         assert findings, f"{engine}: ecall exit without its {drop}"
@@ -442,17 +457,14 @@ def test_detects_ecall_exit_without_its_fetch(monkeypatch, drop):
 
 
 def test_detects_mexitm_commit_before_the_spill(monkeypatch):
-    """``mexitm`` committing m27 before the final spill lets the spill
+    """``mexitm`` committing m27 before the spill lets the spill
     overwrite the committed register: validation must fail."""
-    real = jit._Codegen._emit_mexit
+    def early_commit(self):
+        self.emit("_rset(_mr[26] & 31, _mr[27])")
+        self.spill()
+        self.reload()
 
-    def early_commit(self, index, instr, pc):
-        real(self, index, instr, pc)
-        if self.commit:
-            self.emit("_rset(_mr[26] & 31, _mr[27])")
-            self.commit = False
-
-    monkeypatch.setattr(jit._Codegen, "_emit_mexit", early_commit)
+    monkeypatch.setattr(jit._Codegen, "commit", early_commit)
     findings, _ = _transition_findings("functional", False)
     assert findings, "mexitm committing before the spill was not detected"
     assert all(f.where.startswith("mram:0x") for f in findings)
@@ -500,7 +512,7 @@ def _scoreboard_findings(source):
     tc = machine.sim.tcache
     assert tc.scoreboard
     return [f for ns, b in tc.iter_jit_blocks()
-            for f in validate_block(ns, b, tc.line_size, tc.scoreboard)]
+            for f in validate_region(b.region, tc.line_size, tc.scoreboard)]
 
 
 @pytest.mark.parametrize("mutate,run,where", [
@@ -591,9 +603,9 @@ def _intercept_findings(mode):
     tc = machine.sim.tcache
     blocks = list(tc.iter_jit_blocks())
     return ([f for ns, b in blocks
-             for f in validate_block(ns, b, tc.line_size, tc.scoreboard)],
+             for f in validate_region(b.region, tc.line_size, tc.scoreboard)],
             [b.jit_fn.__jit_source__ for _ns, b in blocks
-             if "_icept)" in b.jit_fn.__jit_source__],
+             if b.entries[-1][2] & tcache_mod.F_ICEPT],
             machine.core.metal.intercept.hits)
 
 
@@ -610,21 +622,28 @@ def test_intercept_exits_validate_clean(mode):
 def _mutant_intercept(drop):
     """``_emit_intercept`` without one of its parts: the fetch (the
     latency charged is then a hit's), the hit credit, the fetch-latency
-    charge, or with the epc one instruction late."""
+    charge, or with the epc of its exits one instruction late."""
+    if drop in ("fetch", "credit"):
+        return _without("_emit_intercept", drop)
+    real = jit._Codegen._emit_intercept
+
     def emit(self, index, word, pc):
-        lat = self.fetch(index, pc)[1] if drop != "fetch" else "_ml"
-        if drop != "charge":
-            self.emit(f"timer.note_event({lat})" if self.scoreboard
-                      else f"cyc += {lat}")
-        self.ns["_icept"] = jit.TrapException(jit.Cause.INTERCEPT, word)
-        self.spill()
-        if not self.scoreboard:
-            self.emit("timer.cycles += cyc")
-        if drop != "credit":
-            self.credit()
-        epc = pc + 4 if drop == "epc" else pc
-        self.emit(f"return (2, {epc}, retired, loops, _icept)")
-        self.exited = True
+        plain = jit._Codegen.emit
+
+        def rewrite(line=""):
+            if drop == "charge" and line in ("cyc += _f", "cyc += _ml",
+                                             "timer.note_event(_f)",
+                                             "timer.note_event(_ml)"):
+                return
+            if drop == "epc":
+                line = line.replace(f"return (2, {pc},",
+                                    f"return (2, {pc + 4},")
+            plain(self, line)
+        self.emit = rewrite
+        try:
+            real(self, index, word, pc)
+        finally:
+            del self.emit
     return emit
 
 
@@ -687,7 +706,7 @@ def _jump_findings(mode):
     tc = machine.sim.tcache
     blocks = list(tc.iter_jit_blocks())
     return ([f for ns, b in blocks
-             for f in validate_block(ns, b, tc.line_size, tc.scoreboard)],
+             for f in validate_region(b.region, tc.line_size, tc.scoreboard)],
             sum(1 for _ns, b in blocks for instr, _pc, flags in b.entries
                 if instr.mnemonic == "jal" and not flags & tcache_mod.F_TERM))
 
@@ -754,3 +773,108 @@ def test_every_alu_mnemonic_has_semantics():
     assert set(IMM_SEM) == set(alu.IMM_OPS)
     assert set(REG_SEM) | MULDIV == set(alu.REG_OPS)
     assert set(BRANCH_SEM) == set(alu.BRANCH_OPS)
+
+
+# ---------------------------------------------------------------------------
+# regions: the edges between members
+# ---------------------------------------------------------------------------
+
+#: A loop whose head's branch alternates between two arms, each back to
+#: the head: a three-member region whose members' bounds differ.
+POLY = """
+_start:
+    li t0, 40
+loop:
+    andi t1, t0, 1
+    beqz t1, even
+odd:
+    addi t2, t2, 3
+    j next
+even:
+    addi t5, t5, 5
+    slli t6, t5, 1
+    xor t3, t6, t5
+next:
+    addi t0, t0, -1
+    bnez t0, loop
+    halt
+"""
+
+
+def _poly_findings(engine, caches):
+    """Run POLY in one codegen mode and validate every region; the
+    program forms a multi-member region."""
+    machine = build_metal_machine([], config=MachineConfig(
+        engine=engine, with_caches=caches))
+    machine.load_and_run(POLY, base=CODE_BASE)
+    tc = machine.sim.tcache
+    regions = list(tc.iter_regions())
+    assert any(len(region) > 1 for region in regions)
+    return [f for region in regions
+            for f in validate_region(region, tc.line_size, tc.scoreboard)]
+
+
+def _mutant_edge(rewrite):
+    """``_Codegen.edge`` whose admission test line goes through
+    *rewrite(self, j, line)*."""
+    real = jit._Codegen.edge
+    plain = jit._Codegen.emit
+
+    def edge(self, j, cond=None, crossing=False, tested=True):
+        self.emit = lambda line="": plain(self, rewrite(self, j, line))
+        try:
+            real(self, j, cond, crossing, tested)
+        finally:
+            del self.emit
+    return edge
+
+
+def _no_budget(self, j, line):
+    return line.replace(f"retired <= bud{j} and ", "")
+
+
+def _no_valid(self, j, line):
+    return line.replace(f"b{j}.valid and ", "")
+
+
+def _other_bound(self, j, line):
+    other = next(member.bound for member in self.members
+                 if member.bound != self.members[j].bound)
+    return line.replace(f" + {self.members[j].bound} < hz",
+                        f" + {other} < hz")
+
+
+def _no_code_version(self, j, line):
+    return line.replace(" and _mram.code_version == _cv", "")
+
+
+@pytest.mark.parametrize("mode", sorted(ICEPT_MODES))
+def test_regions_validate_clean(mode):
+    """A multi-member region, mem members only or mixed with mram ones,
+    validates in every codegen mode."""
+    assert _poly_findings(*ICEPT_MODES[mode]) == []
+    findings, sources = _transition_findings(*ICEPT_MODES[mode])
+    assert findings == []
+    assert any("elif m == 1:" in source for _ns, source in sources)
+
+
+@pytest.mark.parametrize("mutate,run,where", [
+    (_no_budget, lambda: _poly_findings("functional", False), "mem"),
+    (_other_bound, lambda: _poly_findings("pipeline", True), "mem"),
+    (_no_valid,
+     lambda: _transition_findings("functional", True)[0], "m"),
+    (_no_code_version,
+     lambda: _transition_findings("pipeline", True)[0], "mem"),
+], ids=["edge_without_budget", "horizon_with_another_bound",
+        "edge_without_valid", "mram_edge_without_code_version"])
+def test_detects_broken_region_edge(monkeypatch, mutate, run, where):
+    """An edge that drops its budget test, its ``valid`` test or, into
+    MRAM, its code-version test, or whose horizon test uses another
+    member's bound, fails validation on the member the edge leaves; the
+    correct codegen validates clean."""
+    assert run() == []
+    monkeypatch.setattr(jit._Codegen, "edge", _mutant_edge(mutate))
+    findings = run()
+    assert findings, f"{mutate.__name__} was not detected"
+    assert all(f.where.startswith(where) for f in findings)
+    assert any("path mismatch" in f.message for f in findings)
