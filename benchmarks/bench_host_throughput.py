@@ -67,7 +67,7 @@ Metal-heavy workloads retire every instruction at tier 2 and stay under
 their dispatches-per-instruction bounds, and boots the
 preemptive scheduler on ``MachineConfig()`` with its timer interrupts
 live: identical instructions, cycles and context switches with the
-tcache off and on, and ≥85% at tier 2.
+tcache off and on, and every instruction at tier 2.
 It skips the wall-clock speedup assertions (too noisy for shared
 runners); its
 results land in ``BENCH_host_throughput_smoke.json`` (uploaded as a CI
@@ -275,9 +275,10 @@ def measure_profiler_overhead(iters: int, reps: int,
 def check_scheduler(instructions: int = 50_000) -> dict:
     """Boot the preemptive scheduler on ``MachineConfig()`` (timer
     interrupts live) with the tcache off and on, run *instructions*,
-    and assert the runs agree and the fast run stays at tier 2 (the
-    device horizon makes interrupts need no polling).  Structural only:
-    no wall-clock assert."""
+    and assert the runs agree and the fast run retires every
+    instruction at tier 2 (the device horizon makes interrupts need no
+    polling, and near it a block's admissible prefix runs compiled).
+    Structural only: no wall-clock assert."""
     outcomes = {}
     for tcache in (False, True):
         machine = boot_scheduler_demo(config=MachineConfig(tcache=tcache))
@@ -290,6 +291,7 @@ def check_scheduler(instructions: int = 50_000) -> dict:
             "cycles": machine.cycles,
             "switches": machine.read_word(SCHED_SWITCHES),
             "mips": round(machine.core.instret / host / 1e6, 4),
+            "jit_instructions": tc.jit_instructions,
             "jit_share": round(tc.jit_instructions
                                / machine.core.instret, 4),
         }
@@ -299,8 +301,9 @@ def check_scheduler(instructions: int = 50_000) -> dict:
             f"scheduler: {key} differs with the tcache on "
             f"({on[key]} vs {off[key]})")
     assert on["switches"] > 10, f"scheduler: {on['switches']} switches"
-    assert on["jit_share"] >= 0.85, (
-        f"scheduler: tier-2 share {on['jit_share']:.1%} < 85%")
+    assert on["jit_instructions"] == on["instret"], (
+        f"scheduler: {on['instret'] - on['jit_instructions']} "
+        f"instructions retired off tier 2")
     print(f"preemptive_scheduler: {on['switches']} switches, tier 2 "
           f"{on['jit_share']:.1%}, {off['mips']:.3f} -> {on['mips']:.3f} "
           f"MIPS")

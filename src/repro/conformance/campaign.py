@@ -13,7 +13,7 @@ chained     superblocks + polymorphic chaining + MJIT tier 2, which
             compiles every block at its first dispatch
 profiled    chained + the MPROF trace sink attached
 hooked      chained with a no-op step hook, which sends every block
-            to the step() prefix path: block lookup, budget and stop_pc
+            to the step() path: block lookup, budget and stop_pc
             cuts, and step() up to the block's first jump or taken
             branch; MJIT compiles nothing
 =========== ==========================================================

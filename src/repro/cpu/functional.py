@@ -12,6 +12,7 @@ baseline), and WFI sleep.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
@@ -26,7 +27,7 @@ from repro.errors import (
 from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import StepInfo, execute
 from repro.cpu.stats import PerfCounters
-from repro.cpu.tcache import F_ICEPT, TranslationCache, entry_index
+from repro.cpu.tcache import TranslationCache, entry_index
 from repro.cpu.timing import TimingModel
 from repro.isa.decoder import decode
 from repro.isa.instruction import InstrClass
@@ -73,25 +74,20 @@ def muldiv_extra(timing: TimingModel) -> dict:
             for mnemonic in _MULDIV_MNEMONICS}
 
 
-def block_bound(timer, mem_fetch, data: int, entries, heads,
-                mram: bool) -> int:
-    """``W``: the most cycles a block of *entries* (fetch plan *heads*,
-    mram namespace if *mram*) can advance *timer*.  *mem_fetch* is the
-    worst ``(line head, other)`` fetch latency of a mem block, *data*
-    that of a load or store."""
+def block_starts(timer, mem_fetch, data: int, entries, heads,
+                 mram: bool) -> tuple:
+    """``starts[i]``: the most cycles *timer* can advance before entry
+    ``i`` of a block of *entries* (fetch plan *heads*, mram namespace if
+    *mram*) begins; ``starts[0] == 0``.  *mem_fetch* is the worst
+    ``(line head, other)`` fetch latency of a mem block, *data* that of
+    a load or store.  The last entry is never priced, so an intercept
+    terminator (a raw word) needs no case of its own."""
     if mram:
         head = other = timer.timing.mram_fetch
     else:
         head, other = mem_fetch
-    fetches = [head if is_head else other for is_head in heads]
-    if entries[-1][2] & F_ICEPT:
-        # An intercept terminator is fetched and redirected, never run:
-        # step() charges the fetch latency and ``intercept_redirect``,
-        # and neither timer adds more (the pipeline's redirect starts
-        # from ID, which ends before the cycle count).
-        return (timer.block_bound(entries[:-1], fetches, data)
-                + fetches[-1] + timer.timing.intercept_redirect)
-    return timer.block_bound(entries, fetches, data)
+    return timer.block_starts(
+        entries, [head if is_head else other for is_head in heads], data)
 
 
 #: Effectively-unbounded chain quantum used when no profiler is attached:
@@ -138,19 +134,22 @@ class SimpleTimer:
                         + (mem - 1 if mem > 1 else 0)
                         + self.extra.get(step.control or step.mnemonic, 0))
 
-    def block_bound(self, entries, fetches, data: int) -> int:
-        """Most cycles :meth:`note` can add over *entries*, whose
-        fetches take at most ``fetches[i]`` and whose loads and stores
-        at most *data*: every redirect taken, every access the slowest."""
+    def block_starts(self, entries, fetches, data: int) -> tuple:
+        """Most cycles :meth:`note` can add before each of *entries*
+        begins, when their fetches take at most ``fetches[i]`` and
+        their loads and stores at most *data*: every redirect taken,
+        every access the slowest (see :func:`block_starts`)."""
         extra = self.extra
         mram_fetch = self.timing.mram_fetch
         total = 0
-        for (instr, _pc, _flags), fetch in zip(entries, fetches):
+        starts = [0]
+        for (instr, _pc, _flags), fetch in zip(entries[:-1], fetches):
             mem = data_latency(instr, data, mram_fetch)
             total += ((fetch if fetch > 1 else 1)
                       + (mem - 1 if mem > 1 else 0)
                       + extra.get(cost_key(instr), 0))
-        return total
+            starts.append(total)
+        return tuple(starts)
 
     def note_event(self, cycles: int) -> None:
         """Charge raw cycles (trap dispatch, redirects, idle waits)."""
@@ -195,8 +194,10 @@ class FunctionalSimulator:
     reference path, which runs every instruction while a step hook is
     subscribed, and the two produce bit-identical architectural state,
     instruction counts and cycle counts (see docs/PERF.md).  Live
-    interrupts need no polling: a block runs off :meth:`step` only if
-    it cannot reach the bus horizon (:class:`repro.mem.bus.MemoryBus`).
+    interrupts need no polling: a block runs compiled while its last
+    entry starts short of the bus horizon
+    (:class:`repro.mem.bus.MemoryBus`), and otherwise its longest prefix
+    that does.
     """
 
     #: Safety valve for WFI with no event source.
@@ -222,7 +223,7 @@ class FunctionalSimulator:
         icache = core.icache
         dcache = core.dcache
         timing = core.timing
-        # Worst-case latencies for block bounds: a line head may miss
+        # Worst-case latencies for block starts: a line head may miss
         # the I-cache (any other fetch hits it), and a load or store may
         # take the slower of a D-cache miss and an MMIO access.
         if icache is None:
@@ -241,7 +242,7 @@ class FunctionalSimulator:
             self.perf.tcache,
             line_size=icache.line_size if icache is not None else None,
             scoreboard=not isinstance(self.timer, SimpleTimer),
-            bound=partial(block_bound, self.timer, mem_fetch, data))
+            starts=partial(block_starts, self.timer, mem_fetch, data))
         #: Optional trace-profiling sink (repro.profile.sink); attach via
         #: :meth:`set_profile_sink`.  None keeps the run loops at one
         #: pointer test per retired trace.
@@ -496,19 +497,35 @@ class FunctionalSimulator:
         return True
 
     def _wait_for_interrupt(self) -> None:
+        """Sleep in whole ``wfi_stride`` steps until a line is pending.
+        Below the bus horizon no line can rise, so each check charges
+        every stride up to the first stride boundary at or past the
+        horizon at once: at least one, and none past the one at which
+        the wait gives up.  Both timers' ``note_event`` is additive and
+        device ``tick`` batch-exact, so one charge and one device sync
+        leave the timer and the devices as that many single strides
+        would, and the wake boundary is the same."""
         core = self.core
         irq = core.irq
         if irq is None:
             raise GuestPanic("wfi with no interrupt controller")
         stride = core.timing.wfi_stride
+        bus = core.bus
+        timer = self.timer
         waited = 0
         while True:
             if irq.pending_bitmap():
                 core.waiting = False
                 return
-            self.timer.note_event(stride)
+            strides = -((timer.cycles - bus.horizon) // stride)
+            left = (self.MAX_WFI_CYCLES - waited) // stride + 1
+            if strides > left:
+                strides = left
+            elif strides < 1:
+                strides = 1
+            timer.note_event(strides * stride)
             self._sync_devices()
-            waited += stride
+            waited += strides * stride
             if waited > self.MAX_WFI_CYCLES:
                 raise GuestPanic("wfi never woke (no pending event source)")
 
@@ -523,19 +540,20 @@ class FunctionalSimulator:
         observation point, an interrupt is taken at the same entry
         boundary, and neither the instruction budget nor *stop_pc* (-1
         for none; normal mode only) is ever overshot.  The block at the
-        pc runs compiled when :meth:`_exec_block` admits it.  A block is
-        one path (it continues through direct jumps), so an instruction
-        inside it is reached only by running the block from its start: a
-        refused block runs on :meth:`step` up to the entry at *stop_pc*
-        or the budget's end, or up to its first jump or taken branch
-        when that comes first.  While a step hook is subscribed every
-        block runs on :meth:`step` this way, so the hooks see each
-        StepInfo.  With no block to run (a waiting core, paging on, the
-        nested layered view holding a rule, a pc nothing compiles at)
-        one :meth:`step` runs.  An attached profile sink gets one trace
-        record for what :meth:`step` retired here, headed at the pc the
-        run began at.  A dispatch that begins in Metal mode keeps
-        *stop_pc* for the normal-mode code its ``mexit`` crosses into.
+        pc runs compiled when :meth:`_exec_block` admits it, and its
+        longest admissible prefix when it does not.  So :meth:`step`
+        runs only in three cases: to deliver an interrupt that is due
+        (the cycle count has reached the interrupt horizon), while a
+        step hook is subscribed, and when there is no block (a waiting
+        core, paging on, the nested layered view holding a rule, a pc
+        nothing compiles at), where one :meth:`step` runs.  In the first
+        two it runs the block's entries up to the entry at *stop_pc* or
+        the budget's end, or up to its first jump or taken branch when
+        that comes first (a delivery is one), so the hooks see each
+        StepInfo.  An attached profile sink gets one trace record for
+        what :meth:`step` retired here, headed at the pc the run began
+        at.  A dispatch that begins in Metal mode keeps *stop_pc* for
+        the normal-mode code its ``mexit`` crosses into.
         """
         core = self.core
         metal = core.metal
@@ -608,18 +626,30 @@ class FunctionalSimulator:
     def _exec_block(self, block, budget: int, stop_pc: int,
                     mram: bool, hz: int) -> bool:
         """Run *block* and the superblock chain behind it; return False,
-        having run nothing, when *block* itself is refused.
+        having run nothing, when an interrupt is due.
 
         One rule admits every block of the dispatch, *block* included:
-        the budget covers it, it has no entry at *stop_pc*, and its
-        worst-case cycle bound (``block.bound``) ends short of the
-        interrupt horizon *hz* (the bus horizon while interrupts are
-        deliverable, else :data:`MASKED`): no interrupt line can rise
-        before the horizon, so such a block has no entry boundary at
-        which :meth:`step` would take one.  A load or store that pulls
-        the bus horizon below *hz* (a timer armed, a fault injected from
+        the budget covers it, it has no entry at *stop_pc*, and its last
+        entry starts short of the interrupt horizon *hz*, ``cycles +
+        block.starts[-1] < hz`` (*hz* is the bus horizon while
+        interrupts are deliverable, else :data:`MASKED`).  :meth:`step`
+        samples interrupts before each fetch, against devices synced at
+        the end of the instruction before, and below the horizon no
+        interrupt line rises and no DMA lands: so such a block has no
+        entry boundary at which :meth:`step` would take one.  The last
+        entry's own cost may cross the horizon; the dispatch's closing
+        sync then raises the line before the next boundary, as
+        :meth:`step`'s device sync does.  A load or store that pulls the
+        bus horizon below *hz* (a timer armed, a fault injected from
         inside an MMIO access) ends the dispatch at the next entry
         boundary.
+
+        A refused *block* runs its longest admissible prefix instead
+        (:meth:`repro.cpu.tcache.TranslationCache.prefix`): its first k
+        entries, k at most the budget, at most the index of the entry at
+        *stop_pc*, and the k-th starting short of *hz*.  Below the
+        horizon k is at least 1; at it, an interrupt is due and
+        :meth:`step` delivers it.
 
         Every block runs as the MJIT function of its region (one block,
         or a cycle of linked blocks, see :mod:`repro.cpu.jit`), compiled
@@ -676,12 +706,20 @@ class FunctionalSimulator:
 
         try:
             while True:
-                if (budget - retired < len(block.entries)
+                starts = block.starts
+                if (budget - retired < len(starts)
                         or stop != -1 and entry_index(block, stop) >= 0
-                        or timer.cycles + block.bound >= hz):
-                    if chained < 0:
+                        or timer.cycles + starts[-1] >= hz):
+                    if chained >= 0:
+                        break
+                    k = min(budget, bisect_left(starts, hz - timer.cycles))
+                    if stop != -1:
+                        at = entry_index(block, stop)
+                        if 0 <= at < k:
+                            k = at
+                    if not k:
                         return False
-                    break
+                    block = tcache.prefix(block, k)
                 chained += 1
                 if chained > stats.chain_longest:
                     stats.chain_longest = chained

@@ -5,8 +5,10 @@ an ``execute()`` dispatch, a ``StepInfo`` and a timer call.  MJIT
 renders a *region* — one block, or a cycle of linked blocks the engine
 found a dispatch coming back around (:meth:`repro.cpu.tcache.
 TranslationCache.join`), of either namespace — as straight Python source
-and ``exec``-compiles it once.  A block's function is its one-member
-region, compiled at its first dispatch:
+and ``exec``-compiles it, once per process for each content
+(:func:`compile_region`).  A block's function is its one-member region,
+compiled at its first dispatch, and so is a prefix block's
+(:meth:`repro.cpu.tcache.TranslationCache.prefix`):
 
 * decoded fields, immediates and ALU semantics are baked in as literal
   expressions from the shared micro-op IR
@@ -97,7 +99,7 @@ this order: ``j`` is still valid (only in a region some member of which
 can invalidate a block: an evicted member drops its region from every
 member); ``retired <= bud<j>``, the prologue's ``budget - len(j)``;
 ``stop`` is not an entry of ``j`` (a mem member of a multi-member
-region); ``cycles + j.bound < hz`` while interrupts are deliverable
+region); ``cycles + j.starts[-1] < hz`` while interrupts are deliverable
 (``live``, the prologue's ``hz < MASKED``; a mem member); the chain
 quantum (not on a crossing); ``cross`` (``menter``'s crossing); and,
 from a mem member into MRAM, ``mram.code_version`` is the version the
@@ -277,7 +279,7 @@ class _Codegen:
     tests the engine's admission rule in place and continues the
     function's loop at that member (see :meth:`edge`)."""
 
-    def __init__(self, members, line_size, scoreboard: bool, version):
+    def __init__(self, members, line_size, scoreboard: bool):
         self.members = members
         self.line_size = line_size
         self.scoreboard = scoreboard
@@ -287,12 +289,11 @@ class _Codegen:
         #: Whether fetches go through an I-cache model (the mem members
         #: of a core with one).
         self.cached_any = line_size is not None and self.has_mem
-        self.ns = dict(_BASE_NS)
-        for k, block in enumerate(members):
-            self.ns[f"_b{k}"] = block
-        if self.has_mram:
-            # The MRAM code version the mram members were built under.
-            self.ns["_cv"] = version
+        #: What the source needs bound besides :data:`_BASE_NS` and a
+        #: machine's own members and MRAM version
+        #: (:func:`compile_region` binds those): instruction objects,
+        #: schedules and intercept traps.
+        self.ns = {}
         #: Whether an exit of some member can continue into a member:
         #: the function is then one loop over its members.
         self.looped = any(
@@ -310,7 +311,7 @@ class _Codegen:
         self.indent = 1
         self.tracked = set()        # guest regs living in host locals
         self.timing_needs = set()   # local names from _TIMING_LOCALS
-        self.generic = []           # ns keys of execute() entries
+        self.generic = []           # (key, member, index) per execute()
         self.trapping = False
         #: Whether no member can invalidate a block: then no edge tests
         #: ``valid`` (the region is dropped with any evicted member).
@@ -520,8 +521,9 @@ class _Codegen:
         is quiet); the remaining budget covers it (``retired <=
         bud<j>``, the prologue's ``budget - len(j)``); it has no entry at
         ``stop`` (a mem member of a multi-member region: the one member
-        of a one-member region was admitted with the same ``stop``);
-        ``cycles + bound < hz`` while interrupts are deliverable
+        of a one-member region was admitted with the same ``stop``); its
+        last entry starts short of the horizon, ``cycles + starts[-1] <
+        hz``, while interrupts are deliverable
         (``live``; a mem member; Metal mode is never interruptible); the
         chain quantum is not used up (a *crossing*, made only with no profile sink
         attached, has no quantum); the dispatch may cross namespaces
@@ -538,7 +540,7 @@ class _Codegen:
                 pcs = ", ".join(str(pc) for _i, pc, _f in target.entries)
                 tests.append(f"stop not in {{{pcs}}}")
             now = "timer.cycles" if self.scoreboard else "timer.cycles + cyc"
-            tests.append(f"(not live or {now} + {target.bound} < hz)")
+            tests.append(f"(not live or {now} + {target.starts[-1]} < hz)")
         if not crossing:
             tests.append("loops < quantum")
         elif not tested:
@@ -914,7 +916,7 @@ class _Codegen:
             self._sync_prologue(pc)
         key = f"_i{self.k}_{index}"
         self.ns[key] = instr
-        self.generic.append(key)
+        self.generic.append((key, self.k, index))
         if flags & F_CSR:
             # Publish cycles and instret for the CSR read.
             self.flush_cyc()
@@ -1110,16 +1112,30 @@ class _Codegen:
         return "\n".join(self.lines) + "\n"
 
 
-#: ``(source, code object)`` by generated source, shared by every
-#: translation cache in the process.  A region's source is a pure
-#: function of its members' entries and bounds and the codegen mode, so
-#: a machine running code another machine already ran (a fresh machine
-#: per job, a shard restoring a capsule) reuses the bytecode:
-#: ``compile()`` is most of a compile's cost, and shared code keeps each
-#: dead machine's garbage small.  An entry is ~8 KiB; the table is
-#: cleared when full.
-_CODE = {}
-_CODE_MAX = 1024
+#: Generated regions by content (:func:`_content_key`), shared by every
+#: translation cache in the process: ``(source, code object, namespace
+#: template, generic entries)``.  A region's source is a pure function of
+#: the codegen mode and the member attributes the key holds, so a machine
+#: running code another machine already ran (a fresh machine per job, a
+#: shard restoring a capsule) generates and compiles nothing.  The
+#: template holds what :class:`_Codegen` bound (instruction objects,
+#: schedules, intercept traps) and never a block or a machine, so a dead
+#: machine's garbage stays small.  The table is cleared when full.
+_REGIONS = {}
+_REGIONS_MAX = 1024
+
+
+def _content_key(members, line_size, scoreboard: bool) -> tuple:
+    """The codegen mode and, per member, every block attribute
+    :class:`_Codegen` reads: ``start``, ``end``, ``mram``,
+    ``chainable``, ``starts[-1]`` and the entries as ``(raw word, pc,
+    flags)``."""
+    return (line_size, scoreboard, tuple(
+        (block.start, block.end, block.mram, block.chainable,
+         block.starts[-1],
+         tuple((instr if flags & F_ICEPT else instr.raw, pc, flags)
+               for instr, pc, flags in block.entries))
+        for block in members))
 
 
 def compile_region(members, line_size, scoreboard: bool, version=None):
@@ -1130,19 +1146,33 @@ def compile_region(members, line_size, scoreboard: bool, version=None):
     through (None: no I-cache), *scoreboard* selects code that feeds
     the pipeline timer instead of adding the analytic timer's costs,
     and *version* is the MRAM code version the mram members were built
-    under (an edge into MRAM tests it).
+    under (an edge into MRAM tests it).  The source is generated once
+    per content (:data:`_REGIONS`); each call binds only this machine's
+    members as ``_b<k>``, their ``execute()`` entries' instruction
+    objects, and with mram members the version as ``_cv``.
     """
-    gen = _Codegen(members, line_size, scoreboard, version)
-    source = gen.generate()
-    compiled = _CODE.get(source)
-    if compiled is None:
-        if len(_CODE) >= _CODE_MAX:
-            _CODE.clear()
+    key = _content_key(members, line_size, scoreboard)
+    region = _REGIONS.get(key)
+    if region is None:
+        gen = _Codegen(members, line_size, scoreboard)
+        source = gen.generate()
         head = members[0]
         ns_label = "mram" if head.mram else "mem"
-        compiled = _CODE[source] = (source, compile(
-            source, f"<mjit:{ns_label}:{head.start:#x}>", "exec"))
-    exec(compiled[1], gen.ns)
-    fn = gen.ns.pop("_jit")
-    fn.__jit_source__ = compiled[0]
+        code = compile(source, f"<mjit:{ns_label}:{head.start:#x}>", "exec")
+        if len(_REGIONS) >= _REGIONS_MAX:
+            _REGIONS.clear()
+        region = _REGIONS[key] = (source, code, gen.ns, tuple(gen.generic))
+    source, code, template, generic = region
+    ns = dict(_BASE_NS)
+    ns.update(template)
+    for k, block in enumerate(members):
+        ns[f"_b{k}"] = block
+    for name, k, index in generic:
+        ns[name] = members[k].entries[index][0]
+    if any(block.mram for block in members):
+        # The MRAM code version the mram members were built under.
+        ns["_cv"] = version
+    exec(code, ns)
+    fn = ns.pop("_jit")
+    fn.__jit_source__ = source
     return fn

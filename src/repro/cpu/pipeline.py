@@ -82,7 +82,7 @@ class PipelineTimer:
             "mexit": (False, transition),
         }
         #: Control kind -> how far past the scoreboard frontier its
-        #: redirect can hold the next fetch (see :meth:`block_bound`).
+        #: redirect can hold the next fetch (see :meth:`block_starts`).
         self._excess = {kind: delta + 1 if in_ex else delta
                         for kind, (in_ex, delta) in self._redirects.items()}
 
@@ -236,11 +236,12 @@ class PipelineTimer:
         if wb_end > self.cycles:
             self.cycles = wb_end
 
-    def block_bound(self, entries, fetches, data: int) -> int:
+    def block_starts(self, entries, fetches, data: int) -> tuple:
         """Most cycles :meth:`note_op`/:meth:`note_run` can advance
-        ``cycles`` over *entries*, stalls included, when their fetches
-        take at most ``fetches[i]`` and their loads and stores at most
-        *data*.
+        ``cycles`` before each of *entries* begins, stalls included,
+        when their fetches take at most ``fetches[i]`` and their loads
+        and stores at most *data* (see
+        :func:`repro.cpu.functional.block_starts`).
 
         Let the frontier F be the latest of ``if_end + 4``, ``id_end +
         3``, ``ex_end + 2``, ``mem_end + 1`` and ``wb_end``; after any
@@ -250,25 +251,26 @@ class PipelineTimer:
         for), where G is F, or a pending redirect + 3 when that is
         later: the redirect an instruction sets is at most ``excess``
         past its own F, and at block entry at most 4 (or the largest
-        excess) past ``cycles``.
+        excess) past ``cycles``.  So ``starts[i]``, for ``i >= 1``, is
+        that entry term plus the first ``i`` entries' moves.
         """
         excess = self._excess
         ex_extra = self._ex_extra
         mram_fetch = self.timing.mram_fetch
         total = max(4, *excess.values())
-        last = len(entries) - 1
-        for i, ((instr, _pc, _flags), fetch) in enumerate(
-                zip(entries, fetches)):
+        starts = [0]
+        for (instr, _pc, _flags), fetch in zip(entries[:-1], fetches):
             mem = data_latency(instr, data, mram_fetch)
             total += ((fetch if fetch > 1 else 1)
                       + ex_extra.get(instr.mnemonic, 0)
                       + (mem - 1 if mem > 1 else 0))
-            if i < last:
-                total += excess.get(cost_key(instr), 0)
-                if (instr.spec.cls is InstrClass.LOAD
-                        or instr.mnemonic in ("mld", "mpld")):
-                    total += 1
-        return total
+            starts.append(total)
+            # The redirect and load-use terms reach the next entry.
+            total += excess.get(cost_key(instr), 0)
+            if (instr.spec.cls is InstrClass.LOAD
+                    or instr.mnemonic in ("mld", "mpld")):
+                total += 1
+        return tuple(starts)
 
     # ------------------------------------------------------------------
     def note_event(self, cycles: int) -> None:

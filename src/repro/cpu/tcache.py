@@ -92,7 +92,10 @@ observed next pc), so an evicted successor breaks the link rather than
 executing stale code.  Regions likewise: an eviction drops the victim's
 region from every member (:meth:`TranslationCache._evict`), so a region
 is entered only with all its members valid, and inside a region that can
-evict a block, an edge tests its member's ``valid``.  A crossing into
+evict a block, an edge tests its member's ``valid``.  An eviction also
+evicts the victim's prefix blocks (:meth:`TranslationCache.prefix`),
+whose code runs its first entries: a prefix running when its parent's
+page is stored to leaves at the store's ``valid`` test.  A crossing into
 MRAM first applies the lazy ``code_version`` flush
 (:meth:`TranslationCache.cross_next`), so a warm mem→mram link never
 outlives an mroutine reload.  A chain cannot carry a mem block into
@@ -152,12 +155,12 @@ _CHAIN_CLASSES = frozenset((
 class Block:
     """One predecoded basic block (plus its superblock chain links)."""
 
-    __slots__ = ("start", "end", "entries", "valid", "bound", "mram",
-                 "chainable", "links", "jit_fn", "region", "index")
+    __slots__ = ("start", "end", "entries", "valid", "starts", "mram",
+                 "chainable", "links", "jit_fn", "region", "index",
+                 "prefixes")
 
-    def __init__(self, start: int, end: int, entries,
-                 chainable: bool = False, bound: int = 0,
-                 mram: bool = False):
+    def __init__(self, start: int, end: int, entries, chainable: bool,
+                 starts: tuple, mram: bool):
         self.start = start
         #: The pc the block continues at when it runs off its last
         #: entry: just past that entry, or, when it is a ``jal`` the
@@ -171,11 +174,13 @@ class Block:
         #: of the instr.
         self.entries = entries
         self.valid = True
-        #: ``W``: the most cycles running the block can add to the
-        #: engine's timer, from the timing model and the fetch plan.
-        #: While interrupts are deliverable a block runs compiled only
-        #: if ``cycles + bound`` ends short of the bus horizon.
-        self.bound = bound
+        #: ``starts[i]``: the most cycles the engine's timer can advance
+        #: before entry ``i`` begins, from the timing model and the
+        #: fetch plan (``starts[0] == 0``).  While interrupts are
+        #: deliverable a block runs compiled only if ``cycles +
+        #: starts[-1]``, its last entry's start, is short of the bus
+        #: horizon.
+        self.starts = starts
         #: The namespace: an mram block (Metal-mode code) or a mem block.
         self.mram = mram
         #: The MJIT function of the region the block runs in (tier 2),
@@ -196,6 +201,9 @@ class Block:
         #: entry per target the exit has taken, installed on its first
         #: traversal and followed only while the successor is valid.
         self.links = {}
+        #: The block's prefix blocks by length (:meth:`TranslationCache.
+        #: prefix`), evicted with it.
+        self.prefixes = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -326,11 +334,11 @@ class TranslationCache:
     MAX_REGION_MEMBERS = 8
     MAX_REGION_ENTRIES = 160
 
-    def __init__(self, stats, line_size, scoreboard: bool, bound):
+    def __init__(self, stats, line_size, scoreboard: bool, starts):
         self.stats = stats
-        #: ``bound(entries, heads, mram) -> W`` (see :attr:`Block.bound`),
+        #: ``starts(entries, heads, mram)`` (see :attr:`Block.starts`),
         #: supplied by the engine, which knows its timer.
-        self.bound = bound
+        self.starts = starts
         #: I-cache line size the mem blocks' fetch plans are compiled
         #: for (see :mod:`repro.cpu.jit`); None for a core with no I-cache.
         self.line_size = line_size
@@ -442,10 +450,10 @@ class TranslationCache:
                 break
         if not entries:
             return None
-        bound = self.bound(
+        starts = self.starts(
             entries, fetch_plan(entries, None if mram else self.line_size),
             mram)
-        block = Block(pc, p, entries, chainable, bound, mram)
+        block = Block(pc, p, entries, chainable, starts, mram)
         if mram:
             self._mram[pc] = block
         else:
@@ -458,6 +466,27 @@ class TranslationCache:
             self.sink.tcache_event("compile", "mram" if mram else "mem",
                                    pc, len(entries))
         return block
+
+    @staticmethod
+    def prefix(block, k: int):
+        """The block of *block*'s first *k* entries (``0 < k <
+        len(block.entries)``), which falls through to entry *k*'s pc.
+
+        The engine runs it when *block* is refused at the head of a
+        dispatch (see :meth:`repro.cpu.functional.FunctionalSimulator.
+        _exec_block`).  It is sliced, not decoded, and cached on
+        *block*, so evicting *block* evicts it (:meth:`_evict`); MJIT
+        compiles it as a one-member region at its first run.  It is
+        never in the page map or a target map, so it never joins a
+        region.
+        """
+        prefix = block.prefixes.get(k)
+        if prefix is None:
+            entries = block.entries
+            prefix = block.prefixes[k] = Block(
+                block.start, entries[k][1], entries[:k], True,
+                block.starts[:k], block.mram)
+        return prefix
 
     # ------------------------------------------------------------------
     # MJIT tier 2 (repro.cpu.jit)
@@ -533,14 +562,18 @@ class TranslationCache:
     def _evict(block) -> None:
         """Invalidate *block* and drop its region from every member, so
         neither a held reference nor another member's region function
-        can run the stale code."""
+        can run the stale code; and evict its prefixes, whose code runs
+        the same entries."""
         block.valid = False
         for member in block.region or (block,):
             member.jit_fn = None
             member.region = None
+        for prefix in block.prefixes.values():
+            TranslationCache._evict(prefix)
 
     def iter_regions(self):
-        """Yield the members of every live tier-2 region, once each.
+        """Yield the members of every live tier-2 region, once each,
+        the one-member regions of compiled prefixes included.
 
         The MVTV translation validator (``repro.verify``) harvests the
         corpus through this: every region MJIT has compiled and not
@@ -548,12 +581,20 @@ class TranslationCache:
         """
         seen = set()
         for table in (self._mem, self._mram):
-            for block in table.values():
-                region = block.region
-                if (block.valid and region is not None
-                        and id(region) not in seen):
-                    seen.add(id(region))
-                    yield region
+            for parent in table.values():
+                if not parent.valid:
+                    continue
+                for block in (parent, *parent.prefixes.values()):
+                    region = block.region
+                    if region is not None and id(region) not in seen:
+                        seen.add(id(region))
+                        yield region
+
+    def is_prefix(self, block) -> bool:
+        """Whether *block* is a prefix block (:meth:`prefix`) of the
+        block cached at its start."""
+        parent = (self._mram if block.mram else self._mem).get(block.start)
+        return parent is not None and block in parent.prefixes.values()
 
     def iter_jit_blocks(self):
         """Yield ``(ns, block)`` for every live tier-2 block.
@@ -570,15 +611,19 @@ class TranslationCache:
 
     def tier_of(self, ns: str, pc: int):
         """Execution tier of the cached block headed at *pc*: ``"jit"``
-        (compiled), ``"step"`` (MJIT never compiled it, so only the
-        engine's ``step()`` has run it), or ``None`` when nothing is
-        cached there.  Used by the MPROF hot-trace report to label
-        traces with the tier that executed them."""
+        (it or one of its prefixes is compiled), ``"step"`` (MJIT never
+        compiled either, so only the engine's ``step()`` has run it), or
+        ``None`` when nothing is cached there.  Used by the MPROF
+        hot-trace report to label traces with the tier that executed
+        them."""
         table = self._mem if ns == "mem" else self._mram
         block = table.get(pc)
         if block is None or not block.valid:
             return None
-        return "jit" if block.jit_fn is not None else "step"
+        compiled = (block, *block.prefixes.values())
+        if any(member.jit_fn is not None for member in compiled):
+            return "jit"
+        return "step"
 
     # ------------------------------------------------------------------
     # superblock chaining

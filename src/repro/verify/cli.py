@@ -12,7 +12,8 @@ Two passes (both on by default, selectable with ``--passes``):
   host sources (:mod:`repro.verify.hostlint`).
 
 Exit status is non-zero iff any pass produced a finding, or a codegen
-mode compiled multi-member regions but proved none of them.  ``--json``
+mode compiled multi-member regions, or prefix regions, but proved none
+of them.  ``--json``
 writes a machine-readable report (the shape ``python -m repro lint
 --json`` mirrors); ``--smoke`` sweeps the conformance smoke corpus and
 defaults the report path to ``verify_smoke.json`` — the CI
@@ -85,6 +86,8 @@ def verify_main(argv=None) -> int:
             "mode_blocks": dict(report.mode_blocks),
             "mode_regions": dict(report.mode_regions),
             "mode_regions_seen": dict(report.mode_regions_seen),
+            "mode_prefixes": dict(report.mode_prefixes),
+            "mode_prefixes_seen": dict(report.mode_prefixes_seen),
             "exit_blocks": dict(report.exit_blocks),
         }
         modes = ", ".join(f"{n} {mode}"
@@ -102,10 +105,14 @@ def verify_main(argv=None) -> int:
             f"{report.mode_regions[mode]}/{seen} {mode}"
             for mode, seen in report.mode_regions_seen.items())
         print(f"[translation] multi-member regions proved/seen: {regions}")
-        for mode in report.unproved_modes:
+        prefixes = ", ".join(
+            f"{report.mode_prefixes[mode]}/{seen} {mode}"
+            for mode, seen in report.mode_prefixes_seen.items())
+        print(f"[translation] prefix regions proved/seen: {prefixes}")
+        for mode, kind in report.unproved_modes:
             findings.append(Finding(
                 "translation", f"mode {mode}",
-                "compiled multi-member regions but proved none of them"))
+                f"compiled {kind} regions but proved none of them"))
 
     if "host" in passes:
         from repro.verify.hostlint import (

@@ -18,8 +18,10 @@ text: the validator's verdict is a pure function of the source, the
 members' uop IR and the mode, so re-proving an identical region adds
 nothing.  The report counts both raw sightings and unique validations
 of member blocks, in total, per mode and per exit kind
-(:func:`exit_kind`), and the multi-member regions seen and proved per
-mode, so a seed sweep's coverage stays visible.
+(:func:`exit_kind`), and the multi-member regions and the prefix
+regions (the one-member regions of prefix blocks, which a dispatch runs
+near the interrupt horizon, at a budget's end or before its stop pc)
+seen and proved per mode, so a seed sweep's coverage stays visible.
 """
 
 from __future__ import annotations
@@ -93,6 +95,12 @@ class CorpusReport:
     #: Unique multi-member regions proved without a finding, per mode.
     mode_regions: dict = field(
         default_factory=lambda: dict.fromkeys(MODES, 0))
+    #: Prefix regions harvested (with dups) per harvest mode.
+    mode_prefixes_seen: dict = field(
+        default_factory=lambda: dict.fromkeys(MODES, 0))
+    #: Unique prefix regions proved without a finding, per mode.
+    mode_prefixes: dict = field(
+        default_factory=lambda: dict.fromkeys(MODES, 0))
     findings: list = field(default_factory=list)
 
     @property
@@ -101,9 +109,14 @@ class CorpusReport:
 
     @property
     def unproved_modes(self) -> list:
-        """Modes that compiled multi-member regions but proved none."""
-        return [mode for mode, seen in self.mode_regions_seen.items()
-                if seen and not self.mode_regions[mode]]
+        """``(mode, kind)`` for each mode that compiled regions of a
+        kind (``"multi-member"``, ``"prefix"``) but proved none."""
+        return [(mode, kind)
+                for kind, seen, proved in (
+                    ("multi-member", self.mode_regions_seen,
+                     self.mode_regions),
+                    ("prefix", self.mode_prefixes_seen, self.mode_prefixes))
+                for mode in MODES if seen[mode] and not proved[mode]]
 
 
 def harvest_seed(seed: int, mode: str, config=None):
@@ -151,8 +164,10 @@ def validate_corpus(seeds, config=None, progress=None) -> CorpusReport:
             tcache = harvest_seed(seed, mode, config)
             for region in tcache.iter_regions():
                 multi = len(region) > 1
+                prefix = tcache.is_prefix(region[0])
                 report.blocks_seen += len(region)
                 report.mode_regions_seen[mode] += multi
+                report.mode_prefixes_seen[mode] += prefix
                 key = (mode, region[0].jit_fn.__jit_source__)
                 if key in seen:
                     continue
@@ -169,6 +184,7 @@ def validate_corpus(seeds, config=None, progress=None) -> CorpusReport:
                                            tcache.scoreboard)
                 report.findings.extend(findings)
                 report.mode_regions[mode] += multi and not findings
+                report.mode_prefixes[mode] += prefix and not findings
         if progress is not None:
             progress(i, report)
     return report

@@ -32,7 +32,9 @@ without telling the translation cache:
   also drop the region it runs in — ``jit_fn = None`` and ``region =
   None`` on every member of ``block.region`` — so a stale compiled
   function can never be re-entered, through a held reference or from
-  another member of its region;
+  another member of its region; and it must evict the block's prefix
+  blocks — ``_evict`` on each of ``block.prefixes`` — whose compiled
+  code runs the same entries;
 * any loader path that writes MRAM code into an *existing* image (the
   MSYNTH append path, as opposed to the boot path that constructs a
   fresh ``MetalImage``) must re-attach analysis results and advance the
@@ -517,12 +519,14 @@ def check_eviction_completeness(override_sources=None) -> list:
 
     # Rule 3: invalidating a block drops the region it runs in from
     # every member: a loop over the block's ``region`` severs each
-    # member's ``jit_fn`` and ``region``.
+    # member's ``jit_fn`` and ``region``; and a loop over its
+    # ``prefixes`` evicts each.
     for relpath in BLOCK_FILES:
         tree = ast.parse(_source(relpath, override_sources))
         for qualname, fn in _functions(tree):
             invalidated = []   # (base dump, lineno)
             dropped = set()    # base dumps whose region loop drops both
+            evicted = set()    # base dumps whose prefix loop evicts each
             for node in ast.walk(fn):
                 if isinstance(node, ast.Assign):
                     for t in node.targets:
@@ -549,6 +553,16 @@ def check_eviction_completeness(override_sources=None) -> list:
                             ast.dump(sub.value) for sub in ast.walk(node.iter)
                             if isinstance(sub, ast.Attribute)
                             and sub.attr == "region")
+                    if any(isinstance(sub, ast.Call)
+                           and _attr_chain_ends(sub.func, ("_evict",))
+                           and any(isinstance(arg, ast.Name)
+                                   and arg.id == node.target.id
+                                   for arg in sub.args)
+                           for stmt in node.body for sub in ast.walk(stmt)):
+                        evicted.update(
+                            ast.dump(sub.value) for sub in ast.walk(node.iter)
+                            if isinstance(sub, ast.Attribute)
+                            and sub.attr == "prefixes")
             for base, lineno in invalidated:
                 if base not in dropped:
                     findings.append(Finding(
@@ -560,6 +574,17 @@ def check_eviction_completeness(override_sources=None) -> list:
                                  "the same function — another member or a "
                                  "held reference could re-enter stale "
                                  "compiled code"),
+                        detail=f"line {lineno}",
+                    ))
+                if base not in evicted:
+                    findings.append(Finding(
+                        pass_name=PASS_EVICTION,
+                        where=f"{relpath}:{qualname}",
+                        message=("sets a block invalid without evicting "
+                                 "its prefixes (_evict on each of "
+                                 "block.prefixes) in the same function — "
+                                 "a prefix's compiled code would run the "
+                                 "stale entries"),
                         detail=f"line {lineno}",
                     ))
     return findings

@@ -1,8 +1,10 @@
 """Translation validation: reference vs candidate summary comparison.
 
 :func:`validate_region` proves one tier-2 region correct by
-construction comparison: the reference summary (from the members'
-micro-op IR, :mod:`repro.verify.uopsem`) and the candidate summary
+construction comparison.  First the region's source, which MJIT takes
+from its process-wide source table, must equal the source the codegen
+generates for these members.  Then the reference summary (from the
+members' micro-op IR, :mod:`repro.verify.uopsem`) and the candidate summary
 (from the generated source, :mod:`repro.verify.pysym`) are built in the
 same canonical symbolic domain, so equivalence of register/pc/memory
 effects, cycle + instret accounting, the 0/1/2 exit protocol and every
@@ -15,6 +17,7 @@ instruction object).
 
 from __future__ import annotations
 
+from repro.cpu.jit import _Codegen
 from repro.verify import sym as S
 from repro.verify.model import Exit, Finding
 from repro.verify.pysym import UnsupportedSource, candidate_summary
@@ -139,6 +142,10 @@ def validate_region(members, line_size=None, scoreboard: bool = False):
             PASS, head, "compiled region has no __jit_source__ to "
             "validate"))
         return findings
+    if source != _Codegen(members, line_size, scoreboard).generate():
+        findings.append(Finding(
+            PASS, head, "compiled source differs from the source MJIT "
+            "generates for these members (a stale source-table entry)"))
     try:
         ref = reference_summary(members, line_size, scoreboard)
     except UnsupportedBlock as exc:

@@ -524,8 +524,9 @@ class _Ref:
         """Fork the edge into member *j* (when *cond*): it is taken when
         the admission rule holds — *j* still valid (unless the region
         is quiet), the budget covering it, no entry of a mem member of a
-        multi-member region at ``stop``, ``cycles + bound < hz`` for a
-        mem member while interrupts are deliverable, the chain quantum
+        multi-member region at ``stop``, ``cycles + starts[-1] < hz``
+        (its last entry starting short of the horizon) for a mem member
+        while interrupts are deliverable, the chain quantum
         left (not on a crossing), the dispatch crossing (if not yet
         *tested*), and for an edge from a mem member into MRAM the
         unchanged code version.  *st* keeps the path that leaves."""
@@ -540,7 +541,7 @@ class _Ref:
                                             in target.entries]))
             tests.append(S.bor(
                 S.not_(S.truth(st.live)),
-                S.lt(S.add(st.tc, st.cyc, target.bound), st.hz)))
+                S.lt(S.add(st.tc, st.cyc, target.starts[-1]), st.hz)))
         if not crossing:
             tests.append(S.lt(st.loops, QUANTUM))
         elif not tested:

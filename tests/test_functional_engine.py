@@ -1,5 +1,7 @@
 """Functional engine behaviours: run control, WFI, limits, panics."""
 
+import types
+
 import pytest
 
 from repro import MRoutine, build_metal_machine, build_trap_machine
@@ -8,6 +10,47 @@ from repro.errors import (
     GuestPanic,
     HaltedError,
 )
+from repro.machine.builder import MachineConfig
+
+
+def _stride_wait(sim):
+    """The WFI sleep one ``wfi_stride`` at a time, polling the pending
+    lines after each stride: the reference the engine's jump to the
+    horizon must match."""
+    core = sim.core
+    stride = core.timing.wfi_stride
+    waited = 0
+    while True:
+        if core.irq.pending_bitmap():
+            core.waiting = False
+            return
+        sim.timer.note_event(stride)
+        sim._sync_devices()
+        waited += stride
+        if waited > sim.MAX_WFI_CYCLES:
+            raise GuestPanic("wfi never woke (no pending event source)")
+
+
+#: Starts a block-device read (its DMA lands 800 cycles later, with the
+#: completion interrupt enabled if ``irq`` is 1), then sleeps.
+WFI_DMA = """
+_start:
+    li   t0, BLK_SECTOR
+    li   t1, 3
+    sw   t1, 0(t0)
+    li   t0, BLK_DMA_ADDR
+    li   t1, 0x3C00
+    sw   t1, 0(t0)
+    li   t0, BLK_IRQ_CTRL
+    li   t1, {irq}
+    sw   t1, 0(t0)
+    li   t0, BLK_CMD
+    li   t1, 1
+    sw   t1, 0(t0)
+    wfi
+    addi a0, a0, 1
+    halt
+"""
 
 
 class TestRunControl:
@@ -96,6 +139,36 @@ class TestWfi:
         with pytest.raises(GuestPanic):
             m.load_and_run("_start:\n    wfi\n    halt\n",
                            max_instructions=10)
+
+    @pytest.mark.parametrize("engine", ("functional", "pipeline"))
+    @pytest.mark.parametrize("compare,blk_irq", [
+        (1, 0), (7, 0), (8, 0), (9, 0), (333, 0), (1000, 0), (5003, 0),
+        (3000, 0), (100_000, 1)])
+    def test_wfi_wakes_where_the_stride_loop_does(self, engine, compare,
+                                                  blk_irq):
+        """The jump to the horizon wakes at the stride loop's cycle,
+        with its timer count and instret, for several compare values,
+        with a block-device DMA landing mid-wait (and, with its
+        completion interrupt enabled, waking the core)."""
+        outcomes = []
+        for reference in (True, False):
+            m = build_trap_machine(config=MachineConfig(engine=engine))
+            if reference:
+                m.sim._wait_for_interrupt = types.MethodType(_stride_wait,
+                                                             m.sim)
+            m.blockdev.preload(3, bytes(range(1, 9)))
+            m.timer.compare = compare
+            m.timer.irq_enabled = True
+            m.load_and_run(WFI_DMA.format(irq=blk_irq))
+            outcomes.append((m.cycles, m.timer.count, m.core.instret,
+                             m.reg("a0"), m.read_bytes(0x3C00, 8),
+                             m.blockdev.completed,
+                             getattr(m.sim, "stalls", None)))
+        assert outcomes[0] == outcomes[1]
+        if compare > 2000:
+            # The DMA landed mid-wait.
+            assert outcomes[1][5] == 1
+            assert outcomes[1][4] == bytes(range(1, 9))
 
     def test_wfi_advances_device_time(self):
         m = build_trap_machine(with_caches=False)

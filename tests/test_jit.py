@@ -121,7 +121,7 @@ GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
             retired += 3
             if r5 != 0:
                 cyc += bc + _bt
-                if retired <= bud0 and (not live or timer.cycles + cyc + 62 < hz) and loops < quantum:
+                if retired <= bud0 and (not live or timer.cycles + cyc + 40 < hz) and loops < quantum:
                     loops += 1
                     continue
                 next_pc = 4104
@@ -170,7 +170,7 @@ GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
             retired += 3
             if regs[5] != 0:
                 note_op(_ml, 5, 0, 0, 0, False, 0, 'branch')
-                if retired <= bud0 and (not live or timer.cycles + 64 < hz) and loops < quantum:
+                if retired <= bud0 and (not live or timer.cycles + 44 < hz) and loops < quantum:
                     loops += 1
                     continue
                 next_pc = 4104

@@ -152,6 +152,24 @@ def test_region_kept_on_eviction_is_detected():
     assert "dropping its region" in findings[0].message
 
 
+def test_prefixes_kept_on_eviction_is_detected():
+    # Evicting a block without its prefix blocks leaves their compiled
+    # code, which runs the same entries, valid: a store into the block's
+    # page would not end a running prefix, and a later dispatch could
+    # run the stale prefix.
+    override = _mutated(
+        "cpu/tcache.py",
+        "        for prefix in block.prefixes.values():\n"
+        "            TranslationCache._evict(prefix)\n",
+        "")
+    findings = check_eviction_completeness(override_sources=override)
+    assert len(findings) == 1
+    finding = findings[0]
+    assert finding.pass_name == "eviction"
+    assert "_evict" in finding.where
+    assert "evicting its prefixes" in finding.message
+
+
 # ---------------------------------------------------------------------------
 # satellites: registry completeness, machine-readable reports
 # ---------------------------------------------------------------------------

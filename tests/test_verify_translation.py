@@ -113,6 +113,20 @@ loop:
 """
 
 
+@pytest.fixture
+def mutant(monkeypatch):
+    """Seed a codegen mutant: ``mutant(target, name, value)`` patches as
+    ``monkeypatch.setattr`` does and clears MJIT's source table, so the
+    next compile generates the mutant's source instead of reusing the
+    correct one; the table is cleared again at teardown, so no later
+    test reuses the mutant's."""
+    def seed(target, name, value):
+        monkeypatch.setattr(target, name, value)
+        jit._REGIONS.clear()
+    yield seed
+    jit._REGIONS.clear()
+
+
 def _machine(routines=()):
     return build_metal_machine(
         list(routines), config=MachineConfig(with_caches=False))
@@ -175,7 +189,7 @@ def test_golden_reference_summary(name, source):
 # mutation detection
 # ---------------------------------------------------------------------------
 
-def test_detects_corrupted_imm_template(monkeypatch):
+def test_detects_corrupted_imm_template(mutant):
     """An off-by-one in the addi codegen template must fail validation
     with a citation of the affected block."""
     real = jit._imm_rhs
@@ -185,7 +199,7 @@ def test_detects_corrupted_imm_template(monkeypatch):
             return f"({a} + {imm + 1}) & 4294967295"
         return real(m, a, imm)
 
-    monkeypatch.setattr(jit, "_imm_rhs", corrupt)
+    mutant(jit, "_imm_rhs", corrupt)
     machine = _machine()
     # The corrupted decrement turns the loop infinite; the limit stop is
     # fine — the block is compiled either way.
@@ -201,7 +215,7 @@ def test_detects_corrupted_imm_template(monkeypatch):
     assert any("mem:0x" in where for where in cited)
 
 
-def test_detects_broken_loop_guard(monkeypatch):
+def test_detects_broken_loop_guard(mutant):
     """An off-by-one budget test on the self-loop's edge runs one
     iteration past the budget; it changes the loop-exit protocol and
     must be caught."""
@@ -211,7 +225,7 @@ def test_detects_broken_loop_guard(monkeypatch):
         real(self, re.sub(r"retired <= (bud\d+)", r"retired <= \1 + 1",
                           line))
 
-    monkeypatch.setattr(jit._Codegen, "emit", one_too_many)
+    mutant(jit._Codegen, "emit", one_too_many)
     machine = _machine()
     machine.load_and_run(LOOP, base=CODE_BASE, max_instructions=100_000)
     findings = []
@@ -221,7 +235,7 @@ def test_detects_broken_loop_guard(monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["functional", "pipeline"])
-def test_detects_dropped_horizon_exit(monkeypatch, engine):
+def test_detects_dropped_horizon_exit(mutant, engine):
     """The exit after a load or store that pulled the bus horizon in
     must be there: a codegen that keeps only the eviction test fails
     validation on the affected mem block, in the analytic and the
@@ -243,12 +257,12 @@ def test_detects_dropped_horizon_exit(monkeypatch, engine):
                                          scoreboard=tcache.scoreboard)]
 
     assert cited() == []
-    monkeypatch.setattr(jit._Codegen, "access_exit", store_exit_only)
+    mutant(jit._Codegen, "access_exit", store_exit_only)
     assert any("mem:0x" in where for where in cited()), (
         "dropped horizon exit was not detected")
 
 
-def test_detects_missing_mram_bound_check(monkeypatch):
+def test_detects_missing_mram_bound_check(mutant):
     """An ``mld``/``mst`` compiled with only the alignment test (the
     data-segment bound dropped) must fail validation on its mram block;
     the correct codegen validates clean on the same program."""
@@ -266,7 +280,7 @@ def test_detects_missing_mram_bound_check(monkeypatch):
     def drop_bound(self, line=""):
         real(self, line.replace("if _o & 3 or _o >= _dn:", "if _o & 3:"))
 
-    monkeypatch.setattr(jit._Codegen, "emit", drop_bound)
+    mutant(jit._Codegen, "emit", drop_bound)
     findings = run()
     assert findings, "missing data-segment bound was not detected"
     assert all(f.where.startswith("mram:0x") for f in findings)
@@ -307,7 +321,7 @@ def _cached_findings(engine):
 
 
 @pytest.mark.parametrize("engine", ["functional", "pipeline"])
-def test_detects_skipped_line_head_access(monkeypatch, engine):
+def test_detects_skipped_line_head_access(mutant, engine):
     """A codegen that charges one line head as a hit instead of making
     its ``access(pc)`` must fail validation on the loop block, on
     either engine; the correct codegen validates clean."""
@@ -321,14 +335,14 @@ def test_detects_skipped_line_head_access(monkeypatch, engine):
             heads[later[0]] = False
         return heads
 
-    monkeypatch.setattr(jit, "fetch_plan", skip_second_head)
+    mutant(jit, "fetch_plan", skip_second_head)
     findings = _cached_findings(engine)
     assert findings, "skipped line-head access was not detected"
     assert all(f.where.startswith("mem:0x") for f in findings)
     assert any("events mismatch" in f.message for f in findings)
 
 
-def test_detects_wrong_note_run_schedule(monkeypatch):
+def test_detects_wrong_note_run_schedule(mutant):
     """A codegen that bakes a wrong schedule into ``note_run`` — here
     each plain entry reports no destination register — must fail
     validation on the pipeline engine."""
@@ -338,7 +352,7 @@ def test_detects_wrong_note_run_schedule(monkeypatch):
         rs_a, rs_b, _rd = real(instr)
         return rs_a, rs_b, 0
 
-    monkeypatch.setattr(jit, "_schedule_regs", no_rd)
+    mutant(jit, "_schedule_regs", no_rd)
     findings = _cached_findings("pipeline")
     assert findings, "wrong note_run schedule was not detected"
     assert all(f.where.startswith("mem:0x") for f in findings)
@@ -412,7 +426,7 @@ def test_transitions_validate_clean(engine, caches):
         assert "_exit()" in text and "_rset(" in text
 
 
-def test_detects_mexit_without_its_cost(monkeypatch):
+def test_detects_mexit_without_its_cost(mutant):
     """An inline ``mexit`` that charges only its fetch must fail
     validation on its mram block."""
     real = jit._Codegen.emit
@@ -420,7 +434,7 @@ def test_detects_mexit_without_its_cost(monkeypatch):
     def no_cost(self, line=""):
         real(self, line.replace(" + _mxc", ""))
 
-    monkeypatch.setattr(jit._Codegen, "emit", no_cost)
+    mutant(jit._Codegen, "emit", no_cost)
     findings, _ = _transition_findings("functional", False)
     assert findings, "mexit without mexit_cost was not detected"
     assert all(f.where.startswith("mram:0x") for f in findings)
@@ -445,10 +459,10 @@ def _without(emitter, drop):
 
 
 @pytest.mark.parametrize("drop", ["fetch", "credit"])
-def test_detects_ecall_exit_without_its_fetch(monkeypatch, drop):
+def test_detects_ecall_exit_without_its_fetch(mutant, drop):
     """An ecall exit that drops its I-cache fetch (a line head's access
     or a hit) or the exit's hit credit must fail validation."""
-    monkeypatch.setattr(jit._Codegen, "_emit_ecall",
+    mutant(jit._Codegen, "_emit_ecall",
                         _without("_emit_ecall", drop))
     for engine in ("functional", "pipeline"):
         findings, _ = _transition_findings(engine, True)
@@ -456,7 +470,7 @@ def test_detects_ecall_exit_without_its_fetch(monkeypatch, drop):
         assert all(f.where.startswith("mem:0x") for f in findings)
 
 
-def test_detects_mexitm_commit_before_the_spill(monkeypatch):
+def test_detects_mexitm_commit_before_the_spill(mutant):
     """``mexitm`` committing m27 before the spill lets the spill
     overwrite the committed register: validation must fail."""
     def early_commit(self):
@@ -464,7 +478,7 @@ def test_detects_mexitm_commit_before_the_spill(monkeypatch):
         self.spill()
         self.reload()
 
-    monkeypatch.setattr(jit._Codegen, "commit", early_commit)
+    mutant(jit._Codegen, "commit", early_commit)
     findings, _ = _transition_findings("functional", False)
     assert findings, "mexitm committing before the spill was not detected"
     assert all(f.where.startswith("mram:0x") for f in findings)
@@ -521,14 +535,14 @@ def _scoreboard_findings(source):
     (_mexitm_commits_x0,
      lambda: _transition_findings("pipeline", True)[0], "mram"),
 ], ids=["branch_without_redirect", "load_not_a_load", "mexitm_rd_0"])
-def test_detects_wrong_scoreboard_report(monkeypatch, mutate, run, where):
+def test_detects_wrong_scoreboard_report(mutant, mutate, run, where):
     """Scoreboard code that reports an inlined entry wrongly to
     ``note_op`` — a taken branch without its redirect, a load as a
     non-load, an ``mexitm`` committing x0 — fails validation on the
     affected block with an events mismatch; the correct codegen
     validates clean."""
     assert run() == []
-    monkeypatch.setattr(jit._Codegen, "charge", _mutant_charge(mutate))
+    mutant(jit._Codegen, "charge", _mutant_charge(mutate))
     findings = run()
     assert findings, f"{mutate.__name__} was not detected"
     assert all(f.where.startswith(f"{where}:0x") for f in findings)
@@ -655,11 +669,11 @@ def _mutant_intercept(drop):
     ("charge", ("uncached", "cached", "scoreboard")),
     ("epc", ("uncached", "cached", "scoreboard")),
 ])
-def test_detects_broken_intercept_exit(monkeypatch, drop, modes):
+def test_detects_broken_intercept_exit(mutant, drop, modes):
     """An intercept exit that drops its fetch, its hit credit or its
     fetch-latency charge, or leaves with the wrong epc, fails
     validation on its mem block."""
-    monkeypatch.setattr(jit._Codegen, "_emit_intercept",
+    mutant(jit._Codegen, "_emit_intercept",
                         _mutant_intercept(drop))
     for mode in modes:
         findings, _, _ = _intercept_findings(mode)
@@ -741,11 +755,11 @@ def _mutant_continued_jal(drop):
 
 @pytest.mark.parametrize("mode", sorted(ICEPT_MODES))
 @pytest.mark.parametrize("drop", ("link", "charge"))
-def test_detects_broken_continued_jal(monkeypatch, drop, mode):
+def test_detects_broken_continued_jal(mutant, drop, mode):
     """A continued ``jal`` that drops its link write, or charges no jump
     penalty (reports no redirect to the scoreboard), fails validation
     on the loop's mem block."""
-    monkeypatch.setattr(jit._Codegen, "_emit_jal",
+    mutant(jit._Codegen, "_emit_jal",
                         _mutant_continued_jal(drop))
     findings, _ = _jump_findings(mode)
     assert findings, f"{mode}: continued jal without its {drop}"
@@ -838,9 +852,9 @@ def _no_valid(self, j, line):
 
 
 def _other_bound(self, j, line):
-    other = next(member.bound for member in self.members
-                 if member.bound != self.members[j].bound)
-    return line.replace(f" + {self.members[j].bound} < hz",
+    other = next(member.starts[-1] for member in self.members
+                 if member.starts[-1] != self.members[j].starts[-1])
+    return line.replace(f" + {self.members[j].starts[-1]} < hz",
                         f" + {other} < hz")
 
 
@@ -867,13 +881,13 @@ def test_regions_validate_clean(mode):
      lambda: _transition_findings("pipeline", True)[0], "mem"),
 ], ids=["edge_without_budget", "horizon_with_another_bound",
         "edge_without_valid", "mram_edge_without_code_version"])
-def test_detects_broken_region_edge(monkeypatch, mutate, run, where):
+def test_detects_broken_region_edge(mutant, mutate, run, where):
     """An edge that drops its budget test, its ``valid`` test or, into
     MRAM, its code-version test, or whose horizon test uses another
-    member's bound, fails validation on the member the edge leaves; the
+    member's last start, fails validation on the member the edge leaves; the
     correct codegen validates clean."""
     assert run() == []
-    monkeypatch.setattr(jit._Codegen, "edge", _mutant_edge(mutate))
+    mutant(jit._Codegen, "edge", _mutant_edge(mutate))
     findings = run()
     assert findings, f"{mutate.__name__} was not detected"
     assert all(f.where.startswith(where) for f in findings)
