@@ -51,8 +51,10 @@ retire every instruction at tier 2.  A dispatch chains across
 Metal transitions and intercept deliveries too, so each ``tcache_on``
 row records ``dispatches_per_instruction`` (dispatcher block lookups,
 hits plus misses, per instruction), and syscall_heavy and
-intercept_heavy must stay at or below 0.01 and mcode_heavy at or below
-0.005 — this file asserts all three, plus the
+intercept_heavy must stay at or below 0.01 and mcode_heavy and the
+preemptive scheduler (where a refused block's prefix runs in the
+dispatch that reached it) at or below 0.005 — this file asserts all
+four, plus the
 headline wins for the functional engine on the tight loop: ≥2.6× over
 the interpreter, a tier-2 dispatch share (``jit.dispatch_share``, the
 instructions retired at tier 2 over all retired) ≥90% and ≥6.16 MIPS
@@ -103,7 +105,7 @@ TRAJECTORY_LABEL = "regions"
 #: Metal-heavy workload may make with the tcache on: its Metal
 #: transitions and intercept deliveries are chain crossings.
 DISPATCH_BOUNDS = {"syscall_heavy": 0.01, "intercept_heavy": 0.01,
-                   "mcode_heavy": 0.005}
+                   "mcode_heavy": 0.005, "preemptive_scheduler": 0.005}
 
 
 def host_fingerprint() -> dict:
@@ -275,10 +277,12 @@ def measure_profiler_overhead(iters: int, reps: int,
 def check_scheduler(instructions: int = 50_000) -> dict:
     """Boot the preemptive scheduler on ``MachineConfig()`` (timer
     interrupts live) with the tcache off and on, run *instructions*,
-    and assert the runs agree and the fast run retires every
-    instruction at tier 2 (the device horizon makes interrupts need no
-    polling, and near it a block's admissible prefix runs compiled).
-    Structural only: no wall-clock assert."""
+    and assert the runs agree, the fast run retires every instruction
+    at tier 2 (the device horizon makes interrupts need no polling, and
+    near it a block's admissible prefix runs compiled, in the dispatch
+    that reached the block) and makes at most its
+    :data:`DISPATCH_BOUNDS` dispatches per instruction.  Structural
+    only: no wall-clock assert."""
     outcomes = {}
     for tcache in (False, True):
         machine = boot_scheduler_demo(config=MachineConfig(tcache=tcache))
@@ -294,6 +298,8 @@ def check_scheduler(instructions: int = 50_000) -> dict:
             "jit_instructions": tc.jit_instructions,
             "jit_share": round(tc.jit_instructions
                                / machine.core.instret, 4),
+            "dispatches_per_instruction": round(
+                (tc.hits + tc.misses) / machine.core.instret, 5),
         }
     off, on = outcomes[False], outcomes[True]
     for key in ("instret", "cycles", "switches"):
@@ -304,9 +310,13 @@ def check_scheduler(instructions: int = 50_000) -> dict:
     assert on["jit_instructions"] == on["instret"], (
         f"scheduler: {on['instret'] - on['jit_instructions']} "
         f"instructions retired off tier 2")
+    bound = DISPATCH_BOUNDS["preemptive_scheduler"]
+    assert on["dispatches_per_instruction"] <= bound, (
+        f"scheduler: {on['dispatches_per_instruction']} dispatches per "
+        f"instruction > {bound}")
     print(f"preemptive_scheduler: {on['switches']} switches, tier 2 "
-          f"{on['jit_share']:.1%}, {off['mips']:.3f} -> {on['mips']:.3f} "
-          f"MIPS")
+          f"{on['jit_share']:.1%}, {on['dispatches_per_instruction']} "
+          f"dispatches/instr, {off['mips']:.3f} -> {on['mips']:.3f} MIPS")
     return {"tcache_off": off, "tcache_on": on}
 
 

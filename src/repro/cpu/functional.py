@@ -644,12 +644,14 @@ class FunctionalSimulator:
         inside an MMIO access) ends the dispatch at the next entry
         boundary.
 
-        A refused *block* runs its longest admissible prefix instead
+        A refused block, wherever it falls in the dispatch, runs its
+        longest admissible prefix instead
         (:meth:`repro.cpu.tcache.TranslationCache.prefix`): its first k
-        entries, k at most the budget, at most the index of the entry at
-        *stop_pc*, and the k-th starting short of *hz*.  Below the
-        horizon k is at least 1; at it, an interrupt is due and
-        :meth:`step` delivers it.
+        entries, k at most the budget left, at most the index of the
+        entry at *stop_pc*, and the k-th starting short of *hz*; the
+        chain goes on at the entry after them.  Only k == 0 ends the
+        dispatch there: at the horizon an interrupt is due, and for the
+        first block this returns False and :meth:`step` delivers it.
 
         Every block runs as the MJIT function of its region (one block,
         or a cycle of linked blocks, see :mod:`repro.cpu.jit`), compiled
@@ -657,8 +659,10 @@ class FunctionalSimulator:
         tests this rule in place, with the chain quantum; any other exit
         returns here naming the member it left, and the chain goes on
         from that member.  When the chain comes back to a block this
-        dispatch already entered, the blocks entered since join one
-        region (:meth:`repro.cpu.tcache.TranslationCache.join`).
+        dispatch entered since its last prefix, the blocks entered since
+        join one region
+        (:meth:`repro.cpu.tcache.TranslationCache.join`); a prefix never
+        joins one.
 
         On a Metal machine with no profile sink attached, the chain
         also *crosses* namespaces: after a block whose exit switched
@@ -710,16 +714,19 @@ class FunctionalSimulator:
                 if (budget - retired < len(starts)
                         or stop != -1 and entry_index(block, stop) >= 0
                         or timer.cycles + starts[-1] >= hz):
-                    if chained >= 0:
-                        break
-                    k = min(budget, bisect_left(starts, hz - timer.cycles))
+                    k = min(budget - retired,
+                            bisect_left(starts, hz - timer.cycles))
                     if stop != -1:
                         at = entry_index(block, stop)
                         if 0 <= at < k:
                             k = at
                     if not k:
-                        return False
+                        if chained < 0:
+                            return False
+                        break
                     block = tcache.prefix(block, k)
+                    # A prefix never joins a region.
+                    del trail[:]
                 chained += 1
                 if chained > stats.chain_longest:
                     stats.chain_longest = chained

@@ -17,14 +17,18 @@ compiled at its first dispatch, and so is a prefix block's
 * each member's body comes from the per-class emitters, one prologue and
   one epilogue serve the region, and the guest registers stay in host
   locals across members;
-* an exit into a member is an *edge* (:meth:`_Codegen.edge`): it tests
-  the engine's admission rule in place, with only the checks that can
-  fail on that edge, and continues the function's loop at that member
-  (``m`` names it); any other exit returns, naming the member it left;
+* the body is one ``while True:`` loop.  An exit into a member is an
+  *edge* (:meth:`_Codegen.edge`): it tests the engine's admission rule
+  in place, with only the checks that can fail on that edge, and
+  continues the loop at that member (``m`` names it).  Every other exit
+  (:meth:`_Codegen.out`), a trap included, sets the ``status``,
+  ``next_pc`` and ``trap`` locals and leaves the loop for the one
+  epilogue, which spills the register locals, flushes ``cyc``, credits
+  the I-cache hits and returns, naming the member it left;
 * each member's I-cache fetch plan (:func:`fetch_plan`) is baked in: a
   line head makes a real ``access(pc)``, in program order; every other
   fetch costs the hit latency and is credited to the I-cache's hit count
-  in one batch at every exit.
+  in one batch, in the epilogue.
 
 The codegen mode follows from the engine, never from an option (see
 docs/PERF.md), and decides only where guest registers live and how an
@@ -82,8 +86,10 @@ Calling convention (every mode and namespace)::
 * ``status == 2`` — trap: ``next_pc`` is the faulting pc (epc), ``trap``
   the :class:`TrapException` (raised inside the code, or for a mem
   block's ``ecall`` or intercept terminator an unraised one) or the
-  ``MetalError`` a delivery raised; registers are already spilled and
-  ``timer.cycles`` flushed — the caller only dispatches.
+  ``MetalError`` a delivery raised — the caller only dispatches.
+
+Whatever the status, the epilogue has spilled the registers, flushed
+``timer.cycles`` and credited the I-cache hits.
 
 The argument ``m`` is the member the call enters at (the entry block's
 ``index``), and the returned ``m`` the member the region left, which
@@ -246,30 +252,6 @@ def _branch_cond(m: str, a: str, b: str) -> str:
     raise KeyError(m)
 
 
-def _exits(block):
-    """How *block* can continue into another block: one ``(pc, mram)``
-    per exit, *pc* its static target or None for a dynamic one, *mram*
-    the namespace it continues in.  A Metal transition crosses."""
-    instr, pc, flags = block.entries[-1]
-    mram = block.mram
-    if flags & F_ICEPT:
-        return [(None, True)]
-    if not flags & F_TERM:
-        return [(block.end, mram)]
-    cls = instr.spec.cls
-    if cls is InstrClass.BRANCH:
-        return [((pc + instr.imm) & _M, mram), ((pc + 4) & _M, mram)]
-    if cls is InstrClass.JAL:
-        return [((pc + instr.imm) & _M, mram)]
-    if cls is InstrClass.JALR:
-        return [(None, mram)]
-    if not mram and instr.mnemonic in ("ecall", "menter"):
-        return [(None, True)]
-    if mram and instr.mnemonic in ("mexit", "mexitm"):
-        return [(None, False)]
-    return []
-
-
 class _Codegen:
     """One region → one Python source string (+ its exec namespace).
 
@@ -277,7 +259,8 @@ class _Codegen:
     blocks, possibly of both namespaces.  Each member's body comes from
     the per-class emitters; an exit into a member is an *edge*, which
     tests the engine's admission rule in place and continues the
-    function's loop at that member (see :meth:`edge`)."""
+    function's loop at that member (see :meth:`edge`), and every other
+    exit leaves the loop for the one epilogue (see :meth:`out`)."""
 
     def __init__(self, members, line_size, scoreboard: bool):
         self.members = members
@@ -294,16 +277,6 @@ class _Codegen:
         #: (:func:`compile_region` binds those): instruction objects,
         #: schedules and intercept traps.
         self.ns = {}
-        #: Whether an exit of some member can continue into a member:
-        #: the function is then one loop over its members.
-        self.looped = any(
-            other.mram == mram and (pc is None or other.start == pc)
-            for block in members for pc, mram in _exits(block)
-            for other in members)
-        #: Whether an edge can enter a mem member and so test the
-        #: horizon: a prologue ``live = hz < MASKED`` then serves them,
-        #: kept up to date where a crossing sets ``hz``.
-        self.live = self.looped and self.has_mem
         #: Members an edge enters: the prologue binds ``bud<j>``, the
         #: budget left once member ``j`` has run.
         self.budgets = set()
@@ -316,8 +289,6 @@ class _Codegen:
         #: Whether no member can invalidate a block: then no edge tests
         #: ``valid`` (the region is dropped with any evicted member).
         self.quiet = True
-        #: Whether some exit reaches the epilogue.
-        self.falls = False
         self.uses_me = False
         self.run = []               # scoreboard: pending run schedule
         self.schedules = 0          # scoreboard: runs bound so far
@@ -422,11 +393,6 @@ class _Codegen:
             return "(_f if _f > 1 else 1)", "_f"
         return self.bc, self.ml
 
-    def credit(self) -> None:
-        """Credit the non-head fetches to the I-cache (every exit)."""
-        if self.cached_any:
-            self.emit("_ist.hits += ih")
-
     def spill(self) -> None:
         for n in sorted(self.tracked):
             self.emit(f"regs[{n}] = r{n}")
@@ -435,27 +401,17 @@ class _Codegen:
         for n in sorted(self.tracked):
             self.emit(f"r{n} = regs[{n}]")
 
-    def ret(self, status: int, pc, trap) -> None:
-        """The return of the calling convention, from the current
-        member."""
-        self.emit(f"return ({status}, {pc}, retired, loops, {trap}, m, hz)")
-
-    def abort(self, resume_pc: int) -> None:
-        """Escape with status 1 (block invalidated), locals spilled."""
-        self.spill()
-        if not self.scoreboard:
-            self.emit("timer.cycles += cyc")
-        self.credit()
-        self.ret(1, resume_pc, None)
-
-    def trap_exit(self, pc: int, trap: str) -> None:
-        """The status-2 exit with the unraised trap bound as *trap*,
-        which the engine delivers."""
-        self.spill()
-        if not self.scoreboard:
-            self.emit("timer.cycles += cyc")
-        self.credit()
-        self.ret(2, pc, trap)
+    def out(self, status: int = 0, pc=None, trap=None) -> None:
+        """An exit: set ``status`` and ``trap`` (unless the prologue's 0
+        and None) and ``next_pc`` (unless already set, *pc* None), and
+        leave the loop for the epilogue."""
+        if status:
+            self.emit(f"status = {status}")
+        if pc is not None:
+            self.emit(f"next_pc = {pc}")
+        if trap is not None:
+            self.emit(f"trap = {trap}")
+        self.emit("break")
 
     def access_exit(self, pc: int, store: bool) -> None:
         """After the load or store at *pc*: escape to ``pc + 4`` when a
@@ -471,7 +427,7 @@ class _Codegen:
             return
         self.emit(f"if {' or '.join(tests)}:")
         self.indent += 1
-        self.abort(pc + 4)
+        self.out(1, pc + 4)
         self.indent -= 1
 
     def charge(self, fetch, reads=(0, 0), rd=0, mem=None, is_load=False,
@@ -555,12 +511,6 @@ class _Codegen:
         self.emit("continue")
         self.indent -= 1
 
-    def out(self) -> None:
-        """The exit to the epilogue, ``next_pc`` set."""
-        self.falls = True
-        if self.looped:
-            self.emit("break")
-
     def leave(self, target) -> None:
         """Leave the member toward *target* in its own namespace: a
         static pc, or the name of the local holding a dynamic one.  An
@@ -572,14 +522,13 @@ class _Codegen:
                 self.edge(j, f"{target} == {block.start}")
             elif block.start == target:
                 self.edge(j)
-        self.emit(f"next_pc = {target}")
-        self.out()
+        self.out(pc=target)
 
     def cross_into_mram(self, tested: bool) -> None:
         """After ``menter`` or a delivery (``next_pc`` the MRAM offset):
         the edges into the mram members, then the exit."""
         self.emit(f"hz = {MASKED}")
-        if self.live:
+        if self.has_mem:
             self.emit("live = False")
         for j, block in enumerate(self.members):
             if block.mram:
@@ -597,9 +546,7 @@ class _Codegen:
                   f"{operands})")
         self.emit("except MetalError as _x:")
         self.indent += 1
-        self.spill()
-        self.credit()
-        self.ret(2, pc, "_x")
+        self.out(2, pc, "_x")
         self.indent -= 1
 
     def flush_cyc(self) -> None:
@@ -750,11 +697,11 @@ class _Codegen:
         dispatch may cross, and the crossing."""
         self.fetch(index, pc)
         if not self.has_mram:
-            self.trap_exit(pc, "_ecall")
+            self.out(2, pc, "_ecall")
             return
         self.emit("if cross is None:")
         self.indent += 1
-        self.trap_exit(pc, "_ecall")
+        self.out(2, pc, "_ecall")
         self.indent -= 1
         self.flush_cyc()
         self.deliver(pc, int(Cause.ECALL), 0, None, None)
@@ -776,16 +723,16 @@ class _Codegen:
         key = f"_icept{self.k}"
         self.ns[key] = TrapException(Cause.INTERCEPT, word)
         if not self.has_mram:
-            self.trap_exit(pc, key)
+            self.out(2, pc, key)
             return
         self.emit("if cross is None:")
         self.indent += 1
-        self.trap_exit(pc, key)
+        self.out(2, pc, key)
         self.indent -= 1
         self.emit(f"_e = _match({word})")
         self.emit("if _e is None:")
         self.indent += 1
-        self.trap_exit(pc, key)
+        self.out(2, pc, key)
         self.indent -= 1
         self.flush_cyc()
         self.emit("timer.note_intercept()")
@@ -853,9 +800,7 @@ class _Codegen:
         self.emit("sync()")
         self.emit(f"if not b{self.k}.valid:")
         self.indent += 1
-        self.spill()
-        self.credit()
-        self.ret(1, pc, None)
+        self.out(1, pc)
         self.indent -= 1
 
     def _emit_load(self, index: int, instr, pc: int) -> None:
@@ -933,8 +878,7 @@ class _Codegen:
             self.emit("_lv = 1")
         self.emit("note(_s)")
         self.retire()
-        self.emit("next_pc = _s.next_pc")
-        self.out()
+        self.out(pc="_s.next_pc")
 
     # -- inlined terminators --------------------------------------------
     def _emit_branch(self, index: int, instr, pc: int) -> None:
@@ -990,9 +934,8 @@ class _Codegen:
         if self.trapping:
             self.emit("try:")
             self.indent += 1
-        if self.looped:
-            self.emit("while True:")
-            self.indent += 1
+        self.emit("while True:")
+        self.indent += 1
         for k, block in enumerate(members):
             if self.multi:
                 self.emit("if m == 0:" if k == 0
@@ -1009,33 +952,32 @@ class _Codegen:
                 self.leave(block.end)
             if self.multi:
                 self.indent -= 1
-        if self.looped:
-            self.indent -= 1
+        self.indent -= 1
         if self.trapping:
+            # A trap leaves for the epilogue too, with a copy of the
+            # handler's name, which Python unbinds as the handler ends.
             self.indent -= 1
-            self.emit("except TrapException as trap:")
+            self.emit("except TrapException as _x:")
+            self.emit("    status = 2")
+            self.emit("    next_pc = epc")
+            self.emit("    trap = _x")
+        # The epilogue.  Locals are truth for inlined code, but a trap
+        # from inside a generic execute() must NOT spill: the registers
+        # were spilled before the call and execute() may have already
+        # mutated them.
+        if self.generic and self.tracked:
+            self.emit("if _lv:")
             self.indent += 1
-            # Locals are truth for inlined code, but a trap from inside a
-            # generic execute() must NOT spill: the registers were spilled
-            # before the call and execute() may have already mutated them.
-            if self.generic and self.tracked:
-                self.emit("if _lv:")
-                self.indent += 1
-                self.spill()
-                self.indent -= 1
-            elif self.tracked:
-                self.spill()
-            if not scored:
-                self.emit("timer.cycles += cyc")
-            self.credit()
-            self.ret(2, "epc", "trap")
-            self.indent -= 1
-        if self.falls:
             self.spill()
-            if not scored:
-                self.emit("timer.cycles += cyc")
-            self.credit()
-            self.ret(0, "next_pc", None)
+            self.indent -= 1
+        else:
+            self.spill()
+        if not scored:
+            self.emit("timer.cycles += cyc")
+        if self.cached_any:
+            # The non-head fetches' hits, in one batch.
+            self.emit("_ist.hits += ih")
+        self.emit("return (status, next_pc, retired, loops, trap, m, hz)")
         body, self.lines = self.lines, head_lines
 
         # Prologue.
@@ -1095,7 +1037,7 @@ class _Codegen:
                 self.emit(f"b{k} = _b{k}")
         for j in sorted(self.budgets):
             self.emit(f"bud{j} = budget - {len(members[j].entries)}")
-        if self.live:
+        if "not live" in body_text:
             self.emit(f"live = hz < {MASKED}")
         self.reload()
         self.emit("retired = 0")
@@ -1108,6 +1050,8 @@ class _Codegen:
             self.emit(f"epc = {members[0].start}")
         if self.generic and self.tracked:
             self.emit("_lv = 1")
+        self.emit("status = 0")
+        self.emit("trap = None")
         self.lines.extend(body)
         return "\n".join(self.lines) + "\n"
 

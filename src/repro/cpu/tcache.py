@@ -472,13 +472,13 @@ class TranslationCache:
         """The block of *block*'s first *k* entries (``0 < k <
         len(block.entries)``), which falls through to entry *k*'s pc.
 
-        The engine runs it when *block* is refused at the head of a
-        dispatch (see :meth:`repro.cpu.functional.FunctionalSimulator.
-        _exec_block`).  It is sliced, not decoded, and cached on
-        *block*, so evicting *block* evicts it (:meth:`_evict`); MJIT
-        compiles it as a one-member region at its first run.  It is
-        never in the page map or a target map, so it never joins a
-        region.
+        The engine runs it when a dispatch refuses *block* (see
+        :meth:`repro.cpu.functional.FunctionalSimulator._exec_block`).
+        It is sliced, not decoded, and cached on *block*, so evicting
+        *block* evicts it (:meth:`_evict`); MJIT compiles it as a
+        one-member region at its first run.  It is never in the page map
+        or a target map, and the dispatch's trail restarts at it, so it
+        never joins a region.
         """
         prefix = block.prefixes.get(k)
         if prefix is None:
@@ -596,19 +596,6 @@ class TranslationCache:
         parent = (self._mram if block.mram else self._mem).get(block.start)
         return parent is not None and block in parent.prefixes.values()
 
-    def iter_jit_blocks(self):
-        """Yield ``(ns, block)`` for every live tier-2 block.
-
-        The MVTV translation validator (``repro.verify``) harvests the
-        corpus through this: every block MJIT has compiled and not since
-        invalidated, with the namespace label (``"mem"``/``"mram"``)
-        the validator needs to pick the calling convention.
-        """
-        for ns, table in (("mem", self._mem), ("mram", self._mram)):
-            for block in table.values():
-                if block.valid and block.jit_fn is not None:
-                    yield ns, block
-
     def tier_of(self, ns: str, pc: int):
         """Execution tier of the cached block headed at *pc*: ``"jit"``
         (it or one of its prefixes is compiled), ``"step"`` (MJIT never
@@ -648,8 +635,9 @@ class TranslationCache:
         if links:
             self.stats.chain_breaks += 1
             if self.sink is not None:
-                ns = "mem" if self._mem.get(block.start) is block else "mram"
-                self.sink.tcache_event("chain_break", ns, block.start)
+                self.sink.tcache_event("chain_break",
+                                       "mram" if block.mram else "mem",
+                                       block.start)
         if next_pc % 4:
             return None
         if mram:
@@ -727,8 +715,3 @@ class TranslationCache:
             if self.sink is not None:
                 self.sink.tcache_event("flush", "mram", 0, count)
         self._mram_version = version
-
-    # ------------------------------------------------------------------
-    @property
-    def cached_blocks(self) -> int:
-        return len(self._mem) + len(self._mram)

@@ -8,7 +8,11 @@ locals, the guest-state markers bound in the prologue, the semantics
 helpers from the exec namespace, the I-cache and timer calls,
 ``if``/``while True``/``try`` control flow and the 7-tuple return
 protocol) and turns the function into a :class:`Summary` in the same
-canonical form :mod:`repro.verify.uopsem` builds from the IR.  The
+canonical form :mod:`repro.verify.uopsem` builds from the IR.  A
+``while True`` is a loop only when its body holds a ``continue``;
+otherwise every path leaves it at a ``break``.  A path that traps runs
+the ``except TrapException`` handler and continues after the ``try``,
+with the handler's name unbound, as Python unbinds it.  The
 function is evaluated once per member, with the entry argument ``m``
 bound to that member's index, so each exit is tagged with the member it
 leaves from and the loop head dispatches to exactly one member.
@@ -20,7 +24,7 @@ with the schedule the exec namespace binds, ``timer.note(step)``,
 with its eight arguments, and the one-batch I-cache hit credit
 ``_ist.hits += ih``.  So are the Metal
 unit's state accesses: an MReg list read or write, ``exit_metal()``
-(with a symbolic resume pc), and the status-2 return of the unraised
+(with a symbolic resume pc), and the status-2 exit of the unraised
 ECALL trap the namespace binds as ``_ecall`` or of the INTERCEPT trap a
 member binds as ``_icept<k>`` (with its word); ``mexitm``'s
 ``core.rset(index, value)`` writes the register file under a symbolic
@@ -282,7 +286,7 @@ class _Ev:
         self.exits = []
         self.entry = {}
         self.looped = False
-        self.handler = None        # (stmts, alias) inside a try
+        self.handler = None        # (stmts, alias, trapped) inside a try
         self.invariants = {}       # un-generalised loop-carried locals
         self.carries_m = False     # the loop body assigns ``m``
         self.fallible = None       # event of the last unit call
@@ -627,13 +631,25 @@ class _Ev:
         self.route_trap(st.fork(), site)
 
     def route_trap(self, st: CState, site: int) -> None:
+        """Run the handler on the trapped path *st*; what falls out of
+        it continues after the ``try`` (:meth:`do_try`)."""
         if self.handler is None:
             raise UnsupportedSource("raising site outside try/except")
-        stmts, alias = self.handler
+        stmts, alias, trapped = self.handler
         st.vars[alias] = _Mark("trapval", site)
-        leftover = self.exec_stmts(stmts, [st])
-        if leftover:
-            raise UnsupportedSource("trap handler does not return")
+        for tag, s in self.handler_outcomes(stmts, alias, st):
+            if tag != "fall":
+                raise UnsupportedSource("trap handler transfers control")
+            trapped.append(s)
+
+    def handler_outcomes(self, stmts, alias, st: CState):
+        """Run an ``except`` body; Python unbinds its *alias* as it
+        ends."""
+        out = self.exec_stmts(stmts, [st])
+        if alias:
+            for _tag, s in out:
+                s.vars.pop(alias, None)
+        return out
 
     # -- statements ------------------------------------------------------
     def exec_stmts(self, stmts, states):
@@ -840,12 +856,29 @@ class _Ev:
         return m
 
     def do_while(self, stmt: ast.While, st: CState):
+        """A bare ``while True``: a loop when its body holds a
+        ``continue``; else every path through it leaves at a ``break``,
+        and the body runs once."""
         if not (isinstance(stmt.test, ast.Constant)
                 and stmt.test.value is True) or stmt.orelse:
             raise UnsupportedSource("loop is not a bare `while True`")
         if self.looped:
             raise UnsupportedSource("nested loop")
-        self.looped = True
+        if any(isinstance(sub, ast.Continue) for sub in ast.walk(stmt)):
+            self.looped = True
+            self.generalize(stmt, st)
+        res = []
+        for tag, s in self.exec_stmts(stmt.body, [st]):
+            if tag == "continue":
+                self.loop_exit(s)
+            elif tag == "break":
+                res.append(("fall", s))
+            else:
+                raise UnsupportedSource("loop body falls through")
+        return res
+
+    def generalize(self, stmt: ast.While, st: CState) -> None:
+        """Replace the loop-carried locals by loop-head symbols."""
         assigned = _assigned_names(stmt.body)
         # The member index the edges set: carried, never generalised
         # (each evaluation enters one member).
@@ -868,16 +901,6 @@ class _Ev:
                 st.valid[k] = S.sym(name)
             # Every horizon exit reads the value its own access left.
             st.horizon = S.sym("L.horizon")
-        out = self.exec_stmts(stmt.body, [st])
-        res = []
-        for tag, s in out:
-            if tag == "continue":
-                self.loop_exit(s)
-            elif tag == "break":
-                res.append(("fall", s))
-            else:
-                raise UnsupportedSource("loop body falls through")
-        return res
 
     def loop_exit(self, st: CState) -> None:
         for name, head in self.invariants.items():
@@ -916,10 +939,11 @@ class _Ev:
                 and handler.type.id == "TrapException" and handler.name):
             raise UnsupportedSource("handler is not `except TrapException"
                                     " as ...`")
-        self.handler = (handler.body, handler.name)
+        trapped = []
+        self.handler = (handler.body, handler.name, trapped)
         out = self.exec_stmts(stmt.body, [st])
         self.handler = None
-        return out
+        return out + [("fall", s) for s in trapped]
 
     def do_fallible(self, stmt: ast.Try, st: CState):
         """``try: next_pc = <unit call> except MetalError [as e]: ...``:
@@ -939,7 +963,7 @@ class _Ev:
         err = st.fork()
         if handler.name:
             err.vars[handler.name] = _Mark("metalerr", site)
-        out = self.exec_stmts(handler.body, [err])
+        out = self.handler_outcomes(handler.body, handler.name, err)
         if any(tag == "fall" for tag, _s in out):
             raise UnsupportedSource("MetalError handler falls through")
         target = body[0].targets

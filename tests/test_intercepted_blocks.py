@@ -216,8 +216,8 @@ def _to_halt(machine):
 
 
 def _intercept_blocks(machine):
-    return [b for ns, b in machine.sim.tcache.iter_jit_blocks()
-            if ns == "mem" and b.entries[-1][2] & F_ICEPT]
+    return [b for region in machine.sim.tcache.iter_regions()
+            for b in region if not b.mram and b.entries[-1][2] & F_ICEPT]
 
 
 @pytest.mark.parametrize("caches", CACHES)

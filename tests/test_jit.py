@@ -114,6 +114,8 @@ GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
         retired = 0
         loops = 0
         cyc = 0
+        status = 0
+        trap = None
         while True:
             r6 = (r6 + 1) & 4294967295
             r5 = (r5 + -1) & 4294967295
@@ -133,7 +135,7 @@ GOLDEN_LOOP_BLOCK = textwrap.dedent("""\
         regs[5] = r5
         regs[6] = r6
         timer.cycles += cyc
-        return (0, next_pc, retired, loops, None, m, hz)""")
+        return (status, next_pc, retired, loops, trap, m, hz)""")
 
 
 def test_golden_source_self_loop():
@@ -163,6 +165,8 @@ GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
         live = hz < 9223372036854775808
         retired = 0
         loops = 0
+        status = 0
+        trap = None
         while True:
             regs[6] = (regs[6] + 1) & 4294967295
             regs[5] = (regs[5] + -1) & 4294967295
@@ -179,7 +183,7 @@ GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
                 note_op(_ml, 5, 0, 0, 0, False, 0, None)
                 next_pc = 4116
                 break
-        return (0, next_pc, retired, loops, None, m, hz)""")
+        return (status, next_pc, retired, loops, trap, m, hz)""")
 
 
 def test_golden_scoreboard_source_self_loop():
@@ -198,13 +202,14 @@ def test_golden_scoreboard_source_self_loop():
 
 
 def _compiled_sources(engine, name):
-    """Every block host-throughput workload *name* compiles on
-    *engine*, by namespace and start pc."""
+    """Every region host-throughput workload *name* compiles on
+    *engine*, by each member's namespace, start and length."""
     from repro.profile.workloads import build_workload, workload_source
     machine = build_workload(name, engine=engine)
     machine.load_and_run(workload_source(name, 40), base=CODE_BASE)
-    return {(ns, b.start): b.jit_fn.__jit_source__
-            for ns, b in machine.sim.tcache.iter_jit_blocks()}
+    return {tuple((b.mram, b.start, len(b.entries)) for b in region):
+            region[0].jit_fn.__jit_source__
+            for region in machine.sim.tcache.iter_regions()}
 
 
 def test_scoreboard_inlines_what_the_analytic_modes_inline():

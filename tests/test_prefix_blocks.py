@@ -1,10 +1,10 @@
 """Prefix blocks: nothing falls back to ``step()`` short of a due interrupt.
 
-When the block at the pc is refused at the head of a dispatch — the
-budget ends inside it, it holds the entry at ``stop_pc``, or its last
-entry may start at or past the interrupt horizon — the engine runs its
-longest admissible prefix compiled (``TranslationCache.prefix``): the
-block of its first k entries, cached on it and evicted with it, that
+When a dispatch refuses a block, the first or one its chain reaches —
+the budget ends inside it, it holds the entry at ``stop_pc``, or its
+last entry may start at or past the interrupt horizon — the engine runs
+its longest admissible prefix compiled (``TranslationCache.prefix``):
+the block of its first k entries, cached on it and evicted with it, that
 falls through to entry k.  ``step()`` then runs only to deliver an
 interrupt that is due.  Every test here runs the tcache off against on,
 on both engines with the cache models on and off: registers, pc, mode,
@@ -20,6 +20,7 @@ from repro.asm import assemble
 from repro.cpu.exceptions import Cause
 from repro.machine.builder import MachineConfig
 from repro.osdemo.scheduler import SCHED_SWITCHES, boot_scheduler_demo
+from repro.profile.sink import TraceEventSink
 
 CONFIGS = [(engine, caches) for engine in ("functional", "pipeline")
            for caches in (True, False)]
@@ -194,6 +195,64 @@ def test_horizon_before_each_entry(engine, caches):
         assert made or j == 0, j
 
 
+def _record_dispatches(machine) -> list:
+    """What the engine does on *machine*, in order: ``("dispatch",
+    block)`` at each dispatch, ``("chain", block)`` for each block a
+    chain lookup returns, ``("prefix", block)`` for each block whose
+    prefix runs."""
+    sim = machine.sim
+    tcache = sim.tcache
+    log = []
+    exec_block, chain_next, prefix = (sim._exec_block, tcache.chain_next,
+                                      tcache.prefix)
+
+    def dispatch(block, *args):
+        log.append(("dispatch", block))
+        return exec_block(block, *args)
+
+    def chain(*args):
+        block = chain_next(*args)
+        log.append(("chain", block))
+        return block
+
+    def cut(block, k):
+        log.append(("prefix", block))
+        return prefix(block, k)
+
+    sim._exec_block, tcache.chain_next, tcache.prefix = dispatch, chain, cut
+    return log
+
+
+@pytest.mark.parametrize("engine,caches", CONFIGS)
+def test_a_chain_runs_the_refused_blocks_prefix(engine, caches):
+    """The timer comes due at each entry of the loop block's third
+    iteration in turn.  The chain that reaches the block, refused at
+    the horizon, runs its prefix in the same dispatch: every prefix
+    follows the chain lookup of its block, and the run makes as many
+    dispatches wherever in the block the interrupt falls."""
+    starts = _entry_starts(engine, caches)
+    dispatches = []
+    for j, compare in enumerate(starts):
+        log = []
+
+        def drive(machine, symbols, made):
+            nonlocal log
+            if machine.sim.tcache_enabled:
+                log = _record_dispatches(machine)
+            machine.timer.compare = compare
+            machine.timer.irq_enabled = True
+            machine.run(max_instructions=10_000)
+            return [_state(machine)]
+
+        _pair(engine, caches, (HANDLER, IRQ_ON), LOOP, drive)
+        prefixes = [i for i, (what, _b) in enumerate(log) if what == "prefix"]
+        assert prefixes or j == 0, j
+        for i in prefixes:
+            assert log[i - 1] == ("chain", log[i][1]), j
+        dispatches.append(sum(1 for what, _b in log if what == "dispatch"))
+    assert len(set(dispatches)) == 1, dispatches
+
+
 @pytest.mark.parametrize("engine,caches", CONFIGS)
 def test_every_budget_up_to_the_block_length(engine, caches):
     """``run(max_instructions=k)``, repeated to the halt, for every k up
@@ -358,6 +417,37 @@ def test_mram_budget_tails(engine, caches):
 
         _, made = _pair(engine, caches, (LONG,), LONG_LOOP, drive)
         assert any(prefix.mram for prefix in made), k
+
+
+#: 80 plain entries from 256 bytes short of a page's end: the block at
+#: ``_start`` is 64 entries (the length cap), all on that page, and the
+#: block at its eleventh entry runs on into the next page.
+STRAIGHT = "_start:\n" + "    addi a0, a0, 1\n" * 80 + "    halt\n"
+
+
+def test_a_prefix_chain_break_reports_mem():
+    """A mem prefix's link leads to a block evicted on its own (it runs
+    on into a page the prefix's parent does not touch): the chain break
+    an attached sink records carries the prefix's namespace, ``mem``,
+    though the prefix is not in the block table."""
+    base = 0x2000 - 256
+    machine = build_metal_machine([], config=MachineConfig(
+        with_caches=False))
+    machine.load(machine.assemble(STRAIGHT, base=base))
+    sink = TraceEventSink()
+    machine.sim.set_profile_sink(sink)
+    machine.core.pc = base
+    machine.run(max_instructions=10, raise_on_limit=False)
+    parent = machine.sim.tcache._mem[base]
+    prefix = parent.prefixes[10]
+    successor = prefix.links[base + 40]
+    machine.write_word(0x2800, 0)
+    assert parent.valid and prefix.valid and not successor.valid
+    machine.core.pc = base
+    machine.run(max_instructions=10, raise_on_limit=False)
+    assert [event[2:5] for event in sink.events()
+            if event[2] == "chain_break"] == [("chain_break", "mem", base)]
+    assert machine.reg("a0") == 20
 
 
 def test_a_block_run_only_as_prefixes_reports_tier_jit():

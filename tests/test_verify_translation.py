@@ -13,7 +13,8 @@ Four angles:
   access, a wrong ``note_run`` schedule, an ``mexit`` without its cost,
   an ``ecall`` exit without its fetch or hit credit, an intercept exit
   without its fetch, hit credit or fetch-latency charge or with the
-  wrong epc, an ``mexitm`` commit before the final spill, a wrong
+  wrong epc, a trap handler whose name the epilogue reads after Python
+  unbound it, an ``mexitm`` commit before the final spill, a wrong
   ``note_op`` report (a taken branch without its redirect, a load as a
   non-load, an ``mexitm`` committing x0), or a ``jal`` its block
   continues through without its link write or its jump charge makes
@@ -132,20 +133,21 @@ def _machine(routines=()):
         list(routines), config=MachineConfig(with_caches=False))
 
 
-def _compiled_blocks(source):
+def _compiled_regions(source):
     machine = _machine()
     machine.load_and_run(source, base=CODE_BASE, max_instructions=100_000)
-    return list(machine.sim.tcache.iter_jit_blocks())
+    return list(machine.sim.tcache.iter_regions())
 
 
 def _looped_block(source):
-    blocks = [block for ns, block in _compiled_blocks(source) if ns == "mem"]
-    assert blocks, "program compiled no tier-2 blocks"
-    looped = [b for b in blocks
-              if reference_summary(b.region).looped]
-    assert len(looped) == 1, "expected exactly one looped block"
-    assert looped[0].region == (looped[0],)
-    return looped[0]
+    regions = [region for region in _compiled_regions(source)
+               if not region[0].mram]
+    assert regions, "program compiled no tier-2 regions"
+    looped = [region for region in regions
+              if reference_summary(region).looped]
+    assert len(looped) == 1, "expected exactly one looped region"
+    assert len(looped[0]) == 1
+    return looped[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +165,8 @@ def test_corpus_slice_validates_clean():
 
 def test_hand_written_programs_validate_clean():
     for source in (LOOP, MEMLOOP, MIXLOOP):
-        for ns, block in _compiled_blocks(source):
-            assert validate_region(block.region) == []
+        for region in _compiled_regions(source):
+            assert validate_region(region) == []
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +209,8 @@ def test_detects_corrupted_imm_template(mutant):
         machine.load_and_run(LOOP, base=CODE_BASE, max_instructions=10_000)
     findings = []
     cited = []
-    for ns, block in machine.sim.tcache.iter_jit_blocks():
-        fs = validate_region(block.region)
+    for region in machine.sim.tcache.iter_regions():
+        fs = validate_region(region)
         findings.extend(fs)
         cited.extend(f.where for f in fs)
     assert findings, "corrupted addi template was not detected"
@@ -229,8 +231,8 @@ def test_detects_broken_loop_guard(mutant):
     machine = _machine()
     machine.load_and_run(LOOP, base=CODE_BASE, max_instructions=100_000)
     findings = []
-    for ns, block in machine.sim.tcache.iter_jit_blocks():
-        findings.extend(validate_region(block.region))
+    for region in machine.sim.tcache.iter_regions():
+        findings.extend(validate_region(region))
     assert findings, "broken self-loop guard was not detected"
 
 
@@ -244,7 +246,7 @@ def test_detects_dropped_horizon_exit(mutant, engine):
         if store:
             self.emit(f"if not b{self.k}.valid:")
             self.indent += 1
-            self.abort(pc + 4)
+            self.out(1, pc + 4)
             self.indent -= 1
 
     def cited():
@@ -252,14 +254,38 @@ def test_detects_dropped_horizon_exit(mutant, engine):
             engine=engine, with_caches=False))
         machine.load_and_run(MEMLOOP, base=CODE_BASE)
         tcache = machine.sim.tcache
-        return [f.where for ns, block in tcache.iter_jit_blocks()
-                for f in validate_region(block.region,
+        return [f.where for region in tcache.iter_regions()
+                for f in validate_region(region,
                                          scoreboard=tcache.scoreboard)]
 
     assert cited() == []
     mutant(jit._Codegen, "access_exit", store_exit_only)
     assert any("mem:0x" in where for where in cited()), (
         "dropped horizon exit was not detected")
+
+
+def test_detects_a_trap_read_after_its_handler(mutant):
+    """Python unbinds an ``except ... as`` name as the handler ends: a
+    codegen whose ``TrapException`` handler binds ``trap`` itself, so a
+    trapped path's epilogue reads an unbound name, fails validation,
+    though no run of the program traps."""
+    real = jit._Codegen.emit
+
+    def bind_trap(self, line=""):
+        if line == "except TrapException as _x:":
+            line = "except TrapException as trap:"
+        elif line == "    trap = _x":
+            return
+        real(self, line)
+
+    mutant(jit._Codegen, "emit", bind_trap)
+    machine = _machine()
+    machine.load_and_run(MEMLOOP, base=CODE_BASE)
+    findings = [f for region in machine.sim.tcache.iter_regions()
+                for f in validate_region(region)]
+    assert findings, "a read of the handler's unbound name was not detected"
+    assert all(f.detail == "read of undefined name 'trap'"
+               for f in findings)
 
 
 def test_detects_missing_mram_bound_check(mutant):
@@ -269,10 +295,10 @@ def test_detects_missing_mram_bound_check(mutant):
     def run():
         machine = _machine([IDX])
         machine.load_and_run(MENTER_LOOP, base=CODE_BASE)
-        blocks = [(ns, b) for ns, b in machine.sim.tcache.iter_jit_blocks()
-                  if ns == "mram"]
-        assert blocks, "no mram block was tier-2 compiled"
-        return [f for ns, b in blocks for f in validate_region(b.region)]
+        regions = [region for region in machine.sim.tcache.iter_regions()
+                   if any(block.mram for block in region)]
+        assert regions, "no mram block was tier-2 compiled"
+        return [f for region in regions for f in validate_region(region)]
 
     assert run() == []
     real = jit._Codegen.emit
@@ -314,10 +340,10 @@ def _cached_findings(engine):
     machine = build_metal_machine([], config=MachineConfig(engine=engine))
     tc = machine.sim.tcache
     machine.load_and_run(TWO_LINES, base=CODE_BASE)
-    blocks = list(tc.iter_jit_blocks())
-    assert blocks, "program compiled no tier-2 blocks"
-    return [f for ns, b in blocks
-            for f in validate_region(b.region, tc.line_size, tc.scoreboard)]
+    regions = list(tc.iter_regions())
+    assert regions, "program compiled no tier-2 regions"
+    return [f for region in regions
+            for f in validate_region(region, tc.line_size, tc.scoreboard)]
 
 
 @pytest.mark.parametrize("engine", ["functional", "pipeline"])
@@ -405,10 +431,10 @@ def _transition_findings(engine, caches):
     machine.route_cause(Cause.ECALL, "ecallh")
     machine.load_and_run(TRANSITIONS, base=CODE_BASE)
     tc = machine.sim.tcache
-    blocks = list(tc.iter_jit_blocks())
-    return ([f for ns, b in blocks
-             for f in validate_region(b.region, tc.line_size, tc.scoreboard)],
-            [(ns, b.jit_fn.__jit_source__) for ns, b in blocks])
+    regions = list(tc.iter_regions())
+    return ([f for region in regions
+             for f in validate_region(region, tc.line_size, tc.scoreboard)],
+            [region[0].jit_fn.__jit_source__ for region in regions])
 
 
 @pytest.mark.parametrize("engine,caches", [
@@ -419,8 +445,8 @@ def test_transitions_validate_clean(engine, caches):
     every codegen mode."""
     findings, sources = _transition_findings(engine, caches)
     assert findings == []
-    text = "\n".join(source for _ns, source in sources)
-    assert "_ecall, m, hz)" in text and "_mr[" in text
+    text = "\n".join(sources)
+    assert "trap = _ecall" in text and "_mr[" in text
     assert "_deliver(" in text and "_enter(" in text
     if engine == "functional":
         assert "_exit()" in text and "_rset(" in text
@@ -440,21 +466,33 @@ def test_detects_mexit_without_its_cost(mutant):
     assert all(f.where.startswith("mram:0x") for f in findings)
 
 
+def _uncredited(self, status=0, pc=None, trap=None):
+    """A status-2 exit that returns on its own, its registers spilled
+    and its cycles flushed, but without the epilogue's hit credit."""
+    if status != 2:
+        return jit._Codegen.out(self, status, pc, trap)
+    self.spill()
+    if not self.scoreboard:
+        self.emit("timer.cycles += cyc")
+    self.emit(f"return (2, {pc}, retired, loops, {trap}, m, hz)")
+
+
 def _without(emitter, drop):
     """*emitter* (a ``_Codegen`` method) run with its I-cache fetch
     (``fetch``: no access or hit is emitted, and the latency is a
-    hit's) or its exits' hit credit (``credit``) left out."""
+    hit's) or its trap exits' hit credit (``credit``: they return
+    before the epilogue) left out."""
     real = getattr(jit._Codegen, emitter)
 
     def emit(self, *args):
         if drop == "fetch":
             self.fetch = lambda index, pc: (self.bc, self.ml)
         else:
-            self.credit = lambda: None
+            self.out = lambda *exit: _uncredited(self, *exit)
         try:
             real(self, *args)
         finally:
-            del self.__dict__[drop]
+            del self.__dict__["fetch" if drop == "fetch" else "out"]
     return emit
 
 
@@ -525,8 +563,8 @@ def _scoreboard_findings(source):
     machine.load_and_run(source, base=CODE_BASE)
     tc = machine.sim.tcache
     assert tc.scoreboard
-    return [f for ns, b in tc.iter_jit_blocks()
-            for f in validate_region(b.region, tc.line_size, tc.scoreboard)]
+    return [f for region in tc.iter_regions()
+            for f in validate_region(region, tc.line_size, tc.scoreboard)]
 
 
 @pytest.mark.parametrize("mutate,run,where", [
@@ -615,10 +653,10 @@ def _intercept_findings(mode):
     machine.core.pc = CODE_BASE
     machine.run(max_instructions=2_000, raise_on_limit=False)
     tc = machine.sim.tcache
-    blocks = list(tc.iter_jit_blocks())
-    return ([f for ns, b in blocks
-             for f in validate_region(b.region, tc.line_size, tc.scoreboard)],
-            [b.jit_fn.__jit_source__ for _ns, b in blocks
+    regions = list(tc.iter_regions())
+    return ([f for region in regions
+             for f in validate_region(region, tc.line_size, tc.scoreboard)],
+            [b.jit_fn.__jit_source__ for region in regions for b in region
              if b.entries[-1][2] & tcache_mod.F_ICEPT],
             machine.core.metal.intercept.hits)
 
@@ -649,9 +687,8 @@ def _mutant_intercept(drop):
                                              "timer.note_event(_f)",
                                              "timer.note_event(_ml)"):
                 return
-            if drop == "epc":
-                line = line.replace(f"return (2, {pc},",
-                                    f"return (2, {pc + 4},")
+            if drop == "epc" and line == f"next_pc = {pc}":
+                line = f"next_pc = {pc + 4}"
             plain(self, line)
         self.emit = rewrite
         try:
@@ -718,10 +755,12 @@ def _jump_findings(mode):
         engine=engine, with_caches=caches))
     machine.load_and_run(JUMP_LOOP, base=CODE_BASE)
     tc = machine.sim.tcache
-    blocks = list(tc.iter_jit_blocks())
-    return ([f for ns, b in blocks
-             for f in validate_region(b.region, tc.line_size, tc.scoreboard)],
-            sum(1 for _ns, b in blocks for instr, _pc, flags in b.entries
+    regions = list(tc.iter_regions())
+    return ([f for region in regions
+             for f in validate_region(region, tc.line_size, tc.scoreboard)],
+            sum(1 for region in regions for b in region
+                if not tc.is_prefix(b)
+                for instr, _pc, flags in b.entries
                 if instr.mnemonic == "jal" and not flags & tcache_mod.F_TERM))
 
 
@@ -869,7 +908,7 @@ def test_regions_validate_clean(mode):
     assert _poly_findings(*ICEPT_MODES[mode]) == []
     findings, sources = _transition_findings(*ICEPT_MODES[mode])
     assert findings == []
-    assert any("elif m == 1:" in source for _ns, source in sources)
+    assert any("elif m == 1:" in source for source in sources)
 
 
 @pytest.mark.parametrize("mutate,run,where", [
