@@ -31,21 +31,24 @@ compiled at its first dispatch, and so is a prefix block's
   in one batch, in the epilogue.
 
 The codegen mode follows from the engine, never from an option (see
-docs/PERF.md), and decides only where guest registers live and how an
-entry is charged; one emitter per entry class serves every mode.  With
-the analytic timer, guest registers live in host locals and costs add
-into ``cyc``, in lockstep with
-:class:`~repro.cpu.functional.SimpleTimer` (*uncached*, or *cached* for
-mem blocks of a core with an I-cache).  With the pipeline scoreboard
-(*scoreboard*) the registers stay in ``core.regs``, each run of plain
-entries ends in one ``timer.note_run`` with the run's schedule, and
-every other inlined entry (branch, ``jal``, ``jalr``, muldiv, load,
-store, ``menter`` in a region with mram members, and in mroutines
-``mld``/``mst`` and ``mexit``/``mexitm``) makes one ``timer.note_op``
-with what ``execute()`` would report.  Only CSR, SYSTEM and
-architectural-feature terminators (and any other ``menter``, a mem
-block's illegal ``mexit``) stay ``execute()`` entries whose StepInfo
-goes to ``timer.note``.  Inside compiled mroutines every
+docs/PERF.md), and decides only how an entry is charged; one emitter
+per entry class serves every mode, and in every mode the guest
+registers live in host locals.  With the analytic timer, costs add into
+``cyc``, in lockstep with :class:`~repro.cpu.functional.SimpleTimer`
+(*uncached*, or *cached* for mem blocks of a core with an I-cache).
+With the pipeline scoreboard (*scoreboard*) each run of plain entries
+is reported in one ``timer.note_run`` with the run's
+:class:`~repro.cpu.pipeline.RunPlan`, which also reports the entry that
+ends the run when that entry retires before any exit can read the
+cycles: a branch, ``jal``, ``jalr``, muldiv, and in mroutines
+``mexit``/``mexitm`` (the plan holds its line head, accessed inside the
+call after the run's, and the registers it reads).  Every other inlined
+entry (load, store, ``menter`` in a region with mram members, in
+mroutines ``mld``/``mst``, and an op no run precedes) makes one
+``timer.note_op`` with what ``execute()`` would report.  Only CSR,
+SYSTEM and architectural-feature terminators (and any other ``menter``,
+a mem block's illegal ``mexit``) stay ``execute()`` entries whose
+StepInfo goes to ``timer.note``.  Inside compiled mroutines every
 ``mld``/``mst`` is a raw ``struct`` access on the MRAM data bytearray
 behind the test :meth:`repro.metal.mram.Mram._check_data` makes, so no
 site needs a static proof, and every ``rmr``/``wmr`` indexes the MReg
@@ -56,9 +59,9 @@ The Metal transitions are compiled too (docs/PERF.md, "Crossings" and
 "Regions"): in a region with mram members ``menter`` calls the unit's
 ``enter()`` (an entry with no mroutine is the illegal-instruction trap
 ``execute()`` raises); ``mexit``/``mexitm`` call the unit's
-``exit_metal()`` and charge the fetch plus ``mexit_cost`` (a ``note_op``
-with the ``mexit`` redirect, and for ``mexitm`` the register it commits,
-in scoreboard mode), and ``mexitm`` commits ``m27`` into ``x[m26 & 31]``
+``exit_metal()`` and charge the fetch plus ``mexit_cost`` (the ``mexit``
+redirect, and for ``mexitm`` the register it commits, in scoreboard
+mode), and ``mexitm`` commits ``m27`` into ``x[m26 & 31]``
 over the spilled register file.  A mem block's ``ecall`` is fetched and
 leaves with status 2 and an ECALL trap that is never raised, and its
 intercept terminator (``F_ICEPT``) is fetched, charges its raw fetch
@@ -138,6 +141,7 @@ from repro.cpu.tcache import (
     fetch_plan,
     uop_ir,
 )
+from repro.cpu.pipeline import RunPlan
 from repro.isa.instruction import InstrClass
 
 _M = 0xFFFFFFFF
@@ -180,7 +184,9 @@ _PENALTY = {"branch": "_bt", "jal": "_jp", "jalr": "_bt", "mexit": "_mxc",
             "menter": "_mec"}
 
 #: Classes whose emitter retires the entry before any exit, so the
-#: plain entries flushed before it retire in the same statement.
+#: plain entries flushed before it retire in the same statement, and in
+#: scoreboard mode are reported in the same ``note_run`` (as are those
+#: before an mram member's ``mexit``/``mexitm``).
 _CARRY_CLASSES = frozenset((InstrClass.BRANCH, InstrClass.JAL,
                             InstrClass.JALR, InstrClass.MULDIV))
 
@@ -292,6 +298,11 @@ class _Codegen:
         self.uses_me = False
         self.run = []               # scoreboard: pending run schedule
         self.schedules = 0          # scoreboard: runs bound so far
+        #: Scoreboard: the schedule of the run the next op's charge
+        #: reports along, and from the op's fetch on :meth:`fetch`'s
+        #: ``tail``.
+        self.fused = None
+        self.tail = None
 
     def member(self, k: int) -> None:
         """Emit member *k* from now on: its namespace, fetch plan and
@@ -320,30 +331,28 @@ class _Codegen:
         self.lines.append(("    " * self.indent + line) if line else "")
 
     def reg(self, n: int) -> str:
-        """Source for guest register *n*: a literal 0 for x0, a host
-        local, or (scoreboard mode) the register file itself."""
-        if n == 0:
-            return "0"
-        return f"regs[{n}]" if self.scoreboard else f"r{n}"
+        """Source for guest register *n*: a literal 0 for x0, else its
+        host local."""
+        return f"r{n}" if n else "0"
 
     def flush_units(self, carry: bool = False) -> None:
         """Retire the pending plain entries: one ``note_run`` with their
         schedule (scoreboard), or their batched fetch cost.  Their hit
         count goes to the next entry's fetch, and with *carry* (that
         entry retires before any exit can read ``retired``) their
-        retirements to its :meth:`retire`."""
+        retirements to its :meth:`retire`, and in scoreboard mode their
+        schedule to its charge, which reports run and op in one call."""
         n = self.units
         if not n:
             return
         fetches = self.fetches
         self.units = self.fetches = 0
         if self.scoreboard:
-            key = f"_q{self.schedules}"
-            self.schedules += 1
-            self.ns[key] = tuple(self.run)
+            if carry:
+                self.fused = self.run
+            else:
+                self.note_run(self.bind_run(self.run))
             self.run = []
-            access = "access" if self.cached else "None"
-            self.emit(f"note_run({key}, {access}, {self.bc})")
         if carry:
             self.carry = n
         else:
@@ -382,16 +391,40 @@ class _Codegen:
 
     def fetch(self, index: int, pc: int):
         """Emit the fetch of a non-plain entry.  Returns source for its
-        clamped cycle cost and for the latency ``execute()`` is told."""
+        clamped cycle cost and for the latency ``execute()`` is told.
+        In scoreboard mode after a run, the entry's charge reports the
+        run along (:attr:`tail`: the run, the entry's line head or None,
+        and the plan's name once bound), and a line head is accessed
+        inside that call: latency None."""
         head = self.heads[index]
         if self.cached and (self.carry_ih or not head):
             # A non-head fetch counts with the carried ones.
             self.emit(f"ih += {self.carry_ih + (0 if head else 1)}")
             self.carry_ih = 0
+        run, self.fused = self.fused, None
+        self.tail = None
+        if run is not None:
+            self.tail = [run, pc if head else None, None]
+            return None, "None" if head else self.ml
         if head:
             self.emit(f"_f = access({pc})")
             return "(_f if _f > 1 else 1)", "_f"
         return self.bc, self.ml
+
+    def note_run(self, key: str, op: str = "") -> None:
+        """Emit the ``note_run`` of the run bound as *key*, with the
+        arguments *op* of the op fused after it."""
+        access = "access" if self.cached else "None"
+        self.emit(f"note_run({key}, {access}, {self.bc}{op})")
+
+    def bind_run(self, schedule, op=None) -> str:
+        """Bind a run's schedule, with the plan of its closed form and
+        of the *op* reported after it (:class:`~repro.cpu.pipeline.
+        RunPlan`), in the namespace; returns the name."""
+        key = f"_q{self.schedules}"
+        self.schedules += 1
+        self.ns[key] = RunPlan(schedule, op)
+        return key
 
     def spill(self) -> None:
         for n in sorted(self.tracked):
@@ -439,10 +472,17 @@ class _Codegen:
         and writes (source text, 0 for none), *mem* the source of its
         data latency (``_l`` after a load or store, ``_mm`` for an MRAM
         data access), *extra* its EX-extra timing local and *control*
-        its redirect kind."""
+        its redirect kind.  After a run, the scoreboard's ``note_run``
+        reports the run and this entry (no data access) in one call."""
         cost, lat = fetch
         if extra:
             self.timing_needs.add(extra)
+        if self.tail is not None:
+            run, head, key = self.tail
+            if key is None:
+                key = self.tail[2] = self.bind_run(run, (head, *reads))
+            self.note_run(key, f", {lat}, {rd}, {extra or 0}, {control!r}")
+            return
         if self.scoreboard:
             self.emit(f"note_op({lat}, {reads[0]}, {reads[1]}, {rd}, "
                       f"{mem or 0}, {is_load}, {extra or 0}, {control!r})")
@@ -557,7 +597,7 @@ class _Codegen:
     # -- scan pass -------------------------------------------------------
     def scan(self) -> None:
         """Classify every entry: the registers the inline code touches
-        (host locals in the analytic modes), whether any may trap, and
+        (host locals), whether any may trap, and
         whether any can invalidate a block."""
         track = set()
         for block in self.members:
@@ -613,10 +653,8 @@ class _Codegen:
                 else:
                     self.trapping = True  # an execute() dispatch
                     self.quiet = False
-        if not self.scoreboard:
-            # Scoreboard code keeps the registers in ``regs``.
-            track.discard(0)
-            self.tracked = track
+        track.discard(0)
+        self.tracked = track
 
     # -- body emission ---------------------------------------------------
     def emit_entry(self, index: int, entry) -> None:

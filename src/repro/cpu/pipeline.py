@@ -41,6 +41,67 @@ from repro.isa.instruction import InstrClass
 from repro.cpu.timing import TimingModel
 
 
+def run_plan(schedule, op=None) -> tuple:
+    """The plan :meth:`PipelineTimer.note_run` reads for a run of plain
+    entries, derived once from its *schedule* (one ``(head, rs_a, rs_b,
+    rd)`` per entry) and, when an op is reported in the same call, from
+    *op*: ``(head, rs_a, rs_b)``, the pc of the op's fetch when that is
+    a line head (else None) and the registers it reads.
+
+    Returns ``(m, same_line, fetch_bound)``: *m* counts the run's
+    entries and the op, and the two term lists serve fetches that cost
+    one cycle off a line head, and fetches that cost more.  Each term is
+    ``(j, kind, x)`` with ``j`` counting from 1, in program order: a
+    write (kind 0) of register ``x`` by its last writer, ``j`` one past
+    it; a read (1) of register ``x`` before the run writes it, by its
+    first reader; a line head (2) at pc ``x``; in the fetch-bound list
+    only, a same-line fetch of the run (3); the op's own fetch when it
+    is no line head (4).  At one ``j`` a fetch comes before a read, a
+    read before a write.
+    """
+    entries = list(schedule)
+    if op is not None:
+        head, rs_a, rs_b = op
+        entries.append((head, rs_a, rs_b, 0))
+    first_read = {}
+    last_write = {}
+    terms = []
+    ticks = []
+    for j, (pc, rs_a, rs_b, rd) in enumerate(entries, 1):
+        if pc is not None:
+            terms.append((j, 1, 2, pc))
+        elif j > len(schedule):
+            terms.append((j, 1, 4, 0))
+        else:
+            ticks.append((j, 0, 3, 0))
+        for reg in (rs_a, rs_b):
+            if reg and reg not in first_read and reg not in last_write:
+                first_read[reg] = j
+        if rd:
+            last_write[rd] = j
+    terms.extend((j, 2, 1, reg) for reg, j in first_read.items())
+    terms.extend((j, 3, 0, reg) for reg, j in last_write.items())
+
+    def ordered(items):
+        return tuple((j + 1 if kind == 0 else j, kind, x)
+                     for j, _order, kind, x in sorted(items))
+    return len(entries), ordered(terms), ordered(terms + ticks)
+
+
+class RunPlan(tuple):
+    """A run's schedule as MJIT binds it for
+    :meth:`PipelineTimer.note_run`: the tuple itself, which the
+    translation validator reads, with the fused *op* (``(head, rs_a,
+    rs_b)`` or None) and the :func:`run_plan` derived from both as
+    ``plan``."""
+
+    def __new__(cls, schedule, op=None):
+        self = super().__new__(cls, schedule)
+        self.op = op
+        self.plan = run_plan(self, op)
+        return self
+
+
 class PipelineTimer:
     """Scoreboard scheduler for a classic 5-stage in-order pipeline."""
 
@@ -103,7 +164,9 @@ class PipelineTimer:
         MEM), in EX for *extra* cycles past the first, and redirecting
         fetch by control kind *control* (None for none).  :meth:`note`
         reports a StepInfo this way, and MJIT's scoreboard-mode code
-        reports every entry it inlines outside a :meth:`note_run` run.
+        every entry it inlines that neither belongs to a :meth:`note_run`
+        run nor ends one: loads, stores, ``menter``, and an op no run
+        precedes.
         """
         # The max-plus recurrence of the stages, as compare-and-assign on
         # locals: each stage ends one cycle after the previous
@@ -165,74 +228,113 @@ class PipelineTimer:
         if wb_end > self.cycles:
             self.cycles = wb_end
 
-    def note_run(self, schedule, access, fetch_cost: int) -> None:
-        """:meth:`note_op` over a run of plain instructions, in one call.
+    def note_run(self, run, access, fetch_cost: int, fetch=None,
+                 rd: int = 0, extra: int = 0, control=None) -> None:
+        """:meth:`note_op` over a run of plain instructions and the op
+        that ends it, in one call and in closed form.
 
         MJIT's scoreboard-mode code (``repro.cpu.jit``) calls this for
         each run of plain entries of a compiled block: ALU,
-        ``lui``/``auipc`` and ``fence`` entries, which never stall in
-        MEM, redirect fetch or take EX extra cycles.  *schedule* holds
-        one ``(head, rs_a, rs_b, rd)`` per instruction: *head* is the pc
-        of a fetch-plan line head, fetched through *access*, or None for
-        a fetch costing *fetch_cost*; ``rs_a``/``rs_b`` are the
-        registers the instruction reads (0 for none) and *rd* the one it
-        writes (0 for none).  Line heads are accessed in program order,
-        and the scoreboard is read into locals and written back once.
+        ``lui``/``auipc`` and ``fence`` entries (and in mroutines
+        ``rmr``/``wmr``), which never stall in MEM, redirect fetch or
+        take EX extra cycles.  *run* is the run's :class:`RunPlan`: its
+        schedule, one ``(head, rs_a, rs_b, rd)`` per instruction, whose
+        *head* is the pc of a fetch-plan line head, fetched through
+        *access*, or None for a fetch costing *fetch_cost*.  When the
+        plan fuses an op, the op follows the run as :meth:`note_op`
+        would schedule it with no data access, reading the registers the
+        plan names and writing *rd*, in EX for *extra* cycles past the
+        first and redirecting by *control*: fetched in *fetch* cycles,
+        or, with *fetch* None, through *access* at the line head the
+        plan names, after the run's heads.
+
+        Line heads are accessed in program order, and the work is per
+        head, per register read before it is written and per register
+        written (:func:`run_plan`), not per instruction, unless a
+        same-line fetch costs more than a cycle (each is then a term):
+        with I, D, E, M and W the stage ends once the pending redirect
+        is met, and H_j the extra cycles of the first j fetches,
+        instruction j leaves the stages at::
+
+            IF_j = I + j + H_j,  ID_j = max(D + j, IF_j + 1)
+            EX_j = j + max(E, D + 1, I + H_j + 2,
+                           max over external reads i <= j of ready[r_i] - i)
+            MEM_j = max(M + j, EX_j + 1),  WB_j = max(W + j, MEM_j + 1)
+
+        since every fetch takes a cycle at least (``IF_j - j`` never
+        falls) and an operand the run writes itself never waits:
+        forwarding delivers it by its reader's EX slot.  A read stalls
+        by as much as it raises the running maximum, and a register's
+        last writer j leaves it ready at ``EX_j + 1``.
         """
-        if fetch_cost < 1:
-            fetch_cost = 1
+        m, same_line, fetch_bound = run.plan
+        if fetch_cost > 1:
+            terms = fetch_bound
+            extra_fetch = fetch_cost - 1
+        else:
+            terms = same_line
         ready = self._ready
-        if_end = self._if_end
-        id_end = self._id_end
-        ex_end = self._ex_end
-        mem_end = self._mem_end
-        wb_end = self._wb_end
-        # Only the run's first fetch can wait for a redirect: every later
-        # one starts after an IF that began at or past it.
+        # Only the first fetch can wait for a redirect: every later one
+        # starts after an IF that began at or past it.
+        if_base = self._if_end
         redirect = self._redirect
-        if redirect > if_end + 1:
-            self.stall_control += redirect - if_end - 1
-            if_end = redirect - 1
-        fetch_stall = 0
+        if redirect > if_base + 1:
+            self.stall_control += redirect - if_base - 1
+            if_base = redirect - 1
+        id_base = self._id_end
+        # ``floor`` is I + H_j + 2 and ``top`` EX_j - j.
+        floor = if_base + 2
+        top = self._ex_end
+        if id_base >= top:
+            top = id_base + 1
+        if floor > top:
+            top = floor
         load_use = 0
-        for head, rs_a, rs_b, rd in schedule:
-            if head is None:
-                fetch = fetch_cost
+        for j, kind, x in terms:
+            if not kind:
+                ready[x] = top + j
+            elif kind == 1:
+                operand = ready[x] - j
+                if operand > top:
+                    load_use += operand - top
+                    top = operand
             else:
-                fetch = access(head)
-                if fetch < 1:
-                    fetch = 1
-            if_end += fetch
-            fetch_stall += fetch - 1
-            id_end += 1
-            if if_end >= id_end:
-                id_end = if_end + 1
-            ex_end += 1
-            if id_end >= ex_end:
-                ex_end = id_end + 1
-            operand = ready[rs_a]
-            if ready[rs_b] > operand:
-                operand = ready[rs_b]
-            if operand > ex_end:
-                load_use += operand - ex_end
-                ex_end = operand
-            mem_end += 1
-            if ex_end >= mem_end:
-                mem_end = ex_end + 1
-            wb_end += 1
-            if mem_end >= wb_end:
-                wb_end = mem_end + 1
-            if rd:
-                ready[rd] = ex_end + 1
+                if kind == 3:
+                    floor += extra_fetch
+                else:
+                    latency = access(x) if kind == 2 else fetch
+                    if latency > 1:
+                        floor += latency - 1
+                if floor > top:
+                    top = floor
+        fetch_stall = floor - if_base - 2
+        if_end = floor - 2 + m
+        id_end = id_base + m
+        if if_end >= id_end:
+            id_end = if_end + 1
+        ex_end = top + m + extra
+        mem_end = self._mem_end + m
+        if ex_end >= mem_end:
+            mem_end = ex_end + 1
+        wb_end = self._wb_end + m
+        if mem_end >= wb_end:
+            wb_end = mem_end + 1
+        if rd:
+            ready[rd] = ex_end + 1
+        if control is not None:
+            in_ex, delta = self._redirects[control]
+            self._redirect = (ex_end if in_ex else id_end) + delta
         self._if_end = if_end
         self._id_end = id_end
         self._ex_end = ex_end
         self._mem_end = mem_end
         self._wb_end = wb_end
-        self.stall_fetch += fetch_stall
-        self.stall_load_use += load_use
-        # ``wb_end`` rises with every instruction, so the run's last one
-        # is its latest.
+        if fetch_stall:
+            self.stall_fetch += fetch_stall
+        if load_use:
+            self.stall_load_use += load_use
+        # ``wb_end`` rises with every instruction, so the last one is
+        # the latest.
         if wb_end > self.cycles:
             self.cycles = wb_end
 

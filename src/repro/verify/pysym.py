@@ -22,8 +22,11 @@ symbolic latency), ``timer.note_run(schedule, access, fetch_cost)``
 with the schedule the exec namespace binds, ``timer.note(step)``,
 ``timer.note_op(fetch, rs_a, rs_b, rd, mem, is_load, extra, control)``
 with its eight arguments, and the one-batch I-cache hit credit
-``_ist.hits += ih``.  So are the Metal
-unit's state accesses: an MReg list read or write, ``exit_metal()``
+``_ist.hits += ih``.  A ``note_run`` that also reports the op ending
+the run reads as the events it replaces: the run's, the op's line-head
+``access`` (when its plan names one) and the op's ``note_op``.  So are
+the Metal unit's state accesses: an MReg list read or write,
+``exit_metal()``
 (with a symbolic resume pc), and the status-2 exit of the unraised
 ECALL trap the namespace binds as ``_ecall`` or of the INTERCEPT trap a
 member binds as ``_icept<k>`` (with its word); ``mexitm``'s
@@ -58,6 +61,7 @@ import copy
 import re
 
 from repro.cpu.exceptions import Cause, TrapException
+from repro.cpu.pipeline import RunPlan
 from repro.verify import sym as S
 from repro.verify.model import Exit, Summary, valid_name
 
@@ -381,7 +385,7 @@ class _Ev:
             return _Mark("opfn", m.group(1))
         if _SCHED_NAME.match(name):
             sched = self.ns.get(name)
-            if not isinstance(sched, tuple):
+            if not isinstance(sched, RunPlan):
                 raise UnsupportedSource(f"schedule {name!r} is not bound")
             return sched
         if name == "_ecall":
@@ -498,6 +502,8 @@ class _Ev:
         fn = self.eval(node.func, st)
         if not isinstance(fn, _Mark):
             raise UnsupportedSource("call of non-helper")
+        if fn.tag == "note_run":
+            return self.note_run(node, st)
         kwargs = {}
         for kw in node.keywords:
             if kw.arg is None:
@@ -551,16 +557,6 @@ class _Ev:
             k = st.alloc(("note", step.arg))
             st.tc = _esym(k, "tc")
             return None
-        if tag == "note_run":
-            self.expect_args(tag, args, kwargs, 3)
-            sched, access, cost = args
-            if not isinstance(sched, tuple) or not (
-                    access is None or access == _ACCESS):
-                raise UnsupportedSource("note_run() call shape")
-            k = st.alloc(("note_run", sched,
-                          None if access is None else "access", cost))
-            st.tc = _esym(k, "tc")
-            return None
         if tag in ("note_event", "note_trap", "note_intercept"):
             self.expect_args(tag, args, kwargs,
                              0 if tag == "note_intercept" else 1)
@@ -612,6 +608,48 @@ class _Ev:
             k = st.alloc(("raise", args[0], args[1]))
             return _Mark("trapval", k)
         raise UnsupportedSource(f"call of {tag}")
+
+    def note_run(self, node: ast.Call, st: CState) -> None:
+        """``note_run(run, access, fetch_cost)``, and with an op fused
+        ``note_run(run, access, fetch_cost, fetch, rd, extra,
+        control)``: the run's event, with the schedule bound as *run*;
+        then, when its plan fuses an op, the events that op's own fetch
+        and charge would make: the access of the line head the plan
+        names (*fetch* None), and a ``note_op`` with the registers the
+        plan names it reading and no data access.  The op's arguments
+        are read after the run's event, as the reference reads the op
+        after the run: they read no timer state, and the timer none of
+        the guest's."""
+        args = node.args
+        if node.keywords or len(args) not in (3, 7):
+            raise UnsupportedSource("note_run() call shape")
+        run, access, cost = (self.eval(a, st) for a in args[:3])
+        if not isinstance(run, RunPlan) or not (
+                access is None or access == _ACCESS):
+            raise UnsupportedSource("note_run() call shape")
+        if (run.op is None) != (len(args) == 3):
+            raise UnsupportedSource("note_run() arguments do not match "
+                                    "its plan's op")
+        k = st.alloc(("note_run", tuple(run),
+                      None if access is None else "access", cost))
+        st.tc = _esym(k, "tc")
+        if run.op is None:
+            return None
+        head, rs_a, rs_b = run.op
+        fetch = self.eval(args[3], st)
+        if (fetch is None) != (head is not None) or (
+                head is not None and access is None):
+            raise UnsupportedSource("note_run() fetch does not match its "
+                                    "plan's op head")
+        if fetch is None:
+            fetch = _esym(st.alloc(("access", head)), "lat")
+        rd, extra, control = (self.eval(a, st) for a in args[4:])
+        if any(isinstance(a, _Mark) for a in (fetch, rd, extra, control)):
+            raise UnsupportedSource("note_run() of an opaque object")
+        k = st.alloc(("note_op", fetch, rs_a, rs_b, rd, 0, False, extra,
+                      control))
+        st.tc = _esym(k, "tc")
+        return None
 
     @staticmethod
     def expect_args(tag, args, kwargs, n) -> None:

@@ -12,15 +12,15 @@ calling convention.  It never looks at the generated Python source;
 :mod:`repro.verify.translate` requires the two to be identical.
 
 Every codegen mode has its reference here, from one rule per entry
-kind: the modes differ only in where guest registers live and in how
-an entry is charged (:meth:`_Ref.charge`).  *uncached* and *cached*
-(the analytic timer, with or without an I-cache fetch plan) add the
-SimpleTimer cost; *scoreboard* keeps the registers in the register
-file, reports runs of plain entries and mram ``rmr``/``wmr`` through
-``timer.note_run`` with their :func:`_schedule_regs` schedule, and
-every other inlined entry as one ``timer.note_op`` event carrying what
-``execute()`` reports (fetch latency, registers read and written, data
-latency, load or not, EX extra, redirect kind).  The terminators MJIT
+kind, and every mode keeps the guest registers in host locals: the
+modes differ only in how an entry is charged (:meth:`_Ref.charge`).
+*uncached* and *cached* (the analytic timer, with or without an I-cache
+fetch plan) add the SimpleTimer cost; *scoreboard* reports runs of
+plain entries and mram ``rmr``/``wmr`` through ``timer.note_run`` with
+their :func:`_schedule_regs` schedule, and every other inlined entry as
+one ``timer.note_op`` event carrying what ``execute()`` reports (fetch
+latency, registers read and written, data latency, load or not, EX
+extra, redirect kind).  The terminators MJIT
 does not inline are an ``execute()`` whose StepInfo goes to
 ``timer.note``.  The Metal transitions MJIT compiles have their own
 rules: a mem block's ``ecall`` (its fetch, then a status-2 exit with an
@@ -235,9 +235,7 @@ def scan_region(members, scoreboard: bool) -> RegionInfo:
                 if has_mram:
                     # The delivery latches the word's operand registers.
                     delivers = assigns_hz = True
-                    if not scoreboard:
-                        tracked.update(((instr >> 15) & 31,
-                                        (instr >> 20) & 31))
+                    tracked.update(((instr >> 15) & 31, (instr >> 20) & 31))
                 continue
             cls = instr.spec.cls
             m = instr.mnemonic
@@ -287,10 +285,9 @@ def scan_region(members, scoreboard: bool) -> RegionInfo:
             else:
                 raise UnsupportedBlock(
                     f"flagged non-terminator at {pc:#x} (flags={flags})")
-            if not scoreboard:  # scoreboard code keeps them in ``regs``
-                tracked.update(reads)
-                tracked.add(write)
-                written.add(write)
+            tracked.update(reads)
+            tracked.add(write)
+            written.add(write)
     tracked.discard(0)
     written.discard(0)
     if has_generic or commits:
@@ -424,17 +421,9 @@ class _Ref:
     def reg(self, n: int, st: RState):
         if n == 0:
             return 0
-        if self.scoreboard:
-            return st.regfile.get(n, self.regfile_default(n))
         if n not in st.regs:
             raise UnsupportedBlock(f"read of untracked register x{n}")
         return st.regs[n]
-
-    def set_reg(self, n: int, value, st: RState) -> None:
-        if self.scoreboard:
-            st.regfile[n] = value
-        else:
-            st.regs[n] = value
 
     def regfile_default(self, n: int):
         return S.sym(f"R{n}")
@@ -658,26 +647,26 @@ class _Ref:
         _k, rd, a, imm, m = ir
         if m not in IMM_SEM:
             raise UnsupportedBlock(f"no IMM_SEM rule for {m!r}")
-        self.set_reg(rd, IMM_SEM[m](self.reg(a, self.st), imm), self.st)
+        self.st.regs[rd] = IMM_SEM[m](self.reg(a, self.st), imm)
 
     def _ir_reg(self, ir) -> None:
         _k, rd, a, b, m = ir
         if m not in REG_SEM:
             raise UnsupportedBlock(f"no REG_SEM rule for {m!r}")
-        self.set_reg(rd, REG_SEM[m](self.reg(a, self.st),
-                                    self.reg(b, self.st)), self.st)
+        self.st.regs[rd] = REG_SEM[m](self.reg(a, self.st),
+                                      self.reg(b, self.st))
 
     def _ir_set(self, ir) -> None:
         _k, rd, value, _b, _m = ir
-        self.set_reg(rd, value, self.st)
+        self.st.regs[rd] = value
 
     # -- entry kinds ----------------------------------------------------
     def do_muldiv(self, index: int, instr) -> None:
         st = self.st
         m = instr.mnemonic
         if instr.rd:
-            self.set_reg(instr.rd, S.alu(m, self.reg(instr.rs1, st),
-                                         self.reg(instr.rs2, st)), st)
+            st.regs[instr.rd] = S.alu(m, self.reg(instr.rs1, st),
+                                      self.reg(instr.rs2, st))
         fetch = self.fetch(st, index)
         st.retired = S.add(st.retired, 1)
         self.charge(st, fetch, (instr.rs1, instr.rs2), instr.rd,
@@ -687,7 +676,7 @@ class _Ref:
     def do_rmr(self, index: int, instr) -> None:
         if instr.rd:
             k = self.st.alloc(("mrr", instr.rs1))
-            self.set_reg(instr.rd, _esym(k, "val"), self.st)
+            self.st.regs[instr.rd] = _esym(k, "val")
         self.unit(index)
 
     def do_wmr(self, index: int, instr) -> None:
@@ -714,7 +703,7 @@ class _Ref:
         if instr.mnemonic == "mld":
             if instr.rd:
                 k = st.alloc(("upk", o))
-                self.set_reg(instr.rd, _esym(k, "val"), st)
+                st.regs[instr.rd] = _esym(k, "val")
             self.charge(st, fetch, (instr.rs1, 0), instr.rd, self.ml,
                         is_load=True)
         else:
@@ -768,7 +757,7 @@ class _Ref:
             threshold, mask = ext
             val = S.ite(S.le(threshold, val), S.or_(val, mask), val)
         if instr.rd:
-            self.set_reg(instr.rd, val, st)
+            st.regs[instr.rd] = val
         st.retired = S.add(st.retired, 1)
         self.charge(st, fetch, (instr.rs1, 0), instr.rd, lat, is_load=True)
         self.access_exit(pc, False)
@@ -973,7 +962,7 @@ class _Ref:
         st.retired = S.add(st.retired, 1)
         self.charge(st, fetch, rd=instr.rd, control="jal")
         if instr.rd:
-            self.set_reg(instr.rd, (pc + 4) & M32, st)
+            st.regs[instr.rd] = (pc + 4) & M32
         if flags & F_TERM:
             self.leave(st, target)
 
@@ -985,7 +974,7 @@ class _Ref:
         # Target reads rs1 before the link write (rd == rs1 is legal).
         t0 = S.and_(S.add(self.reg(instr.rs1, st), instr.imm), 0xFFFFFFFE)
         if instr.rd:
-            self.set_reg(instr.rd, (pc + 4) & M32, st)
+            st.regs[instr.rd] = (pc + 4) & M32
         self.leave(st, t0, dynamic=True)
 
     # -- whole region ---------------------------------------------------

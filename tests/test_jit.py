@@ -160,45 +160,47 @@ GOLDEN_SCOREBOARD_LOOP_BLOCK = textwrap.dedent("""\
         _ml = timing.mem_latency
         bc = _ml if _ml > 1 else 1
         note_run = timer.note_run
-        note_op = timer.note_op
         bud0 = budget - 3
         live = hz < 9223372036854775808
+        r5 = regs[5]
+        r6 = regs[6]
         retired = 0
         loops = 0
         status = 0
         trap = None
         while True:
-            regs[6] = (regs[6] + 1) & 4294967295
-            regs[5] = (regs[5] + -1) & 4294967295
-            note_run(_q0, None, bc)
+            r6 = (r6 + 1) & 4294967295
+            r5 = (r5 + -1) & 4294967295
             retired += 3
-            if regs[5] != 0:
-                note_op(_ml, 5, 0, 0, 0, False, 0, 'branch')
+            if r5 != 0:
+                note_run(_q0, None, bc, _ml, 0, 0, 'branch')
                 if retired <= bud0 and (not live or timer.cycles + 44 < hz) and loops < quantum:
                     loops += 1
                     continue
                 next_pc = 4104
                 break
             else:
-                note_op(_ml, 5, 0, 0, 0, False, 0, None)
+                note_run(_q0, None, bc, _ml, 0, 0, None)
                 next_pc = 4116
                 break
+        regs[5] = r5
+        regs[6] = r6
         return (status, next_pc, retired, loops, trap, m, hz)""")
 
 
 def test_golden_scoreboard_source_self_loop():
     """On the pipeline engine the same block keeps its registers in
-    ``regs``, reports its two plain entries in one ``note_run`` and the
-    branch, inline, as one ``note_op`` per arm, taken with its
-    redirect: no ``execute()``."""
+    host locals, as the analytic code does, and reports its two plain
+    entries and the branch that ends them in one ``note_run`` per arm,
+    the taken arm with its redirect: no ``note_op``, no ``execute()``."""
     m = _machine(engine="pipeline")
     m.load_and_run(LOOP, base=CODE_BASE)
     assert m.reg("t1") == 50
     source = m.sim.tcache._mem[CODE_BASE + 8].jit_fn.__jit_source__
     assert source.rstrip() == GOLDEN_SCOREBOARD_LOOP_BLOCK
     assert "execute(" not in source
-    assert source.count("note_run(") == 1
-    assert source.count("note_op(") == 2
+    assert source.count("note_run(") == 2
+    assert source.count("note_op(") == 0
 
 
 def _compiled_sources(engine, name):

@@ -1,13 +1,16 @@
 """Direct unit tests of the pipeline scoreboard: hand-computed schedules,
-and random sequences of StepInfos, positional single instructions and
-plain runs checked against the ``max()`` form it replaced."""
+and random sequences of StepInfos, positional single instructions,
+plain runs and runs with the op that ends them, from a fresh scoreboard
+and from arbitrary ones, checked against the ``max()`` form it
+replaced."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.cpu.core import CpuCore
 from repro.cpu.executor import StepInfo, execute
-from repro.cpu.pipeline import PipelineTimer
+from repro.cpu.pipeline import PipelineTimer, RunPlan
 from repro.cpu.tcache import _schedule_regs, uop_ir
 from repro.cpu.timing import TimingModel
 from repro.isa import decode
@@ -269,8 +272,7 @@ def _step_op(draw):
         reads=reads, control=control, is_load=is_load))
 
 
-@st.composite
-def _run_op(draw):
+def _run_entries(draw):
     entries = []
     for _ in range(draw(st.integers(1, 12))):
         mnemonic, cls, r1, r2, w = draw(st.sampled_from(_RUN_KINDS))
@@ -279,7 +281,37 @@ def _run_op(draw):
         rd = draw(_regs) if w else 0
         head = draw(st.none() | _latency)   # None: same-line fetch
         entries.append((mnemonic, cls, rs_a, rs_b, rd, head))
-    return ("run", tuple(entries), draw(_latency))
+    return tuple(entries)
+
+
+@st.composite
+def _run_op(draw):
+    return ("run", _run_entries(draw), draw(_latency))
+
+
+#: Ops MJIT reports in the ``note_run`` of the run they end: (mnemonic,
+#: class, reads rs1?, reads rs2?, writes rd?, control kinds)
+_FUSED_KINDS = (
+    ("bne", InstrClass.BRANCH, 1, 1, 0, (None, "branch")),
+    ("jal", InstrClass.JAL, 0, 0, 1, ("jal",)),
+    ("jalr", InstrClass.JALR, 1, 0, 1, ("jalr",)),
+    ("mul", InstrClass.MULDIV, 1, 1, 1, (None,)),
+    ("divu", InstrClass.MULDIV, 1, 1, 1, (None,)),
+    ("mexit", InstrClass.METAL, 0, 0, 0, ("mexit",)),
+    ("mexitm", InstrClass.METAL, 0, 0, 1, ("mexit",)),
+)
+
+
+@st.composite
+def _run_then_op(draw):
+    """A run and the op that ends it, reported in one call: the op's
+    fetch a line head (its latency) or not (the latency the call is
+    told)."""
+    mnemonic, cls, r1, r2, w, controls = draw(st.sampled_from(_FUSED_KINDS))
+    op = (mnemonic, cls, draw(_regs) if r1 else 0, draw(_regs) if r2 else 0,
+          draw(_regs) if w else 0, draw(st.sampled_from(controls)),
+          draw(st.booleans()), draw(_latency))
+    return ("run+op", _run_entries(draw), draw(_latency), op)
 
 
 #: Every control kind a StepInfo can report.
@@ -302,8 +334,8 @@ def _positional_op(draw):
 
 
 _ops = st.lists(st.one_of(
-    _step_op(), _step_op(), _run_op(), _run_op(),
-    _positional_op(), _positional_op(),
+    _step_op(), _step_op(), _run_op(), _run_op(), _run_then_op(),
+    _run_then_op(), _positional_op(), _positional_op(),
     st.tuples(st.just("event"), st.integers(0, 40)),
     st.tuples(st.just("trap"), st.booleans()),
     st.tuples(st.just("intercept")),
@@ -323,10 +355,19 @@ _FIELDS = ("_if_end", "_id_end", "_ex_end", "_mem_end", "_wb_end",
            "stall_control", "stall_fetch")
 
 
+def _extra(timing, mnemonic, cls):
+    if cls is not InstrClass.MULDIV:
+        return 0
+    return (timing.div_extra if mnemonic.startswith(("div", "rem"))
+            else timing.mul_extra)
+
+
 def _apply(ref, new, op):
-    """Feed *op* to both timers: runs go to *new* through ``note_run``
-    and to *ref* one instruction at a time, positional ops to *new*
-    through ``note_op`` and to *ref* as a StepInfo."""
+    """Feed *op* to both timers: runs (and the op ending one) go to
+    *new* through ``note_run`` with the plan the engine derives
+    (:class:`RunPlan`) and to *ref* one instruction at a time,
+    positional ops to *new* through ``note_op`` and to *ref* as a
+    StepInfo."""
     kind = op[0]
     if kind == "step":
         ref.note(op[1])
@@ -337,15 +378,10 @@ def _apply(ref, new, op):
         ref.note(step(mnemonic=mnemonic, cls=cls, fetch=fetch, mem=mem,
                       rd=rd, reads=(rs_a, rs_b), control=control,
                       is_load=is_load))
-        extra = 0
-        if cls is InstrClass.MULDIV:
-            timing = ref.timing
-            extra = (timing.div_extra
-                     if mnemonic.startswith(("div", "rem"))
-                     else timing.mul_extra)
-        new.note_op(fetch, rs_a, rs_b, rd, mem, is_load, extra, control)
-    elif kind == "run":
-        _kind, entries, fetch_cost = op
+        new.note_op(fetch, rs_a, rs_b, rd, mem, is_load,
+                    _extra(ref.timing, mnemonic, cls), control)
+    elif kind in ("run", "run+op"):
+        entries, fetch_cost = op[1], op[2]
         heads = {}
         schedule = []
         for i, (mnemonic, cls, rs_a, rs_b, rd, head) in enumerate(entries):
@@ -364,7 +400,19 @@ def _apply(ref, new, op):
         def access(pc):
             accessed.append(pc)
             return heads[pc]
-        new.note_run(tuple(schedule), access, fetch_cost)
+        if kind == "run":
+            new.note_run(RunPlan(schedule), access, fetch_cost)
+        else:
+            mnemonic, cls, rs_a, rs_b, rd, control, is_head, fetch = op[3]
+            pc = 4 * len(entries)
+            if is_head:
+                heads[pc] = fetch
+            ref.note(step(pc=pc, mnemonic=mnemonic, cls=cls, fetch=fetch,
+                          rd=rd, reads=(rs_a, rs_b), control=control))
+            plan = RunPlan(schedule, (pc if is_head else None, rs_a, rs_b))
+            new.note_run(plan, access, fetch_cost,
+                         None if is_head else fetch, rd,
+                         _extra(ref.timing, mnemonic, cls), control)
         assert accessed == sorted(heads)
     elif kind == "event":
         ref.note_event(op[1])
@@ -388,6 +436,39 @@ def test_scoreboard_matches_max_form_reference(timing, ops):
             assert getattr(new, name) == getattr(ref, name), (i, op, name)
 
 
+_cycle = st.integers(0, 300)
+
+#: An arbitrary scoreboard: stage ends in any order, a redirect pending
+#: up to 60 cycles past the last fetch, operands ready far ahead.
+_boards = st.fixed_dictionaries({
+    "_if_end": _cycle, "_id_end": _cycle, "_ex_end": _cycle,
+    "_mem_end": _cycle, "_wb_end": _cycle, "cycles": _cycle,
+    "redirect_past_if": st.integers(-10, 60),
+    "_ready": st.lists(st.integers(0, 400), min_size=31, max_size=31),
+})
+
+
+@given(_timings, _boards, _ops)
+@settings(max_examples=300, deadline=None)
+def test_scoreboard_matches_reference_from_any_state(timing, board, ops):
+    """The closed form needs no particular scoreboard shape: from any
+    state both timers agree after every op, runs and the ops that end
+    them included, with fetch costs and head latencies of 0 to 21."""
+    ref = ReferenceTimer(timing)
+    new = PipelineTimer(timing)
+    for timer_ in (ref, new):
+        for name, value in board.items():
+            if name == "_ready":
+                value = [0, *value]
+            elif name == "redirect_past_if":
+                name, value = "_redirect", board["_if_end"] + value
+            setattr(timer_, name, value)
+    for i, op in enumerate(ops):
+        _apply(ref, new, op)
+        for name in _FIELDS:
+            assert getattr(new, name) == getattr(ref, name), (i, op, name)
+
+
 def test_run_schedule_regs_match_execute():
     """The registers a run's schedule lists are the ones execute()
     reports to the timer, x0 writes included."""
@@ -404,3 +485,64 @@ def test_run_schedule_regs_match_execute():
         assert rd == info.rd, text
         assert ({r for r in (rs_a, rs_b) if r}
                 == {r for r in info.reads if r}), text
+
+
+# ----------------------------------------------------------------------
+# Scoreboard traffic of compiled code
+# ----------------------------------------------------------------------
+#: Most scoreboard calls (``note``, ``note_op``, ``note_run``) per
+#: retired instruction in the first 100k instructions of each perfbench
+#: program on the pipeline engine, ``MachineConfig()``.  Each run of
+#: plain entries and the op that ends it are one call: once per
+#: iteration of tight_loop (11 instructions) and hash_mix (9).
+CALLS_PER_INSTRUCTION = {
+    "tight_loop": 0.091,
+    "hash_mix": 0.112,
+    "chain_trampoline": 0.25,
+    "poly_branch": 0.334,
+    "syscall_heavy": 0.25,
+    "intercept_heavy": 0.236,
+    "mcode_heavy": 0.265,
+    "preemptive_scheduler": 0.734,
+}
+
+
+def _perfbench_machine(name):
+    from repro.machine.builder import MachineConfig, build_metal_machine
+    from repro.osdemo.scheduler import boot_scheduler_demo
+    from repro.profile.workloads import WORKLOADS, workload_source
+    config = MachineConfig(engine="pipeline")
+    if name == "preemptive_scheduler":
+        return boot_scheduler_demo(config=config)
+    workload = WORKLOADS[name]
+    machine = build_metal_machine(list(workload.routines), config=config)
+    if workload.setup is not None:
+        workload.setup(machine)
+    program = machine.assemble(workload_source(name, 100_000))
+    machine.load(program)
+    machine.core.pc = program.symbols["_start"]
+    return machine
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_INSTRUCTION))
+def test_scoreboard_calls_per_instruction(name):
+    """Compiled code reports each run of plain entries together with the
+    branch, jump, muldiv or ``mexit`` that ends it: the scoreboard calls
+    per retired instruction stay within the program's bound (counts are
+    deterministic)."""
+    machine = _perfbench_machine(name)
+    timer = machine.sim.timer
+    calls = []
+
+    def counted(method):
+        def call(*args):
+            calls.append(None)
+            return method(*args)
+        return call
+    for attr in ("note", "note_op", "note_run"):
+        setattr(timer, attr, counted(getattr(timer, attr)))
+    machine.run(max_instructions=100_000, raise_on_limit=False)
+    instret = machine.core.instret
+    assert instret == 100_000
+    assert len(calls) <= CALLS_PER_INSTRUCTION[name] * instret, (
+        len(calls) / instret)

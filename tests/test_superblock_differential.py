@@ -24,8 +24,9 @@ Compiled mem blocks replay their I-cache fetch plan instead of
 accessing the cache on every fetch, so the pair also compares cache hit
 and miss counts after every chunk.  A third pair does the same on the
 pipeline engine (interpreter against the chained tcache, caches on),
-whose compiled code feeds the scoreboard one run schedule or one
-inlined entry at a time, and also compares the three stall counters.
+whose compiled code feeds the scoreboard one run (with the entry that
+ends it, when that entry is reported in the same call) or one inlined
+entry at a time, and also compares the three stall counters.
 Besides the default programs, all eight machines run the intercepting
 ``icept`` seeds, 40 seeds of extension programs (divides,
 misaligned accesses, ``ecall`` handlers ending in ``mexitm``, live

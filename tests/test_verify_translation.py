@@ -16,9 +16,10 @@ Four angles:
   wrong epc, a trap handler whose name the epilogue reads after Python
   unbound it, an ``mexitm`` commit before the final spill, a wrong
   ``note_op`` report (a taken branch without its redirect, a load as a
-  non-load, an ``mexitm`` committing x0), or a ``jal`` its block
-  continues through without its link write or its jump charge makes
-  the validator fail the
+  non-load, an ``mexitm`` committing x0), the line head of an op a
+  ``note_run`` reports accessed before that call, or a ``jal`` its
+  block continues through without its link write or its jump charge
+  makes the validator fail the
   affected block with a precise citation (the acceptance property: a
   wrong compiler cannot pass);
 * exhaustiveness — every uop IR kind and every ALU/branch mnemonic the
@@ -586,6 +587,53 @@ def test_detects_wrong_scoreboard_report(mutant, mutate, run, where):
     assert all(f.where.startswith(f"{where}:0x") for f in findings)
     assert any("events mismatch" in f.message for f in findings)
 
+
+#: The loop's backward branch starts its second I-cache line: a line
+#: head fetched inside the ``note_run`` of the run before it.
+HEAD_BRANCH = """
+_start:
+    li s0, 30
+    j loop
+    .align 5
+loop:
+    addi t1, t1, 1
+    addi t2, t2, 3
+    xor t3, t1, t2
+    slli t4, t1, 2
+    add t5, t3, t4
+    sub t6, t5, t1
+    or a1, t6, t2
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+
+
+def test_detects_fused_head_accessed_before_the_run(mutant):
+    """Scoreboard code that makes the line-head access of an op it
+    reports in a run's ``note_run`` before that call, which accesses the
+    run's own heads first, feeds the I-cache out of program order:
+    validation fails with an events mismatch; the correct codegen, which
+    leaves the access to the call, validates clean."""
+    assert _scoreboard_findings(HEAD_BRANCH) == []
+    real = jit._Codegen.fetch
+
+    def early_head(self, index, pc):
+        if self.fused is None or not self.heads[index]:
+            return real(self, index, pc)
+        if self.carry_ih:
+            self.emit(f"ih += {self.carry_ih}")
+            self.carry_ih = 0
+        self.emit(f"_f = access({pc})")
+        self.tail = [self.fused, None, None]
+        self.fused = None
+        return "(_f if _f > 1 else 1)", "_f"
+
+    mutant(jit._Codegen, "fetch", early_head)
+    findings = _scoreboard_findings(HEAD_BRANCH)
+    assert findings, "a fused op's head accessed before the run passed"
+    assert all(f.where.startswith("mem:0x") for f in findings)
+    assert any("events mismatch" in f.message for f in findings)
 
 # ---------------------------------------------------------------------------
 # the compiled intercept terminator
